@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import AlgebraError, EvalError
 from .suites import BOOLEAN, CATALOG, DBA23, DCORE13, get_suite
-from .terms import Const, Equation, Join, Meet, Neg, Opp, Term, Var
+from .terms import MAX_DEPTH, Const, Equation, Join, Meet, Neg, Opp, Term, Var
 
 
 class FiniteAlgebra:
@@ -25,6 +25,7 @@ class FiniteAlgebra:
     __slots__ = (
         "names", "n", "meet", "join", "neg", "opp", "top", "bot",
         "_rows_m", "_rows_j", "_lneg", "_lopp", "_suite_cache", "_qo_cache",
+        "_cls_cache",
     )
 
     def __init__(self, names, meet, join, neg, opp, top, bot):
@@ -49,6 +50,7 @@ class FiniteAlgebra:
         self._lopp = tuple(int(v) for v in self.opp)
         self._suite_cache = {}
         self._qo_cache = None
+        self._cls_cache = None
 
     @staticmethod
     def _table2(rows, n, what):
@@ -224,8 +226,11 @@ def satisfies_equation(alg: FiniteAlgebra, equation: Equation) -> EquationVerdic
     A failing verdict carries the lexicographically first counterexample
     (variables in sorted name order, element indices as values).  Large
     assignment spaces are processed in chunks along the first variable, so
-    memory stays bounded for any universe size.
+    memory stays bounded for any universe size.  Terms deeper than
+    ``MAX_DEPTH`` raise EvalError.
     """
+    if max(equation.lhs.depth, equation.rhs.depth) > MAX_DEPTH:
+        raise EvalError(f"equation {equation.id!r} is deeper than {MAX_DEPTH} operators")
     vs = equation.variables()
     k = len(vs)
     n = alg.n
@@ -276,11 +281,11 @@ class SuiteReport:
 def check_suite(alg: FiniteAlgebra, suite) -> SuiteReport:
     """One verdict per axiom of the suite (DBA23/DCORE13/GDCORE11/BOOLEAN)."""
     suite = get_suite(suite)
-    cached = alg._suite_cache.get(suite.id)
+    cached = alg._suite_cache.get(suite)  # keyed by id and equations
     if cached is not None:
         return cached
     report = SuiteReport(suite.id, tuple(satisfies_equation(alg, e) for e in suite.equations))
-    alg._suite_cache[suite.id] = report
+    alg._suite_cache[suite] = report
     return report
 
 
@@ -388,6 +393,8 @@ def classify(alg: FiniteAlgebra) -> ClassificationReport:
     dba and dcore are both checked directly (their equivalence is a theorem
     that the test suite verifies, never an assumption made here).
     """
+    if alg._cls_cache is not None:
+        return alg._cls_cache
     r_dba = check_suite(alg, DBA23)
     r_dcore = check_suite(alg, DCORE13)
     r_gd = check_suite(alg, "GDCORE11")
@@ -404,7 +411,7 @@ def classify(alg: FiniteAlgebra) -> ClassificationReport:
         for v in rep.verdicts
         if not v.holds
     )
-    return ClassificationReport(
+    alg._cls_cache = ClassificationReport(
         is_dba=r_dba.ok,
         is_dcore=r_dcore.ok,
         is_generalized_dcore=r_gd.ok,
@@ -416,6 +423,7 @@ def classify(alg: FiniteAlgebra) -> ClassificationReport:
         join_idempotents=ji,
         failures=failures,
     )
+    return alg._cls_cache
 
 
 def extract_boolean_part(alg: FiniteAlgebra, side: str) -> FiniteAlgebra:

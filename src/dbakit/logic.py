@@ -24,7 +24,8 @@ from .algebra import FiniteAlgebra, classify, eval_term, quasi_order
 from .errors import LogicError, ParseError
 from .terms import (
     BOT, OBJECT, PROPERTY, TOP,
-    Const, Join, Meet, Neg, Opp, Term, TermParser, Var, render, variables,
+    Const, Join, Meet, Neg, Opp, Term, TermParser, Var, render, subterms, var_sorts,
+    variables, vee, wedge,
 )
 
 # --- syntax -----------------------------------------------------------------
@@ -91,14 +92,6 @@ def parse_hypersequent(text: str, system: str = "L") -> Hypersequent:
 _A, _B, _C = Var("A*"), Var("B*"), Var("C*")
 
 
-def _vee(a, b):
-    return Neg(Meet(Neg(a), Neg(b)))
-
-
-def _wedge(a, b):
-    return Opp(Join(Opp(a), Opp(b)))
-
-
 @dataclass(frozen=True)
 class AxiomSchema:
     id: str
@@ -126,10 +119,10 @@ AXIOM_SCHEMAS: tuple[AxiomSchema, ...] = (
     AxiomSchema("dopp-join-intro", Join(_A, _B), Opp(Opp(Join(_A, _B)))),
     AxiomSchema("meet-absorb", Meet(_A, _A), Meet(_A, Join(_A, _B))),
     AxiomSchema("join-absorb", Join(_A, Meet(_A, _B)), Join(_A, _A)),
-    AxiomSchema("meet-dist", Meet(_A, _vee(_B, _C)), _vee(Meet(_A, _B), Meet(_A, _C))),
-    AxiomSchema("meet-dist-conv", _vee(Meet(_A, _B), Meet(_A, _C)), Meet(_A, _vee(_B, _C))),
-    AxiomSchema("join-dist", Join(_A, _wedge(_B, _C)), _wedge(Join(_A, _B), Join(_A, _C))),
-    AxiomSchema("join-dist-conv", _wedge(Join(_A, _B), Join(_A, _C)), Join(_A, _wedge(_B, _C))),
+    AxiomSchema("meet-dist", Meet(_A, vee(_B, _C)), vee(Meet(_A, _B), Meet(_A, _C))),
+    AxiomSchema("meet-dist-conv", vee(Meet(_A, _B), Meet(_A, _C)), Meet(_A, vee(_B, _C))),
+    AxiomSchema("join-dist", Join(_A, wedge(_B, _C)), wedge(Join(_A, _B), Join(_A, _C))),
+    AxiomSchema("join-dist-conv", wedge(Join(_A, _B), Join(_A, _C)), Join(_A, wedge(_B, _C))),
     AxiomSchema("square-swap", Meet(Join(_A, _A), Join(_A, _A)), Join(Meet(_A, _A), Meet(_A, _A))),
     AxiomSchema("square-swap-conv", Join(Meet(_A, _A), Meet(_A, _A)), Meet(Join(_A, _A), Join(_A, _A))),
     # HL-only: idempotence for sorted variables
@@ -476,22 +469,11 @@ def _var_ranges(alg: FiniteAlgebra, h: Hypersequent, system: str):
     over the join idempotents; everything else over the whole universe.
     """
     sorts: dict[str, str] = {}
-
-    def walk(t):
-        if isinstance(t, Var):
-            prev = sorts.get(t.name)
-            if prev is not None and prev != t.sort:
-                raise LogicError(f"variable {t.name!r} used with two sorts")
-            sorts[t.name] = t.sort
-        elif isinstance(t, (Neg, Opp)):
-            walk(t.arg)
-        elif isinstance(t, (Meet, Join)):
-            walk(t.left)
-            walk(t.right)
-
     for comp in h.components:
-        walk(comp.ant)
-        walk(comp.suc)
+        for side in (comp.ant, comp.suc):
+            for name, sort in var_sorts(side):
+                if sorts.setdefault(name, sort) != sort:
+                    raise LogicError(f"variable {name!r} used with two sorts")
     names = sorted(sorts)
     ranges = []
     cap = sorted(x for x in range(alg.n) if alg._rows_m[x][x] == x)
@@ -575,8 +557,6 @@ def _cut_pool(goal: Hypersequent, system: str, lemmas):
     """Candidate cut formulas (every side of every axiom schema and caller
     lemma instantiated with subformulas of the goal), plus the instantiated
     sequents themselves for scoring cut premises."""
-    from .terms import subterms
-
     subs: list[Term] = []
     seen = set()
     for comp in goal.components:

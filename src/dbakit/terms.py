@@ -1,5 +1,13 @@
 """Term syntax over the signature (meet, join, two negations, top, bottom).
 
+Terms are hash-consed (Filliatre & Conchon, "Type-safe modular hash-consing",
+ML Workshop 2006): a constructor returns the one live node for its term, held
+in a weak table, so unreferenced terms are freed.  Two terms are equal
+exactly when they are the same node, so equality and hashing are by identity
+and never recurse.  Every node caches its depth and its sorted variables (and
+its subterms, on first request), so none of these re-walks the term.  Nodes
+are immutable; pickle and copy return the interned node.
+
 ASCII surface grammar (precedence: unary > ``&`` > ``|``, both binary ops
 left-associative)::
 
@@ -11,14 +19,20 @@ left-associative)::
           | 'wedge' '(' formula ',' formula ')'
 
 ``vee``/``wedge`` are macros for the derived connectives and are expanded at
-parse time, so parsed terms never contain them as nodes.  All values here are
-immutable and hashable.
+parse time, so parsed terms never contain them as nodes.
+
+Nesting is limited to ``MAX_DEPTH`` levels.  The parser opens a level at each
+``~``, ``!``, opening parenthesis and macro call, and a parsed term may be at
+most ``MAX_DEPTH`` operators deep; deeper input is a ParseError.  The
+equation checkers reject deeper terms built in code with an EvalError.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import ParseError
 
@@ -26,45 +40,133 @@ GENERIC = "generic"
 OBJECT = "object"
 PROPERTY = "property"
 
+# Generated checkers nest one bracket per level and CPython's tokenizer
+# stops at 200; 100 also keeps the recursive walkers far from the recursion
+# limit.
+MAX_DEPTH = 100
 
-@dataclass(frozen=True)
+# (class, *fields) -> the live node; children are interned, so the key's
+# hash and equality never recurse.  Lookups take no lock; creating a node
+# does, so two threads cannot intern two copies of one term.
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_CREATE = threading.Lock()
+
+_DERIVED = ("depth", "_vars", "_names", "_subs")
+
+
 class Term:
-    """Base class; concrete nodes are Var/Const/Neg/Opp/Meet/Join."""
+    """Base class; concrete nodes are Var/Const/Neg/Opp/Meet/Join.
 
-    __slots__ = ()
+    ``==`` and ``hash`` are object identity's, which is term equality for
+    interned nodes.
+    """
+
+    __slots__ = _DERIVED + ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
+def _intern(cls, values, derive):
+    """The live node cls(*values); on a miss, derive(*values) gives its
+    depth, (name, sort) pairs and names."""
+    key = (cls, *values)
+    node = _TABLE.get(key)
+    if node is None:
+        with _CREATE:
+            node = _TABLE.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                derived = derive(*values) + (None,)  # subterms: filled on request
+                for field, value in zip(cls.__match_args__ + _DERIVED, values + derived):
+                    object.__setattr__(node, field, value)
+                _TABLE[key] = node
+    return node
+
+
+def _union(a: tuple, b: tuple) -> tuple:
+    """Sorted union of two sorted tuples, reusing an operand that covers both."""
+    if a == b or not b:
+        return a
+    if not a:
+        return b
+    return tuple(sorted(set(a).union(b)))
+
+
+def _var(name, sort):
+    return 0, ((name, sort),), (name,)
+
+
+def _const(which):
+    return 0, (), ()
+
+
+def _unary(arg):
+    return arg.depth + 1, arg._vars, arg._names
+
+
+def _binary(left, right):
+    return (max(left.depth, right.depth) + 1,
+            _union(left._vars, right._vars), _union(left._names, right._names))
+
+
 class Var(Term):
-    name: str
-    sort: str = GENERIC
+    __slots__ = __match_args__ = ("name", "sort")
+
+    def __new__(cls, name: str, sort: str = GENERIC):
+        return _intern(cls, (name, sort), _var)
 
 
-@dataclass(frozen=True)
 class Const(Term):
-    which: str  # "top" | "bot"
+    __slots__ = __match_args__ = ("which",)  # "top" | "bot"
+
+    def __new__(cls, which: str):
+        return _intern(cls, (which,), _const)
 
 
-@dataclass(frozen=True)
 class Neg(Term):
-    arg: Term
+    __slots__ = __match_args__ = ("arg",)
+
+    def __new__(cls, arg: Term):
+        return _intern(cls, (arg,), _unary)
 
 
-@dataclass(frozen=True)
 class Opp(Term):
-    arg: Term
+    __slots__ = __match_args__ = ("arg",)
+
+    def __new__(cls, arg: Term):
+        return _intern(cls, (arg,), _unary)
 
 
-@dataclass(frozen=True)
 class Meet(Term):
-    left: Term
-    right: Term
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Term, right: Term):
+        return _intern(cls, (left, right), _binary)
 
 
-@dataclass(frozen=True)
 class Join(Term):
-    left: Term
-    right: Term
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Term, right: Term):
+        return _intern(cls, (left, right), _binary)
 
 
 TOP = Const("top")
@@ -83,38 +185,34 @@ def wedge(a: Term, b: Term) -> Term:
 
 def variables(t: Term) -> tuple[str, ...]:
     """Variable names occurring in t, sorted."""
-    seen = set()
+    return t._names
 
-    def walk(u):
-        if isinstance(u, Var):
-            seen.add(u.name)
-        elif isinstance(u, (Neg, Opp)):
-            walk(u.arg)
-        elif isinstance(u, (Meet, Join)):
-            walk(u.left)
-            walk(u.right)
 
-    walk(t)
-    return tuple(sorted(seen))
+def var_sorts(t: Term) -> tuple[tuple[str, str], ...]:
+    """Distinct (name, sort) pairs of the variables occurring in t, sorted."""
+    return t._vars
 
 
 def subterms(t: Term) -> tuple[Term, ...]:
     """All subterms of t (including t itself), deduplicated, in first-visit order."""
-    out = []
-    seen = set()
-
-    def walk(u):
-        if u not in seen:
-            seen.add(u)
-            out.append(u)
-        if isinstance(u, (Neg, Opp)):
-            walk(u.arg)
-        elif isinstance(u, (Meet, Join)):
-            walk(u.left)
-            walk(u.right)
-
-    walk(t)
-    return tuple(out)
+    subs = t._subs
+    if subs is None:
+        out = []
+        seen = set()
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            if u not in seen:
+                seen.add(u)
+                out.append(u)
+                # right pushed first, so the left subterm is visited first
+                if isinstance(u, (Neg, Opp)):
+                    stack.append(u.arg)
+                elif isinstance(u, (Meet, Join)):
+                    stack += (u.right, u.left)
+        subs = tuple(out)
+        object.__setattr__(t, "_subs", subs)
+    return subs
 
 
 def render(t: Term) -> str:
@@ -149,7 +247,7 @@ class Equation:
     rhs: Term
 
     def variables(self) -> tuple[str, ...]:
-        return tuple(sorted(set(variables(self.lhs)) | set(variables(self.rhs))))
+        return _union(variables(self.lhs), variables(self.rhs))
 
     def __str__(self):
         return f"{self.id}: {render(self.lhs)} = {render(self.rhs)}"
@@ -221,13 +319,14 @@ class TermParser:
     ``sorted_vars=True`` gives variables a sort from their first character
     (lowercase: object, uppercase: property); otherwise all variables are
     generic.  The logic module reuses this parser for sequent syntax via
-    peek/expect.
+    peek/expect.  Input nesting deeper than ``MAX_DEPTH`` is a ParseError.
     """
 
     def __init__(self, text: str, sorted_vars: bool = False):
         self.tokens = tokenize(text)
         self.pos = 0
         self.sorted_vars = sorted_vars
+        self.level = 0  # open ~, !, parentheses and macro calls
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -250,11 +349,21 @@ class TermParser:
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
 
+    def _open(self, tok: Token) -> None:
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels",
+                             tok.line, tok.column)
+
     def parse_formula(self) -> Term:
+        start = self.peek()
         t = self._parse_meet()
         while (tok := self.peek()) is not None and tok.kind == "|":
             self.next()
             t = Join(t, self._parse_meet())
+        if t.depth > MAX_DEPTH:
+            raise ParseError(f"formula is deeper than {MAX_DEPTH} operators",
+                             start.line, start.column)
         return t
 
     def _parse_meet(self) -> Term:
@@ -268,12 +377,12 @@ class TermParser:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input")
-        if tok.kind == "~":
+        if tok.kind in ("~", "!"):
             self.next()
-            return Neg(self._parse_unary())
-        if tok.kind == "!":
-            self.next()
-            return Opp(self._parse_unary())
+            self._open(tok)
+            arg = self._parse_unary()
+            self.level -= 1
+            return Neg(arg) if tok.kind == "~" else Opp(arg)
         return self._parse_atom()
 
     def _parse_atom(self) -> Term:
@@ -283,15 +392,19 @@ class TermParser:
         if tok.kind == "F":
             return BOT
         if tok.kind in ("vee", "wedge"):
+            self._open(tok)
             self.expect("(")
             a = self.parse_formula()
             self.expect(",")
             b = self.parse_formula()
             self.expect(")")
+            self.level -= 1
             return vee(a, b) if tok.kind == "vee" else wedge(a, b)
         if tok.kind == "(":
+            self._open(tok)
             t = self.parse_formula()
             self.expect(")")
+            self.level -= 1
             return t
         if tok.kind == "ident":
             if self.sorted_vars:

@@ -17,7 +17,7 @@ from dbakit.fixtures import (
     singleton,
 )
 from dbakit.suites import DBA23, DCORE13, GDCORE11, get_suite
-from dbakit.terms import eq, parse_term
+from dbakit.terms import MAX_DEPTH, AxiomSuite, Equation, Neg, Var, eq, parse_term
 
 
 def brute_force_witness(alg, equation):
@@ -147,6 +147,39 @@ def test_unknown_suite():
     with pytest.raises(SuiteError):
         check_suite(singleton(), "nonsense")
     assert get_suite("dcore") is DCORE13
+
+
+def test_suite_cache_is_keyed_by_the_equations():
+    alg = cex_5ab()
+    full = check_suite(alg, DBA23)
+    assert not full.ok
+    first_only = AxiomSuite("DBA23", (DBA23.equations[0],))
+    report = check_suite(alg, first_only)
+    assert len(report.verdicts) == 1 and report.ok
+    assert check_suite(alg, DBA23) is full
+    assert check_suite(alg, AxiomSuite("DBA23", DBA23.equations)) == check_suite(alg, DBA23)
+
+
+def test_classify_is_cached_per_algebra():
+    alg = chain3()
+    assert classify(alg) is classify(alg)
+    assert classify(alg) == classify(chain3())
+
+
+def neg_chain(depth):
+    t = Var("x")
+    for _ in range(depth):
+        t = Neg(t)
+    return t
+
+
+@pytest.mark.parametrize("alg", [boolean2(), chain3()])
+def test_checker_nesting_limit(alg):
+    at_limit = Equation("deep", neg_chain(MAX_DEPTH), Var("x"))
+    assert satisfies_equation(alg, at_limit).witness == brute_force_witness(alg, at_limit)
+    for depth in (MAX_DEPTH + 1, 250, 3000):
+        with pytest.raises(EvalError):
+            satisfies_equation(alg, Equation("deep", Var("x"), neg_chain(depth)))
 
 
 def test_full_and_reduced_suites_agree_on_every_fixture():

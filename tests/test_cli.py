@@ -7,6 +7,7 @@ from dbakit.fileformats import render_algebra, render_context
 from dbakit.fca import FormalContext
 from dbakit.fixtures import boolean2, cex_5ab, chain3, singleton
 from dbakit.logic import fixture_proofs, render_script
+from dbakit.terms import MAX_DEPTH
 
 
 @pytest.fixture()
@@ -220,4 +221,24 @@ def test_output_deterministic(files, capsys):
 
 def test_bad_goal_parse_is_exit_2(files, capsys):
     code, out = run(capsys, "prove", "x &")
+    assert code == 2
+
+
+def test_prove_nesting_at_the_limit(files, capsys):
+    deep = "~" * MAX_DEPTH + "x"
+    code, out = run(capsys, "prove", f"{deep} => {deep}")
+    assert code == 0 and "proved: true" in out
+    code, out = run(capsys, "prove", "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH + " => x")
+    assert code == 0 and "proved: true" in out
+
+
+@pytest.mark.parametrize("goal", [
+    "~" * (MAX_DEPTH + 1) + "x => x",
+    "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1) + " => x",
+    "x => " + " & ".join(["x"] * (MAX_DEPTH + 2)),
+    "~" * 3000 + "x => x",
+    "(" * 3000 + "x" + ")" * 3000 + " => x",
+])
+def test_prove_nesting_past_the_limit_is_exit_2(files, capsys, goal):
+    code, out = run(capsys, "prove", goal)
     assert code == 2

@@ -242,6 +242,31 @@ def test_search_commutativity_with_lemma_pool():
     assert script.conclusion() == seq(parse_term("x & y"), parse_term("y & x"))
 
 
+GOLDEN_PROOFS = [
+    ("~~(x & y) => (x & y) & (x & y)", 3,
+     "system: L\n"
+     "1: ~(x & y & (x & y)) => ~(x & y)  axiom(neg-collapse)\n"
+     "2: ~~(x & y) => ~~(x & y & (x & y))  neg 1\n"
+     "3: ~~(x & y & (x & y)) => x & y & (x & y)  axiom(dneg-meet)\n"
+     "4: ~~(x & y) => x & y & (x & y)  cut 2 3\n"),
+    ("x & y => (x & y) & (x & y)", 8,
+     "system: L\n"
+     "1: x & y => ~~(x & y)  axiom(dneg-meet-intro)\n"
+     "2: ~(x & y & (x & y)) => ~(x & y)  axiom(neg-collapse)\n"
+     "3: ~~(x & y) => ~~(x & y & (x & y))  neg 2\n"
+     "4: x & y => ~~(x & y & (x & y))  cut 1 3\n"
+     "5: ~~(x & y & (x & y)) => x & y & (x & y)  axiom(dneg-meet)\n"
+     "6: x & y => x & y & (x & y)  cut 4 5\n"),
+]
+
+
+@pytest.mark.parametrize("goal, depth, text", GOLDEN_PROOFS)
+def test_search_finds_the_golden_proof(goal, depth, text):
+    # pins the search order: a different first proof changes the text
+    script = search_proof(parse_hypersequent(goal, "L"), "L", depth)
+    assert render_script(script) == text
+
+
 def test_search_unprovable_goal_returns_none():
     script = search_proof(seq(parse_term("T"), parse_term("T & T")), "L", 4)
     assert script is None

@@ -1,12 +1,20 @@
-"""Term syntax: parsing, macro expansion, rendering, tokens."""
+"""Term syntax: parsing, macro expansion, rendering, tokens, interning."""
+
+import copy
+import dataclasses
+import gc
+import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dbakit import terms
 from dbakit.errors import ParseError
 from dbakit.terms import (
-    BOT, TOP, Join, Meet, Neg, Opp, Var,
-    parse_term, render, variables, vee, wedge,
+    BOT, GENERIC, MAX_DEPTH, OBJECT, TOP, Join, Meet, Neg, Opp, Var,
+    parse_term, render, subterms, variables, vee, wedge,
 )
 
 
@@ -90,3 +98,143 @@ _terms = st.deferred(lambda: st.one_of(
 @given(_terms)
 def test_parse_render_round_trip(t):
     assert parse_term(render(t)) == t
+
+
+# --- interning ---------------------------------------------------------------
+
+def test_equal_terms_are_one_node():
+    assert parse_term("x & y") is Meet(Var("x"), Var("y"))
+    assert parse_term("vee(x, y)") is vee(Var("x"), Var("y"))
+    assert Var("x", OBJECT) is not Var("x")
+    assert Var("x", OBJECT) != Var("x")
+
+
+def test_pickle_and_copy_return_the_interned_node():
+    t = parse_term("~(x & y) | !T")
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert all(u is t for u in copy.deepcopy([t, {"k": t}])[1].values())
+
+
+def test_fields_cannot_be_assigned():
+    t = Meet(Var("x"), TOP)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.left = Var("y")
+    with pytest.raises(AttributeError):
+        del t.right
+    with pytest.raises(AttributeError):
+        Var("x").name = "y"
+    assert t.left is Var("x")
+
+
+def test_repr_is_dataclass_style():
+    assert repr(Meet(Var("x"), Neg(BOT))) == (
+        "Meet(left=Var(name='x', sort='generic'), right=Neg(arg=Const(which='bot')))")
+    assert repr(Var("p", OBJECT)) == "Var(name='p', sort='object')"
+
+
+def test_unreferenced_terms_leave_the_table():
+    gc.collect()
+    before = len(terms._TABLE)
+    t = Join(Var("gc_only_a"), Opp(Var("gc_only_b")))
+    assert (Var, "gc_only_a", GENERIC) in terms._TABLE
+    del t
+    gc.collect()
+    assert (Var, "gc_only_a", GENERIC) not in terms._TABLE
+    assert (Var, "gc_only_b", GENERIC) not in terms._TABLE
+    assert len(terms._TABLE) <= before
+
+
+def test_threads_intern_one_node_per_term():
+    # fresh terms built at once from more threads than cores, with frequent
+    # thread switches: a lost race would leave two nodes for one term
+    texts = [f"~(t{i} & u{i}) | !t{i}" for i in range(1000)]
+    results = [None] * 4
+
+    def build(k):
+        results[k] = [parse_term(text) for text in texts]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for built in results[1:]:
+        assert all(a is b for a, b in zip(results[0], built))
+
+
+def test_variables_and_subterms_are_cached():
+    t = parse_term("(y & x) | ~(x & z)")
+    assert variables(t) == ("x", "y", "z")
+    assert variables(t) is variables(t)
+    subs = subterms(t)
+    assert subs is subterms(t)
+    assert [render(u) for u in subs] == [
+        "y & x | ~(x & z)", "y & x", "y", "x", "~(x & z)", "x & z", "z"]
+
+
+def test_depth_is_cached_on_the_node():
+    assert Var("x").depth == 0
+    assert parse_term("~x & (y | T)").depth == 2
+    assert parse_term("vee(x, y)").depth == 3
+
+
+# --- nesting limit -------------------------------------------------------------
+
+@pytest.mark.parametrize("text", [
+    "~" * MAX_DEPTH + "x",
+    "!" * MAX_DEPTH + "x",
+    "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+    " & ".join(["x"] * (MAX_DEPTH + 1)),
+    " | ".join(["x"] * (MAX_DEPTH + 1)),
+])
+def test_nesting_at_the_limit_parses(text):
+    assert parse_term(text).depth <= MAX_DEPTH
+
+
+@pytest.mark.parametrize("text", [
+    "~" * (MAX_DEPTH + 1) + "x",
+    "!" * (MAX_DEPTH + 1) + "x",
+    "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1),
+    " & ".join(["x"] * (MAX_DEPTH + 2)),
+    " | ".join(["x"] * (MAX_DEPTH + 2)),
+    "~(" + " & ".join(["x"] * (MAX_DEPTH + 1)) + ")",
+    "vee(" * MAX_DEPTH + "x" + ", x)" * MAX_DEPTH,
+    "~" * 3000 + "x",
+    "(" * 3000 + "x" + ")" * 3000,
+])
+def test_nesting_past_the_limit_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_term(text)
+
+
+
+_CHILDREN = {Neg: ("arg",), Opp: ("arg",), Meet: ("left", "right"), Join: ("left", "right")}
+
+
+def _reference_walk(t):
+    """Every node of t in recursive pre-order, repeats included."""
+    out = [t]
+    for f in _CHILDREN.get(type(t), ()):
+        out += _reference_walk(getattr(t, f))
+    return out
+
+
+def _reference_depth(t):
+    return max((1 + _reference_depth(getattr(t, f)) for f in _CHILDREN.get(type(t), ())),
+               default=0)
+
+
+@given(_terms)
+def test_cached_walks_match_a_recursive_walk(t):
+    nodes = _reference_walk(t)
+    assert subterms(t) == tuple(dict.fromkeys(nodes))
+    assert variables(t) == tuple(sorted({u.name for u in nodes if isinstance(u, Var)}))
+    assert t.depth == _reference_depth(t)
