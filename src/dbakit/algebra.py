@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import AlgebraError, EvalError
 from .suites import BOOLEAN, CATALOG, DBA23, DCORE13, get_suite
-from .terms import MAX_DEPTH, Const, Equation, Join, Meet, Neg, Opp, Term, Var
+from .terms import MAX_DEPTH, Equation, Term, evaluator, fold, source
 
 
 class FiniteAlgebra:
@@ -103,29 +103,15 @@ class FiniteAlgebra:
 
 
 def eval_term(alg: FiniteAlgebra, t: Term, env=None) -> int:
-    """Value of t under the tables; env maps variable names to element indices."""
-    env = env or {}
-    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
+    """Value of t under the tables; env maps variable names to element indices.
 
-    def go(u):
-        if isinstance(u, Var):
-            try:
-                return env[u.name]
-            except KeyError:
-                raise EvalError(f"unbound variable {u.name!r}") from None
-        if isinstance(u, Const):
-            return alg.top if u.which == "top" else alg.bot
-        if isinstance(u, Neg):
-            return g[go(u.arg)]
-        if isinstance(u, Opp):
-            return o[go(u.arg)]
-        if isinstance(u, Meet):
-            return m[go(u.left)][go(u.right)]
-        if isinstance(u, Join):
-            return j[go(u.left)][go(u.right)]
-        raise TypeError(f"not a term: {u!r}")
-
-    return go(t)
+    Terms deeper than ``MAX_DEPTH`` raise EvalError, as in the checkers.
+    """
+    try:
+        return evaluator(t)(alg._rows_m, alg._rows_j, alg._lneg, alg._lopp,
+                            alg.top, alg.bot, env or {})
+    except KeyError as exc:
+        raise EvalError(f"unbound variable {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -146,22 +132,6 @@ class EquationVerdict:
 _checker_cache: dict = {}
 
 
-def _expr(t: Term, var_pos: dict) -> str:
-    if isinstance(t, Var):
-        return f"v{var_pos[t.name]}"
-    if isinstance(t, Const):
-        return "TP" if t.which == "top" else "BT"
-    if isinstance(t, Neg):
-        return f"G[{_expr(t.arg, var_pos)}]"
-    if isinstance(t, Opp):
-        return f"O[{_expr(t.arg, var_pos)}]"
-    if isinstance(t, Meet):
-        return f"M[{_expr(t.left, var_pos)}][{_expr(t.right, var_pos)}]"
-    if isinstance(t, Join):
-        return f"J[{_expr(t.left, var_pos)}][{_expr(t.right, var_pos)}]"
-    raise TypeError(f"not a term: {t!r}")
-
-
 def _compiled_checker(equation: Equation):
     """Compile to a function (M,J,G,O,TP,BT,n) -> first failing assignment or None.
 
@@ -173,9 +143,9 @@ def _compiled_checker(equation: Equation):
     if fn is not None:
         return fn
     vs = equation.variables()
-    var_pos = {name: i for i, name in enumerate(vs)}
-    lhs = _expr(equation.lhs, var_pos)
-    rhs = _expr(equation.rhs, var_pos)
+    var_pos = {name: f"v{i}" for i, name in enumerate(vs)}
+    lhs = source(equation.lhs, var_pos.__getitem__)
+    rhs = source(equation.rhs, var_pos.__getitem__)
     lines = ["def _check(M, J, G, O, TP, BT, n):"]
     indent = "    "
     for i in range(len(vs)):
@@ -194,26 +164,16 @@ def _compiled_checker(equation: Equation):
 # --- vectorized checker (fast for large assignment spaces) -----------------
 
 def _np_eval(alg: FiniteAlgebra, t: Term, axes: dict, k: int, first_vals):
-    n = alg.n
-    if isinstance(t, Var):
-        ax = axes[t.name]
-        vals = first_vals if ax == 0 else np.arange(n, dtype=np.int64)
+    def var(name):
+        ax = axes[name]
+        vals = first_vals if ax == 0 else np.arange(alg.n, dtype=np.int64)
         shape = [1] * k
         shape[ax] = len(vals)
         return vals.reshape(shape)
-    if isinstance(t, Const):
-        return np.int64(alg.top if t.which == "top" else alg.bot)
-    if isinstance(t, Neg):
-        return alg.neg[_np_eval(alg, t.arg, axes, k, first_vals)]
-    if isinstance(t, Opp):
-        return alg.opp[_np_eval(alg, t.arg, axes, k, first_vals)]
-    if isinstance(t, Meet):
-        return alg.meet[_np_eval(alg, t.left, axes, k, first_vals),
-                        _np_eval(alg, t.right, axes, k, first_vals)]
-    if isinstance(t, Join):
-        return alg.join[_np_eval(alg, t.left, axes, k, first_vals),
-                        _np_eval(alg, t.right, axes, k, first_vals)]
-    raise TypeError(f"not a term: {t!r}")
+
+    return fold(t, var, np.int64(alg.top), np.int64(alg.bot),
+                alg.neg.__getitem__, alg.opp.__getitem__,
+                lambda a, b: alg.meet[a, b], lambda a, b: alg.join[a, b])
 
 
 _VECTOR_THRESHOLD = 4096
@@ -306,19 +266,24 @@ class QuasiOrder:
         return bool(self.rel[x, y])
 
 
-def quasi_order(alg: FiniteAlgebra) -> QuasiOrder:
-    if alg._qo_cache is not None:
-        return alg._qo_cache
-    m, j = alg.meet, alg.join
-    rel = (m == m.diagonal()[:, None]) & (j == j.diagonal()[None, :])
+def _flagged_order(rel: np.ndarray) -> QuasiOrder:
+    """The relation (an n x n bool matrix, made read-only) with its flags."""
     rel.flags.writeable = False
     r = rel.astype(np.int32)
-    reflexive = bool(rel.diagonal().all())
-    transitive = bool((((r @ r) > 0) <= rel).all())
-    anti = bool((rel & rel.T & ~np.eye(alg.n, dtype=bool)).sum() == 0)
-    qo = QuasiOrder(rel, reflexive, transitive, anti)
-    alg._qo_cache = qo
-    return qo
+    return QuasiOrder(
+        rel,
+        reflexive=bool(rel.diagonal().all()),
+        transitive=bool((((r @ r) > 0) <= rel).all()),
+        antisymmetric=bool((rel & rel.T & ~np.eye(len(rel), dtype=bool)).sum() == 0),
+    )
+
+
+def quasi_order(alg: FiniteAlgebra) -> QuasiOrder:
+    if alg._qo_cache is None:
+        m, j = alg.meet, alg.join
+        alg._qo_cache = _flagged_order(
+            (m == m.diagonal()[:, None]) & (j == j.diagonal()[None, :]))
+    return alg._qo_cache
 
 
 def project_meet(alg: FiniteAlgebra, x: int) -> int:

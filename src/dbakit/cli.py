@@ -39,18 +39,10 @@ class _Usage(Exception):
     pass
 
 
-def _load_algebra(path):
+def _load(path, parse):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_algebra(fh.read())
-    except OSError as exc:
-        raise _Usage(f"cannot read {path}: {exc.strerror}") from None
-
-
-def _load_context(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_context(fh.read())
+            return parse(fh.read())
     except OSError as exc:
         raise _Usage(f"cannot read {path}: {exc.strerror}") from None
 
@@ -70,7 +62,7 @@ def _witness_text(witness, names):
 
 
 def cmd_check(args) -> tuple[int, str]:
-    alg = _load_algebra(args.path)
+    alg = _load(args.path, parse_algebra)
     report = check_suite(alg, args.suite)
     lines = []
     for v in report.verdicts:
@@ -88,7 +80,7 @@ def cmd_check(args) -> tuple[int, str]:
 
 
 def cmd_classify(args) -> tuple[int, str]:
-    alg = _load_algebra(args.path)
+    alg = _load(args.path, parse_algebra)
     report = classify(alg)
     return 0, _emit(report.as_lines(alg.names), [f"elements: {alg.n}"])
 
@@ -107,7 +99,7 @@ def _set_text(mask, names):
 
 
 def cmd_protoconcepts(args) -> tuple[int, str]:
-    ctx = _load_context(args.path)
+    ctx = _load(args.path, parse_context)
     kind = _KIND_MAP[args.kind]
     pairs = enumerate_pairs(ctx, kind)
     lines = [f"({_set_text(p.extent, ctx.objects)}, {_set_text(p.intent, ctx.attributes)})"
@@ -128,7 +120,7 @@ def cmd_protoconcepts(args) -> tuple[int, str]:
 
 
 def _boolean_view(path):
-    alg = _load_algebra(path)
+    alg = _load(path, parse_algebra)
     if not passes(alg, "BOOLEAN"):
         raise _Usage(f"{path}: designated operations do not satisfy the BOOLEAN suite")
     return BooleanView(alg)
@@ -195,7 +187,7 @@ def cmd_construct(args) -> tuple[int, str]:
 
 
 def cmd_represent(args) -> tuple[int, str]:
-    alg = _load_algebra(args.path)
+    alg = _load(args.path, parse_algebra)
     if not passes(alg, "DBA23"):
         raise _Usage(f"{args.path}: input does not satisfy DBA23")
     rep = representation(alg, max_size=args.max_size)

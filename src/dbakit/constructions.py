@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, QuasiOrder, is_boolean_algebra
+from .algebra import FiniteAlgebra, QuasiOrder, _flagged_order, is_boolean_algebra
 from .errors import ConstructionError
 
 
@@ -350,12 +350,4 @@ def generalized_glued_sum(p: BooleanView, q: BooleanView, overlap: dict) -> Gene
                 rel[x, y] = True
             elif x == bot_q_c and y == top_p_c:
                 rel[x, y] = True
-    r_int = rel.astype(np.int32)
-    rel.flags.writeable = False
-    order = QuasiOrder(
-        rel,
-        reflexive=bool(rel.diagonal().all()),
-        transitive=bool((((r_int @ r_int) > 0) <= rel).all()),
-        antisymmetric=bool((rel & rel.T & ~np.eye(size, dtype=bool)).sum() == 0),
-    )
-    return GeneralizedSum(alg, order, p_members, q_members)
+    return GeneralizedSum(alg, _flagged_order(rel), p_members, q_members)

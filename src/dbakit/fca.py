@@ -8,6 +8,7 @@ the empty set returns the full opposite universe.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,6 +199,32 @@ class PairAlgebra:
         return self.pairs.index((a, b))
 
 
+def _pair_algebra(ctx: FormalContext, kind: str, prefix: str, meet_extents,
+                  extent_pair, intent_pair, top, bot) -> PairAlgebra:
+    """The algebra on the ``kind`` pairs of ctx: meet combines extents with
+    ``meet_extents`` and join intersects intents, the negations complement
+    one side; ``extent_pair(a)``/``intent_pair(b)`` complete a side to a pair,
+    and top/bot are pairs.  Elements are named with ``prefix``."""
+    members = [(p.extent, p.intent) for p in enumerate_pairs(ctx, kind)]
+    index = {ab: i for i, ab in enumerate(members)}
+
+    def loc(pair):
+        try:
+            return index[pair]
+        except KeyError:
+            a, b = pair
+            raise AlgebraError(
+                f"operation left the {kind} universe at ({a:#x}, {b:#x})") from None
+
+    mt = [[loc(extent_pair(meet_extents(a, c))) for c, _ in members] for a, _ in members]
+    jt = [[loc(intent_pair(b & d)) for _, d in members] for _, b in members]
+    gt = [loc(extent_pair(ctx.full_objects & ~a)) for a, _ in members]
+    ot = [loc(intent_pair(ctx.full_attributes & ~b)) for _, b in members]
+    alg = FiniteAlgebra(
+        [_pair_name(prefix, a, b) for a, b in members], mt, jt, gt, ot, loc(top), loc(bot))
+    return PairAlgebra(alg, tuple(members))
+
+
 def protoconcept_algebra(ctx: FormalContext, kind: str = "protoconcept") -> PairAlgebra:
     """The algebra on the protoconcepts of ctx (kind="semiconcept" restricts to
     the semiconcept subalgebra; both are closed under all six operations).
@@ -207,42 +234,10 @@ def protoconcept_algebra(ctx: FormalContext, kind: str = "protoconcept") -> Pair
     """
     if kind not in ("protoconcept", "semiconcept"):
         raise AlgebraError(f"kind must be protoconcept or semiconcept, got {kind!r}")
-    members = [(p.extent, p.intent) for p in enumerate_pairs(ctx, kind)]
-    index = {ab: i for i, ab in enumerate(members)}
-
-    def loc(a, b):
-        try:
-            return index[(a, b)]
-        except KeyError:
-            raise AlgebraError(
-                f"operation left the {kind} universe at ({a:#x}, {b:#x})") from None
-
-    def meet(p, q):
-        a = p[0] & q[0]
-        return (a, derive(ctx, "extent", a))
-
-    def join(p, q):
-        b = p[1] & q[1]
-        return (derive(ctx, "intent", b), b)
-
-    def neg(p):
-        a = ctx.full_objects & ~p[0]
-        return (a, derive(ctx, "extent", a))
-
-    def opp(p):
-        b = ctx.full_attributes & ~p[1]
-        return (derive(ctx, "intent", b), b)
-
-    n = len(members)
-    mt = [[loc(*meet(members[i], members[j])) for j in range(n)] for i in range(n)]
-    jt = [[loc(*join(members[i], members[j])) for j in range(n)] for i in range(n)]
-    gt = [loc(*neg(members[i])) for i in range(n)]
-    ot = [loc(*opp(members[i])) for i in range(n)]
-    top = loc(ctx.full_objects, 0)
-    bot = loc(0, ctx.full_attributes)
-    alg = FiniteAlgebra(
-        [_pair_name("p", a, b) for a, b in members], mt, jt, gt, ot, top, bot)
-    return PairAlgebra(alg, tuple(members))
+    return _pair_algebra(
+        ctx, kind, "p", operator.and_,
+        lambda a: (a, derive(ctx, "extent", a)), lambda b: (derive(ctx, "intent", b), b),
+        (ctx.full_objects, 0), (0, ctx.full_attributes))
 
 
 def oo_protoconcept_algebra(ctx: FormalContext, kind: str = "oo_protoconcept") -> PairAlgebra:
@@ -253,42 +248,10 @@ def oo_protoconcept_algebra(ctx: FormalContext, kind: str = "oo_protoconcept") -
     """
     if kind not in ("oo_protoconcept", "oo_semiconcept"):
         raise AlgebraError(f"kind must be oo_protoconcept or oo_semiconcept, got {kind!r}")
-    members = [(p.extent, p.intent) for p in enumerate_pairs(ctx, kind)]
-    index = {ab: i for i, ab in enumerate(members)}
-
-    def loc(a, b):
-        try:
-            return index[(a, b)]
-        except KeyError:
-            raise AlgebraError(
-                f"operation left the {kind} universe at ({a:#x}, {b:#x})") from None
-
-    def meet(p, q):
-        a = p[0] | q[0]
-        return (a, modal(ctx, "box_o", a))
-
-    def join(p, q):
-        b = p[1] & q[1]
-        return (modal(ctx, "diamond_p", b), b)
-
-    def neg(p):
-        a = ctx.full_objects & ~p[0]
-        return (a, modal(ctx, "box_o", a))
-
-    def opp(p):
-        b = ctx.full_attributes & ~p[1]
-        return (modal(ctx, "diamond_p", b), b)
-
-    n = len(members)
-    mt = [[loc(*meet(members[i], members[j])) for j in range(n)] for i in range(n)]
-    jt = [[loc(*join(members[i], members[j])) for j in range(n)] for i in range(n)]
-    gt = [loc(*neg(members[i])) for i in range(n)]
-    ot = [loc(*opp(members[i])) for i in range(n)]
-    top = loc(0, 0)
-    bot = loc(ctx.full_objects, ctx.full_attributes)
-    alg = FiniteAlgebra(
-        [_pair_name("r", a, b) for a, b in members], mt, jt, gt, ot, top, bot)
-    return PairAlgebra(alg, tuple(members))
+    return _pair_algebra(
+        ctx, kind, "r", operator.or_,
+        lambda a: (a, modal(ctx, "box_o", a)), lambda b: (modal(ctx, "diamond_p", b), b),
+        (0, 0), (ctx.full_objects, ctx.full_attributes))
 
 
 def all_contexts(n_objects: int, n_attributes: int):

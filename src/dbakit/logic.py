@@ -24,8 +24,8 @@ from .algebra import FiniteAlgebra, classify, eval_term, quasi_order
 from .errors import LogicError, ParseError
 from .terms import (
     BOT, OBJECT, PROPERTY, TOP,
-    Const, Join, Meet, Neg, Opp, Term, TermParser, Var, render, subterms, var_sorts,
-    variables, vee, wedge,
+    Const, Join, Meet, Neg, Opp, Term, TermParser, Var, fold, render, subterms,
+    var_sorts, variables, vee, wedge,
 )
 
 # --- syntax -----------------------------------------------------------------
@@ -538,19 +538,7 @@ def _instantiations(metavars, pool):
 
 
 def _substitute(pattern: Term, binding: dict) -> Term:
-    if isinstance(pattern, Var):
-        return binding[pattern.name]
-    if isinstance(pattern, Const):
-        return pattern
-    if isinstance(pattern, Neg):
-        return Neg(_substitute(pattern.arg, binding))
-    if isinstance(pattern, Opp):
-        return Opp(_substitute(pattern.arg, binding))
-    if isinstance(pattern, Meet):
-        return Meet(_substitute(pattern.left, binding),
-                    _substitute(pattern.right, binding))
-    return Join(_substitute(pattern.left, binding),
-                _substitute(pattern.right, binding))
+    return fold(pattern, binding.__getitem__, TOP, BOT, Neg, Opp, Meet, Join)
 
 
 def _cut_pool(goal: Hypersequent, system: str, lemmas):
@@ -754,11 +742,16 @@ def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
         return None
 
     tree = None
-    for bound in range(1, depth + 1):
-        failed_at.clear()
-        tree = prove(goal, bound)
-        if tree is not None:
-            break
+    try:
+        for bound in range(1, depth + 1):
+            failed_at.clear()
+            tree = prove(goal, bound)
+            if tree is not None:
+                break
+    finally:
+        # prove and _expand call each other, a reference cycle that would
+        # keep the memo tables alive until a full collection
+        del prove, _expand
     if tree is None:
         return None
     lines: list[ProofLine] = []
@@ -775,6 +768,7 @@ def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
         return idx
 
     emit(tree)
+    del emit  # a recursive closure is a reference cycle
     script = ProofScript(system, tuple(lines))
     report = check_proof(script)
     if not report.valid:

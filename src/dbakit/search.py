@@ -18,7 +18,7 @@ from itertools import product
 from .algebra import FiniteAlgebra, satisfies_equation
 from .errors import SuiteError
 from .suites import get_suite
-from .terms import Const, Meet, Neg, Opp, Var
+from .terms import evaluator
 
 
 @dataclass(frozen=True)
@@ -50,47 +50,30 @@ def candidate_count(n: int) -> int:
 
 
 class _Partial:
-    """Mutable slot view of a candidate: constants, unary maps, binary tables."""
+    """Mutable slot view of a candidate: constants, unary maps, binary tables.
+
+    Every table is padded with an element ``n`` that every operation maps to
+    ``n``, and a missing entry holds ``n``, so a compiled term evaluates to
+    ``n`` exactly when an entry it reads is missing.
+    """
 
     __slots__ = ("n", "top", "bot", "neg", "opp", "meet", "join")
 
     def __init__(self, n):
         self.n = n
-        self.top = None
-        self.bot = None
-        self.neg = [None] * n
-        self.opp = [None] * n
-        self.meet = [[None] * n for _ in range(n)]
-        self.join = [[None] * n for _ in range(n)]
-
-    def eval(self, t, env):
-        """Term value under the partial tables, or None when an entry is missing."""
-        if isinstance(t, Var):
-            return env[t.name]
-        if isinstance(t, Const):
-            return self.top if t.which == "top" else self.bot
-        if isinstance(t, Neg):
-            v = self.eval(t.arg, env)
-            return None if v is None else self.neg[v]
-        if isinstance(t, Opp):
-            v = self.eval(t.arg, env)
-            return None if v is None else self.opp[v]
-        if isinstance(t, Meet):
-            a = self.eval(t.left, env)
-            if a is None:
-                return None
-            b = self.eval(t.right, env)
-            return None if b is None else self.meet[a][b]
-        a = self.eval(t.left, env)
-        if a is None:
-            return None
-        b = self.eval(t.right, env)
-        return None if b is None else self.join[a][b]
+        self.top = n
+        self.bot = n
+        self.neg = [n] * (n + 1)
+        self.opp = [n] * (n + 1)
+        self.meet = [[n] * (n + 1) for _ in range(n + 1)]
+        self.join = [[n] * (n + 1) for _ in range(n + 1)]
 
     def to_algebra(self):
+        n = self.n
         return FiniteAlgebra(
-            [f"e{i}" for i in range(self.n)],
-            self.meet, self.join, self.neg, self.opp, self.top, self.bot)
+            [f"e{i}" for i in range(n)],
+            [row[:n] for row in self.meet[:n]], [row[:n] for row in self.join[:n]],
+            self.neg[:n], self.opp[:n], self.top, self.bot)
 
 
 def _slots(n):
@@ -125,8 +108,9 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
     instances = []
     for eqn in prunable:
         vs = eqn.variables()
+        lhs, rhs = evaluator(eqn.lhs), evaluator(eqn.rhs)
         for vals in product(range(n), repeat=len(vs)):
-            instances.append((eqn, dict(zip(vs, vals))))
+            instances.append((lhs, rhs, dict(zip(vs, vals))))
     verified = [-1] * len(instances)  # depth at which the instance was confirmed
 
     partial = _Partial(n)
@@ -155,18 +139,20 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
             partial.join[pos[0]][pos[1]] = v
 
     def clear_slot(kind, pos):
-        set_slot(kind, pos, None)
+        set_slot(kind, pos, n)
 
     def check_new(depth):
         """Evaluate not-yet-verified instances; False when one is violated."""
-        for idx, (eqn, env) in enumerate(instances):
+        m, j, g, o = partial.meet, partial.join, partial.neg, partial.opp
+        top, bot = partial.top, partial.bot
+        for idx, (lhs, rhs, env) in enumerate(instances):
             if verified[idx] >= 0:
                 continue
-            lv = partial.eval(eqn.lhs, env)
-            if lv is None:
+            lv = lhs(m, j, g, o, top, bot, env)
+            if lv == n:
                 continue
-            rv = partial.eval(eqn.rhs, env)
-            if rv is None:
+            rv = rhs(m, j, g, o, top, bot, env)
+            if rv == n:
                 continue
             if lv != rv:
                 return False

@@ -8,6 +8,15 @@ and never recurse.  Every node caches its depth and its sorted variables (and
 its subterms, on first request), so none of these re-walks the term.  Nodes
 are immutable; pickle and copy return the interned node.
 
+Every traversal of a term is one bottom-up ``fold``: an iterative walk that
+visits each distinct subterm once, in a post-order cached on the node.
+``render``, ``source`` (the term as a Python expression over the operation
+tables), substitution and the numpy checker are folds.  ``evaluator``
+compiles a term once into a Python function of the tables and an environment
+and caches it on the node, so it is freed with the term; ``eval_term`` and
+the model search evaluate through it, and the scalar checker compiles
+``source`` into its loops.
+
 ASCII surface grammar (precedence: unary > ``&`` > ``|``, both binary ops
 left-associative)::
 
@@ -23,8 +32,9 @@ parse time, so parsed terms never contain them as nodes.
 
 Nesting is limited to ``MAX_DEPTH`` levels.  The parser opens a level at each
 ``~``, ``!``, opening parenthesis and macro call, and a parsed term may be at
-most ``MAX_DEPTH`` operators deep; deeper input is a ParseError.  The
-equation checkers reject deeper terms built in code with an EvalError.
+most ``MAX_DEPTH`` operators deep; deeper input is a ParseError.
+``evaluator`` and the equation checkers reject deeper terms built in code
+with an EvalError: compiled expressions nest one bracket per level.
 """
 
 from __future__ import annotations
@@ -34,15 +44,14 @@ import threading
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 
-from .errors import ParseError
+from .errors import EvalError, ParseError
 
 GENERIC = "generic"
 OBJECT = "object"
 PROPERTY = "property"
 
-# Generated checkers nest one bracket per level and CPython's tokenizer
-# stops at 200; 100 also keeps the recursive walkers far from the recursion
-# limit.
+# Compiled expressions nest one bracket per level and CPython's tokenizer
+# stops at 200.
 MAX_DEPTH = 100
 
 # (class, *fields) -> the live node; children are interned, so the key's
@@ -51,7 +60,7 @@ MAX_DEPTH = 100
 _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _CREATE = threading.Lock()
 
-_DERIVED = ("depth", "_vars", "_names", "_subs")
+_DERIVED = ("depth", "_vars", "_names", "_subs", "_post", "_eval")
 
 
 class Term:
@@ -94,7 +103,7 @@ def _intern(cls, values, derive):
             node = _TABLE.get(key)
             if node is None:
                 node = object.__new__(cls)
-                derived = derive(*values) + (None,)  # subterms: filled on request
+                derived = derive(*values) + (None, None, None)  # filled on request
                 for field, value in zip(cls.__match_args__ + _DERIVED, values + derived):
                     object.__setattr__(node, field, value)
                 _TABLE[key] = node
@@ -193,49 +202,103 @@ def var_sorts(t: Term) -> tuple[tuple[str, str], ...]:
     return t._vars
 
 
+def _walk(t: Term) -> None:
+    """Cache on t its distinct subterms in first-visit pre-order (``_subs``)
+    and in post-order (``_post``), from one iterative walk."""
+    pre, post = [], []
+    seen = set()
+    stack = [(t, False)]
+    while stack:
+        u, done = stack.pop()
+        if done:
+            post.append(u)
+        elif u not in seen:
+            seen.add(u)
+            pre.append(u)
+            stack.append((u, True))
+            # right pushed first, so the left subterm is visited first
+            if isinstance(u, (Neg, Opp)):
+                stack.append((u.arg, False))
+            elif isinstance(u, (Meet, Join)):
+                stack += ((u.right, False), (u.left, False))
+    object.__setattr__(t, "_subs", tuple(pre))
+    object.__setattr__(t, "_post", tuple(post))
+
+
 def subterms(t: Term) -> tuple[Term, ...]:
     """All subterms of t (including t itself), deduplicated, in first-visit order."""
-    subs = t._subs
-    if subs is None:
-        out = []
-        seen = set()
-        stack = [t]
-        while stack:
-            u = stack.pop()
-            if u not in seen:
-                seen.add(u)
-                out.append(u)
-                # right pushed first, so the left subterm is visited first
-                if isinstance(u, (Neg, Opp)):
-                    stack.append(u.arg)
-                elif isinstance(u, (Meet, Join)):
-                    stack += (u.right, u.left)
-        subs = tuple(out)
-        object.__setattr__(t, "_subs", subs)
-    return subs
+    if t._subs is None:
+        _walk(t)
+    return t._subs
+
+
+def fold(t: Term, var, top, bot, neg, opp, meet, join):
+    """Bottom-up value of t.
+
+    A variable takes ``var(name)``, the constants take the values ``top`` and
+    ``bot``, and an operation node applies ``neg``/``opp`` to its argument's
+    value or ``meet``/``join`` to its children's values.  Each distinct
+    subterm is visited once; the walk is iterative, so any depth folds.
+    """
+    post = t._post
+    if post is None:
+        _walk(t)
+        post = t._post
+    val = {}
+    for u in post:
+        cls = type(u)
+        if cls is Meet:
+            val[u] = meet(val[u.left], val[u.right])
+        elif cls is Join:
+            val[u] = join(val[u.left], val[u.right])
+        elif cls is Neg:
+            val[u] = neg(val[u.arg])
+        elif cls is Opp:
+            val[u] = opp(val[u.arg])
+        elif cls is Var:
+            val[u] = var(u.name)
+        else:
+            val[u] = top if u.which == "top" else bot
+    return val[t]
+
+
+def source(t: Term, var) -> str:
+    """t as a Python expression over the tables ``M``, ``J`` (rows indexed
+    ``M[a][b]``), ``G``, ``O`` and the constants ``TP``, ``BT``; ``var(name)``
+    gives the expression for a variable."""
+    return fold(t, var, "TP", "BT", "G[{}]".format, "O[{}]".format,
+                "M[{}][{}]".format, "J[{}][{}]".format)
+
+
+def evaluator(t: Term):
+    """t compiled to ``f(M, J, G, O, TP, BT, env)``, where env maps variable
+    names to elements (see ``source``).  Compiled once and cached on the node.
+    Raises EvalError when t is deeper than ``MAX_DEPTH``."""
+    fn = t._eval
+    if fn is None:
+        if t.depth > MAX_DEPTH:
+            raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
+        # closed vocabulary: table names, brackets and variable-name literals
+        fn = eval("lambda M, J, G, O, TP, BT, env: "
+                  + source(t, lambda name: f"env[{name!r}]"), {})
+        object.__setattr__(t, "_eval", fn)
+    return fn
 
 
 def render(t: Term) -> str:
     """Render a term in the surface grammar with minimal parentheses."""
-    # precedence levels: join=1, meet=2, unary/atom=3
-    def go(u, ctx):
-        if isinstance(u, Var):
-            return u.name
-        if isinstance(u, Const):
-            return "T" if u.which == "top" else "F"
-        if isinstance(u, Neg):
-            return "~" + go(u.arg, 3)
-        if isinstance(u, Opp):
-            return "!" + go(u.arg, 3)
-        if isinstance(u, Meet):
-            s = f"{go(u.left, 2)} & {go(u.right, 3)}"
-            return f"({s})" if ctx > 2 else s
-        if isinstance(u, Join):
-            s = f"{go(u.left, 1)} | {go(u.right, 2)}"
-            return f"({s})" if ctx > 1 else s
-        raise TypeError(f"not a term: {u!r}")
+    # (text, precedence) pairs: join=1, meet=2, unary/atom=3
+    def wrap(part, ctx):
+        text, prec = part
+        return f"({text})" if prec < ctx else text
 
-    return go(t, 0)
+    return fold(
+        t, lambda name: (name, 3), ("T", 3), ("F", 3),
+        lambda a: ("~" + wrap(a, 3), 3),
+        lambda a: ("!" + wrap(a, 3), 3),
+        lambda a, b: (f"{wrap(a, 2)} & {wrap(b, 3)}", 2),
+        lambda a, b: (f"{wrap(a, 1)} | {wrap(b, 2)}", 1),
+    )[0]
 
 
 @dataclass(frozen=True)

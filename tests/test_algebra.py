@@ -182,6 +182,17 @@ def test_checker_nesting_limit(alg):
             satisfies_equation(alg, Equation("deep", Var("x"), neg_chain(depth)))
 
 
+def test_eval_term_nesting_limit():
+    alg = chain3()
+    x = alg.index("mid")
+    expected = x
+    for _ in range(MAX_DEPTH):
+        expected = alg._lneg[expected]
+    assert eval_term(alg, neg_chain(MAX_DEPTH), {"x": x}) == expected
+    with pytest.raises(EvalError):
+        eval_term(alg, neg_chain(MAX_DEPTH + 1), {"x": x})
+
+
 def test_full_and_reduced_suites_agree_on_every_fixture():
     for name, alg in builtin_fixtures():
         assert check_suite(alg, DBA23).ok == check_suite(alg, DCORE13).ok, name

@@ -1,5 +1,6 @@
 """Calculi: parsing, axiom matching, proof checking, search, semantics."""
 
+import gc
 from itertools import product
 
 import pytest
@@ -14,7 +15,7 @@ from dbakit.logic import (
     is_true_in, parse_hypersequent, parse_script, parse_sequent, render_script,
     search_proof, seq, _substitute,
 )
-from dbakit.terms import Join, Meet, Neg, Opp, Var, parse_term
+from dbakit.terms import Join, Meet, Neg, Opp, Var, parse_term, render
 
 
 def contextual_fixtures():
@@ -270,6 +271,33 @@ def test_search_finds_the_golden_proof(goal, depth, text):
 def test_search_unprovable_goal_returns_none():
     script = search_proof(seq(parse_term("T"), parse_term("T & T")), "L", 4)
     assert script is None
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # the search state must be freed on return, not at the next full collection
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert search_proof(parse_hypersequent(GOLDEN_PROOFS[0][0], "L"), "L", 3)
+        assert search_proof(seq(parse_term("T"), parse_term("T & T")), "L", 4) is None
+        gc.collect()
+        left = [o for o in gc.garbage
+                if getattr(o, "__qualname__", "").startswith("search_proof.<locals>")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == []
+
+
+def test_substitute_and_render_deep_terms():
+    pattern = Meet(Var("A"), Var("B"))
+    for _ in range(3000):
+        pattern = Neg(pattern)
+    t = _substitute(pattern, {"A": Var("x"), "B": Opp(Var("y"))})
+    assert t.depth == 3002
+    assert render(t) == "~" * 3000 + "(x & !y)"
 
 
 def test_hl_search_finds_sp_leaf():

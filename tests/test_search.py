@@ -126,3 +126,11 @@ def test_size2_search_finds_noncontextual_dbas():
     for alg in noncontextual:
         assert len(set(map(tuple, alg._rows_m))) == 1  # constant tables
         assert alg.top == alg.bot
+
+
+def test_complete_size3_dba_and_dcore_searches_agree():
+    a = enumerate_algebras(SearchSpec(size=3, require="DBA23"))
+    b = enumerate_algebras(SearchSpec(size=3, require="DCORE13"))
+    assert a.complete and b.complete
+    assert a.models == 45
+    assert [x.signature() for x in a.found] == [x.signature() for x in b.found]

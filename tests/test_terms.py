@@ -6,6 +6,7 @@ import gc
 import pickle
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,7 @@ from dbakit import terms
 from dbakit.errors import ParseError
 from dbakit.terms import (
     BOT, GENERIC, MAX_DEPTH, OBJECT, TOP, Join, Meet, Neg, Opp, Var,
-    parse_term, render, subterms, variables, vee, wedge,
+    evaluator, fold, parse_term, render, source, subterms, variables, vee, wedge,
 )
 
 
@@ -178,6 +179,41 @@ def test_variables_and_subterms_are_cached():
     assert subs is subterms(t)
     assert [render(u) for u in subs] == [
         "y & x | ~(x & z)", "y & x", "y", "x", "~(x & z)", "x & z", "z"]
+
+
+def test_fold_visits_each_distinct_subterm_once_children_first():
+    t = parse_term("~(x & y) | (x & y) & T")
+    seen = []
+
+    def node(text):
+        seen.append(text)
+        return text
+
+    out = fold(t, node, "T", "F",
+               lambda a: node(f"~{a}"), lambda a: node(f"!{a}"),
+               lambda a, b: node(f"({a} & {b})"), lambda a, b: node(f"({a} | {b})"))
+    assert out == "(~(x & y) | ((x & y) & T))"
+    # the shared x & y is built once, after its children and before its parents
+    assert seen == ["x", "y", "(x & y)", "~(x & y)", "((x & y) & T)", out]
+
+
+def test_source_and_evaluator():
+    t = parse_term("~(x & T) | !y")
+    assert source(t, lambda name: name) == "J[G[M[x][TP]]][O[y]]"
+    fn = evaluator(t)
+    assert fn is evaluator(t)
+    m = [[0, 0], [0, 1]]
+    j = [[0, 1], [1, 1]]
+    assert fn(m, j, [1, 0], [1, 0], 1, 0, {"x": 1, "y": 1}) == 0
+    assert fn(m, j, [1, 0], [1, 0], 1, 0, {"x": 0, "y": 1}) == 1
+
+
+def test_evaluator_is_freed_with_its_term():
+    t = Meet(Var("eval_only_a"), Neg(Var("eval_only_b")))
+    fn = weakref.ref(evaluator(t))
+    del t
+    gc.collect()
+    assert fn() is None
 
 
 def test_depth_is_cached_on_the_node():
