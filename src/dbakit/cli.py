@@ -157,6 +157,10 @@ def cmd_construct(args) -> tuple[int, str]:
             f"order_antisymmetric: {str(gs.order.antisymmetric).lower()}",
         ]
     else:  # from-booleans
+        missing = [f"--{flag}" for flag in ("size", "r", "e", "rp", "ep")
+                   if getattr(args, flag) is None]
+        if missing:
+            raise _Usage(f"from-booleans needs {' '.join(missing)}")
         p, q = _boolean_view(args.p), _boolean_view(args.q)
         size = args.size
 
@@ -268,11 +272,7 @@ def cmd_prove(args) -> tuple[int, str]:
 
 
 def cmd_checkproof(args) -> tuple[int, str]:
-    try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            script = parse_script(fh.read())
-    except OSError as exc:
-        raise _Usage(f"cannot read {args.path}: {exc.strerror}") from None
+    script = _load(args.path, parse_script)
     report = check_proof(script)
     structured = [f"system: {script.system}",
                   f"lines: {len(script.lines)}",

@@ -20,7 +20,9 @@ import re
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import FiniteAlgebra, classify, eval_term, quasi_order
+from .algebra import (
+    FiniteAlgebra, classify, eval_term, join_idempotents, meet_idempotents, quasi_order,
+)
 from .errors import LogicError, ParseError
 from .terms import (
     BOT, OBJECT, PROPERTY, TOP,
@@ -215,49 +217,47 @@ class CheckReport:
         return f"invalid at line {self.line}: {self.reason}"
 
 
-def _unary_core(rule: str, prem: Sequent, concl: Sequent) -> bool:
-    if rule == "meetR":
-        return (isinstance(concl.ant, Meet) and isinstance(concl.suc, Meet)
-                and concl.ant.left == prem.ant and concl.suc.left == prem.suc
-                and concl.ant.right == concl.suc.right)
-    if rule == "meetL":
-        return (isinstance(concl.ant, Meet) and isinstance(concl.suc, Meet)
-                and concl.ant.right == prem.ant and concl.suc.right == prem.suc
-                and concl.ant.left == concl.suc.left)
-    if rule == "joinR":
-        return (isinstance(concl.ant, Join) and isinstance(concl.suc, Join)
-                and concl.ant.left == prem.ant and concl.suc.left == prem.suc
-                and concl.ant.right == concl.suc.right)
-    if rule == "joinL":
-        return (isinstance(concl.ant, Join) and isinstance(concl.suc, Join)
-                and concl.ant.right == prem.ant and concl.suc.right == prem.suc
-                and concl.ant.left == concl.suc.left)
-    if rule == "neg":
-        return concl.ant == Neg(prem.suc) and concl.suc == Neg(prem.ant)
-    if rule == "opp":
-        return concl.ant == Opp(prem.suc) and concl.suc == Opp(prem.ant)
-    raise LogicError(f"not a unary rule: {rule}")
+def _unary_premises(ant: Term, suc: Term):
+    """(rule, premise ant, premise suc) for every unary rule with conclusion
+    ant => suc, in the order the search tries them."""
+    kind = type(ant)
+    if type(suc) is not kind:
+        return ()
+    if kind is Meet or kind is Join:
+        meet = kind is Meet
+        out = []
+        if ant.right == suc.right:
+            out.append(("meetR" if meet else "joinR", ant.left, suc.left))
+        if ant.left == suc.left:
+            out.append(("meetL" if meet else "joinL", ant.right, suc.right))
+        return out
+    if kind is Neg or kind is Opp:
+        return (("neg" if kind is Neg else "opp", suc.arg, ant.arg),)
+    return ()
 
 
-def _check_unary(rule, prem: Hypersequent, concl: Hypersequent, system) -> bool:
-    if system == "L":
-        return len(prem) == 1 and len(concl) == 1 and _unary_core(rule, prem[0], concl[0])
-    if len(prem) != len(concl):
-        return False
-    for k in range(len(concl)):
-        if prem.components[:k] == concl.components[:k] \
-                and prem.components[k + 1:] == concl.components[k + 1:] \
-                and _unary_core(rule, prem[k], concl[k]):
-            return True
-    return False
+def _splice(h: Hypersequent, k: int, s: Sequent) -> Hypersequent:
+    """h with component k replaced by s."""
+    return Hypersequent(h.components[:k] + (s,) + h.components[k + 1:])
 
 
-def _check_cut(p1: Hypersequent, p2: Hypersequent, concl: Hypersequent, system) -> bool:
-    if system == "L":
-        if len(p1) != 1 or len(p2) != 1 or len(concl) != 1:
-            return False
-        a, b, c = p1[0], p2[0], concl[0]
-        return a.suc == b.ant and c.ant == a.ant and c.suc == b.suc
+def _structural_premises(h: Hypersequent):
+    """(rule, premise) for the HL structural rules with conclusion h: drop the
+    last component (ew), or swap two adjacent ones (ee)."""
+    if len(h) < 2:
+        return
+    yield "ew", Hypersequent(h.components[:-1])
+    for k in range(len(h) - 1):
+        yield "ee", Hypersequent(h.components[:k] + (h[k + 1], h[k]) + h.components[k + 2:])
+
+
+def _check_unary(rule, prem: Hypersequent, concl: Hypersequent) -> bool:
+    return any(prem == _splice(concl, k, Sequent(a, b))
+               for k in range(len(concl))
+               for r, a, b in _unary_premises(concl[k].ant, concl[k].suc) if r == rule)
+
+
+def _check_cut(p1: Hypersequent, p2: Hypersequent, concl: Hypersequent) -> bool:
     for k1 in range(len(p1)):
         s1 = p1[k1]
         for k2 in range(len(p2)):
@@ -281,14 +281,9 @@ def _sq_premises(phi: Term, psi: Term) -> tuple[Sequent, ...]:
     )
 
 
-def _check_sq(prems: list[Hypersequent], concl: Hypersequent, system) -> bool:
+def _check_sq(prems: list[Hypersequent], concl: Hypersequent) -> bool:
     if len(prems) != 4:
         return False
-    if system == "L":
-        if len(concl) != 1 or any(len(p) != 1 for p in prems):
-            return False
-        phi, psi = concl[0].ant, concl[0].suc
-        return tuple(p[0] for p in prems) == _sq_premises(phi, psi)
     for a in range(len(concl)):
         phi, psi = concl[a].ant, concl[a].suc
         expected = _sq_premises(phi, psi)
@@ -357,11 +352,11 @@ def check_proof(script: ProofScript) -> CheckReport:
                     ok = (len(prems) == 0 and len(line.hyp) == 1
                           and schema_matches(schema, line.hyp[0]))
         elif line.rule == "cut":
-            ok = len(prems) == 2 and _check_cut(prems[0], prems[1], line.hyp, script.system)
+            ok = len(prems) == 2 and _check_cut(prems[0], prems[1], line.hyp)
         elif line.rule in ("meetR", "meetL", "joinR", "joinL", "neg", "opp"):
-            ok = len(prems) == 1 and _check_unary(line.rule, prems[0], line.hyp, script.system)
+            ok = len(prems) == 1 and _check_unary(line.rule, prems[0], line.hyp)
         elif line.rule == "sq":
-            ok = _check_sq(prems, line.hyp, script.system)
+            ok = _check_sq(prems, line.hyp)
         elif line.rule == "sp":
             ok = len(prems) == 0 and _check_sp(line.hyp)
         elif line.rule == "ec":
@@ -369,14 +364,8 @@ def check_proof(script: ProofScript) -> CheckReport:
                 prems[0][k] == prems[0][k + 1]
                 and line.hyp.components == prems[0].components[:k] + prems[0].components[k + 1:]
                 for k in range(len(prems[0]) - 1))
-        elif line.rule == "ee":
-            ok = len(prems) == 1 and any(
-                line.hyp.components == prems[0].components[:k]
-                + (prems[0][k + 1], prems[0][k]) + prems[0].components[k + 2:]
-                for k in range(len(prems[0]) - 1))
-        elif line.rule == "ew":
-            ok = (len(prems) == 1 and len(line.hyp) == len(prems[0]) + 1
-                  and line.hyp.components[:-1] == prems[0].components)
+        elif line.rule in ("ee", "ew"):
+            ok = len(prems) == 1 and (line.rule, prems[0]) in _structural_premises(line.hyp)
         else:
             reason = f"unknown rule {line.rule!r}"
         if not ok:
@@ -397,10 +386,9 @@ def render_script(script: ProofScript) -> str:
 
 
 def parse_script(text: str) -> ProofScript:
-    lines = [raw for raw in text.splitlines()]
     system = None
     proof_lines = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].rstrip()
         if not stripped.strip():
             continue
@@ -476,8 +464,8 @@ def _var_ranges(alg: FiniteAlgebra, h: Hypersequent, system: str):
                     raise LogicError(f"variable {name!r} used with two sorts")
     names = sorted(sorts)
     ranges = []
-    cap = sorted(x for x in range(alg.n) if alg._rows_m[x][x] == x)
-    cup = sorted(x for x in range(alg.n) if alg._rows_j[x][x] == x)
+    cap = sorted(meet_idempotents(alg))
+    cup = sorted(join_idempotents(alg))
     for nm in names:
         if system == "HL" and sorts[nm] == OBJECT:
             ranges.append(cap)
@@ -533,10 +521,6 @@ class _Tree:
     schema: str | None = None
 
 
-def _instantiations(metavars, pool):
-    return product(pool, repeat=len(metavars))
-
-
 def _substitute(pattern: Term, binding: dict) -> Term:
     return fold(pattern, binding.__getitem__, TOP, BOT, Neg, Opp, Meet, Join)
 
@@ -570,7 +554,7 @@ def _cut_pool(goal: Hypersequent, system: str, lemmas):
         metavars = sorted(set(variables(lhs)) | set(variables(rhs)))
         if len(metavars) > 2 and len(subs) > 8:
             continue  # keep the pool small for wide schemas on big goals
-        for values in _instantiations(metavars, subs):
+        for values in product(subs, repeat=len(metavars)):
             binding = dict(zip(metavars, values))
             if var_sort is not None and not all(
                     isinstance(v, Var) and v.sort == var_sort for v in values):
@@ -581,6 +565,29 @@ def _cut_pool(goal: Hypersequent, system: str, lemmas):
             add(right)
             instance_pairs.add((left, right))
     return pool, instance_pairs
+
+
+def _backward_steps(h: Hypersequent, system: str, cuts):
+    """(rule, premises) for the rule applications with conclusion h, in the
+    order the search tries them; cuts(s) gives the cut formulas to try on
+    component s.  The second cut premise and the last three order-rule
+    premises are single sequents, so the first premise carries the context
+    and check_proof accepts every step."""
+    # invertible-looking unary rules first
+    for k, s in enumerate(h.components):
+        for rule, a, b in _unary_premises(s.ant, s.suc):
+            yield rule, (_splice(h, k, Sequent(a, b)),)
+    for k, s in enumerate(h.components):
+        for chi in cuts(s):
+            yield "cut", (_splice(h, k, Sequent(s.ant, chi)), seq(chi, s.suc))
+    # the order rule, last among the logical rules: premises grow
+    for k, s in enumerate(h.components):
+        first, *rest = _sq_premises(s.ant, s.suc)
+        yield "sq", (_splice(h, k, first),) + tuple(Hypersequent((p,)) for p in rest)
+    # memoized failures keep the swaps from looping
+    if system == "HL":
+        for rule, prem in _structural_premises(h):
+            yield rule, (prem,)
 
 
 def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
@@ -599,22 +606,8 @@ def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
         step away from one.  Cheap set lookups only."""
         if ant == suc or (ant, suc) in instance_pairs:
             return True
-        checks = []
-        if isinstance(ant, Meet) and isinstance(suc, Meet):
-            if ant.right == suc.right:
-                checks.append((ant.left, suc.left))
-            if ant.left == suc.left:
-                checks.append((ant.right, suc.right))
-        if isinstance(ant, Join) and isinstance(suc, Join):
-            if ant.right == suc.right:
-                checks.append((ant.left, suc.left))
-            if ant.left == suc.left:
-                checks.append((ant.right, suc.right))
-        if isinstance(ant, Neg) and isinstance(suc, Neg):
-            checks.append((suc.arg, ant.arg))
-        if isinstance(ant, Opp) and isinstance(suc, Opp):
-            checks.append((suc.arg, ant.arg))
-        return any(a == b or (a, b) in instance_pairs for a, b in checks)
+        return any(a == b or (a, b) in instance_pairs
+                   for _, a, b in _unary_premises(ant, suc))
 
     def candidates_for(s: Sequent):
         """Admissible pool cuts for s: at least one premise must be nearly
@@ -666,79 +659,18 @@ def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
         return None
 
     def _expand(h: Hypersequent, budget: int):
-        single = len(h) == 1
-        positions = range(len(h))
-        # invertible-looking unary rules first
-        for k in positions:
-            s = h[k]
-            candidates = []
-            if isinstance(s.ant, Meet) and isinstance(s.suc, Meet):
-                if s.ant.right == s.suc.right:
-                    candidates.append(("meetR", Sequent(s.ant.left, s.suc.left)))
-                if s.ant.left == s.suc.left:
-                    candidates.append(("meetL", Sequent(s.ant.right, s.suc.right)))
-            if isinstance(s.ant, Join) and isinstance(s.suc, Join):
-                if s.ant.right == s.suc.right:
-                    candidates.append(("joinR", Sequent(s.ant.left, s.suc.left)))
-                if s.ant.left == s.suc.left:
-                    candidates.append(("joinL", Sequent(s.ant.right, s.suc.right)))
-            if isinstance(s.ant, Neg) and isinstance(s.suc, Neg):
-                candidates.append(("neg", Sequent(s.suc.arg, s.ant.arg)))
-            if isinstance(s.ant, Opp) and isinstance(s.suc, Opp):
-                candidates.append(("opp", Sequent(s.suc.arg, s.ant.arg)))
-            for rule, prem_seq in candidates:
-                prem = Hypersequent(
-                    h.components[:k] + (prem_seq,) + h.components[k + 1:])
+        def cuts(s):  # a cut with a premise outside the pool instances waits for budget 3
+            return (chi for score, chi in candidates_for(s) if score < 1 or budget >= 3)
+
+        for rule, prems in _backward_steps(h, system, cuts):
+            subs = []
+            for prem in prems:
                 sub = prove(prem, budget - 1)
-                if sub is not None:
-                    return _Tree(h, rule, (sub,))
-        # cut through the pool (ordered: axiom-closing cuts first); the
-        # second premise is kept single-component so the contexts of the
-        # first premise concatenate back to the goal
-        if budget >= 2:
-            for k in positions:
-                s = h[k]
-
-                def wrap(new_seq):
-                    return Hypersequent(
-                        h.components[:k] + (new_seq,) + h.components[k + 1:])
-
-                for score, chi in candidates_for(s):
-                    if score >= 1 and budget < 3:
-                        continue
-                    lt = prove(wrap(Sequent(s.ant, chi)), budget - 1)
-                    if lt is None:
-                        continue
-                    rt = prove(seq(chi, s.suc), budget - 1)
-                    if rt is not None:
-                        return _Tree(h, "cut", (lt, rt))
-        # the order rule, last: premises grow
-        if budget >= 2:
-            for k in positions:
-                s = h[k]
-                prems = []
-                ok = True
-                for ps in _sq_premises(s.ant, s.suc):
-                    sub = prove(Hypersequent(
-                        h.components[:k] + (ps,) + h.components[k + 1:]), budget - 1)
-                    if sub is None:
-                        ok = False
-                        break
-                    prems.append(sub)
-                if ok:
-                    return _Tree(h, "sq", tuple(prems))
-        # HL structural rules backward: drop the last component, or swap
-        # adjacent ones (memoized failures keep the swaps from looping)
-        if system == "HL" and len(h) >= 2 and budget >= 2:
-            sub = prove(Hypersequent(h.components[:-1]), budget - 1)
-            if sub is not None:
-                return _Tree(h, "ew", (sub,))
-            for k in range(len(h) - 1):
-                swapped = Hypersequent(
-                    h.components[:k] + (h[k + 1], h[k]) + h.components[k + 2:])
-                sub = prove(swapped, budget - 1)
-                if sub is not None:
-                    return _Tree(h, "ee", (sub,))
+                if sub is None:
+                    break
+                subs.append(sub)
+            else:
+                return _Tree(h, rule, tuple(subs))
         return None
 
     tree = None

@@ -203,7 +203,10 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
             if out_of_budget:
                 return
 
-    dfs(0)
+    try:
+        dfs(0)
+    finally:
+        del dfs  # a recursive closure is a reference cycle holding the search state
     summary.complete = not out_of_budget
     return summary
 

@@ -106,6 +106,16 @@ def test_construct_from_booleans_and_broken_retraction(files, capsys):
     assert code2 == 2  # r(e(1)) != 1
 
 
+@pytest.mark.parametrize("omit", [("--size",), ("--r",), ("--e",), ("--rp",), ("--ep",),
+                                  ("--size", "--ep")])
+def test_construct_from_booleans_missing_flag_is_usage_error(files, capsys, omit):
+    flags = {"--size": "3", "--r": "0,1,1", "--e": "0,1", "--rp": "0,0,1", "--ep": "1,2"}
+    argv = [arg for flag, value in flags.items() if flag not in omit for arg in (flag, value)]
+    code, out = run(capsys, "construct", "from-booleans", files["b2"], files["b2"], *argv)
+    assert code == 2
+    assert out == f"error: from-booleans needs {' '.join(omit)}\n"
+
+
 def test_construct_gen_glued_sum_empty_overlap(files, capsys):
     code, out = run(capsys, "construct", "gen-glued-sum", files["b2"], files["b2"])
     assert code == 0

@@ -4,7 +4,9 @@ import gc
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dbakit import logic
 from dbakit.algebra import classify, passes, quasi_order
 from dbakit.errors import LogicError, ParseError
 from dbakit.fca import protoconcept_algebra
@@ -13,9 +15,9 @@ from dbakit.logic import (
     AXIOM_SCHEMAS, Hypersequent, ProofLine, ProofScript, Sequent, axiom_match,
     check_proof, eval_sequent, falsifying_env, find_countermodel, fixture_proofs,
     is_true_in, parse_hypersequent, parse_script, parse_sequent, render_script,
-    search_proof, seq, _substitute,
+    search_proof, seq, _sq_premises, _substitute,
 )
-from dbakit.terms import Join, Meet, Neg, Opp, Var, parse_term, render
+from dbakit.terms import Join, Meet, Neg, Opp, Term, Var, parse_term, render
 
 
 def contextual_fixtures():
@@ -458,3 +460,260 @@ def test_valid_script_conclusions_true_in_contextual_fixtures():
         concl = script.conclusion()
         for name, alg in contextual_fixtures():
             assert is_true_in(alg, concl, "L"), (script_name, name)
+
+
+# --- the rule table: checker and search against reference checkers ---------------
+#
+# The reference checkers below test each rule forward on its own, with a
+# separate system L branch; the checker in dbakit.logic reads the rule table
+# that the search applies backward.  Both must give the same verdicts, and
+# every backward step the search can take must pass the reference.
+
+def _unary_core(rule: str, prem: Sequent, concl: Sequent) -> bool:
+    if rule == "meetR":
+        return (isinstance(concl.ant, Meet) and isinstance(concl.suc, Meet)
+                and concl.ant.left == prem.ant and concl.suc.left == prem.suc
+                and concl.ant.right == concl.suc.right)
+    if rule == "meetL":
+        return (isinstance(concl.ant, Meet) and isinstance(concl.suc, Meet)
+                and concl.ant.right == prem.ant and concl.suc.right == prem.suc
+                and concl.ant.left == concl.suc.left)
+    if rule == "joinR":
+        return (isinstance(concl.ant, Join) and isinstance(concl.suc, Join)
+                and concl.ant.left == prem.ant and concl.suc.left == prem.suc
+                and concl.ant.right == concl.suc.right)
+    if rule == "joinL":
+        return (isinstance(concl.ant, Join) and isinstance(concl.suc, Join)
+                and concl.ant.right == prem.ant and concl.suc.right == prem.suc
+                and concl.ant.left == concl.suc.left)
+    if rule == "neg":
+        return concl.ant == Neg(prem.suc) and concl.suc == Neg(prem.ant)
+    if rule == "opp":
+        return concl.ant == Opp(prem.suc) and concl.suc == Opp(prem.ant)
+    raise LogicError(f"not a unary rule: {rule}")
+
+
+def _check_unary(rule, prem: Hypersequent, concl: Hypersequent, system) -> bool:
+    if system == "L":
+        return len(prem) == 1 and len(concl) == 1 and _unary_core(rule, prem[0], concl[0])
+    if len(prem) != len(concl):
+        return False
+    for k in range(len(concl)):
+        if prem.components[:k] == concl.components[:k] \
+                and prem.components[k + 1:] == concl.components[k + 1:] \
+                and _unary_core(rule, prem[k], concl[k]):
+            return True
+    return False
+
+
+def _check_cut(p1: Hypersequent, p2: Hypersequent, concl: Hypersequent, system) -> bool:
+    if system == "L":
+        if len(p1) != 1 or len(p2) != 1 or len(concl) != 1:
+            return False
+        a, b, c = p1[0], p2[0], concl[0]
+        return a.suc == b.ant and c.ant == a.ant and c.suc == b.suc
+    for k1 in range(len(p1)):
+        s1 = p1[k1]
+        for k2 in range(len(p2)):
+            s2 = p2[k2]
+            if s1.suc != s2.ant:
+                continue
+            expected = (p1.components[:k1] + p2.components[:k2]
+                        + (Sequent(s1.ant, s2.suc),)
+                        + p1.components[k1 + 1:] + p2.components[k2 + 1:])
+            if expected == concl.components:
+                return True
+    return False
+
+
+def _check_sq(prems: list[Hypersequent], concl: Hypersequent, system) -> bool:
+    if len(prems) != 4:
+        return False
+    if system == "L":
+        if len(concl) != 1 or any(len(p) != 1 for p in prems):
+            return False
+        phi, psi = concl[0].ant, concl[0].suc
+        return tuple(p[0] for p in prems) == _sq_premises(phi, psi)
+    for a in range(len(concl)):
+        phi, psi = concl[a].ant, concl[a].suc
+        expected = _sq_premises(phi, psi)
+        positions = []
+        for i in range(4):
+            positions.append([k for k in range(len(prems[i]))
+                              if prems[i][k] == expected[i]])
+        for k1 in positions[0]:
+            for k2 in positions[1]:
+                for k3 in positions[2]:
+                    for k4 in positions[3]:
+                        pre = (prems[0].components[:k1] + prems[1].components[:k2]
+                               + prems[2].components[:k3] + prems[3].components[:k4])
+                        post = (prems[0].components[k1 + 1:] + prems[1].components[k2 + 1:]
+                                + prems[2].components[k3 + 1:] + prems[3].components[k4 + 1:])
+                        if pre + (concl[a],) + post == concl.components:
+                            return True
+    return False
+
+
+def _check_structural(rule, prem: Hypersequent, concl: Hypersequent) -> bool:
+    if rule == "ee":
+        return any(
+            concl.components == prem.components[:k]
+            + (prem[k + 1], prem[k]) + prem.components[k + 2:]
+            for k in range(len(prem) - 1))
+    return (len(concl) == len(prem) + 1
+            and concl.components[:-1] == prem.components)
+
+
+_UNARY_RULES = ("meetR", "meetL", "joinR", "joinL", "neg", "opp")
+
+# a small alphabet, so that random pairs often share subterms
+_small_terms = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), parse_term("T"), parse_term("F")]),
+    lambda sub: st.one_of(
+        st.builds(Neg, sub), st.builds(Opp, sub),
+        st.builds(Meet, sub, sub), st.builds(Join, sub, sub)),
+    max_leaves=4)
+_small_sequents = st.builds(Sequent, _small_terms, _small_terms)
+
+
+def _hyp(comps):
+    return Hypersequent(tuple(comps))
+
+
+def _near_miss(data, h: Hypersequent, system: str) -> Hypersequent:
+    """h with one component's sides swapped or replaced, or (HL) with a
+    component dropped, added or moved."""
+    comps = list(h.components)
+    k = data.draw(st.integers(0, len(comps) - 1))
+    kinds = ["swap", "replace"] + (["drop", "add", "move"] if system == "HL" else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "swap":
+        comps[k] = Sequent(comps[k].suc, comps[k].ant)
+    elif kind == "replace":
+        comps[k] = data.draw(_small_sequents)
+    elif kind == "drop" and len(comps) > 1:
+        del comps[k]
+    elif kind == "add":
+        comps.insert(k, data.draw(_small_sequents))
+    else:
+        comps.insert(data.draw(st.integers(0, len(comps) - 1)), comps.pop(k))
+    return _hyp(comps)
+
+
+def _context(data, system):
+    """Components around the active one: none in L, up to two each side in HL."""
+    size = 0 if system == "L" else 2
+    return (data.draw(st.lists(_small_sequents, max_size=size)),
+            data.draw(st.lists(_small_sequents, max_size=size)))
+
+
+def _unary_forward(rule, s: Sequent, side: Term) -> Sequent:
+    a, b = s.ant, s.suc
+    return {
+        "meetR": Sequent(Meet(a, side), Meet(b, side)),
+        "meetL": Sequent(Meet(side, a), Meet(side, b)),
+        "joinR": Sequent(Join(a, side), Join(b, side)),
+        "joinL": Sequent(Join(side, a), Join(side, b)),
+        "neg": Sequent(Neg(b), Neg(a)),
+        "opp": Sequent(Opp(b), Opp(a)),
+    }[rule]
+
+
+_systems = st.sampled_from(["L", "HL"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _systems, st.sampled_from(_UNARY_RULES), _small_sequents, _small_terms)
+def test_unary_checker_matches_reference(data, system, rule, prem_seq, side):
+    pre, post = _context(data, system)
+    prem = _hyp(pre + [prem_seq] + post)
+    concl = _hyp(pre + [_unary_forward(rule, prem_seq, side)] + post)
+    cases = [(rule, prem, concl),
+             (data.draw(st.sampled_from(_UNARY_RULES)), prem, concl),
+             (rule, _near_miss(data, prem, system), concl),
+             (rule, prem, _near_miss(data, concl, system)),
+             (rule, _hyp(pre + [data.draw(_small_sequents)] + post), concl)]
+    assert logic._check_unary(rule, prem, concl)
+    for r, p, c in cases:
+        if system == "L" and (len(p) != 1 or len(c) != 1):
+            continue  # check_proof rejects these before any rule checker
+        assert logic._check_unary(r, p, c) == _check_unary(r, p, c, system), (r, p, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _systems, _small_terms, _small_terms, _small_terms)
+def test_cut_checker_matches_reference(data, system, a, chi, b):
+    pre1, post1 = _context(data, system)
+    pre2, post2 = _context(data, system)
+    p1 = _hyp(pre1 + [Sequent(a, chi)] + post1)
+    p2 = _hyp(pre2 + [Sequent(chi, b)] + post2)
+    concl = _hyp(pre1 + pre2 + [Sequent(a, b)] + post1 + post2)
+    cases = [(p1, p2, concl), (p2, p1, concl),
+             (_near_miss(data, p1, system), p2, concl),
+             (p1, _near_miss(data, p2, system), concl),
+             (p1, p2, _near_miss(data, concl, system)),
+             (p1, _hyp([data.draw(_small_sequents)]), concl)]
+    assert logic._check_cut(p1, p2, concl)
+    for q1, q2, c in cases:
+        assert logic._check_cut(q1, q2, c) == _check_cut(q1, q2, c, system), (q1, q2, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _systems, _small_terms, _small_terms)
+def test_sq_checker_matches_reference(data, system, phi, psi):
+    pres = [_context(data, system) for _ in range(4)]
+    prems = [_hyp(pre + [p] + post) for (pre, post), p in zip(pres, _sq_premises(phi, psi))]
+    concl = _hyp([c for pre, _ in pres for c in pre] + [Sequent(phi, psi)]
+                 + [c for _, post in pres for c in post])
+    i = data.draw(st.integers(0, 3))
+    mutated = list(prems)
+    mutated[i] = _near_miss(data, prems[i], system)
+    cases = [(prems, concl), (prems[::-1], concl), (prems[:3], concl), (mutated, concl),
+             (prems, _near_miss(data, concl, system)),
+             (prems, _hyp([Sequent(psi, phi)]))]
+    assert logic._check_sq(prems, concl)
+    for ps, c in cases:
+        assert logic._check_sq(ps, c) == _check_sq(ps, c, system), (ps, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.lists(_small_sequents, min_size=1, max_size=4))
+def test_structural_checks_match_reference(data, comps):
+    concl = _hyp(comps)
+    prems = [_near_miss(data, concl, "HL"), _hyp(comps[:-1] or comps), _hyp(comps[::-1])]
+    for rule in ("ee", "ew"):
+        for prem in prems:
+            assert ((rule, prem) in logic._structural_premises(concl)) \
+                == _check_structural(rule, prem, concl), (rule, prem, concl)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems, st.lists(_small_sequents, min_size=1, max_size=3),
+       st.lists(_small_terms, max_size=4))
+def test_every_backward_step_passes_the_reference_checkers(system, comps, pool):
+    h = _hyp(comps[:1] if system == "L" else comps)
+    steps = list(logic._backward_steps(h, system, lambda s: pool))
+    assert sum(rule == "sq" for rule, _ in steps) == len(h)
+    for rule, prems in steps:
+        if system == "L":
+            assert all(len(p) == 1 for p in prems)
+        if rule in _UNARY_RULES:
+            ok = _check_unary(rule, prems[0], h, system)
+        elif rule == "cut":
+            ok = _check_cut(prems[0], prems[1], h, system)
+        elif rule == "sq":
+            ok = _check_sq(list(prems), h, system)
+        else:
+            ok = system == "HL" and _check_structural(rule, prems[0], h)
+        assert ok, (rule, prems, h)
+
+
+_hl_goals = st.lists(st.builds(Sequent, _small_terms, _small_terms), min_size=2, max_size=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_hl_goals)
+def test_hl_search_output_rechecks(comps):
+    # search_proof raises LogicError when its proof fails check_proof
+    script = search_proof(_hyp(comps), "HL", 3)
+    assert script is None or check_proof(script).valid

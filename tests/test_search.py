@@ -1,5 +1,7 @@
 """Model enumeration: determinism, pruning soundness, fixture properties."""
 
+import gc
+
 import pytest
 
 from dbakit.algebra import check_suite, passes
@@ -134,3 +136,20 @@ def test_complete_size3_dba_and_dcore_searches_agree():
     assert a.complete and b.complete
     assert a.models == 45
     assert [x.signature() for x in a.found] == [x.signature() for x in b.found]
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # the search state must be freed on return, not at the next full collection
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert enumerate_algebras(SearchSpec(size=2, require="DBA23")).models > 0
+        gc.collect()
+        left = [o for o in gc.garbage
+                if getattr(o, "__qualname__", "").startswith("enumerate_algebras.<locals>")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == []
