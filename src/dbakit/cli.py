@@ -39,6 +39,19 @@ class _Usage(Exception):
     pass
 
 
+def _int_at_least(minimum):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _load(path, parse):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -349,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", help=".dba file for the meet-side Boolean algebra")
     p.add_argument("q", help=".dba file for the join-side Boolean algebra")
     p.add_argument("--identify", help="gen-glued-sum: comma list pname=qname")
-    p.add_argument("--size", type=int, help="from-booleans: carrier size")
+    p.add_argument("--size", type=_int_at_least(1), help="from-booleans: carrier size")
     p.add_argument("--r", help="from-booleans: carrier->P indices")
     p.add_argument("--e", help="from-booleans: P->carrier indices")
     p.add_argument("--rp", help="from-booleans: carrier->Q indices")
@@ -360,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("represent", help="primary filters/ideals and the pair map")
     p.add_argument("path")
     p.add_argument("--verify", default="all", choices=["all", "lemma", "embedding", "clopen"])
-    p.add_argument("--max-size", type=int, default=DEFAULT_REPRESENT_SIZE)
+    p.add_argument("--max-size", type=_int_at_least(1), default=DEFAULT_REPRESENT_SIZE)
     p.add_argument("--emit-context", metavar="OUT",
                    help="write the standard context as .cxt")
     p.set_defaults(fn=cmd_represent)
@@ -368,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="backward proof search")
     p.add_argument("goal")
     p.add_argument("--system", default="L", choices=["L", "HL"])
-    p.add_argument("--depth", type=int, default=DEFAULT_PROOF_DEPTH)
+    p.add_argument("--depth", type=_int_at_least(1), default=DEFAULT_PROOF_DEPTH)
     p.add_argument("--lemma", action="append", help="extra cut source (repeatable)")
     p.set_defaults(fn=cmd_prove)
 
@@ -384,11 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_refute)
 
     p = sub.add_parser("search", help="enumerate algebras with constraints")
-    p.add_argument("--size", type=int, default=DEFAULT_SEARCH_SIZE)
+    p.add_argument("--size", type=_int_at_least(1), default=DEFAULT_SEARCH_SIZE)
     p.add_argument("--require", help="suite that must hold (dba/dcore/gdcore/boolean)")
     p.add_argument("--fail", help="comma list of axiom ids that must each fail")
-    p.add_argument("--limit", type=int, help="stop after this many models")
-    p.add_argument("--max-candidates", type=int)
+    p.add_argument("--limit", type=_int_at_least(1), help="stop after this many models")
+    p.add_argument("--max-candidates", type=_int_at_least(0))
     p.set_defaults(fn=cmd_search)
 
     return ap

@@ -210,64 +210,13 @@ def canonical_pairs(alg: FiniteAlgebra):
 def glued_sum(p: BooleanView, q: BooleanView) -> FiniteAlgebra:
     """Stack Q on top of P, identifying top_P with bot_Q.
 
-    Case tables: meets inside P use P's meet, joins inside Q use Q's join;
+    By cases: meets inside P use P's meet, joins inside Q use Q's join;
     a meet with both arguments above the glue collapses to the glue, dually
     for joins below it; negation retracts everything outside P to bot_P,
-    opposition everything outside Q to top_Q.
+    opposition everything outside Q to top_Q.  This is the generalized glued
+    sum whose only shared element is top_P = bot_Q.
     """
-    np_, nq = p.n, q.n
-    size = np_ + nq - 1
-    glue = p.top
-    carrier_q = [j for j in range(nq) if j != q.bot]
-    q_to_c = {q.bot: glue}
-    for off, j in enumerate(carrier_q):
-        q_to_c[j] = np_ + off
-    c_to_q = {c: j for j, c in q_to_c.items()}
-
-    def in_p(c):
-        return c < np_
-
-    def in_q(c):
-        return c in c_to_q
-
-    def meet(x, y):
-        if in_p(x) and in_p(y):
-            return p.meet(x, y)
-        if in_q(x) and in_q(y):
-            return glue
-        return x if in_p(x) else y
-
-    def join(x, y):
-        if in_q(x) and in_q(y):
-            return q_to_c[q.join(c_to_q[x], c_to_q[y])]
-        if in_p(x) and in_p(y):
-            return glue
-        return y if in_q(y) else x
-
-    def neg(x):
-        return p.comp(x) if in_p(x) else p.bot
-
-    def opp(x):
-        return q_to_c[q.comp(c_to_q[x])] if in_q(x) else q_to_c[q.top]
-
-    names = list(p.names)
-    used = set(names)
-    for j in carrier_q:
-        nm = q.names[j]
-        while nm in used:
-            nm += "'"
-        used.add(nm)
-        names.append(nm)
-    rng = range(size)
-    return FiniteAlgebra(
-        names,
-        [[meet(x, y) for y in rng] for x in rng],
-        [[join(x, y) for y in rng] for x in rng],
-        [neg(x) for x in rng],
-        [opp(x) for x in rng],
-        q_to_c[q.top],
-        p.bot,
-    )
+    return generalized_glued_sum(p, q, {p.top: q.bot}).algebra
 
 
 @dataclass(frozen=True)
@@ -309,21 +258,10 @@ def generalized_glued_sum(p: BooleanView, q: BooleanView, overlap: dict) -> Gene
             nxt += 1
     c_to_q = {c: j for j, c in q_to_c.items()}
 
-    def r(x):  # carrier -> P
-        return x if x < p.n else p.top
-
-    def rp(x):  # carrier -> Q
-        return c_to_q.get(x, q.bot)
-
-    e = list(range(p.n))
-    ep = [q_to_c[j] for j in range(q.n)]
-
     rng = range(size)
-    meet = [[e[p.meet(r(x), r(y))] for y in rng] for x in rng]
-    join = [[ep[q.join(rp(x), rp(y))] for y in rng] for x in rng]
-    neg = [e[p.comp(r(x))] for x in rng]
-    opp = [ep[q.comp(rp(x))] for x in rng]
-
+    r = [x if x < p.n else p.top for x in rng]  # carrier -> P
+    rp = [c_to_q.get(x, q.bot) for x in rng]    # carrier -> Q
+    ep = [q_to_c[j] for j in range(q.n)]
     names = list(p.names)
     used = set(names)
     for j in range(q.n):
@@ -333,7 +271,8 @@ def generalized_glued_sum(p: BooleanView, q: BooleanView, overlap: dict) -> Gene
                 nm += "'"
             used.add(nm)
             names.append(nm)
-    alg = FiniteAlgebra(names, meet, join, neg, opp, ep[q.top], e[p.bot])
+    alg = build_from_boolean_pair(
+        size, RetractionPair(size, p, r, range(p.n)), RetractionPair(size, q, rp, ep), names)
 
     p_members = frozenset(range(p.n))
     q_members = frozenset(q_to_c.values())

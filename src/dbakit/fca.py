@@ -132,11 +132,10 @@ def pair_flags(ctx: FormalContext, a: int, b: int) -> ConceptPair:
 
 _KINDS = ("concept", "semiconcept", "protoconcept", "oo_semiconcept", "oo_protoconcept")
 
-_BRUTE_LIMIT = 12  # |G|+|M| above this switches to generation from closures
-
 
 def _generated_pairs(ctx: FormalContext, kind: str) -> list[tuple[int, int]]:
-    """Equivalent faster path: group generators by their generated concept."""
+    """The (extent, intent) masks of every ``kind`` pair, ascending: group
+    generators by their generated closure instead of testing all pairs."""
     by_extent_closure: dict[int, list[int]] = {}
     for a in range(ctx.full_objects + 1):
         app = derive(ctx, "intent", derive(ctx, "extent", a))
@@ -173,14 +172,6 @@ def enumerate_pairs(ctx: FormalContext, kind: str) -> list[ConceptPair]:
     """All pairs of the requested kind, ordered by (extent mask, intent mask)."""
     if kind not in _KINDS:
         raise AlgebraError(f"unknown pair kind {kind!r} (known: {_KINDS})")
-    if ctx.n_objects + ctx.n_attributes <= _BRUTE_LIMIT:
-        out = []
-        for a in range(ctx.full_objects + 1):
-            for b in range(ctx.full_attributes + 1):
-                p = pair_flags(ctx, a, b)
-                if getattr(p, kind):
-                    out.append(p)
-        return out
     return [pair_flags(ctx, a, b) for a, b in _generated_pairs(ctx, kind)]
 
 

@@ -149,6 +149,10 @@ def parse_context(text: str) -> FormalContext:
         raise ParseError("second line must start with 'attributes:'", l2, 1)
     objects = first.split(":", 1)[1].split()
     attributes = second.split(":", 1)[1].split()
+    for what, names, lineno in (("object", objects, l1), ("attribute", attributes, l2)):
+        if len(set(names)) != len(names):
+            dup = next(nm for k, nm in enumerate(names) if nm in names[:k])
+            raise ParseError(f"duplicate {what} name {dup!r}", lineno, 1)
     rows = lines[2:]
     if len(rows) != len(objects):
         raise ParseError(

@@ -401,7 +401,10 @@ def parse_script(text: str) -> ProofScript:
         m = re.match(r"\s*(\d+)\s*:\s*(.*)$", stripped)
         if not m:
             raise ParseError("expected '<index>: <hypersequent>  <justification>'", lineno, 1)
-        idx = int(m.group(1))
+        try:
+            idx = int(m.group(1))
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise ParseError(f"line index has {len(m.group(1))} digits", lineno, 1) from None
         rest = m.group(2)
         parts = re.split(r"\s{2,}", rest.strip(), maxsplit=1)
         if len(parts) != 2:

@@ -49,34 +49,27 @@ def _mask_of(members) -> int:
     return sum(1 << x for x in set(members))
 
 
-def is_filter(alg: FiniteAlgebra, members) -> bool:
-    """Closed under meet and upward closed under the quasi-order."""
-    s = frozenset(members)
-    rel = quasi_order(alg).rel
-    m = alg._rows_m
+def _closed(s: frozenset, rows, rel) -> bool:
+    """s is closed under the operation with table ``rows`` and upward closed
+    under the relation ``rel`` (an n x n bool matrix)."""
     for x in s:
         for y in s:
-            if m[x][y] not in s:
+            if rows[x][y] not in s:
                 return False
-        for z in range(alg.n):
+        for z in range(len(rows)):
             if rel[x, z] and z not in s:
                 return False
     return True
 
 
+def is_filter(alg: FiniteAlgebra, members) -> bool:
+    """Closed under meet and upward closed under the quasi-order."""
+    return _closed(frozenset(members), alg._rows_m, quasi_order(alg).rel)
+
+
 def is_ideal(alg: FiniteAlgebra, members) -> bool:
     """Closed under join and downward closed under the quasi-order."""
-    s = frozenset(members)
-    rel = quasi_order(alg).rel
-    j = alg._rows_j
-    for x in s:
-        for y in s:
-            if j[x][y] not in s:
-                return False
-        for z in range(alg.n):
-            if rel[z, x] and z not in s:
-                return False
-    return True
+    return _closed(frozenset(members), alg._rows_j, quasi_order(alg).rel.T)
 
 
 def is_primary(alg: FiniteAlgebra, members, kind: str) -> bool:

@@ -116,6 +116,36 @@ def test_construct_from_booleans_missing_flag_is_usage_error(files, capsys, omit
     assert out == f"error: from-booleans needs {' '.join(omit)}\n"
 
 
+@pytest.mark.parametrize("argv, flag, minimum", [
+    (["construct", "from-booleans", "{b2}", "{b2}", "--size", "-1", "--r", "0",
+      "--e", "0", "--rp", "0", "--ep", "0"], "--size", 1),
+    (["construct", "from-booleans", "{b2}", "{b2}", "--size", "0"], "--size", 1),
+    (["prove", "x => x", "--depth", "0"], "--depth", 1),
+    (["prove", "x => x", "--depth", "-3"], "--depth", 1),
+    (["search", "--size", "1", "--limit", "0"], "--limit", 1),
+    (["search", "--size", "1", "--max-candidates", "-1"], "--max-candidates", 0),
+    (["search", "--size", "0"], "--size", 1),
+    (["represent", "{chain3}", "--max-size", "0"], "--max-size", 1),
+])
+def test_numeric_flag_below_minimum_is_usage_error(files, capsys, argv, flag, minimum):
+    code = main([arg.format(**files) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: must be at least {minimum}, got " in captured.err
+
+
+def test_numeric_flag_at_minimum_is_accepted(files, capsys):
+    code, out = run(capsys, "search", "--size", "1", "--require", "dba", "--limit", "1")
+    assert "models: 1" in out  # stopping at the limit leaves the sweep incomplete
+    code, out = run(capsys, "search", "--size", "1", "--max-candidates", "0")
+    assert code == 3 and "complete: false" in out
+    code, out = run(capsys, "prove", "x => x", "--depth", "1")
+    assert code == 0 and "proved: true" in out
+    assert main(["search", "--size", "x1"]) == 2
+    assert "argument --size: invalid int value: 'x1'" in capsys.readouterr().err
+
+
 def test_construct_gen_glued_sum_empty_overlap(files, capsys):
     code, out = run(capsys, "construct", "gen-glued-sum", files["b2"], files["b2"])
     assert code == 0

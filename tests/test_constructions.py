@@ -1,11 +1,13 @@
 """Boolean-pair constructions, glued sums, generalized glued sums."""
 
+import hashlib
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from dbakit.algebra import classify, passes, quasi_order
+from dbakit.algebra import FiniteAlgebra, classify, passes, quasi_order
 from dbakit.constructions import (
     BooleanView, RetractionPair, build_from_boolean_pair, canonical_pairs,
     check_theorem_conditions, generalized_glued_sum, glued_sum, powerset_boolean,
@@ -143,12 +145,146 @@ def test_glued_sum_size_formula():
 
 # --- generalized glued sums ------------------------------------------------------
 
+def _relabelled(view, perm, names):
+    """The Boolean algebra of ``view`` with element i moved to index perm[i]."""
+    a, n = view.alg, view.n
+    inv = [0] * n
+    for old, new in enumerate(perm):
+        inv[new] = old
+    rng = range(n)
+    return BooleanView(FiniteAlgebra(
+        names,
+        [[perm[a._rows_m[inv[x]][inv[y]]] for y in rng] for x in rng],
+        [[perm[a._rows_j[inv[x]][inv[y]]] for y in rng] for x in rng],
+        [perm[a._lneg[inv[x]]] for x in rng],
+        [perm[a._lopp[inv[x]]] for x in rng],
+        perm[a.top], perm[a.bot]))
+
+
+def _reference_glued_sum(p, q):
+    """Q stacked on P by the case tables, written independently of the
+    embedding-retraction construction: meets inside P use P's meet, joins
+    inside Q use Q's join, a meet of two elements of Q is the glue, a join
+    of two elements of P is the glue, a mixed meet gives the P element and a
+    mixed join the Q element; neg sends elements outside P to bot_P, opp
+    elements outside Q to top_Q."""
+    np_, nq = p.n, q.n
+    size = np_ + nq - 1
+    glue = p.top
+    carrier_q = [j for j in range(nq) if j != q.bot]
+    q_to_c = {q.bot: glue}
+    for off, j in enumerate(carrier_q):
+        q_to_c[j] = np_ + off
+    c_to_q = {c: j for j, c in q_to_c.items()}
+
+    def in_p(c):
+        return c < np_
+
+    def in_q(c):
+        return c in c_to_q
+
+    def meet(x, y):
+        if in_p(x) and in_p(y):
+            return p.meet(x, y)
+        if in_q(x) and in_q(y):
+            return glue
+        return x if in_p(x) else y
+
+    def join(x, y):
+        if in_q(x) and in_q(y):
+            return q_to_c[q.join(c_to_q[x], c_to_q[y])]
+        if in_p(x) and in_p(y):
+            return glue
+        return y if in_q(y) else x
+
+    def neg(x):
+        return p.comp(x) if in_p(x) else p.bot
+
+    def opp(x):
+        return q_to_c[q.comp(c_to_q[x])] if in_q(x) else q_to_c[q.top]
+
+    names = list(p.names)
+    used = set(names)
+    for j in carrier_q:
+        nm = q.names[j]
+        while nm in used:
+            nm += "'"
+        used.add(nm)
+        names.append(nm)
+    rng = range(size)
+    return FiniteAlgebra(
+        names,
+        [[meet(x, y) for y in rng] for x in rng],
+        [[join(x, y) for y in rng] for x in rng],
+        [neg(x) for x in rng],
+        [opp(x) for x in rng],
+        q_to_c[q.top],
+        p.bot,
+    )
+
+
+def _views():
+    """Powersets on 0-3 atoms, plus relabellings whose bottom is not element
+    0 and whose names clash across the two summands (so Q's names need
+    primes, some of them twice)."""
+    out = [powerset_boolean(k) for k in range(4)]
+    out.append(_relabelled(powerset_boolean(1), [1, 0], ["s1", "s0"]))
+    out.append(_relabelled(powerset_boolean(2), [2, 0, 3, 1], ["s0", "s3", "s1'", "s1"]))
+    out.append(_relabelled(powerset_boolean(2), [3, 1, 0, 2], ["a", "b", "c", "d"]))
+    out.append(_relabelled(powerset_boolean(3), [5, 2, 7, 0, 4, 1, 6, 3],
+                           ["s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"]))
+    return out
+
+
 def test_singleton_overlap_reduces_to_glued_sum():
-    for ka, kb in ((1, 1), (2, 1), (1, 2)):
-        p, q = powerset_boolean(ka), powerset_boolean(kb)
-        gs = generalized_glued_sum(p, q, {p.top: q.bot})
-        assert gs.algebra.signature() == glued_sum(p, q).renamed(gs.algebra.names).signature()
-        assert passes(gs.algebra, "DBA23")
+    views = _views()
+    assert any(v.bot != 0 for v in views)
+    for p in views:
+        for q in views:
+            want = _reference_glued_sum(p, q)
+            got = glued_sum(p, q)
+            assert got.names == want.names
+            assert got.signature() == want.signature()
+            gs = generalized_glued_sum(p, q, {p.top: q.bot})
+            assert gs.algebra.names == want.names
+            assert gs.algebra.signature() == want.signature()
+            assert passes(got, "DBA23")
+
+
+def _injective_overlaps(p, q, most):
+    """Every injective partial map P -> Q with at most ``most`` pairs."""
+    out = [{}]
+    for k in range(1, most + 1):
+        for ks in itertools.combinations(range(p.n), k):
+            for vs in itertools.permutations(range(q.n), k):
+                out.append(dict(zip(ks, vs)))
+    return out
+
+
+# sha256 of the glued and generalized glued sums over the grid below (tables,
+# names, declared order and its flags, member sets), recorded before both
+# constructions were routed through build_from_boolean_pair
+GOLDEN_SUMS_DIGEST = "2c6b516fab3f2c0ad3e3eda9c5c589fe94ac5aabbde13e8414c872c7766938ac"
+
+
+def test_glued_sums_match_golden_digest():
+    h = hashlib.sha256()
+
+    def feed(alg):
+        h.update(repr((alg.names, alg.meet.tolist(), alg.join.tolist(), alg.neg.tolist(),
+                       alg.opp.tolist(), alg.top, alg.bot)).encode())
+
+    views = _views()[:7]  # up to 2 atoms
+    for p in views:
+        for q in views:
+            feed(glued_sum(p, q))
+            for overlap in _injective_overlaps(p, q, 2):
+                gs = generalized_glued_sum(p, q, overlap)
+                feed(gs.algebra)
+                o = gs.order
+                h.update(repr((o.rel.tolist(), o.reflexive, o.transitive, o.antisymmetric,
+                               sorted(gs.p_members), sorted(gs.q_members))).encode())
+    assert h.hexdigest() == GOLDEN_SUMS_DIGEST
 
 
 def test_empty_overlap_is_linear_sum_plus_wraparound_pair():

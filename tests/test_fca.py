@@ -1,5 +1,7 @@
 """Formal contexts: derivation, modal operators, pair enumeration, algebras."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,15 +166,35 @@ def _powerset(items):
         yield [items[i] for i in range(len(items)) if mask >> i & 1]
 
 
+_KIND_NAMES = ("protoconcept", "semiconcept", "concept", "oo_protoconcept", "oo_semiconcept")
+
+
+def _brute_force_pairs(ctx):
+    """Reference: test every (a, b) against the definitions, grouped by kind,
+    in ascending (a, b) order."""
+    out = {kind: [] for kind in _KIND_NAMES}
+    for a in range(ctx.full_objects + 1):
+        for b in range(ctx.full_attributes + 1):
+            p = pair_flags(ctx, a, b)
+            for kind in _KIND_NAMES:
+                if getattr(p, kind):
+                    out[kind].append(p)
+    return out
+
+
 def test_generated_pairs_agree_with_brute_force():
-    for g, m in ((1, 1), (2, 2), (3, 2)):
-        for code, ctx in enumerate(all_contexts(g, m)):
-            if code % 7:  # sample to keep it quick
-                continue
-            for kind in ("protoconcept", "semiconcept", "concept",
-                         "oo_protoconcept", "oo_semiconcept"):
-                brute = [(p.extent, p.intent) for p in enumerate_pairs(ctx, kind)]
-                assert _generated_pairs(ctx, kind) == brute, (g, m, code, kind)
+    # every context up to 3x3, empty sides included, and seeded contexts
+    # with |G|+|M| = 13
+    ctxs = [ctx for g in range(4) for m in range(4) for ctx in all_contexts(g, m)]
+    rng = random.Random(13)
+    for g, m in ((2, 11), (11, 2), (7, 6)):
+        ctxs.append(ctx_of([[rng.random() < 0.5 for _ in range(m)] for _ in range(g)]))
+    assert ctxs[0].n_objects == ctxs[0].n_attributes == 0
+    for ctx in ctxs:
+        brute = _brute_force_pairs(ctx)
+        for kind in _KIND_NAMES:
+            assert enumerate_pairs(ctx, kind) == brute[kind], (ctx, kind)
+            assert _generated_pairs(ctx, kind) == [(p.extent, p.intent) for p in brute[kind]]
 
 
 def test_pair_flags_recomputable():
@@ -258,9 +280,8 @@ def test_empty_attribute_side_degrades_gracefully():
 
 
 def test_generated_path_on_a_wide_context():
-    # |G|+|M| = 13 exceeds the brute-force bound, so enumeration switches to
-    # generation from closures; cross-check every returned pair against the
-    # defining equation and the count against a direct sweep
+    # |G|+|M| = 13; cross-check every pair generated from closures against
+    # the defining equation and the count against a direct sweep
     rows = [[(g * 3 + m) % 4 == 0 for m in range(11)] for g in range(2)]
     ctx = ctx_of(rows)
     pairs = enumerate_pairs(ctx, "protoconcept")

@@ -1,11 +1,13 @@
 """Text formats: .dba and .cxt parsing, rendering, error paths."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbakit.errors import ParseError
-from dbakit.fca import FormalContext
+from dbakit.fca import FormalContext, all_contexts
 from dbakit.fileformats import parse_algebra, parse_context, render_algebra, render_context
 from dbakit.fixtures import builtin_fixtures
+from dbakit.logic import fixture_proofs, parse_script, render_script
 
 TWO_ELEMENT = """\
 # the two-element algebra separating the double-negation axioms
@@ -111,3 +113,85 @@ def test_empty_object_side_context():
     assert ctx.n_objects == 0 and ctx.n_attributes == 2
     assert render_context(ctx) == "objects: \nattributes: m1 m2\n"
     assert isinstance(ctx, FormalContext)
+
+
+def test_duplicate_context_names_are_parse_errors():
+    with pytest.raises(ParseError, match=r"duplicate attribute name 'm' \(line 2"):
+        parse_context("objects: g0 g1\nattributes: m m\n.X\n..\n")
+    with pytest.raises(ParseError, match=r"duplicate object name 'g' \(line 2"):
+        parse_context("# two g\nobjects: g h g\nattributes: m\nX\nX\nX\n")
+
+
+# --- fuzzing: any text gives a result or a ParseError ---------------------------
+
+_PARSERS = {"algebra": parse_algebra, "context": parse_context, "script": parse_script}
+_SEEDS = {  # valid inputs for the mutations to start from
+    "algebra": [TWO_ELEMENT] + [render_algebra(alg) for _, alg in builtin_fixtures()],
+    "context": [CTX, "objects:\nattributes: m1 m2\n"]
+    + [render_context(ctx) for ctx in list(all_contexts(2, 2))[::5]],
+    "script": [render_script(script) for _, script in fixture_proofs()],
+}
+
+
+def _parse_or_parse_error(kind, text):
+    try:
+        _PARSERS[kind](text)
+    except ParseError:
+        pass
+
+
+# text near the formats' own alphabet finds more than arbitrary unicode
+_format_text = st.lists(
+    st.sampled_from(list("abgmxyXTF.:#;=>&|~!()*,0123456789 \n\t'")
+                    + ["elements:", "meet:\n", "join:\n", "neg:", "opp:", "top:", "bot:",
+                       "objects:", "attributes:", "system: L\n", "system: HL\n",
+                       "  axiom(", "  cut", "  meetR ", "=>"]),
+    max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_PARSERS)), st.one_of(st.text(max_size=80), _format_text))
+def test_parsers_reject_arbitrary_text_with_parse_error(kind, text):
+    _parse_or_parse_error(kind, text)
+
+
+@st.composite
+def _mutated(draw):
+    kind = draw(st.sampled_from(sorted(_PARSERS)))
+    text = draw(st.sampled_from(_SEEDS[kind]))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        op = draw(st.sampled_from(["delete", "insert", "replace", "duplicate", "swap"]))
+        lines = text.split("\n")
+        if op == "delete":
+            text = text[:i] + text[j:]
+        elif op == "insert":
+            text = text[:i] + draw(_format_text) + text[i:]
+        elif op == "replace":
+            text = text[:i] + draw(st.text(max_size=3)) + text[j:]
+        elif op == "duplicate":
+            k = draw(st.integers(0, len(lines) - 1))
+            text = "\n".join(lines[:k + 1] + lines[k:])
+        else:
+            k = draw(st.integers(0, max(0, len(lines) - 2)))
+            lines[k:k + 2] = lines[k:k + 2][::-1]
+            text = "\n".join(lines)
+    return kind, text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated())
+def test_parsers_reject_mutated_inputs_with_parse_error(case):
+    _parse_or_parse_error(*case)
+
+
+def test_overlong_proof_line_index_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"line index has 5000 digits \(line 2"):
+        parse_script("system: L\n" + "1" * 5000 + ": x => x  axiom(id)\n")
+
+
+def test_fuzz_seeds_are_valid():
+    for kind, texts in _SEEDS.items():
+        for text in texts:
+            _PARSERS[kind](text)
