@@ -28,7 +28,7 @@ from .constructions import (
     BooleanView, RetractionPair, build_from_boolean_pair, check_theorem_conditions,
 )
 from .errors import AlgebraError, BudgetError
-from .fca import FormalContext, derive, modal
+from .fca import FormalContext, complement_context, derive, modal
 
 MAX_REPRESENTATION_SIZE = 20
 NAIVE_SWEEP_LIMIT = 12
@@ -106,9 +106,13 @@ def enumerate_primary(alg: FiniteAlgebra, kind: str,
                       max_size: int = MAX_REPRESENTATION_SIZE) -> list[FilterSet]:
     """All primary filters (resp. ideals), ascending by member bitmask.
 
-    Runs a membership DFS over the elements in index order; a subset failing
-    meet-closure, order-closure, or primality on its decided prefix prunes
-    the whole undecided subtree.  Requires a dBa within the size budget.
+    Closed form: in a finite dBa every filter has a least element, so the
+    primary filters are exactly the upsets {z : a <= z} of the atoms a of the
+    Boolean part D_meet (the meet idempotents) under the quasi-order, and the
+    primary ideals the downsets {z : z <= c} of the coatoms c of D_join.  This
+    is the finite case of the Stone-type representation: the Stone space of a
+    finite Boolean algebra is discrete on its atoms.  Requires a dBa within
+    the size budget; pass a larger ``max_size`` for bigger algebras.
     """
     if alg.n > max_size:
         raise BudgetError(
@@ -118,78 +122,14 @@ def enumerate_primary(alg: FiniteAlgebra, kind: str,
     if not passes(alg, "DBA23"):
         raise AlgebraError("primary filter/ideal enumeration requires a dBa")
     rel = quasi_order(alg).rel
-    n = alg.n
     if kind == "filter":
-        op = alg._rows_m
-        comp = alg._lneg
-        forced = [tuple(z for z in range(n) if rel[x, z]) for x in range(n)]
-    else:
-        op = alg._rows_j
-        comp = alg._lopp
-        forced = [tuple(z for z in range(n) if rel[z, x]) for x in range(n)]
-
-    found = []
-    status = [None] * n  # True in, False out
-
-    def dfs(i):
-        if i == n:
-            members = [x for x in range(n) if status[x]]
-            if is_primary(alg, members, kind):
-                found.append(_mask_of(members))
-            return
-        # out branch
-        ok = True
-        if comp[i] == i:
-            ok = False
-        if ok and comp[i] < i and status[comp[i]] is False:
-            ok = False
-        if ok:
-            for x in range(i):
-                if status[x] is False and comp[x] == i:
-                    ok = False
-                    break
-                if status[x] and i in forced[x]:
-                    ok = False
-                    break
-            else:
-                for x in range(i):
-                    if not status[x]:
-                        continue
-                    for y in range(i):
-                        if status[y] and op[x][y] == i:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-        if ok:
-            status[i] = False
-            dfs(i + 1)
-            status[i] = None
-        # in branch
-        ok = True
-        for z in forced[i]:
-            if z < i and status[z] is False:
-                ok = False
-                break
-        if ok:
-            for x in range(i):
-                if not status[x]:
-                    continue
-                for prod in (op[x][i], op[i][x]):
-                    if prod < i and status[prod] is False:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok and op[i][i] < i and status[op[i][i]] is False:
-                ok = False
-        if ok:
-            status[i] = True
-            dfs(i + 1)
-            status[i] = None
-
-    dfs(0)
-    return [_make_filterset(alg, kind, mask) for mask in sorted(found)]
+        part, up = meet_idempotents(alg), rel.tolist()
+    else:  # dually: coatoms and downsets, through the converse order
+        part, up = join_idempotents(alg), rel.T.tolist()
+    # an atom has exactly one part element strictly below it: the part's bottom
+    atoms = [a for a in part if sum(up[b][a] for b in part if b != a) == 1]
+    masks = sorted(_mask_of(z for z, above in enumerate(up[a]) if above) for a in atoms)
+    return [_make_filterset(alg, kind, mask) for mask in masks]
 
 
 def enumerate_primary_naive(alg: FiniteAlgebra, kind: str,
@@ -553,8 +493,7 @@ def verify_clopen_characterization(rep: RepresentationResult) -> ClopenCharacter
 def verify_translated_continuity(rep: RepresentationResult) -> bool:
     """Finite-scale continuity through the complement relation: the four
     modal images of every clopen set under nabla are clopen."""
-    sc = standard_context(rep.algebra, "nabla")
-    ctx = sc.context
+    ctx = complement_context(rep.std.context)
     cf = clopen_family(rep, "filter")
     ci = clopen_family(rep, "ideal")
     for b in ci:

@@ -204,25 +204,36 @@ def var_sorts(t: Term) -> tuple[tuple[str, str], ...]:
 
 def _walk(t: Term) -> None:
     """Cache on t its distinct subterms in first-visit pre-order (``_subs``)
-    and in post-order (``_post``), from one iterative walk."""
+    and in post-order (``_post``), from one iterative walk.  Each post-order
+    entry pairs a subterm with the children whose last parent it is, so a
+    fold can drop their values once that parent is folded."""
     pre, post = [], []
+    last = {}  # child -> its last parent in post-order
     seen = set()
-    stack = [(t, False)]
+    stack = [(t, None)]
     while stack:
-        u, done = stack.pop()
-        if done:
+        u, kids = stack.pop()
+        if kids is not None:
             post.append(u)
+            for c in kids:
+                last[c] = u
         elif u not in seen:
             seen.add(u)
             pre.append(u)
-            stack.append((u, True))
-            # right pushed first, so the left subterm is visited first
             if isinstance(u, (Neg, Opp)):
-                stack.append((u.arg, False))
+                kids = (u.arg,)
             elif isinstance(u, (Meet, Join)):
-                stack += ((u.right, False), (u.left, False))
+                kids = (u.left, u.right)
+            else:
+                kids = ()
+            stack.append((u, kids))
+            # right pushed first, so the left subterm is visited first
+            stack += ((c, None) for c in reversed(kids))
+    drops = {}
+    for c, u in last.items():
+        drops.setdefault(u, []).append(c)
     object.__setattr__(t, "_subs", tuple(pre))
-    object.__setattr__(t, "_post", tuple(post))
+    object.__setattr__(t, "_post", tuple((u, tuple(drops.get(u, ()))) for u in post))
 
 
 def subterms(t: Term) -> tuple[Term, ...]:
@@ -238,14 +249,16 @@ def fold(t: Term, var, top, bot, neg, opp, meet, join):
     A variable takes ``var(name)``, the constants take the values ``top`` and
     ``bot``, and an operation node applies ``neg``/``opp`` to its argument's
     value or ``meet``/``join`` to its children's values.  Each distinct
-    subterm is visited once; the walk is iterative, so any depth folds.
+    subterm is visited once; the walk is iterative, so any depth folds.  A
+    value is dropped once its last parent is folded, so live values stay
+    proportional to the frontier, not to the whole term.
     """
     post = t._post
     if post is None:
         _walk(t)
         post = t._post
     val = {}
-    for u in post:
+    for u, done in post:
         cls = type(u)
         if cls is Meet:
             val[u] = meet(val[u.left], val[u.right])
@@ -259,6 +272,8 @@ def fold(t: Term, var, top, bot, neg, opp, meet, join):
             val[u] = var(u.name)
         else:
             val[u] = top if u.which == "top" else bot
+        for c in done:
+            del val[c]
     return val[t]
 
 

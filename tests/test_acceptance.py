@@ -19,7 +19,7 @@ from dbakit.constructions import (
     check_theorem_conditions, glued_sum, powerset_boolean,
 )
 from dbakit.fca import (
-    all_contexts, complement_context, derive, enumerate_pairs, modal,
+    FormalContext, all_contexts, complement_context, derive, enumerate_pairs, modal,
     protoconcept_algebra,
 )
 from dbakit.fixtures import builtin_fixtures, get_fixture
@@ -29,8 +29,9 @@ from dbakit.logic import (
     parse_hypersequent, parse_sequent, search_proof, seq,
 )
 from dbakit.representation import (
-    representation, verify_clopen_characterization, verify_clopen_sets,
-    verify_derivation_identities, verify_pair_embedding,
+    MAX_REPRESENTATION_SIZE, representation, verify_clopen_characterization,
+    verify_clopen_sets, verify_derivation_identities, verify_pair_embedding,
+    verify_translated_continuity,
 )
 from dbakit.search import SearchSpec, enumerate_algebras, naive_sweep
 from dbakit.suites import DBA23, DCORE13, GDCORE11
@@ -217,6 +218,24 @@ def test_criterion_5_constructions():
            "instances and under 100 seeded perturbations; old condition 3 implied")
 
 
+def check_representation(rep):
+    """The verdicts of criterion 6 on one representation."""
+    assert verify_derivation_identities(rep) == []
+    emb = verify_pair_embedding(rep)
+    assert emb["protoconcepts"] and emb["homomorphism"] and emb["order"]
+    assert rep.homomorphism and rep.order_preserving_reflecting and rep.surjective
+    assert rep.conditions_ok and rep.image_is_dba and rep.parts_boolean
+    cl = classify(rep.algebra)
+    if cl.is_contextual:
+        assert rep.injective and rep.isomorphism
+    assert verify_clopen_sets(rep)
+    ch = verify_clopen_characterization(rep)
+    if cl.is_fully_contextual:
+        assert ch.status == "protoconcept" and ch.ok
+    elif cl.is_pure:
+        assert ch.status == "semiconcept" and ch.ok
+
+
 def test_criterion_6_representation(corpus):
     t0 = time.time()
     pool = {}
@@ -231,27 +250,40 @@ def test_criterion_6_representation(corpus):
                 pool.setdefault(alg.signature(), alg)
     assert len(pool) > 100
     for alg in pool.values():
-        rep = representation(alg)
-        assert verify_derivation_identities(rep) == []
-        emb = verify_pair_embedding(rep)
-        assert emb["protoconcepts"] and emb["homomorphism"] and emb["order"]
-        assert rep.homomorphism and rep.order_preserving_reflecting and rep.surjective
-        assert rep.conditions_ok and rep.image_is_dba and rep.parts_boolean
-        cl = classify(alg)
-        if cl.is_contextual:
-            assert rep.injective and rep.isomorphism
-        assert verify_clopen_sets(rep)
-        ch = verify_clopen_characterization(rep)
-        if cl.is_fully_contextual:
-            assert ch.status == "protoconcept" and ch.ok
-        elif cl.is_pure:
-            assert ch.status == "semiconcept" and ch.ok
+        check_representation(representation(alg))
     elapsed = time.time() - t0
     assert elapsed < 120.0
     report(6, elapsed,
            f"{len(pool)} distinct corpus dBas (|D|<=20): derivation identities, "
            f"quasi-embedding, isomorphism when contextual, clopen families and "
            f"characterizations all verified")
+
+
+def test_criterion_6_representation_beyond_budget():
+    # seeded 4x4 and 4x5 contexts whose algebras exceed the default budget of
+    # 20 elements, represented with an explicit max_size
+    t0 = time.time()
+    rng = random.Random(6)
+    pool = {}
+    for g, m in [(4, 4)] * 12 + [(4, 5)] * 12:
+        inc = [[rng.random() < 0.5 for _ in range(m)] for _ in range(g)]
+        ctx = FormalContext([f"g{i}" for i in range(g)], [f"m{i}" for i in range(m)], inc)
+        for kind in ("protoconcept", "semiconcept"):
+            alg = protoconcept_algebra(ctx, kind).algebra
+            if alg.n > MAX_REPRESENTATION_SIZE:
+                pool.setdefault(alg.signature(), alg)
+    assert len(pool) >= 30 and max(alg.n for alg in pool.values()) > 60
+    for alg in pool.values():
+        rep = representation(alg, max_size=alg.n)
+        check_representation(rep)
+        assert verify_translated_continuity(rep)
+    elapsed = time.time() - t0
+    assert elapsed < 60.0
+    sizes = sorted(alg.n for alg in pool.values())
+    report(6, elapsed,
+           f"{len(pool)} distinct 4x4/4x5 context dBas of {sizes[0]}-{sizes[-1]} "
+           f"elements beyond the default budget: criterion-6 verdicts and translated "
+           f"continuity verified")
 
 
 def test_criterion_7_logic(corpus):

@@ -180,6 +180,11 @@ def test_represent_budget_exit(files, capsys, tmp_path):
     p.write_text(render_algebra(big))
     code, out = run(capsys, "represent", str(p))
     assert code == 3
+    # a raised budget reaches every check, translated continuity included
+    code, out = run(capsys, "represent", str(p), "--max-size", "30")
+    assert code == 0
+    assert "translated_continuity: ok" in out
+    assert "pass: true" in out
 
 
 def test_prove_identity(files, capsys):

@@ -1,21 +1,26 @@
 """Primary filters/ideals, standard contexts, and the pair representation."""
 
+import itertools
+import random
+
 import pytest
 
-from dbakit.algebra import classify, passes
-from dbakit.constructions import glued_sum, powerset_boolean
+from dbakit.algebra import FiniteAlgebra, classify, passes, quasi_order
+from dbakit.constructions import generalized_glued_sum, glued_sum, powerset_boolean
 from dbakit.errors import AlgebraError, BudgetError
 from dbakit.fca import FormalContext, all_contexts, protoconcept_algebra
 from dbakit.fixtures import (
     boolean2, builtin_fixtures, cex_5ab, chain3, noncontextual4, singleton,
 )
 from dbakit.representation import (
+    MAX_REPRESENTATION_SIZE, _make_filterset, _mask_of,
     clopen_family, closed_set_family, enumerate_primary, enumerate_primary_naive,
     is_filter, is_ideal, is_primary, representation, standard_context,
     verify_clopen_characterization, verify_clopen_sets,
     verify_derivation_identities, verify_pair_embedding,
     verify_translated_continuity,
 )
+from dbakit.search import SearchSpec, enumerate_algebras
 
 
 def dba_fixtures():
@@ -68,17 +73,163 @@ def test_enumeration_budgets():
         enumerate_primary_naive(chain3(), "filter", max_size=2)
 
 
+def enumerate_primary_dfs(alg: FiniteAlgebra, kind: str,
+                          max_size: int = MAX_REPRESENTATION_SIZE) -> list:
+    """Reference: the membership DFS that ``enumerate_primary`` ran before
+    its closed form.
+
+    Runs a membership DFS over the elements in index order; a subset failing
+    meet-closure, order-closure, or primality on its decided prefix prunes
+    the whole undecided subtree.  Requires a dBa within the size budget.
+    """
+    if alg.n > max_size:
+        raise BudgetError(
+            f"primary {kind} enumeration limited to {max_size} elements, got {alg.n}")
+    if kind not in ("filter", "ideal"):
+        raise AlgebraError(f"kind must be 'filter' or 'ideal', got {kind!r}")
+    if not passes(alg, "DBA23"):
+        raise AlgebraError("primary filter/ideal enumeration requires a dBa")
+    rel = quasi_order(alg).rel
+    n = alg.n
+    if kind == "filter":
+        op = alg._rows_m
+        comp = alg._lneg
+        forced = [tuple(z for z in range(n) if rel[x, z]) for x in range(n)]
+    else:
+        op = alg._rows_j
+        comp = alg._lopp
+        forced = [tuple(z for z in range(n) if rel[z, x]) for x in range(n)]
+
+    found = []
+    status = [None] * n  # True in, False out
+
+    def dfs(i):
+        if i == n:
+            members = [x for x in range(n) if status[x]]
+            if is_primary(alg, members, kind):
+                found.append(_mask_of(members))
+            return
+        # out branch
+        ok = True
+        if comp[i] == i:
+            ok = False
+        if ok and comp[i] < i and status[comp[i]] is False:
+            ok = False
+        if ok:
+            for x in range(i):
+                if status[x] is False and comp[x] == i:
+                    ok = False
+                    break
+                if status[x] and i in forced[x]:
+                    ok = False
+                    break
+            else:
+                for x in range(i):
+                    if not status[x]:
+                        continue
+                    for y in range(i):
+                        if status[y] and op[x][y] == i:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+        if ok:
+            status[i] = False
+            dfs(i + 1)
+            status[i] = None
+        # in branch
+        ok = True
+        for z in forced[i]:
+            if z < i and status[z] is False:
+                ok = False
+                break
+        if ok:
+            for x in range(i):
+                if not status[x]:
+                    continue
+                for prod in (op[x][i], op[i][x]):
+                    if prod < i and status[prod] is False:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok and op[i][i] < i and status[op[i][i]] is False:
+                ok = False
+        if ok:
+            status[i] = True
+            dfs(i + 1)
+            status[i] = None
+
+    dfs(0)
+    return [_make_filterset(alg, kind, mask) for mask in sorted(found)]
+
+
+def _permuted(alg: FiniteAlgebra, perm) -> FiniteAlgebra:
+    """alg with element x moved to index perm[x] (names move along)."""
+    inv = sorted(range(alg.n), key=perm.__getitem__)
+    m, j = alg._rows_m, alg._rows_j
+    return FiniteAlgebra(
+        [alg.names[x] for x in inv],
+        [[perm[m[x][y]] for y in inv] for x in inv],
+        [[perm[j[x][y]] for y in inv] for x in inv],
+        [perm[alg._lneg[x]] for x in inv], [perm[alg._lopp[x]] for x in inv],
+        perm[alg.top], perm[alg.bot])
+
+
+def differential_pool() -> list:
+    """Distinct dBas of at most 20 elements: the dBa fixtures, the proto- and
+    semiconcept algebras of every context up to 3x3, the 45 size-3 DBA23
+    models, glued sums of powersets (also under seeded relabellings), and
+    the generalized glued sums of powersets on at most two atoms over every
+    injective overlap of at most two pairs that are dBas."""
+    pool = {}
+
+    def add(alg):
+        if alg.n <= MAX_REPRESENTATION_SIZE:
+            pool.setdefault(alg.signature(), alg)
+
+    for _, alg in dba_fixtures():
+        add(alg)
+    for g in (1, 2, 3):
+        for m in (1, 2, 3):
+            for ctx in all_contexts(g, m):
+                add(protoconcept_algebra(ctx).algebra)
+                add(protoconcept_algebra(ctx, "semiconcept").algebra)
+    models = enumerate_algebras(SearchSpec(size=3, require="DBA23")).found
+    assert len(models) == 45
+    for alg in models:
+        add(alg)
+    rng = random.Random(6)
+    views = [powerset_boolean(k) for k in range(4)]
+    for p in views:
+        for q in views:
+            alg = glued_sum(p, q)
+            add(alg)
+            add(_permuted(alg, rng.sample(range(alg.n), alg.n)))
+    for p in views[:3]:
+        for q in views[:3]:
+            for k in (1, 2):
+                for ks in itertools.combinations(range(p.n), k):
+                    for vs in itertools.permutations(range(q.n), k):
+                        alg = generalized_glued_sum(p, q, dict(zip(ks, vs))).algebra
+                        if passes(alg, "DBA23"):
+                            add(alg)
+    return list(pool.values())
+
+
 def test_dfs_matches_naive_sweep():
-    algebras = [alg for _, alg in dba_fixtures()]
-    for ctx in all_contexts(2, 2):
-        algebras.append(protoconcept_algebra(ctx).algebra)
+    # the closed form against the DFS reference everywhere, and both against
+    # the subset sweep within its reach: same masks in the same order
+    algebras = differential_pool()
+    assert len(algebras) > 500
     for alg in algebras:
-        if alg.n > 12:
-            continue
         for kind in ("filter", "ideal"):
             fast = [f.mask for f in enumerate_primary(alg, kind)]
-            slow = [f.mask for f in enumerate_primary_naive(alg, kind)]
-            assert fast == slow
+            dfs = [f.mask for f in enumerate_primary_dfs(alg, kind)]
+            assert fast == dfs
+            if alg.n <= 12:
+                slow = [f.mask for f in enumerate_primary_naive(alg, kind)]
+                assert fast == slow
 
 
 def test_primary_counts_on_powerset_glued_sum():
@@ -210,6 +361,9 @@ def test_representation_budget():
     big = glued_sum(powerset_boolean(4, max_atoms=5), powerset_boolean(3, max_atoms=5))
     with pytest.raises(BudgetError):
         representation(big)
+    # a raised budget holds for every check made on the result
+    rep = representation(big, max_size=big.n)
+    assert verify_translated_continuity(rep)
 
 
 def test_boolean2_representation_shape():

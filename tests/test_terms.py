@@ -6,6 +6,7 @@ import gc
 import pickle
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import pytest
@@ -195,6 +196,29 @@ def test_fold_visits_each_distinct_subterm_once_children_first():
     assert out == "(~(x & y) | ((x & y) & T))"
     # the shared x & y is built once, after its children and before its parents
     assert seen == ["x", "y", "(x & y)", "~(x & y)", "((x & y) & T)", out]
+
+
+def test_fold_drops_values_after_their_last_parent():
+    # a 900-deep chain built in code: a string fold holds each subterm's text
+    # only until its parent is folded, so its peak memory follows the output's
+    # length rather than the sum of every prefix (about 1.6 MB for render)
+    t = Var("x")
+    for i in range(900):
+        if i % 3 == 0:
+            t = Join(t, Var("y"))
+        elif i % 3 == 1:
+            t = Neg(t)
+        else:
+            t = Meet(Var("z"), t)
+    for show in (render, lambda u: source(u, str)):
+        text = show(t)  # the walk is cached on t from here on
+        tracemalloc.start()
+        try:
+            assert show(t) == text
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * len(text)
 
 
 def test_source_and_evaluator():
