@@ -2,8 +2,10 @@
 
 Exit codes: 0 success; 1 a checked mathematical property failed; 2 usage or
 parse error (including inputs outside a command's domain); 3 a budget was
-exceeded.  Output is deterministic for fixed inputs and flags: a human
-report, then a ``---`` separator, then stable ``key: value`` lines.
+exceeded.  Every exit-2 error, from argparse or from a command, prints
+``error: <message>`` on stdout.  Output is deterministic for fixed inputs and
+flags: a human report, then a ``---`` separator, then stable ``key: value``
+lines.
 """
 
 from __future__ import annotations
@@ -37,6 +39,17 @@ DEFAULT_PROOF_DEPTH = 8
 
 class _Usage(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors go where command errors go: ``error: <message>`` on
+    stdout, exit code 2.  The usage text stays on stderr.  Subparsers are
+    built from the parent's class, so they inherit this."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stdout.write(f"error: {message}\n")
+        self.exit(2)
 
 
 def _int_at_least(minimum):
@@ -337,7 +350,7 @@ def cmd_search(args) -> tuple[int, str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dbakit",
         description="finite double Boolean algebra toolkit")
     sub = ap.add_subparsers(dest="command", required=True)

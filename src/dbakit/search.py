@@ -8,10 +8,21 @@ evaluated on a ground instance as soon as the last table entry it needs is
 filled; a violation prunes the whole subtree.  This keeps the search
 reproducible across runs and platforms, and sound with respect to the naive
 sweep (which is also provided, as an oracle).
+
+Ground instances are watched, as in SEM (Zhang & Zhang, IJCAI 1995) and
+Mace4 (McCune, 2003): an unfilled slot holds a marker (see ``_Partial``), so
+evaluating an instance on the partial tables gives either its value or the
+marker of an unfilled slot that it reads.  Each blocked instance is parked on
+that slot's watch list, and filling a slot re-evaluates only the instances
+parked on it; one that is still blocked moves to the list of a later slot.
+An instance is thus evaluated in full exactly at the first depth at which it
+reads no unfilled slot, and the search prunes where a rescan of every
+instance at every node would.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -49,24 +60,59 @@ def candidate_count(n: int) -> int:
     return n ** (2 * n * n) * n ** (2 * n) * n * n
 
 
+def _slots(n):
+    """(kind, position) in assignment order."""
+    out = [("top", None), ("bot", None)]
+    out += [("neg", i) for i in range(n)]
+    out += [("opp", i) for i in range(n)]
+    out += [("meet", (i, j)) for i in range(n) for j in range(n)]
+    out += [("join", (i, j)) for i in range(n) for j in range(n)]
+    return out
+
+
 class _Partial:
     """Mutable slot view of a candidate: constants, unary maps, binary tables.
 
-    Every table is padded with an element ``n`` that every operation maps to
-    ``n``, and a missing entry holds ``n``, so a compiled term evaluates to
-    ``n`` exactly when an entry it reads is missing.
+    Slot k (in the order of ``_slots``) holds its marker ``n + k`` while it
+    is unfilled.  The tables have ``n + S`` rows and columns, S being the
+    number of slots: every operation maps a marker argument to itself, and
+    the left operand wins when both are markers.  So a compiled term
+    evaluates to an element exactly when it reads no unfilled slot, and
+    otherwise to the marker of the first unfilled slot that its evaluation
+    reaches, left operand first.
     """
 
-    __slots__ = ("n", "top", "bot", "neg", "opp", "meet", "join")
+    __slots__ = ("n", "top", "bot", "neg", "opp", "meet", "join", "_cells")
 
     def __init__(self, n):
+        slots = _slots(n)
+        size = n + len(slots)
+        marker = {slot: n + k for k, slot in enumerate(slots)}
         self.n = n
-        self.top = n
-        self.bot = n
-        self.neg = [n] * (n + 1)
-        self.opp = [n] * (n + 1)
-        self.meet = [[n] * (n + 1) for _ in range(n + 1)]
-        self.join = [[n] * (n + 1) for _ in range(n + 1)]
+        self.top = marker["top", None]
+        self.bot = marker["bot", None]
+        self.neg = [marker["neg", i] for i in range(n)] + list(range(n, size))
+        self.opp = [marker["opp", i] for i in range(n)] + list(range(n, size))
+        self.meet = [[marker["meet", (i, j)] for j in range(n)] + list(range(n, size))
+                     for i in range(n)] + [[x] * size for x in range(n, size)]
+        self.join = [[marker["join", (i, j)] for j in range(n)] + list(range(n, size))
+                     for i in range(n)] + [[x] * size for x in range(n, size)]
+        # slot k -> (list, index) holding it; the constants are attributes
+        self._cells = [None, None]
+        self._cells += [(self.neg, i) for i in range(n)]
+        self._cells += [(self.opp, i) for i in range(n)]
+        self._cells += [(self.meet[i], j) for i in range(n) for j in range(n)]
+        self._cells += [(self.join[i], j) for i in range(n) for j in range(n)]
+
+    def set(self, k, v):
+        """Fill slot k with v; ``set(k, n + k)`` clears it."""
+        if k == 0:
+            self.top = v
+        elif k == 1:
+            self.bot = v
+        else:
+            cell, i = self._cells[k]
+            cell[i] = v
 
     def to_algebra(self):
         n = self.n
@@ -76,14 +122,17 @@ class _Partial:
             self.neg[:n], self.opp[:n], self.top, self.bot)
 
 
-def _slots(n):
-    """(kind, position) in assignment order."""
-    out = [("top", None), ("bot", None)]
-    out += [("neg", i) for i in range(n)]
-    out += [("opp", i) for i in range(n)]
-    out += [("meet", (i, j)) for i in range(n) for j in range(n)]
-    out += [("join", (i, j)) for i in range(n) for j in range(n)]
-    return out
+def _pin(value, n, what):
+    """A pinned constant as an element index, or None when unpinned."""
+    if value is None:
+        return None
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise SuiteError(f"{what} must be an element index, got {value!r}") from None
+    if not 0 <= v < n:
+        raise SuiteError(f"{what} must be in [0, {n}), got {v}")
+    return v
 
 
 def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
@@ -96,6 +145,8 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
     n = spec.size
     if n < 1:
         raise SuiteError("universe size must be >= 1")
+    top_pin = _pin(spec.fixed_top, n, "fixed_top")
+    bot_pin = _pin(spec.fixed_bot, n, "fixed_bot")
     require = get_suite(spec.require).equations if spec.require else ()
     must_fail = set(spec.must_fail)
     prunable = [e for e in require if e.id not in must_fail]
@@ -104,6 +155,30 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
         missing = must_fail - {e.id for e in fail_eqs}
         raise SuiteError(f"must_fail axioms not in the required suite: {sorted(missing)}")
 
+    partial = _Partial(n)
+    nslots = len(partial._cells)
+    m, j, g, o = partial.meet, partial.join, partial.neg, partial.opp
+    watch = [[] for _ in range(n + nslots)]  # watch[n + k]: instances parked on slot k
+
+    def park(instances, moved):
+        """Evaluate the instances on the partial tables and append each one
+        that reads an unfilled slot to that slot's watch list, recording the
+        list in moved; False as soon as one is violated."""
+        top, bot = partial.top, partial.bot
+        for inst in instances:
+            lhs, rhs, env = inst
+            lv = lhs(m, j, g, o, top, bot, env)
+            if lv < n:
+                rv = rhs(m, j, g, o, top, bot, env)
+                if rv < n:
+                    if lv != rv:
+                        return False
+                    continue
+                lv = rv
+            watch[lv].append(inst)
+            moved.append(lv)
+        return True
+
     # ground instances of the prunable axioms
     instances = []
     for eqn in prunable:
@@ -111,71 +186,25 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
         lhs, rhs = evaluator(eqn.lhs), evaluator(eqn.rhs)
         for vals in product(range(n), repeat=len(vs)):
             instances.append((lhs, rhs, dict(zip(vs, vals))))
-    verified = [-1] * len(instances)  # depth at which the instance was confirmed
-
-    partial = _Partial(n)
-    slots = _slots(n)
+    consistent = park(instances, [])
+    values = [range(n)] * nslots
+    if top_pin is not None:
+        values[0] = (top_pin,)
+    if bot_pin is not None:
+        values[1] = (bot_pin,)
     summary = SearchSummary()
-
-    def value_range(kind):
-        if kind == "top" and spec.fixed_top is not None:
-            return (spec.fixed_top,)
-        if kind == "bot" and spec.fixed_bot is not None:
-            return (spec.fixed_bot,)
-        return range(n)
-
-    def set_slot(kind, pos, v):
-        if kind == "top":
-            partial.top = v
-        elif kind == "bot":
-            partial.bot = v
-        elif kind == "neg":
-            partial.neg[pos] = v
-        elif kind == "opp":
-            partial.opp[pos] = v
-        elif kind == "meet":
-            partial.meet[pos[0]][pos[1]] = v
-        else:
-            partial.join[pos[0]][pos[1]] = v
-
-    def clear_slot(kind, pos):
-        set_slot(kind, pos, n)
-
-    def check_new(depth):
-        """Evaluate not-yet-verified instances; False when one is violated."""
-        m, j, g, o = partial.meet, partial.join, partial.neg, partial.opp
-        top, bot = partial.top, partial.bot
-        for idx, (lhs, rhs, env) in enumerate(instances):
-            if verified[idx] >= 0:
-                continue
-            lv = lhs(m, j, g, o, top, bot, env)
-            if lv == n:
-                continue
-            rv = rhs(m, j, g, o, top, bot, env)
-            if rv == n:
-                continue
-            if lv != rv:
-                return False
-            verified[idx] = depth
-        return True
-
-    def unverify(depth):
-        for idx in range(len(verified)):
-            if verified[idx] >= depth:
-                verified[idx] = -1
-
     out_of_budget = False
 
     def leaf():
         nonlocal out_of_budget
         if spec.max_candidates is not None and summary.candidates >= spec.max_candidates:
             out_of_budget = True
-            return False
+            return
         summary.candidates += 1
         alg = partial.to_algebra()
         for eqn in fail_eqs:
             if satisfies_equation(alg, eqn).holds:
-                return True
+                return
         summary.models += 1
         if visitor is not None:
             visitor(alg)
@@ -183,28 +212,26 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
             summary.found.append(alg)
         if spec.max_models is not None and summary.models >= spec.max_models:
             out_of_budget = True
-            return False
-        return True
 
     def dfs(depth):
-        if out_of_budget:
+        """Try every value of slot ``depth``; the slots before it are filled."""
+        if depth == nslots:
+            leaf()
             return
-        if depth == len(slots):
-            if not leaf():
-                return
-            return
-        kind, pos = slots[depth]
-        for v in value_range(kind):
-            set_slot(kind, pos, v)
-            if check_new(depth):
+        for v in values[depth]:
+            partial.set(depth, v)
+            moved = []  # undone before the next value
+            if park(watch[n + depth], moved):
                 dfs(depth + 1)
-            unverify(depth)
-            clear_slot(kind, pos)
+            for k in moved:
+                watch[k].pop()
             if out_of_budget:
-                return
+                break
+        partial.set(depth, n + depth)
 
     try:
-        dfs(0)
+        if consistent:
+            dfs(0)
     finally:
         del dfs  # a recursive closure is a reference cycle holding the search state
     summary.complete = not out_of_budget
@@ -215,11 +242,13 @@ def naive_sweep(spec: SearchSpec, visitor=None) -> SearchSummary:
     """Unpruned oracle: visit every complete candidate and test the suites on
     the finished algebra.  Intended for size <= 2."""
     n = spec.size
+    top_pin = _pin(spec.fixed_top, n, "fixed_top")
+    bot_pin = _pin(spec.fixed_bot, n, "fixed_bot")
     require = get_suite(spec.require).equations if spec.require else ()
     must_fail = set(spec.must_fail)
     summary = SearchSummary()
-    tops = (spec.fixed_top,) if spec.fixed_top is not None else range(n)
-    bots = (spec.fixed_bot,) if spec.fixed_bot is not None else range(n)
+    tops = range(n) if top_pin is None else (top_pin,)
+    bots = range(n) if bot_pin is None else (bot_pin,)
     cells = n * n
     names = [f"e{i}" for i in range(n)]
     for top in tops:

@@ -5,8 +5,10 @@ ML Workshop 2006): a constructor returns the one live node for its term, held
 in a weak table, so unreferenced terms are freed.  Two terms are equal
 exactly when they are the same node, so equality and hashing are by identity
 and never recurse.  Every node caches its depth and its sorted variables (and
-its subterms, on first request), so none of these re-walks the term.  Nodes
-are immutable; pickle and copy return the interned node.
+its walk, on first request), so none of these re-walks the term.  No node
+refers to itself, so a term is freed as soon as its last reference goes, not
+at the next run of the cyclic collector.  Nodes are immutable; pickle and
+copy return the interned node.
 
 Every traversal of a term is one bottom-up ``fold``: an iterative walk that
 visits each distinct subterm once, in a post-order cached on the node.
@@ -15,7 +17,9 @@ tables), substitution and the numpy checker are folds.  ``evaluator``
 compiles a term once into a Python function of the tables and an environment
 and caches it on the node, so it is freed with the term; ``eval_term`` and
 the model search evaluate through it, and the scalar checker compiles
-``source`` into its loops.
+``source`` into its loops.  The compiled code of the last 1024 distinct
+expressions is kept apart from the terms, so a term built again after it
+was freed does not go through the compiler again.
 
 ASCII surface grammar (precedence: unary > ``&`` > ``|``, both binary ops
 left-associative)::
@@ -39,6 +43,7 @@ with an EvalError: compiled expressions nest one bracket per level.
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
 import weakref
@@ -204,7 +209,9 @@ def var_sorts(t: Term) -> tuple[tuple[str, str], ...]:
 
 def _walk(t: Term) -> None:
     """Cache on t its distinct subterms in first-visit pre-order (``_subs``)
-    and in post-order (``_post``), from one iterative walk.  Each post-order
+    and in post-order (``_post``), from one iterative walk.  Both leave out t
+    itself, the first entry of the one and the last of the other: a node that
+    refers to itself is freed only by the cyclic collector.  Each post-order
     entry pairs a subterm with the children whose last parent it is, so a
     fold can drop their values once that parent is folded."""
     pre, post = [], []
@@ -232,15 +239,15 @@ def _walk(t: Term) -> None:
     drops = {}
     for c, u in last.items():
         drops.setdefault(u, []).append(c)
-    object.__setattr__(t, "_subs", tuple(pre))
-    object.__setattr__(t, "_post", tuple((u, tuple(drops.get(u, ()))) for u in post))
+    object.__setattr__(t, "_subs", tuple(pre[1:]))
+    object.__setattr__(t, "_post", tuple((u, tuple(drops.get(u, ()))) for u in post[:-1]))
 
 
 def subterms(t: Term) -> tuple[Term, ...]:
     """All subterms of t (including t itself), deduplicated, in first-visit order."""
     if t._subs is None:
         _walk(t)
-    return t._subs
+    return (t,) + t._subs
 
 
 def fold(t: Term, var, top, bot, neg, opp, meet, join):
@@ -258,7 +265,7 @@ def fold(t: Term, var, top, bot, neg, opp, meet, join):
         _walk(t)
         post = t._post
     val = {}
-    for u, done in post:
+    for u, done in post + ((t, ()),):
         cls = type(u)
         if cls is Meet:
             val[u] = meet(val[u.left], val[u.right])
@@ -285,6 +292,13 @@ def source(t: Term, var) -> str:
                 "M[{}][{}]".format, "J[{}][{}]".format)
 
 
+@functools.lru_cache(maxsize=1024)
+def _compile(expr: str):
+    """The code of ``lambda M, J, G, O, TP, BT, env: expr``.  Kept apart from
+    the terms, so a term built again after it was freed skips the compiler."""
+    return compile("lambda M, J, G, O, TP, BT, env: " + expr, "<term>", "eval")
+
+
 def evaluator(t: Term):
     """t compiled to ``f(M, J, G, O, TP, BT, env)``, where env maps variable
     names to elements (see ``source``).  Compiled once and cached on the node.
@@ -294,8 +308,7 @@ def evaluator(t: Term):
         if t.depth > MAX_DEPTH:
             raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
         # closed vocabulary: table names, brackets and variable-name literals
-        fn = eval("lambda M, J, G, O, TP, BT, env: "
-                  + source(t, lambda name: f"env[{name!r}]"), {})
+        fn = eval(_compile(source(t, lambda name: f"env[{name!r}]")), {})
         object.__setattr__(t, "_eval", fn)
     return fn
 

@@ -50,6 +50,26 @@ def test_missing_file_is_usage_error(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+    (["prove", "x", "--depth", "0"], "argument --depth: must be at least 1, got 0"),
+    (["check", "{b2}", "--suite", "nope"], "argument --suite: invalid choice: 'nope'"),
+    (["check", "{b2}", "--bogus"], "unrecognized arguments: --bogus"),
+    (["check", "{dir}/absent.dba"], "cannot read "),
+    (["prove", "x => => x"], "unexpected token"),
+])
+def test_every_usage_error_prints_an_error_line_on_stdout(files, capsys, argv, message):
+    # argparse's errors (top-level parser and subparsers) and the commands'
+    # own errors share one channel; argparse's usage text stays on stderr
+    code = main([arg.format(**files) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.startswith("error: " + message)
+    assert captured.out.count("\n") == 1
+    assert "error" not in captured.err
+
+
 def test_parse_error_is_exit_2(files, capsys):
     bad = files["dir"] / "bad.dba"
     bad.write_text("elements: a\nmeet:\nzz\n")
@@ -131,8 +151,10 @@ def test_numeric_flag_below_minimum_is_usage_error(files, capsys, argv, flag, mi
     code = main([arg.format(**files) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.out == ""
-    assert f"argument {flag}: must be at least {minimum}, got " in captured.err
+    value = argv[argv.index(flag) + 1]
+    assert captured.out == f"error: argument {flag}: must be at least {minimum}, got {value}\n"
+    assert captured.err.startswith("usage: dbakit ")
+    assert "error" not in captured.err
 
 
 def test_numeric_flag_at_minimum_is_accepted(files, capsys):
@@ -143,7 +165,7 @@ def test_numeric_flag_at_minimum_is_accepted(files, capsys):
     code, out = run(capsys, "prove", "x => x", "--depth", "1")
     assert code == 0 and "proved: true" in out
     assert main(["search", "--size", "x1"]) == 2
-    assert "argument --size: invalid int value: 'x1'" in capsys.readouterr().err
+    assert capsys.readouterr().out == "error: argument --size: invalid int value: 'x1'\n"
 
 
 def test_construct_gen_glued_sum_empty_overlap(files, capsys):

@@ -1,17 +1,17 @@
 """Compiled term evaluation against a recursive reference evaluator.
 
 Covers ``eval_term``, the scalar and numpy equation checkers on both sides of
-the ``n**k`` switch, and the search's padded partial tables, where a missing
-entry must read as "unknown" exactly where the reference gives None.
+the ``n**k`` switch, and the search's partial tables, where a term that reads
+a missing entry must give the marker of the first one it reads.
 """
 
 import random
 from itertools import product
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dbakit.algebra import _VECTOR_THRESHOLD, FiniteAlgebra, eval_term, satisfies_equation
-from dbakit.search import _Partial
+from dbakit.search import _Partial, _slots
 from dbakit.terms import BOT, TOP, Const, Equation, Join, Meet, Neg, Opp, Var, evaluator
 
 _terms = st.recursive(
@@ -24,19 +24,28 @@ _terms = st.recursive(
 _seeds = st.integers(0, 2**32 - 1)
 
 
-def reference_eval(t, meet, join, neg, opp, top, bot, env):
-    """Value of t by plain recursion, or None when an entry it reads is None."""
+def reference_eval(t, meet, join, neg, opp, top, bot, env, n=None):
+    """Value of t by plain recursion.  Given n, an entry >= n marks a missing
+    entry, and t takes the marker of the first missing entry that it reads,
+    left operand first."""
+    def rec(u):
+        return reference_eval(u, meet, join, neg, opp, top, bot, env, n)
+
+    def missing(v):
+        return n is not None and v >= n
+
     if isinstance(t, Var):
         return env[t.name]
     if isinstance(t, Const):
         return top if t.which == "top" else bot
     if isinstance(t, (Neg, Opp)):
-        a = reference_eval(t.arg, meet, join, neg, opp, top, bot, env)
-        return None if a is None else (neg if isinstance(t, Neg) else opp)[a]
-    a = reference_eval(t.left, meet, join, neg, opp, top, bot, env)
-    b = reference_eval(t.right, meet, join, neg, opp, top, bot, env)
-    if a is None or b is None:
-        return None
+        a = rec(t.arg)
+        return a if missing(a) else (neg if isinstance(t, Neg) else opp)[a]
+    a, b = rec(t.left), rec(t.right)
+    if missing(a):
+        return a
+    if missing(b):
+        return b
     return (meet if isinstance(t, Meet) else join)[a][b]
 
 
@@ -91,29 +100,29 @@ def test_checkers_match_reference_around_the_vector_threshold(lhs, rhs, above, s
 
 
 @given(_terms, st.integers(1, 4), st.floats(0, 1), _seeds)
-def test_padded_partial_tables_match_a_none_propagating_reference(t, n, missing, seed):
+@example(Meet(Meet(Var("x"), Var("y")), Meet(Var("y"), Var("x"))), 2, 1.0, 0)
+def test_partial_tables_match_a_marker_propagating_reference(t, n, missing, seed):
+    # slot k of the search order is missing with probability `missing`; the
+    # reference tables then hold its marker n + k
     rng = random.Random(seed)
     partial = _Partial(n)
-
-    def cell():
-        return n if rng.random() < missing else rng.randrange(n)
-
-    partial.top, partial.bot = cell(), cell()
-    for i in range(n):
-        partial.neg[i], partial.opp[i] = cell(), cell()
-        for j in range(n):
-            partial.meet[i][j], partial.join[i][j] = cell(), cell()
+    top_bot = [None, None]
+    neg, opp = [None] * n, [None] * n
+    meet = [[None] * n for _ in range(n)]
+    join = [[None] * n for _ in range(n)]
+    for k, (kind, pos) in enumerate(_slots(n)):
+        v = n + k if rng.random() < missing else rng.randrange(n)
+        if v < n:
+            partial.set(k, v)
+        if kind in ("top", "bot"):
+            top_bot[k] = v
+        elif kind in ("neg", "opp"):
+            (neg if kind == "neg" else opp)[pos] = v
+        else:
+            (meet if kind == "meet" else join)[pos[0]][pos[1]] = v
     env = {name: rng.randrange(n) for name in ("x", "y", "z", "w")}
 
-    def unknown(v):
-        return None if v == n else v
-
-    ref = reference_eval(
-        t,
-        [[unknown(v) for v in row[:n]] for row in partial.meet[:n]],
-        [[unknown(v) for v in row[:n]] for row in partial.join[:n]],
-        [unknown(v) for v in partial.neg[:n]], [unknown(v) for v in partial.opp[:n]],
-        unknown(partial.top), unknown(partial.bot), env)
+    ref = reference_eval(t, meet, join, neg, opp, *top_bot, env, n)
     got = evaluator(t)(partial.meet, partial.join, partial.neg, partial.opp,
                        partial.top, partial.bot, env)
-    assert got == (n if ref is None else ref)
+    assert got == ref

@@ -1,16 +1,178 @@
-"""Model enumeration: determinism, pruning soundness, fixture properties."""
+"""Model enumeration: determinism, pruning soundness, fixture properties.
+
+The watched-instance search is checked against ``enumerate_algebras_rescan``,
+a reference engine that pads the tables with one element ``n`` and, at every
+node, re-evaluates every instance not yet confirmed.
+"""
 
 import gc
+import hashlib
+from itertools import product
 
 import pytest
 
-from dbakit.algebra import check_suite, passes
+from dbakit.algebra import FiniteAlgebra, check_suite, passes, satisfies_equation
 from dbakit.errors import SuiteError
 from dbakit.fixtures import builtin_fixtures, get_fixture
 from dbakit.search import (
-    SearchSpec, candidate_count, enumerate_algebras, naive_sweep,
+    SearchSpec, SearchSummary, _slots, candidate_count, enumerate_algebras, naive_sweep,
 )
-from dbakit.suites import DBA23, DCORE13
+from dbakit.suites import DBA23, DCORE13, SUITES, get_suite
+from dbakit.terms import evaluator
+
+
+# --- reference: the rescanning engine -----------------------------------------
+
+class _PaddedPartial:
+    """Mutable slot view of a candidate: constants, unary maps, binary tables.
+
+    Every table is padded with an element ``n`` that every operation maps to
+    ``n``, and a missing entry holds ``n``, so a compiled term evaluates to
+    ``n`` exactly when an entry it reads is missing.
+    """
+
+    __slots__ = ("n", "top", "bot", "neg", "opp", "meet", "join")
+
+    def __init__(self, n):
+        self.n = n
+        self.top = n
+        self.bot = n
+        self.neg = [n] * (n + 1)
+        self.opp = [n] * (n + 1)
+        self.meet = [[n] * (n + 1) for _ in range(n + 1)]
+        self.join = [[n] * (n + 1) for _ in range(n + 1)]
+
+    def to_algebra(self):
+        n = self.n
+        return FiniteAlgebra(
+            [f"e{i}" for i in range(n)],
+            [row[:n] for row in self.meet[:n]], [row[:n] for row in self.join[:n]],
+            self.neg[:n], self.opp[:n], self.top, self.bot)
+
+
+def enumerate_algebras_rescan(spec: SearchSpec, visitor=None) -> SearchSummary:
+    """Depth-first enumeration with axiom pruning.
+
+    The visitor (if any) is called with each model in order; models are also
+    collected into the summary (capped by max_models).  When a budget runs
+    out the summary is flagged incomplete.
+    """
+    n = spec.size
+    if n < 1:
+        raise SuiteError("universe size must be >= 1")
+    require = get_suite(spec.require).equations if spec.require else ()
+    must_fail = set(spec.must_fail)
+    prunable = [e for e in require if e.id not in must_fail]
+    fail_eqs = [e for e in require if e.id in must_fail]
+    if must_fail and len(fail_eqs) != len(must_fail):
+        missing = must_fail - {e.id for e in fail_eqs}
+        raise SuiteError(f"must_fail axioms not in the required suite: {sorted(missing)}")
+
+    # ground instances of the prunable axioms
+    instances = []
+    for eqn in prunable:
+        vs = eqn.variables()
+        lhs, rhs = evaluator(eqn.lhs), evaluator(eqn.rhs)
+        for vals in product(range(n), repeat=len(vs)):
+            instances.append((lhs, rhs, dict(zip(vs, vals))))
+    verified = [-1] * len(instances)  # depth at which the instance was confirmed
+
+    partial = _PaddedPartial(n)
+    slots = _slots(n)
+    summary = SearchSummary()
+
+    def value_range(kind):
+        if kind == "top" and spec.fixed_top is not None:
+            return (spec.fixed_top,)
+        if kind == "bot" and spec.fixed_bot is not None:
+            return (spec.fixed_bot,)
+        return range(n)
+
+    def set_slot(kind, pos, v):
+        if kind == "top":
+            partial.top = v
+        elif kind == "bot":
+            partial.bot = v
+        elif kind == "neg":
+            partial.neg[pos] = v
+        elif kind == "opp":
+            partial.opp[pos] = v
+        elif kind == "meet":
+            partial.meet[pos[0]][pos[1]] = v
+        else:
+            partial.join[pos[0]][pos[1]] = v
+
+    def clear_slot(kind, pos):
+        set_slot(kind, pos, n)
+
+    def check_new(depth):
+        """Evaluate not-yet-verified instances; False when one is violated."""
+        m, j, g, o = partial.meet, partial.join, partial.neg, partial.opp
+        top, bot = partial.top, partial.bot
+        for idx, (lhs, rhs, env) in enumerate(instances):
+            if verified[idx] >= 0:
+                continue
+            lv = lhs(m, j, g, o, top, bot, env)
+            if lv == n:
+                continue
+            rv = rhs(m, j, g, o, top, bot, env)
+            if rv == n:
+                continue
+            if lv != rv:
+                return False
+            verified[idx] = depth
+        return True
+
+    def unverify(depth):
+        for idx in range(len(verified)):
+            if verified[idx] >= depth:
+                verified[idx] = -1
+
+    out_of_budget = False
+
+    def leaf():
+        nonlocal out_of_budget
+        if spec.max_candidates is not None and summary.candidates >= spec.max_candidates:
+            out_of_budget = True
+            return False
+        summary.candidates += 1
+        alg = partial.to_algebra()
+        for eqn in fail_eqs:
+            if satisfies_equation(alg, eqn).holds:
+                return True
+        summary.models += 1
+        if visitor is not None:
+            visitor(alg)
+        if spec.max_models is None or len(summary.found) < spec.max_models:
+            summary.found.append(alg)
+        if spec.max_models is not None and summary.models >= spec.max_models:
+            out_of_budget = True
+            return False
+        return True
+
+    def dfs(depth):
+        if out_of_budget:
+            return
+        if depth == len(slots):
+            if not leaf():
+                return
+            return
+        kind, pos = slots[depth]
+        for v in value_range(kind):
+            set_slot(kind, pos, v)
+            if check_new(depth):
+                dfs(depth + 1)
+            unverify(depth)
+            clear_slot(kind, pos)
+            if out_of_budget:
+                return
+
+    try:
+        dfs(0)
+    finally:
+        del dfs  # a recursive closure is a reference cycle holding the search state
+    summary.complete = not out_of_budget
+    return summary
 
 
 def test_candidate_count_formula():
@@ -153,3 +315,77 @@ def test_search_leaves_no_cyclic_garbage():
         gc.garbage.clear()
         gc.enable()
     assert left == []
+
+
+# --- watched instances against the rescan ------------------------------------
+
+def _outcome(summary):
+    return (summary.candidates, summary.models, summary.complete,
+            [alg.signature() for alg in summary.found])
+
+
+_SUITE_IDS = sorted(SUITES)
+_DIFF_SPECS = (
+    [SearchSpec(size=n, require=r) for n in (1, 2) for r in [None] + _SUITE_IDS]
+    + [SearchSpec(size=3, require=r, fixed_top=t, fixed_bot=b)
+       for r in _SUITE_IDS for t in range(3) for b in range(3)]
+    + [SearchSpec(size=2, require="DCORE13", must_fail=fail)
+       for fail in (("5a",), ("5a", "5b"), ("3a", "3b"), ("1a",), ("7",))]
+    + [SearchSpec(size=2, require=r, max_candidates=c)
+       for r in (None, "DCORE13") for c in (0, 1, 7, 100, 1000)]
+    + [SearchSpec(size=3, require="DBA23", max_candidates=c) for c in (0, 1, 7, 100, 1000)]
+    + [SearchSpec(size=3, require=r, max_models=k)
+       for r in ("DBA23", "GDCORE11") for k in (1, 2, 10)]
+    + [SearchSpec(size=4, require="DBA23", fixed_top=t, fixed_bot=b, max_models=k)
+       for t, b in ((0, 3), (1, 0), (2, 1), (3, 2)) for k in (1, 3)]
+)
+
+
+@pytest.mark.parametrize("spec", _DIFF_SPECS, ids=repr)
+def test_watched_search_matches_the_rescan(spec):
+    seen = []
+    summary = enumerate_algebras(spec, visitor=lambda alg: seen.append(alg.signature()))
+    want = enumerate_algebras_rescan(spec)
+    assert _outcome(summary) == _outcome(want)
+    assert seen == _outcome(want)[3]  # found is never capped below models here
+
+
+@pytest.mark.parametrize("pin", ["fixed_top", "fixed_bot"])
+@pytest.mark.parametrize("value", [-1, 3, 8])
+def test_pins_outside_the_universe_are_rejected(pin, value):
+    spec = SearchSpec(size=3, require="DBA23", **{pin: value})
+    with pytest.raises(SuiteError, match=pin):
+        enumerate_algebras(spec)
+    with pytest.raises(SuiteError, match=pin):
+        naive_sweep(spec)
+
+
+def test_non_integer_pin_is_rejected():
+    with pytest.raises(SuiteError, match="fixed_top"):
+        enumerate_algebras(SearchSpec(size=2, fixed_top=1.0))
+
+
+# --- census -------------------------------------------------------------------
+
+@pytest.mark.parametrize("size, suite, models", [
+    (2, "DBA23", 8), (2, "GDCORE11", 14), (3, "DBA23", 45), (3, "GDCORE11", 315)])
+def test_labelled_census(size, suite, models):
+    summary = enumerate_algebras(SearchSpec(size=size, require=suite))
+    assert summary.complete
+    assert summary.models == models == len(summary.found)
+    assert all(passes(alg, suite) for alg in summary.found)
+
+
+# sha256 over repr(signature()) + "\n" of each model in order (the tables are
+# little-endian int64 bytes), recorded from the rescanning engine
+SIZE4_DBA23_DIGEST = "bc4f2bc35428d45600c38dd8f20ad44b20c196a5e06ce8a4902a414b7e788352"
+
+
+def test_complete_size4_dba_census_matches_the_recorded_digest():
+    summary = enumerate_algebras(SearchSpec(size=4, require="DBA23"))
+    assert summary.complete
+    assert summary.models == summary.candidates == 352
+    digest = hashlib.sha256()
+    for alg in summary.found:
+        digest.update(repr(alg.signature()).encode() + b"\n")
+    assert digest.hexdigest() == SIZE4_DBA23_DIGEST

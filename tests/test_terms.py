@@ -172,12 +172,16 @@ def test_threads_intern_one_node_per_term():
         assert all(a is b for a, b in zip(results[0], built))
 
 
-def test_variables_and_subterms_are_cached():
+def test_variables_and_subterms_are_cached(monkeypatch):
     t = parse_term("(y & x) | ~(x & z)")
     assert variables(t) == ("x", "y", "z")
     assert variables(t) is variables(t)
     subs = subterms(t)
-    assert subs is subterms(t)
+    # the walk is cached without t itself, so each call builds a new tuple
+    # around it but never walks again
+    monkeypatch.setattr(terms, "_walk", None)
+    assert subterms(t) == subs
+    monkeypatch.undo()
     assert [render(u) for u in subs] == [
         "y & x | ~(x & z)", "y & x", "y", "x", "~(x & z)", "x & z", "z"]
 
@@ -298,3 +302,18 @@ def test_cached_walks_match_a_recursive_walk(t):
     assert subterms(t) == tuple(dict.fromkeys(nodes))
     assert variables(t) == tuple(sorted({u.name for u in nodes if isinstance(u, Var)}))
     assert t.depth == _reference_depth(t)
+
+
+def test_used_terms_are_freed_without_the_cyclic_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        t = Meet(Var("c"), Neg(Var("d")))
+        render(t)
+        evaluator(t)
+        subterms(t)
+        ref = weakref.ref(t)
+        del t
+        assert ref() is None
+    finally:
+        gc.enable()
