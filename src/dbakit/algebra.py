@@ -6,7 +6,9 @@ read-only on its inputs and safe to call concurrently on shared values.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -127,38 +129,47 @@ class EquationVerdict:
         return f"{self.equation.id}: FAIL {w}"
 
 
-# --- compiled scalar checkers (fast for small assignment spaces) -----------
+# --- one compiled first-witness kernel --------------------------------------
+# Equation checks and hypersequent refutation ask the same question: the
+# first assignment, in lexicographic order, under which no pair of terms
+# holds.  One generator compiles it to nested loops over per-variable ranges.
 
-_checker_cache: dict = {}
+_MAX_BLOCKS = 20  # CPython compiles at most 20 statically nested blocks
 
 
-def _compiled_checker(equation: Equation):
-    """Compile to a function (M,J,G,O,TP,BT,n) -> first failing assignment or None.
-
-    Assignments run in lexicographic order of element indices, first variable
-    (in sorted name order) most significant.
-    """
-    key = (equation.lhs, equation.rhs)
-    fn = _checker_cache.get(key)
-    if fn is not None:
-        return fn
-    vs = equation.variables()
-    var_pos = {name: f"v{i}" for i, name in enumerate(vs)}
-    lhs = source(equation.lhs, var_pos.__getitem__)
-    rhs = source(equation.rhs, var_pos.__getitem__)
-    lines = ["def _check(M, J, G, O, TP, BT, n):"]
-    indent = "    "
-    for i in range(len(vs)):
-        lines.append(f"{indent}for v{i} in range(n):")
-        indent += "    "
-    tup = ", ".join(f"v{i}" for i in range(len(vs)))
-    lines.append(f"{indent}if {lhs} != {rhs}: return ({tup}{',' if len(vs) == 1 else ''})")
+@functools.lru_cache(maxsize=1024)
+def _kernel(pairs, names, ordered):
+    """Compile to ``f(M, J, G, O, TP, BT, R, Q)``: the first tuple, v_i from
+    R[i] with v0 most significant, under which no pair (a, b) holds, or None.
+    A pair holds when a = b, or when ``Q[a][b]`` is true if ``ordered``.
+    Keyed by the interned terms, so the key never recurses; the kernels of
+    the last 1024 distinct inputs are kept."""
+    if any(t.depth > MAX_DEPTH for pair in pairs for t in pair):
+        raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
+    var = {name: f"v{i}" for i, name in enumerate(names)}.__getitem__
+    holds = "Q[{}][{}]" if ordered else "{} == {}"
+    test = " or ".join(holds.format(source(a, var), source(b, var)) for a, b in pairs)
+    k = len(names)
+    nested = k if k <= _MAX_BLOCKS else _MAX_BLOCKS - 1
+    loops = [f"for v{i} in R[{i}]:" for i in range(nested)]
+    if nested < k:  # the remaining variables in one loop
+        loops.append(f"for {''.join(f'v{i}, ' for i in range(nested, k))}"
+                     f"in product(*R[{nested}:]):")
+    loops.append(f"if not ({test}): return ({''.join(f'v{i}, ' for i in range(k))})")
+    lines = ["def first(M, J, G, O, TP, BT, R, Q):"]
+    lines += ["    " * (d + 1) + line for d, line in enumerate(loops)]
     lines.append("    return None")
-    ns: dict = {}
+    ns = {"product": product}
     exec("\n".join(lines), ns)  # closed vocabulary: generated from Term nodes only
-    fn = ns["_check"]
-    _checker_cache[key] = fn
-    return fn
+    return ns["first"]
+
+
+def _first_witness(alg: FiniteAlgebra, pairs, names, ranges, order=None):
+    """The first failing tuple of ``_kernel(pairs, names, ...)`` on the
+    tables of alg; ``order`` (nested lists) is the relation Q, if any.
+    Raises EvalError when a term is deeper than ``MAX_DEPTH``."""
+    return _kernel(pairs, names, order is not None)(
+        alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot, ranges, order)
 
 
 # --- vectorized checker (fast for large assignment spaces) -----------------
@@ -195,9 +206,7 @@ def satisfies_equation(alg: FiniteAlgebra, equation: Equation) -> EquationVerdic
     k = len(vs)
     n = alg.n
     if n ** k <= _VECTOR_THRESHOLD:
-        fn = _compiled_checker(equation)
-        bad = fn(alg._rows_m, alg._rows_j, alg._lneg, alg._lopp,
-                 alg.top, alg.bot, n)
+        bad = _first_witness(alg, ((equation.lhs, equation.rhs),), vs, (range(n),) * k)
         if bad is None:
             return EquationVerdict(equation, True)
         return EquationVerdict(equation, False, dict(zip(vs, bad)))

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import (
-    FiniteAlgebra, classify, eval_term, join_idempotents, meet_idempotents, quasi_order,
+    FiniteAlgebra, _first_witness, classify, eval_term, join_idempotents, meet_idempotents,
+    quasi_order,
 )
 from .errors import LogicError, ParseError
 from .terms import (
@@ -147,19 +148,14 @@ def _match(pattern: Term, t: Term, binding: dict, var_sort: str | None) -> bool:
             return False
         binding[pattern.name] = t
         return True
+    if type(pattern) is not type(t):
+        return False
     if isinstance(pattern, Const):
         return pattern == t
-    if isinstance(pattern, Neg) and isinstance(t, Neg):
+    if isinstance(pattern, (Neg, Opp)):
         return _match(pattern.arg, t.arg, binding, var_sort)
-    if isinstance(pattern, Opp) and isinstance(t, Opp):
-        return _match(pattern.arg, t.arg, binding, var_sort)
-    if isinstance(pattern, Meet) and isinstance(t, Meet):
-        return (_match(pattern.left, t.left, binding, var_sort)
-                and _match(pattern.right, t.right, binding, var_sort))
-    if isinstance(pattern, Join) and isinstance(t, Join):
-        return (_match(pattern.left, t.left, binding, var_sort)
-                and _match(pattern.right, t.right, binding, var_sort))
-    return False
+    return (_match(pattern.left, t.left, binding, var_sort)
+            and _match(pattern.right, t.right, binding, var_sort))
 
 
 def schema_matches(schema: AxiomSchema, s: Sequent) -> bool:
@@ -454,7 +450,7 @@ def _algebra_admits(alg: FiniteAlgebra, system: str) -> tuple[bool, str]:
 
 
 def _var_ranges(alg: FiniteAlgebra, h: Hypersequent, system: str):
-    """Sorted variable list plus each variable's value range.
+    """Sorted variable names plus each variable's value range.
 
     HL object variables range over the meet idempotents and property variables
     over the join idempotents; everything else over the whole universe.
@@ -465,18 +461,11 @@ def _var_ranges(alg: FiniteAlgebra, h: Hypersequent, system: str):
             for name, sort in var_sorts(side):
                 if sorts.setdefault(name, sort) != sort:
                     raise LogicError(f"variable {name!r} used with two sorts")
-    names = sorted(sorts)
-    ranges = []
-    cap = sorted(meet_idempotents(alg))
-    cup = sorted(join_idempotents(alg))
-    for nm in names:
-        if system == "HL" and sorts[nm] == OBJECT:
-            ranges.append(cap)
-        elif system == "HL" and sorts[nm] == PROPERTY:
-            ranges.append(cup)
-        else:
-            ranges.append(list(range(alg.n)))
-    return names, ranges
+    names = tuple(sorted(sorts))
+    sorted_ranges = {} if system != "HL" else {
+        OBJECT: sorted(meet_idempotents(alg)), PROPERTY: sorted(join_idempotents(alg))}
+    universe = range(alg.n)
+    return names, [sorted_ranges.get(sorts[name], universe) for name in names]
 
 
 def falsifying_env(alg: FiniteAlgebra, h: Hypersequent, system: str = "L"):
@@ -486,12 +475,15 @@ def falsifying_env(alg: FiniteAlgebra, h: Hypersequent, system: str = "L"):
     ok, why = _algebra_admits(alg, system)
     if not ok:
         raise LogicError(why)
+    return _falsify(alg, h, system)
+
+
+def _falsify(alg: FiniteAlgebra, h: Hypersequent, system: str):
+    """falsifying_env on an algebra known to be in the system's class."""
     names, ranges = _var_ranges(alg, h, system)
-    for values in product(*ranges):
-        env = dict(zip(names, values))
-        if not any(eval_sequent(alg, comp, env) for comp in h.components):
-            return env
-    return None
+    bad = _first_witness(alg, tuple((c.ant, c.suc) for c in h.components), names,
+                         ranges, quasi_order(alg).rel.tolist())
+    return None if bad is None else dict(zip(names, bad))
 
 
 def is_true_in(alg: FiniteAlgebra, h: Hypersequent, system: str = "L") -> bool:
@@ -505,12 +497,10 @@ def find_countermodel(goal: Hypersequent, system: str, models) -> tuple | None:
     Models outside the system's algebra class are skipped.
     """
     for name, alg in models:
-        ok, _ = _algebra_admits(alg, system)
-        if not ok:
-            continue
-        env = falsifying_env(alg, goal, system)
-        if env is not None:
-            return name, alg, env
+        if _algebra_admits(alg, system)[0]:
+            env = _falsify(alg, goal, system)
+            if env is not None:
+                return name, alg, env
     return None
 
 

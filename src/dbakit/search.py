@@ -135,6 +135,16 @@ def _pin(value, n, what):
     return v
 
 
+def _checked_pins(spec: SearchSpec, n: int):
+    """The pinned (top, bot), each None when unpinned.  Raises SuiteError for
+    a pin outside the universe or a negative budget."""
+    for what in ("max_models", "max_candidates"):
+        budget = getattr(spec, what)
+        if budget is not None and budget < 0:
+            raise SuiteError(f"{what} must be >= 0, got {budget}")
+    return _pin(spec.fixed_top, n, "fixed_top"), _pin(spec.fixed_bot, n, "fixed_bot")
+
+
 def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
     """Depth-first enumeration with axiom pruning.
 
@@ -145,8 +155,7 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
     n = spec.size
     if n < 1:
         raise SuiteError("universe size must be >= 1")
-    top_pin = _pin(spec.fixed_top, n, "fixed_top")
-    bot_pin = _pin(spec.fixed_bot, n, "fixed_bot")
+    top_pin, bot_pin = _checked_pins(spec, n)
     require = get_suite(spec.require).equations if spec.require else ()
     must_fail = set(spec.must_fail)
     prunable = [e for e in require if e.id not in must_fail]
@@ -205,11 +214,13 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
         for eqn in fail_eqs:
             if satisfies_equation(alg, eqn).holds:
                 return
+        if spec.max_models == 0:  # a positive budget stops the search below, once spent
+            out_of_budget = True
+            return
         summary.models += 1
         if visitor is not None:
             visitor(alg)
-        if spec.max_models is None or len(summary.found) < spec.max_models:
-            summary.found.append(alg)
+        summary.found.append(alg)
         if spec.max_models is not None and summary.models >= spec.max_models:
             out_of_budget = True
 
@@ -242,8 +253,7 @@ def naive_sweep(spec: SearchSpec, visitor=None) -> SearchSummary:
     """Unpruned oracle: visit every complete candidate and test the suites on
     the finished algebra.  Intended for size <= 2."""
     n = spec.size
-    top_pin = _pin(spec.fixed_top, n, "fixed_top")
-    bot_pin = _pin(spec.fixed_bot, n, "fixed_bot")
+    top_pin, bot_pin = _checked_pins(spec, n)
     require = get_suite(spec.require).equations if spec.require else ()
     must_fail = set(spec.must_fail)
     summary = SearchSummary()
@@ -275,11 +285,13 @@ def naive_sweep(spec: SearchSpec, visitor=None) -> SearchSummary:
                                 if not ok:
                                     break
                             if ok:
+                                if spec.max_models == 0:
+                                    summary.complete = False
+                                    return summary
                                 summary.models += 1
                                 if visitor is not None:
                                     visitor(alg)
-                                if spec.max_models is None or len(summary.found) < spec.max_models:
-                                    summary.found.append(alg)
+                                summary.found.append(alg)
                                 if spec.max_models is not None and \
                                         summary.models >= spec.max_models:
                                     summary.complete = False

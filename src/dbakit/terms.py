@@ -16,10 +16,12 @@ visits each distinct subterm once, in a post-order cached on the node.
 tables), substitution and the numpy checker are folds.  ``evaluator``
 compiles a term once into a Python function of the tables and an environment
 and caches it on the node, so it is freed with the term; ``eval_term`` and
-the model search evaluate through it, and the scalar checker compiles
-``source`` into its loops.  The compiled code of the last 1024 distinct
-expressions is kept apart from the terms, so a term built again after it
-was freed does not go through the compiler again.
+the model search evaluate through it.  The compiled code of the last 1024
+distinct expressions is kept apart from the terms, so a term built again
+after it was freed does not go through the compiler again.  The scalar
+equation checker and the hypersequent refuter do not evaluate term by term:
+one first-witness kernel in ``algebra`` folds ``source`` of every term of
+the check into the body of its loops over the assignments.
 
 ASCII surface grammar (precedence: unary > ``&`` > ``|``, both binary ops
 left-associative)::
@@ -37,8 +39,9 @@ parse time, so parsed terms never contain them as nodes.
 Nesting is limited to ``MAX_DEPTH`` levels.  The parser opens a level at each
 ``~``, ``!``, opening parenthesis and macro call, and a parsed term may be at
 most ``MAX_DEPTH`` operators deep; deeper input is a ParseError.
-``evaluator`` and the equation checkers reject deeper terms built in code
-with an EvalError: compiled expressions nest one bracket per level.
+``evaluator``, the equation checkers and the refuter reject deeper terms
+built in code with an EvalError: compiled expressions nest one bracket per
+level.
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
 """Algebra kernel: evaluation, suite checking, classification, Boolean parts."""
 
+import functools
+import gc
+import weakref
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbakit.algebra import (
-    FiniteAlgebra, check_identity_catalog, check_suite, classify, eval_term,
+    FiniteAlgebra, _kernel, check_identity_catalog, check_suite, classify, eval_term,
     extract_boolean_part, is_boolean_algebra, join_idempotents, meet_idempotents,
     passes, project_join, project_meet, quasi_order, satisfies_equation,
 )
@@ -17,7 +20,7 @@ from dbakit.fixtures import (
     singleton,
 )
 from dbakit.suites import DBA23, DCORE13, GDCORE11, get_suite
-from dbakit.terms import MAX_DEPTH, AxiomSuite, Equation, Neg, Var, eq, parse_term
+from dbakit.terms import MAX_DEPTH, AxiomSuite, Equation, Meet, Neg, Var, eq, parse_term
 
 
 def brute_force_witness(alg, equation):
@@ -180,6 +183,29 @@ def test_checker_nesting_limit(alg):
     for depth in (MAX_DEPTH + 1, 250, 3000):
         with pytest.raises(EvalError):
             satisfies_equation(alg, Equation("deep", Var("x"), neg_chain(depth)))
+
+
+def test_checker_over_more_variables_than_nested_loops():
+    # CPython compiles at most 20 nested loops; the rest run in one loop
+    vs = [Var(f"v{i:02}") for i in range(25)]
+    wide = functools.reduce(Meet, vs)
+    verdict = satisfies_equation(singleton(), Equation("wide", wide, Neg(vs[24])))
+    assert verdict.holds and verdict.witness is None
+
+
+def test_checked_equations_are_not_kept_alive():
+    # the compiled kernels are cached for the last 1024 distinct equations only
+    alg = boolean2()
+    first = None
+    for i in range(1100):
+        x = Var(f"one_off_{i}")
+        equation = Equation("e", Meet(x, x), x)
+        assert satisfies_equation(alg, equation).holds
+        first = first or weakref.ref(equation.lhs)
+    del x, equation
+    gc.collect()
+    assert first() is None
+    assert _kernel.cache_info().currsize <= 1024
 
 
 def test_eval_term_nesting_limit():

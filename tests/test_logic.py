@@ -1,6 +1,8 @@
 """Calculi: parsing, axiom matching, proof checking, search, semantics."""
 
+import functools
 import gc
+import random
 from itertools import product
 
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from dbakit import logic
 from dbakit.algebra import classify, passes, quasi_order
-from dbakit.errors import LogicError, ParseError
-from dbakit.fca import protoconcept_algebra
+from dbakit.errors import EvalError, LogicError, ParseError
+from dbakit.fca import all_contexts, protoconcept_algebra
 from dbakit.fixtures import builtin_fixtures, chain3, gdcore_not_dcore
 from dbakit.logic import (
     AXIOM_SCHEMAS, Hypersequent, ProofLine, ProofScript, Sequent, axiom_match,
@@ -17,7 +19,9 @@ from dbakit.logic import (
     is_true_in, parse_hypersequent, parse_script, parse_sequent, render_script,
     search_proof, seq, _sq_premises, _substitute,
 )
-from dbakit.terms import Join, Meet, Neg, Opp, Term, Var, parse_term, render
+from dbakit.terms import (
+    BOT, MAX_DEPTH, TOP, Join, Meet, Neg, Opp, Term, Var, parse_term, render,
+)
 
 
 def contextual_fixtures():
@@ -399,6 +403,170 @@ def test_find_countermodel_examples():
     assert find_countermodel(seq(parse_term("x"), parse_term("x")), "L", models) is None
 
 
+def test_find_countermodel_checks_each_model_once(monkeypatch):
+    checked = []
+    admits = logic._algebra_admits
+
+    def counting(alg, system):
+        checked.append(alg)
+        return admits(alg, system)
+
+    monkeypatch.setattr(logic, "_algebra_admits", counting)
+    models = list(builtin_fixtures())
+    for system in ("L", "HL"):
+        checked.clear()
+        # valid in both systems, so every model is tried
+        assert find_countermodel(seq(parse_term("x"), parse_term("x")), system, models) is None
+        assert checked == [alg for _, alg in models]
+
+
+# --- the compiled refuter against the interpreted loop -------------------------------
+
+def falsifying_env_reference(alg, h, system="L"):
+    """First assignment (deterministic order) under which no component is
+    satisfied, or None.  Raises LogicError when the algebra is outside the
+    system's class."""
+    ok, why = logic._algebra_admits(alg, system)
+    if not ok:
+        raise LogicError(why)
+    names, ranges = logic._var_ranges(alg, h, system)
+    for values in product(*ranges):
+        env = dict(zip(names, values))
+        if not any(eval_sequent(alg, comp, env) for comp in h.components):
+            return env
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _refutation_models():
+    """system -> distinct admitted algebras: the fixtures, and the
+    protoconcept (L) and semiconcept (HL) algebras of every context up to 3x3."""
+    models = {"L": {}, "HL": {}}
+    for g, m in product((1, 2, 3), repeat=2):
+        for ctx in all_contexts(g, m):
+            for system, kind in (("L", "protoconcept"), ("HL", "semiconcept")):
+                alg = protoconcept_algebra(ctx, kind).algebra
+                models[system].setdefault(alg.signature(), alg)
+    for _, alg in builtin_fixtures():
+        for system in models:
+            if logic._algebra_admits(alg, system)[0]:
+                models[system].setdefault(alg.signature(), alg)
+    return {system: list(algs.values()) for system, algs in models.items()}
+
+
+_OBJECT_VARS = [Var("x", "object"), Var("y", "object")]
+_PROPERTY_VARS = [Var("X", "property")]
+
+
+def _random_term(rng, atoms, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(atoms)
+    op = rng.choice([Neg, Opp, Meet, Join])
+    if op in (Neg, Opp):
+        return op(_random_term(rng, atoms, depth - 1))
+    return op(_random_term(rng, atoms, depth - 1), _random_term(rng, atoms, depth - 1))
+
+
+def _seeded_goals(system, count, seed):
+    """Goals of 1-3 components over object and property variables; L goals
+    take one object variable, so that the reference loop stays quick."""
+    rng = random.Random(seed)
+    atoms = ([TOP, BOT] + _PROPERTY_VARS
+             + (_OBJECT_VARS if system == "HL" else _OBJECT_VARS[:1]))
+    return [Hypersequent(tuple(
+                Sequent(_random_term(rng, atoms, 2), _random_term(rng, atoms, 2))
+                for _ in range(rng.randrange(1, 4))))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("system", ["L", "HL"])
+def test_falsifying_env_matches_the_interpreted_loop(system):
+    models = _refutation_models()[system]
+    refuted = later = 0
+    for goal in _seeded_goals(system, 8, seed=1) + [
+            parse_hypersequent("x => y ; y => x", system),
+            parse_hypersequent("q => q & q ; q | q => q", system),
+            parse_hypersequent("T => T & T", system)]:
+        first = None
+        for alg in models:
+            expected = falsifying_env_reference(alg, goal, system)
+            assert falsifying_env(alg, goal, system) == expected, (str(goal), alg)
+            if expected is not None:
+                refuted += 1
+                later += any(expected.values())  # not the first assignment
+                first = first or (alg, expected)
+        named = [(str(i), alg) for i, alg in enumerate(models)]
+        got = find_countermodel(goal, system, named)
+        assert (got and (got[1], got[2])) == first
+    assert refuted > 100 and later > 20
+
+
+def test_falsifying_env_matches_the_interpreted_loop_on_every_fixture():
+    goals = [parse_hypersequent(text, system) for text in (
+        "x => y", "x & y => y & x ; y => x", "T => T & T", "x | ~x => T ; F => x & !x")
+        for system in ("L", "HL")]
+    for _, alg in builtin_fixtures():
+        for goal in goals:
+            for system in ("L", "HL"):
+                try:
+                    expected = falsifying_env_reference(alg, goal, system)
+                except LogicError as exc:
+                    with pytest.raises(LogicError, match=str(exc)):
+                        falsifying_env(alg, goal, system)
+                else:
+                    assert falsifying_env(alg, goal, system) == expected
+
+
+def test_two_sorts_of_one_variable_are_rejected():
+    goal = Hypersequent((Sequent(Var("x", "object"), Var("x", "property")),))
+    for system in ("L", "HL"):
+        with pytest.raises(LogicError, match="'x' used with two sorts"):
+            falsifying_env(chain3(), goal, system)
+
+
+def _neg_chain(t, depth):
+    for _ in range(depth):
+        t = Neg(t)
+    return t
+
+
+@pytest.mark.parametrize("system", ["L", "HL"])
+def test_falsifying_env_depth_limit(system):
+    x = Var("x", "object")
+    algs = [alg for _, alg in builtin_fixtures() if logic._algebra_admits(alg, system)[0]]
+    for alg in algs:
+        for goal in (seq(_neg_chain(x, MAX_DEPTH), x), seq(x, _neg_chain(x, MAX_DEPTH)),
+                     Hypersequent((Sequent(TOP, x), Sequent(x, _neg_chain(x, MAX_DEPTH))))):
+            assert falsifying_env(alg, goal, system) == \
+                falsifying_env_reference(alg, goal, system)
+        deep = _neg_chain(x, MAX_DEPTH + 1)
+        # the deep term raises even where an earlier component always holds
+        for goal in (seq(deep, x), seq(x, deep), Hypersequent((Sequent(x, x), Sequent(x, deep)))):
+            with pytest.raises(EvalError, match=f"deeper than {MAX_DEPTH}"):
+                falsifying_env(alg, goal, system)
+
+
+def test_falsifying_env_over_more_variables_than_nested_loops():
+    # CPython compiles at most 20 nested loops; the rest run in one loop
+    vs = [Var(f"v{i:02}") for i in range(25)]
+
+    def join_all(ts):
+        return functools.reduce(Join, ts)
+
+    goals = [seq(vs[24], join_all(vs[:24])),      # first witness: v24 = 1
+             seq(TOP, join_all(vs)),              # first witness: all 0
+             seq(Meet(vs[21], vs[24]), join_all(vs[:21] + vs[22:24]))]
+    fixtures = dict(builtin_fixtures())
+    for name in ("singleton", "boolean2"):
+        for goal in goals:
+            assert falsifying_env(fixtures[name], goal, "L") == \
+                falsifying_env_reference(fixtures[name], goal, "L")
+    zeros = {v.name: 0 for v in vs}
+    assert falsifying_env(fixtures["boolean2"], goals[0], "L") == {**zeros, "v24": 1}
+    assert falsifying_env(fixtures["boolean2"], goals[2], "L") == \
+        {**zeros, "v21": 1, "v24": 1}
+
+
 # --- local soundness ------------------------------------------------------------------
 
 _SAMPLE_FORMULAS = [
@@ -717,3 +885,41 @@ def test_hl_search_output_rechecks(comps):
     # search_proof raises LogicError when its proof fails check_proof
     script = search_proof(_hyp(comps), "HL", 3)
     assert script is None or check_proof(script).valid
+
+
+# --- proof search with caller lemmas and wider HL goals -------------------------------
+
+_LEMMA_AND_WIDE_GOALS = [
+    ("L", "x & y => y & x", ["p & q => (p & q) & (p & q)", "x => x"], 6),
+    ("L", "x & y => y & x", ["p & q => (p & q) & (p & q)", "y & x => x", "x | y => y"], 6),
+    ("L", "~~(x & y) => (x & y) & (x & y)", ["x => y"], 3),
+    ("L", "~~(x & y) => (x & y) & (x & y)", ["x & y => y", "~x => ~y", "T => x"], 3),
+    ("L", "x & y => (x & y) & (x & y)", ["x => x & x"], 8),
+    ("HL", "p & P => p ; P => p ; q => F", ["p => P"], 3),
+    ("HL", "P => q ; p & p => p ; T => P", ["q => P", "F => p"], 4),
+    ("HL", "P => p ; q => q ; F => P", ["p & q => q & p"], 4),
+    ("HL", "q => q & q ; q | q => q ; p => P ; T => F", ["p => q", "P => T", "q => F"], 3),
+    ("HL", "p & p => p ; p => F ; F => p ; T => p", ["p => T"], 4),
+    ("HL", "P => P | P ; P => F ; T => P ; P => T", ["P => F", "T => T"], 4),
+    ("HL", "q => q ; p => P ; P => q ; F => T", ["q => P", "P => p", "T => F"], 4),
+]
+
+
+@pytest.mark.parametrize("system, goal, lemmas, depth", _LEMMA_AND_WIDE_GOALS)
+def test_search_with_lemmas_and_wide_goals_rechecks(system, goal, lemmas, depth):
+    goal = parse_hypersequent(goal, system)
+    lemmas = [parse_sequent(text, system) for text in lemmas]
+    script = search_proof(goal, system, depth, lemmas=lemmas)
+    assert script is not None
+    assert check_proof(script).valid
+    assert script.conclusion() == goal
+
+
+@settings(max_examples=20, deadline=None)
+@given(_systems, st.lists(_small_sequents, min_size=1, max_size=4),
+       st.lists(_small_sequents, min_size=1, max_size=3))
+def test_search_output_with_lemma_pools_rechecks(system, comps, lemmas):
+    goal = _hyp(comps[:1] if system == "L" else comps)
+    # search_proof raises LogicError when its proof fails check_proof
+    script = search_proof(goal, system, 3, lemmas=lemmas)
+    assert script is None or (check_proof(script).valid and script.conclusion() == goal)

@@ -365,6 +365,34 @@ def test_non_integer_pin_is_rejected():
         enumerate_algebras(SearchSpec(size=2, fixed_top=1.0))
 
 
+@pytest.mark.parametrize("engine", [enumerate_algebras, naive_sweep])
+@pytest.mark.parametrize("size, require", [(1, None), (2, "DBA23")])
+def test_zero_model_budget_counts_no_model(engine, size, require):
+    seen = []
+    summary = engine(SearchSpec(size=size, require=require, max_models=0), seen.append)
+    assert (summary.models, summary.found, seen, summary.complete) == (0, [], [], False)
+    # the search stops at the first model, which a budget of one keeps
+    first = engine(SearchSpec(size=size, require=require, max_models=1))
+    assert summary.candidates == first.candidates
+    assert first.models == 1
+
+
+@pytest.mark.parametrize("engine", [enumerate_algebras, naive_sweep])
+def test_zero_model_budget_is_complete_when_no_model_exists(engine):
+    summary = engine(SearchSpec(size=1, require="DBA23", must_fail=("1a",), max_models=0))
+    assert (summary.candidates, summary.models, summary.complete) == (1, 0, True)
+
+
+@pytest.mark.parametrize("engine", [enumerate_algebras, naive_sweep])
+@pytest.mark.parametrize("budget", ["max_models", "max_candidates"])
+@pytest.mark.parametrize("value", [-1, -5])
+def test_negative_budgets_are_rejected(engine, budget, value):
+    seen = []
+    with pytest.raises(SuiteError, match=f"{budget} must be >= 0, got {value}"):
+        engine(SearchSpec(size=1, **{budget: value}), seen.append)
+    assert seen == []
+
+
 # --- census -------------------------------------------------------------------
 
 @pytest.mark.parametrize("size, suite, models", [
