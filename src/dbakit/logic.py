@@ -16,6 +16,7 @@ lemmas), so it always terminates.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from itertools import product
@@ -164,15 +165,20 @@ def schema_matches(schema: AxiomSchema, s: Sequent) -> bool:
             and _match(schema.rhs, s.suc, binding, schema.var_sort))
 
 
+@functools.cache
+def _schemas_for(ant_kind: type, suc_kind: type, hl: bool) -> tuple[AxiomSchema, ...]:
+    """The schemas of L (or HL) whose sides can match terms of these
+    connectives: a side's connective must be the term's, unless the side is
+    a metavariable."""
+    return tuple(s for s in AXIOM_SCHEMAS
+                 if (hl or not s.hl_only)
+                 and type(s.lhs) in (Var, ant_kind) and type(s.rhs) in (Var, suc_kind))
+
+
 def axiom_match(s: Sequent, system: str = "L") -> list[str]:
     """Ids of every axiom schema with an instantiation equal to s."""
-    out = []
-    for schema in AXIOM_SCHEMAS:
-        if schema.hl_only and system != "HL":
-            continue
-        if schema_matches(schema, s):
-            out.append(schema.id)
-    return out
+    return [schema.id for schema in _schemas_for(type(s.ant), type(s.suc), system == "HL")
+            if schema_matches(schema, s)]
 
 
 # --- proof scripts and checking ---------------------------------------------
@@ -181,6 +187,7 @@ RULE_NAMES = ("id-axiom", "axiom", "cut", "meetR", "meetL", "joinR", "joinL",
               "neg", "opp", "sq", "sp", "ec", "ee", "ew")
 
 _L_ONLY_FORBIDDEN = ("sp", "ec", "ee", "ew")
+_L_SINGLE = "system L lines must be single sequents"
 
 
 @dataclass(frozen=True)
@@ -213,23 +220,31 @@ class CheckReport:
         return f"invalid at line {self.line}: {self.reason}"
 
 
+# The unary rules, by connective, in the order the search tries them:
+# (rule, varied argument, shared argument, reversed).  A rule concludes
+# K(.. x ..) => K(.. y ..) from x => y, or from y => x when reversed, with x
+# and y at the varied argument and the shared argument (if any) equal on both
+# sides.
+_UNARY_RULES = {
+    Meet: (("meetR", "left", "right", False), ("meetL", "right", "left", False)),
+    Join: (("joinR", "left", "right", False), ("joinL", "right", "left", False)),
+    Neg: (("neg", "arg", None, True),),
+    Opp: (("opp", "arg", None, True),),
+}
+
+
 def _unary_premises(ant: Term, suc: Term):
     """(rule, premise ant, premise suc) for every unary rule with conclusion
     ant => suc, in the order the search tries them."""
     kind = type(ant)
     if type(suc) is not kind:
         return ()
-    if kind is Meet or kind is Join:
-        meet = kind is Meet
-        out = []
-        if ant.right == suc.right:
-            out.append(("meetR" if meet else "joinR", ant.left, suc.left))
-        if ant.left == suc.left:
-            out.append(("meetL" if meet else "joinL", ant.right, suc.right))
-        return out
-    if kind is Neg or kind is Opp:
-        return (("neg" if kind is Neg else "opp", suc.arg, ant.arg),)
-    return ()
+    out = []
+    for rule, varied, shared, reverse in _UNARY_RULES.get(kind, ()):
+        if shared is None or getattr(ant, shared) == getattr(suc, shared):
+            x, y = getattr(ant, varied), getattr(suc, varied)
+            out.append((rule, y, x) if reverse else (rule, x, y))
+    return out
 
 
 def _splice(h: Hypersequent, k: int, s: Sequent) -> Hypersequent:
@@ -327,7 +342,7 @@ def check_proof(script: ProofScript) -> CheckReport:
             return CheckReport(False, idx, f"unknown premise index {exc.args[0]}")
         if script.system == "L":
             if len(line.hyp) != 1 or any(len(p) != 1 for p in prems):
-                return CheckReport(False, idx, "system L lines must be single sequents")
+                return CheckReport(False, idx, _L_SINGLE)
             if line.rule in _L_ONLY_FORBIDDEN:
                 return CheckReport(False, idx, f"rule {line.rule} is not part of system L")
         ok = False
@@ -520,24 +535,27 @@ def _substitute(pattern: Term, binding: dict) -> Term:
 
 def _cut_pool(goal: Hypersequent, system: str, lemmas):
     """Candidate cut formulas (every side of every axiom schema and caller
-    lemma instantiated with subformulas of the goal), plus the instantiated
-    sequents themselves for scoring cut premises."""
-    subs: list[Term] = []
-    seen = set()
+    lemma instantiated with subformulas of the goal), each mapped to its
+    position in first-seen order, plus the instantiated sequents themselves
+    for scoring cut premises."""
+    pool: dict[Term, int] = {}
     for comp in goal.components:
         for side in (comp.ant, comp.suc):
             for t in subterms(side):
-                if t not in seen:
-                    seen.add(t)
-                    subs.append(t)
-    pool: list[Term] = list(subs)
-    pool_seen = set(subs)
+                pool.setdefault(t, len(pool))
+    subs = list(pool)
     instance_pairs: set[tuple[Term, Term]] = set()
+    # schemas share sides (A*, A* & B*, ...), and a side's instance depends
+    # only on the values of its own variables
+    instances: dict = {}
 
-    def add(t):
-        if t not in pool_seen:
-            pool_seen.add(t)
-            pool.append(t)
+    def instantiate(side: Term, binding: dict) -> Term:
+        key = (side, *map(binding.__getitem__, variables(side)))
+        t = instances.get(key)
+        if t is None:
+            t = instances[key] = _substitute(side, binding)
+        pool.setdefault(t, len(pool))
+        return t
 
     templates = [(s.lhs, s.rhs, s.var_sort) for s in AXIOM_SCHEMAS
                  if not (s.hl_only and system != "HL")]
@@ -548,15 +566,11 @@ def _cut_pool(goal: Hypersequent, system: str, lemmas):
         if len(metavars) > 2 and len(subs) > 8:
             continue  # keep the pool small for wide schemas on big goals
         for values in product(subs, repeat=len(metavars)):
-            binding = dict(zip(metavars, values))
             if var_sort is not None and not all(
                     isinstance(v, Var) and v.sort == var_sort for v in values):
                 continue
-            left = _substitute(lhs, binding)
-            right = _substitute(rhs, binding)
-            add(left)
-            add(right)
-            instance_pairs.add((left, right))
+            binding = dict(zip(metavars, values))
+            instance_pairs.add((instantiate(lhs, binding), instantiate(rhs, binding)))
     return pool, instance_pairs
 
 
@@ -583,45 +597,71 @@ def _backward_steps(h: Hypersequent, system: str, cuts):
             yield rule, (prem,)
 
 
+def _cut_candidates(goal: Hypersequent, system: str, lemmas):
+    """Cut candidates for the search on goal, as a memoized function of a
+    sequent s = ant => suc: (score, chi) for the pool formulas chi other than
+    ant and suc such that ant => chi or chi => suc is a pool instance, an
+    identity, or one unary rule step from one; score counts the premises
+    that are not instances.  Ordered by score, then by pool position.  Cuts
+    whose premises would both need long sub-proofs are not attempted (the
+    search is best-effort, not complete).  Found by lookups in indexes built
+    once here, not by a scan of the pool."""
+    position, instance_pairs = _cut_pool(goal, system, lemmas)
+    rights: dict = {}  # left side -> right sides of its instances
+    lefts: dict = {}  # right side -> left sides of its instances
+    for a, b in instance_pairs:
+        rights.setdefault(a, []).append(b)
+        lefts.setdefault(b, []).append(a)
+    # (rule, varied argument, shared argument or None) -> the pool term of
+    # that shape
+    by_shape = {}
+    for chi in position:
+        for rule, varied, shared, _ in _UNARY_RULES.get(type(chi), ()):
+            by_shape[rule, getattr(chi, varied), shared and getattr(chi, shared)] = chi
+    memo: dict = {}
+
+    def one_step(t: Term, ends: dict, reversed_ends: dict):
+        """Pool terms chi with t's connective and shared argument whose varied
+        argument is x, t's own, or in ends[x] (reversed_ends[x] for neg and
+        opp).  With (rights, lefts) these are the chi for which t => chi is one
+        rule step from an identity or an instance; with (lefts, rights), the
+        chi for which chi => t is."""
+        for rule, varied, shared, reverse in _UNARY_RULES.get(type(t), ()):
+            x = getattr(t, varied)
+            key = shared and getattr(t, shared)
+            for c in (x, *(reversed_ends if reverse else ends).get(x, ())):
+                chi = by_shape.get((rule, c, key))
+                if chi is not None:
+                    yield chi
+
+    def candidates(s: Sequent):
+        got = memo.get(s)
+        if got is None:
+            ant, suc = s.ant, s.suc
+            found = {*rights.get(ant, ()), *lefts.get(suc, ()),
+                     *one_step(ant, rights, lefts), *one_step(suc, lefts, rights)}
+            found.discard(ant)
+            found.discard(suc)
+            got = memo[s] = sorted(
+                ((2 - ((ant, chi) in instance_pairs) - ((chi, suc) in instance_pairs), chi)
+                 for chi in found),
+                key=lambda item: (item[0], position[item[1]]))
+        return got
+
+    return candidates
+
+
 def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
                  lemmas=None) -> ProofScript | None:
     """Iterative-deepening backward search; cut only through the candidate
     pool.  Any returned script re-validates under check_proof."""
     if system not in ("L", "HL"):
         raise LogicError(f"unknown system {system!r}")
-    pool, instance_pairs = _cut_pool(goal, system, lemmas)
+    if system == "L" and len(goal) != 1:
+        raise LogicError(_L_SINGLE)
+    candidates_for = _cut_candidates(goal, system, lemmas)
     proved: dict = {}
     failed_at: dict = {}
-    cut_candidates: dict = {}
-
-    def nearly_closable(ant: Term, suc: Term) -> bool:
-        """ant => suc is an instance of the pool templates, or one unary rule
-        step away from one.  Cheap set lookups only."""
-        if ant == suc or (ant, suc) in instance_pairs:
-            return True
-        return any(a == b or (a, b) in instance_pairs
-                   for _, a, b in _unary_premises(ant, suc))
-
-    def candidates_for(s: Sequent):
-        """Admissible pool cuts for s: at least one premise must be nearly
-        closable, instance-closing cuts ordered first.  Cuts whose premises
-        would both need long sub-proofs are not attempted (the search is
-        best-effort, not complete)."""
-        got = cut_candidates.get(s)
-        if got is None:
-            scored = []
-            for chi in pool:
-                if chi == s.ant or chi == s.suc:
-                    continue
-                ldone = (s.ant, chi) in instance_pairs
-                rdone = (chi, s.suc) in instance_pairs
-                if not (ldone or rdone or nearly_closable(s.ant, chi)
-                        or nearly_closable(chi, s.suc)):
-                    continue
-                scored.append((2 - ldone - rdone, chi))
-            scored.sort(key=lambda item: item[0])
-            got = cut_candidates[s] = scored
-        return got
 
     def leaf(h: Hypersequent):
         if len(h) == 1:

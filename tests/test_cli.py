@@ -221,6 +221,15 @@ def test_prove_not_found_is_still_exit_zero(files, capsys):
     assert "proved: false" in out
 
 
+def test_prove_multi_component_goal_in_L_is_exit_2(files, capsys):
+    # L lines are single sequents, so no L proof can end in this goal
+    code = main(["prove", "x & y => x ; y => y", "--system", "L"])
+    assert code == 2
+    assert capsys.readouterr().out == "error: system L lines must be single sequents\n"
+    code, out = run(capsys, "prove", "x & y => x ; y => y", "--system", "HL")
+    assert code == 0 and "proved: true" in out
+
+
 def test_prove_with_cut_and_lemma_flag(files, capsys):
     code, out = run(capsys, "prove", "~~(x & y) => (x & y) & (x & y)", "--depth", "3")
     assert code == 0 and "proved: true" in out

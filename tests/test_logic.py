@@ -279,6 +279,16 @@ def test_search_unprovable_goal_returns_none():
     assert script is None
 
 
+def test_search_rejects_multi_component_L_goals():
+    # check_proof rejects every multi-component L line, so there is nothing to search
+    goal = parse_hypersequent("x & y => x ; y => y", "L")
+    with pytest.raises(LogicError, match="^system L lines must be single sequents$"):
+        search_proof(goal, "L", 3)
+    report = check_proof(ProofScript("L", (ProofLine(1, goal, "id-axiom"),)))
+    assert report.reason == "system L lines must be single sequents"
+    assert search_proof(parse_hypersequent("x & y => x ; y => y", "HL"), "HL", 3)
+
+
 def test_search_leaves_no_cyclic_garbage():
     # the search state must be freed on return, not at the next full collection
     gc.collect()
@@ -289,7 +299,8 @@ def test_search_leaves_no_cyclic_garbage():
         assert search_proof(seq(parse_term("T"), parse_term("T & T")), "L", 4) is None
         gc.collect()
         left = [o for o in gc.garbage
-                if getattr(o, "__qualname__", "").startswith("search_proof.<locals>")]
+                if getattr(o, "__qualname__", "").startswith(
+                    ("search_proof.<locals>", "_cut_candidates.<locals>"))]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
@@ -923,3 +934,130 @@ def test_search_output_with_lemma_pools_rechecks(system, comps, lemmas):
     # search_proof raises LogicError when its proof fails check_proof
     script = search_proof(goal, system, 3, lemmas=lemmas)
     assert script is None or (check_proof(script).valid and script.conclusion() == goal)
+
+
+# --- the indexed cut candidates against the pool scan ---------------------------------
+
+def cut_candidates_reference(pool, instance_pairs, s: Sequent):
+    """Admissible pool cuts for s: at least one premise must be nearly
+    closable, instance-closing cuts ordered first.  Cuts whose premises
+    would both need long sub-proofs are not attempted (the search is
+    best-effort, not complete)."""
+    def nearly_closable(ant: Term, suc: Term) -> bool:
+        """ant => suc is an instance of the pool templates, or one unary rule
+        step away from one.  Cheap set lookups only."""
+        if ant == suc or (ant, suc) in instance_pairs:
+            return True
+        return any(a == b or (a, b) in instance_pairs
+                   for _, a, b in logic._unary_premises(ant, suc))
+
+    scored = []
+    for chi in pool:
+        if chi == s.ant or chi == s.suc:
+            continue
+        ldone = (s.ant, chi) in instance_pairs
+        rdone = (chi, s.suc) in instance_pairs
+        if not (ldone or rdone or nearly_closable(s.ant, chi)
+                or nearly_closable(chi, s.suc)):
+            continue
+        scored.append((2 - ldone - rdone, chi))
+    scored.sort(key=lambda item: item[0])
+    return scored
+
+
+def _scan_candidates(goal, system, lemmas):
+    """The search's candidate function, computed by the pool scan."""
+    pool, instance_pairs = logic._cut_pool(goal, system, lemmas)
+    return functools.cache(functools.partial(cut_candidates_reference, pool, instance_pairs))
+
+
+def _compare_candidates(monkeypatch):
+    """Makes the search check, for every sequent it asks for cut candidates,
+    that the indexed answer equals the scan's, item for item and in order;
+    returns the list of sequents asked."""
+    asked = []
+    indexed_candidates = logic._cut_candidates
+
+    def checked(goal, system, lemmas):
+        indexed = indexed_candidates(goal, system, lemmas)
+        scan = _scan_candidates(goal, system, lemmas)
+
+        def candidates(s):
+            got = indexed(s)
+            assert got == scan(s), (str(goal), str(s))
+            asked.append(s)
+            return got
+        return candidates
+
+    monkeypatch.setattr(logic, "_cut_candidates", checked)
+    return asked
+
+
+@pytest.fixture
+def compared_candidates(monkeypatch):
+    return _compare_candidates(monkeypatch)
+
+
+@pytest.mark.parametrize("goal, depth", [(g, d) for g, d, _ in GOLDEN_PROOFS]
+                         + [("x | y => y | x", 4), ("T => T & T", 4)])
+def test_indexed_candidates_match_the_scan_on_golden_goals(compared_candidates, goal, depth):
+    search_proof(parse_hypersequent(goal, "L"), "L", depth)
+    assert len(compared_candidates) > 20
+
+
+@pytest.mark.parametrize("system, goal, lemmas, depth", _LEMMA_AND_WIDE_GOALS)
+def test_indexed_candidates_match_the_scan_with_lemmas(compared_candidates, system, goal,
+                                                       lemmas, depth):
+    search_proof(parse_hypersequent(goal, system), system, depth,
+                 lemmas=[parse_sequent(text, system) for text in lemmas])
+    assert compared_candidates
+
+
+@settings(max_examples=40, deadline=None)
+@given(_systems, st.lists(_small_sequents, min_size=1, max_size=3),
+       st.lists(_small_sequents, max_size=3))
+def test_indexed_candidates_match_the_scan_on_drawn_goals(system, comps, lemmas):
+    with pytest.MonkeyPatch.context() as mp:
+        _compare_candidates(mp)
+        search_proof(_hyp(comps[:1] if system == "L" else comps), system, 3, lemmas=lemmas)
+
+
+def _search_goals(count, seed):
+    """Seeded (system, goal, lemmas), alternately L and HL, with up to two
+    lemmas of at most one connective a side.  Every third goal a => b | t
+    chains an axiom instance a => b with join-intro-l, so that its proofs
+    take a cut; the others are random, of one component in L and one or two
+    in HL."""
+    rng = random.Random(seed)
+    atoms = {"L": [TOP, BOT, Var("x"), Var("y")],
+             "HL": [TOP, BOT] + _OBJECT_VARS + _PROPERTY_VARS}
+    schemas = [s for s in AXIOM_SCHEMAS if not s.hl_only]
+    out = []
+    for k in range(count):
+        system = "L" if k % 2 else "HL"
+
+        def term(depth):
+            return _random_term(rng, atoms[system], depth)
+
+        if k % 3 == 0:
+            schema = rng.choice(schemas)
+            binding = {v: term(1) for v in ("A*", "B*", "C*")}
+            goal = seq(_substitute(schema.lhs, binding),
+                       Join(_substitute(schema.rhs, binding), term(1)))
+        else:
+            goal = _hyp(Sequent(term(2), term(2))
+                        for _ in range(1 if system == "L" else rng.randrange(1, 3)))
+        out.append((system, goal, [Sequent(term(1), term(1)) for _ in range(rng.randrange(3))]))
+    return out
+
+
+def test_search_output_equals_the_scan_based_search(monkeypatch):
+    goals = _search_goals(150, seed=9)
+    indexed = [search_proof(goal, system, 3, lemmas=lemmas) for system, goal, lemmas in goals]
+    monkeypatch.setattr(logic, "_cut_candidates", _scan_candidates)
+    scanned = [search_proof(goal, system, 3, lemmas=lemmas) for system, goal, lemmas in goals]
+    assert ([s and render_script(s) for s in indexed]
+            == [s and render_script(s) for s in scanned])
+    proved = [s for s in indexed if s is not None]
+    assert len(proved) > 60 and sum(any(line.rule == "cut" for line in s.lines)
+                                    for s in proved) > 50

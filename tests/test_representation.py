@@ -1,5 +1,6 @@
 """Primary filters/ideals, standard contexts, and the pair representation."""
 
+import importlib
 import itertools
 import random
 
@@ -8,7 +9,9 @@ import pytest
 from dbakit.algebra import FiniteAlgebra, classify, passes, quasi_order
 from dbakit.constructions import generalized_glued_sum, glued_sum, powerset_boolean
 from dbakit.errors import AlgebraError, BudgetError
-from dbakit.fca import FormalContext, all_contexts, protoconcept_algebra
+from dbakit.fca import (
+    FormalContext, all_contexts, complement_context, modal, protoconcept_algebra,
+)
 from dbakit.fixtures import (
     boolean2, builtin_fixtures, cex_5ab, chain3, noncontextual4, singleton,
 )
@@ -355,6 +358,27 @@ def test_clopen_characterizations():
 def test_translated_continuity_on_fixtures():
     for name, alg in dba_fixtures():
         assert verify_translated_continuity(representation(alg)), name
+
+
+def test_translated_continuity_reads_the_nabla_context(monkeypatch):
+    # delta and nabla give the same verdicts on every algebra tried, so the
+    # context is checked where the modal images are taken
+    seen = []
+
+    def recording(ctx, op, mask):
+        seen.append(ctx.obj_rows)
+        return modal(ctx, op, mask)
+
+    monkeypatch.setattr(importlib.import_module("dbakit.representation"), "modal", recording)
+    apart = 0
+    for name, alg in dba_fixtures():
+        rep = representation(alg)
+        seen.clear()
+        assert verify_translated_continuity(rep), name
+        nabla = complement_context(rep.std.context).obj_rows
+        assert seen and set(seen) == {nabla}, name
+        apart += nabla != rep.std.context.obj_rows
+    assert apart >= 3
 
 
 def test_representation_budget():
