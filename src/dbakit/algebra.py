@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
 from .errors import AlgebraError, EvalError
-from .suites import BOOLEAN, CATALOG, DBA23, DCORE13, get_suite
-from .terms import MAX_DEPTH, Equation, Term, evaluator, fold, source
+from .suites import BOOLEAN, CATALOG, DBA23, DCORE13, GDCORE11, get_suite
+from .terms import (
+    MAX_DEPTH, Const, Equation, Join, Meet, Neg, Opp, Term, Var, evaluator, postorder, source,
+    variables,
+)
 
 
 class FiniteAlgebra:
@@ -39,10 +42,10 @@ class FiniteAlgebra:
             raise AlgebraError("element names must be pairwise distinct")
         self.names = names
         self.n = n
-        self.meet = self._table2(meet, n, "meet")
-        self.join = self._table2(join, n, "join")
-        self.neg = self._table1(neg, n, "neg")
-        self.opp = self._table1(opp, n, "opp")
+        self.meet = self._table(meet, (n, n), "meet table")
+        self.join = self._table(join, (n, n), "join table")
+        self.neg = self._table(neg, (n,), "neg map")
+        self.opp = self._table(opp, (n,), "opp map")
         self.top = self._index(top, n, "top")
         self.bot = self._index(bot, n, "bot")
         # plain nested tuples: much faster than numpy for scalar lookups
@@ -55,27 +58,29 @@ class FiniteAlgebra:
         self._cls_cache = None
 
     @staticmethod
-    def _table2(rows, n, what):
-        arr = np.asarray(rows, dtype=np.int64)
-        if arr.shape != (n, n):
-            raise AlgebraError(f"{what} table must be {n}x{n}, got {arr.shape}")
+    def _table(values, shape, what):
+        """values as a read-only int64 array of the given shape with entries
+        in [0, n); non-integer entries are an error, never truncated."""
+        try:
+            arr = np.asarray(values)
+        except ValueError:  # ragged rows
+            arr = None
+        if arr is None or arr.shape != shape:
+            got = "ragged rows" if arr is None else arr.shape
+            raise AlgebraError(f"{what} must have shape {shape}, got {got}")
+        if arr.dtype.kind not in "iu":
+            raise AlgebraError(f"{what} entries must be integers, got dtype {arr.dtype}")
+        n = shape[0]
         if arr.min() < 0 or arr.max() >= n:
-            raise AlgebraError(f"{what} table entry out of range [0, {n})")
-        arr.flags.writeable = False
-        return arr
-
-    @staticmethod
-    def _table1(row, n, what):
-        arr = np.asarray(row, dtype=np.int64)
-        if arr.shape != (n,):
-            raise AlgebraError(f"{what} map must have length {n}, got {arr.shape}")
-        if arr.min() < 0 or arr.max() >= n:
-            raise AlgebraError(f"{what} map entry out of range [0, {n})")
+            raise AlgebraError(f"{what} entry out of range [0, {n})")
+        arr = np.asarray(arr, dtype=np.int64)
         arr.flags.writeable = False
         return arr
 
     @staticmethod
     def _index(v, n, what):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise AlgebraError(f"{what} must be an integer index, got {v!r}")
         v = int(v)
         if not 0 <= v < n:
             raise AlgebraError(f"{what} index {v} out of range [0, {n})")
@@ -172,60 +177,175 @@ def _first_witness(alg: FiniteAlgebra, pairs, names, ranges, order=None):
         alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot, ranges, order)
 
 
-# --- vectorized checker (fast for large assignment spaces) -----------------
+# --- one entry point for equation checks -----------------------------------
+# Every equation check goes through ``_check_equations``.  An equation over k
+# variables with n**k <= _VECTOR_THRESHOLD runs on the compiled kernel; the
+# others of the call are evaluated together in numpy, every distinct subterm
+# of the batch once per chunk of the first variable.
 
-def _np_eval(alg: FiniteAlgebra, t: Term, axes: dict, k: int, first_vals):
-    def var(name):
-        ax = axes[name]
-        vals = first_vals if ax == 0 else np.arange(alg.n, dtype=np.int64)
-        shape = [1] * k
-        shape[ax] = len(vals)
-        return vals.reshape(shape)
-
-    return fold(t, var, np.int64(alg.top), np.int64(alg.bot),
-                alg.neg.__getitem__, alg.opp.__getitem__,
-                lambda a, b: alg.meet[a, b], lambda a, b: alg.join[a, b])
+_VECTOR_THRESHOLD = 256
+_VECTOR_CHUNK_CELLS = 1 << 18  # bounds each temporary array to a few MB
 
 
-_VECTOR_THRESHOLD = 4096
-_VECTOR_CHUNK_CELLS = 1 << 22  # bounds temporary arrays to a few dozen MB
+def _check_equations(alg: FiniteAlgebra, equations) -> tuple[EquationVerdict, ...]:
+    """The verdict of each equation on alg, in order.
+
+    A failing verdict carries the lexicographically first counterexample
+    (variables in sorted name order, element indices as values).  Equations
+    with the same two sides are checked once.  Raises EvalError, before any
+    check, when a term is deeper than ``MAX_DEPTH``.
+    """
+    for e in equations:
+        if max(e.lhs.depth, e.rhs.depth) > MAX_DEPTH:
+            raise EvalError(f"equation {e.id!r} is deeper than {MAX_DEPTH} operators")
+    n = alg.n
+    first_bad = {}  # (lhs, rhs) -> the first failing tuple, or None
+    vector = {}  # first variable -> {(lhs, rhs): variables} for numpy
+    for e in equations:
+        pair = e.lhs, e.rhs
+        if pair in first_bad:
+            continue
+        vs = e.variables()
+        if n ** len(vs) <= _VECTOR_THRESHOLD:
+            first_bad[pair] = _first_witness(alg, (pair,), vs, (range(n),) * len(vs))
+        else:
+            first_bad[pair] = None
+            vector.setdefault(vs[0], {})[pair] = vs
+    for batch in vector.values():
+        first_bad.update(_vector_witnesses(alg, batch))
+    verdicts = []
+    for e in equations:
+        bad = first_bad[e.lhs, e.rhs]
+        verdicts.append(EquationVerdict(e, True) if bad is None else
+                        EquationVerdict(e, False, dict(zip(e.variables(), bad))))
+    return tuple(verdicts)
 
 
 def satisfies_equation(alg: FiniteAlgebra, equation: Equation) -> EquationVerdict:
     """Check lhs = rhs under every assignment.
 
     A failing verdict carries the lexicographically first counterexample
-    (variables in sorted name order, element indices as values).  Large
-    assignment spaces are processed in chunks along the first variable, so
-    memory stays bounded for any universe size.  Terms deeper than
-    ``MAX_DEPTH`` raise EvalError.
+    (variables in sorted name order, element indices as values).  Memory
+    stays bounded for any universe size.  Terms deeper than ``MAX_DEPTH``
+    raise EvalError.
     """
-    if max(equation.lhs.depth, equation.rhs.depth) > MAX_DEPTH:
-        raise EvalError(f"equation {equation.id!r} is deeper than {MAX_DEPTH} operators")
-    vs = equation.variables()
-    k = len(vs)
-    n = alg.n
-    if n ** k <= _VECTOR_THRESHOLD:
-        bad = _first_witness(alg, ((equation.lhs, equation.rhs),), vs, (range(n),) * k)
-        if bad is None:
-            return EquationVerdict(equation, True)
-        return EquationVerdict(equation, False, dict(zip(vs, bad)))
-    axes = {name: i for i, name in enumerate(vs)}
-    inner = n ** (k - 1)
-    block = max(1, _VECTOR_CHUNK_CELLS // inner)
+    return _check_equations(alg, (equation,))[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _vector_plan(pairs, first):
+    """Steps that evaluate the pairs (lhs, rhs), all of which contain the
+    variable ``first``: ``(static, chunked)``.
+
+    Each distinct subterm is one step ``(kind, node, a, b, drops)``, after
+    its children ``a`` and ``b``.  Subterms without ``first`` are static:
+    computed once per call, and those a chunked step reads are kept for the
+    call.  The chunked steps run once per chunk, with a step of kind
+    ``None`` for each pair (the pair as node, its sides as ``a``, ``b``)
+    right after its sides.  ``drops`` are the values whose last use is the
+    step.  The plans of the last 64 distinct batches are kept.
+    """
+    static, chunked = [], []
+    seen = set()
+    for pair in pairs:
+        for t in pair:
+            for u in postorder(t):
+                if u not in seen:
+                    seen.add(u)
+                    kind = type(u)
+                    if kind is Meet or kind is Join:
+                        a, b = u.left, u.right
+                    elif kind is Neg or kind is Opp:
+                        a, b = u.arg, None
+                    else:
+                        a = b = None
+                    (chunked if first in variables(u) else static).append((kind, u, a, b))
+        chunked.append((None, pair, *pair))
+
+    def with_drops(steps, kept):
+        last = {}  # value -> index of the last step that reads it
+        for i, (_, _, a, b) in enumerate(steps):
+            for x in (a, b):
+                if x is not None and x not in kept:
+                    last[x] = i
+        drops = [[] for _ in steps]
+        for x, i in last.items():
+            drops[i].append(x)
+        return tuple((*step, tuple(d)) for step, d in zip(steps, drops))
+
+    return (with_drops(static, {x for step in chunked for x in step[2:]}),
+            with_drops(chunked, {step[1] for step in static}))
+
+
+def _vector_witnesses(alg: FiniteAlgebra, batch: dict) -> dict:
+    """{pair: its first failing tuple, or None} for ``batch``, a dict from
+    pairs (lhs, rhs) to their sorted variables, all with the same first
+    variable.
+
+    Values are arrays of the narrowest unsigned dtype that holds the
+    elements, one axis per variable of the batch in sorted-name order, of
+    length 1 where the subterm lacks the variable.  Only the first variable
+    is chunked, so no array has more than ``_VECTOR_CHUNK_CELLS`` cells
+    per value of it; a binary operation is one gather from the flattened
+    table.  The first failing tuple of a pair is the first False of its mask
+    over its own axes in C order, which is the lexicographic order.
+    """
+    names = sorted({v for vs in batch.values() for v in vs})
+    axis = {name: i for i, name in enumerate(names)}
+    n, k = alg.n, len(names)
+    dt = np.min_scalar_type(n - 1)
+    meet, join = alg.meet.astype(dt).ravel(), alg.join.astype(dt).ravel()
+    neg, opp = alg.neg.astype(dt), alg.opp.astype(dt)
+    const = {"top": np.full((1,) * k, alg.top, dt), "bot": np.full((1,) * k, alg.bot, dt)}
+
+    def along(name, values):
+        shape = [1] * k
+        shape[axis[name]] = len(values)
+        return values.reshape(shape)
+
+    def cell(a, b):  # flat table index, in intp whatever numpy's promotion rules
+        return np.multiply(a, n, dtype=np.intp) + b
+
+    def run(steps, val, firsts=None, lo=0, failed=None):
+        for kind, u, a, b, drops in steps:
+            if kind is Meet:
+                val[u] = meet.take(cell(val[a], val[b]))
+            elif kind is Join:
+                val[u] = join.take(cell(val[a], val[b]))
+            elif kind is Neg:
+                val[u] = neg.take(val[a])
+            elif kind is Opp:
+                val[u] = opp.take(val[a])
+            elif kind is Var:
+                val[u] = firsts if u.name == names[0] else along(u.name, np.arange(n, dtype=dt))
+            elif kind is Const:
+                val[u] = const[u.which]
+            else:  # the check of pair u on this chunk
+                eqmask = val[a] == val[b]
+                if not eqmask.all():
+                    own = [eqmask.shape[axis[v]] for v in batch[u]]
+                    bad = np.unravel_index(int(np.argmin(eqmask.reshape(-1))), own)
+                    failed[u] = (int(bad[0]) + lo,) + tuple(int(v) for v in bad[1:])
+            for x in drops:
+                del val[x]
+
+    pairs = tuple(batch)
+    static_steps, chunked = _vector_plan(pairs, names[0])
+    static = {}
+    run(static_steps, static)
+    result = dict.fromkeys(pairs)
+    block = max(1, _VECTOR_CHUNK_CELLS // n ** (max(map(len, batch.values())) - 1))
     for lo in range(0, n, block):
-        first_vals = np.arange(lo, min(lo + block, n), dtype=np.int64)
-        lv = _np_eval(alg, equation.lhs, axes, k, first_vals)
-        rv = _np_eval(alg, equation.rhs, axes, k, first_vals)
-        eqmask = np.broadcast_to(lv == rv, (len(first_vals),) + (n,) * (k - 1))
-        if eqmask.all():
-            continue
-        flat = int(np.argmin(eqmask.reshape(-1)))  # first False, C order
-        bad = np.unravel_index(flat, eqmask.shape)
-        witness = {name: int(v) for name, v in zip(vs, bad)}
-        witness[vs[0]] += lo
-        return EquationVerdict(equation, False, witness)
-    return EquationVerdict(equation, True)
+        failed = {}
+        firsts = along(names[0], np.arange(lo, min(lo + block, n), dtype=dt))
+        run(chunked, dict(static), firsts, lo, failed)
+        if failed:
+            result.update(failed)
+            pairs = tuple(p for p in pairs if p not in failed)
+            if not pairs:
+                break
+            chunked = _vector_plan(pairs, names[0])[1]
+    return result
 
 
 @dataclass(frozen=True)
@@ -249,13 +369,21 @@ class SuiteReport:
 
 def check_suite(alg: FiniteAlgebra, suite) -> SuiteReport:
     """One verdict per axiom of the suite (DBA23/DCORE13/GDCORE11/BOOLEAN)."""
-    suite = get_suite(suite)
-    cached = alg._suite_cache.get(suite)  # keyed by id and equations
-    if cached is not None:
-        return cached
-    report = SuiteReport(suite.id, tuple(satisfies_equation(alg, e) for e in suite.equations))
-    alg._suite_cache[suite] = report
-    return report
+    return _check_suites(alg, (suite,))[0]
+
+
+def _check_suites(alg: FiniteAlgebra, suites) -> tuple[SuiteReport, ...]:
+    """The reports of the suites; those not cached on alg (keyed by id and
+    equations) are checked in one ``_check_equations`` call."""
+    suites = tuple(get_suite(s) for s in suites)
+    reports = [alg._suite_cache.get(s) for s in suites]  # one hash per cached suite
+    todo = {s: None for s, r in zip(suites, reports) if r is None}
+    if todo:
+        verdicts = iter(_check_equations(alg, [e for s in todo for e in s.equations]))
+        for s in todo:
+            todo[s] = alg._suite_cache[s] = SuiteReport(s.id, tuple(islice(verdicts, len(s))))
+        reports = [todo[s] if r is None else r for s, r in zip(suites, reports)]
+    return tuple(reports)
 
 
 def passes(alg: FiniteAlgebra, suite) -> bool:
@@ -369,9 +497,7 @@ def classify(alg: FiniteAlgebra) -> ClassificationReport:
     """
     if alg._cls_cache is not None:
         return alg._cls_cache
-    r_dba = check_suite(alg, DBA23)
-    r_dcore = check_suite(alg, DCORE13)
-    r_gd = check_suite(alg, "GDCORE11")
+    r_dba, r_dcore, r_gd = _check_suites(alg, (DBA23, DCORE13, GDCORE11))
     qo = quasi_order(alg)
     mi = meet_idempotents(alg)
     ji = join_idempotents(alg)
@@ -448,5 +574,5 @@ def is_boolean_algebra(alg: FiniteAlgebra) -> bool:
 
 def check_identity_catalog(alg: FiniteAlgebra):
     """Check every derived identity; returns (all verdicts, failing verdicts)."""
-    verdicts = tuple(satisfies_equation(alg, e) for e in CATALOG)
+    verdicts = _check_equations(alg, CATALOG)
     return verdicts, tuple(v for v in verdicts if not v.holds)

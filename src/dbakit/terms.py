@@ -13,7 +13,9 @@ copy return the interned node.
 Every traversal of a term is one bottom-up ``fold``: an iterative walk that
 visits each distinct subterm once, in a post-order cached on the node.
 ``render``, ``source`` (the term as a Python expression over the operation
-tables), substitution and the numpy checker are folds.  ``evaluator``
+tables) and substitution are folds; the numpy equation checker walks the
+distinct subterms of a whole batch of equations in ``postorder``, so a
+subterm shared by several equations is evaluated once.  ``evaluator``
 compiles a term once into a Python function of the tables and an environment
 and caches it on the node, so it is freed with the term; ``eval_term`` and
 the model search evaluate through it.  The compiled code of the last 1024
@@ -251,6 +253,13 @@ def subterms(t: Term) -> tuple[Term, ...]:
     if t._subs is None:
         _walk(t)
     return (t,) + t._subs
+
+
+def postorder(t: Term) -> tuple[Term, ...]:
+    """All subterms of t, deduplicated, each after its children (t is last)."""
+    if t._post is None:
+        _walk(t)
+    return tuple(u for u, _ in t._post) + (t,)
 
 
 def fold(t: Term, var, top, bot, neg, opp, meet, join):

@@ -2,15 +2,17 @@
 
 import functools
 import gc
+import tracemalloc
 import weakref
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbakit.algebra import (
-    FiniteAlgebra, _kernel, check_identity_catalog, check_suite, classify, eval_term,
-    extract_boolean_part, is_boolean_algebra, join_idempotents, meet_idempotents,
+    _VECTOR_THRESHOLD, FiniteAlgebra, _kernel, check_identity_catalog, check_suite, classify,
+    eval_term, extract_boolean_part, is_boolean_algebra, join_idempotents, meet_idempotents,
     passes, project_join, project_meet, quasi_order, satisfies_equation,
 )
 from dbakit.errors import AlgebraError, EvalError, SuiteError
@@ -45,6 +47,40 @@ def test_tables_validated():
         FiniteAlgebra([], [], [], [], [], 0, 0)  # empty universe
     with pytest.raises(AlgebraError):
         FiniteAlgebra(["a", "b"], [[0, 0]], [[0, 0], [0, 0]], [0, 0], [0, 0], 0, 0)
+    with pytest.raises(AlgebraError):
+        FiniteAlgebra(["a", "b"], [[0, 1], [1]], [[0, 0], [0, 0]], [0, 0], [0, 0], 0, 0)
+
+
+def two_element(meet=((0, 1), (1, 1)), neg=(1, 0), top=1, bot=0):
+    return FiniteAlgebra(["a", "b"], meet, [[0, 1], [1, 1]], neg, [1, 0], top, bot)
+
+
+@pytest.mark.parametrize("bad", [
+    {"meet": [[0.7, 1], [1, 1.9]]},
+    {"meet": [[0.0, 1.0], [1.0, 1.0]]},
+    {"meet": [["0", "1"], ["1", "1"]]},
+    {"meet": [[0, None], [1, 1]]},
+    {"meet": np.array([[False, True], [True, True]])},
+    {"neg": [1.0, 0.0]},
+    {"top": "1"},
+    {"top": 1.0},
+    {"bot": 0.2},
+    {"bot": False},
+    {"top": np.float64(1)},
+])
+def test_non_integer_tables_are_rejected(bad):
+    # nothing is truncated: 0.7 must not become element 0
+    with pytest.raises(AlgebraError):
+        two_element(**bad)
+
+
+def test_integer_tables_of_any_integer_type_are_accepted():
+    plain = two_element()
+    for kind in (np.int64, np.int32, np.uint8):
+        alg = two_element(meet=np.array([[0, 1], [1, 1]], dtype=kind),
+                          neg=np.array([1, 0], dtype=kind), top=kind(1), bot=kind(0))
+        assert alg.signature() == plain.signature()
+        assert alg.meet.dtype == np.int64
 
 
 # --- eval_term ----------------------------------------------------------------
@@ -97,21 +133,38 @@ def test_empty_incidence_3x3_protoconcept_algebra_satisfies_axiom_12():
 
 
 def test_vector_and_compiled_paths_agree_on_witness():
-    # 17-element algebra with one broken commutativity cell: n**2 stays on the
+    # 9-element algebra with one broken commutativity cell: n**2 stays on the
     # compiled path, a padded 3-variable equation forces the vector path
     from dbakit.constructions import glued_sum, powerset_boolean
-    base = glued_sum(powerset_boolean(4), powerset_boolean(1))
+    base = glued_sum(powerset_boolean(3), powerset_boolean(1))
+    assert base.n ** 2 <= _VECTOR_THRESHOLD < base.n ** 3
     meet = [list(row) for row in base._rows_m]
     meet[3][2] = (meet[3][2] + 1) % base.n
     broken = FiniteAlgebra(base.names, meet, base._rows_j, base._lneg,
                            base._lopp, base.top, base.bot)
     comm2 = eq("comm2", "x & y", "y & x")
     comm3 = eq("comm3", "(x & y) & (z & z)", "(y & x) & (z & z)")
-    v2 = satisfies_equation(broken, comm2)   # 17**2 <= 4096: compiled
-    v3 = satisfies_equation(broken, comm3)   # 17**3 > 4096: vectorized
+    v2 = satisfies_equation(broken, comm2)   # compiled
+    v3 = satisfies_equation(broken, comm3)   # vectorized
     assert not v2.holds and not v3.holds
     assert v2.witness == brute_force_witness(broken, comm2)
     assert v3.witness == brute_force_witness(broken, comm3)
+
+
+def test_dba23_check_memory_is_bounded():
+    # a 124-element protoconcept algebra: 1.9 M assignments of x, y, z
+    ctx = FormalContext([f"g{i}" for i in range(6)], [f"m{j}" for j in range(6)],
+                        [[(i + 2 * j) % 5 < 2 for j in range(6)] for i in range(6)])
+    alg = protoconcept_algebra(ctx).algebra
+    assert alg.n >= 100
+    tracemalloc.start()
+    try:
+        report = check_suite(alg, "DBA23")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 16 * 2**20
 
 
 def test_zero_variable_equation():
@@ -161,6 +214,24 @@ def test_suite_cache_is_keyed_by_the_equations():
     assert len(report.verdicts) == 1 and report.ok
     assert check_suite(alg, DBA23) is full
     assert check_suite(alg, AxiomSuite("DBA23", DBA23.equations)) == check_suite(alg, DBA23)
+
+
+def test_classify_checks_its_three_suites_in_one_batch(monkeypatch):
+    from dbakit import algebra
+    batches = []
+    check = algebra._check_equations
+
+    def counted(alg, equations):
+        batches.append(len(equations))
+        return check(alg, equations)
+
+    alg, fresh = chain3(), chain3()
+    monkeypatch.setattr(algebra, "_check_equations", counted)
+    classify(alg)
+    assert batches == [len(DBA23) + len(DCORE13) + len(GDCORE11)]
+    for suite in (DBA23, DCORE13, GDCORE11):
+        assert check_suite(alg, suite).verdicts == check_suite(fresh, suite).verdicts
+    assert batches[1:] == [len(DBA23), len(DCORE13), len(GDCORE11)]  # alg's were cached
 
 
 def test_classify_is_cached_per_algebra():

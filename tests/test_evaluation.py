@@ -1,18 +1,25 @@
 """Compiled term evaluation against a recursive reference evaluator.
 
 Covers ``eval_term``, the scalar and numpy equation checkers on both sides of
-the ``n**k`` switch, and the search's partial tables, where a term that reads
-a missing entry must give the marker of the first one it reads.
+the ``n**k`` switch, the batched numpy checker against the per-equation one
+it replaced, and the search's partial tables, where a term that reads a
+missing entry must give the marker of the first one it reads.
 """
 
 import random
 from itertools import product
+from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dbakit.algebra import _VECTOR_THRESHOLD, FiniteAlgebra, eval_term, satisfies_equation
+from dbakit import algebra
+from dbakit.algebra import (
+    _VECTOR_THRESHOLD, FiniteAlgebra, _check_equations, eval_term, satisfies_equation,
+)
 from dbakit.search import _Partial, _slots
-from dbakit.terms import BOT, TOP, Const, Equation, Join, Meet, Neg, Opp, Var, evaluator
+from dbakit.terms import BOT, TOP, Const, Equation, Join, Meet, Neg, Opp, Var, evaluator, fold
 
 _terms = st.recursive(
     st.sampled_from([Var("x"), Var("y"), Var("z"), Var("w"), TOP, BOT]),
@@ -78,6 +85,46 @@ def reference_witness(alg, equation):
     return None
 
 
+# --- the per-equation numpy checker that the batched one replaced ----------
+# Each equation on its own, in int64 arrays, chunked along its first variable.
+
+def _np_eval(alg: FiniteAlgebra, t, axes: dict, k: int, first_vals):
+    def var(name):
+        ax = axes[name]
+        vals = first_vals if ax == 0 else np.arange(alg.n, dtype=np.int64)
+        shape = [1] * k
+        shape[ax] = len(vals)
+        return vals.reshape(shape)
+
+    return fold(t, var, np.int64(alg.top), np.int64(alg.bot),
+                alg.neg.__getitem__, alg.opp.__getitem__,
+                lambda a, b: alg.meet[a, b], lambda a, b: alg.join[a, b])
+
+
+def np_checker_reference(alg, equation, chunk_cells=1 << 22):
+    """The first failing assignment of an equation with at least one
+    variable, or None."""
+    vs = equation.variables()
+    k = len(vs)
+    n = alg.n
+    axes = {name: i for i, name in enumerate(vs)}
+    inner = n ** (k - 1)
+    block = max(1, chunk_cells // inner)
+    for lo in range(0, n, block):
+        first_vals = np.arange(lo, min(lo + block, n), dtype=np.int64)
+        lv = _np_eval(alg, equation.lhs, axes, k, first_vals)
+        rv = _np_eval(alg, equation.rhs, axes, k, first_vals)
+        eqmask = np.broadcast_to(lv == rv, (len(first_vals),) + (n,) * (k - 1))
+        if eqmask.all():
+            continue
+        flat = int(np.argmin(eqmask.reshape(-1)))  # first False, C order
+        bad = np.unravel_index(flat, eqmask.shape)
+        witness = {name: int(v) for name, v in zip(vs, bad)}
+        witness[vs[0]] += lo
+        return witness
+    return None
+
+
 @given(_terms, st.integers(1, 5), _seeds)
 def test_eval_term_matches_reference(t, n, seed):
     alg = perturbed_chain(n, seed)
@@ -126,3 +173,99 @@ def test_partial_tables_match_a_marker_propagating_reference(t, n, missing, seed
     got = evaluator(t)(partial.meet, partial.join, partial.neg, partial.opp,
                        partial.top, partial.bot, env)
     assert got == ref
+
+
+def _over(*leaves):
+    return st.recursive(
+        st.sampled_from(leaves * 3 + (TOP, BOT)),
+        lambda sub: st.one_of(
+            st.builds(Neg, sub), st.builds(Opp, sub),
+            st.builds(Meet, sub, sub), st.builds(Join, sub, sub)),
+        max_leaves=5,
+    )
+
+
+_with_x = _over(Var("x"), Var("y"), Var("z"))
+_without_x = _over(Var("y"), Var("z"), Var("w"))
+
+
+def _chain_variant(t, how):
+    """A term equal to t on every chain (min, max, reversal)."""
+    if how == "commute" and isinstance(t, (Meet, Join)):
+        return type(t)(t.right, t.left)
+    if how == "square":
+        return Meet(t, t)
+    return Neg(Neg(t)) if how == "neg" else Opp(Opp(t))
+
+
+@st.composite
+def equation_batches(draw):
+    """2-6 equations whose sides are built on a few shared subterms; some
+    equations have no x, the batch's first variable.  Most are identities of
+    the chain, so on a perturbed chain they fail late or not at all."""
+    shared = {
+        True: draw(st.lists(_with_x, min_size=1, max_size=3)),
+        False: draw(st.lists(_without_x, min_size=1, max_size=3)),
+    }
+    batch = []
+    for i in range(draw(st.integers(2, 6))):
+        has_x = draw(st.booleans())
+        common = st.sampled_from(shared[has_x])
+        fresh = _with_x if has_x else _without_x
+        mixed = st.one_of(st.builds(Meet, common, fresh), st.builds(Join, fresh, common))
+        side = st.one_of(common, mixed, st.builds(Neg, mixed))
+        lhs = draw(side)
+        how = draw(st.sampled_from(["commute", "square", "neg", "opp", "any"]))
+        rhs = draw(side) if how == "any" else _chain_variant(lhs, how)
+        batch.append(Equation(f"e{i}", lhs, rhs))
+    return batch
+
+
+def _around_threshold():
+    """The largest universes on the scalar path and the smallest on the
+    numpy one, for equations of two and of three variables."""
+    out = []
+    for k in (2, 3):
+        n = max(m for m in range(1, 65) if m ** k <= _VECTOR_THRESHOLD)
+        out += [n, n + 1]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(equation_batches(), st.sampled_from(_around_threshold()),
+       st.sampled_from([1, 40, algebra._VECTOR_CHUNK_CELLS]), _seeds)
+def test_batched_checker_matches_the_per_equation_one(batch, n, chunk_cells, seed):
+    # chunks of one or a few values of x put most witnesses in a later chunk
+    alg = perturbed_chain(n, seed)
+    with mock.patch.object(algebra, "_VECTOR_CHUNK_CELLS", chunk_cells):
+        verdicts = _check_equations(alg, batch)
+    assert [v.equation for v in verdicts] == batch
+    for equation, verdict in zip(batch, verdicts):
+        assert verdict.holds == (verdict.witness is None)
+        assert verdict.witness == reference_witness(alg, equation)
+        if equation.variables():
+            assert verdict.witness == np_checker_reference(alg, equation, chunk_cells)
+
+
+def planted_chain(n):
+    """The n-chain with x & x wrong at its last element only."""
+    meet = [[min(a, b) for b in range(n)] for a in range(n)]
+    meet[n - 1][n - 1] = n - 2
+    join = [[max(a, b) for b in range(n)] for a in range(n)]
+    neg = [n - 1 - a for a in range(n)]
+    return FiniteAlgebra([f"e{i}" for i in range(n)], meet, join, neg, neg, n - 1, 0)
+
+
+@pytest.mark.parametrize("n", [256, 257])
+@pytest.mark.parametrize("chunk_cells", [1, algebra._VECTOR_CHUNK_CELLS])
+def test_element_values_survive_the_dtype_switch(n, chunk_cells):
+    # 256 elements fit in uint8 and 257 do not; the failure is at x = n - 1
+    alg = planted_chain(n)
+    failing = Equation("idem", Join(Meet(Var("x"), Var("x")), Meet(Var("y"), BOT)),
+                       Join(Var("x"), Meet(Var("y"), BOT)))
+    holding = Equation("comm", Meet(Var("x"), Var("y")), Meet(Var("y"), Var("x")))
+    assert n ** 2 > _VECTOR_THRESHOLD
+    with mock.patch.object(algebra, "_VECTOR_CHUNK_CELLS", chunk_cells):
+        bad, good = _check_equations(alg, [failing, holding])
+    assert bad.witness == {"x": n - 1, "y": 0} == np_checker_reference(alg, failing)
+    assert good.holds and np_checker_reference(alg, holding) is None
