@@ -402,6 +402,12 @@ class QuasiOrder:
     def holds(self, x: int, y: int) -> bool:
         return bool(self.rel[x, y])
 
+    @functools.cached_property
+    def rows(self) -> tuple:
+        """rel as rows of bools, indexed ``rows[x][y]``, for the compiled
+        kernels; computed once per order."""
+        return tuple(map(tuple, self.rel.tolist()))
+
 
 def _flagged_order(rel: np.ndarray) -> QuasiOrder:
     """The relation (an n x n bool matrix, made read-only) with its flags."""

@@ -464,12 +464,9 @@ def _algebra_admits(alg: FiniteAlgebra, system: str) -> tuple[bool, str]:
     return True, ""
 
 
-def _var_ranges(alg: FiniteAlgebra, h: Hypersequent, system: str):
-    """Sorted variable names plus each variable's value range.
-
-    HL object variables range over the meet idempotents and property variables
-    over the join idempotents; everything else over the whole universe.
-    """
+def _var_sorts(h: Hypersequent) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The variables of h in sorted name order, and the sort of each.
+    Raises LogicError when a variable is used with two sorts."""
     sorts: dict[str, str] = {}
     for comp in h.components:
         for side in (comp.ant, comp.suc):
@@ -477,10 +474,33 @@ def _var_ranges(alg: FiniteAlgebra, h: Hypersequent, system: str):
                 if sorts.setdefault(name, sort) != sort:
                     raise LogicError(f"variable {name!r} used with two sorts")
     names = tuple(sorted(sorts))
+    return names, tuple(sorts[name] for name in names)
+
+
+def _var_ranges(alg: FiniteAlgebra, kinds, system: str):
+    """The value range of a variable of each sort in ``kinds``.
+
+    HL object variables range over the meet idempotents and property variables
+    over the join idempotents; everything else over the whole universe.
+    """
     sorted_ranges = {} if system != "HL" else {
         OBJECT: sorted(meet_idempotents(alg)), PROPERTY: sorted(join_idempotents(alg))}
     universe = range(alg.n)
-    return names, [sorted_ranges.get(sorts[name], universe) for name in names]
+    return [sorted_ranges.get(kind, universe) for kind in kinds]
+
+
+def _refuter(h: Hypersequent, system: str):
+    """falsifying_env of h as a function of an algebra known to be in the
+    system's class; what depends only on h is collected once, here.  Raises
+    LogicError when a variable is used with two sorts."""
+    names, kinds = _var_sorts(h)
+    pairs = tuple((c.ant, c.suc) for c in h.components)
+
+    def falsify(alg: FiniteAlgebra):
+        bad = _first_witness(alg, pairs, names, _var_ranges(alg, kinds, system),
+                             quasi_order(alg).rows)
+        return None if bad is None else dict(zip(names, bad))
+    return falsify
 
 
 def falsifying_env(alg: FiniteAlgebra, h: Hypersequent, system: str = "L"):
@@ -490,15 +510,7 @@ def falsifying_env(alg: FiniteAlgebra, h: Hypersequent, system: str = "L"):
     ok, why = _algebra_admits(alg, system)
     if not ok:
         raise LogicError(why)
-    return _falsify(alg, h, system)
-
-
-def _falsify(alg: FiniteAlgebra, h: Hypersequent, system: str):
-    """falsifying_env on an algebra known to be in the system's class."""
-    names, ranges = _var_ranges(alg, h, system)
-    bad = _first_witness(alg, tuple((c.ant, c.suc) for c in h.components), names,
-                         ranges, quasi_order(alg).rel.tolist())
-    return None if bad is None else dict(zip(names, bad))
+    return _refuter(h, system)(alg)
 
 
 def is_true_in(alg: FiniteAlgebra, h: Hypersequent, system: str = "L") -> bool:
@@ -511,9 +523,12 @@ def find_countermodel(goal: Hypersequent, system: str, models) -> tuple | None:
 
     Models outside the system's algebra class are skipped.
     """
+    falsify = None  # built at the first admitted model, where falsifying_env would raise
     for name, alg in models:
         if _algebra_admits(alg, system)[0]:
-            env = _falsify(alg, goal, system)
+            if falsify is None:
+                falsify = _refuter(goal, system)
+            env = falsify(alg)
             if env is not None:
                 return name, alg, env
     return None
@@ -659,7 +674,7 @@ def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
         raise LogicError(f"unknown system {system!r}")
     if system == "L" and len(goal) != 1:
         raise LogicError(_L_SINGLE)
-    candidates_for = _cut_candidates(goal, system, lemmas)
+    pool = None  # the cut candidates, built at the first cut: most goals close without one
     proved: dict = {}
     failed_at: dict = {}
 
@@ -693,7 +708,10 @@ def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
 
     def _expand(h: Hypersequent, budget: int):
         def cuts(s):  # a cut with a premise outside the pool instances waits for budget 3
-            return (chi for score, chi in candidates_for(s) if score < 1 or budget >= 3)
+            nonlocal pool
+            if pool is None:
+                pool = _cut_candidates(goal, system, lemmas)
+            return (chi for score, chi in pool(s) if score < 1 or budget >= 3)
 
         for rule, prems in _backward_steps(h, system, cuts):
             subs = []

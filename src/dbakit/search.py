@@ -18,18 +18,24 @@ parked on it; one that is still blocked moves to the list of a later slot.
 An instance is thus evaluated in full exactly at the first depth at which it
 reads no unfilled slot, and the search prunes where a rescan of every
 instance at every node would.
+
+Each equation is compiled once, whatever the universe size, into one check
+of both sides (see ``_checker``), and an instance is that check with the
+tuple of its variables' values: evaluating an instance is one call, which
+gives the marker to park it on or the verdict.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from itertools import product
 
 from .algebra import FiniteAlgebra, satisfies_equation
-from .errors import SuiteError
+from .errors import EvalError, SuiteError
 from .suites import get_suite
-from .terms import evaluator
+from .terms import MAX_DEPTH, source
 
 
 @dataclass(frozen=True)
@@ -74,52 +80,64 @@ class _Partial:
     """Mutable slot view of a candidate: constants, unary maps, binary tables.
 
     Slot k (in the order of ``_slots``) holds its marker ``n + k`` while it
-    is unfilled.  The tables have ``n + S`` rows and columns, S being the
-    number of slots: every operation maps a marker argument to itself, and
-    the left operand wins when both are markers.  So a compiled term
-    evaluates to an element exactly when it reads no unfilled slot, and
-    otherwise to the marker of the first unfilled slot that its evaluation
-    reaches, left operand first.
+    is unfilled; ``cells[k]`` is the (list, index) pair that holds it, the
+    constants top and bot being ``const[0]`` and ``const[1]``.  The tables
+    have ``n + S`` rows and columns, S being the number of slots: every
+    operation maps a marker argument to itself, and the left operand wins
+    when both are markers.  So a compiled term evaluates to an element
+    exactly when it reads no unfilled slot, and otherwise to the marker of
+    the first unfilled slot that its evaluation reaches, left operand first.
     """
 
-    __slots__ = ("n", "top", "bot", "neg", "opp", "meet", "join", "_cells")
+    __slots__ = ("n", "const", "neg", "opp", "meet", "join", "cells")
 
     def __init__(self, n):
         slots = _slots(n)
         size = n + len(slots)
         marker = {slot: n + k for k, slot in enumerate(slots)}
         self.n = n
-        self.top = marker["top", None]
-        self.bot = marker["bot", None]
+        self.const = [marker["top", None], marker["bot", None]]
         self.neg = [marker["neg", i] for i in range(n)] + list(range(n, size))
         self.opp = [marker["opp", i] for i in range(n)] + list(range(n, size))
         self.meet = [[marker["meet", (i, j)] for j in range(n)] + list(range(n, size))
                      for i in range(n)] + [[x] * size for x in range(n, size)]
         self.join = [[marker["join", (i, j)] for j in range(n)] + list(range(n, size))
                      for i in range(n)] + [[x] * size for x in range(n, size)]
-        # slot k -> (list, index) holding it; the constants are attributes
-        self._cells = [None, None]
-        self._cells += [(self.neg, i) for i in range(n)]
-        self._cells += [(self.opp, i) for i in range(n)]
-        self._cells += [(self.meet[i], j) for i in range(n) for j in range(n)]
-        self._cells += [(self.join[i], j) for i in range(n) for j in range(n)]
-
-    def set(self, k, v):
-        """Fill slot k with v; ``set(k, n + k)`` clears it."""
-        if k == 0:
-            self.top = v
-        elif k == 1:
-            self.bot = v
-        else:
-            cell, i = self._cells[k]
-            cell[i] = v
+        self.cells = [(self.const, 0), (self.const, 1)]
+        self.cells += [(self.neg, i) for i in range(n)]
+        self.cells += [(self.opp, i) for i in range(n)]
+        self.cells += [(self.meet[i], j) for i in range(n) for j in range(n)]
+        self.cells += [(self.join[i], j) for i in range(n) for j in range(n)]
 
     def to_algebra(self):
         n = self.n
         return FiniteAlgebra(
             [f"e{i}" for i in range(n)],
             [row[:n] for row in self.meet[:n]], [row[:n] for row in self.join[:n]],
-            self.neg[:n], self.opp[:n], self.top, self.bot)
+            self.neg[:n], self.opp[:n], *self.const)
+
+
+@functools.lru_cache(maxsize=1024)
+def _checker(lhs, rhs, names):
+    """lhs = rhs compiled to ``f(M, J, G, O, TP, BT, E, N)`` on the partial
+    tables of a universe of N elements, E holding the values of ``names`` in
+    order: the marker of the lhs if it reads an unfilled slot, else that of
+    the rhs if it does, else whether the two sides are equal.  Keyed by the
+    interned terms and independent of N, so one compiled function serves
+    every universe size.  Raises EvalError when a side is deeper than
+    ``MAX_DEPTH``."""
+    if max(lhs.depth, rhs.depth) > MAX_DEPTH:
+        raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
+    var = {name: f"E[{i}]" for i, name in enumerate(names)}.__getitem__
+    lines = ["def check(M, J, G, O, TP, BT, E, N):",
+             f"    lv = {source(lhs, var)}",
+             "    if lv >= N: return lv",
+             f"    rv = {source(rhs, var)}",
+             "    if rv >= N: return rv",
+             "    return lv == rv"]
+    ns = {}
+    exec("\n".join(lines), ns)  # closed vocabulary: generated from Term nodes only
+    return ns["check"]
 
 
 def _pin(value, n, what):
@@ -165,36 +183,34 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
         raise SuiteError(f"must_fail axioms not in the required suite: {sorted(missing)}")
 
     partial = _Partial(n)
-    nslots = len(partial._cells)
-    m, j, g, o = partial.meet, partial.join, partial.neg, partial.opp
+    cells = partial.cells
+    nslots = len(cells)
+    m, j, g, o, const = partial.meet, partial.join, partial.neg, partial.opp, partial.const
     watch = [[] for _ in range(n + nslots)]  # watch[n + k]: instances parked on slot k
 
     def park(instances, moved):
         """Evaluate the instances on the partial tables and append each one
         that reads an unfilled slot to that slot's watch list, recording the
         list in moved; False as soon as one is violated."""
-        top, bot = partial.top, partial.bot
+        top, bot = const
         for inst in instances:
-            lhs, rhs, env = inst
-            lv = lhs(m, j, g, o, top, bot, env)
-            if lv < n:
-                rv = rhs(m, j, g, o, top, bot, env)
-                if rv < n:
-                    if lv != rv:
-                        return False
-                    continue
-                lv = rv
-            watch[lv].append(inst)
-            moved.append(lv)
+            check, env = inst
+            v = check(m, j, g, o, top, bot, env, n)
+            if v is True:
+                continue
+            if v is False:
+                return False
+            watch[v].append(inst)
+            moved.append(v)
         return True
 
-    # ground instances of the prunable axioms
+    # ground instances of the prunable axioms: (checker, values in the
+    # checker's variable order)
     instances = []
     for eqn in prunable:
         vs = eqn.variables()
-        lhs, rhs = evaluator(eqn.lhs), evaluator(eqn.rhs)
-        for vals in product(range(n), repeat=len(vs)):
-            instances.append((lhs, rhs, dict(zip(vs, vals))))
+        check = _checker(eqn.lhs, eqn.rhs, vs)
+        instances += [(check, vals) for vals in product(range(n), repeat=len(vs))]
     consistent = park(instances, [])
     values = [range(n)] * nslots
     if top_pin is not None:
@@ -229,16 +245,18 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
         if depth == nslots:
             leaf()
             return
+        cell, i = cells[depth]
+        parked = watch[n + depth]
         for v in values[depth]:
-            partial.set(depth, v)
+            cell[i] = v
             moved = []  # undone before the next value
-            if park(watch[n + depth], moved):
+            if park(parked, moved):
                 dfs(depth + 1)
             for k in moved:
                 watch[k].pop()
             if out_of_budget:
                 break
-        partial.set(depth, n + depth)
+        cell[i] = n + depth
 
     try:
         if consistent:

@@ -17,13 +17,14 @@ tables) and substitution are folds; the numpy equation checker walks the
 distinct subterms of a whole batch of equations in ``postorder``, so a
 subterm shared by several equations is evaluated once.  ``evaluator``
 compiles a term once into a Python function of the tables and an environment
-and caches it on the node, so it is freed with the term; ``eval_term`` and
-the model search evaluate through it.  The compiled code of the last 1024
-distinct expressions is kept apart from the terms, so a term built again
-after it was freed does not go through the compiler again.  The scalar
-equation checker and the hypersequent refuter do not evaluate term by term:
-one first-witness kernel in ``algebra`` folds ``source`` of every term of
-the check into the body of its loops over the assignments.
+and caches it on the node, so it is freed with the term; ``eval_term``
+evaluates through it.  The compiled code of the last 1024 distinct
+expressions is kept apart from the terms, so a term built again after it was
+freed does not go through the compiler again.  The scalar equation checker
+and the hypersequent refuter do not evaluate term by term: one first-witness
+kernel in ``algebra`` folds ``source`` of every term of the check into the
+body of its loops over the assignments, and the model search compiles
+``source`` of both sides of an equation into one check.
 
 ASCII surface grammar (precedence: unary > ``&`` > ``|``, both binary ops
 left-associative)::
@@ -41,9 +42,9 @@ parse time, so parsed terms never contain them as nodes.
 Nesting is limited to ``MAX_DEPTH`` levels.  The parser opens a level at each
 ``~``, ``!``, opening parenthesis and macro call, and a parsed term may be at
 most ``MAX_DEPTH`` operators deep; deeper input is a ParseError.
-``evaluator``, the equation checkers and the refuter reject deeper terms
-built in code with an EvalError: compiled expressions nest one bracket per
-level.
+``evaluator``, the equation checkers, the refuter and the model search
+reject deeper terms built in code with an EvalError: compiled expressions
+nest one bracket per level.
 """
 
 from __future__ import annotations
@@ -349,6 +350,16 @@ class Equation:
     lhs: Term
     rhs: Term
 
+    # The dataclass hash, computed once: suite caches look equations up by it.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.id, self.lhs, self.rhs)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuilt through __init__, which recomputes the hash
+        return Equation, (self.id, self.lhs, self.rhs)
+
     def variables(self) -> tuple[str, ...]:
         return _union(variables(self.lhs), variables(self.rhs))
 
@@ -362,6 +373,16 @@ class AxiomSuite:
 
     id: str
     equations: tuple[Equation, ...]
+
+    # The dataclass hash, computed once: algebras cache reports by suite.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.id, self.equations)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuilt through __init__, which recomputes the hash
+        return AxiomSuite, (self.id, self.equations)
 
     def __len__(self):
         return len(self.equations)

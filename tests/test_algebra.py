@@ -322,6 +322,13 @@ def test_chain3_order_is_the_chain():
     assert got == expected
 
 
+def test_order_rows_are_the_relation_computed_once():
+    for name, alg in builtin_fixtures():
+        qo = quasi_order(alg)
+        assert qo.rows == tuple(tuple(bool(v) for v in row) for row in qo.rel), name
+        assert quasi_order(alg).rows is qo.rows, name
+
+
 def test_reflexivity_is_syntactic():
     # x <= x needs no axioms at all: both defining equations are identities
     alg = cex_5ab()

@@ -3,7 +3,9 @@
 Covers ``eval_term``, the scalar and numpy equation checkers on both sides of
 the ``n**k`` switch, the batched numpy checker against the per-equation one
 it replaced, and the search's partial tables, where a term that reads a
-missing entry must give the marker of the first one it reads.
+missing entry must give the marker of the first one it reads, and the
+search's compiled check of an equation the marker of the first side that
+reads one.
 """
 
 import random
@@ -18,7 +20,7 @@ from dbakit import algebra
 from dbakit.algebra import (
     _VECTOR_THRESHOLD, FiniteAlgebra, _check_equations, eval_term, satisfies_equation,
 )
-from dbakit.search import _Partial, _slots
+from dbakit.search import _checker, _Partial, _slots
 from dbakit.terms import BOT, TOP, Const, Equation, Join, Meet, Neg, Opp, Var, evaluator, fold
 
 _terms = st.recursive(
@@ -146,12 +148,10 @@ def test_checkers_match_reference_around_the_vector_threshold(lhs, rhs, above, s
     assert satisfies_equation(alg, equation).witness == reference_witness(alg, equation)
 
 
-@given(_terms, st.integers(1, 4), st.floats(0, 1), _seeds)
-@example(Meet(Meet(Var("x"), Var("y")), Meet(Var("y"), Var("x"))), 2, 1.0, 0)
-def test_partial_tables_match_a_marker_propagating_reference(t, n, missing, seed):
-    # slot k of the search order is missing with probability `missing`; the
-    # reference tables then hold its marker n + k
-    rng = random.Random(seed)
+def _random_partial(n, missing, rng):
+    """Search tables with slot k of the search order missing with
+    probability ``missing``, and reference tables holding its marker n + k
+    where it is missing."""
     partial = _Partial(n)
     top_bot = [None, None]
     neg, opp = [None] * n, [None] * n
@@ -160,19 +160,46 @@ def test_partial_tables_match_a_marker_propagating_reference(t, n, missing, seed
     for k, (kind, pos) in enumerate(_slots(n)):
         v = n + k if rng.random() < missing else rng.randrange(n)
         if v < n:
-            partial.set(k, v)
+            cell, i = partial.cells[k]
+            cell[i] = v
         if kind in ("top", "bot"):
             top_bot[k] = v
         elif kind in ("neg", "opp"):
             (neg if kind == "neg" else opp)[pos] = v
         else:
             (meet if kind == "meet" else join)[pos[0]][pos[1]] = v
+    return partial, (meet, join, neg, opp, *top_bot)
+
+
+@given(_terms, st.integers(1, 4), st.floats(0, 1), _seeds)
+@example(Meet(Meet(Var("x"), Var("y")), Meet(Var("y"), Var("x"))), 2, 1.0, 0)
+def test_partial_tables_match_a_marker_propagating_reference(t, n, missing, seed):
+    rng = random.Random(seed)
+    partial, ref_tables = _random_partial(n, missing, rng)
     env = {name: rng.randrange(n) for name in ("x", "y", "z", "w")}
 
-    ref = reference_eval(t, meet, join, neg, opp, *top_bot, env, n)
+    ref = reference_eval(t, *ref_tables, env, n)
     got = evaluator(t)(partial.meet, partial.join, partial.neg, partial.opp,
-                       partial.top, partial.bot, env)
+                       *partial.const, env)
     assert got == ref
+
+
+@given(_terms, _terms, st.integers(1, 4), st.floats(0, 1), _seeds)
+@example(Var("x"), Neg(Var("x")), 1, 0.0, 0)  # N = 1: a verdict, never marker 1
+@example(TOP, BOT, 2, 0.5, 3)
+def test_search_checker_matches_a_marker_propagating_reference(lhs, rhs, n, missing, seed):
+    rng = random.Random(seed)
+    partial, ref_tables = _random_partial(n, missing, rng)
+    names = Equation("e", lhs, rhs).variables()
+    values = tuple(rng.randrange(n) for _ in names)
+    env = dict(zip(names, values))
+
+    lv = reference_eval(lhs, *ref_tables, env, n)
+    rv = reference_eval(rhs, *ref_tables, env, n)
+    want = lv if lv >= n else rv if rv >= n else lv == rv
+    got = _checker(lhs, rhs, names)(partial.meet, partial.join, partial.neg, partial.opp,
+                                    *partial.const, values, n)
+    assert got == want and type(got) is type(want)
 
 
 def _over(*leaves):

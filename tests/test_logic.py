@@ -267,11 +267,36 @@ GOLDEN_PROOFS = [
 ]
 
 
-@pytest.mark.parametrize("goal, depth, text", GOLDEN_PROOFS)
+# with GOLDEN_PROOFS, the goals of the prove benchmark (None: no proof found)
+BENCHMARK_PROOFS = [
+    ("~(x & x) => ~x", 1, "system: L\n1: ~(x & x) => ~x  axiom(neg-collapse)\n"),
+    *GOLDEN_PROOFS,
+    ("x | y => y | x", 4, None),
+]
+
+
+@pytest.mark.parametrize("goal, depth, text", BENCHMARK_PROOFS)
 def test_search_finds_the_golden_proof(goal, depth, text):
     # pins the search order: a different first proof changes the text
     script = search_proof(parse_hypersequent(goal, "L"), "L", depth)
-    assert render_script(script) == text
+    assert (script and render_script(script)) == text
+
+
+def test_cut_pool_is_built_at_the_first_cut_only(monkeypatch):
+    built = []
+    cut_pool = logic._cut_pool
+
+    def counting(goal, system, lemmas):
+        built.append(goal)
+        return cut_pool(goal, system, lemmas)
+
+    monkeypatch.setattr(logic, "_cut_pool", counting)
+    goal, depth, text = BENCHMARK_PROOFS[0]  # closed by an axiom
+    assert render_script(search_proof(parse_hypersequent(goal, "L"), "L", depth)) == text
+    assert built == []
+    goal, depth, text = GOLDEN_PROOFS[0]  # takes a cut
+    assert render_script(search_proof(parse_hypersequent(goal, "L"), "L", depth)) == text
+    assert built == [parse_hypersequent(goal, "L")]
 
 
 def test_search_unprovable_goal_returns_none():
@@ -440,8 +465,8 @@ def falsifying_env_reference(alg, h, system="L"):
     ok, why = logic._algebra_admits(alg, system)
     if not ok:
         raise LogicError(why)
-    names, ranges = logic._var_ranges(alg, h, system)
-    for values in product(*ranges):
+    names, kinds = logic._var_sorts(h)
+    for values in product(*logic._var_ranges(alg, kinds, system)):
         env = dict(zip(names, values))
         if not any(eval_sequent(alg, comp, env) for comp in h.components):
             return env
@@ -533,6 +558,30 @@ def test_two_sorts_of_one_variable_are_rejected():
     for system in ("L", "HL"):
         with pytest.raises(LogicError, match="'x' used with two sorts"):
             falsifying_env(chain3(), goal, system)
+        # find_countermodel raises only once a model is admitted
+        models = list(builtin_fixtures())
+        skipped = [(name, alg) for name, alg in models
+                   if not logic._algebra_admits(alg, system)[0]]
+        assert skipped and find_countermodel(goal, system, skipped) is None
+        with pytest.raises(LogicError, match="'x' used with two sorts"):
+            find_countermodel(goal, system, models)
+
+
+def test_find_countermodel_collects_the_goal_sorts_once(monkeypatch):
+    calls = []
+    var_sorts = logic._var_sorts
+
+    def counting(h):
+        calls.append(h)
+        return var_sorts(h)
+
+    monkeypatch.setattr(logic, "_var_sorts", counting)
+    models = list(builtin_fixtures())
+    for system in ("L", "HL"):
+        calls.clear()
+        goal = parse_hypersequent("x & y => y & x", system)  # valid: every model is tried
+        assert find_countermodel(goal, system, models) is None
+        assert calls == [goal]
 
 
 def _neg_chain(t, depth):

@@ -12,13 +12,14 @@ from itertools import product
 import pytest
 
 from dbakit.algebra import FiniteAlgebra, check_suite, passes, satisfies_equation
-from dbakit.errors import SuiteError
+from dbakit.errors import EvalError, SuiteError
 from dbakit.fixtures import builtin_fixtures, get_fixture
 from dbakit.search import (
-    SearchSpec, SearchSummary, _slots, candidate_count, enumerate_algebras, naive_sweep,
+    SearchSpec, SearchSummary, _checker, _slots, candidate_count, enumerate_algebras,
+    naive_sweep,
 )
 from dbakit.suites import DBA23, DCORE13, SUITES, get_suite
-from dbakit.terms import evaluator
+from dbakit.terms import MAX_DEPTH, AxiomSuite, Equation, Neg, Var, eq, evaluator
 
 
 # --- reference: the rescanning engine -----------------------------------------
@@ -348,6 +349,53 @@ def test_watched_search_matches_the_rescan(spec):
     want = enumerate_algebras_rescan(spec)
     assert _outcome(summary) == _outcome(want)
     assert seen == _outcome(want)[3]  # found is never capped below models here
+
+
+# DBA23 between two equations without variables, constants on both sides:
+# each has one ground instance, blocked on the constants' slots
+_CONSTANT_SUITE = AxiomSuite(
+    "DBA23+K", (eq("k1", "~F", "!T"),) + DBA23.equations + (eq("k2", "T & T", "T"),))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("must_fail", [(), ("k1",), ("k2",)])
+def test_equations_without_variables_match_the_rescan(size, must_fail):
+    spec = SearchSpec(size=size, require=_CONSTANT_SUITE, must_fail=must_fail)
+    summary = enumerate_algebras(spec)
+    assert _outcome(summary) == _outcome(enumerate_algebras_rescan(spec))
+    assert summary.complete
+    assert (summary.models > 0) == (size > 1 or not must_fail)  # one algebra of size 1
+
+
+def test_too_deep_an_axiom_is_an_eval_error():
+    deep = Var("x")
+    for _ in range(MAX_DEPTH + 1):
+        deep = Neg(deep)
+    suite = AxiomSuite("deep", DBA23.equations[:3] + (Equation("deep", deep, Var("x")),))
+    for size in (1, 3):
+        with pytest.raises(EvalError, match=f"deeper than {MAX_DEPTH}"):
+            enumerate_algebras(SearchSpec(size=size, require=suite))
+
+
+def test_each_equation_is_compiled_once_for_every_size():
+    _checker.cache_clear()
+    for size in (2, 3, 4):
+        summary = enumerate_algebras(SearchSpec(size=size, require="DBA23", fixed_top=0,
+                                                fixed_bot=0, max_models=1))
+        assert summary.models == 1
+    info = _checker.cache_info()
+    assert (info.misses, info.hits) == (len(DBA23), 2 * len(DBA23))
+
+
+@pytest.mark.slow
+def test_size4_dcore_models_equal_the_dba_models_on_a_pin():
+    # the paper's equivalence of DCORE13 and DBA23, on every size-4 candidate
+    # with top = e3 and bot = e0 (the costliest DCORE13 pin, about 5 s)
+    a = enumerate_algebras(SearchSpec(size=4, require="DBA23", fixed_top=3, fixed_bot=0))
+    b = enumerate_algebras(SearchSpec(size=4, require="DCORE13", fixed_top=3, fixed_bot=0))
+    assert a.complete and b.complete
+    assert a.models == 29
+    assert [x.signature() for x in a.found] == [x.signature() for x in b.found]
 
 
 @pytest.mark.parametrize("pin", ["fixed_top", "fixed_bot"])

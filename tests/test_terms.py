@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 from dbakit import terms
 from dbakit.errors import ParseError
 from dbakit.terms import (
-    BOT, GENERIC, MAX_DEPTH, OBJECT, TOP, Join, Meet, Neg, Opp, Var,
+    BOT, GENERIC, MAX_DEPTH, OBJECT, TOP, AxiomSuite, Equation, Join, Meet, Neg, Opp, Var,
     evaluator, fold, parse_term, render, source, subterms, variables, vee, wedge,
 )
 
@@ -117,6 +117,20 @@ def test_pickle_and_copy_return_the_interned_node():
     assert copy.copy(t) is t
     assert copy.deepcopy(t) is t
     assert all(u is t for u in copy.deepcopy([t, {"k": t}])[1].values())
+
+
+def test_equations_and_suites_hash_by_value():
+    e = Equation("e", parse_term("x & y"), parse_term("y & x"))
+    twin = Equation("e", parse_term("x & y"), parse_term("y & x"))
+    suite = AxiomSuite("S", (e,))
+    # the hashes of the generated dataclass methods, computed at construction
+    assert hash(e) == hash(twin) == hash(("e", e.lhs, e.rhs))
+    assert hash(suite) == hash(AxiomSuite("S", (twin,))) == hash(("S", (e,)))
+    for a in (e, suite):
+        for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert copied == a and hash(copied) == hash(a)
+    assert Equation("f", e.lhs, e.rhs) != e and AxiomSuite("T", (e,)) != suite
+    assert [f.name for f in dataclasses.fields(e)] == ["id", "lhs", "rhs"]
 
 
 def test_fields_cannot_be_assigned():
