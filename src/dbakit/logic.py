@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import (
-    FiniteAlgebra, _first_witness, classify, eval_term, join_idempotents, meet_idempotents,
-    quasi_order,
+    FiniteAlgebra, _first_witness, classify, eval_term, quasi_order,
 )
 from .errors import LogicError, ParseError
 from .terms import (
@@ -484,7 +483,8 @@ def _var_ranges(alg: FiniteAlgebra, kinds, system: str):
     over the join idempotents; everything else over the whole universe.
     """
     sorted_ranges = {} if system != "HL" else {
-        OBJECT: sorted(meet_idempotents(alg)), PROPERTY: sorted(join_idempotents(alg))}
+        OBJECT: sorted(classify(alg).meet_idempotents),
+        PROPERTY: sorted(classify(alg).join_idempotents)}
     universe = range(alg.n)
     return [sorted_ranges.get(kind, universe) for kind in kinds]
 

@@ -11,12 +11,18 @@ topologies, and the clopen protoconcept/semiconcept characterizations.
 
 Set families here are concrete bitmask collections; "closed" means generated
 from the subbase {F_x} by finite unions and intersections, and "clopen"
-means closed with closed complement.
+means closed with closed complement.  The closed family is every union of
+the least sets, one per point p: the intersection of the subbase sets (and
+the full space) holding p.  On a valid finite representation every singleton
+is a least set, so the space is discrete and both clopen families are full
+powersets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 import numpy as np
 
@@ -28,7 +34,7 @@ from .constructions import (
     BooleanView, RetractionPair, build_from_boolean_pair, check_theorem_conditions,
 )
 from .errors import AlgebraError, BudgetError
-from .fca import FormalContext, complement_context, derive, modal
+from .fca import FormalContext, _generated_pairs, complement_context, derive, modal
 
 MAX_REPRESENTATION_SIZE = 20
 NAIVE_SWEEP_LIMIT = 12
@@ -410,28 +416,24 @@ def verify_pair_embedding(rep: RepresentationResult) -> dict:
 def closed_set_family(rep: RepresentationResult, side: str,
                       max_family: int = 1 << 16) -> frozenset:
     """All sets generated from the subbase {F_x} (resp. {I_x}) by finite
-    unions and intersections, together with the empty set and the full space."""
+    unions and intersections, together with the empty set and the full space:
+    every union of the least sets (see the module docstring)."""
     if side == "filter":
         base = set(rep.f_masks) | {0, rep.std.context.full_objects}
     elif side == "ideal":
         base = set(rep.i_masks) | {0, rep.std.context.full_attributes}
     else:
         raise AlgebraError(f"side must be 'filter' or 'ideal', got {side!r}")
-    family = set(base)
+    space = reduce(or_, base)
+    least = {reduce(and_, [s for s in base if s >> p & 1])
+             for p in range(space.bit_length()) if space >> p & 1}
+    family = {0}
+    for low in least:
+        if len(family) > max_family:
+            break
+        family |= {s | low for s in family}
     if len(family) > max_family:
         raise BudgetError("closed-set family exceeded its budget")
-    frontier = list(base)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(family):
-                for c in (a | b, a & b):
-                    if c not in family:
-                        family.add(c)
-                        nxt.append(c)
-                        if len(family) > max_family:
-                            raise BudgetError("closed-set family exceeded its budget")
-        frontier = nxt
     return frozenset(family)
 
 
@@ -469,21 +471,11 @@ def verify_clopen_characterization(rep: RepresentationResult) -> ClopenCharacter
         status = "semiconcept"
     else:
         return ClopenCharacterization("not-applicable")
-    ctx = rep.std.context
-    cf = sorted(clopen_family(rep, "filter"))
-    ci = sorted(clopen_family(rep, "ideal"))
+    cf = clopen_family(rep, "filter")
+    ci = clopen_family(rep, "ideal")
+    found = {(a, b) for a, b in _generated_pairs(rep.std.context, status)
+             if a in cf and b in ci}
     want = set(zip(rep.f_masks, rep.i_masks))
-    found = set()
-    for a in cf:
-        ap = derive(ctx, "extent", a)
-        app = derive(ctx, "intent", ap)
-        for b in ci:
-            if status == "protoconcept":
-                if app == derive(ctx, "intent", b):
-                    found.add((a, b))
-            else:
-                if ap == b or derive(ctx, "intent", b) == a:
-                    found.add((a, b))
     set_equal = found == want
     emb = verify_pair_embedding(rep)
     iso = emb["homomorphism"] and emb["order"] and rep.injective and set_equal

@@ -1,5 +1,9 @@
 """The package namespace exposes the documented surface."""
 
+import importlib
+import importlib.util
+from pathlib import Path
+
 import dbakit
 
 
@@ -28,3 +32,16 @@ def test_top_level_exports():
 
 def test_version_string():
     assert dbakit.__version__
+
+
+def test_traced_functions_resolve():
+    # perfbench/tracer.py wraps these functions by name; a renamed or deleted
+    # one would otherwise break only a --trace run of the benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module, fn, _ in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(f"dbakit.{module}"), fn, None)), \
+            (module, fn)

@@ -1,8 +1,10 @@
 """Primary filters/ideals, standard contexts, and the pair representation."""
 
+import dataclasses
 import importlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,13 +12,13 @@ from dbakit.algebra import FiniteAlgebra, classify, passes, quasi_order
 from dbakit.constructions import generalized_glued_sum, glued_sum, powerset_boolean
 from dbakit.errors import AlgebraError, BudgetError
 from dbakit.fca import (
-    FormalContext, all_contexts, complement_context, modal, protoconcept_algebra,
+    FormalContext, all_contexts, complement_context, derive, modal, protoconcept_algebra,
 )
 from dbakit.fixtures import (
     boolean2, builtin_fixtures, cex_5ab, chain3, noncontextual4, singleton,
 )
 from dbakit.representation import (
-    MAX_REPRESENTATION_SIZE, _make_filterset, _mask_of,
+    MAX_REPRESENTATION_SIZE, ClopenCharacterization, _make_filterset, _mask_of,
     clopen_family, closed_set_family, enumerate_primary, enumerate_primary_naive,
     is_filter, is_ideal, is_primary, representation, standard_context,
     verify_clopen_characterization, verify_clopen_sets,
@@ -336,6 +338,197 @@ def test_clopen_family_budget():
     rep = representation(chain3())
     with pytest.raises(BudgetError):
         closed_set_family(rep, "filter", max_family=0)
+
+
+def closed_set_family_fixpoint(rep, side: str, max_family: int = 1 << 16) -> frozenset:
+    """Reference: the pairwise union/intersection fixpoint that
+    ``closed_set_family`` ran before its closed form."""
+    if side == "filter":
+        base = set(rep.f_masks) | {0, rep.std.context.full_objects}
+    elif side == "ideal":
+        base = set(rep.i_masks) | {0, rep.std.context.full_attributes}
+    else:
+        raise AlgebraError(f"side must be 'filter' or 'ideal', got {side!r}")
+    family = set(base)
+    if len(family) > max_family:
+        raise BudgetError("closed-set family exceeded its budget")
+    frontier = list(base)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(family):
+                for c in (a | b, a & b):
+                    if c not in family:
+                        family.add(c)
+                        nxt.append(c)
+                        if len(family) > max_family:
+                            raise BudgetError("closed-set family exceeded its budget")
+        frontier = nxt
+    return frozenset(family)
+
+
+def _closed_or_over_budget(closed, rep, side, max_family):
+    try:
+        return closed(rep, side, max_family)
+    except BudgetError:
+        return BudgetError
+
+
+@pytest.fixture(scope="module")
+def context_reps():
+    """The representations of the distinct proto- and semiconcept algebras of
+    every context up to 3x3 within the default budget; all are dBas."""
+    pool = {}
+    for g in (1, 2, 3):
+        for m in (1, 2, 3):
+            for ctx in all_contexts(g, m):
+                for kind in ("protoconcept", "semiconcept"):
+                    alg = protoconcept_algebra(ctx, kind).algebra
+                    if alg.n <= MAX_REPRESENTATION_SIZE:
+                        pool.setdefault(alg.signature(), alg)
+    assert len(pool) == 482
+    return [representation(alg) for alg in pool.values()]
+
+
+@pytest.fixture(scope="module")
+def seeded_reps():
+    """The representations of the protoconcept algebras of seeded 4x4 and 4x5
+    contexts, past the default budget."""
+    rng = random.Random(44)
+    reps = []
+    for g, m in ((4, 4), (4, 4), (4, 5), (4, 5), (4, 5)):
+        ctx = FormalContext([f"g{i}" for i in range(g)], [f"m{i}" for i in range(m)],
+                            [[rng.random() < 0.5 for _ in range(m)] for _ in range(g)])
+        alg = protoconcept_algebra(ctx).algebra
+        reps.append(representation(alg, max_size=alg.n))
+    assert max(rep.algebra.n for rep in reps) > MAX_REPRESENTATION_SIZE
+    return reps
+
+
+def test_closed_form_matches_fixpoint_on_context_algebras(context_reps, seeded_reps):
+    # the finite space is discrete: on a valid representation both closed
+    # families are full powersets, and they are the element masks
+    for rep in context_reps + seeded_reps:
+        ctx = rep.std.context
+        for side, masks, full in (("filter", rep.f_masks, ctx.full_objects),
+                                  ("ideal", rep.i_masks, ctx.full_attributes)):
+            closed = closed_set_family(rep, side)
+            assert closed == closed_set_family_fixpoint(rep, side)
+            assert closed == frozenset(masks) == frozenset(range(full + 1))
+
+
+def test_closed_form_matches_fixpoint_on_random_mask_families():
+    # any mask family, not only a representation's: singletons missing,
+    # width 0, masks past the space's width, and every budget around the size
+    rng = random.Random(12)
+    missing = 0
+    for trial in range(3000):
+        width = trial % 8
+        full = (1 << width) - 1
+        masks = [rng.getrandbits(width + (trial % 7 == 0)) for _ in range(rng.randrange(6))]
+        if trial % 3 == 0 and width:
+            gap = rng.randrange(width)
+            masks += [1 << p for p in range(width) if p != gap]
+            masks = [s for s in masks if s != 1 << gap]
+        ctx = SimpleNamespace(full_objects=full, full_attributes=full)
+        rep = SimpleNamespace(f_masks=tuple(masks), i_masks=tuple(masks),
+                              std=SimpleNamespace(context=ctx))
+        side = ("filter", "ideal")[trial % 2]
+        want = closed_set_family_fixpoint(rep, side)
+        assert closed_set_family(rep, side) == want
+        missing += len(want) < 1 << width
+        budget = len(want) + rng.choice((-2, -1, 0, 1))
+        assert (_closed_or_over_budget(closed_set_family, rep, side, budget)
+                == _closed_or_over_budget(closed_set_family_fixpoint, rep, side, budget))
+    assert missing > 1000
+
+
+def clopen_characterization_loop(rep) -> ClopenCharacterization:
+    """Reference: the clopen filter x clopen ideal double loop with its own
+    membership tests, which ``verify_clopen_characterization`` ran before it
+    read the pairs from fca."""
+    cl = classify(rep.algebra)
+    if cl.is_fully_contextual:
+        status = "protoconcept"
+    elif cl.is_pure:
+        status = "semiconcept"
+    else:
+        return ClopenCharacterization("not-applicable")
+    ctx = rep.std.context
+    cf = sorted(clopen_family(rep, "filter"))
+    ci = sorted(clopen_family(rep, "ideal"))
+    want = set(zip(rep.f_masks, rep.i_masks))
+    found = set()
+    for a in cf:
+        ap = derive(ctx, "extent", a)
+        app = derive(ctx, "intent", ap)
+        for b in ci:
+            if status == "protoconcept":
+                if app == derive(ctx, "intent", b):
+                    found.add((a, b))
+            else:
+                if ap == b or derive(ctx, "intent", b) == a:
+                    found.add((a, b))
+    set_equal = found == want
+    emb = verify_pair_embedding(rep)
+    iso = emb["homomorphism"] and emb["order"] and rep.injective and set_equal
+    return ClopenCharacterization(status, set_equal, iso)
+
+
+def test_characterization_matches_the_double_loop(context_reps, seeded_reps):
+    reps = context_reps + seeded_reps + [representation(alg) for _, alg in dba_fixtures()]
+    statuses = set()
+    for rep in reps:
+        res = verify_clopen_characterization(rep)
+        assert res == clopen_characterization_loop(rep)
+        statuses.add((res.status, res.ok))
+    assert statuses == {("protoconcept", True), ("semiconcept", True), ("not-applicable", False)}
+
+
+# --- every verifier fails on some broken input ----------------------------------------
+
+VERDICTS = {
+    "clopen_sets": verify_clopen_sets,
+    "translated_continuity": verify_translated_continuity,
+    "clopen_characterization": lambda rep: verify_clopen_characterization(rep).ok,
+    "derivation_identities": lambda rep: not verify_derivation_identities(rep),
+    **{f"pair_embedding.{key}": lambda rep, key=key: verify_pair_embedding(rep)[key]
+       for key in ("protoconcepts", "homomorphism", "order")},
+}
+
+
+def _one_mask_replaced(rep):
+    """rep with one F_x (or I_x) replaced by another subset, the mask with one
+    point toggled: every element, side and point."""
+    ctx = rep.std.context
+    for field, full in (("f_masks", ctx.full_objects), ("i_masks", ctx.full_attributes)):
+        masks = getattr(rep, field)
+        for x in range(len(masks)):
+            for p in range(full.bit_length()):
+                broken = masks[:x] + (masks[x] ^ 1 << p,) + masks[x + 1:]
+                yield dataclasses.replace(rep, **{field: broken})
+
+
+def test_every_verifier_fails_on_a_replaced_mask():
+    # on a valid finite representation the space is discrete, so the clopen
+    # families and translated continuity hold by construction; a broken
+    # input shows that they still check something
+    algebras = [alg for _, alg in dba_fixtures()]
+    algebras += [protoconcept_algebra(ctx).algebra for ctx in all_contexts(2, 2)][::3]
+    flipped = dict.fromkeys(VERDICTS, 0)
+    broken = 0
+    for alg in algebras:
+        rep = representation(alg)
+        holds = {name: verdict(rep) for name, verdict in VERDICTS.items()}
+        assert all(holds.values()) or holds == {
+            **dict.fromkeys(VERDICTS, True), "clopen_characterization": False}
+        for bad in _one_mask_replaced(rep):
+            broken += 1
+            assert verify_clopen_characterization(bad) == clopen_characterization_loop(bad)
+            for name, verdict in VERDICTS.items():
+                flipped[name] += holds[name] and not verdict(bad)
+    assert broken == 202
+    assert all(flipped.values()), flipped
 
 
 def test_clopen_characterizations():
