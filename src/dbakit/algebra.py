@@ -15,7 +15,7 @@ import numpy as np
 from .errors import AlgebraError, EvalError
 from .suites import BOOLEAN, CATALOG, DBA23, DCORE13, GDCORE11, get_suite
 from .terms import (
-    MAX_DEPTH, Const, Equation, Join, Meet, Neg, Opp, Term, Var, evaluator, postorder, source,
+    MAX_DEPTH, Const, Equation, Join, Meet, Neg, Opp, Term, Var, fold, postorder, source,
     variables,
 )
 
@@ -110,15 +110,26 @@ class FiniteAlgebra:
 
 
 def eval_term(alg: FiniteAlgebra, t: Term, env=None) -> int:
-    """Value of t under the tables; env maps variable names to element indices.
+    """Value of t under the tables, one ``fold`` over them; env maps variable
+    names to element indices.
 
-    Terms deeper than ``MAX_DEPTH`` raise EvalError, as in the checkers.
+    An unbound variable and a term deeper than ``MAX_DEPTH`` (the checkers'
+    limit) raise EvalError.  The value of each variable of t must be an
+    element index, as table entries must (AlgebraError); other keys are
+    ignored.
     """
-    try:
-        return evaluator(t)(alg._rows_m, alg._rows_j, alg._lneg, alg._lopp,
-                            alg.top, alg.bot, env or {})
-    except KeyError as exc:
-        raise EvalError(f"unbound variable {exc.args[0]!r}") from None
+    if t.depth > MAX_DEPTH:
+        raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
+    env = env or {}
+
+    def var(name):
+        if name not in env:
+            raise EvalError(f"unbound variable {name!r}")
+        return FiniteAlgebra._index(env[name], alg.n, f"variable {name!r}")
+
+    m, j = alg._rows_m, alg._rows_j
+    return fold(t, var, alg.top, alg.bot, alg._lneg.__getitem__, alg._lopp.__getitem__,
+                lambda a, b: m[a][b], lambda a, b: j[a][b])
 
 
 @dataclass(frozen=True)

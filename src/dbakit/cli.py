@@ -270,6 +270,8 @@ def _model_source(spec: str):
             g, m = (int(v) for v in shape.lower().split("x"))
         except ValueError:
             raise _Usage(f"--models contexts:<GxM> malformed: {spec!r}") from None
+        if g < 1 or m < 1:
+            raise _Usage(f"--models contexts:<GxM> needs G, M >= 1: {spec!r}")
         out = []
         for i, ctx in enumerate(
                 c for ng in range(1, g + 1) for nm in range(1, m + 1)

@@ -447,7 +447,8 @@ def parse_script(text: str) -> ProofScript:
 # --- semantics ---------------------------------------------------------------
 
 def eval_sequent(alg: FiniteAlgebra, s: Sequent, env) -> bool:
-    """Satisfaction: value of the antecedent lies below the succedent."""
+    """Satisfaction: value of the antecedent lies below the succedent; env
+    as in ``eval_term``."""
     rel = quasi_order(alg).rel
     return bool(rel[eval_term(alg, s.ant, env), eval_term(alg, s.suc, env)])
 

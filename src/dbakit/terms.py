@@ -13,18 +13,15 @@ copy return the interned node.
 Every traversal of a term is one bottom-up ``fold``: an iterative walk that
 visits each distinct subterm once, in a post-order cached on the node.
 ``render``, ``source`` (the term as a Python expression over the operation
-tables) and substitution are folds; the numpy equation checker walks the
-distinct subterms of a whole batch of equations in ``postorder``, so a
-subterm shared by several equations is evaluated once.  ``evaluator``
-compiles a term once into a Python function of the tables and an environment
-and caches it on the node, so it is freed with the term; ``eval_term``
-evaluates through it.  The compiled code of the last 1024 distinct
-expressions is kept apart from the terms, so a term built again after it was
-freed does not go through the compiler again.  The scalar equation checker
-and the hypersequent refuter do not evaluate term by term: one first-witness
-kernel in ``algebra`` folds ``source`` of every term of the check into the
-body of its loops over the assignments, and the model search compiles
-``source`` of both sides of an equation into one check.
+tables), substitution and ``algebra.eval_term`` (a fold over the tuple
+tables) are folds; the numpy equation checker walks the distinct subterms of
+a whole batch of equations in ``postorder``, so a subterm shared by several
+equations is evaluated once.  No term carries compiled code.  ``source``
+feeds exactly two compiled checks: the first-witness kernel in ``algebra``
+folds ``source`` of every term of a check into the body of its loops over
+the assignments (the scalar equation checker and the hypersequent refuter),
+and the model search compiles ``source`` of both sides of an equation into
+one check.
 
 ASCII surface grammar (precedence: unary > ``&`` > ``|``, both binary ops
 left-associative)::
@@ -42,20 +39,20 @@ parse time, so parsed terms never contain them as nodes.
 Nesting is limited to ``MAX_DEPTH`` levels.  The parser opens a level at each
 ``~``, ``!``, opening parenthesis and macro call, and a parsed term may be at
 most ``MAX_DEPTH`` operators deep; deeper input is a ParseError.
-``evaluator``, the equation checkers, the refuter and the model search
-reject deeper terms built in code with an EvalError: compiled expressions
-nest one bracket per level.
+The equation checkers, the refuter and the model search reject deeper terms
+built in code with an EvalError, since compiled expressions nest one bracket
+per level; ``eval_term`` keeps the same limit, so every evaluation path
+accepts the same terms.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 import threading
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 
-from .errors import EvalError, ParseError
+from .errors import ParseError
 
 GENERIC = "generic"
 OBJECT = "object"
@@ -71,7 +68,7 @@ MAX_DEPTH = 100
 _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _CREATE = threading.Lock()
 
-_DERIVED = ("depth", "_vars", "_names", "_subs", "_post", "_eval")
+_DERIVED = ("depth", "_vars", "_names", "_subs", "_post")
 
 
 class Term:
@@ -114,7 +111,7 @@ def _intern(cls, values, derive):
             node = _TABLE.get(key)
             if node is None:
                 node = object.__new__(cls)
-                derived = derive(*values) + (None, None, None)  # filled on request
+                derived = derive(*values) + (None, None)  # filled on request
                 for field, value in zip(cls.__match_args__ + _DERIVED, values + derived):
                     object.__setattr__(node, field, value)
                 _TABLE[key] = node
@@ -303,27 +300,6 @@ def source(t: Term, var) -> str:
     gives the expression for a variable."""
     return fold(t, var, "TP", "BT", "G[{}]".format, "O[{}]".format,
                 "M[{}][{}]".format, "J[{}][{}]".format)
-
-
-@functools.lru_cache(maxsize=1024)
-def _compile(expr: str):
-    """The code of ``lambda M, J, G, O, TP, BT, env: expr``.  Kept apart from
-    the terms, so a term built again after it was freed skips the compiler."""
-    return compile("lambda M, J, G, O, TP, BT, env: " + expr, "<term>", "eval")
-
-
-def evaluator(t: Term):
-    """t compiled to ``f(M, J, G, O, TP, BT, env)``, where env maps variable
-    names to elements (see ``source``).  Compiled once and cached on the node.
-    Raises EvalError when t is deeper than ``MAX_DEPTH``."""
-    fn = t._eval
-    if fn is None:
-        if t.depth > MAX_DEPTH:
-            raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
-        # closed vocabulary: table names, brackets and variable-name literals
-        fn = eval(_compile(source(t, lambda name: f"env[{name!r}]")), {})
-        object.__setattr__(t, "_eval", fn)
-    return fn
 
 
 def render(t: Term) -> str:

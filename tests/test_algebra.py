@@ -21,6 +21,7 @@ from dbakit.fixtures import (
     boolean2, builtin_fixtures, cex_5ab, chain3, gdcore_not_dcore, noncontextual4,
     singleton,
 )
+from dbakit.logic import eval_sequent, parse_sequent
 from dbakit.suites import DBA23, DCORE13, GDCORE11, get_suite
 from dbakit.terms import MAX_DEPTH, AxiomSuite, Equation, Meet, Neg, Var, eq, parse_term
 
@@ -105,6 +106,29 @@ def test_eval_top_meet_top_on_chain():
 def test_eval_unbound_variable():
     with pytest.raises(EvalError, match="zz"):
         eval_term(singleton(), parse_term("zz"))
+
+
+@pytest.mark.parametrize("value, message", [
+    (-1, r"variable 'x' index -1 out of range \[0, 3\)"),
+    (3, r"variable 'x' index 3 out of range \[0, 3\)"),
+    (1.0, "variable 'x' must be an integer index, got 1.0"),
+    (True, "variable 'x' must be an integer index, got True"),
+])
+def test_eval_rejects_a_value_that_is_no_element(value, message):
+    # the rule of the tables and constants: no wrap-around, truncation or bool
+    alg = chain3()
+    for t in ("x", "~x"):
+        with pytest.raises(AlgebraError, match=message):
+            eval_term(alg, parse_term(t), {"x": value})
+    for s in ("x => y", "y => ~x"):
+        with pytest.raises(AlgebraError, match=message):
+            eval_sequent(alg, parse_sequent(s), {"x": value, "y": 0})
+
+
+def test_eval_ignores_extra_env_keys():
+    alg = chain3()
+    assert eval_term(alg, parse_term("x"), {"x": 2, "unused": -1}) == 2
+    assert eval_term(alg, parse_term("T"), {"unused": 1.5}) == alg.top
 
 
 # --- satisfies_equation ---------------------------------------------------------

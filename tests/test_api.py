@@ -1,5 +1,6 @@
 """The package namespace exposes the documented surface."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -45,3 +46,28 @@ def test_traced_functions_resolve():
     for module, fn, _ in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(f"dbakit.{module}"), fn, None)), \
             (module, fn)
+
+
+def _generated_code_sites(tree, scope):
+    """Dotted scope of every bare exec/eval/compile call under tree."""
+    sites = []
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("exec", "eval", "compile")):
+            sites.append(scope)
+        sites += _generated_code_sites(node, inner)
+    return sites
+
+
+def test_generated_code_runs_in_two_places_only():
+    # terms carry no compiled code: a term's value comes from a fold, and
+    # ``source`` is compiled only by the first-witness kernel and by the
+    # model search's check of an equation
+    src = Path(dbakit.__file__).resolve().parent
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        sites += _generated_code_sites(ast.parse(path.read_text()), path.stem)
+    assert sites == ["algebra._kernel", "search._checker"]

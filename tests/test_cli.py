@@ -267,6 +267,14 @@ def test_refute_none_for_identity(files, capsys):
     assert "countermodel: none" in out
 
 
+@pytest.mark.parametrize("shape", ["0x1", "-1x2", "2x0"])
+def test_refute_over_an_empty_context_range_is_exit_2(files, capsys, shape):
+    # an empty range would check no model and report "countermodel: none"
+    code, out = run(capsys, "refute", "T => T & T", "--models", f"contexts:{shape}")
+    assert code == 2
+    assert out == f"error: --models contexts:<GxM> needs G, M >= 1: 'contexts:{shape}'\n"
+
+
 def test_search_size1(files, capsys):
     code, out = run(capsys, "search", "--size", "1", "--require", "dba")
     assert code == 0

@@ -1,4 +1,4 @@
-"""Compiled term evaluation against a recursive reference evaluator.
+"""Term evaluation against a recursive reference evaluator.
 
 Covers ``eval_term``, the scalar and numpy equation checkers on both sides of
 the ``n**k`` switch, the batched numpy checker against the per-equation one
@@ -21,7 +21,7 @@ from dbakit.algebra import (
     _VECTOR_THRESHOLD, FiniteAlgebra, _check_equations, eval_term, satisfies_equation,
 )
 from dbakit.search import _checker, _Partial, _slots
-from dbakit.terms import BOT, TOP, Const, Equation, Join, Meet, Neg, Opp, Var, evaluator, fold
+from dbakit.terms import BOT, TOP, Const, Equation, Join, Meet, Neg, Opp, Var, fold, source
 
 _terms = st.recursive(
     st.sampled_from([Var("x"), Var("y"), Var("z"), Var("w"), TOP, BOT]),
@@ -179,8 +179,8 @@ def test_partial_tables_match_a_marker_propagating_reference(t, n, missing, seed
     env = {name: rng.randrange(n) for name in ("x", "y", "z", "w")}
 
     ref = reference_eval(t, *ref_tables, env, n)
-    got = evaluator(t)(partial.meet, partial.join, partial.neg, partial.opp,
-                       *partial.const, env)
+    fn = eval("lambda M, J, G, O, TP, BT, env: " + source(t, lambda name: f"env[{name!r}]"))
+    got = fn(partial.meet, partial.join, partial.neg, partial.opp, *partial.const, env)
     assert got == ref
 
 

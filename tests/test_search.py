@@ -19,10 +19,15 @@ from dbakit.search import (
     naive_sweep,
 )
 from dbakit.suites import DBA23, DCORE13, SUITES, get_suite
-from dbakit.terms import MAX_DEPTH, AxiomSuite, Equation, Neg, Var, eq, evaluator
+from dbakit.terms import MAX_DEPTH, AxiomSuite, Equation, Neg, Var, eq, source
 
 
 # --- reference: the rescanning engine -----------------------------------------
+
+def _compiled(t):
+    """t as ``f(M, J, G, O, TP, BT, env)`` over the padded tables."""
+    return eval("lambda M, J, G, O, TP, BT, env: " + source(t, lambda name: f"env[{name!r}]"))
+
 
 class _PaddedPartial:
     """Mutable slot view of a candidate: constants, unary maps, binary tables.
@@ -73,7 +78,7 @@ def enumerate_algebras_rescan(spec: SearchSpec, visitor=None) -> SearchSummary:
     instances = []
     for eqn in prunable:
         vs = eqn.variables()
-        lhs, rhs = evaluator(eqn.lhs), evaluator(eqn.rhs)
+        lhs, rhs = _compiled(eqn.lhs), _compiled(eqn.rhs)
         for vals in product(range(n), repeat=len(vs)):
             instances.append((lhs, rhs, dict(zip(vs, vals))))
     verified = [-1] * len(instances)  # depth at which the instance was confirmed

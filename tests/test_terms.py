@@ -16,7 +16,7 @@ from dbakit import terms
 from dbakit.errors import ParseError
 from dbakit.terms import (
     BOT, GENERIC, MAX_DEPTH, OBJECT, TOP, AxiomSuite, Equation, Join, Meet, Neg, Opp, Var,
-    evaluator, fold, parse_term, render, source, subterms, variables, vee, wedge,
+    fold, parse_term, render, source, subterms, variables, vee, wedge,
 )
 
 
@@ -239,23 +239,9 @@ def test_fold_drops_values_after_their_last_parent():
         assert peak < 10 * len(text)
 
 
-def test_source_and_evaluator():
+def test_source():
     t = parse_term("~(x & T) | !y")
     assert source(t, lambda name: name) == "J[G[M[x][TP]]][O[y]]"
-    fn = evaluator(t)
-    assert fn is evaluator(t)
-    m = [[0, 0], [0, 1]]
-    j = [[0, 1], [1, 1]]
-    assert fn(m, j, [1, 0], [1, 0], 1, 0, {"x": 1, "y": 1}) == 0
-    assert fn(m, j, [1, 0], [1, 0], 1, 0, {"x": 0, "y": 1}) == 1
-
-
-def test_evaluator_is_freed_with_its_term():
-    t = Meet(Var("eval_only_a"), Neg(Var("eval_only_b")))
-    fn = weakref.ref(evaluator(t))
-    del t
-    gc.collect()
-    assert fn() is None
 
 
 def test_depth_is_cached_on_the_node():
@@ -324,7 +310,6 @@ def test_used_terms_are_freed_without_the_cyclic_collector():
     try:
         t = Meet(Var("c"), Neg(Var("d")))
         render(t)
-        evaluator(t)
         subterms(t)
         ref = weakref.ref(t)
         del t
