@@ -35,6 +35,9 @@ from .search import SearchSpec, enumerate_algebras
 DEFAULT_REPRESENT_SIZE = 20
 DEFAULT_SEARCH_SIZE = 3
 DEFAULT_PROOF_DEPTH = 8
+# ``--models contexts:GxM`` builds every context algebra up to GxM at once;
+# 3x3 gives 682 of them, 3x4 already 5,050 and 4x4 74,954.
+MAX_MODEL_CONTEXTS = 4096
 
 
 class _Usage(Exception):
@@ -272,6 +275,10 @@ def _model_source(spec: str):
             raise _Usage(f"--models contexts:<GxM> malformed: {spec!r}") from None
         if g < 1 or m < 1:
             raise _Usage(f"--models contexts:<GxM> needs G, M >= 1: {spec!r}")
+        count = sum(1 << ng * nm for ng in range(1, g + 1) for nm in range(1, m + 1))
+        if count > MAX_MODEL_CONTEXTS:
+            raise BudgetError(f"--models {spec} gives {count} contexts, "
+                              f"more than the limit of {MAX_MODEL_CONTEXTS}")
         out = []
         for i, ctx in enumerate(
                 c for ng in range(1, g + 1) for nm in range(1, m + 1)

@@ -15,14 +15,25 @@ evaluating an instance on the partial tables gives either its value or the
 marker of an unfilled slot that it reads.  Each blocked instance is parked on
 that slot's watch list, and filling a slot re-evaluates only the instances
 parked on it; one that is still blocked moves to the list of a later slot.
-An instance is thus evaluated in full exactly at the first depth at which it
-reads no unfilled slot, and the search prunes where a rescan of every
-instance at every node would.
+
+The search also propagates, as SEM and Mace4 do.  When one side of an
+instance is an element w and the other side's outermost lookup has element
+arguments but an unfilled cell, that cell must hold w: every other value
+would violate the instance as soon as the cell was filled.  The cell is
+filled with w at once and recorded on the node's trail, which is undone on
+backtrack like the watch-list moves, and the instances parked on it are
+evaluated in turn.  A forced value outside the values of its slot (a pinned
+constant) is a conflict, as is an instance that evaluates to False.  The
+depth-first step passes through a slot that is already filled without
+branching.  So the surviving assignments and their order are those of the
+search without propagation, and of a rescan of every instance at every node;
+only dead subtrees are cut earlier, and the number of nodes never rises.
 
 Each equation is compiled once, whatever the universe size, into one check
 of both sides (see ``_checker``), and an instance is that check with the
 tuple of its variables' values: evaluating an instance is one call, which
-gives the marker to park it on or the verdict.
+gives the verdict, the marker to park it on, or the forcing ``(marker of
+the cell, w)``.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from itertools import product
 from .algebra import FiniteAlgebra, satisfies_equation
 from .errors import EvalError, SuiteError
 from .suites import get_suite
-from .terms import MAX_DEPTH, source
+from .terms import MAX_DEPTH, Const, Join, Meet, Neg, Opp, Var, source
 
 
 @dataclass(frozen=True)
@@ -59,6 +70,8 @@ class SearchSummary:
     models: int = 0
     complete: bool = True
     found: list = field(default_factory=list)
+    nodes: int = 0  # calls of the depth-first step, leaves and forced slots included
+    forced: int = 0  # cells filled by propagation
 
 
 def candidate_count(n: int) -> int:
@@ -117,24 +130,50 @@ class _Partial:
             self.neg[:n], self.opp[:n], *self.const)
 
 
+_TABLE = {Meet: "M", Join: "J", Neg: "G", Opp: "O"}
+
+
+def _side(t, var, x):
+    """Source lines that set ``x`` to the value of side t, computing the
+    arguments of its outermost lookup first, and the condition under which a
+    marker in ``x`` is that lookup's own unfilled cell: its arguments are
+    elements.  The condition is None for a variable, which is never a
+    marker."""
+    cls = type(t)
+    if cls is Var:
+        return [f"{x} = {source(t, var)}"], None
+    if cls is Const:
+        return [f"{x} = {source(t, var)}"], "True"
+    if cls in (Neg, Opp):
+        return [f"{x}a = {source(t.arg, var)}", f"{x} = {_TABLE[cls]}[{x}a]"], f"{x}a < N"
+    return ([f"{x}a = {source(t.left, var)}", f"{x}b = {source(t.right, var)}",
+             f"{x} = {_TABLE[cls]}[{x}a][{x}b]"], f"{x}a < N and {x}b < N")
+
+
 @functools.lru_cache(maxsize=1024)
 def _checker(lhs, rhs, names):
     """lhs = rhs compiled to ``f(M, J, G, O, TP, BT, E, N)`` on the partial
     tables of a universe of N elements, E holding the values of ``names`` in
-    order: the marker of the lhs if it reads an unfilled slot, else that of
-    the rhs if it does, else whether the two sides are equal.  Keyed by the
+    order.  When one side is an element w and the other side's outermost
+    lookup has element arguments but an unfilled cell, that cell must hold w,
+    and the result is the forcing ``(marker of the cell, w)``.  Otherwise it
+    is the marker of the lhs if it reads an unfilled slot, else that of the
+    rhs if it does, else whether the two sides are equal.  Keyed by the
     interned terms and independent of N, so one compiled function serves
     every universe size.  Raises EvalError when a side is deeper than
     ``MAX_DEPTH``."""
     if max(lhs.depth, rhs.depth) > MAX_DEPTH:
         raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
     var = {name: f"E[{i}]" for i, name in enumerate(names)}.__getitem__
-    lines = ["def check(M, J, G, O, TP, BT, E, N):",
-             f"    lv = {source(lhs, var)}",
-             "    if lv >= N: return lv",
-             f"    rv = {source(rhs, var)}",
-             "    if rv >= N: return rv",
-             "    return lv == rv"]
+    left, lcell = _side(lhs, var, "lv")
+    right, rcell = _side(rhs, var, "rv")
+    lines = ["def check(M, J, G, O, TP, BT, E, N):"]
+    lines += ["    " + line for line in left + right]
+    if lcell is not None:
+        lines += [f"    if lv >= N: return (lv, rv) if rv < N and {lcell} else lv"]
+    if rcell is not None:
+        lines += [f"    if rv >= N: return (rv, lv) if {rcell} else rv"]
+    lines += ["    return lv == rv"]
     ns = {}
     exec("\n".join(lines), ns)  # closed vocabulary: generated from Term nodes only
     return ns["check"]
@@ -187,22 +226,54 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
     nslots = len(cells)
     m, j, g, o, const = partial.meet, partial.join, partial.neg, partial.opp, partial.const
     watch = [[] for _ in range(n + nslots)]  # watch[n + k]: instances parked on slot k
+    values = [range(n)] * nslots
+    if top_pin is not None:
+        values[0] = (top_pin,)
+    if bot_pin is not None:
+        values[1] = (bot_pin,)
+    nodes = forced = 0
 
-    def park(instances, moved):
+    def park(instances, moved, trail):
         """Evaluate the instances on the partial tables and append each one
         that reads an unfilled slot to that slot's watch list, recording the
-        list in moved; False as soon as one is violated."""
+        list in moved.  A forced cell is filled at once and its slot recorded
+        in trail, and the instances parked on it are evaluated in turn.
+        False as soon as one is violated or a forced value is not among its
+        slot's values."""
+        nonlocal forced
         top, bot = const
-        for inst in instances:
-            check, env = inst
-            v = check(m, j, g, o, top, bot, env, n)
-            if v is True:
-                continue
-            if v is False:
-                return False
-            watch[v].append(inst)
-            moved.append(v)
+        work = [instances]
+        for batch in work:  # grows while it is walked
+            for inst in batch:
+                check, env = inst
+                v = check(m, j, g, o, top, bot, env, n)
+                if v is True:
+                    continue
+                if v is False:
+                    return False
+                if v.__class__ is tuple:
+                    c, w = v
+                    k = c - n
+                    if w not in values[k]:
+                        return False
+                    cell, i = cells[k]
+                    cell[i] = w
+                    trail.append(k)
+                    forced += 1
+                    if k < 2:
+                        top, bot = const
+                    work.append(watch[c])
+                    continue
+                watch[v].append(inst)
+                moved.append(v)
         return True
+
+    def undo(moved, trail):
+        for k in moved:
+            watch[k].pop()
+        for k in trail:
+            cell, i = cells[k]
+            cell[i] = n + k
 
     # ground instances of the prunable axioms: (checker, values in the
     # checker's variable order)
@@ -211,12 +282,7 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
         vs = eqn.variables()
         check = _checker(eqn.lhs, eqn.rhs, vs)
         instances += [(check, vals) for vals in product(range(n), repeat=len(vs))]
-    consistent = park(instances, [])
-    values = [range(n)] * nslots
-    if top_pin is not None:
-        values[0] = (top_pin,)
-    if bot_pin is not None:
-        values[1] = (bot_pin,)
+    consistent = park(instances, [], [])
     summary = SearchSummary()
     out_of_budget = False
 
@@ -241,19 +307,24 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
             out_of_budget = True
 
     def dfs(depth):
-        """Try every value of slot ``depth``; the slots before it are filled."""
+        """Try every value of slot ``depth``, or pass through it when it was
+        forced; the slots before it are filled."""
+        nonlocal nodes
+        nodes += 1
         if depth == nslots:
             leaf()
             return
         cell, i = cells[depth]
+        if cell[i] < n:
+            dfs(depth + 1)
+            return
         parked = watch[n + depth]
         for v in values[depth]:
             cell[i] = v
-            moved = []  # undone before the next value
-            if park(parked, moved):
+            moved, trail = [], []  # undone before the next value
+            if park(parked, moved, trail):
                 dfs(depth + 1)
-            for k in moved:
-                watch[k].pop()
+            undo(moved, trail)
             if out_of_budget:
                 break
         cell[i] = n + depth
@@ -264,6 +335,7 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
     finally:
         del dfs  # a recursive closure is a reference cycle holding the search state
     summary.complete = not out_of_budget
+    summary.nodes, summary.forced = nodes, forced
     return summary
 
 

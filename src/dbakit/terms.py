@@ -10,8 +10,10 @@ refers to itself, so a term is freed as soon as its last reference goes, not
 at the next run of the cyclic collector.  Nodes are immutable; pickle and
 copy return the interned node.
 
-Every traversal of a term is one bottom-up ``fold``: an iterative walk that
-visits each distinct subterm once, in a post-order cached on the node.
+Every traversal of a term is one bottom-up ``fold``: an iterative run that
+visits each distinct subterm once, in a post-order cached on the node as a
+program of steps that name their children by position, so no cached entry
+refers to the node itself.
 ``render``, ``source`` (the term as a Python expression over the operation
 tables), substitution and ``algebra.eval_term`` (a fold over the tuple
 tables) are folds; the numpy equation checker walks the distinct subterms of
@@ -211,22 +213,35 @@ def var_sorts(t: Term) -> tuple[tuple[str, str], ...]:
 
 
 def _walk(t: Term) -> None:
-    """Cache on t its distinct subterms in first-visit pre-order (``_subs``)
-    and in post-order (``_post``), from one iterative walk.  Both leave out t
-    itself, the first entry of the one and the last of the other: a node that
-    refers to itself is freed only by the cyclic collector.  Each post-order
-    entry pairs a subterm with the children whose last parent it is, so a
-    fold can drop their values once that parent is folded."""
-    pre, post = [], []
-    last = {}  # child -> its last parent in post-order
+    """Cache on t its distinct subterms in first-visit pre-order (``_subs``,
+    without t itself) and its fold program (``_post``), from one iterative
+    walk.  The program has one step ``(class, a, b, drops)`` per distinct
+    subterm in post-order, t last: ``a`` and ``b`` are the positions of the
+    children's steps, or a variable's name and sort, or a constant's
+    ``which``; ``drops`` are the positions of the children whose last parent
+    it is, so a fold can drop their values once that parent is folded.  No
+    cached entry refers to t: a node that refers to itself is freed only by
+    the cyclic collector."""
+    pre, steps = [], []
+    at = {}  # subterm -> position of its step
+    last = {}  # position of a child's step -> that of its last parent
     seen = set()
     stack = [(t, None)]
     while stack:
         u, kids = stack.pop()
         if kids is not None:
-            post.append(u)
+            i = at[u] = len(steps)
             for c in kids:
-                last[c] = u
+                last[at[c]] = i
+            if len(kids) == 2:
+                a, b = at[kids[0]], at[kids[1]]
+            elif kids:
+                a, b = at[kids[0]], None
+            elif type(u) is Var:
+                a, b = u.name, u.sort
+            else:
+                a, b = u.which, None
+            steps.append((type(u), a, b))
         elif u not in seen:
             seen.add(u)
             pre.append(u)
@@ -239,11 +254,11 @@ def _walk(t: Term) -> None:
             stack.append((u, kids))
             # right pushed first, so the left subterm is visited first
             stack += ((c, None) for c in reversed(kids))
-    drops = {}
-    for c, u in last.items():
-        drops.setdefault(u, []).append(c)
+    drops = [[] for _ in steps]
+    for c, i in last.items():
+        drops[i].append(c)
     object.__setattr__(t, "_subs", tuple(pre[1:]))
-    object.__setattr__(t, "_post", tuple((u, tuple(drops.get(u, ()))) for u in post[:-1]))
+    object.__setattr__(t, "_post", tuple(step + (tuple(d),) for step, d in zip(steps, drops)))
 
 
 def subterms(t: Term) -> tuple[Term, ...]:
@@ -254,10 +269,22 @@ def subterms(t: Term) -> tuple[Term, ...]:
 
 
 def postorder(t: Term) -> tuple[Term, ...]:
-    """All subterms of t, deduplicated, each after its children (t is last)."""
+    """All subterms of t, deduplicated, each after its children (t is last),
+    rebuilt from the fold program: the children are live, so each lookup
+    returns the interned node."""
     if t._post is None:
         _walk(t)
-    return tuple(u for u, _ in t._post) + (t,)
+    out = []
+    for cls, a, b, _ in t._post:
+        if cls is Var:
+            out.append(Var(a, b))
+        elif cls is Const:
+            out.append(Const(a))
+        elif b is None:
+            out.append(cls(out[a]))
+        else:
+            out.append(cls(out[a], out[b]))
+    return tuple(out)
 
 
 def fold(t: Term, var, top, bot, neg, opp, meet, join):
@@ -266,32 +293,33 @@ def fold(t: Term, var, top, bot, neg, opp, meet, join):
     A variable takes ``var(name)``, the constants take the values ``top`` and
     ``bot``, and an operation node applies ``neg``/``opp`` to its argument's
     value or ``meet``/``join`` to its children's values.  Each distinct
-    subterm is visited once; the walk is iterative, so any depth folds.  A
-    value is dropped once its last parent is folded, so live values stay
-    proportional to the frontier, not to the whole term.
+    subterm is visited once, running the program cached on t; the walk is
+    iterative, so any depth folds.  A value is dropped once its last parent
+    is folded, so live values stay proportional to the frontier, not to the
+    whole term.
     """
-    post = t._post
-    if post is None:
+    steps = t._post
+    if steps is None:
         _walk(t)
-        post = t._post
-    val = {}
-    for u, done in post + ((t, ()),):
-        cls = type(u)
+        steps = t._post
+    val = []
+    push = val.append
+    for cls, a, b, done in steps:
         if cls is Meet:
-            val[u] = meet(val[u.left], val[u.right])
+            push(meet(val[a], val[b]))
         elif cls is Join:
-            val[u] = join(val[u.left], val[u.right])
+            push(join(val[a], val[b]))
         elif cls is Neg:
-            val[u] = neg(val[u.arg])
+            push(neg(val[a]))
         elif cls is Opp:
-            val[u] = opp(val[u.arg])
+            push(opp(val[a]))
         elif cls is Var:
-            val[u] = var(u.name)
+            push(var(a))
         else:
-            val[u] = top if u.which == "top" else bot
+            push(top if a == "top" else bot)
         for c in done:
-            del val[c]
-    return val[t]
+            val[c] = None
+    return val[-1]
 
 
 def source(t: Term, var) -> str:

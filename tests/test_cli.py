@@ -2,7 +2,7 @@
 
 import pytest
 
-from dbakit.cli import main
+from dbakit.cli import MAX_MODEL_CONTEXTS, main
 from dbakit.fileformats import render_algebra, render_context
 from dbakit.fca import FormalContext
 from dbakit.fixtures import boolean2, cex_5ab, chain3, singleton
@@ -273,6 +273,25 @@ def test_refute_over_an_empty_context_range_is_exit_2(files, capsys, shape):
     code, out = run(capsys, "refute", "T => T & T", "--models", f"contexts:{shape}")
     assert code == 2
     assert out == f"error: --models contexts:<GxM> needs G, M >= 1: 'contexts:{shape}'\n"
+
+
+@pytest.mark.parametrize("shape, count", [("4x4", 74954), ("3x4", 5050), ("2x6", 5586)])
+def test_refute_over_too_many_contexts_is_exit_3(files, capsys, shape, count):
+    # the count is checked before any context algebra is built
+    code, out = run(capsys, "refute", "x => x", "--models", f"contexts:{shape}")
+    assert code == 3
+    assert out == (f"budget exceeded: --models contexts:{shape} gives {count} contexts, "
+                   f"more than the limit of {MAX_MODEL_CONTEXTS}\n")
+
+
+def test_refute_over_the_contexts_up_to_3x3(files, capsys):
+    code, out = run(capsys, "refute", "T => T & T", "--models", "contexts:3x3")
+    assert code == 0
+    assert out.endswith("---\ncountermodel: found\nmodel: context-1\nelements: 4\n"
+                        "assignment: (no variables)\n")
+    assert run(capsys, "refute", "x => x", "--models", "contexts:3x3") == (
+        0, "goal: x => x\nsemantics: hypersequent holds when some component holds, "
+           "for every assignment\n---\ncountermodel: none\n")
 
 
 def test_search_size1(files, capsys):

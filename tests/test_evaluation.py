@@ -5,7 +5,8 @@ the ``n**k`` switch, the batched numpy checker against the per-equation one
 it replaced, and the search's partial tables, where a term that reads a
 missing entry must give the marker of the first one it reads, and the
 search's compiled check of an equation the marker of the first side that
-reads one.
+reads one, or the forcing of a cell: one side an element, the other a lookup
+whose arguments are elements but whose cell is missing.
 """
 
 import random
@@ -187,6 +188,9 @@ def test_partial_tables_match_a_marker_propagating_reference(t, n, missing, seed
 @given(_terms, _terms, st.integers(1, 4), st.floats(0, 1), _seeds)
 @example(Var("x"), Neg(Var("x")), 1, 0.0, 0)  # N = 1: a verdict, never marker 1
 @example(TOP, BOT, 2, 0.5, 3)
+@example(Var("x"), TOP, 2, 1.0, 0)  # forces top
+@example(Meet(Var("x"), Var("y")), Neg(Var("x")), 2, 0.4, 0)  # forces meet, unless ~x is missing
+@example(Neg(Meet(Var("x"), Var("y"))), Var("y"), 2, 1.0, 0)  # no forcing through an unfilled argument
 def test_search_checker_matches_a_marker_propagating_reference(lhs, rhs, n, missing, seed):
     rng = random.Random(seed)
     partial, ref_tables = _random_partial(n, missing, rng)
@@ -194,9 +198,25 @@ def test_search_checker_matches_a_marker_propagating_reference(lhs, rhs, n, miss
     values = tuple(rng.randrange(n) for _ in names)
     env = dict(zip(names, values))
 
-    lv = reference_eval(lhs, *ref_tables, env, n)
-    rv = reference_eval(rhs, *ref_tables, env, n)
-    want = lv if lv >= n else rv if rv >= n else lv == rv
+    def value(t):
+        return reference_eval(t, *ref_tables, env, n)
+
+    def own_cell(t):
+        """Whether t's value is the marker of its outermost lookup's own
+        cell: t is a lookup whose arguments are elements."""
+        if isinstance(t, Var):
+            return False
+        args = () if isinstance(t, Const) else (
+            (t.arg,) if isinstance(t, (Neg, Opp)) else (t.left, t.right))
+        return all(value(a) < n for a in args)
+
+    lv, rv = value(lhs), value(rhs)
+    if lv >= n:
+        want = (lv, rv) if rv < n and own_cell(lhs) else lv
+    elif rv >= n:
+        want = (rv, lv) if own_cell(rhs) else rv
+    else:
+        want = lv == rv
     got = _checker(lhs, rhs, names)(partial.meet, partial.join, partial.neg, partial.opp,
                                     *partial.const, values, n)
     assert got == want and type(got) is type(want)

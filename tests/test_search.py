@@ -1,8 +1,10 @@
 """Model enumeration: determinism, pruning soundness, fixture properties.
 
-The watched-instance search is checked against ``enumerate_algebras_rescan``,
-a reference engine that pads the tables with one element ``n`` and, at every
-node, re-evaluates every instance not yet confirmed.
+The propagating watched-instance search is checked against
+``enumerate_algebras_rescan``, a reference engine that pads the tables with
+one element ``n`` and, at every node, re-evaluates every instance not yet
+confirmed.  It branches on every slot, so its count of depth-first calls
+bounds the search's node count from above.
 """
 
 import gc
@@ -157,6 +159,7 @@ def enumerate_algebras_rescan(spec: SearchSpec, visitor=None) -> SearchSummary:
         return True
 
     def dfs(depth):
+        summary.nodes += 1
         if out_of_budget:
             return
         if depth == len(slots):
@@ -354,12 +357,62 @@ def test_watched_search_matches_the_rescan(spec):
     want = enumerate_algebras_rescan(spec)
     assert _outcome(summary) == _outcome(want)
     assert seen == _outcome(want)[3]  # found is never capped below models here
+    # propagation only cuts dead subtrees earlier
+    assert summary.nodes <= want.nodes
+
+
+def test_node_counts_are_deterministic_and_propagation_fills_cells():
+    spec = SearchSpec(size=3, require="DBA23", fixed_top=2, fixed_bot=0)
+    first, again = enumerate_algebras(spec), enumerate_algebras(spec)
+    assert (first.nodes, first.forced) == (again.nodes, again.forced)
+    assert first.forced > 0
+    assert 0 < first.nodes < enumerate_algebras_rescan(spec).nodes
+    # with nothing required there is nothing to propagate: one node per slot
+    # value tried, as in the rescan
+    free = SearchSpec(size=1)
+    assert enumerate_algebras(free).forced == 0
+    assert enumerate_algebras(free).nodes == enumerate_algebras_rescan(free).nodes == 7
 
 
 # DBA23 between two equations without variables, constants on both sides:
 # each has one ground instance, blocked on the constants' slots
 _CONSTANT_SUITE = AxiomSuite(
     "DBA23+K", (eq("k1", "~F", "!T"),) + DBA23.equations + (eq("k2", "T & T", "T"),))
+
+
+# x = T forces top before the first choice, from its instance x = e0 (and
+# fails at x = e1); T = F forces bot as soon as top is chosen.  A pin
+# elsewhere is a conflict at the forcing.
+_FORCING_SUITE = AxiomSuite("force-top", (eq("ft", "x", "T"),))
+_FORCING_BOT_SUITE = AxiomSuite("force-bot", DBA23.equations + (eq("fb", "T", "F"),))
+
+
+_PINS = [{}, {"fixed_top": 0}, {"fixed_top": 1}, {"fixed_bot": 0}, {"fixed_bot": 1},
+         {"fixed_top": 1, "fixed_bot": 0}]
+
+
+@pytest.mark.parametrize("suite", [_FORCING_SUITE, _FORCING_BOT_SUITE], ids=["top", "bot"])
+@pytest.mark.parametrize("size, pin", [(size, pin) for size in (1, 2, 3) for pin in _PINS
+                                       if max(pin.values(), default=0) < size])
+def test_a_forced_constant_against_a_pin_matches_the_rescan(size, suite, pin):
+    spec = SearchSpec(size=size, require=suite, **pin)
+    summary = enumerate_algebras(spec)
+    want = enumerate_algebras_rescan(spec)
+    assert _outcome(summary) == _outcome(want)
+    assert summary.nodes <= want.nodes
+    if suite is _FORCING_SUITE:
+        # only e0 can be top, and only the universe of one element has no x = e1
+        assert summary.models == (size == 1)
+        assert (summary.nodes > 0) == (size == 1)
+        assert summary.forced == (pin.get("fixed_top", 0) == 0)
+    else:
+        assert all(alg.top == alg.bot for alg in summary.found)
+        split = pin.get("fixed_top", 0) != pin.get("fixed_bot", 0) and len(pin) == 2
+        assert (summary.models == 0) == split
+        if split:  # the bot forced at the first choice is a conflict with the pin
+            assert summary.nodes == 1
+        else:
+            assert summary.forced > 0
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
@@ -392,14 +445,22 @@ def test_each_equation_is_compiled_once_for_every_size():
     assert (info.misses, info.hits) == (len(DBA23), 2 * len(DBA23))
 
 
-@pytest.mark.slow
-def test_size4_dcore_models_equal_the_dba_models_on_a_pin():
+def test_complete_size4_dcore_models_equal_the_dba_models():
     # the paper's equivalence of DCORE13 and DBA23, on every size-4 candidate
-    # with top = e3 and bot = e0 (the costliest DCORE13 pin, about 5 s)
-    a = enumerate_algebras(SearchSpec(size=4, require="DBA23", fixed_top=3, fixed_bot=0))
-    b = enumerate_algebras(SearchSpec(size=4, require="DCORE13", fixed_top=3, fixed_bot=0))
+    summary = enumerate_algebras(SearchSpec(size=4, require="DCORE13"))
+    assert summary.complete
+    assert summary.models == summary.candidates == 352
+    assert _digest(summary) == SIZE4_DBA23_DIGEST
+
+
+@pytest.mark.slow
+def test_size5_dcore_models_equal_the_dba_models_on_a_pin():
+    # the same equivalence at size 5, on every candidate with top = e4 and
+    # bot = e0 (any pin with top != bot has as many models; about 5 s)
+    a = enumerate_algebras(SearchSpec(size=5, require="DBA23", fixed_top=4, fixed_bot=0))
+    b = enumerate_algebras(SearchSpec(size=5, require="DCORE13", fixed_top=4, fixed_bot=0))
     assert a.complete and b.complete
-    assert a.models == 29
+    assert a.models == 192
     assert [x.signature() for x in a.found] == [x.signature() for x in b.found]
 
 
@@ -462,11 +523,15 @@ def test_labelled_census(size, suite, models):
 SIZE4_DBA23_DIGEST = "bc4f2bc35428d45600c38dd8f20ad44b20c196a5e06ce8a4902a414b7e788352"
 
 
+def _digest(summary):
+    digest = hashlib.sha256()
+    for alg in summary.found:
+        digest.update(repr(alg.signature()).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def test_complete_size4_dba_census_matches_the_recorded_digest():
     summary = enumerate_algebras(SearchSpec(size=4, require="DBA23"))
     assert summary.complete
     assert summary.models == summary.candidates == 352
-    digest = hashlib.sha256()
-    for alg in summary.found:
-        digest.update(repr(alg.signature()).encode() + b"\n")
-    assert digest.hexdigest() == SIZE4_DBA23_DIGEST
+    assert _digest(summary) == SIZE4_DBA23_DIGEST

@@ -15,8 +15,8 @@ from hypothesis import given, strategies as st
 from dbakit import terms
 from dbakit.errors import ParseError
 from dbakit.terms import (
-    BOT, GENERIC, MAX_DEPTH, OBJECT, TOP, AxiomSuite, Equation, Join, Meet, Neg, Opp, Var,
-    fold, parse_term, render, source, subterms, variables, vee, wedge,
+    BOT, GENERIC, MAX_DEPTH, OBJECT, PROPERTY, TOP, AxiomSuite, Equation, Join, Meet, Neg,
+    Opp, Var, fold, parse_term, postorder, render, source, subterms, variables, vee, wedge,
 )
 
 
@@ -291,6 +291,17 @@ def _reference_walk(t):
     return out
 
 
+def _reference_postorder(t, seen):
+    """The nodes of t not in seen, each once, after its children, left first."""
+    if t in seen:
+        return []
+    seen.add(t)
+    out = []
+    for f in _CHILDREN.get(type(t), ()):
+        out += _reference_postorder(getattr(t, f), seen)
+    return out + [t]
+
+
 def _reference_depth(t):
     return max((1 + _reference_depth(getattr(t, f)) for f in _CHILDREN.get(type(t), ())),
                default=0)
@@ -300,19 +311,28 @@ def _reference_depth(t):
 def test_cached_walks_match_a_recursive_walk(t):
     nodes = _reference_walk(t)
     assert subterms(t) == tuple(dict.fromkeys(nodes))
+    assert postorder(t) == tuple(_reference_postorder(t, set()))
     assert variables(t) == tuple(sorted({u.name for u in nodes if isinstance(u, Var)}))
     assert t.depth == _reference_depth(t)
+
+
+def test_postorder_keeps_the_sorts_of_variables():
+    t = parse_term("~(x & Y) | x", sorted_vars=True)
+    assert postorder(t) == tuple(_reference_postorder(t, set()))
+    assert [u.sort for u in postorder(t) if isinstance(u, Var)] == [OBJECT, PROPERTY]
 
 
 def test_used_terms_are_freed_without_the_cyclic_collector():
     gc.collect()
     gc.disable()
     try:
-        t = Meet(Var("c"), Neg(Var("d")))
-        render(t)
-        subterms(t)
-        ref = weakref.ref(t)
-        del t
-        assert ref() is None
+        for build in (lambda: Meet(Var("c"), Neg(Var("d"))), lambda: Var("e")):
+            t = build()
+            render(t)
+            subterms(t)
+            postorder(t)
+            ref = weakref.ref(t)
+            del t
+            assert ref() is None
     finally:
         gc.enable()
