@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, QuasiOrder, _flagged_order, is_boolean_algebra
+from .algebra import (
+    FiniteAlgebra, QuasiOrder, _flagged_order, extract_boolean_part, is_boolean_algebra,
+    join_idempotents, meet_idempotents,
+)
 from .errors import ConstructionError
 
 
@@ -192,8 +195,6 @@ def canonical_pairs(alg: FiniteAlgebra):
     """The embedding-retraction pairs carried by a dBa itself: retract onto the
     meet/join idempotents by squaring, embed by inclusion.  Rebuilding from
     these pairs reproduces the original tables."""
-    from .algebra import extract_boolean_part, meet_idempotents, join_idempotents
-
     cap = sorted(meet_idempotents(alg))
     cup = sorted(join_idempotents(alg))
     p = BooleanView(extract_boolean_part(alg, "meet"))

@@ -135,36 +135,33 @@ _KINDS = ("concept", "semiconcept", "protoconcept", "oo_semiconcept", "oo_protoc
 
 def _generated_pairs(ctx: FormalContext, kind: str) -> list[tuple[int, int]]:
     """The (extent, intent) masks of every ``kind`` pair, ascending: group
-    generators by their generated closure instead of testing all pairs."""
+    generators by their generated closure instead of testing all pairs.
+    Each kind builds only the groupings it reads."""
+    if kind == "semiconcept":
+        out = [(a, derive(ctx, "extent", a)) for a in range(ctx.full_objects + 1)]
+        out += [(derive(ctx, "intent", b), b) for b in range(ctx.full_attributes + 1)]
+        return sorted(set(out))
+    if kind in ("oo_protoconcept", "oo_semiconcept"):
+        # object-oriented kinds via the complemented context
+        base = _generated_pairs(complement_context(ctx), kind.removeprefix("oo_"))
+        return sorted((ctx.full_objects & ~a, b) for a, b in base)
     by_extent_closure: dict[int, list[int]] = {}
     for a in range(ctx.full_objects + 1):
         app = derive(ctx, "intent", derive(ctx, "extent", a))
         by_extent_closure.setdefault(app, []).append(a)
-    by_intent_prime: dict[int, list[int]] = {}
-    for b in range(ctx.full_attributes + 1):
-        by_intent_prime.setdefault(derive(ctx, "intent", b), []).append(b)
     out = []
-    if kind == "protoconcept":
-        for v, a_list in by_extent_closure.items():
-            for a in a_list:
-                out.extend((a, b) for b in by_intent_prime.get(v, ()))
-    elif kind == "semiconcept":
-        seen = set()
-        for a in range(ctx.full_objects + 1):
-            seen.add((a, derive(ctx, "extent", a)))
-        for b in range(ctx.full_attributes + 1):
-            seen.add((derive(ctx, "intent", b), b))
-        out = list(seen)
-    elif kind == "concept":
+    if kind == "concept":
         for v in by_extent_closure:
             vp = derive(ctx, "extent", v)
             if derive(ctx, "intent", vp) == v:
                 out.append((v, vp))
     else:
-        # object-oriented kinds via the complemented context
-        comp = complement_context(ctx)
-        base = "protoconcept" if kind == "oo_protoconcept" else "semiconcept"
-        out = [(ctx.full_objects & ~a, b) for a, b in _generated_pairs(comp, base)]
+        by_intent_prime: dict[int, list[int]] = {}
+        for b in range(ctx.full_attributes + 1):
+            by_intent_prime.setdefault(derive(ctx, "intent", b), []).append(b)
+        for v, a_list in by_extent_closure.items():
+            for a in a_list:
+                out.extend((a, b) for b in by_intent_prime.get(v, ()))
     return sorted(set(out))
 
 
@@ -196,7 +193,7 @@ def _pair_algebra(ctx: FormalContext, kind: str, prefix: str, meet_extents,
     ``meet_extents`` and join intersects intents, the negations complement
     one side; ``extent_pair(a)``/``intent_pair(b)`` complete a side to a pair,
     and top/bot are pairs.  Elements are named with ``prefix``."""
-    members = [(p.extent, p.intent) for p in enumerate_pairs(ctx, kind)]
+    members = _generated_pairs(ctx, kind)
     index = {ab: i for i, ab in enumerate(members)}
 
     def loc(pair):

@@ -4,10 +4,10 @@ For a finite dBa this module enumerates the primary filters F and primary
 ideals I, forms the standard context (filters x ideals, related when they
 intersect), attaches to every element x the masks F_x (filters containing x)
 and I_x (ideals containing x), rebuilds an image algebra on the distinct
-pairs (F_x, I_x) through the embedding-retraction construction, and exposes
-checkable forms of the structural claims: the derivation identities, the
-quasi-embedding x -> (F_x, I_x), the clopen-set description of the finite
-topologies, and the clopen protoconcept/semiconcept characterizations.
+pairs (F_x, I_x) from the algebra's own embedding-retraction map pairs, and
+exposes checkable forms of the structural claims: the derivation identities,
+the quasi-embedding x -> (F_x, I_x), the clopen-set description of the
+finite topologies, and the clopen protoconcept/semiconcept characterizations.
 
 Set families here are concrete bitmask collections; "closed" means generated
 from the subbase {F_x} by finite unions and intersections, and "clopen"
@@ -31,7 +31,7 @@ from .algebra import (
     passes, quasi_order,
 )
 from .constructions import (
-    BooleanView, RetractionPair, build_from_boolean_pair, check_theorem_conditions,
+    RetractionPair, build_from_boolean_pair, canonical_pairs, check_theorem_conditions,
 )
 from .errors import AlgebraError, BudgetError
 from .fca import FormalContext, _generated_pairs, complement_context, derive, modal
@@ -194,12 +194,12 @@ class RepresentationResult:
     pairs: tuple[tuple[int, int], ...]   # distinct (F_x, I_x), ascending
     h: tuple[int, ...]                   # element -> pair index
     image: FiniteAlgebra                 # algebra rebuilt on the pairs
-    meet_part: FiniteAlgebra             # Boolean algebra on the meet-side pairs
-    join_part: FiniteAlgebra
-    r_map: tuple[int, ...]
-    e_map: tuple[int, ...]
-    rp_map: tuple[int, ...]
-    ep_map: tuple[int, ...]
+    meet_part: FiniteAlgebra             # the input's D_meet (extract_boolean_part)
+    join_part: FiniteAlgebra             # the input's D_join
+    r_map: tuple[int, ...]               # pair index -> meet_part element
+    e_map: tuple[int, ...]               # meet_part element -> pair index
+    rp_map: tuple[int, ...]              # pair index -> join_part element
+    ep_map: tuple[int, ...]              # join_part element -> pair index
     homomorphism: bool = False
     order_preserving_reflecting: bool = False
     injective: bool = False
@@ -217,10 +217,23 @@ class RepresentationResult:
         return self.quasi_embedding and self.injective and self.surjective
 
 
+def _moved(pair: RetractionPair, h, size: int) -> RetractionPair:
+    """``pair`` moved onto the image along the onto map h: r at a pair is r of
+    any element mapped to it, and e is h after e."""
+    r = {}
+    for x, k in enumerate(h):
+        if r.setdefault(k, pair.r[x]) != pair.r[x]:
+            raise AlgebraError("representation retraction is not well defined")
+    return RetractionPair(size, pair.target, [r[k] for k in range(size)],
+                          [h[x] for x in pair.e])
+
+
 def representation(alg: FiniteAlgebra,
                    max_size: int = MAX_REPRESENTATION_SIZE) -> RepresentationResult:
     """Build the pair map x -> (F_x, I_x) and the image algebra, and record
-    the homomorphism/order/injectivity verdicts."""
+    the homomorphism/order/injectivity verdicts.  The image is rebuilt from
+    the input's own map pairs (``canonical_pairs``) moved onto the pairs
+    through h."""
     std = standard_context(alg, "delta", max_size)
     n = alg.n
     f_masks = tuple(
@@ -234,60 +247,7 @@ def representation(alg: FiniteAlgebra,
     pair_index = {p: k for k, p in enumerate(pairs)}
     h = tuple(pair_index[pair_of(x)] for x in range(n))
 
-    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
-    mm = lambda x: m[x][x]
-    jj = lambda x: j[x][x]
-
-    def build_part(idems, square, combine_meet, combine_join, comp_op):
-        """Boolean algebra on {(F_u, I_u) : u idempotent}, via representatives."""
-        part_pairs = tuple(sorted(set(pair_of(u) for u in idems)))
-        idx = {p: k for k, p in enumerate(part_pairs)}
-        rep = {}
-        for u in sorted(idems):
-            rep.setdefault(pair_of(u), u)
-        reps = [rep[p] for p in part_pairs]
-
-        def table(fn):
-            t = [[idx[pair_of(fn(u, v))] for v in reps] for u in reps]
-            for a, u in enumerate(reps):  # well-definedness across representatives
-                for u2 in idems:
-                    if pair_of(u2) != part_pairs[a]:
-                        continue
-                    for b, v in enumerate(reps):
-                        if idx[pair_of(fn(u2, v))] != t[a][b]:
-                            raise AlgebraError("representation pairs are not operation-compatible")
-            return t
-
-        mt = table(combine_meet)
-        jt = table(combine_join)
-        ct = [idx[pair_of(comp_op(u))] for u in reps]
-        top = idx[pair_of(square(alg.top))]
-        bot = idx[pair_of(square(alg.bot))]
-        names = [f"d{f:x}_{i:x}" for f, i in part_pairs]
-        return FiniteAlgebra(names, mt, jt, ct, ct, top, bot), part_pairs, idx
-
-    vee_ = lambda u, v: g[m[g[u]][g[v]]]
-    wedge_ = lambda u, v: o[j[o[u]][o[v]]]
-    cap_alg, cap_pairs, cap_idx = build_part(
-        sorted(meet_idempotents(alg)), mm,
-        combine_meet=lambda u, v: m[u][v], combine_join=vee_, comp_op=lambda u: g[u])
-    cup_alg, cup_pairs, cup_idx = build_part(
-        sorted(join_idempotents(alg)), jj,
-        combine_meet=wedge_, combine_join=lambda u, v: j[u][v], comp_op=lambda u: o[u])
-
-    # retraction pairs: square into each part, include back
-    r_map, rp_map = [None] * len(pairs), [None] * len(pairs)
-    for x in range(n):
-        for target, value in ((r_map, cap_idx[pair_of(mm(x))]),
-                              (rp_map, cup_idx[pair_of(jj(x))])):
-            if target[h[x]] is not None and target[h[x]] != value:
-                raise AlgebraError("representation retraction is not well defined")
-            target[h[x]] = value
-    e_map = [pair_index[p] for p in cap_pairs]
-    ep_map = [pair_index[p] for p in cup_pairs]
-
-    p_pair = RetractionPair(len(pairs), BooleanView(cap_alg), r_map, e_map)
-    q_pair = RetractionPair(len(pairs), BooleanView(cup_alg), rp_map, ep_map)
+    p_pair, q_pair = (_moved(pair, h, len(pairs)) for pair in canonical_pairs(alg))
     cond = check_theorem_conditions(len(pairs), p_pair, q_pair, "new")
     image = build_from_boolean_pair(
         len(pairs), p_pair, q_pair,
@@ -295,14 +255,14 @@ def representation(alg: FiniteAlgebra,
 
     res = RepresentationResult(
         algebra=alg, std=std, f_masks=f_masks, i_masks=i_masks, pairs=pairs,
-        h=h, image=image, meet_part=cap_alg, join_part=cup_alg,
-        r_map=tuple(r_map), e_map=tuple(e_map),
-        rp_map=tuple(rp_map), ep_map=tuple(ep_map),
+        h=h, image=image, meet_part=p_pair.target.alg, join_part=q_pair.target.alg,
+        r_map=p_pair.r, e_map=p_pair.e, rp_map=q_pair.r, ep_map=q_pair.e,
     )
     res.conditions_ok = cond.ok
     res.image_is_dba = passes(image, "DBA23")
-    res.parts_boolean = passes(cap_alg, "BOOLEAN") and passes(cup_alg, "BOOLEAN")
+    res.parts_boolean = passes(res.meet_part, "BOOLEAN") and passes(res.join_part, "BOOLEAN")
 
+    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
     im, ij, ig, io = image._rows_m, image._rows_j, image._lneg, image._lopp
     res.homomorphism = (
         all(h[m[x][y]] == im[h[x]][h[y]] and h[j[x][y]] == ij[h[x]][h[y]]

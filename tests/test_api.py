@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import dbakit
@@ -46,6 +47,17 @@ def test_traced_functions_resolve():
     for module, fn, _ in tracer.TARGETS:
         assert callable(getattr(importlib.import_module(f"dbakit.{module}"), fn, None)), \
             (module, fn)
+
+
+def test_readme_library_example_runs():
+    # the README's one python block exercises the documented API, so the
+    # example cannot rot without a failing test
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["rep"].isomorphism
 
 
 def _generated_code_sites(tree, scope):

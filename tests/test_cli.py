@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, deterministic output, examples."""
 
+import random
+
 import pytest
 
-from dbakit.cli import MAX_MODEL_CONTEXTS, main
+from dbakit import cli
+from dbakit.cli import MAX_EMIT_PAIRS, MAX_MODEL_CONTEXTS, main
 from dbakit.fileformats import render_algebra, render_context
 from dbakit.fca import FormalContext
 from dbakit.fixtures import boolean2, cex_5ab, chain3, singleton
@@ -105,6 +108,30 @@ def test_protoconcepts_counts_nest(files, capsys):
     n_semi = int(out_semi.split("count: ")[1].split()[0])
     n_proto = int(out_proto.split("count: ")[1].split()[0])
     assert n_semi <= n_proto
+
+
+@pytest.mark.parametrize("kind, count", [("proto", 8217), ("oo-semi", 8080)])
+def test_protoconcepts_emission_past_the_limit_is_exit_3(files, capsys, monkeypatch,
+                                                         kind, count):
+    # the pair count is checked before any table is built or file written
+    rng = random.Random(3)
+    ctx = FormalContext([f"g{i}" for i in range(12)], [f"m{i}" for i in range(12)],
+                        [[rng.random() < 0.5 for _ in range(12)] for _ in range(12)])
+    path = files["dir"] / "big.cxt"
+    path.write_text(render_context(ctx))
+    out_dba = files["dir"] / "big.dba"
+
+    def never(*args):
+        raise AssertionError("the algebra was built")
+
+    monkeypatch.setattr(cli, "protoconcept_algebra", never)
+    monkeypatch.setattr(cli, "oo_protoconcept_algebra", never)
+    code, out = run(capsys, "protoconcepts", str(path), "--kind", kind,
+                    "--emit-algebra", str(out_dba))
+    assert code == 3
+    assert out == (f"budget exceeded: --emit-algebra on {count} pairs, "
+                   f"more than the limit of {MAX_EMIT_PAIRS}\n")
+    assert not out_dba.exists()
 
 
 def test_construct_glued_sum(files, capsys):

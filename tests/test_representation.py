@@ -8,8 +8,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from dbakit.algebra import FiniteAlgebra, classify, passes, quasi_order
-from dbakit.constructions import generalized_glued_sum, glued_sum, powerset_boolean
+from dbakit.algebra import (
+    FiniteAlgebra, classify, join_idempotents, meet_idempotents, passes, quasi_order,
+)
+from dbakit.constructions import (
+    BooleanView, RetractionPair, build_from_boolean_pair, canonical_pairs,
+    check_theorem_conditions, generalized_glued_sum, glued_sum, powerset_boolean,
+)
 from dbakit.errors import AlgebraError, BudgetError
 from dbakit.fca import (
     FormalContext, all_contexts, complement_context, derive, modal, protoconcept_algebra,
@@ -18,7 +23,8 @@ from dbakit.fixtures import (
     boolean2, builtin_fixtures, cex_5ab, chain3, noncontextual4, singleton,
 )
 from dbakit.representation import (
-    MAX_REPRESENTATION_SIZE, ClopenCharacterization, _make_filterset, _mask_of,
+    MAX_REPRESENTATION_SIZE, ClopenCharacterization, RepresentationResult,
+    _make_filterset, _mask_of,
     clopen_family, closed_set_family, enumerate_primary, enumerate_primary_naive,
     is_filter, is_ideal, is_primary, representation, standard_context,
     verify_clopen_characterization, verify_clopen_sets,
@@ -588,3 +594,234 @@ def test_boolean2_representation_shape():
     assert len(rep.std.filters) == 1 and len(rep.std.ideals) == 1
     assert len(rep.pairs) == 2
     assert rep.isomorphism
+
+
+# --- the image rebuilt from the algebra's own map pairs ------------------------------
+
+def representation_by_representatives(alg: FiniteAlgebra,
+                                      max_size: int = MAX_REPRESENTATION_SIZE):
+    """Reference: the route ``representation`` ran before it moved the
+    algebra's own map pairs onto the image.  Each Boolean part is rebuilt on
+    the distinct pairs of the idempotents, from one representative per pair,
+    with its own compatibility check and hand-written retraction maps."""
+    std = standard_context(alg, "delta", max_size)
+    n = alg.n
+    f_masks = tuple(
+        sum(1 << k for k, f in enumerate(std.filters) if x in f.members)
+        for x in range(n))
+    i_masks = tuple(
+        sum(1 << k for k, i in enumerate(std.ideals) if x in i.members)
+        for x in range(n))
+    pair_of = lambda x: (f_masks[x], i_masks[x])
+    pairs = tuple(sorted(set(pair_of(x) for x in range(n))))
+    pair_index = {p: k for k, p in enumerate(pairs)}
+    h = tuple(pair_index[pair_of(x)] for x in range(n))
+
+    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
+    mm = lambda x: m[x][x]
+    jj = lambda x: j[x][x]
+
+    def build_part(idems, square, combine_meet, combine_join, comp_op):
+        """Boolean algebra on {(F_u, I_u) : u idempotent}, via representatives."""
+        part_pairs = tuple(sorted(set(pair_of(u) for u in idems)))
+        idx = {p: k for k, p in enumerate(part_pairs)}
+        rep = {}
+        for u in sorted(idems):
+            rep.setdefault(pair_of(u), u)
+        reps = [rep[p] for p in part_pairs]
+
+        def table(fn):
+            t = [[idx[pair_of(fn(u, v))] for v in reps] for u in reps]
+            for a, u in enumerate(reps):  # well-definedness across representatives
+                for u2 in idems:
+                    if pair_of(u2) != part_pairs[a]:
+                        continue
+                    for b, v in enumerate(reps):
+                        if idx[pair_of(fn(u2, v))] != t[a][b]:
+                            raise AlgebraError("representation pairs are not operation-compatible")
+            return t
+
+        mt = table(combine_meet)
+        jt = table(combine_join)
+        ct = [idx[pair_of(comp_op(u))] for u in reps]
+        top = idx[pair_of(square(alg.top))]
+        bot = idx[pair_of(square(alg.bot))]
+        names = [f"d{f:x}_{i:x}" for f, i in part_pairs]
+        return FiniteAlgebra(names, mt, jt, ct, ct, top, bot), part_pairs, idx
+
+    vee_ = lambda u, v: g[m[g[u]][g[v]]]
+    wedge_ = lambda u, v: o[j[o[u]][o[v]]]
+    cap_alg, cap_pairs, cap_idx = build_part(
+        sorted(meet_idempotents(alg)), mm,
+        combine_meet=lambda u, v: m[u][v], combine_join=vee_, comp_op=lambda u: g[u])
+    cup_alg, cup_pairs, cup_idx = build_part(
+        sorted(join_idempotents(alg)), jj,
+        combine_meet=wedge_, combine_join=lambda u, v: j[u][v], comp_op=lambda u: o[u])
+
+    # retraction pairs: square into each part, include back
+    r_map, rp_map = [None] * len(pairs), [None] * len(pairs)
+    for x in range(n):
+        for target, value in ((r_map, cap_idx[pair_of(mm(x))]),
+                              (rp_map, cup_idx[pair_of(jj(x))])):
+            if target[h[x]] is not None and target[h[x]] != value:
+                raise AlgebraError("representation retraction is not well defined")
+            target[h[x]] = value
+    e_map = [pair_index[p] for p in cap_pairs]
+    ep_map = [pair_index[p] for p in cup_pairs]
+
+    p_pair = RetractionPair(len(pairs), BooleanView(cap_alg), r_map, e_map)
+    q_pair = RetractionPair(len(pairs), BooleanView(cup_alg), rp_map, ep_map)
+    cond = check_theorem_conditions(len(pairs), p_pair, q_pair, "new")
+    image = build_from_boolean_pair(
+        len(pairs), p_pair, q_pair,
+        names=[f"d{f:x}_{i:x}" for f, i in pairs])
+
+    res = RepresentationResult(
+        algebra=alg, std=std, f_masks=f_masks, i_masks=i_masks, pairs=pairs,
+        h=h, image=image, meet_part=cap_alg, join_part=cup_alg,
+        r_map=tuple(r_map), e_map=tuple(e_map),
+        rp_map=tuple(rp_map), ep_map=tuple(ep_map),
+    )
+    res.conditions_ok = cond.ok
+    res.image_is_dba = passes(image, "DBA23")
+    res.parts_boolean = passes(cap_alg, "BOOLEAN") and passes(cup_alg, "BOOLEAN")
+
+    im, ij, ig, io = image._rows_m, image._rows_j, image._lneg, image._lopp
+    res.homomorphism = (
+        all(h[m[x][y]] == im[h[x]][h[y]] and h[j[x][y]] == ij[h[x]][h[y]]
+            for x in range(n) for y in range(n))
+        and all(h[g[x]] == ig[h[x]] and h[o[x]] == io[h[x]] for x in range(n))
+        and h[alg.top] == image.top and h[alg.bot] == image.bot
+    )
+    rel_a = quasi_order(alg).rel
+    rel_i = quasi_order(image).rel
+    res.order_preserving_reflecting = all(
+        bool(rel_a[x, y]) == bool(rel_i[h[x], h[y]])
+        for x in range(n) for y in range(n))
+    res.injective = len(set(h)) == n
+    res.surjective = set(h) == set(range(len(pairs)))
+    return res
+
+
+RECORDED = ("homomorphism", "order_preserving_reflecting", "injective", "surjective",
+            "conditions_ok", "image_is_dba", "parts_boolean")
+
+
+def _maps_part_onto(part, e_map, r_map, ref_part, ref_e_map, ref_r_map):
+    """The relabelling ref_e^-1 . e is an isomorphism from part onto
+    ref_part, and carries r onto the reference's r."""
+    phi = [ref_e_map.index(k) for k in e_map]
+    assert sorted(phi) == list(range(ref_part.n))
+    rng = range(part.n)
+    assert all(phi[part._rows_m[x][y]] == ref_part._rows_m[phi[x]][phi[y]]
+               and phi[part._rows_j[x][y]] == ref_part._rows_j[phi[x]][phi[y]]
+               for x in rng for y in rng)
+    assert all(phi[part._lneg[x]] == ref_part._lneg[phi[x]] for x in rng)
+    assert (phi[part.top], phi[part.bot]) == (ref_part.top, ref_part.bot)
+    assert [phi[v] for v in r_map] == list(ref_r_map)
+    return phi != list(rng)
+
+
+def test_representation_matches_the_representative_route(context_reps):
+    # same pairs, map, image and verdicts; each part is the input's own
+    # Boolean part, the reference's up to the relabelling through e
+    models = [alg for size in (1, 2, 3, 4)
+              for alg in enumerate_algebras(SearchSpec(size=size, require="DBA23")).found]
+    assert len(models) == 406
+    reps = context_reps + [representation(alg) for _, alg in dba_fixtures()]
+    reps += [representation(alg) for alg in models]
+    relabelled = non_injective = 0
+    for rep in reps:
+        ref = representation_by_representatives(rep.algebra)
+        assert (rep.pairs, rep.h) == (ref.pairs, ref.h)
+        assert rep.image.signature() == ref.image.signature()
+        assert rep.image.names == ref.image.names
+        assert [getattr(rep, v) for v in RECORDED] == [getattr(ref, v) for v in RECORDED]
+        for part, idempotents in ((rep.meet_part, meet_idempotents),
+                                  (rep.join_part, join_idempotents)):
+            names = rep.algebra.names
+            assert part.names == tuple(names[x] for x in sorted(idempotents(rep.algebra)))
+        relabelled += _maps_part_onto(rep.meet_part, rep.e_map, rep.r_map,
+                                      ref.meet_part, ref.e_map, ref.r_map)
+        relabelled += _maps_part_onto(rep.join_part, rep.ep_map, rep.rp_map,
+                                      ref.join_part, ref.ep_map, ref.rp_map)
+        non_injective += not rep.injective
+    assert relabelled and non_injective
+    assert any(rep.algebra.signature() == noncontextual4().signature() for rep in reps)
+
+
+# --- every recorded verdict fails on a broken construction ---------------------------
+
+IMAGE_VERDICTS = ("homomorphism", "order_preserving_reflecting", "isomorphism",
+                  "conditions_ok", "image_is_dba")
+
+
+def _one_r_changed(alg):
+    """The algebra's map pairs with one r entry changed, off the image of e so
+    that r.e = id still holds: every side, element and value."""
+    pairs = canonical_pairs(alg)
+    for side, pair in enumerate(pairs):
+        for x in sorted(set(range(alg.n)) - set(pair.e)):
+            for v in range(pair.target.n):
+                if v != pair.r[x]:
+                    r = pair.r[:x] + (v,) + pair.r[x + 1:]
+                    broken = list(pairs)
+                    broken[side] = RetractionPair(alg.n, pair.target, r, pair.e)
+                    yield tuple(broken)
+
+
+def _one_meet_entry_changed(image):
+    """image with one meet table entry replaced by the next element."""
+    n = image.n
+    for x in range(n):
+        for y in range(n):
+            meet = [list(row) for row in image._rows_m]
+            meet[x][y] = (meet[x][y] + 1) % n
+            yield FiniteAlgebra(image.names, meet, image._rows_j, image._lneg,
+                                image._lopp, image.top, image.bot)
+
+
+def test_every_recorded_verdict_fails_on_a_broken_construction(monkeypatch):
+    # the README's context: its 8 protoconcepts form a fully contextual dBa,
+    # so every verdict holds until one entry inside the construction breaks
+    ctx = FormalContext(["g1", "g2"], ["m1", "m2"], [[True, False], [True, True]])
+    alg = protoconcept_algebra(ctx).algebra
+    rep = representation(alg)
+    assert all(getattr(rep, v) for v in IMAGE_VERDICTS)
+    module = importlib.import_module("dbakit.representation")
+    flipped = {route: dict.fromkeys(IMAGE_VERDICTS, 0) for route in ("r", "meet")}
+    broken = {route: 0 for route in flipped}
+
+    def record(route):
+        bad = representation(alg)
+        broken[route] += 1
+        for v in IMAGE_VERDICTS:
+            flipped[route][v] += not getattr(bad, v)
+
+    for pairs in _one_r_changed(alg):
+        monkeypatch.setattr(module, "canonical_pairs", lambda _alg, pairs=pairs: pairs)
+        record("r")
+    monkeypatch.undo()
+    for image in _one_meet_entry_changed(rep.image):
+        monkeypatch.setattr(module, "build_from_boolean_pair",
+                            lambda *args, image=image, **kwargs: image)
+        record("meet")
+    assert broken == {"r": 24, "meet": 64}
+    assert all(flipped["r"].values()), flipped
+    # the conditions read the map pairs only, never the built image
+    assert flipped["meet"]["conditions_ok"] == 0
+    assert all(flipped["meet"][v] for v in IMAGE_VERDICTS if v != "conditions_ok"), flipped
+
+
+def test_retraction_must_be_constant_on_a_fibre(monkeypatch):
+    # mid and mid2 share one pair; an r that tells them apart has no image
+    alg = noncontextual4()
+    p_pair, q_pair = canonical_pairs(alg)
+    mid2 = alg.index("mid2")
+    r = list(p_pair.r)
+    r[mid2] = next(v for v in range(p_pair.target.n) if v != r[mid2])
+    broken = RetractionPair(alg.n, p_pair.target, r, p_pair.e)
+    monkeypatch.setattr(importlib.import_module("dbakit.representation"), "canonical_pairs",
+                        lambda _alg: (broken, q_pair))
+    with pytest.raises(AlgebraError, match="retraction is not well defined"):
+        representation(alg)
