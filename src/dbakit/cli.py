@@ -27,12 +27,11 @@ from .logic import (
     parse_sequent, render_script, search_proof,
 )
 from .representation import (
-    representation, verify_clopen_characterization, verify_clopen_sets,
+    MAX_REPRESENTATION_SIZE, representation, verify_clopen_characterization, verify_clopen_sets,
     verify_derivation_identities, verify_pair_embedding, verify_translated_continuity,
 )
 from .search import SearchSpec, enumerate_algebras
 
-DEFAULT_REPRESENT_SIZE = 20
 DEFAULT_SEARCH_SIZE = 3
 DEFAULT_PROOF_DEPTH = 8
 # ``--models contexts:GxM`` builds every context algebra up to GxM at once;
@@ -402,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("represent", help="primary filters/ideals and the pair map")
     p.add_argument("path")
     p.add_argument("--verify", default="all", choices=["all", "lemma", "embedding", "clopen"])
-    p.add_argument("--max-size", type=_int_at_least(1), default=DEFAULT_REPRESENT_SIZE)
+    p.add_argument("--max-size", type=_int_at_least(1), default=MAX_REPRESENTATION_SIZE)
     p.add_argument("--emit-context", metavar="OUT",
                    help="write the standard context as .cxt")
     p.set_defaults(fn=cmd_represent)

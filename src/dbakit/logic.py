@@ -261,27 +261,6 @@ def _structural_premises(h: Hypersequent):
         yield "ee", Hypersequent(h.components[:k] + (h[k + 1], h[k]) + h.components[k + 2:])
 
 
-def _check_unary(rule, prem: Hypersequent, concl: Hypersequent) -> bool:
-    return any(prem == _splice(concl, k, Sequent(a, b))
-               for k in range(len(concl))
-               for r, a, b in _unary_premises(concl[k].ant, concl[k].suc) if r == rule)
-
-
-def _check_cut(p1: Hypersequent, p2: Hypersequent, concl: Hypersequent) -> bool:
-    for k1 in range(len(p1)):
-        s1 = p1[k1]
-        for k2 in range(len(p2)):
-            s2 = p2[k2]
-            if s1.suc != s2.ant:
-                continue
-            expected = (p1.components[:k1] + p2.components[:k2]
-                        + (Sequent(s1.ant, s2.suc),)
-                        + p1.components[k1 + 1:] + p2.components[k2 + 1:])
-            if expected == concl.components:
-                return True
-    return False
-
-
 def _sq_premises(phi: Term, psi: Term) -> tuple[Sequent, ...]:
     return (
         Sequent(Meet(phi, psi), Meet(phi, phi)),
@@ -291,27 +270,32 @@ def _sq_premises(phi: Term, psi: Term) -> tuple[Sequent, ...]:
     )
 
 
-def _check_sq(prems: list[Hypersequent], concl: Hypersequent) -> bool:
-    if len(prems) != 4:
+def _derives(prems, concl: Hypersequent, local) -> bool:
+    """Whether concl is every premise's prefix, then one component c, then
+    every premise's suffix, for some choice of one active component per
+    premise with ``local(actives, c)``: the hypersequent context rule shared
+    by every rule but sp, ec, ee and ew.  With no premise, concl is c alone."""
+    if len(concl) != 1 + sum(len(p) - 1 for p in prems):
         return False
-    for a in range(len(concl)):
-        phi, psi = concl[a].ant, concl[a].suc
-        expected = _sq_premises(phi, psi)
-        positions = []
-        for i in range(4):
-            positions.append([k for k in range(len(prems[i]))
-                              if prems[i][k] == expected[i]])
-        for k1 in positions[0]:
-            for k2 in positions[1]:
-                for k3 in positions[2]:
-                    for k4 in positions[3]:
-                        pre = (prems[0].components[:k1] + prems[1].components[:k2]
-                               + prems[2].components[:k3] + prems[3].components[:k4])
-                        post = (prems[0].components[k1 + 1:] + prems[1].components[k2 + 1:]
-                                + prems[2].components[k3 + 1:] + prems[3].components[k4 + 1:])
-                        if pre + (concl[a],) + post == concl.components:
-                            return True
+    for ks in product(*(range(len(p)) for p in prems)):
+        c = concl[sum(ks)]
+        if (local(tuple(p[k] for p, k in zip(prems, ks)), c)
+                and concl.components == sum((p.components[:k] for p, k in zip(prems, ks)), ())
+                + (c,) + sum((p.components[k + 1:] for p, k in zip(prems, ks)), ())):
+            return True
     return False
+
+
+# Rule -> (number of premises, condition on the active premise components and
+# the active conclusion component c); the context around them is _derives's.
+_CONTEXT_RULES = {
+    "id-axiom": (0, lambda ps, c: c.ant == c.suc),
+    "cut": (2, lambda ps, c: ps[0].suc == ps[1].ant and c == Sequent(ps[0].ant, ps[1].suc)),
+    "sq": (4, lambda ps, c: ps == _sq_premises(c.ant, c.suc)),
+    **{rule: (1, lambda ps, c, rule=rule:
+              (rule, ps[0].ant, ps[0].suc) in _unary_premises(c.ant, c.suc))
+       for rules in _UNARY_RULES.values() for rule, *_ in rules},
+}
 
 
 def _check_sp(concl: Hypersequent) -> bool:
@@ -330,7 +314,6 @@ def check_proof(script: ProofScript) -> CheckReport:
     by_index: dict[int, Hypersequent] = {}
     for line in script.lines:
         idx = line.index
-        bad = CheckReport(False, idx, None)
         if idx in by_index:
             return CheckReport(False, idx, "duplicate line index")
         if any(p >= idx for p in line.premises):
@@ -346,9 +329,9 @@ def check_proof(script: ProofScript) -> CheckReport:
                 return CheckReport(False, idx, f"rule {line.rule} is not part of system L")
         ok = False
         reason = f"rule {line.rule} does not derive the line from its premises"
-        if line.rule == "id-axiom":
-            ok = len(prems) == 0 and len(line.hyp) == 1 \
-                and line.hyp[0].ant == line.hyp[0].suc
+        if line.rule in _CONTEXT_RULES:
+            arity, local = _CONTEXT_RULES[line.rule]
+            ok = len(prems) == arity and _derives(prems, line.hyp, local)
         elif line.rule == "axiom":
             if line.schema is None:
                 reason = "axiom rule needs a schema id"
@@ -359,14 +342,8 @@ def check_proof(script: ProofScript) -> CheckReport:
                 if schema.hl_only and script.system != "HL":
                     reason = f"schema {line.schema} is only available in HL"
                 else:
-                    ok = (len(prems) == 0 and len(line.hyp) == 1
-                          and schema_matches(schema, line.hyp[0]))
-        elif line.rule == "cut":
-            ok = len(prems) == 2 and _check_cut(prems[0], prems[1], line.hyp)
-        elif line.rule in ("meetR", "meetL", "joinR", "joinL", "neg", "opp"):
-            ok = len(prems) == 1 and _check_unary(line.rule, prems[0], line.hyp)
-        elif line.rule == "sq":
-            ok = _check_sq(prems, line.hyp)
+                    ok = not prems and _derives(
+                        prems, line.hyp, lambda ps, c: schema_matches(schema, c))
         elif line.rule == "sp":
             ok = len(prems) == 0 and _check_sp(line.hyp)
         elif line.rule == "ec":

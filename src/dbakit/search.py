@@ -44,9 +44,14 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .algebra import FiniteAlgebra, satisfies_equation
-from .errors import EvalError, SuiteError
+from .errors import BudgetError, EvalError, SuiteError
 from .suites import get_suite
 from .terms import MAX_DEPTH, Const, Join, Meet, Neg, Opp, Var, source
+
+# The depth-first step recurses once per slot, and size n has 2 + 2n + 2n**2
+# slots.  Size 16 (546 slots) leaves about 400 of CPython's default 1,000
+# frames to the caller; size 22 (1,014 slots) overflows even from the CLI.
+MAX_SEARCH_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -207,11 +212,14 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
 
     The visitor (if any) is called with each model in order; models are also
     collected into the summary (capped by max_models).  When a budget runs
-    out the summary is flagged incomplete.
+    out the summary is flagged incomplete.  A size over ``MAX_SEARCH_SIZE``
+    is a BudgetError.
     """
     n = spec.size
     if n < 1:
         raise SuiteError("universe size must be >= 1")
+    if n > MAX_SEARCH_SIZE:
+        raise BudgetError(f"universe size {n} is over the search limit of {MAX_SEARCH_SIZE}")
     top_pin, bot_pin = _checked_pins(spec, n)
     require = get_suite(spec.require).equations if spec.require else ()
     must_fail = set(spec.must_fail)

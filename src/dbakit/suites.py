@@ -12,38 +12,38 @@ Suites:
 
 ``CATALOG`` lists identities that are consequences of DCORE13; every algebra
 passing DCORE13 must satisfy all of them.
+
+DBA23, DCORE13 and the catalog write the first member of each dual pair and
+derive the second with ``terms.dual``.  BOOLEAN is written out: its complement
+is ``~`` on both sides, so duality does not map it onto itself.
 """
 
 from __future__ import annotations
 
 from .errors import SuiteError
-from .terms import AxiomSuite, eq
+from .terms import AxiomSuite, Equation, dual, eq
+
+
+def _dual_pair(id_a: str, id_b: str, lhs: str, rhs: str) -> tuple[Equation, Equation]:
+    """The identity ``id_a: lhs = rhs`` and its dual, named id_b."""
+    e = eq(id_a, lhs, rhs)
+    return e, Equation(id_b, dual(e.lhs), dual(e.rhs))
+
 
 DBA23 = AxiomSuite(
     "DBA23",
     (
-        eq("1a", "(x & x) & y", "x & y"),
-        eq("1b", "(x | x) | y", "x | y"),
-        eq("2a", "x & y", "y & x"),
-        eq("2b", "x | y", "y | x"),
-        eq("3a", "~(x & x)", "~x"),
-        eq("3b", "!(x | x)", "!x"),
-        eq("4a", "x & (x | y)", "x & x"),
-        eq("4b", "x | (x & y)", "x | x"),
-        eq("5a", "x & vee(y, z)", "vee(x & y, x & z)"),
-        eq("5b", "x | wedge(y, z)", "wedge(x | y, x | z)"),
-        eq("6a", "x & vee(x, y)", "x & x"),
-        eq("6b", "x | wedge(x, y)", "x | x"),
-        eq("7a", "~~(x & y)", "x & y"),
-        eq("7b", "!!(x | y)", "x | y"),
-        eq("8a", "x & ~x", "F"),
-        eq("8b", "x | !x", "T"),
-        eq("9a", "~T", "F"),
-        eq("9b", "!F", "T"),
-        eq("10a", "x & (y & z)", "(x & y) & z"),
-        eq("10b", "x | (y | z)", "(x | y) | z"),
-        eq("11a", "~F", "T & T"),
-        eq("11b", "!T", "F | F"),
+        *_dual_pair("1a", "1b", "(x & x) & y", "x & y"),
+        *_dual_pair("2a", "2b", "x & y", "y & x"),
+        *_dual_pair("3a", "3b", "~(x & x)", "~x"),
+        *_dual_pair("4a", "4b", "x & (x | y)", "x & x"),
+        *_dual_pair("5a", "5b", "x & vee(y, z)", "vee(x & y, x & z)"),
+        *_dual_pair("6a", "6b", "x & vee(x, y)", "x & x"),
+        *_dual_pair("7a", "7b", "~~(x & y)", "x & y"),
+        *_dual_pair("8a", "8b", "x & ~x", "F"),
+        *_dual_pair("9a", "9b", "~T", "F"),
+        *_dual_pair("10a", "10b", "x & (y & z)", "(x & y) & z"),
+        *_dual_pair("11a", "11b", "~F", "T & T"),
         eq("12", "(x & x) | (x & x)", "(x | x) & (x | x)"),
     ),
 )
@@ -51,18 +51,12 @@ DBA23 = AxiomSuite(
 DCORE13 = AxiomSuite(
     "DCORE13",
     (
-        eq("1a", "x & y", "y & x"),
-        eq("1b", "x | y", "y | x"),
-        eq("2a", "~(x & x)", "~x"),
-        eq("2b", "!(x | x)", "!x"),
-        eq("3a", "x & (x | y)", "x & x"),
-        eq("3b", "x | (x & y)", "x | x"),
-        eq("4a", "x & vee(y, z)", "vee(x & y, x & z)"),
-        eq("4b", "x | wedge(y, z)", "wedge(x | y, x | z)"),
-        eq("5a", "~~(x & y)", "x & y"),
-        eq("5b", "!!(x | y)", "x | y"),
-        eq("6a", "x & ~x", "F"),
-        eq("6b", "x | !x", "T"),
+        *_dual_pair("1a", "1b", "x & y", "y & x"),
+        *_dual_pair("2a", "2b", "~(x & x)", "~x"),
+        *_dual_pair("3a", "3b", "x & (x | y)", "x & x"),
+        *_dual_pair("4a", "4b", "x & vee(y, z)", "vee(x & y, x & z)"),
+        *_dual_pair("5a", "5b", "~~(x & y)", "x & y"),
+        *_dual_pair("6a", "6b", "x & ~x", "F"),
         eq("7", "(x & x) | (x & x)", "(x | x) & (x | x)"),
     ),
 )
@@ -110,108 +104,69 @@ def get_suite(name) -> AxiomSuite:
     return SUITES[key]
 
 
-# Identities derivable from DCORE13.  Two of the printed dual forms in the
-# source material fail on valid algebras (wrong connective in the dual); the
-# corrected duals are used here: join-pair-bot and opp-absorb-join.
+# Identities derivable from DCORE13.  Two duals printed in the source material
+# were wrong (join-pair-bot, opp-absorb-join); both are now derived.
 CATALOG: tuple = (
     # double negations and idempotence
-    eq("dneg-is-meet-square", "x & x", "~~x"),
-    eq("dopp-is-join-square", "x | x", "!!x"),
-    eq("meet-square-idem", "(x & y) & (x & y)", "x & y"),
-    eq("join-square-idem", "(x | y) | (x | y)", "x | y"),
-    eq("neg-meet-vee-split", "~(x & vee(y, z))", "~(x & y) & ~(x & z)"),
-    eq("opp-join-wedge-split", "!(x | wedge(y, z))", "!(x | y) | !(x | z)"),
-    eq("vee-self", "vee(x, x)", "x & x"),
-    eq("wedge-self", "wedge(x, x)", "x | x"),
-    eq("triple-neg", "~~~x", "~x"),
-    eq("triple-opp", "!!!x", "!x"),
-    eq("neg-meet-idem", "~x & ~x", "~x"),
-    eq("opp-join-idem", "!x | !x", "!x"),
+    *_dual_pair("dneg-is-meet-square", "dopp-is-join-square", "x & x", "~~x"),
+    *_dual_pair("meet-square-idem", "join-square-idem", "(x & y) & (x & y)", "x & y"),
+    *_dual_pair("neg-meet-vee-split", "opp-join-wedge-split",
+                "~(x & vee(y, z))", "~(x & y) & ~(x & z)"),
+    *_dual_pair("vee-self", "wedge-self", "vee(x, x)", "x & x"),
+    *_dual_pair("triple-neg", "triple-opp", "~~~x", "~x"),
+    *_dual_pair("neg-meet-idem", "opp-join-idem", "~x & ~x", "~x"),
     # squares absorb on the left; constants under the negations
-    eq("meet-square-left", "(x & x) & y", "x & y"),
-    eq("join-square-left", "(x | x) | y", "x | y"),
-    eq("neg-top", "~T", "F"),
-    eq("opp-bot", "!F", "T"),
-    eq("neg-bot", "~F", "T & T"),
-    eq("opp-top", "!T", "F | F"),
+    *_dual_pair("meet-square-left", "join-square-left", "(x & x) & y", "x & y"),
+    *_dual_pair("neg-top", "opp-bot", "~T", "F"),
+    *_dual_pair("neg-bot", "opp-top", "~F", "T & T"),
     # De Morgan laws
-    eq("demorgan-neg-meet", "~(x & y)", "vee(~x, ~y)"),
-    eq("demorgan-opp-join", "!(x | y)", "wedge(!x, !y)"),
-    eq("demorgan-neg-vee", "~vee(x, y)", "~x & ~y"),
-    eq("demorgan-opp-wedge", "!wedge(x, y)", "!x | !y"),
+    *_dual_pair("demorgan-neg-meet", "demorgan-opp-join", "~(x & y)", "vee(~x, ~y)"),
+    *_dual_pair("demorgan-neg-vee", "demorgan-opp-wedge", "~vee(x, y)", "~x & ~y"),
     # meets and joins with the constants
-    eq("meet-top", "x & T", "x & x"),
-    eq("join-bot", "x | F", "x | x"),
-    eq("neg-meet-top", "~x & T", "~x"),
-    eq("opp-join-bot", "!x | F", "!x"),
-    eq("meet-pair-top", "(x & y) & T", "x & y"),
-    eq("join-pair-bot", "(x | y) | F", "x | y"),
-    eq("neg-meet-neg-bot", "~x & ~F", "~x"),
-    eq("opp-join-opp-top", "!x | !T", "!x"),
-    eq("vee-bot", "vee(x, F)", "x & x"),
-    eq("wedge-top", "wedge(x, T)", "x | x"),
-    eq("neg-vee-bot", "vee(~x, F)", "~x"),
-    eq("opp-wedge-top", "wedge(!x, T)", "!x"),
-    eq("meet-pair-vee-bot", "vee(x & y, F)", "x & y"),
-    eq("join-pair-wedge-top", "wedge(x | y, T)", "x | y"),
-    eq("meet-vee-top", "x & vee(y, T)", "x & vee(x, y)"),
-    eq("join-wedge-bot", "x | wedge(y, F)", "x | wedge(x, y)"),
-    eq("bot-meet-idem", "F & F", "F"),
-    eq("top-join-idem", "T | T", "T"),
-    eq("bot-meet-neg-pair", "(F & ~x) & x", "F"),
-    eq("top-join-opp-pair", "(T | !x) | x", "T"),
-    eq("bot-meet-pair-neg", "(F & x) & ~x", "F"),
-    eq("top-join-pair-opp", "(T | x) | !x", "T"),
-    eq("bot-meet-opp", "F & !x", "F"),
-    eq("top-join-neg", "T | ~x", "T"),
-    eq("bot-meet-neg-opp", "F & ~!x", "F"),
-    eq("top-join-opp-neg", "T | !~x", "T"),
+    *_dual_pair("meet-top", "join-bot", "x & T", "x & x"),
+    *_dual_pair("neg-meet-top", "opp-join-bot", "~x & T", "~x"),
+    *_dual_pair("meet-pair-top", "join-pair-bot", "(x & y) & T", "x & y"),
+    *_dual_pair("neg-meet-neg-bot", "opp-join-opp-top", "~x & ~F", "~x"),
+    *_dual_pair("vee-bot", "wedge-top", "vee(x, F)", "x & x"),
+    *_dual_pair("neg-vee-bot", "opp-wedge-top", "vee(~x, F)", "~x"),
+    *_dual_pair("meet-pair-vee-bot", "join-pair-wedge-top", "vee(x & y, F)", "x & y"),
+    *_dual_pair("meet-vee-top", "join-wedge-bot", "x & vee(y, T)", "x & vee(x, y)"),
+    *_dual_pair("bot-meet-idem", "top-join-idem", "F & F", "F"),
+    *_dual_pair("bot-meet-neg-pair", "top-join-opp-pair", "(F & ~x) & x", "F"),
+    *_dual_pair("bot-meet-pair-neg", "top-join-pair-opp", "(F & x) & ~x", "F"),
+    *_dual_pair("bot-meet-opp", "top-join-neg", "F & !x", "F"),
+    *_dual_pair("bot-meet-neg-opp", "top-join-opp-neg", "F & ~!x", "F"),
     # bottom/top propagate through mixed contexts
-    eq("join-skip-bot", "x | (F | y)", "x | y"),
-    eq("meet-skip-top", "x & (T & y)", "x & y"),
-    eq("bot-meet-then-join", "(F & x) | y", "F | y"),
-    eq("top-join-then-meet", "(T | x) & y", "T & y"),
-    eq("bot-meet-abs", "(F & x) & (F | y)", "F & x"),
-    eq("top-join-abs", "(T | x) | (T & y)", "T | x"),
-    eq("bot-meet-neg-cancel", "(F & x) & ~(x & ~y)", "(F & x) & y"),
-    eq("top-join-opp-cancel", "(T | x) | !(x | !y)", "(T | x) | y"),
-    eq("bot-meet-mixed-neg", "F & ~(~x & !y)", "F & x"),
-    eq("top-join-mixed-opp", "T | !(!x | ~y)", "T | x"),
-    eq("meet-vee-join-arg", "x & vee(y, x | z)", "x & ~(F & ~y)"),
-    eq("join-wedge-meet-arg", "x | wedge(y, x & z)", "x | !(T | !y)"),
-    eq("bot-absorbs-meet", "F & x", "F"),
-    eq("top-absorbs-join", "T | x", "T"),
+    *_dual_pair("join-skip-bot", "meet-skip-top", "x | (F | y)", "x | y"),
+    *_dual_pair("bot-meet-then-join", "top-join-then-meet", "(F & x) | y", "F | y"),
+    *_dual_pair("bot-meet-abs", "top-join-abs", "(F & x) & (F | y)", "F & x"),
+    *_dual_pair("bot-meet-neg-cancel", "top-join-opp-cancel", "(F & x) & ~(x & ~y)", "(F & x) & y"),
+    *_dual_pair("bot-meet-mixed-neg", "top-join-mixed-opp", "F & ~(~x & !y)", "F & x"),
+    *_dual_pair("meet-vee-join-arg", "join-wedge-meet-arg", "x & vee(y, x | z)", "x & ~(F & ~y)"),
+    *_dual_pair("bot-absorbs-meet", "top-absorbs-join", "F & x", "F"),
     # the absorption pair in derived form
-    eq("meet-absorb-vee", "x & vee(x, y)", "x & x"),
-    eq("join-absorb-wedge", "x | wedge(x, y)", "x | x"),
+    *_dual_pair("meet-absorb-vee", "join-absorb-wedge", "x & vee(x, y)", "x & x"),
     # negation against meets of the same element
-    eq("meet-neg-collapse", "x & ~(x & y)", "x & ~y"),
-    eq("join-opp-collapse", "x | !(x | y)", "x | !y"),
+    *_dual_pair("meet-neg-collapse", "join-opp-collapse", "x & ~(x & y)", "x & ~y"),
+    # written out: join-opp-restore is the dual only up to commuting |
     eq("meet-neg-restore", "x & ~(x & ~y)", "x & y"),
     eq("join-opp-restore", "x | !(!y | x)", "x | y"),
-    eq("meet-neg-self", "x & ~(~x & y)", "x & x"),
-    eq("opp-absorb-join", "x | !(!x | y)", "x | x"),
-    eq("neg-swallows-meet", "~x & ~(x & y)", "~x"),
-    eq("opp-swallows-join", "!x | !(x | y)", "!x"),
-    eq("neg-swallows-meet3", "~x & ~((x & y) & z)", "~x"),
-    eq("opp-swallows-join3", "!x | !((x | y) | z)", "!x"),
-    eq("meet-inner-neg-bot", "x & (y & ~x)", "F"),
-    eq("join-inner-opp-top", "x | (y | !x)", "T"),
+    *_dual_pair("meet-neg-self", "opp-absorb-join", "x & ~(~x & y)", "x & x"),
+    *_dual_pair("neg-swallows-meet", "opp-swallows-join", "~x & ~(x & y)", "~x"),
+    *_dual_pair("neg-swallows-meet3", "opp-swallows-join3", "~x & ~((x & y) & z)", "~x"),
+    *_dual_pair("meet-inner-neg-bot", "join-inner-opp-top", "x & (y & ~x)", "F"),
     # three-element interactions
-    eq("meet3-neg-bot", "((x & y) & z) & ~x", "F"),
-    eq("join3-opp-top", "((x | y) | z) | !x", "T"),
+    *_dual_pair("meet3-neg-bot", "join3-opp-top", "((x & y) & z) & ~x", "F"),
+    # written out: opp-split-cases is the dual only up to commuting |
     eq("neg-split-cases", "~(x & y) & ~(x & ~y)", "~x"),
     eq("opp-split-cases", "!(x | y) | !(!y | x)", "!x"),
-    eq("meet3-unfold", "~(~(x & (y & z)) & z) & z", "x & (y & z)"),
-    eq("join3-unfold", "!(!(x | (y | z)) | z) | z", "x | (y | z)"),
-    eq("neg-factor-meet", "~(x & ~(y & z))", "~(x & ~y) & ~(x & ~z)"),
-    eq("opp-factor-join", "!(x | !(y | z))", "!(x | !y) | !(x | !z)"),
-    eq("meet3-via-neg", "x & (~(x & ~y) & ~(x & ~z))", "(y & x) & z"),
-    eq("join3-via-opp", "x | (!(x | !y) | !(x | !z))", "(y | x) | z"),
+    *_dual_pair("meet3-unfold", "join3-unfold", "~(~(x & (y & z)) & z) & z", "x & (y & z)"),
+    *_dual_pair("neg-factor-meet", "opp-factor-join", "~(x & ~(y & z))", "~(x & ~y) & ~(x & ~z)"),
+    *_dual_pair("meet3-via-neg", "join3-via-opp", "x & (~(x & ~y) & ~(x & ~z))", "(y & x) & z"),
     # associativity
-    eq("assoc-meet", "x & (y & z)", "(x & y) & z"),
-    eq("assoc-join", "x | (y | z)", "(x | y) | z"),
+    *_dual_pair("assoc-meet", "assoc-join", "x & (y & z)", "(x & y) & z"),
 )
 
 _CATALOG_IDS = [e.id for e in CATALOG]
 assert len(_CATALOG_IDS) == len(set(_CATALOG_IDS)), "duplicate catalog identity id"
+

@@ -15,15 +15,15 @@ visits each distinct subterm once, in a post-order cached on the node as a
 program of steps that name their children by position, so no cached entry
 refers to the node itself.
 ``render``, ``source`` (the term as a Python expression over the operation
-tables), substitution and ``algebra.eval_term`` (a fold over the tuple
-tables) are folds; the numpy equation checker walks the distinct subterms of
-a whole batch of equations in ``postorder``, so a subterm shared by several
-equations is evaluated once.  No term carries compiled code.  ``source``
-feeds exactly two compiled checks: the first-witness kernel in ``algebra``
-folds ``source`` of every term of a check into the body of its loops over
-the assignments (the scalar equation checker and the hypersequent refuter),
-and the model search compiles ``source`` of both sides of an equation into
-one check.
+tables), ``dual``, substitution and ``algebra.eval_term`` (a fold over the
+tuple tables) are folds; the numpy equation checker walks the distinct
+subterms of a whole batch of equations in ``postorder``, so a subterm shared
+by several equations is evaluated once.  No term carries compiled code.
+``source`` feeds exactly two compiled checks: the first-witness kernel in
+``algebra`` folds ``source`` of every term of a check into the body of its
+loops over the assignments (the scalar equation checker and the hypersequent
+refuter), and the model search compiles ``source`` of both sides of an
+equation into one check.
 
 ASCII surface grammar (precedence: unary > ``&`` > ``|``, both binary ops
 left-associative)::
@@ -200,6 +200,13 @@ def vee(a: Term, b: Term) -> Term:
 def wedge(a: Term, b: Term) -> Term:
     """Derived meet a ^ b, expanded to !(!a | !b)."""
     return Opp(Join(Opp(a), Opp(b)))
+
+
+def dual(t: Term) -> Term:
+    """The dual of t: meet and join, the two negations, and top and bottom
+    swapped.  Variables come back as plain ``Var(name)``, of the generic
+    sort."""
+    return fold(t, Var, BOT, TOP, Opp, Neg, Join, Meet)
 
 
 def variables(t: Term) -> tuple[str, ...]:

@@ -10,6 +10,7 @@ from dbakit.fileformats import render_algebra, render_context
 from dbakit.fca import FormalContext
 from dbakit.fixtures import boolean2, cex_5ab, chain3, singleton
 from dbakit.logic import fixture_proofs, render_script
+from dbakit.search import MAX_SEARCH_SIZE
 from dbakit.terms import MAX_DEPTH
 
 
@@ -331,6 +332,17 @@ def test_search_budget_exit3(files, capsys):
     code, out = run(capsys, "search", "--size", "2", "--max-candidates", "3")
     assert code == 3
     assert "complete: false" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--size", str(MAX_SEARCH_SIZE + 1), "--require", "dba", "--limit", "1"),
+    ("refute", "x => y", "--models", f"search:{MAX_SEARCH_SIZE + 1}"),
+])
+def test_search_past_the_size_limit_is_exit_3(files, capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 3
+    assert out == (f"budget exceeded: universe size {MAX_SEARCH_SIZE + 1} "
+                   f"is over the search limit of {MAX_SEARCH_SIZE}\n")
 
 
 def test_search_reproduces_independence(files, capsys):

@@ -850,6 +850,12 @@ def _unary_forward(rule, s: Sequent, side: Term) -> Sequent:
 _systems = st.sampled_from(["L", "HL"])
 
 
+def _checks(rule, prems, concl) -> bool:
+    """The proof checker's verdict on a line of this rule and premises."""
+    arity, local = logic._CONTEXT_RULES[rule]
+    return len(prems) == arity and logic._derives(prems, concl, local)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data(), _systems, st.sampled_from(_UNARY_RULES), _small_sequents, _small_terms)
 def test_unary_checker_matches_reference(data, system, rule, prem_seq, side):
@@ -861,11 +867,11 @@ def test_unary_checker_matches_reference(data, system, rule, prem_seq, side):
              (rule, _near_miss(data, prem, system), concl),
              (rule, prem, _near_miss(data, concl, system)),
              (rule, _hyp(pre + [data.draw(_small_sequents)] + post), concl)]
-    assert logic._check_unary(rule, prem, concl)
+    assert _checks(rule, [prem], concl)
     for r, p, c in cases:
         if system == "L" and (len(p) != 1 or len(c) != 1):
             continue  # check_proof rejects these before any rule checker
-        assert logic._check_unary(r, p, c) == _check_unary(r, p, c, system), (r, p, c)
+        assert _checks(r, [p], c) == _check_unary(r, p, c, system), (r, p, c)
 
 
 @settings(max_examples=300, deadline=None)
@@ -881,9 +887,9 @@ def test_cut_checker_matches_reference(data, system, a, chi, b):
              (p1, _near_miss(data, p2, system), concl),
              (p1, p2, _near_miss(data, concl, system)),
              (p1, _hyp([data.draw(_small_sequents)]), concl)]
-    assert logic._check_cut(p1, p2, concl)
+    assert _checks("cut", [p1, p2], concl)
     for q1, q2, c in cases:
-        assert logic._check_cut(q1, q2, c) == _check_cut(q1, q2, c, system), (q1, q2, c)
+        assert _checks("cut", [q1, q2], c) == _check_cut(q1, q2, c, system), (q1, q2, c)
 
 
 @settings(max_examples=300, deadline=None)
@@ -899,9 +905,9 @@ def test_sq_checker_matches_reference(data, system, phi, psi):
     cases = [(prems, concl), (prems[::-1], concl), (prems[:3], concl), (mutated, concl),
              (prems, _near_miss(data, concl, system)),
              (prems, _hyp([Sequent(psi, phi)]))]
-    assert logic._check_sq(prems, concl)
+    assert _checks("sq", prems, concl)
     for ps, c in cases:
-        assert logic._check_sq(ps, c) == _check_sq(ps, c, system), (ps, c)
+        assert _checks("sq", ps, c) == _check_sq(ps, c, system), (ps, c)
 
 
 @settings(max_examples=200, deadline=None)

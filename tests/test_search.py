@@ -13,12 +13,13 @@ from itertools import product
 
 import pytest
 
+from dbakit import search
 from dbakit.algebra import FiniteAlgebra, check_suite, passes, satisfies_equation
-from dbakit.errors import EvalError, SuiteError
+from dbakit.errors import BudgetError, EvalError, SuiteError
 from dbakit.fixtures import builtin_fixtures, get_fixture
 from dbakit.search import (
-    SearchSpec, SearchSummary, _checker, _slots, candidate_count, enumerate_algebras,
-    naive_sweep,
+    MAX_SEARCH_SIZE, SearchSpec, SearchSummary, _checker, _slots, candidate_count,
+    enumerate_algebras, naive_sweep,
 )
 from dbakit.suites import DBA23, DCORE13, SUITES, get_suite
 from dbakit.terms import MAX_DEPTH, AxiomSuite, Equation, Neg, Var, eq, source
@@ -245,6 +246,27 @@ def test_fixed_constants_restrict_the_space():
 def test_must_fail_must_belong_to_suite():
     with pytest.raises(SuiteError):
         enumerate_algebras(SearchSpec(size=1, require="DCORE13", must_fail=("99z",)))
+
+
+def test_a_size_past_the_limit_is_a_budget_error(monkeypatch):
+    def never(n):
+        raise AssertionError("the partial tables were built")
+
+    monkeypatch.setattr(search, "_Partial", never)
+    with pytest.raises(BudgetError, match=f"over the search limit of {MAX_SEARCH_SIZE}"):
+        enumerate_algebras(SearchSpec(size=MAX_SEARCH_SIZE + 1, require="DBA23"))
+
+
+def test_a_search_at_the_size_limit_runs():
+    # the depth-first step recurses once per slot, under pytest's own frames
+    assert MAX_SEARCH_SIZE >= 8
+    summary = enumerate_algebras(SearchSpec(size=MAX_SEARCH_SIZE, require="DBA23", max_models=1))
+    assert summary.models == 1
+    model = summary.found[0]
+    assert check_suite(model, DBA23).ok
+    # the algebra whose operations all return 0
+    assert model.top == model.bot == 0
+    assert not any(table.any() for table in (model.meet, model.join, model.neg, model.opp))
 
 
 def test_visitor_sees_models_in_order():
