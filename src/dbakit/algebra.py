@@ -49,10 +49,10 @@ class FiniteAlgebra:
         self.top = self._index(top, n, "top")
         self.bot = self._index(bot, n, "bot")
         # plain nested tuples: much faster than numpy for scalar lookups
-        self._rows_m = tuple(tuple(int(v) for v in row) for row in self.meet)
-        self._rows_j = tuple(tuple(int(v) for v in row) for row in self.join)
-        self._lneg = tuple(int(v) for v in self.neg)
-        self._lopp = tuple(int(v) for v in self.opp)
+        self._rows_m = tuple(map(tuple, self.meet.tolist()))
+        self._rows_j = tuple(map(tuple, self.join.tolist()))
+        self._lneg = tuple(self.neg.tolist())
+        self._lopp = tuple(self.opp.tolist())
         self._suite_cache = {}
         self._qo_cache = None
         self._cls_cache = None

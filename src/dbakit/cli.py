@@ -20,7 +20,7 @@ from .constructions import (
 )
 from .errors import BudgetError, DbakitError, ParseError
 from .fca import all_contexts, enumerate_pairs, oo_protoconcept_algebra, protoconcept_algebra
-from .fileformats import parse_algebra, parse_context, render_algebra
+from .fileformats import parse_algebra, parse_context, render_algebra, render_context
 from .fixtures import builtin_fixtures
 from .logic import (
     check_proof, find_countermodel, parse_hypersequent, parse_script,
@@ -74,9 +74,20 @@ def _int_at_least(minimum):
 def _load(path, parse):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise _Usage(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise _Usage(f"cannot read {path}: {exc}") from None
+    return parse(text)
+
+
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _Usage(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _emit(lines, structured):
@@ -147,8 +158,7 @@ def cmd_protoconcepts(args) -> tuple[int, str]:
             pa = oo_protoconcept_algebra(ctx, kind)
         else:
             pa = protoconcept_algebra(ctx, kind)
-        with open(args.emit_algebra, "w", encoding="utf-8") as fh:
-            fh.write(render_algebra(pa.algebra))
+        _write(args.emit_algebra, render_algebra(pa.algebra))
         structured.append(f"emitted: {args.emit_algebra}")
         structured.append(f"algebra_elements: {pa.algebra.n}")
     return 0, _emit(lines, structured)
@@ -217,10 +227,10 @@ def cmd_construct(args) -> tuple[int, str]:
             f"conditions: {str(cond.ok).lower()}",
             f"dba: {str(is_dba).lower()}",
         ]
-    lines = render_algebra(alg).rstrip("\n").splitlines()
+    text = render_algebra(alg)
+    lines = text.rstrip("\n").splitlines()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render_algebra(alg))
+        _write(args.out, text)
         structured.append(f"emitted: {args.out}")
     return (0 if ok else 1), _emit(lines, structured)
 
@@ -236,9 +246,7 @@ def cmd_represent(args) -> tuple[int, str]:
         f"image_elements: {len(rep.pairs)}",
     ]
     if args.emit_context:
-        from .fileformats import render_context
-        with open(args.emit_context, "w", encoding="utf-8") as fh:
-            fh.write(render_context(rep.std.context))
+        _write(args.emit_context, render_context(rep.std.context))
         lines.append(f"emitted: {args.emit_context}")
     checks = []
     if args.verify in ("all", "lemma"):
@@ -336,8 +344,7 @@ def cmd_refute(args) -> tuple[int, str]:
         "countermodel: found",
         f"model: {name}",
         f"elements: {alg.n}",
-        "assignment: " + (" ".join(f"{k}={alg.names[v]}" for k, v in sorted(env.items()))
-                          or "(no variables)"),
+        "assignment: " + _witness_text(env, alg.names),
     ]
     return 0, _emit(lines, structured)
 

@@ -4,6 +4,9 @@ Subsets of objects/attributes are bitmasks (bit g set <=> object g in the
 set), and all enumerations run in ascending-mask order so results are
 deterministic.  Empty object or attribute sets are permitted; derivation of
 the empty set returns the full opposite universe.
+
+All five pair kinds and both pair algebras are read from the two completion
+tables of their family (``_completions``), never pair by pair.
 """
 
 from __future__ import annotations
@@ -133,36 +136,28 @@ def pair_flags(ctx: FormalContext, a: int, b: int) -> ConceptPair:
 _KINDS = ("concept", "semiconcept", "protoconcept", "oo_semiconcept", "oo_protoconcept")
 
 
+def _completions(ctx: FormalContext, oo: bool) -> tuple[list[int], list[int]]:
+    """The completion tables, indexed by mask: ``E[a]`` is the intent that
+    completes extent a (a' or, when ``oo``, box_o a) and ``I[b]`` the extent
+    that completes intent b (b' or diamond_p b)."""
+    complete, ext, itt = (modal, "box_o", "diamond_p") if oo else (derive, "extent", "intent")
+    return ([complete(ctx, ext, a) for a in range(ctx.full_objects + 1)],
+            [complete(ctx, itt, b) for b in range(ctx.full_attributes + 1)])
+
+
 def _generated_pairs(ctx: FormalContext, kind: str) -> list[tuple[int, int]]:
-    """The (extent, intent) masks of every ``kind`` pair, ascending: group
-    generators by their generated closure instead of testing all pairs.
-    Each kind builds only the groupings it reads."""
-    if kind == "semiconcept":
-        out = [(a, derive(ctx, "extent", a)) for a in range(ctx.full_objects + 1)]
-        out += [(derive(ctx, "intent", b), b) for b in range(ctx.full_attributes + 1)]
-        return sorted(set(out))
-    if kind in ("oo_protoconcept", "oo_semiconcept"):
-        # object-oriented kinds via the complemented context
-        base = _generated_pairs(complement_context(ctx), kind.removeprefix("oo_"))
-        return sorted((ctx.full_objects & ~a, b) for a, b in base)
-    by_extent_closure: dict[int, list[int]] = {}
-    for a in range(ctx.full_objects + 1):
-        app = derive(ctx, "intent", derive(ctx, "extent", a))
-        by_extent_closure.setdefault(app, []).append(a)
-    out = []
+    """The (extent, intent) masks of every ``kind`` pair, ascending: the
+    (oo-)semiconcepts are the completed extents and intents, the concepts the
+    (a, E[a]) with I[E[a]] = a, the (oo-)protoconcepts the (a, b) with I[E[a]] = I[b]."""
+    E, I = _completions(ctx, kind.startswith("oo_"))
+    if kind.endswith("semiconcept"):
+        return sorted({*enumerate(E), *((a, b) for b, a in enumerate(I))})
     if kind == "concept":
-        for v in by_extent_closure:
-            vp = derive(ctx, "extent", v)
-            if derive(ctx, "intent", vp) == v:
-                out.append((v, vp))
-    else:
-        by_intent_prime: dict[int, list[int]] = {}
-        for b in range(ctx.full_attributes + 1):
-            by_intent_prime.setdefault(derive(ctx, "intent", b), []).append(b)
-        for v, a_list in by_extent_closure.items():
-            for a in a_list:
-                out.extend((a, b) for b in by_intent_prime.get(v, ()))
-    return sorted(set(out))
+        return [(a, b) for a, b in enumerate(E) if I[b] == a]
+    intents_by_image: dict[int, list[int]] = {}
+    for b, a in enumerate(I):
+        intents_by_image.setdefault(a, []).append(b)
+    return [(a, b) for a, e in enumerate(E) for b in intents_by_image.get(I[e], ())]
 
 
 def enumerate_pairs(ctx: FormalContext, kind: str) -> list[ConceptPair]:
@@ -188,28 +183,24 @@ class PairAlgebra:
 
 
 def _pair_algebra(ctx: FormalContext, kind: str, prefix: str, meet_extents,
-                  extent_pair, intent_pair, top, bot) -> PairAlgebra:
+                  top, bot) -> PairAlgebra:
     """The algebra on the ``kind`` pairs of ctx: meet combines extents with
     ``meet_extents`` and join intersects intents, the negations complement
-    one side; ``extent_pair(a)``/``intent_pair(b)`` complete a side to a pair,
-    and top/bot are pairs.  Elements are named with ``prefix``."""
+    one side, and the completion tables supply the other side; top/bot are
+    pairs.  Elements are named with ``prefix``."""
     members = _generated_pairs(ctx, kind)
     index = {ab: i for i, ab in enumerate(members)}
-
-    def loc(pair):
-        try:
-            return index[pair]
-        except KeyError:
-            a, b = pair
-            raise AlgebraError(
-                f"operation left the {kind} universe at ({a:#x}, {b:#x})") from None
-
-    mt = [[loc(extent_pair(meet_extents(a, c))) for c, _ in members] for a, _ in members]
-    jt = [[loc(intent_pair(b & d)) for _, d in members] for _, b in members]
-    gt = [loc(extent_pair(ctx.full_objects & ~a)) for a, _ in members]
-    ot = [loc(intent_pair(ctx.full_attributes & ~b)) for _, b in members]
+    E, I = _completions(ctx, kind.startswith("oo_"))
+    # (a, E[a]) and (I[b], b) are semiconcepts, which every kind built here
+    # contains (a'' = (a')', b''' = b', diamond box diamond = diamond): no lookup misses.
+    at_extent = [index[ab] for ab in enumerate(E)]
+    at_intent = [index[a, b] for b, a in enumerate(I)]
+    mt = [[at_extent[meet_extents(a, c)] for c, _ in members] for a, _ in members]
+    jt = [[at_intent[b & d] for _, d in members] for _, b in members]
+    gt = [at_extent[ctx.full_objects & ~a] for a, _ in members]
+    ot = [at_intent[ctx.full_attributes & ~b] for _, b in members]
     alg = FiniteAlgebra(
-        [_pair_name(prefix, a, b) for a, b in members], mt, jt, gt, ot, loc(top), loc(bot))
+        [_pair_name(prefix, a, b) for a, b in members], mt, jt, gt, ot, index[top], index[bot])
     return PairAlgebra(alg, tuple(members))
 
 
@@ -223,9 +214,7 @@ def protoconcept_algebra(ctx: FormalContext, kind: str = "protoconcept") -> Pair
     if kind not in ("protoconcept", "semiconcept"):
         raise AlgebraError(f"kind must be protoconcept or semiconcept, got {kind!r}")
     return _pair_algebra(
-        ctx, kind, "p", operator.and_,
-        lambda a: (a, derive(ctx, "extent", a)), lambda b: (derive(ctx, "intent", b), b),
-        (ctx.full_objects, 0), (0, ctx.full_attributes))
+        ctx, kind, "p", operator.and_, (ctx.full_objects, 0), (0, ctx.full_attributes))
 
 
 def oo_protoconcept_algebra(ctx: FormalContext, kind: str = "oo_protoconcept") -> PairAlgebra:
@@ -237,9 +226,7 @@ def oo_protoconcept_algebra(ctx: FormalContext, kind: str = "oo_protoconcept") -
     if kind not in ("oo_protoconcept", "oo_semiconcept"):
         raise AlgebraError(f"kind must be oo_protoconcept or oo_semiconcept, got {kind!r}")
     return _pair_algebra(
-        ctx, kind, "r", operator.or_,
-        lambda a: (a, modal(ctx, "box_o", a)), lambda b: (modal(ctx, "diamond_p", b), b),
-        (0, 0), (ctx.full_objects, ctx.full_attributes))
+        ctx, kind, "r", operator.or_, (0, 0), (ctx.full_objects, ctx.full_attributes))
 
 
 def all_contexts(n_objects: int, n_attributes: int):

@@ -26,6 +26,9 @@ def files(tmp_path):
     p = tmp_path / "ctx.cxt"
     p.write_text(render_context(ctx))
     paths["ctx"] = str(p)
+    p = tmp_path / "latin.dba"
+    p.write_bytes(bytes.fromhex("fffe00626164"))
+    paths["latin"] = str(p)
     paths["dir"] = tmp_path
     return paths
 
@@ -61,6 +64,10 @@ def test_missing_file_is_usage_error(files, capsys):
     (["check", "{b2}", "--suite", "nope"], "argument --suite: invalid choice: 'nope'"),
     (["check", "{b2}", "--bogus"], "unrecognized arguments: --bogus"),
     (["check", "{dir}/absent.dba"], "cannot read "),
+    (["check", "{latin}"], "cannot read "),
+    (["protoconcepts", "{ctx}", "--emit-algebra", "{dir}/absent/o.dba"], "cannot write "),
+    (["construct", "glued-sum", "{b2}", "{b2}", "--out", "{dir}/absent/o.dba"], "cannot write "),
+    (["represent", "{b2}", "--emit-context", "{dir}/absent/o.cxt"], "cannot write "),
     (["prove", "x => => x"], "unexpected token"),
 ])
 def test_every_usage_error_prints_an_error_line_on_stdout(files, capsys, argv, message):

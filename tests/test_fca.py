@@ -1,12 +1,13 @@
 """Formal contexts: derivation, modal operators, pair enumeration, algebras."""
 
+import operator
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbakit.algebra import classify, passes, quasi_order
+from dbakit.algebra import FiniteAlgebra, classify, passes, quasi_order
 from dbakit.errors import AlgebraError
 from dbakit.fca import (
     FormalContext, all_contexts, complement_context, derive, enumerate_pairs,
@@ -233,6 +234,50 @@ def test_oo_protoconcept_algebra_1x1_full():
     pa = oo_protoconcept_algebra(ctx_of([[True]]))
     assert passes(pa.algebra, "DBA23")
     assert classify(pa.algebra).is_fully_contextual
+
+
+def _per_cell_pair_algebra(ctx, kind, brute):
+    """Reference: the pair algebra on the brute-force ``kind`` pairs, each
+    table cell completed by its own derivation or modal image and looked up."""
+    if kind.startswith("oo_"):
+        prefix, meet_extents = "r", operator.or_
+        extent_pair = lambda a: (a, modal(ctx, "box_o", a))
+        intent_pair = lambda b: (modal(ctx, "diamond_p", b), b)
+        top, bot = (0, 0), (ctx.full_objects, ctx.full_attributes)
+    else:
+        prefix, meet_extents = "p", operator.and_
+        extent_pair = lambda a: (a, derive(ctx, "extent", a))
+        intent_pair = lambda b: (derive(ctx, "intent", b), b)
+        top, bot = (ctx.full_objects, 0), (0, ctx.full_attributes)
+    members = [(p.extent, p.intent) for p in brute[kind]]
+    loc = {ab: i for i, ab in enumerate(members)}.__getitem__
+    alg = FiniteAlgebra(
+        [f"{prefix}{a:x}_{b:x}" for a, b in members],
+        [[loc(extent_pair(meet_extents(a, c))) for c, _ in members] for a, _ in members],
+        [[loc(intent_pair(b & d)) for _, d in members] for _, b in members],
+        [loc(extent_pair(ctx.full_objects & ~a)) for a, _ in members],
+        [loc(intent_pair(ctx.full_attributes & ~b)) for _, b in members],
+        loc(top), loc(bot))
+    return alg, tuple(members)
+
+
+def test_pair_algebras_agree_with_the_per_cell_reference():
+    # every context up to 3x3, empty sides included, and seeded ones to 7x6
+    ctxs = [ctx for g in range(4) for m in range(4) for ctx in all_contexts(g, m)]
+    rng = random.Random(18)
+    for g, m in ((4, 4), (5, 3), (3, 6), (7, 6)):
+        ctxs.append(ctx_of([[rng.random() < 0.5 for _ in range(m)] for _ in range(g)]))
+    for ctx in ctxs:
+        brute = _brute_force_pairs(ctx)
+        for build, kind in ((protoconcept_algebra, "protoconcept"),
+                            (protoconcept_algebra, "semiconcept"),
+                            (oo_protoconcept_algebra, "oo_protoconcept"),
+                            (oo_protoconcept_algebra, "oo_semiconcept")):
+            pa = build(ctx, kind)
+            ref, pairs = _per_cell_pair_algebra(ctx, kind, brute)
+            assert pa.pairs == pairs, (ctx, kind)
+            assert pa.algebra.names == ref.names
+            assert pa.algebra.signature() == ref.signature(), (ctx, kind)
 
 
 def test_oo_bottom_always_present():
