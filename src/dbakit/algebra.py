@@ -568,19 +568,13 @@ def extract_boolean_part(alg: FiniteAlgebra, side: str) -> FiniteAlgebra:
         join2 = lambda x, y: j[x][y]
         comp = lambda x: o[x]
         top, bot = alg.top, j[alg.bot][alg.bot]
+    # no lookup misses: catalog meet-square-idem, neg-meet-idem, bot-meet-idem and duals
     pos = {e: i for i, e in enumerate(carrier)}
-
-    def loc(e):
-        if e not in pos:
-            raise AlgebraError(f"operation left the {side}-idempotent carrier at element {e}")
-        return pos[e]
-
-    k = len(carrier)
-    mt = [[loc(meet2(a, b)) for b in carrier] for a in carrier]
-    jt = [[loc(join2(a, b)) for b in carrier] for a in carrier]
-    ct = [loc(comp(a)) for a in carrier]
+    mt = [[pos[meet2(a, b)] for b in carrier] for a in carrier]
+    jt = [[pos[join2(a, b)] for b in carrier] for a in carrier]
+    ct = [pos[comp(a)] for a in carrier]
     return FiniteAlgebra(
-        [alg.names[e] for e in carrier], mt, jt, ct, ct, loc(top), loc(bot)
+        [alg.names[e] for e in carrier], mt, jt, ct, ct, pos[top], pos[bot]
     )
 
 

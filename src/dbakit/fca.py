@@ -17,7 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FiniteAlgebra
-from .errors import AlgebraError
+from .errors import AlgebraError, BudgetError
+
+# 2**|G| + 2**|M| table entries: a 1x16 or 16x16 context fits.  On a 2-core
+# host `protoconcepts --kind semi` takes about 2 s on 1x16 and 8 s on 1x18.
+MAX_COMPLETION_ENTRIES = 1 << 17
 
 
 class FormalContext:
@@ -140,6 +144,11 @@ def _completions(ctx: FormalContext, oo: bool) -> tuple[list[int], list[int]]:
     """The completion tables, indexed by mask: ``E[a]`` is the intent that
     completes extent a (a' or, when ``oo``, box_o a) and ``I[b]`` the extent
     that completes intent b (b' or diamond_p b)."""
+    entries = ctx.full_objects + ctx.full_attributes + 2
+    if entries > MAX_COMPLETION_ENTRIES:
+        raise BudgetError(
+            f"completion tables of a {ctx.n_objects}x{ctx.n_attributes} context need "
+            f"{entries} entries, more than the limit of {MAX_COMPLETION_ENTRIES}")
     complete, ext, itt = (modal, "box_o", "diamond_p") if oo else (derive, "extent", "intent")
     return ([complete(ctx, ext, a) for a in range(ctx.full_objects + 1)],
             [complete(ctx, itt, b) for b in range(ctx.full_attributes + 1)])

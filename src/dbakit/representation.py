@@ -9,6 +9,9 @@ exposes checkable forms of the structural claims: the derivation identities,
 the quasi-embedding x -> (F_x, I_x), the clopen-set description of the
 finite topologies, and the clopen protoconcept/semiconcept characterizations.
 
+The checks read the standard context only through ``fca``'s completion
+tables (a' and b' by mask), so every mask they read is a subset of its sides.
+
 Set families here are concrete bitmask collections; "closed" means generated
 from the subbase {F_x} by finite unions and intersections, and "clopen"
 means closed with closed complement.  The closed family is every union of
@@ -34,7 +37,7 @@ from .constructions import (
     RetractionPair, build_from_boolean_pair, canonical_pairs, check_theorem_conditions,
 )
 from .errors import AlgebraError, BudgetError
-from .fca import FormalContext, _generated_pairs, complement_context, derive, modal
+from .fca import FormalContext, _completions, _generated_pairs
 
 MAX_REPRESENTATION_SIZE = 20
 NAIVE_SWEEP_LIMIT = 12
@@ -228,6 +231,26 @@ def _moved(pair: RetractionPair, h, size: int) -> RetractionPair:
                           [h[x] for x in pair.e])
 
 
+def _is_homomorphism(alg: FiniteAlgebra, f, meet, join, neg, opp, top, bot) -> bool:
+    """The map x -> f[x] commutes with the four operations, which act on
+    the values of f, and sends alg's top and bottom to ``top`` and ``bot``."""
+    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
+    rng = range(alg.n)
+    return (
+        all(f[m[x][y]] == meet(f[x], f[y]) and f[j[x][y]] == join(f[x], f[y])
+            for x in rng for y in rng)
+        and all(f[g[x]] == neg(f[x]) and f[o[x]] == opp(f[x]) for x in rng)
+        and (f[alg.top], f[alg.bot]) == (top, bot)
+    )
+
+
+def _is_order_embedding(alg: FiniteAlgebra, leq) -> bool:
+    """``leq(x, y)`` holds exactly when x is below y in alg's quasi-order."""
+    rel = quasi_order(alg).rel
+    rng = range(alg.n)
+    return all(bool(rel[x, y]) == leq(x, y) for x in rng for y in rng)
+
+
 def representation(alg: FiniteAlgebra,
                    max_size: int = MAX_REPRESENTATION_SIZE) -> RepresentationResult:
     """Build the pair map x -> (F_x, I_x) and the image algebra, and record
@@ -262,19 +285,13 @@ def representation(alg: FiniteAlgebra,
     res.image_is_dba = passes(image, "DBA23")
     res.parts_boolean = passes(res.meet_part, "BOOLEAN") and passes(res.join_part, "BOOLEAN")
 
-    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
     im, ij, ig, io = image._rows_m, image._rows_j, image._lneg, image._lopp
-    res.homomorphism = (
-        all(h[m[x][y]] == im[h[x]][h[y]] and h[j[x][y]] == ij[h[x]][h[y]]
-            for x in range(n) for y in range(n))
-        and all(h[g[x]] == ig[h[x]] and h[o[x]] == io[h[x]] for x in range(n))
-        and h[alg.top] == image.top and h[alg.bot] == image.bot
-    )
-    rel_a = quasi_order(alg).rel
+    res.homomorphism = _is_homomorphism(
+        alg, h, lambda u, v: im[u][v], lambda u, v: ij[u][v],
+        lambda u: ig[u], lambda u: io[u], image.top, image.bot)
     rel_i = quasi_order(image).rel
-    res.order_preserving_reflecting = all(
-        bool(rel_a[x, y]) == bool(rel_i[h[x], h[y]])
-        for x in range(n) for y in range(n))
+    res.order_preserving_reflecting = _is_order_embedding(
+        alg, lambda x, y: bool(rel_i[h[x], h[y]]))
     res.injective = len(set(h)) == n
     res.surjective = set(h) == set(range(len(pairs)))
     return res
@@ -286,33 +303,27 @@ def verify_derivation_identities(rep: RepresentationResult) -> list[str]:
     """The six filter/ideal mask identities; returns the failing item names."""
     alg = rep.algebra
     ctx = rep.std.context
+    E, D = _completions(ctx, False)  # filters -> ideals, ideals -> filters
     n = alg.n
     m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
     F, I = rep.f_masks, rep.i_masks
-    full_f = ctx.full_objects
-    full_i = ctx.full_attributes
+    full_f, full_i = ctx.full_objects, ctx.full_attributes
     fails = []
 
-    def prime_f(mask):  # filters -> ideals
-        return derive(ctx, "extent", mask)
-
-    def prime_i(mask):  # ideals -> filters
-        return derive(ctx, "intent", mask)
-
-    if any(prime_f(F[x]) != I[x] or I[x] != I[j[x][x]]
+    if any(E[F[x]] != I[x] or I[x] != I[j[x][x]]
            for x in meet_idempotents(alg)):
         fails.append("meet-idempotent-prime")
-    if any(prime_i(I[y]) != F[y] or F[y] != F[m[y][y]]
+    if any(D[I[y]] != F[y] or F[y] != F[m[y][y]]
            for y in join_idempotents(alg)):
         fails.append("join-idempotent-prime")
     for x in range(n):
         sq = m[x][x]
-        if prime_f(F[x]) != I[sq] or I[sq] != I[j[sq][sq]]:
+        if E[F[x]] != I[sq] or I[sq] != I[j[sq][sq]]:
             fails.append("prime-is-meet-square")
             break
     for x in range(n):
         sq = j[x][x]
-        if prime_i(I[x]) != F[sq] or F[sq] != F[m[sq][sq]]:
+        if D[I[x]] != F[sq] or F[sq] != F[m[sq][sq]]:
             fails.append("prime-is-join-square")
             break
     if any(full_f & ~F[x] != F[g[x]] or full_i & ~I[x] != I[o[x]] for x in range(n)):
@@ -330,46 +341,22 @@ def verify_pair_embedding(rep: RepresentationResult) -> dict:
     """The map x -> (F_x, I_x) lands in the protoconcepts of the standard
     context and is a homomorphism for the pair operations there, preserving
     and reflecting the quasi-order."""
-    alg = rep.algebra
     ctx = rep.std.context
-    n = alg.n
-    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
+    E, D = _completions(ctx, False)
+    full_f, full_i = ctx.full_objects, ctx.full_attributes
     F, I = rep.f_masks, rep.i_masks
-
-    def is_proto(a, b):
-        return derive(ctx, "intent", derive(ctx, "extent", a)) == derive(ctx, "intent", b)
-
-    proto = all(is_proto(F[x], I[x]) for x in range(n))
-
-    def pmeet(x, y):
-        a = F[x] & F[y]
-        return (a, derive(ctx, "extent", a))
-
-    def pjoin(x, y):
-        b = I[x] & I[y]
-        return (derive(ctx, "intent", b), b)
-
-    def pneg(x):
-        a = ctx.full_objects & ~F[x]
-        return (a, derive(ctx, "extent", a))
-
-    def popp(x):
-        b = ctx.full_attributes & ~I[x]
-        return (derive(ctx, "intent", b), b)
-
-    hom = (
-        all(pmeet(x, y) == (F[m[x][y]], I[m[x][y]]) and
-            pjoin(x, y) == (F[j[x][y]], I[j[x][y]])
-            for x in range(n) for y in range(n))
-        and all(pneg(x) == (F[g[x]], I[g[x]]) and popp(x) == (F[o[x]], I[o[x]])
-                for x in range(n))
-        and (F[alg.top], I[alg.top]) == (ctx.full_objects, 0)
-        and (F[alg.bot], I[alg.bot]) == (0, ctx.full_attributes)
-    )
-    rel = quasi_order(alg).rel
-    order = all(
-        bool(rel[x, y]) == (F[x] & ~F[y] == 0 and I[y] & ~I[x] == 0)
-        for x in range(n) for y in range(n))
+    pairs = list(zip(F, I))
+    proto = all(D[E[a]] == D[b] for a, b in pairs)
+    # the operations of fca's protoconcept algebra: a completed extent or intent
+    at_extent = lambda a: (a, E[a])
+    at_intent = lambda b: (D[b], b)
+    hom = _is_homomorphism(
+        rep.algebra, pairs,
+        lambda p, q: at_extent(p[0] & q[0]), lambda p, q: at_intent(p[1] & q[1]),
+        lambda p: at_extent(full_f & ~p[0]), lambda p: at_intent(full_i & ~p[1]),
+        (full_f, 0), (0, full_i))
+    order = _is_order_embedding(
+        rep.algebra, lambda x, y: F[x] & ~F[y] == 0 and I[y] & ~I[x] == 0)
     return {"protoconcepts": proto, "homomorphism": hom, "order": order}
 
 
@@ -443,15 +430,12 @@ def verify_clopen_characterization(rep: RepresentationResult) -> ClopenCharacter
 
 
 def verify_translated_continuity(rep: RepresentationResult) -> bool:
-    """Finite-scale continuity through the complement relation: the four
-    modal images of every clopen set under nabla are clopen."""
-    ctx = complement_context(rep.std.context)
+    """Finite-scale continuity: both derivations of the standard context take
+    clopen sets to clopen sets.  Through the complement relation nabla this is
+    the same statement, as each of its modal images is a derivation or the
+    complement of one (diamond_p b = F - b', box_p b = (I - b)', diamond_o a =
+    I - a', box_o a = (F - a)') and a clopen family is closed under complement."""
+    E, D = _completions(rep.std.context, False)
     cf = clopen_family(rep, "filter")
     ci = clopen_family(rep, "ideal")
-    for b in ci:
-        if modal(ctx, "diamond_p", b) not in cf or modal(ctx, "box_p", b) not in cf:
-            return False
-    for a in cf:
-        if modal(ctx, "diamond_o", a) not in ci or modal(ctx, "box_o", a) not in ci:
-            return False
-    return True
+    return all(E[a] in ci for a in cf) and all(D[b] in cf for b in ci)

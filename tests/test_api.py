@@ -83,3 +83,32 @@ def test_generated_code_runs_in_two_places_only():
     for path in sorted(src.glob("*.py")):
         sites += _generated_code_sites(ast.parse(path.read_text()), path.stem)
     assert sites == ["algebra._kernel", "search._checker"]
+
+
+def _fca_calls(tree, stem):
+    """The fca functions a module calls: by the name it imports them under,
+    as ``fca.<name>``, or, in fca itself, by their own name."""
+    local = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "fca"
+             for alias in node.names}
+    if stem == "fca":
+        local.update((node.name, node.name) for node in tree.body
+                     if isinstance(node, ast.FunctionDef))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in local:
+                yield local[func.id]
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id == "fca"):
+                yield func.attr
+
+
+def test_only_fca_derives_in_a_context():
+    # the other modules read a context through fca's completion tables and
+    # pair algebras, never through one derivation or modal image at a time
+    src = Path(dbakit.__file__).resolve().parent
+    callers = {path.stem for path in sorted(src.glob("*.py"))
+               if {"derive", "modal", "complement_context"}
+               & set(_fca_calls(ast.parse(path.read_text()), path.stem))}
+    assert callers == {"fca"}

@@ -7,7 +7,7 @@ import pytest
 from dbakit import cli
 from dbakit.cli import MAX_EMIT_PAIRS, MAX_MODEL_CONTEXTS, main
 from dbakit.fileformats import render_algebra, render_context
-from dbakit.fca import FormalContext
+from dbakit.fca import MAX_COMPLETION_ENTRIES, FormalContext
 from dbakit.fixtures import boolean2, cex_5ab, chain3, singleton
 from dbakit.logic import fixture_proofs, render_script
 from dbakit.search import MAX_SEARCH_SIZE
@@ -140,6 +140,17 @@ def test_protoconcepts_emission_past_the_limit_is_exit_3(files, capsys, monkeypa
     assert out == (f"budget exceeded: --emit-algebra on {count} pairs, "
                    f"more than the limit of {MAX_EMIT_PAIRS}\n")
     assert not out_dba.exists()
+
+
+def test_protoconcepts_on_a_context_too_wide_for_the_tables_is_exit_3(files, capsys):
+    # a one-object context with 17 attributes: 2 + 2**17 table entries
+    ctx = FormalContext(["g"], [f"m{i}" for i in range(17)], [[True] * 8 + [False] * 9])
+    path = files["dir"] / "wide.cxt"
+    path.write_text(render_context(ctx))
+    code, out = run(capsys, "protoconcepts", str(path), "--kind", "semi")
+    assert code == 3
+    assert out == ("budget exceeded: completion tables of a 1x17 context need "
+                   f"131074 entries, more than the limit of {MAX_COMPLETION_ENTRIES}\n")
 
 
 def test_construct_glued_sum(files, capsys):

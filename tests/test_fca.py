@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbakit.algebra import FiniteAlgebra, classify, passes, quasi_order
-from dbakit.errors import AlgebraError
+from dbakit.errors import AlgebraError, BudgetError
 from dbakit.fca import (
-    FormalContext, all_contexts, complement_context, derive, enumerate_pairs,
-    modal, oo_protoconcept_algebra, pair_flags, protoconcept_algebra,
-    _generated_pairs,
+    MAX_COMPLETION_ENTRIES, FormalContext, all_contexts, complement_context, derive,
+    enumerate_pairs, modal, oo_protoconcept_algebra, pair_flags, protoconcept_algebra,
+    _completions, _generated_pairs,
 )
 
 
@@ -340,6 +340,21 @@ def test_generated_path_on_a_wide_context():
         if derive(ctx, "intent", derive(ctx, "extent", a)) == derive(ctx, "intent", b)
     )
     assert len(pairs) == direct
+
+
+def test_completion_tables_past_the_budget_raise():
+    # 2**|G| + 2**|M| entries: 16x16 fills the budget, 0x17 is one entry past
+    # it, and every pair kind and both pair algebras read the tables
+    assert MAX_COMPLETION_ENTRIES == 2 << 16
+    E, I = _completions(ctx_of([[g == m for m in range(16)] for g in range(16)]), False)
+    assert len(E) + len(I) == MAX_COMPLETION_ENTRIES
+    wide = FormalContext([], [f"m{i}" for i in range(17)], [])
+    calls = [lambda kind=kind: enumerate_pairs(wide, kind) for kind in _KIND_NAMES]
+    for call in calls + [lambda: protoconcept_algebra(wide),
+                         lambda: oo_protoconcept_algebra(wide)]:
+        with pytest.raises(BudgetError, match="^completion tables of a 0x17 context need "
+                           f"131073 entries, more than the limit of {MAX_COMPLETION_ENTRIES}$"):
+            call()
 
 
 def test_chunked_equation_check_on_a_large_pair_algebra():

@@ -1,5 +1,6 @@
 """Primary filters/ideals, standard contexts, and the pair representation."""
 
+import collections
 import dataclasses
 import importlib
 import itertools
@@ -17,7 +18,8 @@ from dbakit.constructions import (
 )
 from dbakit.errors import AlgebraError, BudgetError
 from dbakit.fca import (
-    FormalContext, all_contexts, complement_context, derive, modal, protoconcept_algebra,
+    FormalContext, _generated_pairs, all_contexts, complement_context, derive, modal,
+    protoconcept_algebra,
 )
 from dbakit.fixtures import (
     boolean2, builtin_fixtures, cex_5ab, chain3, noncontextual4, singleton,
@@ -537,6 +539,157 @@ def test_every_verifier_fails_on_a_replaced_mask():
     assert all(flipped.values()), flipped
 
 
+# --- the verifiers against their derive-based references ------------------------------
+
+def derivation_identities_by_derive(rep) -> list[str]:
+    """Reference: ``verify_derivation_identities`` as it read the primes,
+    one ``derive`` call per identity instance."""
+    alg = rep.algebra
+    ctx = rep.std.context
+    n = alg.n
+    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
+    F, I = rep.f_masks, rep.i_masks
+    full_f = ctx.full_objects
+    full_i = ctx.full_attributes
+    fails = []
+
+    def prime_f(mask):  # filters -> ideals
+        return derive(ctx, "extent", mask)
+
+    def prime_i(mask):  # ideals -> filters
+        return derive(ctx, "intent", mask)
+
+    if any(prime_f(F[x]) != I[x] or I[x] != I[j[x][x]]
+           for x in meet_idempotents(alg)):
+        fails.append("meet-idempotent-prime")
+    if any(prime_i(I[y]) != F[y] or F[y] != F[m[y][y]]
+           for y in join_idempotents(alg)):
+        fails.append("join-idempotent-prime")
+    for x in range(n):
+        sq = m[x][x]
+        if prime_f(F[x]) != I[sq] or I[sq] != I[j[sq][sq]]:
+            fails.append("prime-is-meet-square")
+            break
+    for x in range(n):
+        sq = j[x][x]
+        if prime_i(I[x]) != F[sq] or F[sq] != F[m[sq][sq]]:
+            fails.append("prime-is-join-square")
+            break
+    if any(full_f & ~F[x] != F[g[x]] or full_i & ~I[x] != I[o[x]] for x in range(n)):
+        fails.append("complement-negation")
+    if any(I[x] & I[y] != I[j[x][y]] for x in range(n) for y in range(n)) or \
+            any(I[j[x][x]] != I[x] for x in range(n)):
+        fails.append("ideal-intersection-join")
+    if any(F[x] & F[y] != F[m[x][y]] for x in range(n) for y in range(n)) or \
+            any(F[m[x][x]] != F[x] for x in range(n)):
+        fails.append("filter-intersection-meet")
+    return fails
+
+
+def pair_embedding_by_derive(rep) -> dict:
+    """Reference: ``verify_pair_embedding`` with its own protoconcept test,
+    pair operations through ``derive`` and inline homomorphism and order
+    checks."""
+    alg = rep.algebra
+    ctx = rep.std.context
+    n = alg.n
+    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
+    F, I = rep.f_masks, rep.i_masks
+
+    def is_proto(a, b):
+        return derive(ctx, "intent", derive(ctx, "extent", a)) == derive(ctx, "intent", b)
+
+    proto = all(is_proto(F[x], I[x]) for x in range(n))
+
+    def pmeet(x, y):
+        a = F[x] & F[y]
+        return (a, derive(ctx, "extent", a))
+
+    def pjoin(x, y):
+        b = I[x] & I[y]
+        return (derive(ctx, "intent", b), b)
+
+    def pneg(x):
+        a = ctx.full_objects & ~F[x]
+        return (a, derive(ctx, "extent", a))
+
+    def popp(x):
+        b = ctx.full_attributes & ~I[x]
+        return (derive(ctx, "intent", b), b)
+
+    hom = (
+        all(pmeet(x, y) == (F[m[x][y]], I[m[x][y]]) and
+            pjoin(x, y) == (F[j[x][y]], I[j[x][y]])
+            for x in range(n) for y in range(n))
+        and all(pneg(x) == (F[g[x]], I[g[x]]) and popp(x) == (F[o[x]], I[o[x]])
+                for x in range(n))
+        and (F[alg.top], I[alg.top]) == (ctx.full_objects, 0)
+        and (F[alg.bot], I[alg.bot]) == (0, ctx.full_attributes)
+    )
+    rel = quasi_order(alg).rel
+    order = all(
+        bool(rel[x, y]) == (F[x] & ~F[y] == 0 and I[y] & ~I[x] == 0)
+        for x in range(n) for y in range(n))
+    return {"protoconcepts": proto, "homomorphism": hom, "order": order}
+
+
+def translated_continuity_through_nabla(rep) -> bool:
+    """Reference: the four modal images of every clopen set, taken in the
+    complement context nabla, are clopen."""
+    ctx = complement_context(rep.std.context)
+    cf = clopen_family(rep, "filter")
+    ci = clopen_family(rep, "ideal")
+    for b in ci:
+        if modal(ctx, "diamond_p", b) not in cf or modal(ctx, "box_p", b) not in cf:
+            return False
+    for a in cf:
+        if modal(ctx, "diamond_o", a) not in ci or modal(ctx, "box_o", a) not in ci:
+            return False
+    return True
+
+
+REFERENCES = (
+    (verify_derivation_identities, derivation_identities_by_derive),
+    (verify_pair_embedding, pair_embedding_by_derive),
+    (verify_translated_continuity, translated_continuity_through_nabla),
+)
+
+
+def _masks_replaced(rep, rng, trials):
+    """rep with one to 2n of its F_x and I_x replaced by random subsets."""
+    ctx = rep.std.context
+    for _ in range(trials):
+        fields = {"f_masks": list(rep.f_masks), "i_masks": list(rep.i_masks)}
+        for _ in range(rng.randint(1, 2 * rep.algebra.n)):
+            field, full = rng.choice((("f_masks", ctx.full_objects),
+                                      ("i_masks", ctx.full_attributes)))
+            fields[field][rng.randrange(rep.algebra.n)] = rng.randint(0, full)
+        yield dataclasses.replace(rep, **{k: tuple(v) for k, v in fields.items()})
+
+
+def test_verifiers_match_their_derive_based_references(context_reps, seeded_reps):
+    # the corpus algebras, single-point toggles of some of them, and seeded
+    # replacements of several masks at once; every verdict is seen both ways
+    reps = context_reps + seeded_reps + [representation(alg) for _, alg in dba_fixtures()]
+    rng = random.Random(19)
+    inputs = list(reps)
+    for rep in reps[::6]:
+        inputs += _one_mask_replaced(rep)
+        inputs += _masks_replaced(rep, rng, 20)
+    seen = collections.Counter()
+    for rep in inputs:
+        for verify, reference in REFERENCES:
+            got = verify(rep)
+            assert got == reference(rep)
+            items = got.items() if isinstance(got, dict) else [(None, repr(got))]
+            seen.update((verify.__name__, key, value) for key, value in items)
+    assert len(inputs) == 8062
+    assert seen["verify_translated_continuity", None, "False"] > 200
+    assert seen["verify_derivation_identities", None, "[]"] < len(inputs) / 10
+    assert all(seen["verify_pair_embedding", key, value] > 100
+               for key in ("protoconcepts", "homomorphism", "order") for value in (True, False))
+
+
 def test_clopen_characterizations():
     rep = representation(chain3())
     res = verify_clopen_characterization(rep)
@@ -554,30 +707,29 @@ def test_clopen_characterizations():
     assert res4.status == "not-applicable" and not res4.ok
 
 
+@pytest.mark.parametrize("rows, kind, field, masks, replaced", [
+    # a in cf: the 2x1 context (g0: ., g1: X)
+    ([[False], [True]], "protoconcept", "f_masks", (0, 1, 2, 3), (0, 3, 0, 3)),
+    # b in ci: the 2x2 context (g0: XX, g1: ..)
+    ([[True, True], [False, False]], "semiconcept", "i_masks", (3, 1, 2, 3, 0, 0),
+     (3, 3, 3, 3, 0, 0)),
+])
+def test_characterization_needs_both_clopen_tests(rows, kind, field, masks, replaced):
+    # several masks replaced at once: the pairs whose sides are clopen are
+    # the (F_x, I_x), but unfiltered the enumerated pairs are not
+    ctx = FormalContext([f"g{i}" for i in range(len(rows))],
+                        [f"m{i}" for i in range(len(rows[0]))], rows)
+    rep = representation(protoconcept_algebra(ctx, kind).algebra)
+    assert getattr(rep, field) == masks
+    bad = dataclasses.replace(rep, **{field: replaced})
+    res = verify_clopen_characterization(bad)
+    assert res.status == kind and res.set_equal
+    assert set(_generated_pairs(bad.std.context, kind)) != set(zip(bad.f_masks, bad.i_masks))
+
+
 def test_translated_continuity_on_fixtures():
     for name, alg in dba_fixtures():
         assert verify_translated_continuity(representation(alg)), name
-
-
-def test_translated_continuity_reads_the_nabla_context(monkeypatch):
-    # delta and nabla give the same verdicts on every algebra tried, so the
-    # context is checked where the modal images are taken
-    seen = []
-
-    def recording(ctx, op, mask):
-        seen.append(ctx.obj_rows)
-        return modal(ctx, op, mask)
-
-    monkeypatch.setattr(importlib.import_module("dbakit.representation"), "modal", recording)
-    apart = 0
-    for name, alg in dba_fixtures():
-        rep = representation(alg)
-        seen.clear()
-        assert verify_translated_continuity(rep), name
-        nabla = complement_context(rep.std.context).obj_rows
-        assert seen and set(seen) == {nabla}, name
-        apart += nabla != rep.std.context.obj_rows
-    assert apart >= 3
 
 
 def test_representation_budget():
