@@ -1,12 +1,22 @@
 """Finite algebras of type (2,2,1,1,0,0) and the axiom/classification machinery.
 
-A FiniteAlgebra is immutable after construction; every function here is
-read-only on its inputs and safe to call concurrently on shared values.
+A FiniteAlgebra is immutable after construction: it copies its tables.
+Every function here is read-only on its inputs and safe to call
+concurrently on shared values.
+
+What the tables decide (suite reports, catalog verdicts, the quasi-order
+and the classification) is kept in one record per table set, shared by
+every live algebra with equal tables, that is, equal ``signature()``
+(``_facts_of``).  Sharing is exact: the key is the whole of the tables,
+every kept value is index-based, and names enter only when a report is
+rendered.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
+import weakref
 from dataclasses import dataclass
 from itertools import islice, product
 
@@ -29,8 +39,7 @@ class FiniteAlgebra:
 
     __slots__ = (
         "names", "n", "meet", "join", "neg", "opp", "top", "bot",
-        "_rows_m", "_rows_j", "_lneg", "_lopp", "_suite_cache", "_qo_cache",
-        "_cls_cache",
+        "_rows_m", "_rows_j", "_lneg", "_lopp", "_facts",
     )
 
     def __init__(self, names, meet, join, neg, opp, top, bot):
@@ -53,16 +62,14 @@ class FiniteAlgebra:
         self._rows_j = tuple(map(tuple, self.join.tolist()))
         self._lneg = tuple(self.neg.tolist())
         self._lopp = tuple(self.opp.tolist())
-        self._suite_cache = {}
-        self._qo_cache = None
-        self._cls_cache = None
+        self._facts = None  # the shared record of verdicts, on the first check
 
     @staticmethod
     def _table(values, shape, what):
-        """values as a read-only int64 array of the given shape with entries
+        """values as a read-only int64 copy of the given shape with entries
         in [0, n); non-integer entries are an error, never truncated."""
         try:
-            arr = np.asarray(values)
+            arr = np.array(values)  # a new array: the caller may write to values
         except ValueError:  # ragged rows
             arr = None
         if arr is None or arr.shape != shape:
@@ -73,7 +80,7 @@ class FiniteAlgebra:
         n = shape[0]
         if arr.min() < 0 or arr.max() >= n:
             raise AlgebraError(f"{what} entry out of range [0, {n})")
-        arr = np.asarray(arr, dtype=np.int64)
+        arr = arr.astype(np.int64, copy=False)
         arr.flags.writeable = False
         return arr
 
@@ -102,11 +109,46 @@ class FiniteAlgebra:
         )
 
     def renamed(self, names) -> "FiniteAlgebra":
-        return FiniteAlgebra(names, self.meet, self.join, self.neg, self.opp,
-                             self.top, self.bot)
+        alg = FiniteAlgebra(names, self.meet, self.join, self.neg, self.opp,
+                            self.top, self.bot)
+        alg._facts = self._facts
+        return alg
 
     def __repr__(self):
         return f"FiniteAlgebra(n={self.n}, names={self.names!r})"
+
+
+class _Facts:
+    """What one table set decides: suite reports by suite, the catalog
+    verdicts, the quasi-order and the classification, each filled on its
+    first check.  Holds no algebra, so it lives exactly as long as the
+    algebras that hold it."""
+
+    __slots__ = ("suites", "catalog", "order", "classification", "__weakref__")
+
+    def __init__(self):
+        self.suites = {}
+        self.catalog = self.order = self.classification = None
+
+
+_FACTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # tables -> _Facts
+_FACTS_LOCK = threading.Lock()  # one record per table set, even when threads race
+
+
+def _facts_of(alg: FiniteAlgebra) -> _Facts:
+    """The record of alg's tables, shared with every live algebra that has
+    the same tables; looked up on the first check and kept on alg.  Two
+    threads may fill one field at once: both write equal values."""
+    facts = alg._facts
+    if facts is None:
+        # signature() with the tables in the narrowest dtype that holds the
+        # elements: as exact, and a key up to 8 times smaller
+        dt = np.min_scalar_type(alg.n - 1)
+        key = (alg.n, alg.top, alg.bot,
+               *(t.astype(dt).tobytes() for t in (alg.meet, alg.join, alg.neg, alg.opp)))
+        with _FACTS_LOCK:
+            facts = alg._facts = _FACTS.setdefault(key, _Facts())
+    return facts
 
 
 def eval_term(alg: FiniteAlgebra, t: Term, env=None) -> int:
@@ -384,15 +426,16 @@ def check_suite(alg: FiniteAlgebra, suite) -> SuiteReport:
 
 
 def _check_suites(alg: FiniteAlgebra, suites) -> tuple[SuiteReport, ...]:
-    """The reports of the suites; those not cached on alg (keyed by id and
-    equations) are checked in one ``_check_equations`` call."""
+    """The reports of the suites; those not in the record of alg's tables
+    (keyed by id and equations) are checked in one ``_check_equations`` call."""
     suites = tuple(get_suite(s) for s in suites)
-    reports = [alg._suite_cache.get(s) for s in suites]  # one hash per cached suite
+    known = _facts_of(alg).suites
+    reports = [known.get(s) for s in suites]  # one hash per known suite
     todo = {s: None for s, r in zip(suites, reports) if r is None}
     if todo:
         verdicts = iter(_check_equations(alg, [e for s in todo for e in s.equations]))
         for s in todo:
-            todo[s] = alg._suite_cache[s] = SuiteReport(s.id, tuple(islice(verdicts, len(s))))
+            todo[s] = known[s] = SuiteReport(s.id, tuple(islice(verdicts, len(s))))
         reports = [todo[s] if r is None else r for s, r in zip(suites, reports)]
     return tuple(reports)
 
@@ -433,11 +476,12 @@ def _flagged_order(rel: np.ndarray) -> QuasiOrder:
 
 
 def quasi_order(alg: FiniteAlgebra) -> QuasiOrder:
-    if alg._qo_cache is None:
+    facts = _facts_of(alg)
+    if facts.order is None:
         m, j = alg.meet, alg.join
-        alg._qo_cache = _flagged_order(
+        facts.order = _flagged_order(
             (m == m.diagonal()[:, None]) & (j == j.diagonal()[None, :]))
-    return alg._qo_cache
+    return facts.order
 
 
 def project_meet(alg: FiniteAlgebra, x: int) -> int:
@@ -512,8 +556,9 @@ def classify(alg: FiniteAlgebra) -> ClassificationReport:
     dba and dcore are both checked directly (their equivalence is a theorem
     that the test suite verifies, never an assumption made here).
     """
-    if alg._cls_cache is not None:
-        return alg._cls_cache
+    facts = _facts_of(alg)
+    if facts.classification is not None:
+        return facts.classification
     r_dba, r_dcore, r_gd = _check_suites(alg, (DBA23, DCORE13, GDCORE11))
     qo = quasi_order(alg)
     mi = meet_idempotents(alg)
@@ -528,7 +573,7 @@ def classify(alg: FiniteAlgebra) -> ClassificationReport:
         for v in rep.verdicts
         if not v.holds
     )
-    alg._cls_cache = ClassificationReport(
+    facts.classification = ClassificationReport(
         is_dba=r_dba.ok,
         is_dcore=r_dcore.ok,
         is_generalized_dcore=r_gd.ok,
@@ -540,7 +585,7 @@ def classify(alg: FiniteAlgebra) -> ClassificationReport:
         join_idempotents=ji,
         failures=failures,
     )
-    return alg._cls_cache
+    return facts.classification
 
 
 def extract_boolean_part(alg: FiniteAlgebra, side: str) -> FiniteAlgebra:
@@ -585,5 +630,8 @@ def is_boolean_algebra(alg: FiniteAlgebra) -> bool:
 
 def check_identity_catalog(alg: FiniteAlgebra):
     """Check every derived identity; returns (all verdicts, failing verdicts)."""
-    verdicts = _check_equations(alg, CATALOG)
-    return verdicts, tuple(v for v in verdicts if not v.holds)
+    facts = _facts_of(alg)
+    if facts.catalog is None:
+        verdicts = _check_equations(alg, CATALOG)
+        facts.catalog = verdicts, tuple(v for v in verdicts if not v.holds)
+    return facts.catalog

@@ -5,8 +5,8 @@ set), and all enumerations run in ascending-mask order so results are
 deterministic.  Empty object or attribute sets are permitted; derivation of
 the empty set returns the full opposite universe.
 
-All five pair kinds and both pair algebras are read from the two completion
-tables of their family (``_completions``), never pair by pair.
+All five pair kinds, their flags and both pair algebras are read from the
+completion tables (``_completions``), never derived pair by pair.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .algebra import FiniteAlgebra
 from .errors import AlgebraError, BudgetError
 
 # 2**|G| + 2**|M| table entries: a 1x16 or 16x16 context fits.  On a 2-core
-# host `protoconcepts --kind semi` takes about 2 s on 1x16 and 8 s on 1x18.
+# host `protoconcepts --kind semi` takes about 1 s on 1x16 and 3 s on 1x18.
 MAX_COMPLETION_ENTRIES = 1 << 17
 
 
@@ -149,16 +149,37 @@ def _completions(ctx: FormalContext, oo: bool) -> tuple[list[int], list[int]]:
         raise BudgetError(
             f"completion tables of a {ctx.n_objects}x{ctx.n_attributes} context need "
             f"{entries} entries, more than the limit of {MAX_COMPLETION_ENTRIES}")
-    complete, ext, itt = (modal, "box_o", "diamond_p") if oo else (derive, "extent", "intent")
-    return ([complete(ctx, ext, a) for a in range(ctx.full_objects + 1)],
-            [complete(ctx, itt, b) for b in range(ctx.full_attributes + 1)])
+    if oo:
+        # box_o a meets, over the objects g outside a, the attributes g lacks
+        # (the table of those meets is indexed by G - a); diamond_p b joins
+        # the columns of b
+        lacks = [ctx.full_attributes & ~row for row in ctx.obj_rows]
+        return (_fold_masks(lacks, ctx.full_attributes, operator.and_)[::-1],
+                _fold_masks(ctx.attr_cols, 0, operator.or_))
+    return (_fold_masks(ctx.obj_rows, ctx.full_attributes, operator.and_),
+            _fold_masks(ctx.attr_cols, ctx.full_objects, operator.and_))
+
+
+def _fold_masks(values, start, op) -> list[int]:
+    """``T[mask]``: start combined by op with ``values[i]`` for each bit i of
+    mask, for every mask over ``len(values)`` bits; each entry extends the
+    entry without its lowest bit."""
+    table = [start] * (1 << len(values))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = op(table[mask ^ low], values[low.bit_length() - 1])
+    return table
 
 
 def _generated_pairs(ctx: FormalContext, kind: str) -> list[tuple[int, int]]:
-    """The (extent, intent) masks of every ``kind`` pair, ascending: the
+    """The (extent, intent) masks of every ``kind`` pair, ascending."""
+    return _pairs_of(kind, *_completions(ctx, kind.startswith("oo_")))
+
+
+def _pairs_of(kind: str, E: list[int], I: list[int]) -> list[tuple[int, int]]:
+    """The ``kind`` pairs of the completion tables E, I of kind's family: the
     (oo-)semiconcepts are the completed extents and intents, the concepts the
     (a, E[a]) with I[E[a]] = a, the (oo-)protoconcepts the (a, b) with I[E[a]] = I[b]."""
-    E, I = _completions(ctx, kind.startswith("oo_"))
     if kind.endswith("semiconcept"):
         return sorted({*enumerate(E), *((a, b) for b, a in enumerate(I))})
     if kind == "concept":
@@ -170,10 +191,22 @@ def _generated_pairs(ctx: FormalContext, kind: str) -> list[tuple[int, int]]:
 
 
 def enumerate_pairs(ctx: FormalContext, kind: str) -> list[ConceptPair]:
-    """All pairs of the requested kind, ordered by (extent mask, intent mask)."""
+    """All pairs of the requested kind, ordered by (extent mask, intent mask).
+
+    The five flags are ``pair_flags``'s, read from the completion tables of
+    both families instead of derived pair by pair."""
     if kind not in _KINDS:
         raise AlgebraError(f"unknown pair kind {kind!r} (known: {_KINDS})")
-    return [pair_flags(ctx, a, b) for a, b in _generated_pairs(ctx, kind)]
+    E, I = _completions(ctx, False)
+    Eo, Io = _completions(ctx, True)
+    members = _pairs_of(kind, Eo, Io) if kind.startswith("oo_") else _pairs_of(kind, E, I)
+    return [ConceptPair(a, b,
+                        concept=E[a] == b and I[b] == a,
+                        semiconcept=E[a] == b or I[b] == a,
+                        protoconcept=I[E[a]] == I[b],
+                        oo_semiconcept=Eo[a] == b or Io[b] == a,
+                        oo_protoconcept=Io[Eo[a]] == Io[b])
+            for a, b in members]
 
 
 def _pair_name(prefix: str, a: int, b: int) -> str:
@@ -197,9 +230,9 @@ def _pair_algebra(ctx: FormalContext, kind: str, prefix: str, meet_extents,
     ``meet_extents`` and join intersects intents, the negations complement
     one side, and the completion tables supply the other side; top/bot are
     pairs.  Elements are named with ``prefix``."""
-    members = _generated_pairs(ctx, kind)
-    index = {ab: i for i, ab in enumerate(members)}
     E, I = _completions(ctx, kind.startswith("oo_"))
+    members = _pairs_of(kind, E, I)
+    index = {ab: i for i, ab in enumerate(members)}
     # (a, E[a]) and (I[b], b) are semiconcepts, which every kind built here
     # contains (a'' = (a')', b''' = b', diamond box diamond = diamond): no lookup misses.
     at_extent = [index[ab] for ab in enumerate(E)]

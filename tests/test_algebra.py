@@ -2,6 +2,8 @@
 
 import functools
 import gc
+import sys
+import threading
 import tracemalloc
 import weakref
 from itertools import product
@@ -11,18 +13,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbakit.algebra import (
-    _VECTOR_THRESHOLD, FiniteAlgebra, _kernel, check_identity_catalog, check_suite, classify,
+    _FACTS, _VECTOR_THRESHOLD, FiniteAlgebra, _check_equations, _facts_of, _kernel,
+    check_identity_catalog, check_suite, classify,
     eval_term, extract_boolean_part, is_boolean_algebra, join_idempotents, meet_idempotents,
     passes, project_join, project_meet, quasi_order, satisfies_equation,
 )
 from dbakit.errors import AlgebraError, EvalError, SuiteError
-from dbakit.fca import FormalContext, protoconcept_algebra
+from dbakit.fca import FormalContext, all_contexts, protoconcept_algebra
 from dbakit.fixtures import (
     boolean2, builtin_fixtures, cex_5ab, chain3, gdcore_not_dcore, noncontextual4,
     singleton,
 )
 from dbakit.logic import eval_sequent, parse_sequent
-from dbakit.suites import DBA23, DCORE13, GDCORE11, get_suite
+from dbakit.search import SearchSpec, enumerate_algebras
+from dbakit.suites import BOOLEAN, CATALOG, DBA23, DCORE13, GDCORE11, get_suite
 from dbakit.terms import MAX_DEPTH, AxiomSuite, Equation, Meet, Neg, Var, eq, parse_term
 
 
@@ -82,6 +86,22 @@ def test_integer_tables_of_any_integer_type_are_accepted():
                           neg=np.array([1, 0], dtype=kind), top=kind(1), bot=kind(0))
         assert alg.signature() == plain.signature()
         assert alg.meet.dtype == np.int64
+
+
+def test_the_algebra_owns_its_tables():
+    # tables given as int64 views of a caller's array: writing through the
+    # base must change neither the numpy tables nor the scalar rows
+    base = np.array([[[0, 1], [1, 1]], [[0, 1], [1, 1]]], dtype=np.int64)
+    maps = np.array([[1, 0], [1, 0]], dtype=np.int64)
+    alg = FiniteAlgebra(["a", "b"], base[0], base[1], maps[0], maps[1], 1, 0)
+    before = alg.signature()
+    assert base[0].flags.writeable and maps[0].flags.writeable
+    base[0, 1, 1] = 0
+    maps[0, 0] = 0
+    assert alg.signature() == before
+    assert alg.meet.tolist() == [list(row) for row in alg._rows_m] == [[0, 1], [1, 1]]
+    assert list(alg._lneg) == alg.neg.tolist() == [1, 0]
+    assert not alg.meet.flags.writeable and not alg.neg.flags.writeable
 
 
 # --- eval_term ----------------------------------------------------------------
@@ -254,14 +274,156 @@ def test_classify_checks_its_three_suites_in_one_batch(monkeypatch):
     classify(alg)
     assert batches == [len(DBA23) + len(DCORE13) + len(GDCORE11)]
     for suite in (DBA23, DCORE13, GDCORE11):
-        assert check_suite(alg, suite).verdicts == check_suite(fresh, suite).verdicts
-    assert batches[1:] == [len(DBA23), len(DCORE13), len(GDCORE11)]  # alg's were cached
+        assert check_suite(fresh, suite).verdicts == check(fresh, suite.equations)
+    assert batches == [len(DBA23) + len(DCORE13) + len(GDCORE11)]  # fresh shares alg's record
 
 
 def test_classify_is_cached_per_algebra():
     alg = chain3()
     assert classify(alg) is classify(alg)
     assert classify(alg) == classify(chain3())
+
+
+# --- one record of verdicts per table set ----------------------------------------
+
+def copy_of(alg):
+    """A fresh algebra with alg's tables and names, built from plain lists."""
+    return FiniteAlgebra(alg.names, alg.meet.tolist(), alg.join.tolist(), alg.neg.tolist(),
+                         alg.opp.tolist(), alg.top, alg.bot)
+
+
+def order_oracle(alg):
+    m, j = alg._rows_m, alg._rows_j
+    return [[m[x][y] == m[x][x] and j[x][y] == j[y][y] for y in range(alg.n)]
+            for x in range(alg.n)]
+
+
+def record_corpus():
+    """The fixtures, the DBA23 models of at most 3 elements, and the proto
+    and semi algebras of every context of at most 2x3."""
+    algs = [alg for _, alg in builtin_fixtures()]
+    for size in (1, 2, 3):
+        algs += enumerate_algebras(SearchSpec(size=size, require="DBA23")).found
+    for g in range(3):
+        for m in range(4):
+            for ctx in all_contexts(g, m):
+                algs += [protoconcept_algebra(ctx, kind).algebra
+                         for kind in ("protoconcept", "semiconcept")]
+    return algs
+
+
+def test_shared_verdicts_equal_direct_checks():
+    # every view of every algebra stays alive, so equal tables share a record;
+    # the oracle checks each table set directly, without any record
+    algs = record_corpus()
+    views = [(alg, alg.renamed([f"r{i}" for i in range(alg.n)]), copy_of(alg)) for alg in algs]
+    oracle = {}
+    for i, trio in enumerate(views):
+        alg = trio[0]
+        sig = alg.signature()
+        if sig not in oracle:
+            oracle[sig] = {s: _check_equations(alg, s.equations)
+                           for s in (DBA23, DCORE13, GDCORE11, BOOLEAN)}
+            oracle[sig]["catalog"] = _check_equations(alg, CATALOG)
+            oracle[sig]["order"] = order_oracle(alg)
+        want = oracle[sig]
+        dba, dcore = want[DBA23], want[DCORE13]
+        failures = tuple((f"{s.id}:{v.equation.id}", v.witness)
+                         for s in (DBA23, DCORE13) for v in want[s] if not v.holds)
+        for view in (trio if i % 2 else trio[::-1]):  # either end fills the record first
+            for suite in (DBA23, DCORE13, GDCORE11, BOOLEAN):
+                assert check_suite(view, suite).verdicts == want[suite]
+            verdicts, fails = check_identity_catalog(view)
+            assert verdicts == want["catalog"]
+            assert fails == tuple(v for v in verdicts if not v.holds)
+            qo = quasi_order(view)
+            assert qo.rel.tolist() == want["order"]
+            cl = classify(view)
+            assert (cl.is_dba, cl.is_dcore, cl.is_generalized_dcore) == (
+                all(v.holds for v in dba), all(v.holds for v in dcore),
+                all(v.holds for v in want[GDCORE11]))
+            assert cl.failures == failures
+            assert cl.is_contextual == (cl.is_dba and qo.antisymmetric)
+            assert cl.meet_idempotents == {x for x in range(alg.n) if alg._rows_m[x][x] == x}
+            assert cl.join_idempotents == {x for x in range(alg.n) if alg._rows_j[x][x] == x}
+        assert trio[0]._facts is trio[1]._facts is trio[2]._facts
+    assert len({id(alg._facts) for alg in algs}) == len(oracle)
+
+
+def test_tables_that_differ_anywhere_get_their_own_record():
+    base = chain3()
+    meet, opp = base.meet.tolist(), base.opp.tolist()
+    meet[0][1] = (meet[0][1] + 1) % base.n
+    opp[0] = (opp[0] + 1) % base.n
+    top = (base.top + 1) % base.n
+    variants = [
+        FiniteAlgebra(base.names, meet, base.join, base.neg, base.opp, base.top, base.bot),
+        FiniteAlgebra(base.names, base.meet, base.join, base.neg, opp, base.top, base.bot),
+        FiniteAlgebra(base.names, base.meet, base.join, base.neg, base.opp, top, base.bot),
+    ]
+    records = [_facts_of(alg) for alg in [base] + variants]
+    assert len({id(r) for r in records}) == len(records)
+    for alg in [base] + variants:
+        assert check_suite(alg, DBA23).verdicts == _check_equations(alg, DBA23.equations)
+        assert check_identity_catalog(alg)[0] == _check_equations(alg, CATALOG)
+
+
+def test_a_record_lives_as_long_as_an_algebra_with_its_tables():
+    # tables no other test builds; reference counts alone must free the record
+    n = 5
+    tables = ([[(x * y) % n for y in range(n)] for x in range(n)],
+              [[(x + y) % n for y in range(n)] for x in range(n)],
+              [(n - x) % n for x in range(n)], [(x + 2) % n for x in range(n)], 3, 4)
+    gc.disable()
+    try:
+        before = len(_FACTS)
+        first = FiniteAlgebra("abcde", *tables)
+        classify(first)
+        record = weakref.ref(first._facts)
+        assert len(_FACTS) == before + 1
+        second = first.renamed("vwxyz")
+        third = FiniteAlgebra("abcde", *tables)
+        check_identity_catalog(third)
+        assert record() is second._facts is third._facts
+        del first, second
+        assert record() is not None and len(_FACTS) == before + 1
+        del third
+        assert record() is None and len(_FACTS) == before
+    finally:
+        gc.enable()
+
+
+def test_threads_share_one_record_of_equal_reports():
+    # more threads than cores, switching often, all racing for the first record
+    ctx = FormalContext(["g0", "g1"], ["m0", "m1", "m2"], [[1, 0, 1], [0, 1, 1]])
+    model = protoconcept_algebra(ctx).algebra
+    want = classify(model), check_identity_catalog(model)
+    gone = weakref.ref(model._facts)
+    del model
+    assert gone() is None  # the threads start without a record
+    start = threading.Barrier(4, timeout=60)
+    results = [None] * 4
+
+    def work(i):
+        alg = copy_of(protoconcept_algebra(ctx).algebra)
+        start.wait()
+        results[i] = classify(alg), check_identity_catalog(alg), alg
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is not None for r in results)
+    for report, catalog, _ in results:
+        assert report == want[0] and catalog == want[1]
+    assert len({id(alg._facts) for _, _, alg in results}) == 1
 
 
 def neg_chain(depth):

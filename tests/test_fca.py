@@ -198,6 +198,23 @@ def test_generated_pairs_agree_with_brute_force():
             assert _generated_pairs(ctx, kind) == [(p.extent, p.intent) for p in brute[kind]]
 
 
+def test_completion_tables_are_the_derivations():
+    # every context up to 3x4 and seeded ones up to |G|+|M| = 13: each entry
+    # is one derive or modal call on its mask
+    ctxs = [ctx for g in range(4) for m in range(5) for ctx in all_contexts(g, m)]
+    rng = random.Random(7)
+    for g, m in ((1, 12), (12, 1), (7, 6), (6, 7)):
+        ctxs.append(ctx_of([[rng.random() < 0.5 for _ in range(m)] for _ in range(g)]))
+    for ctx in ctxs:
+        objects, attributes = range(ctx.full_objects + 1), range(ctx.full_attributes + 1)
+        assert _completions(ctx, False) == (
+            [derive(ctx, "extent", a) for a in objects],
+            [derive(ctx, "intent", b) for b in attributes]), ctx
+        assert _completions(ctx, True) == (
+            [modal(ctx, "box_o", a) for a in objects],
+            [modal(ctx, "diamond_p", b) for b in attributes]), ctx
+
+
 def test_pair_flags_recomputable():
     ctx = ctx_of([[True, True], [True, False]])
     for p in enumerate_pairs(ctx, "protoconcept"):

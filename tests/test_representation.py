@@ -26,7 +26,7 @@ from dbakit.fixtures import (
 )
 from dbakit.representation import (
     MAX_REPRESENTATION_SIZE, ClopenCharacterization, RepresentationResult,
-    _make_filterset, _mask_of,
+    _is_homomorphism, _make_filterset, _mask_of,
     clopen_family, closed_set_family, enumerate_primary, enumerate_primary_naive,
     is_filter, is_ideal, is_primary, representation, standard_context,
     verify_clopen_characterization, verify_clopen_sets,
@@ -291,6 +291,18 @@ def test_representation_verdicts_on_fixtures():
         assert emb["homomorphism"] and emb["order"], name
         if classify(alg).is_contextual:
             assert rep.injective and rep.isomorphism, name
+
+
+def test_a_homomorphism_sends_the_constants_to_the_constants():
+    # the identity commutes with all four operations of its own algebra, so
+    # only the constants clause can reject it: when top or bottom moves
+    for name, alg in builtin_fixtures():
+        m, j = alg._rows_m, alg._rows_j
+        ops = (lambda u, v: m[u][v], lambda u, v: j[u][v],
+               alg._lneg.__getitem__, alg._lopp.__getitem__)
+        for top, bot in itertools.product(range(alg.n), repeat=2):
+            assert _is_homomorphism(alg, range(alg.n), *ops, top, bot) == (
+                (top, bot) == (alg.top, alg.bot)), (name, top, bot)
 
 
 def test_noncontextual_embedding_is_not_injective():
