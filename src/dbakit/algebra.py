@@ -237,7 +237,7 @@ def _first_witness(alg: FiniteAlgebra, pairs, names, ranges, order=None):
 # of the batch once per chunk of the first variable.
 
 _VECTOR_THRESHOLD = 256
-_VECTOR_CHUNK_CELLS = 1 << 18  # bounds each temporary array to a few MB
+_VECTOR_CHUNK_CELLS = 1 << 18  # cells per array, or n**(k-1): one value of the first
 
 
 def _check_equations(alg: FiniteAlgebra, equations) -> tuple[EquationVerdict, ...]:
@@ -278,9 +278,9 @@ def satisfies_equation(alg: FiniteAlgebra, equation: Equation) -> EquationVerdic
     """Check lhs = rhs under every assignment.
 
     A failing verdict carries the lexicographically first counterexample
-    (variables in sorted name order, element indices as values).  Memory
-    stays bounded for any universe size.  Terms deeper than ``MAX_DEPTH``
-    raise EvalError.
+    (variables in sorted name order, element indices as values).  Each
+    array of values holds at most max(2**18, n**(k-1)) cells for k
+    variables.  Terms deeper than ``MAX_DEPTH`` raise EvalError.
     """
     return _check_equations(alg, (equation,))[0]
 
@@ -288,36 +288,62 @@ def satisfies_equation(alg: FiniteAlgebra, equation: Equation) -> EquationVerdic
 @functools.lru_cache(maxsize=64)
 def _vector_plan(pairs, first):
     """Steps that evaluate the pairs (lhs, rhs), all of which contain the
-    variable ``first``: ``(static, chunked)``.
+    variable ``first``: ``(static, chunked, keys)``.
 
-    Each distinct subterm is one step ``(kind, node, a, b, drops)``, after
-    its children ``a`` and ``b``.  Subterms without ``first`` are static:
-    computed once per call, and those a chunked step reads are kept for the
-    call.  The chunked steps run once per chunk, with a step of kind
-    ``None`` for each pair (the pair as node, its sides as ``a``, ``b``)
-    right after its sides.  ``drops`` are the values whose last use is the
-    step.  The plans of the last 64 distinct batches are kept.
+    A step ``(key, node, a, b, how, drops)`` computes a distinct subterm
+    after its operands: a leaf (key Var or Const) or one lookup in the
+    table ``key`` of ``keys``, a chain of ``~``/``!`` folded into the Meet
+    or Join below it (at its children a, b) or the leaf a below it (b
+    None).  ``how`` is None for a gather from the flattened table, or for
+    operands without a common variable an outer lookup ``(takes,
+    transpose)``: take by each ``(operand, axis)`` in turn, the one with
+    fewer cells first, skipping a bare variable but ``first`` (its values
+    are the whole axis), and transpose unless a's variables sort first.
+    Subterms without ``first`` are static: computed once per call, and
+    those a chunked step reads are kept for the call.  The chunked steps
+    run once per chunk, with a step of key ``None`` for each pair (the
+    pair as node, its sides as ``a``, ``b``) right after its sides.
+    ``drops`` are the values whose last use is the step.  The plans of the
+    last 64 distinct batches are kept.
     """
-    static, chunked = [], []
-    seen = set()
+    order, seen = [], set()
     for pair in pairs:
         for t in pair:
             for u in postorder(t):
                 if u not in seen:
                     seen.add(u)
-                    kind = type(u)
-                    if kind is Meet or kind is Join:
-                        a, b = u.left, u.right
-                    elif kind is Neg or kind is Opp:
-                        a, b = u.arg, None
-                    else:
-                        a = b = None
-                    (chunked if first in variables(u) else static).append((kind, u, a, b))
-        chunked.append((None, pair, *pair))
+                    order.append(u)
+        order.append(pair)
+    steps, needed = [], set()  # needed: the values a later step reads
+    for u in reversed(order):
+        if type(u) is tuple:  # the check of pair u
+            steps.append((None, u, *u, None))
+            needed.update(u)
+        elif u in needed:
+            key, v, a, b, how = (), u, None, None, None
+            while type(v) is Neg or type(v) is Opp:
+                key, v = key + (type(v),), v.arg
+            if type(v) is Meet or type(v) is Join:
+                key, a, b = key + (type(v),), v.left, v.right
+                va, vb = variables(a), variables(b)
+                if not set(va) & set(vb):
+                    takes = sorted(((a, 0), (b, 1)), key=lambda t: (
+                        len(variables(t[0])), first not in variables(t[0])))
+                    how = (tuple(t for t in takes if type(t[0]) is not Var or t[0].name == first),
+                           bool(va and vb) and va[-1] > vb[0])
+            elif key:
+                a = v
+            else:
+                key = type(v)
+            needed.update(x for x in (a, b) if x is not None)
+            steps.append((key, u, a, b, how))
+    steps.reverse()
+    static = [s for s in steps if s[0] is not None and first not in variables(s[1])]
+    chunked = [s for s in steps if s[0] is None or first in variables(s[1])]
 
     def with_drops(steps, kept):
         last = {}  # value -> index of the last step that reads it
-        for i, (_, _, a, b) in enumerate(steps):
+        for i, (_, _, a, b, _) in enumerate(steps):
             for x in (a, b):
                 if x is not None and x not in kept:
                     last[x] = i
@@ -326,8 +352,9 @@ def _vector_plan(pairs, first):
             drops[i].append(x)
         return tuple((*step, tuple(d)) for step, d in zip(steps, drops))
 
-    return (with_drops(static, {x for step in chunked for x in step[2:]}),
-            with_drops(chunked, {step[1] for step in static}))
+    return (with_drops(static, {x for step in chunked for x in step[2:4]}),
+            with_drops(chunked, {step[1] for step in static}),
+            frozenset(s[0] for s in steps if type(s[0]) is tuple))
 
 
 def _vector_witnesses(alg: FiniteAlgebra, batch: dict) -> dict:
@@ -338,52 +365,57 @@ def _vector_witnesses(alg: FiniteAlgebra, batch: dict) -> dict:
     Values are arrays of the narrowest unsigned dtype that holds the
     elements, one axis per variable of the batch in sorted-name order, of
     length 1 where the subterm lacks the variable.  Only the first variable
-    is chunked, so no array has more than ``_VECTOR_CHUNK_CELLS`` cells
-    per value of it; a binary operation is one gather from the flattened
-    table.  The first failing tuple of a pair is the first False of its mask
-    over its own axes in C order, which is the lexicographic order.
+    is chunked, so no array has more than max(``_VECTOR_CHUNK_CELLS``,
+    n**(k-1)) cells for k variables.  The first failing tuple of a pair is
+    the first False of its mask over its own axes in C order, which is the
+    lexicographic order.
     """
     names = sorted({v for vs in batch.values() for v in vs})
     axis = {name: i for i, name in enumerate(names)}
     n, k = alg.n, len(names)
     dt = np.min_scalar_type(n - 1)
-    meet, join = alg.meet.astype(dt).ravel(), alg.join.astype(dt).ravel()
-    neg, opp = alg.neg.astype(dt), alg.opp.astype(dt)
     const = {"top": np.full((1,) * k, alg.top, dt), "bot": np.full((1,) * k, alg.bot, dt)}
+    interleave = tuple(i for d in range(k) for i in (d, k + d))
+    pairs = tuple(batch)
+    static_steps, chunked, keys = _vector_plan(pairs, names[0])
+    ops = {Meet: alg.meet, Join: alg.join, Neg: alg.neg, Opp: alg.opp}
+    tables = {key: functools.reduce(lambda t, op: ops[op].take(t), key[-2::-1],
+                                    ops[key[-1]]).astype(dt)
+              for key in keys}  # ~!(x & y) reads G[O[M]]
 
     def along(name, values):
         shape = [1] * k
         shape[axis[name]] = len(values)
         return values.reshape(shape)
 
-    def cell(a, b):  # flat table index, in intp whatever numpy's promotion rules
-        return np.multiply(a, n, dtype=np.intp) + b
-
     def run(steps, val, firsts=None, lo=0, failed=None):
-        for kind, u, a, b, drops in steps:
-            if kind is Meet:
-                val[u] = meet.take(cell(val[a], val[b]))
-            elif kind is Join:
-                val[u] = join.take(cell(val[a], val[b]))
-            elif kind is Neg:
-                val[u] = neg.take(val[a])
-            elif kind is Opp:
-                val[u] = opp.take(val[a])
-            elif kind is Var:
+        for key, u, a, b, how, drops in steps:
+            if key is Var:
                 val[u] = firsts if u.name == names[0] else along(u.name, np.arange(n, dtype=dt))
-            elif kind is Const:
+            elif key is Const:
                 val[u] = const[u.which]
-            else:  # the check of pair u on this chunk
+            elif key is None:  # the check of pair u on this chunk
                 eqmask = val[a] == val[b]
                 if not eqmask.all():
                     own = [eqmask.shape[axis[v]] for v in batch[u]]
                     bad = np.unravel_index(int(np.argmin(eqmask.reshape(-1))), own)
                     failed[u] = (int(bad[0]) + lo,) + tuple(int(v) for v in bad[1:])
+            elif b is None:
+                val[u] = tables[key].take(val[a])
+            elif how is None:  # flat cell index, in intp whatever numpy's promotion rules
+                val[u] = tables[key].take(np.multiply(val[a], n, dtype=np.intp) + val[b])
+            else:  # an outer lookup: one operand per table axis
+                takes, transpose = how
+                r = tables[key]
+                for x, ax in takes:
+                    r = r.take(val[x].ravel(), axis=ax)
+                sa, sb = val[a].shape, val[b].shape
+                if transpose:
+                    r = r.reshape(sa + sb).transpose(interleave)
+                val[u] = r.reshape(tuple(map(max, sa, sb)))
             for x in drops:
                 del val[x]
 
-    pairs = tuple(batch)
-    static_steps, chunked = _vector_plan(pairs, names[0])
     static = {}
     run(static_steps, static)
     result = dict.fromkeys(pairs)

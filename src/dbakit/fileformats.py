@@ -97,20 +97,26 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             raise ParseError(f"unknown element name {nm!r}", lineno, 1)
         return index[nm]
 
+    def row(toks, lineno):
+        try:
+            return list(map(index.__getitem__, toks))
+        except KeyError:  # name the first unknown token
+            return [resolve(t, lineno) for t in toks]
+
     def table2(key):
         rows = []
         for rlineno, toks in sections[key][1]:
             if len(toks) != n:
                 raise ParseError(
                     f"{key} row has {len(toks)} entries, expected {n}", rlineno, 1)
-            rows.append([resolve(t, rlineno) for t in toks])
+            rows.append(row(toks, rlineno))
         return rows
 
     def table1(key):
         lineno, toks = sections[key]
         if len(toks) != n:
             raise ParseError(f"{key} needs {n} entries, got {len(toks)}", lineno, 1)
-        return [resolve(t, lineno) for t in toks]
+        return row(toks, lineno)
 
     def const(key):
         lineno, toks = sections[key]

@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, deterministic output, examples."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from dbakit import cli
-from dbakit.cli import MAX_EMIT_PAIRS, MAX_MODEL_CONTEXTS, main
+from dbakit.cli import MAX_EMIT_PAIRS, MAX_MODEL_CONTEXTS, MAX_MODEL_SEARCH_SIZE, main
 from dbakit.fileformats import render_algebra, render_context
 from dbakit.fca import MAX_COMPLETION_ENTRIES, FormalContext
 from dbakit.fixtures import boolean2, cex_5ab, chain3, singleton
@@ -352,15 +353,30 @@ def test_search_budget_exit3(files, capsys):
     assert "complete: false" in out
 
 
-@pytest.mark.parametrize("argv", [
-    ("search", "--size", str(MAX_SEARCH_SIZE + 1), "--require", "dba", "--limit", "1"),
-    ("refute", "x => y", "--models", f"search:{MAX_SEARCH_SIZE + 1}"),
-])
-def test_search_past_the_size_limit_is_exit_3(files, capsys, argv):
-    code, out = run(capsys, *argv)
+def test_search_past_the_size_limit_is_exit_3(files, capsys):
+    code, out = run(capsys, "search", "--size", str(MAX_SEARCH_SIZE + 1),
+                    "--require", "dba", "--limit", "1")
     assert code == 3
     assert out == (f"budget exceeded: universe size {MAX_SEARCH_SIZE + 1} "
                    f"is over the search limit of {MAX_SEARCH_SIZE}\n")
+
+
+@pytest.mark.parametrize("size", [MAX_MODEL_SEARCH_SIZE + 1, 9, MAX_SEARCH_SIZE + 1])
+def test_refute_search_past_its_model_limit_is_exit_3(files, capsys, monkeypatch, size):
+    # the size is checked before any search: size 9 used to run for minutes
+    monkeypatch.setattr(cli, "enumerate_algebras", None)
+    code, out = run(capsys, "refute", "x => y", "--models", f"search:{size}")
+    assert code == 3
+    assert out == (f"budget exceeded: --models search:{size} searches models of size "
+                   f"{size}, more than the limit of {MAX_MODEL_SEARCH_SIZE}\n")
+
+
+def test_refute_search_at_its_model_limit_is_accepted(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(cli, "enumerate_algebras",
+                        lambda spec: sizes.append(spec.size) or SimpleNamespace(found=[]))
+    assert cli._model_source(f"search:{MAX_MODEL_SEARCH_SIZE}") == []
+    assert sizes == [MAX_MODEL_SEARCH_SIZE]
 
 
 def test_search_reproduces_independence(files, capsys):
@@ -402,3 +418,35 @@ def test_prove_nesting_at_the_limit(files, capsys):
 def test_prove_nesting_past_the_limit_is_exit_2(files, capsys, goal):
     code, out = run(capsys, "prove", goal)
     assert code == 2
+
+
+def test_the_reused_parser_answers_as_a_fresh_one(files, capsys, monkeypatch):
+    # main builds its parser once; parsing must leave nothing behind in it
+    argvs = [
+        ["check", "{cex}", "--suite", "dcore"],
+        ["classify", "{chain3}"],
+        ["check", "{b2}", "--suite", "nope"],
+        ["prove", "x", "--depth", "0"],
+        ["refute", "T => T & T"],
+        ["--help"],
+        ["represent", "--help"],
+        ["prove", "x => x", "--lemma", "x => x"],
+        ["prove", "x => x"],
+        [],
+        ["check", "{cex}", "--suite", "dcore"],
+    ]
+
+    def answers():
+        out = []
+        for argv in argvs:
+            code = main([arg.format(**files) for arg in argv])
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    reused = answers()
+    again = answers()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = answers()
+    assert [code for code, _, _ in fresh] == [1, 0, 2, 2, 0, 0, 0, 0, 0, 2, 1]
+    assert reused == again == fresh
+    assert cli.build_parser() is not cli.build_parser()

@@ -19,10 +19,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from dbakit import algebra
 from dbakit.algebra import (
-    _VECTOR_THRESHOLD, FiniteAlgebra, _check_equations, eval_term, satisfies_equation,
+    _VECTOR_THRESHOLD, FiniteAlgebra, _check_equations, _first_witness, eval_term,
+    satisfies_equation,
 )
 from dbakit.search import _checker, _Partial, _slots
-from dbakit.terms import BOT, TOP, Const, Equation, Join, Meet, Neg, Opp, Var, fold, source
+from dbakit.terms import (
+    BOT, TOP, Const, Equation, Join, Meet, Neg, Opp, Var, fold, parse_term, source,
+)
 
 _terms = st.recursive(
     st.sampled_from([Var("x"), Var("y"), Var("z"), Var("w"), TOP, BOT]),
@@ -316,3 +319,56 @@ def test_element_values_survive_the_dtype_switch(n, chunk_cells):
         bad, good = _check_equations(alg, [failing, holding])
     assert bad.witness == {"x": n - 1, "y": 0} == np_checker_reference(alg, failing)
     assert good.holds and np_checker_reference(alg, holding) is None
+
+
+def swapped_chain(n):
+    """The n-chain with ~ swapping the images of n - 2 and n - 1, so that
+    !~x is x except at those two, which it swaps, and with F & (n - 1) =
+    n - 1."""
+    meet = [[min(a, b) for b in range(n)] for a in range(n)]
+    meet[0][n - 1] = n - 1
+    join = [[max(a, b) for b in range(n)] for a in range(n)]
+    opp = [n - 1 - a for a in range(n)]
+    neg = opp[:n - 2] + [0, 1]
+    return FiniteAlgebra([f"e{i}" for i in range(n)], meet, join, neg, opp, n - 1, 0)
+
+
+def planted(texts):
+    """t = t[x := !~x] for each t: it fails only where x is n - 2 or n - 1."""
+    return [Equation(f"e{i}", parse_term(t), parse_term(t.replace("x", "(!~x)")))
+            for i, t in enumerate(texts)]
+
+
+# one side per lookup kind: an outer lookup of a variable and a pair, a
+# transposed one, a constant operand, a folded chain, and a flat gather
+_ONE_PER_LOOKUP = ["x & (y & z)", "(z & x) & y", "F & (x & y)", "~!(x | y)",
+                   "vee(x & y, x & z)"]
+
+
+def test_failures_in_the_second_chunk_match_the_scalar_kernel():
+    # 65 is the least n at which a 3-variable batch takes two chunks of x
+    n = 65
+    assert algebra._VECTOR_CHUNK_CELLS // n ** 2 == 62
+    alg = swapped_chain(n)
+    batch = planted(_ONE_PER_LOOKUP)
+    for verdict in _check_equations(alg, batch) + tuple(
+            satisfies_equation(alg, e) for e in batch):
+        e = verdict.equation
+        names = e.variables()
+        want = _first_witness(alg, ((e.lhs, e.rhs),), names, (range(n),) * len(names))
+        assert verdict.witness == dict(zip(names, want))
+        assert verdict.witness["x"] == n - 2
+
+
+def test_a_folded_chain_past_the_dtype_switch_matches_the_scalar_kernel():
+    n = 257  # elements no longer fit in uint8
+    alg = swapped_chain(n)
+    # ~! swaps 0 and 1 where !~ swaps n - 2 and n - 1, so a fold of the
+    # chain in the wrong order moves the second witness
+    batch = planted(["~!(x | y)"]) + [
+        Equation("order", parse_term("~!(x | y)"), parse_term("x | y"))]
+    verdicts = _check_equations(alg, batch)
+    for e, verdict in zip(batch, verdicts):
+        want = _first_witness(alg, ((e.lhs, e.rhs),), ("x", "y"), (range(n),) * 2)
+        assert verdict.witness == dict(zip("xy", want))
+    assert [v.witness for v in verdicts] == [{"x": n - 2, "y": 0}, {"x": 0, "y": 0}]

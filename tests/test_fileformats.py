@@ -58,6 +58,18 @@ def test_unknown_element_name():
         parse_algebra(TWO_ELEMENT.replace("neg: a a", "neg: a zz"))
 
 
+@pytest.mark.parametrize("old, new, line", [
+    ("a a\na b\njoin", "a a\na zz\njoin", 5),  # the second meet row
+    ("a a\na b\njoin", "zz a\na b\njoin", 4),  # the first token of the first row
+    ("neg: a a", "neg: a zz", 9),
+    ("top: b", "top: zz", 11),
+])
+def test_an_unknown_name_reports_its_line(old, new, line):
+    with pytest.raises(ParseError) as err:
+        parse_algebra(TWO_ELEMENT.replace(old, new))
+    assert str(err.value) == f"unknown element name 'zz' (line {line}, column 1)"
+
+
 def test_duplicate_section():
     with pytest.raises(ParseError, match="duplicate"):
         parse_algebra(TWO_ELEMENT + "top: b\n")
