@@ -15,18 +15,19 @@ rendered.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 import weakref
 from dataclasses import dataclass
 from itertools import islice, product
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AlgebraError, EvalError
 from .suites import BOOLEAN, CATALOG, DBA23, DCORE13, GDCORE11, get_suite
 from .terms import (
-    MAX_DEPTH, Const, Equation, Join, Meet, Neg, Opp, Term, Var, fold, postorder, source,
-    variables,
+    MAX_DEPTH, Const, Equation, Join, Meet, Neg, Opp, Term, Var, fold, postorder, variables,
 )
 
 
@@ -189,55 +190,201 @@ class EquationVerdict:
 
 # --- one compiled first-witness kernel --------------------------------------
 # Equation checks and hypersequent refutation ask the same question: the
-# first assignment, in lexicographic order, under which no pair of terms
-# holds.  One generator compiles it to nested loops over per-variable ranges.
+# first assignment, in lexicographic order, under which a test fails, where a
+# test is one or more pairs of terms and fails when none of its pairs holds
+# (an equation is a test of one pair, a hypersequent one of a pair per
+# component).  One generator compiles a batch of tests into one loop nest per
+# variable tuple, each a function that returns once all of its tests have
+# failed.
 
 _MAX_BLOCKS = 20  # CPython compiles at most 20 statically nested blocks
+_TABLES = {Neg: "G", Opp: "O", Meet: "M", Join: "J"}  # as in ``terms.source``
+
+
+def _children(t: Term) -> tuple:
+    if type(t) is Meet or type(t) is Join:
+        return t.left, t.right
+    if type(t) is Neg or type(t) is Opp:
+        return (t.arg,)
+    return ()
+
+
+def _nest_source(fname, names, tests, base, ordered) -> list[str]:
+    """Source lines of ``fname(M, J, G, O, TP, BT, R, Q, W)``, which stores
+    in ``W[base + i]`` the first failing tuple of test i, unless one is
+    there already, and returns once every test has failed.
+
+    Loop d binds variable d from R[d]; past ``_MAX_BLOCKS`` loops the last
+    loop binds the remaining variables from their product.  A subterm's
+    level is the loop of its last variable (-1 before the loops), and its
+    value is computed at that level: into a local when a deeper loop reads
+    it, or when it has two readers, except in the innermost loop of a nest
+    with a test of several pairs, whose lazy ``or`` may never read them;
+    otherwise inline in its one reader.  A lookup ``M[a][b]`` whose a is
+    computed in an outer loop takes the row ``M[a]`` there, once.
+    """
+    k = len(names)
+    loops = min(k, _MAX_BLOCKS)
+    inner = loops - 1
+    var = {name: i for i, name in enumerate(names)}
+    level, reads, deep, order = {}, {}, set(), []
+    for side in (side for test in tests for pair in test for side in pair):
+        for u in postorder(side):
+            if u not in level:
+                vs = variables(u)
+                level[u] = min(var[vs[-1]], inner) if vs else -1
+                order.append(u)
+                for c in _children(u):
+                    reads[c] = reads.get(c, 0) + 1
+                    if level[c] < level[u]:
+                        deep.add(c)
+        reads[side] = reads.get(side, 0) + 1
+        if level[side] < inner:
+            deep.add(side)
+    lazy = any(len(test) > 1 for test in tests)
+    body = {d: [] for d in range(-1, loops)}  # the lines at each level
+    code, rows = {}, {}  # subterm -> its expression; (table, a) -> the row's local
+
+    def lookup(table, a, b, at):
+        """``table[a][b]`` at level ``at``."""
+        if level[a] == at:
+            return f"{table}[{code[a]}][{code[b]}]"
+        row = rows.get((table, a))
+        if row is None:
+            row = rows[table, a] = f"r{len(rows)}"
+            body[level[a]].append(f"{row} = {table}[{code[a]}]")
+        return f"{row}[{code[b]}]"
+
+    for u in order:
+        cls = type(u)
+        if cls is Var:
+            code[u] = f"v{var[u.name]}"
+        elif cls is Const:
+            code[u] = "TP" if u.which == "top" else "BT"
+        else:
+            if cls is Neg or cls is Opp:
+                expr = f"{_TABLES[cls]}[{code[u.arg]}]"
+            else:
+                expr = lookup(_TABLES[cls], u.left, u.right, level[u])
+            if u in deep or reads[u] > 1 and not (lazy and level[u] == inner):
+                code[u] = f"t{len(code)}"
+                body[level[u]].append(f"{code[u]} = {expr}")
+            else:
+                code[u] = expr
+    witness = f"({''.join(f'v{i}, ' for i in range(k))})"
+    for i, test in enumerate(tests, base):
+        fails = "not ({})".format(" or ".join(
+            lookup("Q", a, b, inner) if ordered else f"{code[a]} == {code[b]}" for a, b in test))
+        body[inner] += [f"if {fails} and W[{i}] is None:", f"    W[{i}] = {witness}",
+                        "    left -= 1", "    if not left: return"]
+    lines = [f"def {fname}(M, J, G, O, TP, BT, R, Q, W):", f"    left = {len(tests)}"]
+    lines += ["    " + line for line in body[-1]]
+    for d in range(loops):
+        if d < inner or k == loops:
+            header = f"for v{d} in R[{d}]:"
+        else:  # the remaining variables in one loop
+            header = f"for {''.join(f'v{i}, ' for i in range(d, k))}in product(*R[{d}:{k}]):"
+        lines.append("    " * (d + 1) + header)
+        lines += ["    " * (d + 2) + line for line in body[d]]
+    return lines
 
 
 @functools.lru_cache(maxsize=1024)
-def _kernel(pairs, names, ordered):
-    """Compile to ``f(M, J, G, O, TP, BT, R, Q)``: the first tuple, v_i from
-    R[i] with v0 most significant, under which no pair (a, b) holds, or None.
-    A pair holds when a = b, or when ``Q[a][b]`` is true if ``ordered``.
-    Keyed by the interned terms, so the key never recurses; the kernels of
-    the last 1024 distinct inputs are kept."""
-    if any(t.depth > MAX_DEPTH for pair in pairs for t in pair):
+def _kernel(nests, ordered):
+    """Compile to ``f(M, J, G, O, TP, BT, R, Q)``: for each test of the
+    nests in order, the first tuple, v_i from R[i] with v0 most significant,
+    under which none of its pairs (a, b) holds, or None.  A nest is
+    ``(names, tests)``: tests, each a tuple of pairs of terms, over the
+    variables ``names``.  A pair holds when a = b, or when ``Q[a][b]`` is
+    true if ``ordered``.  Raises EvalError when a term is deeper than
+    ``MAX_DEPTH``.  Keyed by the interned terms, so the key never recurses;
+    the kernels of the last 1024 distinct inputs are kept."""
+    if any(t.depth > MAX_DEPTH
+           for _, tests in nests for test in tests for pair in test for t in pair):
         raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
-    var = {name: f"v{i}" for i, name in enumerate(names)}.__getitem__
-    holds = "Q[{}][{}]" if ordered else "{} == {}"
-    test = " or ".join(holds.format(source(a, var), source(b, var)) for a, b in pairs)
-    k = len(names)
-    nested = k if k <= _MAX_BLOCKS else _MAX_BLOCKS - 1
-    loops = [f"for v{i} in R[{i}]:" for i in range(nested)]
-    if nested < k:  # the remaining variables in one loop
-        loops.append(f"for {''.join(f'v{i}, ' for i in range(nested, k))}"
-                     f"in product(*R[{nested}:]):")
-    loops.append(f"if not ({test}): return ({''.join(f'v{i}, ' for i in range(k))})")
-    lines = ["def first(M, J, G, O, TP, BT, R, Q):"]
-    lines += ["    " * (d + 1) + line for d, line in enumerate(loops)]
-    lines.append("    return None")
+    lines, size = [], 0
+    for i, (names, tests) in enumerate(nests):
+        lines += _nest_source(f"nest{i}", names, tests, size, ordered)
+        size += len(tests)
     ns = {"product": product}
     exec("\n".join(lines), ns)  # closed vocabulary: generated from Term nodes only
-    return ns["first"]
+    run = [ns[f"nest{i}"] for i in range(len(nests))]
+
+    def first(M, J, G, O, TP, BT, R, Q):
+        W = [None] * size
+        for nest in run:
+            nest(M, J, G, O, TP, BT, R, Q, W)
+        return W
+    return first
 
 
 def _first_witness(alg: FiniteAlgebra, pairs, names, ranges, order=None):
-    """The first failing tuple of ``_kernel(pairs, names, ...)`` on the
-    tables of alg; ``order`` (nested lists) is the relation Q, if any.
-    Raises EvalError when a term is deeper than ``MAX_DEPTH``."""
-    return _kernel(pairs, names, order is not None)(
-        alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot, ranges, order)
+    """The first tuple, v_i from ranges[i], under which no pair of ``pairs``
+    holds on the tables of alg, or None; ``order`` (nested lists) is the
+    relation Q of ``_kernel``, if any.  Raises EvalError when a term is
+    deeper than ``MAX_DEPTH``."""
+    return _kernel(((names, (pairs,)),), order is not None)(
+        alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot, ranges, order)[0]
 
 
 # --- one entry point for equation checks -----------------------------------
-# Every equation check goes through ``_check_equations``.  An equation over k
-# variables with n**k <= _VECTOR_THRESHOLD runs on the compiled kernel; the
-# others of the call are evaluated together in numpy, every distinct subterm
-# of the batch once per chunk of the first variable.
+# Every equation check goes through ``_check_equations``.  The equations over
+# k variables with n**k <= _VECTOR_THRESHOLD run on one compiled kernel for
+# the whole call; the others are evaluated together in numpy, every distinct
+# subterm of the batch once per chunk of the first variable.
 
 _VECTOR_THRESHOLD = 256
 _VECTOR_CHUNK_CELLS = 1 << 18  # cells per array, or n**(k-1): one value of the first
+
+
+def _scalar_arity(n: int):
+    """The largest k with n**k <= _VECTOR_THRESHOLD (every k when n = 1)."""
+    if n == 1:
+        return math.inf
+    k = 0
+    while n ** (k + 1) <= _VECTOR_THRESHOLD:
+        k += 1
+    return k
+
+
+class _Plan(NamedTuple):
+    """How ``_check_equations`` checks a batch of equations.  Each distinct
+    pair (lhs, rhs) has a position: first those of the kernel, in the order
+    of its tests, then those of each numpy batch in turn."""
+
+    holding: tuple  # one holding verdict per equation
+    slots: tuple  # the position of each equation's pair
+    kernel: object  # the compiled kernel of the scalar pairs, or None
+    width: int  # the number of ranges the kernel reads
+    vector: tuple  # the numpy batches, for ``_vector_witnesses``
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(equations, kmax) -> _Plan:
+    """The plan of ``equations`` (a tuple) when the pairs over at most kmax
+    variables run on the kernel; the plans of the last 1024 distinct inputs
+    are kept.  Raises EvalError when a term is deeper than ``MAX_DEPTH``."""
+    for e in equations:
+        if max(e.lhs.depth, e.rhs.depth) > MAX_DEPTH:
+            raise EvalError(f"equation {e.id!r} is deeper than {MAX_DEPTH} operators")
+    nests, vector = {}, {}  # variables -> pairs; first variable -> {pair: variables}
+    for e in equations:
+        pair, vs = (e.lhs, e.rhs), e.variables()
+        if len(vs) <= kmax:
+            nests.setdefault(vs, {})[pair] = None
+        else:
+            vector.setdefault(vs[0], {})[pair] = vs
+    at = {pair: i for i, pair in enumerate(
+        [p for ps in nests.values() for p in ps] + [p for b in vector.values() for p in b])}
+    kernel = _kernel(tuple((vs, tuple((p,) for p in ps)) for vs, ps in nests.items()),
+                     False) if nests else None
+    return _Plan(
+        holding=tuple(EquationVerdict(e, True) for e in equations),
+        slots=tuple(at[e.lhs, e.rhs] for e in equations),
+        kernel=kernel,
+        width=max(map(len, nests), default=0),
+        vector=tuple(vector.values()),
+    )
 
 
 def _check_equations(alg: FiniteAlgebra, equations) -> tuple[EquationVerdict, ...]:
@@ -248,30 +395,18 @@ def _check_equations(alg: FiniteAlgebra, equations) -> tuple[EquationVerdict, ..
     with the same two sides are checked once.  Raises EvalError, before any
     check, when a term is deeper than ``MAX_DEPTH``.
     """
-    for e in equations:
-        if max(e.lhs.depth, e.rhs.depth) > MAX_DEPTH:
-            raise EvalError(f"equation {e.id!r} is deeper than {MAX_DEPTH} operators")
-    n = alg.n
-    first_bad = {}  # (lhs, rhs) -> the first failing tuple, or None
-    vector = {}  # first variable -> {(lhs, rhs): variables} for numpy
-    for e in equations:
-        pair = e.lhs, e.rhs
-        if pair in first_bad:
-            continue
-        vs = e.variables()
-        if n ** len(vs) <= _VECTOR_THRESHOLD:
-            first_bad[pair] = _first_witness(alg, (pair,), vs, (range(n),) * len(vs))
-        else:
-            first_bad[pair] = None
-            vector.setdefault(vs[0], {})[pair] = vs
-    for batch in vector.values():
-        first_bad.update(_vector_witnesses(alg, batch))
-    verdicts = []
-    for e in equations:
-        bad = first_bad[e.lhs, e.rhs]
-        verdicts.append(EquationVerdict(e, True) if bad is None else
-                        EquationVerdict(e, False, dict(zip(e.variables(), bad))))
-    return tuple(verdicts)
+    plan = _plan(tuple(equations), _scalar_arity(alg.n))
+    bad = [] if plan.kernel is None else plan.kernel(
+        alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot,
+        (range(alg.n),) * plan.width, None)
+    for batch in plan.vector:
+        bad += _vector_witnesses(alg, batch).values()
+    if bad.count(None) == len(bad):
+        return plan.holding
+    return tuple(
+        v if bad[i] is None else
+        EquationVerdict(v.equation, False, dict(zip(v.equation.variables(), bad[i])))
+        for v, i in zip(plan.holding, plan.slots))
 
 
 def satisfies_equation(alg: FiniteAlgebra, equation: Equation) -> EquationVerdict:

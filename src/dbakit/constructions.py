@@ -113,17 +113,22 @@ def build_from_boolean_pair(
     whose join/opp route through Q; top is e'(top_Q), bottom e(bot_P)."""
     if p_pair.carrier_size != carrier_size or q_pair.carrier_size != carrier_size:
         raise ConstructionError("both map pairs must share the same carrier size")
-    p, q = p_pair.target, q_pair.target
-    r, e = p_pair.r, p_pair.e
-    rp, ep = q_pair.r, q_pair.e
-    rng = range(carrier_size)
-    meet = [[e[p.meet(r[x], r[y])] for y in rng] for x in rng]
-    join = [[ep[q.join(rp[x], rp[y])] for y in rng] for x in rng]
-    neg = [e[p.comp(r[x])] for x in rng]
-    opp = [ep[q.comp(rp[x])] for x in rng]
     if names is None:
-        names = [f"u{i}" for i in rng]
-    return FiniteAlgebra(names, meet, join, neg, opp, ep[q.top], e[p.bot])
+        names = [f"u{i}" for i in range(carrier_size)]
+    elif len(names) != carrier_size:
+        raise ConstructionError(
+            f"names must have length {carrier_size}, the carrier size, got {len(names)}")
+    p, q = p_pair.target.alg, q_pair.target.alg
+    r, e, rp, ep = _maps(p_pair, q_pair)
+    return FiniteAlgebra(names, e[p.meet[r[:, None], r[None, :]]],
+                         ep[q.join[rp[:, None], rp[None, :]]], e[p.neg[r]], ep[q.neg[rp]],
+                         ep[q.top], e[p.bot])
+
+
+def _maps(p_pair: RetractionPair, q_pair: RetractionPair):
+    """r, e, r', e' as index arrays."""
+    return (np.array(p_pair.r, dtype=np.intp), np.array(p_pair.e, dtype=np.intp),
+            np.array(q_pair.r, dtype=np.intp), np.array(q_pair.e, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -158,34 +163,27 @@ def check_theorem_conditions(
         raise ConstructionError(f"version must be 'old' or 'new', got {version!r}")
     if p_pair.carrier_size != carrier_size or q_pair.carrier_size != carrier_size:
         raise ConstructionError("both map pairs must share the same carrier size")
-    p, q = p_pair.target, q_pair.target
-    r, e = p_pair.r, p_pair.e
-    rp, ep = q_pair.r, q_pair.e
+    p, q = p_pair.target.alg, q_pair.target.alg
+    r, e, rp, ep = _maps(p_pair, q_pair)
     failures = []
-    commuting = True
-    for x in range(carrier_size):
-        if e[r[ep[rp[x]]]] != ep[rp[e[r[x]]]]:
-            commuting = False
-            failures.append(f"commuting: x={x}")
-            break
-    absorption = True
-    for x in range(carrier_size):
-        for y in range(carrier_size):
-            lhs = e[p.meet(r[x], r[ep[q.join(rp[x], rp[y])]])]
-            if lhs != e[r[x]]:
-                absorption = False
-                failures.append(f"absorption-meet: x={x} y={y}")
-                break
-            lhs2 = ep[q.join(rp[x], rp[e[p.meet(r[x], r[y])]])]
-            if lhs2 != ep[rp[x]]:
-                absorption = False
-                failures.append(f"absorption-join: x={x} y={y}")
-                break
-        if not absorption:
-            break
+    # first failures, as the loops over x (then y) would meet them
+    bad = np.flatnonzero(e[r[ep[rp]]] != ep[rp[e[r]]])
+    commuting = not bad.size
+    if not commuting:
+        failures.append(f"commuting: x={int(bad[0])}")
+    meet_fails = (e[p.meet[r[:, None], r[ep[q.join[rp[:, None], rp[None, :]]]]]]
+                  != e[r][:, None])
+    join_fails = (ep[q.join[rp[:, None], rp[e[p.meet[r[:, None], r[None, :]]]]]]
+                  != ep[rp][:, None])
+    fails = meet_fails | join_fails
+    absorption = not fails.any()
+    if not absorption:
+        x, y = divmod(int(fails.argmax()), carrier_size)
+        side = "meet" if meet_fails[x, y] else "join"
+        failures.append(f"absorption-{side}: x={x} y={y}")
     constants = None
     if version == "old":
-        constants = r[ep[q.top]] == p.top and rp[e[p.bot]] == q.bot
+        constants = bool(r[ep[q.top]] == p.top and rp[e[p.bot]] == q.bot)
         if not constants:
             failures.append("constants")
     return ConditionReport(version, commuting, absorption, constants, tuple(failures))

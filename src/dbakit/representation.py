@@ -71,33 +71,40 @@ def _closed(s: frozenset, rows, rel) -> bool:
     return True
 
 
+def _members(alg: FiniteAlgebra, members) -> frozenset:
+    """members as a set of element indices; AlgebraError names a member
+    that is not one."""
+    return frozenset(FiniteAlgebra._index(x, alg.n, "member") for x in members)
+
+
 def is_filter(alg: FiniteAlgebra, members) -> bool:
     """Closed under meet and upward closed under the quasi-order."""
-    return _closed(frozenset(members), alg._rows_m, quasi_order(alg).rel)
+    return _closed(_members(alg, members), alg._rows_m, quasi_order(alg).rel)
 
 
 def is_ideal(alg: FiniteAlgebra, members) -> bool:
     """Closed under join and downward closed under the quasi-order."""
-    return _closed(frozenset(members), alg._rows_j, quasi_order(alg).rel.T)
+    return _closed(_members(alg, members), alg._rows_j, quasi_order(alg).rel.T)
 
 
 def is_primary(alg: FiniteAlgebra, members, kind: str) -> bool:
     """Nonempty, proper, a filter (resp. ideal), and containing x or its
     negation (resp. opposition) for every x."""
-    s = frozenset(members)
+    if kind not in ("filter", "ideal"):
+        raise AlgebraError(f"kind must be 'filter' or 'ideal', got {kind!r}")
+    return _is_primary(alg, _members(alg, members), kind)
+
+
+def _is_primary(alg: FiniteAlgebra, s: frozenset, kind: str) -> bool:
+    """``is_primary`` of a set of element indices and a valid kind."""
     if not s or len(s) == alg.n:
         return False
+    rel = quasi_order(alg).rel
     if kind == "filter":
-        if not is_filter(alg, s):
-            return False
-        comp = alg._lneg
-    elif kind == "ideal":
-        if not is_ideal(alg, s):
-            return False
-        comp = alg._lopp
+        closed, comp = _closed(s, alg._rows_m, rel), alg._lneg
     else:
-        raise AlgebraError(f"kind must be 'filter' or 'ideal', got {kind!r}")
-    return all(x in s or comp[x] in s for x in range(alg.n))
+        closed, comp = _closed(s, alg._rows_j, rel.T), alg._lopp
+    return closed and all(x in s or comp[x] in s for x in range(alg.n))
 
 
 def _make_filterset(alg, kind, mask) -> FilterSet:
@@ -107,7 +114,7 @@ def _make_filterset(alg, kind, mask) -> FilterSet:
         members=members,
         mask=mask,
         proper=len(members) != alg.n,
-        primary=is_primary(alg, members, kind),
+        primary=_is_primary(alg, members, kind),
     )
 
 
@@ -232,23 +239,18 @@ def _moved(pair: RetractionPair, h, size: int) -> RetractionPair:
 
 
 def _is_homomorphism(alg: FiniteAlgebra, f, meet, join, neg, opp, top, bot) -> bool:
-    """The map x -> f[x] commutes with the four operations, which act on
-    the values of f, and sends alg's top and bottom to ``top`` and ``bot``."""
-    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
-    rng = range(alg.n)
-    return (
-        all(f[m[x][y]] == meet(f[x], f[y]) and f[j[x][y]] == join(f[x], f[y])
-            for x in rng for y in rng)
-        and all(f[g[x]] == neg(f[x]) and f[o[x]] == opp(f[x]) for x in rng)
-        and (f[alg.top], f[alg.bot]) == (top, bot)
-    )
+    """The map x -> f[x] (an array) commutes with the four operations and
+    sends alg's top and bottom to ``top`` and ``bot``.  The operations are
+    given by their values at the images: ``meet[x, y]`` (an n x n array) is
+    the meet of f[x] and f[y], ``neg[x]`` the negation of f[x], and so on."""
+    return bool((f[alg.meet] == meet).all() and (f[alg.join] == join).all()
+                and (f[alg.neg] == neg).all() and (f[alg.opp] == opp).all()
+                and f[alg.top] == top and f[alg.bot] == bot)
 
 
 def _is_order_embedding(alg: FiniteAlgebra, leq) -> bool:
-    """``leq(x, y)`` holds exactly when x is below y in alg's quasi-order."""
-    rel = quasi_order(alg).rel
-    rng = range(alg.n)
-    return all(bool(rel[x, y]) == leq(x, y) for x in rng for y in rng)
+    """``leq`` (an n x n bool array) is alg's quasi-order."""
+    return bool((quasi_order(alg).rel == leq).all())
 
 
 def representation(alg: FiniteAlgebra,
@@ -285,13 +287,12 @@ def representation(alg: FiniteAlgebra,
     res.image_is_dba = passes(image, "DBA23")
     res.parts_boolean = passes(res.meet_part, "BOOLEAN") and passes(res.join_part, "BOOLEAN")
 
-    im, ij, ig, io = image._rows_m, image._rows_j, image._lneg, image._lopp
+    f = np.array(h)
+    fx, fy = f[:, None], f[None, :]
     res.homomorphism = _is_homomorphism(
-        alg, h, lambda u, v: im[u][v], lambda u, v: ij[u][v],
-        lambda u: ig[u], lambda u: io[u], image.top, image.bot)
-    rel_i = quasi_order(image).rel
-    res.order_preserving_reflecting = _is_order_embedding(
-        alg, lambda x, y: bool(rel_i[h[x], h[y]]))
+        alg, f, image.meet[fx, fy], image.join[fx, fy], image.neg[f], image.opp[f],
+        image.top, image.bot)
+    res.order_preserving_reflecting = _is_order_embedding(alg, quasi_order(image).rel[fx, fy])
     res.injective = len(set(h)) == n
     res.surjective = set(h) == set(range(len(pairs)))
     return res
@@ -342,21 +343,22 @@ def verify_pair_embedding(rep: RepresentationResult) -> dict:
     context and is a homomorphism for the pair operations there, preserving
     and reflecting the quasi-order."""
     ctx = rep.std.context
-    E, D = _completions(ctx, False)
+    E, D = map(np.array, _completions(ctx, False))
     full_f, full_i = ctx.full_objects, ctx.full_attributes
-    F, I = rep.f_masks, rep.i_masks
-    pairs = list(zip(F, I))
-    proto = all(D[E[a]] == D[b] for a, b in pairs)
-    # the operations of fca's protoconcept algebra: a completed extent or intent
-    at_extent = lambda a: (a, E[a])
-    at_intent = lambda b: (D[b], b)
+    F, I = np.array(rep.f_masks), np.array(rep.i_masks)
+    proto = bool((D[E[F]] == D[I]).all())
+    # the operations of fca's protoconcept algebra, which complete an extent
+    # or an intent; a pair (a, b) is compared as the number a * width + b
+    # (the masks of a dBa of n elements are below n: one bit per atom of a
+    # Boolean part)
+    width = full_i + 1
+    extents, intents = F[:, None] & F[None, :], I[:, None] & I[None, :]
+    neg, opp = full_f & ~F, full_i & ~I
     hom = _is_homomorphism(
-        rep.algebra, pairs,
-        lambda p, q: at_extent(p[0] & q[0]), lambda p, q: at_intent(p[1] & q[1]),
-        lambda p: at_extent(full_f & ~p[0]), lambda p: at_intent(full_i & ~p[1]),
-        (full_f, 0), (0, full_i))
-    order = _is_order_embedding(
-        rep.algebra, lambda x, y: F[x] & ~F[y] == 0 and I[y] & ~I[x] == 0)
+        rep.algebra, F * width + I, extents * width + E[extents], D[intents] * width + intents,
+        neg * width + E[neg], D[opp] * width + opp, full_f * width, full_i)
+    order = _is_order_embedding(rep.algebra, (F[:, None] & ~F[None, :] == 0)
+                                & (I[None, :] & ~I[:, None] == 0))
     return {"protoconcepts": proto, "homomorphism": hom, "order": order}
 
 

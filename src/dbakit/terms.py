@@ -19,11 +19,13 @@ tables), ``dual``, substitution and ``algebra.eval_term`` (a fold over the
 tuple tables) are folds; the numpy equation checker walks the distinct
 subterms of a whole batch of equations in ``postorder``, so a subterm shared
 by several equations is evaluated once.  No term carries compiled code.
-``source`` feeds exactly two compiled checks: the first-witness kernel in
-``algebra`` folds ``source`` of every term of a check into the body of its
-loops over the assignments (the scalar equation checker and the hypersequent
-refuter), and the model search compiles ``source`` of both sides of an
-equation into one check.
+Two compiled checks read terms as Python code over the tables.  The model
+search compiles ``source`` of both sides of an equation into one check.  The
+first-witness kernel in ``algebra`` compiles a whole batch of checks (the
+scalar equation checker's equations, or the hypersequent refuter's
+components) into loops over the assignments, one subterm at a time: each
+in the loop of its last variable, so a subterm is not recomputed in loops
+that do not change it.
 
 ASCII surface grammar (precedence: unary > ``&`` > ``|``, both binary ops
 left-associative)::

@@ -9,7 +9,7 @@ import pytest
 
 from dbakit.algebra import FiniteAlgebra, classify, passes, quasi_order
 from dbakit.constructions import (
-    BooleanView, RetractionPair, build_from_boolean_pair, canonical_pairs,
+    BooleanView, ConditionReport, RetractionPair, build_from_boolean_pair, canonical_pairs,
     check_theorem_conditions, generalized_glued_sum, glued_sum, powerset_boolean,
 )
 from dbakit.errors import ConstructionError
@@ -96,6 +96,13 @@ def test_old_version_condition_implied_when_new_holds():
         old = check_theorem_conditions(size, p_pair, q_pair, "old")
         assert new.ok
         assert old.constants_ok and old.ok
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_names_of_another_length_are_a_construction_error(count):
+    p_pair, q_pair = canonical_pairs(chain3())
+    with pytest.raises(ConstructionError, match=f"length 3, the carrier size, got {count}"):
+        build_from_boolean_pair(3, p_pair, q_pair, names=[f"a{i}" for i in range(count)])
 
 
 def test_mismatched_carriers_rejected():
@@ -393,3 +400,91 @@ def test_conditions_iff_dba_under_fixed_seed_perturbations():
         built = build_from_boolean_pair(size, pp, qq)
         assert cond.ok == passes(built, "DBA23")
         done += 1
+
+
+# --- the table forms against the loops they replaced --------------------------------
+
+def build_loop(carrier_size, p_pair, q_pair):
+    """Reference: ``build_from_boolean_pair`` as it was, one cell at a time."""
+    p, q = p_pair.target, q_pair.target
+    r, e, rp, ep = p_pair.r, p_pair.e, q_pair.r, q_pair.e
+    rng = range(carrier_size)
+    return FiniteAlgebra(
+        [f"u{i}" for i in rng],
+        [[e[p.meet(r[x], r[y])] for y in rng] for x in rng],
+        [[ep[q.join(rp[x], rp[y])] for y in rng] for x in rng],
+        [e[p.comp(r[x])] for x in rng], [ep[q.comp(rp[x])] for x in rng],
+        ep[q.top], e[p.bot])
+
+
+def conditions_loop(carrier_size, p_pair, q_pair, version):
+    """Reference: ``check_theorem_conditions`` as it was, with the loops
+    that stop at the first failing x, or (x, y) with meet before join."""
+    p, q = p_pair.target, q_pair.target
+    r, e, rp, ep = p_pair.r, p_pair.e, q_pair.r, q_pair.e
+    failures = []
+    commuting = True
+    for x in range(carrier_size):
+        if e[r[ep[rp[x]]]] != ep[rp[e[r[x]]]]:
+            commuting = False
+            failures.append(f"commuting: x={x}")
+            break
+    absorption = True
+    for x in range(carrier_size):
+        for y in range(carrier_size):
+            if e[p.meet(r[x], r[ep[q.join(rp[x], rp[y])]])] != e[r[x]]:
+                absorption = False
+                failures.append(f"absorption-meet: x={x} y={y}")
+                break
+            if ep[q.join(rp[x], rp[e[p.meet(r[x], r[y])]])] != ep[rp[x]]:
+                absorption = False
+                failures.append(f"absorption-join: x={x} y={y}")
+                break
+        if not absorption:
+            break
+    constants = None
+    if version == "old":
+        constants = r[ep[q.top]] == p.top and rp[e[p.bot]] == q.bot
+        if not constants:
+            failures.append("constants")
+    return ConditionReport(version, commuting, absorption, constants, tuple(failures))
+
+
+def mutated_pairs(pair, rng, trials):
+    """pair with r moved at a point outside e's image, or e moved to another
+    point with the same image under r: the retraction law still holds."""
+    for _ in range(trials):
+        r, e = list(pair.r), list(pair.e)
+        outside = [x for x in range(pair.carrier_size) if x not in set(e)]
+        if outside and rng.random() < 0.7:
+            r[rng.choice(outside)] = rng.randrange(pair.target.n)
+        else:
+            p = rng.randrange(pair.target.n)
+            e[p] = rng.choice([x for x in range(pair.carrier_size) if r[x] == p])
+        yield RetractionPair(pair.carrier_size, pair.target, r, e)
+
+
+def test_tables_and_conditions_match_their_loops_on_mutated_pairs():
+    rng = random.Random(22)
+    algebras = [alg for _, alg in builtin_fixtures() if passes(alg, "DBA23")]
+    algebras += [protoconcept_algebra(FormalContext(["g1", "g2"], ["m1", "m2"], rows)).algebra
+                 for rows in ([[True, False], [True, True]], [[False, True], [True, False]])]
+    algebras += [glued_sum(powerset_boolean(2), powerset_boolean(1))]
+    seen = set()
+    for alg in algebras:
+        p_pair, q_pair = canonical_pairs(alg)
+        inputs = [(p_pair, q_pair)]
+        inputs += [(pp, q_pair) for pp in mutated_pairs(p_pair, rng, 15)]
+        inputs += [(p_pair, qq) for qq in mutated_pairs(q_pair, rng, 15)]
+        inputs += [(pp, qq) for pp, qq in zip(mutated_pairs(p_pair, rng, 15),
+                                              mutated_pairs(q_pair, rng, 15))]
+        for pp, qq in inputs:
+            built = build_from_boolean_pair(alg.n, pp, qq)
+            assert built.signature() == build_loop(alg.n, pp, qq).signature()
+            assert built.names == tuple(f"u{i}" for i in range(alg.n))
+            for version in ("old", "new"):
+                got = check_theorem_conditions(alg.n, pp, qq, version)
+                assert got == conditions_loop(alg.n, pp, qq, version)
+                assert all(type(v) is bool for v in (got.commuting_ok, got.absorption_ok))
+                seen.update(f.split(":")[0] for f in got.failures)
+    assert seen == {"commuting", "absorption-meet", "absorption-join", "constants"}

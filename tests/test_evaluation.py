@@ -1,14 +1,16 @@
 """Term evaluation against a recursive reference evaluator.
 
 Covers ``eval_term``, the scalar and numpy equation checkers on both sides of
-the ``n**k`` switch, the batched numpy checker against the per-equation one
-it replaced, and the search's partial tables, where a term that reads a
-missing entry must give the marker of the first one it reads, and the
-search's compiled check of an equation the marker of the first side that
-reads one, or the forcing of a cell: one side an element, the other a lookup
-whose arguments are elements but whose cell is missing.
+the ``n**k`` switch, the batched numpy checker and the batch kernel against
+the per-equation checker and kernel they replaced, and the search's partial
+tables, where a term that reads a missing entry must give the marker of the
+first one it reads, and the search's compiled check of an equation the
+marker of the first side that reads one, or the forcing of a cell: one side
+an element, the other a lookup whose arguments are elements but whose cell
+is missing.
 """
 
+import functools
 import random
 from itertools import product
 from unittest import mock
@@ -22,7 +24,9 @@ from dbakit.algebra import (
     _VECTOR_THRESHOLD, FiniteAlgebra, _check_equations, _first_witness, eval_term,
     satisfies_equation,
 )
+from dbakit.fixtures import boolean2
 from dbakit.search import _checker, _Partial, _slots
+from dbakit.suites import CATALOG, DBA23, DCORE13
 from dbakit.terms import (
     BOT, TOP, Const, Equation, Join, Meet, Neg, Opp, Var, fold, parse_term, source,
 )
@@ -372,3 +376,135 @@ def test_a_folded_chain_past_the_dtype_switch_matches_the_scalar_kernel():
         want = _first_witness(alg, ((e.lhs, e.rhs),), ("x", "y"), (range(n),) * 2)
         assert verdict.witness == dict(zip("xy", want))
     assert [v.witness for v in verdicts] == [{"x": n - 2, "y": 0}, {"x": 0, "y": 0}]
+
+
+# --- the per-equation kernel that the batch kernel replaced ------------------
+# One compiled function per equation: nested loops over its variables, the
+# whole equation inline in the test, returning its first failing tuple.
+
+_MAX_BLOCKS = 20
+
+
+@functools.lru_cache(maxsize=1024)
+def per_equation_kernel(lhs, rhs, names):
+    var = {name: f"v{i}" for i, name in enumerate(names)}.__getitem__
+    k = len(names)
+    nested = k if k <= _MAX_BLOCKS else _MAX_BLOCKS - 1
+    loops = [f"for v{i} in R[{i}]:" for i in range(nested)]
+    if nested < k:
+        loops.append(f"for {''.join(f'v{i}, ' for i in range(nested, k))}"
+                     f"in product(*R[{nested}:]):")
+    loops.append(f"if not ({source(lhs, var)} == {source(rhs, var)}): "
+                 f"return ({''.join(f'v{i}, ' for i in range(k))})")
+    lines = ["def first(M, J, G, O, TP, BT, R):"]
+    lines += ["    " * (d + 1) + line for d, line in enumerate(loops)]
+    lines.append("    return None")
+    ns = {"product": product}
+    exec("\n".join(lines), ns)
+    return ns["first"]
+
+
+def per_equation_witness(alg, equation, ranges=None):
+    names = equation.variables()
+    ranges = ranges or (range(alg.n),) * len(names)
+    bad = per_equation_kernel(equation.lhs, equation.rhs, names)(*tables(alg), ranges)
+    return None if bad is None else dict(zip(names, bad))
+
+
+def renamed(equation, names, ident):
+    """The equation with each variable v renamed to names[v]."""
+    def side(t):
+        return fold(t, lambda v: Var(names[v]), TOP, BOT, Neg, Opp, Meet, Join)
+    return Equation(ident, side(equation.lhs), side(equation.rhs))
+
+
+def kernel_batch(k):
+    """Equations over at most k variables: the suites' and the catalog's, the
+    same over other variable sets, duplicate pairs under other ids, and
+    equations without variables."""
+    base = [e for e in DBA23.equations + DCORE13.equations + CATALOG
+            if len(e.variables()) <= k]
+    batch = list(base)
+    batch += [renamed(e, {"x": "y", "y": "z", "z": "w"}, f"yzw-{e.id}") for e in base[::3]]
+    batch += [renamed(e, {"x": "z", "y": "x", "z": "y"}, f"zxy-{e.id}") for e in base[1::4]]
+    batch += [Equation(f"again-{e.id}", e.lhs, e.rhs) for e in base[::5]]
+    batch += [Equation("neg-top", Neg(TOP), BOT), Equation("top-meet", Meet(TOP, BOT), TOP),
+              Equation("opp-bot", Opp(BOT), TOP)]
+    return batch
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (7, 3), (16, 2), (17, 2), (256, 1), (257, 1)])
+def test_the_batch_kernel_matches_the_per_equation_kernel(n, k):
+    # n on both sides of the cut: the equations over k variables run on
+    # the kernel at the smaller n and in numpy at the larger
+    assert (n ** k <= _VECTOR_THRESHOLD) == (n in (6, 16, 256))
+    batch = kernel_batch(k)
+    assert {len(e.variables()) for e in batch} == set(range(k + 1))
+    seen = set()
+    for seed in range(6):
+        alg = perturbed_chain(n, seed)
+        verdicts = _check_equations(alg, batch)
+        assert [v.equation for v in verdicts] == batch
+        for equation, verdict in zip(batch, verdicts):
+            assert verdict.witness == per_equation_witness(alg, equation), equation.id
+            assert verdict.holds == (verdict.witness is None)
+            seen.add(verdict.holds)
+    assert seen == {True, False}
+
+
+class CountingRange:
+    """range(n) that counts the values it hands out."""
+
+    def __init__(self, n, counter):
+        self.n, self.counter = n, counter
+
+    def __iter__(self):
+        for v in range(self.n):
+            self.counter.append(v)
+            yield v
+
+
+def test_a_batch_that_fails_at_once_stops_at_once():
+    # on the reversed chain x = ~x fails at x = 0, and so does every
+    # equation below, so each loop hands out one value only
+    n = 6
+    alg = perturbed_chain(n, 0)
+    x, y, z = Var("x"), Var("y"), Var("z")
+    batch = (Equation("a", x, Neg(x)), Equation("b", Meet(x, y), Neg(Meet(x, y))),
+             Equation("c", Join(x, y), Opp(Join(x, y))),
+             Equation("d", Meet(Join(x, y), z), Neg(Meet(Join(x, y), z))),
+             Equation("e", Neg(Meet(y, z)), Meet(y, z)), Equation("f", TOP, BOT))
+    verdicts = _check_equations(alg, batch)
+    assert [v.witness for v in verdicts] == [per_equation_witness(alg, e) for e in batch]
+    assert all(set(v.witness.values()) <= {0} for v in verdicts)
+    plan = algebra._plan(batch, algebra._scalar_arity(n))
+    assert not plan.vector
+    handed = []
+    bad = plan.kernel(*tables(alg), [CountingRange(n, handed)] * plan.width, None)
+    assert [bad[i] for i in plan.slots] == [tuple(v.witness.values()) for v in verdicts]
+    # one value per loop: x; x, y; x, y, z; y, z
+    assert len(handed) == 1 + 2 + 3 + 2
+
+
+def test_the_batch_kernel_past_the_nested_loops_matches_the_per_equation_kernel():
+    # nests of 25 and 22 variables: 19 nested loops, then one loop over the
+    # product of the rest, where the ranges hold two values, so that the
+    # witnesses lie in that loop
+    alg = boolean2()
+    vs = [Var(f"v{i:02}") for i in range(25)]
+    batch = [Equation("holds", functools.reduce(Meet, vs), functools.reduce(Meet, vs[::-1])),
+             Equation("fails", functools.reduce(Meet, vs), Neg(vs[24])),
+             Equation("fails-late", functools.reduce(Join, vs), Meet(vs[20], vs[24])),
+             Equation("narrow", functools.reduce(Join, vs[:22]), Neg(vs[21]))]
+    nests = {}
+    for e in batch:
+        nests.setdefault(e.variables(), []).append(e)
+    assert sorted(map(len, nests)) == [22, 25]
+    kernel = algebra._kernel(tuple(
+        (names, tuple(((e.lhs, e.rhs),) for e in es)) for names, es in nests.items()), False)
+    ranges = (range(1),) * 19 + (range(2),) * 6
+    want = [per_equation_witness(alg, e, ranges[:len(names)])
+            for names, es in nests.items() for e in es]
+    assert kernel(*tables(alg), ranges, None) == [
+        None if w is None else tuple(w.values()) for w in want]
+    assert sum(w is not None for w in want) == 3

@@ -7,6 +7,7 @@ import itertools
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from dbakit.algebra import (
@@ -18,7 +19,7 @@ from dbakit.constructions import (
 )
 from dbakit.errors import AlgebraError, BudgetError
 from dbakit.fca import (
-    FormalContext, _generated_pairs, all_contexts, complement_context, derive, modal,
+    FormalContext, _completions, _generated_pairs, all_contexts, complement_context, derive, modal,
     protoconcept_algebra,
 )
 from dbakit.fixtures import (
@@ -26,7 +27,7 @@ from dbakit.fixtures import (
 )
 from dbakit.representation import (
     MAX_REPRESENTATION_SIZE, ClopenCharacterization, RepresentationResult,
-    _is_homomorphism, _make_filterset, _mask_of,
+    _is_homomorphism, _is_order_embedding, _make_filterset, _mask_of,
     clopen_family, closed_set_family, enumerate_primary, enumerate_primary_naive,
     is_filter, is_ideal, is_primary, representation, standard_context,
     verify_clopen_characterization, verify_clopen_sets,
@@ -56,6 +57,22 @@ def test_whole_universe_is_not_proper():
     alg = chain3()
     assert is_filter(alg, set(range(alg.n)))
     assert not is_primary(alg, set(range(alg.n)), "filter")
+
+
+@pytest.mark.parametrize("members", [[], [0, 1, 2], [1, 2]])
+def test_a_bad_kind_is_an_error_whatever_the_members(members):
+    with pytest.raises(AlgebraError, match="'bogus'"):
+        is_primary(chain3(), members, "bogus")
+
+
+@pytest.mark.parametrize("member", [3, 6, -1, "mid", 1.0, True])
+def test_members_must_be_element_indices(member):
+    alg = chain3()
+    checks = [lambda s: is_filter(alg, s), lambda s: is_ideal(alg, s),
+              lambda s: is_primary(alg, s, "filter"), lambda s: is_primary(alg, s, "ideal")]
+    for check in checks:
+        with pytest.raises(AlgebraError, match=f"member.*{member!r}"):
+            check([2, member])
 
 
 def test_enumerate_primary_chain3():
@@ -297,11 +314,9 @@ def test_a_homomorphism_sends_the_constants_to_the_constants():
     # the identity commutes with all four operations of its own algebra, so
     # only the constants clause can reject it: when top or bottom moves
     for name, alg in builtin_fixtures():
-        m, j = alg._rows_m, alg._rows_j
-        ops = (lambda u, v: m[u][v], lambda u, v: j[u][v],
-               alg._lneg.__getitem__, alg._lopp.__getitem__)
+        tables = (alg.meet, alg.join, alg.neg, alg.opp)
         for top, bot in itertools.product(range(alg.n), repeat=2):
-            assert _is_homomorphism(alg, range(alg.n), *ops, top, bot) == (
+            assert _is_homomorphism(alg, np.arange(alg.n), *tables, top, bot) == (
                 (top, bot) == (alg.top, alg.bot)), (name, top, bot)
 
 
@@ -549,6 +564,97 @@ def test_every_verifier_fails_on_a_replaced_mask():
                 flipped[name] += holds[name] and not verdict(bad)
     assert broken == 202
     assert all(flipped.values()), flipped
+
+
+# --- the array verdicts against the loops they replaced ---------------------------------
+
+def is_homomorphism_loop(alg, f, meet, join, neg, opp, top, bot):
+    """Reference: ``_is_homomorphism`` as it was, with the operations as
+    callables on the values of f."""
+    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
+    rng = range(alg.n)
+    return (
+        all(f[m[x][y]] == meet(f[x], f[y]) and f[j[x][y]] == join(f[x], f[y])
+            for x in rng for y in rng)
+        and all(f[g[x]] == neg(f[x]) and f[o[x]] == opp(f[x]) for x in rng)
+        and (f[alg.top], f[alg.bot]) == (top, bot)
+    )
+
+
+def is_order_embedding_loop(alg, leq):
+    rel = quasi_order(alg).rel
+    rng = range(alg.n)
+    return all(bool(rel[x, y]) == leq(x, y) for x in rng for y in rng)
+
+
+def pair_embedding_loop(rep):
+    """Reference: ``verify_pair_embedding`` as it was, one element or pair
+    of elements at a time."""
+    ctx = rep.std.context
+    E, D = _completions(ctx, False)
+    full_f, full_i = ctx.full_objects, ctx.full_attributes
+    F, I = rep.f_masks, rep.i_masks
+    pairs = list(zip(F, I))
+    proto = all(D[E[a]] == D[b] for a, b in pairs)
+    at_extent = lambda a: (a, E[a])
+    at_intent = lambda b: (D[b], b)
+    hom = is_homomorphism_loop(
+        rep.algebra, pairs,
+        lambda p, q: at_extent(p[0] & q[0]), lambda p, q: at_intent(p[1] & q[1]),
+        lambda p: at_extent(full_f & ~p[0]), lambda p: at_intent(full_i & ~p[1]),
+        (full_f, 0), (0, full_i))
+    order = is_order_embedding_loop(
+        rep.algebra, lambda x, y: F[x] & ~F[y] == 0 and I[y] & ~I[x] == 0)
+    return {"protoconcepts": proto, "homomorphism": hom, "order": order}
+
+
+def image_verdicts(alg, h, image, top=None):
+    """The image map's verdicts of ``representation``, for the map h onto
+    the elements of image (with ``top`` as its top, if given), in the array
+    form and in the loop form."""
+    top = image.top if top is None else top
+    f = np.array(h)
+    fx, fy = f[:, None], f[None, :]
+    arrays = (_is_homomorphism(alg, f, image.meet[fx, fy], image.join[fx, fy], image.neg[f],
+                               image.opp[f], top, image.bot),
+              _is_order_embedding(alg, quasi_order(image).rel[fx, fy]))
+    m, j = image._rows_m, image._rows_j
+    rel = quasi_order(image).rel
+    loops = (is_homomorphism_loop(alg, h, lambda u, v: m[u][v], lambda u, v: j[u][v],
+                                  image._lneg.__getitem__, image._lopp.__getitem__,
+                                  top, image.bot),
+             is_order_embedding_loop(alg, lambda x, y: bool(rel[h[x], h[y]])))
+    return arrays, loops
+
+
+def test_array_verdicts_match_their_loops():
+    # the pair embedding on every one-point toggle of a mask, and the image
+    # map of the representation with one element sent elsewhere, with two
+    # image elements swapped, or with the top moved
+    algebras = [alg for _, alg in dba_fixtures()]
+    algebras += [protoconcept_algebra(ctx).algebra for ctx in all_contexts(2, 2)][::3]
+    embedding = collections.Counter()
+    image = collections.Counter()
+    for alg in algebras:
+        rep = representation(alg)
+        assert image_verdicts(alg, rep.h, rep.image) == ((True, True),) * 2
+        for bad in [rep, *_one_mask_replaced(rep)]:
+            got = verify_pair_embedding(bad)
+            assert got == pair_embedding_loop(bad)
+            assert all(type(v) is bool for v in got.values())
+            embedding.update((key, v) for key, v in got.items())
+        moved = [rep.h[:x] + (k,) + rep.h[x + 1:]
+                 for x in range(alg.n) for k in range(rep.image.n)]
+        swapped = [tuple({a: b, b: a}.get(k, k) for k in rep.h)
+                   for a, b in itertools.combinations(range(rep.image.n), 2)]
+        for h, top in [(h, None) for h in moved + swapped] + [
+                (rep.h, top) for top in range(rep.image.n)]:
+            arrays, loops = image_verdicts(alg, h, rep.image, top)
+            assert arrays == loops
+            image[arrays] += 1
+    assert all(embedding[key, v] for key in ("protoconcepts", "homomorphism", "order")
+               for v in (True, False))
+    assert set(image) == {(True, True), (False, False), (False, True)}
 
 
 # --- the verifiers against their derive-based references ------------------------------
