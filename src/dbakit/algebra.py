@@ -193,9 +193,9 @@ class EquationVerdict:
 # first assignment, in lexicographic order, under which a test fails, where a
 # test is one or more pairs of terms and fails when none of its pairs holds
 # (an equation is a test of one pair, a hypersequent one of a pair per
-# component).  One generator compiles a batch of tests into one loop nest per
-# variable tuple, each a function that returns once all of its tests have
-# failed.
+# component).  One generator compiles the tests over one variable tuple into
+# one loop nest, a function that returns once all of its tests have failed;
+# each nest is compiled once, whatever batch it comes from.
 
 _MAX_BLOCKS = 20  # CPython compiles at most 20 statically nested blocks
 _TABLES = {Neg: "G", Opp: "O", Meet: "M", Join: "J"}  # as in ``terms.source``
@@ -209,10 +209,10 @@ def _children(t: Term) -> tuple:
     return ()
 
 
-def _nest_source(fname, names, tests, base, ordered) -> list[str]:
-    """Source lines of ``fname(M, J, G, O, TP, BT, R, Q, W)``, which stores
-    in ``W[base + i]`` the first failing tuple of test i, unless one is
-    there already, and returns once every test has failed.
+def _nest_source(names, tests, ordered) -> list[str]:
+    """Source lines of ``nest(M, J, G, O, TP, BT, R, Q)``, which returns the
+    list W with the first failing tuple of test i, or None, in ``W[i]``:
+    early, once every test has failed, or after the loops.
 
     Loop d binds variable d from R[d]; past ``_MAX_BLOCKS`` loops the last
     loop binds the remaining variables from their product.  A subterm's
@@ -272,12 +272,13 @@ def _nest_source(fname, names, tests, base, ordered) -> list[str]:
             else:
                 code[u] = expr
     witness = f"({''.join(f'v{i}, ' for i in range(k))})"
-    for i, test in enumerate(tests, base):
+    for i, test in enumerate(tests):
         fails = "not ({})".format(" or ".join(
             lookup("Q", a, b, inner) if ordered else f"{code[a]} == {code[b]}" for a, b in test))
         body[inner] += [f"if {fails} and W[{i}] is None:", f"    W[{i}] = {witness}",
-                        "    left -= 1", "    if not left: return"]
-    lines = [f"def {fname}(M, J, G, O, TP, BT, R, Q, W):", f"    left = {len(tests)}"]
+                        "    left -= 1", "    if not left: return W"]
+    lines = ["def nest(M, J, G, O, TP, BT, R, Q):",
+             f"    W = [None] * {len(tests)}", f"    left = {len(tests)}"]
     lines += ["    " + line for line in body[-1]]
     for d in range(loops):
         if d < inner or k == loops:
@@ -286,36 +287,23 @@ def _nest_source(fname, names, tests, base, ordered) -> list[str]:
             header = f"for {''.join(f'v{i}, ' for i in range(d, k))}in product(*R[{d}:{k}]):"
         lines.append("    " * (d + 1) + header)
         lines += ["    " * (d + 2) + line for line in body[d]]
-    return lines
+    return lines + ["    return W"]
 
 
 @functools.lru_cache(maxsize=1024)
-def _kernel(nests, ordered):
-    """Compile to ``f(M, J, G, O, TP, BT, R, Q)``: for each test of the
-    nests in order, the first tuple, v_i from R[i] with v0 most significant,
-    under which none of its pairs (a, b) holds, or None.  A nest is
-    ``(names, tests)``: tests, each a tuple of pairs of terms, over the
-    variables ``names``.  A pair holds when a = b, or when ``Q[a][b]`` is
-    true if ``ordered``.  Raises EvalError when a term is deeper than
-    ``MAX_DEPTH``.  Keyed by the interned terms, so the key never recurses;
-    the kernels of the last 1024 distinct inputs are kept."""
-    if any(t.depth > MAX_DEPTH
-           for _, tests in nests for test in tests for pair in test for t in pair):
+def _kernel(names, tests, ordered):
+    """Compile to ``nest(M, J, G, O, TP, BT, R, Q)``: for each of ``tests``,
+    each a tuple of pairs of terms over the variables ``names``, the first
+    tuple, v_i from R[i] with v0 most significant, under which none of its
+    pairs (a, b) holds, or None.  A pair holds when a = b, or when
+    ``Q[a][b]`` is true if ``ordered``.  Raises EvalError when a term is
+    deeper than ``MAX_DEPTH``.  Keyed by the interned terms, so the key
+    never recurses; the nests of the last 1024 distinct inputs are kept."""
+    if any(t.depth > MAX_DEPTH for test in tests for pair in test for t in pair):
         raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
-    lines, size = [], 0
-    for i, (names, tests) in enumerate(nests):
-        lines += _nest_source(f"nest{i}", names, tests, size, ordered)
-        size += len(tests)
     ns = {"product": product}
-    exec("\n".join(lines), ns)  # closed vocabulary: generated from Term nodes only
-    run = [ns[f"nest{i}"] for i in range(len(nests))]
-
-    def first(M, J, G, O, TP, BT, R, Q):
-        W = [None] * size
-        for nest in run:
-            nest(M, J, G, O, TP, BT, R, Q, W)
-        return W
-    return first
+    exec("\n".join(_nest_source(names, tests, ordered)), ns)  # generated from Term nodes only
+    return ns["nest"]
 
 
 def _first_witness(alg: FiniteAlgebra, pairs, names, ranges, order=None):
@@ -323,14 +311,14 @@ def _first_witness(alg: FiniteAlgebra, pairs, names, ranges, order=None):
     holds on the tables of alg, or None; ``order`` (nested lists) is the
     relation Q of ``_kernel``, if any.  Raises EvalError when a term is
     deeper than ``MAX_DEPTH``."""
-    return _kernel(((names, (pairs,)),), order is not None)(
+    return _kernel(names, (pairs,), order is not None)(
         alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot, ranges, order)[0]
 
 
 # --- one entry point for equation checks -----------------------------------
 # Every equation check goes through ``_check_equations``.  The equations over
-# k variables with n**k <= _VECTOR_THRESHOLD run on one compiled kernel for
-# the whole call; the others are evaluated together in numpy, every distinct
+# k variables with n**k <= _VECTOR_THRESHOLD run on the compiled nests of
+# their variable tuples; the others are evaluated together in numpy, every distinct
 # subterm of the batch once per chunk of the first variable.
 
 _VECTOR_THRESHOLD = 256
@@ -349,21 +337,21 @@ def _scalar_arity(n: int):
 
 class _Plan(NamedTuple):
     """How ``_check_equations`` checks a batch of equations.  Each distinct
-    pair (lhs, rhs) has a position: first those of the kernel, in the order
-    of its tests, then those of each numpy batch in turn."""
+    pair (lhs, rhs) has a position: first those of the nests, in the order
+    of their tests, then those of each numpy batch in turn."""
 
     holding: tuple  # one holding verdict per equation
     slots: tuple  # the position of each equation's pair
-    kernel: object  # the compiled kernel of the scalar pairs, or None
-    width: int  # the number of ranges the kernel reads
+    kernel: tuple  # the compiled nests of the scalar pairs, one per variable tuple
+    width: int  # the number of ranges the widest nest reads
     vector: tuple  # the numpy batches, for ``_vector_witnesses``
 
 
 @functools.lru_cache(maxsize=1024)
 def _plan(equations, kmax) -> _Plan:
     """The plan of ``equations`` (a tuple) when the pairs over at most kmax
-    variables run on the kernel; the plans of the last 1024 distinct inputs
-    are kept.  Raises EvalError when a term is deeper than ``MAX_DEPTH``."""
+    variables run on compiled nests; the plans of the last 1024 distinct
+    inputs are kept.  Raises EvalError when a term is deeper than ``MAX_DEPTH``."""
     for e in equations:
         if max(e.lhs.depth, e.rhs.depth) > MAX_DEPTH:
             raise EvalError(f"equation {e.id!r} is deeper than {MAX_DEPTH} operators")
@@ -376,12 +364,10 @@ def _plan(equations, kmax) -> _Plan:
             vector.setdefault(vs[0], {})[pair] = vs
     at = {pair: i for i, pair in enumerate(
         [p for ps in nests.values() for p in ps] + [p for b in vector.values() for p in b])}
-    kernel = _kernel(tuple((vs, tuple((p,) for p in ps)) for vs, ps in nests.items()),
-                     False) if nests else None
     return _Plan(
         holding=tuple(EquationVerdict(e, True) for e in equations),
         slots=tuple(at[e.lhs, e.rhs] for e in equations),
-        kernel=kernel,
+        kernel=tuple(_kernel(vs, tuple((p,) for p in ps), False) for vs, ps in nests.items()),
         width=max(map(len, nests), default=0),
         vector=tuple(vector.values()),
     )
@@ -396,9 +382,10 @@ def _check_equations(alg: FiniteAlgebra, equations) -> tuple[EquationVerdict, ..
     check, when a term is deeper than ``MAX_DEPTH``.
     """
     plan = _plan(tuple(equations), _scalar_arity(alg.n))
-    bad = [] if plan.kernel is None else plan.kernel(
-        alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot,
-        (range(alg.n),) * plan.width, None)
+    bad, ranges = [], (range(alg.n),) * plan.width
+    for nest in plan.kernel:
+        bad += nest(alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot,
+                    ranges, None)
     for batch in plan.vector:
         bad += _vector_witnesses(alg, batch).values()
     if bad.count(None) == len(bad):
@@ -621,7 +608,8 @@ class QuasiOrder:
     antisymmetric: bool
 
     def holds(self, x: int, y: int) -> bool:
-        return bool(self.rel[x, y])
+        n = len(self.rel)
+        return bool(self.rel[FiniteAlgebra._index(x, n, "x"), FiniteAlgebra._index(y, n, "y")])
 
     @functools.cached_property
     def rows(self) -> tuple:

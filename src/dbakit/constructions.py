@@ -75,6 +75,14 @@ def powerset_boolean(k: int, max_atoms: int = 4) -> BooleanView:
     return BooleanView(FiniteAlgebra(names, meet, join, comp, comp, full, 0))
 
 
+def _index(v, what) -> int:
+    """v as an element index by ``FiniteAlgebra._index``'s rule: Python or
+    numpy integers only; a bool, float or str is an error, never truncated."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ConstructionError(f"{what} must be an integer index, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class RetractionPair:
     """Maps r: carrier -> target and e: target -> carrier with r.e = id."""
@@ -85,8 +93,9 @@ class RetractionPair:
     e: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "r", tuple(int(v) for v in self.r))
-        object.__setattr__(self, "e", tuple(int(v) for v in self.e))
+        for name in ("r", "e"):
+            object.__setattr__(self, name, tuple(
+                _index(v, f"{name}[{i}]") for i, v in enumerate(getattr(self, name))))
         if len(self.r) != self.carrier_size:
             raise ConstructionError(
                 f"r must have length {self.carrier_size}, got {len(self.r)}")
@@ -239,7 +248,8 @@ def generalized_glued_sum(p: BooleanView, q: BooleanView, overlap: dict) -> Gene
     strictly coarser (any two shared elements sit below each other), so it
     is not antisymmetric in general.
     """
-    overlap = {int(k): int(v) for k, v in overlap.items()}
+    overlap = {_index(k, "overlap key"): _index(v, f"overlap[{k!r}]")
+               for k, v in overlap.items()}
     if len(set(overlap.values())) != len(overlap):
         raise ConstructionError("overlap identification must be injective")
     for k, v in overlap.items():

@@ -39,8 +39,7 @@ class FormalContext:
             raise AlgebraError("attribute names must be pairwise distinct")
         self.n_objects = len(self.objects)
         self.n_attributes = len(self.attributes)
-        arr = np.asarray(incidence, dtype=bool).reshape(self.n_objects, self.n_attributes)
-        arr = arr.copy()
+        arr = self._incidence(incidence, (self.n_objects, self.n_attributes))
         arr.flags.writeable = False
         self.incidence = arr
         self.obj_rows = tuple(
@@ -53,6 +52,27 @@ class FormalContext:
         )
         self.full_objects = (1 << self.n_objects) - 1
         self.full_attributes = (1 << self.n_attributes) - 1
+
+    @staticmethod
+    def _incidence(values, shape):
+        """values as a new bool array of the given shape: the entries must be
+        booleans or 0/1, as ``FiniteAlgebra`` checks its tables; with no
+        objects, no rows ([]) is that shape too."""
+        try:
+            arr = np.array(values)  # a new array: the caller may write to values
+        except ValueError:  # ragged rows
+            arr = None
+        if arr is not None and arr.size == 0 and shape[0] == 0:
+            arr = arr.reshape(shape)
+        if arr is None or arr.shape != shape:
+            got = "ragged rows" if arr is None else arr.shape
+            raise AlgebraError(f"incidence must have shape {shape}, got {got}")
+        if arr.dtype != bool:  # each entry as given, before numpy's common type
+            for v in np.array(values, dtype=object).ravel().tolist():
+                if not (isinstance(v, (bool, np.bool_))
+                        or isinstance(v, (int, np.integer)) and v in (0, 1)):
+                    raise AlgebraError(f"incidence entries must be booleans or 0/1, got {v!r}")
+        return arr.astype(bool)
 
     def signature(self):
         return (self.n_objects, self.n_attributes, self.obj_rows)

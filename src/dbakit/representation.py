@@ -23,7 +23,7 @@ powersets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, or_
 
@@ -217,6 +217,9 @@ class RepresentationResult:
     conditions_ok: bool = False
     image_is_dba: bool = False
     parts_boolean: bool = False
+    # verify_pair_embedding's verdicts, on its first call; a copy made with
+    # dataclasses.replace starts without them
+    _embedding: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def quasi_embedding(self) -> bool:
@@ -341,7 +344,13 @@ def verify_derivation_identities(rep: RepresentationResult) -> list[str]:
 def verify_pair_embedding(rep: RepresentationResult) -> dict:
     """The map x -> (F_x, I_x) lands in the protoconcepts of the standard
     context and is a homomorphism for the pair operations there, preserving
-    and reflecting the quasi-order."""
+    and reflecting the quasi-order.  Computed once per result."""
+    if rep._embedding is None:
+        rep._embedding = _pair_embedding(rep)
+    return dict(rep._embedding)
+
+
+def _pair_embedding(rep: RepresentationResult) -> dict:
     ctx = rep.std.context
     E, D = map(np.array, _completions(ctx, False))
     full_f, full_i = ctx.full_objects, ctx.full_attributes

@@ -21,11 +21,11 @@ subterms of a whole batch of equations in ``postorder``, so a subterm shared
 by several equations is evaluated once.  No term carries compiled code.
 Two compiled checks read terms as Python code over the tables.  The model
 search compiles ``source`` of both sides of an equation into one check.  The
-first-witness kernel in ``algebra`` compiles a whole batch of checks (the
-scalar equation checker's equations, or the hypersequent refuter's
-components) into loops over the assignments, one subterm at a time: each
-in the loop of its last variable, so a subterm is not recomputed in loops
-that do not change it.
+first-witness kernel in ``algebra`` compiles the checks over one variable
+tuple (the scalar equation checker's equations, or the hypersequent
+refuter's components) into one loop nest over the assignments, one subterm
+at a time: each in the loop of its last variable, so a subterm is not
+recomputed in loops that do not change it.  Each nest is compiled once.
 
 ASCII surface grammar (precedence: unary > ``&`` > ``|``, both binary ops
 left-associative)::

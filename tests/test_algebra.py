@@ -145,6 +145,23 @@ def test_eval_rejects_a_value_that_is_no_element(value, message):
             eval_sequent(alg, parse_sequent(s), {"x": value, "y": 0})
 
 
+@pytest.mark.parametrize("x, y, message", [
+    (5, 0, r"x index 5 out of range \[0, 3\)"),
+    (-1, 0, r"x index -1 out of range \[0, 3\)"),
+    (0, 1.0, "y must be an integer index, got 1.0"),
+    (0, True, "y must be an integer index, got True"),
+])
+def test_quasi_order_holds_rejects_a_value_that_is_no_element(x, y, message):
+    # -1 would read the last row
+    with pytest.raises(AlgebraError, match=message):
+        quasi_order(chain3()).holds(x, y)
+
+
+def test_quasi_order_holds_reads_the_relation():
+    qo = quasi_order(chain3())
+    assert [[qo.holds(np.int64(x), y) for y in range(3)] for x in range(3)] == qo.rel.tolist()
+
+
 def test_eval_ignores_extra_env_keys():
     alg = chain3()
     assert eval_term(alg, parse_term("x"), {"x": 2, "unused": -1}) == 2

@@ -75,9 +75,9 @@ def _generated_code_sites(tree, scope):
 
 
 def test_generated_code_runs_in_two_places_only():
-    # terms carry no compiled code: a term's value comes from a fold, and
-    # ``source`` is compiled only by the first-witness kernel and by the
-    # model search's check of an equation
+    # terms carry no compiled code: a term's value comes from a fold; the
+    # first-witness kernel compiles the loop nests it writes, and ``source``
+    # is compiled only by the model search's check of an equation
     src = Path(dbakit.__file__).resolve().parent
     sites = []
     for path in sorted(src.glob("*.py")):

@@ -43,6 +43,42 @@ def test_retraction_law_enforced():
         RetractionPair(3, p, r=(0, 0, 0), e=(0, 1))  # r(e(1)) = 0 != 1
 
 
+@pytest.mark.parametrize("r, e, message", [
+    ((0, 1, 1), (0, 1.5), r"e\[1\] must be an integer index, got 1.5"),
+    ((0, 1, 1), (0, True), r"e\[1\] must be an integer index, got True"),
+    ((0, 1.0, 1), (0, 1), r"r\[1\] must be an integer index, got 1.0"),
+    ((0, 1, "1"), (0, 1), r"r\[2\] must be an integer index, got '1'"),
+])
+def test_map_entries_that_are_no_index_are_rejected(r, e, message):
+    # FiniteAlgebra's rule for indices: no truncation, bool or str
+    with pytest.raises(ConstructionError, match=message):
+        RetractionPair(3, powerset_boolean(1), r, e)
+
+
+def test_map_entries_may_be_numpy_integers():
+    pair = RetractionPair(3, powerset_boolean(1), np.array([0, 1, 1]), np.array([0, 1], np.int8))
+    assert (pair.r, pair.e) == ((0, 1, 1), (0, 1))
+    assert all(type(v) is int for v in pair.r + pair.e)
+
+
+@pytest.mark.parametrize("overlap, message", [
+    ({0: 1.7}, r"overlap\[0\] must be an integer index, got 1.7"),
+    ({"0": 1}, "overlap key must be an integer index, got '0'"),
+    ({True: 0}, "overlap key must be an integer index, got True"),
+    ({1: False}, r"overlap\[1\] must be an integer index, got False"),
+])
+def test_overlap_entries_that_are_no_index_are_rejected(overlap, message):
+    p = powerset_boolean(1)
+    with pytest.raises(ConstructionError, match=message):
+        generalized_glued_sum(p, p, overlap)
+
+
+def test_overlap_entries_may_be_numpy_integers():
+    p = powerset_boolean(1)
+    glued = generalized_glued_sum(p, p, {np.int64(1): np.int32(0)}).algebra
+    assert glued.signature() == generalized_glued_sum(p, p, {1: 0}).algebra.signature()
+
+
 def test_canonical_pairs_rebuild_fixture_tables():
     for name, alg in builtin_fixtures():
         if not passes(alg, "DBA23"):

@@ -480,7 +480,8 @@ def test_a_batch_that_fails_at_once_stops_at_once():
     plan = algebra._plan(batch, algebra._scalar_arity(n))
     assert not plan.vector
     handed = []
-    bad = plan.kernel(*tables(alg), [CountingRange(n, handed)] * plan.width, None)
+    ranges = [CountingRange(n, handed)] * plan.width
+    bad = [w for nest in plan.kernel for w in nest(*tables(alg), ranges, None)]
     assert [bad[i] for i in plan.slots] == [tuple(v.witness.values()) for v in verdicts]
     # one value per loop: x; x, y; x, y, z; y, z
     assert len(handed) == 1 + 2 + 3 + 2
@@ -500,11 +501,29 @@ def test_the_batch_kernel_past_the_nested_loops_matches_the_per_equation_kernel(
     for e in batch:
         nests.setdefault(e.variables(), []).append(e)
     assert sorted(map(len, nests)) == [22, 25]
-    kernel = algebra._kernel(tuple(
-        (names, tuple(((e.lhs, e.rhs),) for e in es)) for names, es in nests.items()), False)
+    kernels = [algebra._kernel(names, tuple(((e.lhs, e.rhs),) for e in es), False)
+               for names, es in nests.items()]
     ranges = (range(1),) * 19 + (range(2),) * 6
     want = [per_equation_witness(alg, e, ranges[:len(names)])
             for names, es in nests.items() for e in es]
-    assert kernel(*tables(alg), ranges, None) == [
+    assert [w for kernel in kernels for w in kernel(*tables(alg), ranges, None)] == [
         None if w is None else tuple(w.values()) for w in want]
     assert sum(w is not None for w in want) == 3
+
+
+def test_a_nest_shared_by_size_classes_is_compiled_once():
+    # 3, 6 and 16 elements put the catalog's equations over at most 5, 3 and
+    # 2 variables on compiled nests: three plans, whose nests over (), (x,)
+    # and (x, y) are the same functions, each compiled once
+    sizes = (3, 6, 16)
+    assert [algebra._scalar_arity(n) for n in sizes] == [5, 3, 2]
+    algebra._plan.cache_clear()
+    algebra._kernel.cache_clear()
+    for n in sizes:
+        alg = perturbed_chain(n, 1)
+        verdicts = _check_equations(alg, CATALOG)
+        assert [v.witness for v in verdicts] == [per_equation_witness(alg, e) for e in CATALOG]
+    plans = [algebra._plan(CATALOG, algebra._scalar_arity(n)) for n in sizes]
+    assert [len(plan.kernel) for plan in plans] == [4, 4, 3]
+    assert len({nest for plan in plans for nest in plan.kernel}) == 4
+    assert algebra._kernel.cache_info().misses == 4

@@ -106,6 +106,29 @@ def test_modal_unknown_operator():
         modal(ctx_of([[True]]), "sideways", 0)
 
 
+@pytest.mark.parametrize("objects, attributes, incidence, message", [
+    (["g"], ["m"], [[True, False]], r"shape \(1, 1\), got \(1, 2\)"),
+    (["g", "h"], ["m"], [[True], [False, True]], r"shape \(2, 1\), got ragged rows"),
+    (["g"], [], [], r"shape \(1, 0\), got \(0,\)"),
+    (["g"], ["m"], [["x"]], "booleans or 0/1, got 'x'"),
+    (["g"], ["m"], [[2]], "booleans or 0/1, got 2"),
+    (["g"], ["m", "n"], [[True, 1.0]], "booleans or 0/1, got 1.0"),
+    (["g"], ["m", "n"], [[True, "x"]], "booleans or 0/1, got 'x'"),
+])
+def test_an_incidence_of_another_shape_or_with_other_entries_is_rejected(
+        objects, attributes, incidence, message):
+    # the rule of the algebra tables: no reshaping, and no entry read as True
+    with pytest.raises(AlgebraError, match=message):
+        FormalContext(objects, attributes, incidence)
+
+
+def test_an_incidence_of_booleans_or_bits_is_accepted():
+    want = [[True, False], [False, True]]
+    for rows in (want, [[1, 0], [0, 1]], np.eye(2, dtype=np.int8), [[True, 0], [np.False_, 1]]):
+        assert FormalContext(["g", "h"], ["m", "n"], rows).incidence.tolist() == want
+    assert FormalContext([], ["m"], []).incidence.shape == (0, 1)  # no objects, no rows
+
+
 @settings(max_examples=40, deadline=None)
 @given(_random_ctx)
 def test_translation_of_modal_operators(rows):

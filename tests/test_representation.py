@@ -1095,3 +1095,26 @@ def test_retraction_must_be_constant_on_a_fibre(monkeypatch):
                         lambda _alg: (broken, q_pair))
     with pytest.raises(AlgebraError, match="retraction is not well defined"):
         representation(alg)
+
+
+def test_the_pair_embedding_is_computed_once_per_result(monkeypatch):
+    module = importlib.import_module("dbakit.representation")
+    compute, calls = module._pair_embedding, []
+
+    def counted(rep):
+        calls.append(rep)
+        return compute(rep)
+    monkeypatch.setattr(module, "_pair_embedding", counted)
+    ctx = FormalContext(["g1", "g2"], ["m1", "m2"], [[True, False], [True, True]])
+    for alg in (chain3(), protoconcept_algebra(ctx).algebra):
+        rep = representation(alg)
+        calls.clear()
+        assert verify_clopen_characterization(rep).ok  # reads the embedding
+        emb = verify_pair_embedding(rep)
+        verify_pair_embedding(rep)["order"] = None  # the caller's copy
+        assert verify_pair_embedding(rep) == emb
+        assert len(calls) == 1 and calls[0] is rep
+        # a copy, as the broken inputs above are made, is checked afresh
+        copy = dataclasses.replace(rep)
+        assert verify_pair_embedding(copy) == emb
+        assert len(calls) == 2 and calls[1] is copy
