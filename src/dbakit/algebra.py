@@ -27,7 +27,8 @@ import numpy as np
 from .errors import AlgebraError, EvalError
 from .suites import BOOLEAN, CATALOG, DBA23, DCORE13, GDCORE11, get_suite
 from .terms import (
-    MAX_DEPTH, Const, Equation, Join, Meet, Neg, Opp, Term, Var, fold, postorder, variables,
+    MAX_DEPTH, TABLE_NAMES, Const, Equation, Join, Meet, Neg, Opp, Term, Var, fold, postorder,
+    variables,
 )
 
 
@@ -198,7 +199,6 @@ class EquationVerdict:
 # each nest is compiled once, whatever batch it comes from.
 
 _MAX_BLOCKS = 20  # CPython compiles at most 20 statically nested blocks
-_TABLES = {Neg: "G", Opp: "O", Meet: "M", Join: "J"}  # as in ``terms.source``
 
 
 def _children(t: Term) -> tuple:
@@ -218,10 +218,9 @@ def _nest_source(names, tests, ordered) -> list[str]:
     loop binds the remaining variables from their product.  A subterm's
     level is the loop of its last variable (-1 before the loops), and its
     value is computed at that level: into a local when a deeper loop reads
-    it, or when it has two readers, except in the innermost loop of a nest
-    with a test of several pairs, whose lazy ``or`` may never read them;
-    otherwise inline in its one reader.  A lookup ``M[a][b]`` whose a is
-    computed in an outer loop takes the row ``M[a]`` there, once.
+    it or when it has two readers, otherwise inline in its one reader.  A
+    lookup ``M[a][b]`` whose a is computed in an outer loop takes the row
+    ``M[a]`` there, once.
     """
     k = len(names)
     loops = min(k, _MAX_BLOCKS)
@@ -241,7 +240,6 @@ def _nest_source(names, tests, ordered) -> list[str]:
         reads[side] = reads.get(side, 0) + 1
         if level[side] < inner:
             deep.add(side)
-    lazy = any(len(test) > 1 for test in tests)
     body = {d: [] for d in range(-1, loops)}  # the lines at each level
     code, rows = {}, {}  # subterm -> its expression; (table, a) -> the row's local
 
@@ -263,10 +261,10 @@ def _nest_source(names, tests, ordered) -> list[str]:
             code[u] = "TP" if u.which == "top" else "BT"
         else:
             if cls is Neg or cls is Opp:
-                expr = f"{_TABLES[cls]}[{code[u.arg]}]"
+                expr = f"{TABLE_NAMES[cls]}[{code[u.arg]}]"
             else:
-                expr = lookup(_TABLES[cls], u.left, u.right, level[u])
-            if u in deep or reads[u] > 1 and not (lazy and level[u] == inner):
+                expr = lookup(TABLE_NAMES[cls], u.left, u.right, level[u])
+            if u in deep or reads[u] > 1:
                 code[u] = f"t{len(code)}"
                 body[level[u]].append(f"{code[u]} = {expr}")
             else:
@@ -344,14 +342,15 @@ class _Plan(NamedTuple):
     slots: tuple  # the position of each equation's pair
     kernel: tuple  # the compiled nests of the scalar pairs, one per variable tuple
     width: int  # the number of ranges the widest nest reads
-    vector: tuple  # the numpy batches, for ``_vector_witnesses``
+    vector: tuple  # (batch, steps, keys) per numpy batch, for ``_vector_witnesses``
 
 
 @functools.lru_cache(maxsize=1024)
 def _plan(equations, kmax) -> _Plan:
     """The plan of ``equations`` (a tuple) when the pairs over at most kmax
-    variables run on compiled nests; the plans of the last 1024 distinct
-    inputs are kept.  Raises EvalError when a term is deeper than ``MAX_DEPTH``."""
+    variables run on compiled nests and the others on the steps of their
+    numpy batch; the plans of the last 1024 distinct inputs are kept.
+    Raises EvalError when a term is deeper than ``MAX_DEPTH``."""
     for e in equations:
         if max(e.lhs.depth, e.rhs.depth) > MAX_DEPTH:
             raise EvalError(f"equation {e.id!r} is deeper than {MAX_DEPTH} operators")
@@ -369,7 +368,7 @@ def _plan(equations, kmax) -> _Plan:
         slots=tuple(at[e.lhs, e.rhs] for e in equations),
         kernel=tuple(_kernel(vs, tuple((p,) for p in ps), False) for vs, ps in nests.items()),
         width=max(map(len, nests), default=0),
-        vector=tuple(vector.values()),
+        vector=tuple((b, *_vector_plan(tuple(b), first)) for first, b in vector.items()),
     )
 
 
@@ -386,8 +385,8 @@ def _check_equations(alg: FiniteAlgebra, equations) -> tuple[EquationVerdict, ..
     for nest in plan.kernel:
         bad += nest(alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot,
                     ranges, None)
-    for batch in plan.vector:
-        bad += _vector_witnesses(alg, batch).values()
+    for batch, steps, keys in plan.vector:
+        bad += _vector_witnesses(alg, batch, steps, keys).values()
     if bad.count(None) == len(bad):
         return plan.holding
     return tuple(
@@ -407,10 +406,9 @@ def satisfies_equation(alg: FiniteAlgebra, equation: Equation) -> EquationVerdic
     return _check_equations(alg, (equation,))[0]
 
 
-@functools.lru_cache(maxsize=64)
 def _vector_plan(pairs, first):
     """Steps that evaluate the pairs (lhs, rhs), all of which contain the
-    variable ``first``: ``(static, chunked, keys)``.
+    variable ``first``, on one chunk of its values: ``(steps, keys)``.
 
     A step ``(key, node, a, b, how, drops)`` computes a distinct subterm
     after its operands: a leaf (key Var or Const) or one lookup in the
@@ -420,13 +418,10 @@ def _vector_plan(pairs, first):
     operands without a common variable an outer lookup ``(takes,
     transpose)``: take by each ``(operand, axis)`` in turn, the one with
     fewer cells first, skipping a bare variable but ``first`` (its values
-    are the whole axis), and transpose unless a's variables sort first.
-    Subterms without ``first`` are static: computed once per call, and
-    those a chunked step reads are kept for the call.  The chunked steps
-    run once per chunk, with a step of key ``None`` for each pair (the
-    pair as node, its sides as ``a``, ``b``) right after its sides.
-    ``drops`` are the values whose last use is the step.  The plans of the
-    last 64 distinct batches are kept.
+    are the whole axis), and transpose unless a's variables sort first.  A
+    step of key ``None`` checks a pair (the pair as node, its sides as
+    ``a``, ``b``), right after its sides.  ``drops`` are the values whose
+    last use is the step.
     """
     order, seen = [], set()
     for pair in pairs:
@@ -460,37 +455,31 @@ def _vector_plan(pairs, first):
             needed.update(x for x in (a, b) if x is not None)
             steps.append((key, u, a, b, how))
     steps.reverse()
-    static = [s for s in steps if s[0] is not None and first not in variables(s[1])]
-    chunked = [s for s in steps if s[0] is None or first in variables(s[1])]
-
-    def with_drops(steps, kept):
-        last = {}  # value -> index of the last step that reads it
-        for i, (_, _, a, b, _) in enumerate(steps):
-            for x in (a, b):
-                if x is not None and x not in kept:
-                    last[x] = i
-        drops = [[] for _ in steps]
-        for x, i in last.items():
-            drops[i].append(x)
-        return tuple((*step, tuple(d)) for step, d in zip(steps, drops))
-
-    return (with_drops(static, {x for step in chunked for x in step[2:4]}),
-            with_drops(chunked, {step[1] for step in static}),
+    last = {}  # value -> index of the last step that reads it
+    for i, (_, _, a, b, _) in enumerate(steps):
+        for x in (a, b):
+            if x is not None:
+                last[x] = i
+    drops = [[] for _ in steps]
+    for x, i in last.items():
+        drops[i].append(x)
+    return (tuple((*step, tuple(d)) for step, d in zip(steps, drops)),
             frozenset(s[0] for s in steps if type(s[0]) is tuple))
 
 
-def _vector_witnesses(alg: FiniteAlgebra, batch: dict) -> dict:
+def _vector_witnesses(alg: FiniteAlgebra, batch: dict, steps, keys) -> dict:
     """{pair: its first failing tuple, or None} for ``batch``, a dict from
     pairs (lhs, rhs) to their sorted variables, all with the same first
-    variable.
+    variable, by its ``_vector_plan`` ``(steps, keys)``.
 
     Values are arrays of the narrowest unsigned dtype that holds the
     elements, one axis per variable of the batch in sorted-name order, of
     length 1 where the subterm lacks the variable.  Only the first variable
     is chunked, so no array has more than max(``_VECTOR_CHUNK_CELLS``,
-    n**(k-1)) cells for k variables.  The first failing tuple of a pair is
-    the first False of its mask over its own axes in C order, which is the
-    lexicographic order.
+    n**(k-1)) cells for k variables; each chunk runs every step.  The first
+    failing tuple of a pair is the first False of its mask over its own
+    axes in C order, which is the lexicographic order.  Once pairs fail,
+    the later chunks run the steps of the others.
     """
     names = sorted({v for vs in batch.values() for v in vs})
     axis = {name: i for i, name in enumerate(names)}
@@ -498,8 +487,6 @@ def _vector_witnesses(alg: FiniteAlgebra, batch: dict) -> dict:
     dt = np.min_scalar_type(n - 1)
     const = {"top": np.full((1,) * k, alg.top, dt), "bot": np.full((1,) * k, alg.bot, dt)}
     interleave = tuple(i for d in range(k) for i in (d, k + d))
-    pairs = tuple(batch)
-    static_steps, chunked, keys = _vector_plan(pairs, names[0])
     ops = {Meet: alg.meet, Join: alg.join, Neg: alg.neg, Opp: alg.opp}
     tables = {key: functools.reduce(lambda t, op: ops[op].take(t), key[-2::-1],
                                     ops[key[-1]]).astype(dt)
@@ -510,7 +497,12 @@ def _vector_witnesses(alg: FiniteAlgebra, batch: dict) -> dict:
         shape[axis[name]] = len(values)
         return values.reshape(shape)
 
-    def run(steps, val, firsts=None, lo=0, failed=None):
+    pairs = tuple(batch)
+    result = dict.fromkeys(pairs)
+    block = max(1, _VECTOR_CHUNK_CELLS // n ** (max(map(len, batch.values())) - 1))
+    for lo in range(0, n, block):
+        firsts = along(names[0], np.arange(lo, min(lo + block, n), dtype=dt))
+        val, failed = {}, {}
         for key, u, a, b, how, drops in steps:
             if key is Var:
                 val[u] = firsts if u.name == names[0] else along(u.name, np.arange(n, dtype=dt))
@@ -537,21 +529,12 @@ def _vector_witnesses(alg: FiniteAlgebra, batch: dict) -> dict:
                 val[u] = r.reshape(tuple(map(max, sa, sb)))
             for x in drops:
                 del val[x]
-
-    static = {}
-    run(static_steps, static)
-    result = dict.fromkeys(pairs)
-    block = max(1, _VECTOR_CHUNK_CELLS // n ** (max(map(len, batch.values())) - 1))
-    for lo in range(0, n, block):
-        failed = {}
-        firsts = along(names[0], np.arange(lo, min(lo + block, n), dtype=dt))
-        run(chunked, dict(static), firsts, lo, failed)
         if failed:
             result.update(failed)
             pairs = tuple(p for p in pairs if p not in failed)
-            if not pairs:
+            if not pairs or lo + block >= n:
                 break
-            chunked = _vector_plan(pairs, names[0])[1]
+            steps = _vector_plan(pairs, names[0])[0]
     return result
 
 

@@ -63,7 +63,9 @@ class BooleanView:
 
 
 def powerset_boolean(k: int, max_atoms: int = 4) -> BooleanView:
-    """The 2**k-element powerset Boolean algebra on k atoms."""
+    """The 2**k-element powerset Boolean algebra on k atoms; k and max_atoms
+    follow ``_index``'s rule."""
+    k, max_atoms = _index(k, "atom count"), _index(max_atoms, "max_atoms")
     if k < 0 or k > max_atoms:
         raise ConstructionError(f"atom count {k} outside [0, {max_atoms}]")
     n = 1 << k

@@ -16,7 +16,7 @@
 
     objects: g1 g2 ...
     attributes: m1 m2 ...
-    <|G| rows over {X, .} of length |M|>
+    <|G| rows over {X, .} of length |M|; with no attributes, none>
 
 render(parse(text)) is the identity up to whitespace normalization.
 """
@@ -160,6 +160,8 @@ def parse_context(text: str) -> FormalContext:
             dup = next(nm for k, nm in enumerate(names) if nm in names[:k])
             raise ParseError(f"duplicate {what} name {dup!r}", lineno, 1)
     rows = lines[2:]
+    if not attributes and not rows:  # the empty rows are blank lines, which are skipped
+        rows = [(None, "")] * len(objects)
     if len(rows) != len(objects):
         raise ParseError(
             f"expected {len(objects)} incidence rows, found {len(rows)}")

@@ -21,6 +21,8 @@ import re
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .algebra import (
     FiniteAlgebra, _first_witness, classify, eval_term, quasi_order,
 )
@@ -65,8 +67,15 @@ def seq(ant: Term, suc: Term) -> Hypersequent:
     return Hypersequent((Sequent(ant, suc),))
 
 
+def _system(system: str) -> str:
+    """system, when it is "L" or "HL"; LogicError otherwise."""
+    if system not in ("L", "HL"):
+        raise LogicError(f"unknown system {system!r}")
+    return system
+
+
 def parse_sequent(text: str, system: str = "L") -> Sequent:
-    p = TermParser(text, sorted_vars=(system == "HL"))
+    p = TermParser(text, sorted_vars=(_system(system) == "HL"))
     ant = p.parse_formula()
     p.expect("=>")
     suc = p.parse_formula()
@@ -77,7 +86,7 @@ def parse_sequent(text: str, system: str = "L") -> Sequent:
 
 
 def parse_hypersequent(text: str, system: str = "L") -> Hypersequent:
-    p = TermParser(text, sorted_vars=(system == "HL"))
+    p = TermParser(text, sorted_vars=(_system(system) == "HL"))
     comps = []
     while True:
         ant = p.parse_formula()
@@ -483,24 +492,27 @@ def _refuter(h: Hypersequent, system: str):
 
 def falsifying_env(alg: FiniteAlgebra, h: Hypersequent, system: str = "L"):
     """First assignment (deterministic order) under which no component is
-    satisfied, or None.  Raises LogicError when the algebra is outside the
-    system's class."""
-    ok, why = _algebra_admits(alg, system)
+    satisfied, or None.  Raises LogicError for an unknown system and when
+    the algebra is outside the system's class."""
+    ok, why = _algebra_admits(alg, _system(system))
     if not ok:
         raise LogicError(why)
     return _refuter(h, system)(alg)
 
 
 def is_true_in(alg: FiniteAlgebra, h: Hypersequent, system: str = "L") -> bool:
-    """True when every assignment satisfies at least one component."""
+    """True when every assignment satisfies at least one component.  Raises
+    LogicError as ``falsifying_env`` does."""
     return falsifying_env(alg, h, system) is None
 
 
 def find_countermodel(goal: Hypersequent, system: str, models) -> tuple | None:
     """First (name, algebra, env) from the model source falsifying the goal.
 
-    Models outside the system's algebra class are skipped.
+    Models outside the system's algebra class are skipped.  Raises
+    LogicError for an unknown system.
     """
+    _system(system)
     falsify = None  # built at the first admitted model, where falsifying_env would raise
     for name, alg in models:
         if _algebra_admits(alg, system)[0]:
@@ -647,10 +659,11 @@ def _cut_candidates(goal: Hypersequent, system: str, lemmas):
 def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
                  lemmas=None) -> ProofScript | None:
     """Iterative-deepening backward search; cut only through the candidate
-    pool.  Any returned script re-validates under check_proof."""
-    if system not in ("L", "HL"):
-        raise LogicError(f"unknown system {system!r}")
-    if system == "L" and len(goal) != 1:
+    pool.  Any returned script re-validates under check_proof.  ``depth``
+    is a Python or numpy integer, never a bool, float or str (LogicError)."""
+    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)):
+        raise LogicError(f"depth must be an integer, got {depth!r}")
+    if _system(system) == "L" and len(goal) != 1:
         raise LogicError(_L_SINGLE)
     pool = None  # the cut candidates, built at the first cut: most goals close without one
     proved: dict = {}

@@ -39,14 +39,15 @@ the cell, w)``.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 from itertools import product
+
+import numpy as np
 
 from .algebra import FiniteAlgebra, satisfies_equation
 from .errors import BudgetError, EvalError, SuiteError
 from .suites import get_suite
-from .terms import MAX_DEPTH, Const, Join, Meet, Neg, Opp, Var, source
+from .terms import MAX_DEPTH, TABLE_NAMES, Const, Neg, Opp, Var, source
 
 # The depth-first step recurses once per slot, and size n has 2 + 2n + 2n**2
 # slots.  Size 16 (546 slots) leaves about 400 of CPython's default 1,000
@@ -135,9 +136,6 @@ class _Partial:
             self.neg[:n], self.opp[:n], *self.const)
 
 
-_TABLE = {Meet: "M", Join: "J", Neg: "G", Opp: "O"}
-
-
 def _side(t, var, x):
     """Source lines that set ``x`` to the value of side t, computing the
     arguments of its outermost lookup first, and the condition under which a
@@ -150,9 +148,9 @@ def _side(t, var, x):
     if cls is Const:
         return [f"{x} = {source(t, var)}"], "True"
     if cls in (Neg, Opp):
-        return [f"{x}a = {source(t.arg, var)}", f"{x} = {_TABLE[cls]}[{x}a]"], f"{x}a < N"
+        return [f"{x}a = {source(t.arg, var)}", f"{x} = {TABLE_NAMES[cls]}[{x}a]"], f"{x}a < N"
     return ([f"{x}a = {source(t.left, var)}", f"{x}b = {source(t.right, var)}",
-             f"{x} = {_TABLE[cls]}[{x}a][{x}b]"], f"{x}a < N and {x}b < N")
+             f"{x} = {TABLE_NAMES[cls]}[{x}a][{x}b]"], f"{x}a < N and {x}b < N")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -184,27 +182,36 @@ def _checker(lhs, rhs, names):
     return ns["check"]
 
 
+def _integer(value, what) -> int:
+    """value as an int by ``FiniteAlgebra._index``'s rule: Python or numpy
+    integers only; a bool, float or str is a SuiteError, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SuiteError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _pin(value, n, what):
     """A pinned constant as an element index, or None when unpinned."""
     if value is None:
         return None
-    try:
-        v = operator.index(value)
-    except TypeError:
-        raise SuiteError(f"{what} must be an element index, got {value!r}") from None
+    v = _integer(value, what)
     if not 0 <= v < n:
         raise SuiteError(f"{what} must be in [0, {n}), got {v}")
     return v
 
 
-def _checked_pins(spec: SearchSpec, n: int):
-    """The pinned (top, bot), each None when unpinned.  Raises SuiteError for
-    a pin outside the universe or a negative budget."""
+def _checked(spec: SearchSpec):
+    """The universe size and the pinned (top, bot), each None when unpinned.
+    Raises SuiteError for a size below 1, a pin outside the universe, a
+    negative budget, or any of these that is not an integer."""
+    n = _integer(spec.size, "universe size")
+    if n < 1:
+        raise SuiteError("universe size must be >= 1")
     for what in ("max_models", "max_candidates"):
         budget = getattr(spec, what)
-        if budget is not None and budget < 0:
+        if budget is not None and _integer(budget, what) < 0:
             raise SuiteError(f"{what} must be >= 0, got {budget}")
-    return _pin(spec.fixed_top, n, "fixed_top"), _pin(spec.fixed_bot, n, "fixed_bot")
+    return n, _pin(spec.fixed_top, n, "fixed_top"), _pin(spec.fixed_bot, n, "fixed_bot")
 
 
 def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
@@ -215,12 +222,9 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
     out the summary is flagged incomplete.  A size over ``MAX_SEARCH_SIZE``
     is a BudgetError.
     """
-    n = spec.size
-    if n < 1:
-        raise SuiteError("universe size must be >= 1")
+    n, top_pin, bot_pin = _checked(spec)
     if n > MAX_SEARCH_SIZE:
         raise BudgetError(f"universe size {n} is over the search limit of {MAX_SEARCH_SIZE}")
-    top_pin, bot_pin = _checked_pins(spec, n)
     require = get_suite(spec.require).equations if spec.require else ()
     must_fail = set(spec.must_fail)
     prunable = [e for e in require if e.id not in must_fail]
@@ -350,8 +354,7 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
 def naive_sweep(spec: SearchSpec, visitor=None) -> SearchSummary:
     """Unpruned oracle: visit every complete candidate and test the suites on
     the finished algebra.  Intended for size <= 2."""
-    n = spec.size
-    top_pin, bot_pin = _checked_pins(spec, n)
+    n, top_pin, bot_pin = _checked(spec)
     require = get_suite(spec.require).equations if spec.require else ()
     must_fail = set(spec.must_fail)
     summary = SearchSummary()

@@ -193,6 +193,11 @@ class Join(Term):
 TOP = Const("top")
 BOT = Const("bot")
 
+# The name of each operation's table in generated code: ``source``, the
+# first-witness kernel and the model search's check read ``M[a][b]``,
+# ``J[a][b]``, ``G[a]`` and ``O[a]``.
+TABLE_NAMES = {Meet: "M", Join: "J", Neg: "G", Opp: "O"}
+
 
 def vee(a: Term, b: Term) -> Term:
     """Derived join a v b, expanded to ~(~a & ~b)."""
@@ -332,11 +337,12 @@ def fold(t: Term, var, top, bot, neg, opp, meet, join):
 
 
 def source(t: Term, var) -> str:
-    """t as a Python expression over the tables ``M``, ``J`` (rows indexed
-    ``M[a][b]``), ``G``, ``O`` and the constants ``TP``, ``BT``; ``var(name)``
+    """t as a Python expression over the tables of ``TABLE_NAMES`` (rows
+    indexed ``M[a][b]``) and the constants ``TP``, ``BT``; ``var(name)``
     gives the expression for a variable."""
-    return fold(t, var, "TP", "BT", "G[{}]".format, "O[{}]".format,
-                "M[{}][{}]".format, "J[{}][{}]".format)
+    g, o, m, j = (TABLE_NAMES[cls] for cls in (Neg, Opp, Meet, Join))
+    return fold(t, var, "TP", "BT", f"{g}[{{}}]".format, f"{o}[{{}}]".format,
+                f"{m}[{{}}][{{}}]".format, f"{j}[{{}}][{{}}]".format)
 
 
 def render(t: Term) -> str:

@@ -450,3 +450,17 @@ def test_the_reused_parser_answers_as_a_fresh_one(files, capsys, monkeypatch):
     assert [code for code, _, _ in fresh] == [1, 0, 2, 2, 0, 0, 0, 0, 0, 2, 1]
     assert reused == again == fresh
     assert cli.build_parser() is not cli.build_parser()
+
+
+def test_an_emitted_context_without_attributes_reads_back(capsys, tmp_path):
+    # the standard context of the glued sum of the 2- and 1-element Boolean
+    # algebras has one object and no attribute
+    from dbakit.constructions import glued_sum, powerset_boolean
+    dba, cxt = tmp_path / "g.dba", tmp_path / "g.cxt"
+    dba.write_text(render_algebra(glued_sum(powerset_boolean(1), powerset_boolean(0))))
+    code, _ = run(capsys, "represent", str(dba), "--emit-context", str(cxt))
+    assert code == 0
+    assert cxt.read_text() == "objects: F0\nattributes: \n\n"
+    code, out = run(capsys, "protoconcepts", str(cxt))
+    assert code == 0
+    assert "count: 2" in out

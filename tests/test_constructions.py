@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -524,3 +525,16 @@ def test_tables_and_conditions_match_their_loops_on_mutated_pairs():
                 assert all(type(v) is bool for v in (got.commuting_ok, got.absorption_ok))
                 seen.update(f.split(":")[0] for f in got.failures)
     assert seen == {"commuting", "absorption-meet", "absorption-join", "constants"}
+
+
+@pytest.mark.parametrize("k, max_atoms, what", [
+    (True, 4, "atom count"), (1.5, 4, "atom count"), (1.0, 4, "atom count"),
+    ("1", 4, "atom count"), (1, 4.5, "max_atoms"), (1, True, "max_atoms")])
+def test_powerset_parameters_must_be_integers(k, max_atoms, what):
+    # powerset_boolean(True) used to build one atom, and 1.5 to raise TypeError
+    bad = k if what == "atom count" else max_atoms
+    with pytest.raises(ConstructionError, match=re.escape(f"{what} must be an integer index, "
+                                                          f"got {bad!r}")):
+        powerset_boolean(k, max_atoms)
+    assert powerset_boolean(np.int64(2), np.uint8(4)).alg.signature() == \
+        powerset_boolean(2).alg.signature()

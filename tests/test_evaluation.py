@@ -527,3 +527,20 @@ def test_a_nest_shared_by_size_classes_is_compiled_once():
     assert [len(plan.kernel) for plan in plans] == [4, 4, 3]
     assert len({nest for plan in plans for nest in plan.kernel}) == 4
     assert algebra._kernel.cache_info().misses == 4
+
+
+def test_the_plan_is_the_only_cache_of_the_numpy_steps():
+    # at n = 20 every DBA23 equation over two or more variables runs in
+    # numpy, in one chunk; the plan makes each batch's steps once, and a
+    # second check in the same size class makes none
+    n = 20
+    alg = perturbed_chain(n, 3)
+    algebra._plan.cache_clear()
+    with mock.patch.object(algebra, "_vector_plan", wraps=algebra._vector_plan) as planner:
+        first = _check_equations(alg, DBA23.equations)
+        batches = len(algebra._plan(DBA23.equations, algebra._scalar_arity(n)).vector)
+        assert planner.call_count == batches > 0
+        second = _check_equations(alg, DBA23.equations)
+        assert planner.call_count == batches
+    assert first == second
+    assert [v.witness for v in first] == [per_equation_witness(alg, e) for e in DBA23.equations]

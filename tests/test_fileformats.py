@@ -1,5 +1,7 @@
 """Text formats: .dba and .cxt parsing, rendering, error paths."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -207,3 +209,20 @@ def test_fuzz_seeds_are_valid():
     for kind, texts in _SEEDS.items():
         for text in texts:
             _PARSERS[kind](text)
+
+
+@pytest.mark.parametrize("objects, attributes", list(product(range(4), repeat=2)))
+def test_every_context_up_to_3x3_round_trips(objects, attributes):
+    # a context without attributes renders its rows as blank lines, which
+    # the parser used to skip and then count as missing
+    for ctx in all_contexts(objects, attributes):
+        back = parse_context(render_context(ctx))
+        assert (back.objects, back.attributes) == (ctx.objects, ctx.attributes)
+        assert back.incidence.shape == ctx.incidence.shape
+        assert back.incidence.tolist() == ctx.incidence.tolist()
+
+
+def test_a_context_without_attributes_may_omit_its_rows():
+    assert parse_context("objects: g1 g2\nattributes:\n").incidence.shape == (2, 0)
+    with pytest.raises(ParseError, match="incidence row has length 1, expected 0"):
+        parse_context("objects: g1\nattributes:\nX\n")

@@ -3,6 +3,7 @@
 import functools
 import gc
 import random
+import re
 from itertools import product
 
 import pytest
@@ -1116,3 +1117,53 @@ def test_search_output_equals_the_scan_based_search(monkeypatch):
     proved = [s for s in indexed if s is not None]
     assert len(proved) > 60 and sum(any(line.rule == "cut" for line in s.lines)
                                     for s in proved) > 50
+
+
+# --- the system argument and the search depth ---------------------------------
+
+def _by_system(system):
+    """One call per function that takes a system, each with valid other
+    arguments: an algebra that is contextual and pure, and a model list
+    that a check of the algebra's class would skip for L."""
+    from dbakit.fixtures import noncontextual4
+    goal = parse_hypersequent("x => y")
+    return {
+        "parse_sequent": lambda: parse_sequent("x => y", system),
+        "parse_hypersequent": lambda: parse_hypersequent("x => y", system),
+        "falsifying_env": lambda: falsifying_env(chain3(), goal, system),
+        "is_true_in": lambda: is_true_in(chain3(), goal, system),
+        "find_countermodel": lambda: find_countermodel(goal, system,
+                                                       [("nc", noncontextual4())]),
+        "search_proof": lambda: search_proof(goal, system),
+    }
+
+
+@pytest.mark.parametrize("function", list(_by_system("L")))
+@pytest.mark.parametrize("system", ["foo", "hl", "l", ""])
+def test_an_unknown_system_is_a_logic_error(function, system):
+    # "hl" used to parse as L, without sorts, and "foo" to refute as L
+    with pytest.raises(LogicError, match=f"unknown system {system!r}"):
+        _by_system(system)[function]()
+
+
+def test_the_known_systems_still_run():
+    for system in ("L", "HL"):
+        calls = _by_system(system)
+        assert str(calls["parse_sequent"]()) == "x => y"
+        assert falsifying_env(chain3(), calls["parse_hypersequent"](), system) is not None
+        assert not calls["is_true_in"]()
+    assert _by_system("L")["find_countermodel"]() is None  # not contextual: skipped
+
+
+@pytest.mark.parametrize("depth", [2.5, 3.0, "3", True, False, None])
+def test_a_non_integer_depth_is_a_logic_error(depth):
+    # depth=True used to search at depth 1, and 2.5 or "3" to raise TypeError
+    with pytest.raises(LogicError, match=re.escape(f"depth must be an integer, got {depth!r}")):
+        search_proof(parse_hypersequent("x => x"), "L", depth)
+
+
+def test_a_numpy_integer_depth_searches_as_an_int():
+    import numpy as np
+    goal = parse_hypersequent("x & y => x")
+    assert render_script(search_proof(goal, "L", np.int64(3))) == render_script(
+        search_proof(goal, "L", 3))

@@ -9,8 +9,10 @@ bounds the search's node count from above.
 
 import gc
 import hashlib
+import re
 from itertools import product
 
+import numpy as np
 import pytest
 
 from dbakit import search
@@ -557,3 +559,27 @@ def test_complete_size4_dba_census_matches_the_recorded_digest():
     assert summary.complete
     assert summary.models == summary.candidates == 352
     assert _digest(summary) == SIZE4_DBA23_DIGEST
+
+
+@pytest.mark.parametrize("engine", [enumerate_algebras, naive_sweep])
+@pytest.mark.parametrize("field, value", [
+    ("size", True), ("size", 2.0), ("size", "2"), ("fixed_top", True), ("fixed_bot", False),
+    ("max_models", True), ("max_models", 1.5), ("max_models", "1"),
+    ("max_candidates", 2.5), ("max_candidates", np.float64(3))])
+def test_non_integer_parameters_are_rejected(engine, field, value):
+    # each used to be truncated (fixed_top=True pinned 1, max_models=1.5 stopped
+    # after 2 models) or to end in a raw TypeError
+    spec = SearchSpec(**{"size": 2, "require": "DBA23", field: value})
+    with pytest.raises(SuiteError, match=re.escape(f"must be an integer, got {value!r}")):
+        engine(spec)
+
+
+@pytest.mark.parametrize("engine", [enumerate_algebras, naive_sweep])
+def test_numpy_integer_parameters_search_as_ints(engine):
+    plain = engine(SearchSpec(size=2, require="DBA23", fixed_top=1, max_models=3,
+                              max_candidates=200))
+    wide = engine(SearchSpec(size=np.int64(2), require="DBA23", fixed_top=np.uint8(1),
+                             max_models=np.int32(3), max_candidates=np.int16(200)))
+    assert (wide.candidates, wide.models, wide.complete) == (
+        plain.candidates, plain.models, plain.complete)
+    assert [a.signature() for a in wide.found] == [a.signature() for a in plain.found]
