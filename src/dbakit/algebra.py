@@ -42,6 +42,7 @@ class FiniteAlgebra:
     __slots__ = (
         "names", "n", "meet", "join", "neg", "opp", "top", "bot",
         "_rows_m", "_rows_j", "_lneg", "_lopp", "_facts",
+        "__weakref__",  # the refuter's cache of stacked models keys on weak references
     )
 
     def __init__(self, names, meet, join, neg, opp, top, bot):
@@ -190,13 +191,12 @@ class EquationVerdict:
 
 
 # --- one compiled first-witness kernel --------------------------------------
-# Equation checks and hypersequent refutation ask the same question: the
-# first assignment, in lexicographic order, under which a test fails, where a
-# test is one or more pairs of terms and fails when none of its pairs holds
-# (an equation is a test of one pair, a hypersequent one of a pair per
-# component).  One generator compiles the tests over one variable tuple into
-# one loop nest, a function that returns once all of its tests have failed;
-# each nest is compiled once, whatever batch it comes from.
+# The scalar equation checker asks for the first assignment, in lexicographic
+# order, under which an equation's sides differ.  One generator compiles the
+# equations over one variable tuple into one loop nest, a function that
+# returns once all of them have failed; each nest is compiled once, whatever
+# batch it comes from.  (The hypersequent refuter in ``logic`` is a numpy
+# fold over stacked models, and compiles nothing.)
 
 _MAX_BLOCKS = 20  # CPython compiles at most 20 statically nested blocks
 
@@ -209,10 +209,10 @@ def _children(t: Term) -> tuple:
     return ()
 
 
-def _nest_source(names, tests, ordered) -> list[str]:
-    """Source lines of ``nest(M, J, G, O, TP, BT, R, Q)``, which returns the
-    list W with the first failing tuple of test i, or None, in ``W[i]``:
-    early, once every test has failed, or after the loops.
+def _nest_source(names, pairs) -> list[str]:
+    """Source lines of ``nest(M, J, G, O, TP, BT, R)``, which returns the
+    list W with the first tuple under which pair i (lhs, rhs) differs, or
+    None, in ``W[i]``: early, once every pair has failed, or after the loops.
 
     Loop d binds variable d from R[d]; past ``_MAX_BLOCKS`` loops the last
     loop binds the remaining variables from their product.  A subterm's
@@ -227,7 +227,7 @@ def _nest_source(names, tests, ordered) -> list[str]:
     inner = loops - 1
     var = {name: i for i, name in enumerate(names)}
     level, reads, deep, order = {}, {}, set(), []
-    for side in (side for test in tests for pair in test for side in pair):
+    for side in (side for pair in pairs for side in pair):
         for u in postorder(side):
             if u not in level:
                 vs = variables(u)
@@ -270,13 +270,11 @@ def _nest_source(names, tests, ordered) -> list[str]:
             else:
                 code[u] = expr
     witness = f"({''.join(f'v{i}, ' for i in range(k))})"
-    for i, test in enumerate(tests):
-        fails = "not ({})".format(" or ".join(
-            lookup("Q", a, b, inner) if ordered else f"{code[a]} == {code[b]}" for a, b in test))
-        body[inner] += [f"if {fails} and W[{i}] is None:", f"    W[{i}] = {witness}",
-                        "    left -= 1", "    if not left: return W"]
-    lines = ["def nest(M, J, G, O, TP, BT, R, Q):",
-             f"    W = [None] * {len(tests)}", f"    left = {len(tests)}"]
+    for i, (a, b) in enumerate(pairs):
+        body[inner] += [f"if {code[a]} != {code[b]} and W[{i}] is None:",
+                        f"    W[{i}] = {witness}", "    left -= 1", "    if not left: return W"]
+    lines = ["def nest(M, J, G, O, TP, BT, R):",
+             f"    W = [None] * {len(pairs)}", f"    left = {len(pairs)}"]
     lines += ["    " + line for line in body[-1]]
     for d in range(loops):
         if d < inner or k == loops:
@@ -289,28 +287,18 @@ def _nest_source(names, tests, ordered) -> list[str]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _kernel(names, tests, ordered):
-    """Compile to ``nest(M, J, G, O, TP, BT, R, Q)``: for each of ``tests``,
-    each a tuple of pairs of terms over the variables ``names``, the first
-    tuple, v_i from R[i] with v0 most significant, under which none of its
-    pairs (a, b) holds, or None.  A pair holds when a = b, or when
-    ``Q[a][b]`` is true if ``ordered``.  Raises EvalError when a term is
-    deeper than ``MAX_DEPTH``.  Keyed by the interned terms, so the key
-    never recurses; the nests of the last 1024 distinct inputs are kept."""
-    if any(t.depth > MAX_DEPTH for test in tests for pair in test for t in pair):
+def _kernel(names, pairs):
+    """Compile to ``nest(M, J, G, O, TP, BT, R)``: for each of ``pairs``,
+    each a pair (lhs, rhs) of terms over the variables ``names``, the first
+    tuple, v_i from R[i] with v0 most significant, under which lhs != rhs,
+    or None.  Raises EvalError when a term is deeper than ``MAX_DEPTH``.
+    Keyed by the interned terms, so the key never recurses; the nests of the
+    last 1024 distinct inputs are kept."""
+    if any(t.depth > MAX_DEPTH for pair in pairs for t in pair):
         raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
     ns = {"product": product}
-    exec("\n".join(_nest_source(names, tests, ordered)), ns)  # generated from Term nodes only
+    exec("\n".join(_nest_source(names, pairs)), ns)  # generated from Term nodes only
     return ns["nest"]
-
-
-def _first_witness(alg: FiniteAlgebra, pairs, names, ranges, order=None):
-    """The first tuple, v_i from ranges[i], under which no pair of ``pairs``
-    holds on the tables of alg, or None; ``order`` (nested lists) is the
-    relation Q of ``_kernel``, if any.  Raises EvalError when a term is
-    deeper than ``MAX_DEPTH``."""
-    return _kernel(names, (pairs,), order is not None)(
-        alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot, ranges, order)[0]
 
 
 # --- one entry point for equation checks -----------------------------------
@@ -336,7 +324,7 @@ def _scalar_arity(n: int):
 class _Plan(NamedTuple):
     """How ``_check_equations`` checks a batch of equations.  Each distinct
     pair (lhs, rhs) has a position: first those of the nests, in the order
-    of their tests, then those of each numpy batch in turn."""
+    of their pairs, then those of each numpy batch in turn."""
 
     holding: tuple  # one holding verdict per equation
     slots: tuple  # the position of each equation's pair
@@ -366,7 +354,7 @@ def _plan(equations, kmax) -> _Plan:
     return _Plan(
         holding=tuple(EquationVerdict(e, True) for e in equations),
         slots=tuple(at[e.lhs, e.rhs] for e in equations),
-        kernel=tuple(_kernel(vs, tuple((p,) for p in ps), False) for vs, ps in nests.items()),
+        kernel=tuple(_kernel(vs, tuple(ps)) for vs, ps in nests.items()),
         width=max(map(len, nests), default=0),
         vector=tuple((b, *_vector_plan(tuple(b), first)) for first, b in vector.items()),
     )
@@ -383,8 +371,7 @@ def _check_equations(alg: FiniteAlgebra, equations) -> tuple[EquationVerdict, ..
     plan = _plan(tuple(equations), _scalar_arity(alg.n))
     bad, ranges = [], (range(alg.n),) * plan.width
     for nest in plan.kernel:
-        bad += nest(alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot,
-                    ranges, None)
+        bad += nest(alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot, ranges)
     for batch, steps, keys in plan.vector:
         bad += _vector_witnesses(alg, batch, steps, keys).values()
     if bad.count(None) == len(bad):
@@ -596,8 +583,9 @@ class QuasiOrder:
 
     @functools.cached_property
     def rows(self) -> tuple:
-        """rel as rows of bools, indexed ``rows[x][y]``, for the compiled
-        kernels; computed once per order."""
+        """rel as rows of bools, indexed ``rows[x][y]``: a nested-tuple
+        view for scalar lookups outside numpy.  dbakit itself reads ``rel``
+        (the refuter takes the relation flat); computed once per order."""
         return tuple(map(tuple, self.rel.tolist()))
 
 

@@ -17,18 +17,20 @@ lemmas), so it always terminates.
 from __future__ import annotations
 
 import functools
+import math
 import re
+import weakref
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, chain, count, islice, product
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (
-    FiniteAlgebra, _first_witness, classify, eval_term, quasi_order,
-)
-from .errors import LogicError, ParseError
+from . import algebra
+from .algebra import FiniteAlgebra, classify, eval_term, quasi_order
+from .errors import EvalError, LogicError, ParseError
 from .terms import (
-    BOT, OBJECT, PROPERTY, TOP,
+    BOT, GENERIC, MAX_DEPTH, OBJECT, PROPERTY, TOP,
     Const, Join, Meet, Neg, Opp, Term, TermParser, Var, fold, render, subterms,
     var_sorts, variables, vee, wedge,
 )
@@ -184,8 +186,14 @@ def _schemas_for(ant_kind: type, suc_kind: type, hl: bool) -> tuple[AxiomSchema,
 
 
 def axiom_match(s: Sequent, system: str = "L") -> list[str]:
-    """Ids of every axiom schema with an instantiation equal to s."""
-    return [schema.id for schema in _schemas_for(type(s.ant), type(s.suc), system == "HL")
+    """Ids of every axiom schema of the system with an instantiation equal
+    to s.  Raises LogicError for an unknown system."""
+    return _axiom_ids(s, _system(system) == "HL")
+
+
+def _axiom_ids(s: Sequent, hl: bool) -> list[str]:
+    """``axiom_match`` for a system already checked: HL when ``hl``."""
+    return [schema.id for schema in _schemas_for(type(s.ant), type(s.suc), hl)
             if schema_matches(schema, s)]
 
 
@@ -476,28 +484,171 @@ def _var_ranges(alg: FiniteAlgebra, kinds, system: str):
     return [sorted_ranges.get(kind, universe) for kind in kinds]
 
 
-def _refuter(h: Hypersequent, system: str):
-    """falsifying_env of h as a function of an algebra known to be in the
-    system's class; what depends only on h is collected once, here.  Raises
-    LogicError when a variable is used with two sorts."""
-    names, kinds = _var_sorts(h)
-    pairs = tuple((c.ant, c.suc) for c in h.components)
+# --- the refuter ---------------------------------------------------------------
+# A goal is refuted over a block of models at once: the block's tables are
+# stacked (``_stack``), every value is an array with a leading model axis and
+# one axis per variable, and each side of each component is one ``fold``
+# with numpy callbacks.  The first failing cell in C order is the first
+# model and, within it, the lexicographically first assignment.
 
-    def falsify(alg: FiniteAlgebra):
-        bad = _first_witness(alg, pairs, names, _var_ranges(alg, kinds, system),
-                             quasi_order(alg).rows)
-        return None if bad is None else dict(zip(names, bad))
-    return falsify
+_BLOCK = 64  # models read, admitted and stacked at a time
+
+
+class _Stack(NamedTuple):
+    """The tables of a block of m models, stacked.
+
+    Element x of model t has the block-wide id ``offset[t] + x``.  The maps
+    ``G`` and ``O`` take ids to ids.  The n x n tables of all models lie in
+    one flat array each, ``M`` and ``J`` of ids and ``Q`` (the quasi-order)
+    of bools; ``row[id]`` is where the id's row starts, less the id of its
+    model's element 0, so ``x & y`` is ``M[row[x] + y]`` for ids x and y.
+    ``top`` and ``bot`` hold each model's ids.  ``ranges`` maps each sort
+    of the system to a (m, L) array of the ids that a variable of the sort
+    takes in each model, padded to the widest model with the model's
+    element 0, and a (m, L) mask of the cells in range (None when all are).
+    """
+
+    M: np.ndarray
+    J: np.ndarray
+    G: np.ndarray
+    O: np.ndarray
+    Q: np.ndarray
+    row: np.ndarray
+    top: np.ndarray
+    bot: np.ndarray
+    offset: np.ndarray
+    ranges: dict
+
+
+@functools.lru_cache(maxsize=16)
+def _stack(refs: tuple, system: str) -> _Stack:
+    """The stack of the algebras that ``refs`` (weak references) point to,
+    all admitted by the system.  A weak reference compares by its live
+    algebra's identity, and a dead one equals only itself, so the key
+    matches only the same algebra objects, and the cache keeps neither them
+    nor their verdict records alive.  The stacks of the last 16 distinct
+    blocks are kept: the 11 blocks of the 682 models of ``contexts:3x3``
+    fit, so refuting many goals against them builds each stack once."""
+    algs = [r() for r in refs]
+    sizes = [a.n for a in algs]
+    offset = np.array([0, *accumulate(sizes[:-1])], np.intp)
+    starts = accumulate([0] + [n * n for n in sizes])  # of each model's n x n tables
+    dt = np.min_scalar_type(sum(sizes) - 1)
+
+    def ids(tables):
+        return np.concatenate([t.reshape(-1) + u for t, u in zip(tables, offset)],
+                              dtype=dt, casting="unsafe")
+
+    ranges = {}  # sort -> (ids, mask or None); in L every variable is GENERIC
+    for kind in (GENERIC, OBJECT, PROPERTY) if system == "HL" else (GENERIC,):
+        rows = [_var_ranges(a, (kind,), system)[0] for a in algs]
+        lengths = np.array([len(r) for r in rows])
+        valid = np.arange(lengths.max()) < lengths[:, None]
+        values = np.zeros(valid.shape, dt)
+        values[valid] = np.fromiter(chain.from_iterable(rows), dt, int(lengths.sum()))
+        values += offset[:, None].astype(dt)
+        ranges[kind] = values, None if valid.all() else valid
+    top, bot = (np.array([[a.top, a.bot] for a in algs]) + offset[:, None]).T.astype(dt)
+    return _Stack(
+        M=ids([a.meet for a in algs]), J=ids([a.join for a in algs]),
+        G=ids([a.neg for a in algs]), O=ids([a.opp for a in algs]),
+        Q=np.concatenate([quasi_order(a).rel.reshape(-1) for a in algs]),
+        row=np.concatenate([np.arange(n, dtype=np.intp) * n + (start - u)
+                            for n, u, start in zip(sizes, offset, starts)]),
+        top=top, bot=bot, offset=offset, ranges=ranges)
+
+
+def _runs(shape):
+    """The cells of an array of ``shape`` (models, then one axis per
+    variable) in runs of consecutive ones, each as one slice per axis, in C
+    order.  A run fixes a prefix of the axes, cuts the next one, and takes
+    the rest whole, so that it has at most ``algebra._VECTOR_CHUNK_CELLS``
+    cells, whatever the number of axes."""
+    cells = algebra._VECTOR_CHUNK_CELLS
+    d = 0
+    while math.prod(shape[d + 1:]) > cells:
+        d += 1
+    step = max(1, cells // math.prod(shape[d + 1:]))
+    rest = (slice(None),) * (len(shape) - d - 1)
+    for prefix in product(*map(range, shape[:d])):
+        fixed = tuple(slice(p, p + 1) for p in prefix)
+        for lo in range(0, shape[d], step):
+            yield fixed + (slice(lo, lo + step),) + rest
+
+
+def _first_failure(stack: _Stack, pairs, names, kinds):
+    """(t, env) for the first model t of the stack and, within it, the first
+    assignment env of the variables ``names``, of the sorts ``kinds``, under
+    which no pair (ant, suc) of ``pairs`` holds in the quasi-order, or None."""
+    k = len(names)
+    values = [stack.ranges[kind][0] for kind in kinds]
+    valid = [stack.ranges[kind][1] for kind in kinds]
+    shape = (len(stack.offset), *(v.shape[1] for v in values))
+    if 0 in shape:
+        return None
+    row = stack.row
+
+    def lookup(table):  # ids x, y -> table[row[x] + y], an index in intp as row is
+        return lambda x, y: table.take(row.take(x) + y)
+
+    meet, join, order = lookup(stack.M), lookup(stack.J), lookup(stack.Q)
+    for run in _runs(shape):
+        models = run[0]
+
+        def along(i, table):  # a (m, L) array, cut to the run, on axis i + 1
+            cut = table[models, run[i + 1]]
+            return cut.reshape(cut.shape[:1] + (1,) * i + cut.shape[1:] + (1,) * (k - 1 - i))
+
+        env = {name: along(i, v) for i, (name, v) in enumerate(zip(names, values))}
+        top, bot = (a[models].reshape((-1,) + (1,) * k) for a in (stack.top, stack.bot))
+        holds = False
+        for ant, suc in pairs:
+            holds = holds | order(*(fold(t, env.__getitem__, top, bot, stack.G.take,
+                                         stack.O.take, meet, join) for t in (ant, suc)))
+        fails = ~holds
+        for i, mask in enumerate(valid):
+            if mask is not None:
+                fails = fails & along(i, mask)
+        # an axis that fails lacks is constant: its first failing cell is at 0
+        flat = fails.reshape(-1)
+        first = int(flat.argmax())
+        if flat[first]:
+            at = [int(p) + (cut.start or 0)
+                  for p, cut in zip(np.unravel_index(first, fails.shape), run)]
+            t = at[0]
+            return t, {name: int(v[t, p]) - int(stack.offset[t])
+                       for name, v, p in zip(names, values, at[1:])}
+    return None
+
+
+def _refuter(h: Hypersequent, system: str):
+    """The search of h over a tuple of algebras known to be in the system's
+    class, as a function that returns ``_first_failure``'s (t, env) or None;
+    what depends only on h is collected once, here.  Raises LogicError when
+    a variable is used with two sorts, and EvalError when a term is deeper
+    than ``MAX_DEPTH``, whether or not an earlier component always holds."""
+    names, kinds = _var_sorts(h)
+    if system == "L":  # every variable ranges over the universe
+        kinds = (GENERIC,) * len(names)
+    pairs = tuple((c.ant, c.suc) for c in h.components)
+    if max(t.depth for pair in pairs for t in pair) > MAX_DEPTH:
+        raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
+
+    def refute(algs):
+        return _first_failure(_stack(tuple(map(weakref.ref, algs)), system), pairs, names, kinds)
+    return refute
 
 
 def falsifying_env(alg: FiniteAlgebra, h: Hypersequent, system: str = "L"):
     """First assignment (deterministic order) under which no component is
-    satisfied, or None.  Raises LogicError for an unknown system and when
-    the algebra is outside the system's class."""
+    satisfied, or None: the refuter's search on a block of one model.
+    Raises LogicError for an unknown system and when the algebra is outside
+    the system's class."""
     ok, why = _algebra_admits(alg, _system(system))
     if not ok:
         raise LogicError(why)
-    return _refuter(h, system)(alg)
+    found = _refuter(h, system)([alg])
+    return None if found is None else found[1]
 
 
 def is_true_in(alg: FiniteAlgebra, h: Hypersequent, system: str = "L") -> bool:
@@ -506,21 +657,48 @@ def is_true_in(alg: FiniteAlgebra, h: Hypersequent, system: str = "L") -> bool:
     return falsifying_env(alg, h, system) is None
 
 
+def _admitted_blocks(models, system: str):
+    """The admitted (name, algebra) pairs of each ``_BLOCK`` entries of the
+    model source, read lazily, one block at a time; blocks that admit no
+    model are skipped.  An entry that is not a (name, FiniteAlgebra) pair
+    is a LogicError naming its position."""
+    entries = iter(models)
+    for start in count(0, _BLOCK):
+        block = list(islice(entries, _BLOCK))
+        admitted = []
+        for position, entry in enumerate(block, start):
+            try:
+                name, alg = entry
+            except (TypeError, ValueError):
+                alg = None
+            if not isinstance(alg, FiniteAlgebra):
+                raise LogicError(f"model entry {position} is not a (name, FiniteAlgebra) pair")
+            if _algebra_admits(alg, system)[0]:
+                admitted.append((name, alg))
+        if admitted:
+            yield admitted
+        if len(block) < _BLOCK:
+            return
+
+
 def find_countermodel(goal: Hypersequent, system: str, models) -> tuple | None:
     """First (name, algebra, env) from the model source falsifying the goal.
 
-    Models outside the system's algebra class are skipped.  Raises
-    LogicError for an unknown system.
+    The source is any iterable of (name, FiniteAlgebra) pairs; it is read
+    ``_BLOCK`` models at a time, and never past the block that holds the
+    countermodel.  Models outside the system's algebra class are skipped,
+    and each block's admitted models are searched together.  Raises
+    LogicError for an unknown system and for a malformed entry.
     """
     _system(system)
-    falsify = None  # built at the first admitted model, where falsifying_env would raise
-    for name, alg in models:
-        if _algebra_admits(alg, system)[0]:
-            if falsify is None:
-                falsify = _refuter(goal, system)
-            env = falsify(alg)
-            if env is not None:
-                return name, alg, env
+    refute = None  # built at the first admitted model, where falsifying_env would raise
+    for block in _admitted_blocks(models, system):
+        if refute is None:
+            refute = _refuter(goal, system)
+        found = refute([alg for _, alg in block])
+        if found is not None:
+            t, env = found
+            return (*block[t], env)
     return None
 
 
@@ -669,14 +847,16 @@ def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
     proved: dict = {}
     failed_at: dict = {}
 
+    hl = system == "HL"
+
     def leaf(h: Hypersequent):
         if len(h) == 1:
-            ids = axiom_match(h[0], system)
+            ids = _axiom_ids(h[0], hl)
             if ids:
                 rule = "id-axiom" if ids[0] == "id" else "axiom"
                 schema = None if ids[0] == "id" else ids[0]
                 return _Tree(h, rule, (), schema)
-        if system == "HL" and _check_sp(h):
+        if hl and _check_sp(h):
             return _Tree(h, "sp", ())
         return None
 

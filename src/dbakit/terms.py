@@ -15,17 +15,18 @@ visits each distinct subterm once, in a post-order cached on the node as a
 program of steps that name their children by position, so no cached entry
 refers to the node itself.
 ``render``, ``source`` (the term as a Python expression over the operation
-tables), ``dual``, substitution and ``algebra.eval_term`` (a fold over the
-tuple tables) are folds; the numpy equation checker walks the distinct
-subterms of a whole batch of equations in ``postorder``, so a subterm shared
-by several equations is evaluated once.  No term carries compiled code.
-Two compiled checks read terms as Python code over the tables.  The model
-search compiles ``source`` of both sides of an equation into one check.  The
-first-witness kernel in ``algebra`` compiles the checks over one variable
-tuple (the scalar equation checker's equations, or the hypersequent
-refuter's components) into one loop nest over the assignments, one subterm
-at a time: each in the loop of its last variable, so a subterm is not
-recomputed in loops that do not change it.  Each nest is compiled once.
+tables), ``dual``, substitution, ``algebra.eval_term`` (a fold over the
+tuple tables) and the hypersequent refuter in ``logic`` (a fold with numpy
+callbacks over a block of stacked models) are folds; the numpy equation
+checker walks the distinct subterms of a whole batch of equations in
+``postorder``, so a subterm shared by several equations is evaluated once.
+No term carries compiled code.  Two compiled checks read terms as Python
+code over the tables.  The model search compiles ``source`` of both sides of
+an equation into one check.  The first-witness kernel in ``algebra``
+compiles the scalar equation checker's equations over one variable tuple
+into one loop nest over the assignments, one subterm at a time: each in the
+loop of its last variable, so a subterm is not recomputed in loops that do
+not change it.  Each nest is compiled once.
 
 ASCII surface grammar (precedence: unary > ``&`` > ``|``, both binary ops
 left-associative)::
@@ -43,10 +44,10 @@ parse time, so parsed terms never contain them as nodes.
 Nesting is limited to ``MAX_DEPTH`` levels.  The parser opens a level at each
 ``~``, ``!``, opening parenthesis and macro call, and a parsed term may be at
 most ``MAX_DEPTH`` operators deep; deeper input is a ParseError.
-The equation checkers, the refuter and the model search reject deeper terms
-built in code with an EvalError, since compiled expressions nest one bracket
-per level; ``eval_term`` keeps the same limit, so every evaluation path
-accepts the same terms.
+The equation checkers and the model search reject deeper terms built in
+code with an EvalError, since compiled expressions nest one bracket per
+level; ``eval_term`` and the refuter keep the same limit, so every
+evaluation path accepts the same terms.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from dbakit import algebra
 from dbakit.algebra import (
-    _VECTOR_THRESHOLD, FiniteAlgebra, _check_equations, _first_witness, eval_term,
+    _VECTOR_THRESHOLD, FiniteAlgebra, _check_equations, _kernel, eval_term,
     satisfies_equation,
 )
 from dbakit.fixtures import boolean2
@@ -359,7 +359,7 @@ def test_failures_in_the_second_chunk_match_the_scalar_kernel():
             satisfies_equation(alg, e) for e in batch):
         e = verdict.equation
         names = e.variables()
-        want = _first_witness(alg, ((e.lhs, e.rhs),), names, (range(n),) * len(names))
+        want = _kernel(names, ((e.lhs, e.rhs),))(*tables(alg), (range(n),) * len(names))[0]
         assert verdict.witness == dict(zip(names, want))
         assert verdict.witness["x"] == n - 2
 
@@ -373,7 +373,7 @@ def test_a_folded_chain_past_the_dtype_switch_matches_the_scalar_kernel():
         Equation("order", parse_term("~!(x | y)"), parse_term("x | y"))]
     verdicts = _check_equations(alg, batch)
     for e, verdict in zip(batch, verdicts):
-        want = _first_witness(alg, ((e.lhs, e.rhs),), ("x", "y"), (range(n),) * 2)
+        want = _kernel(("x", "y"), ((e.lhs, e.rhs),))(*tables(alg), (range(n),) * 2)[0]
         assert verdict.witness == dict(zip("xy", want))
     assert [v.witness for v in verdicts] == [{"x": n - 2, "y": 0}, {"x": 0, "y": 0}]
 
@@ -481,7 +481,7 @@ def test_a_batch_that_fails_at_once_stops_at_once():
     assert not plan.vector
     handed = []
     ranges = [CountingRange(n, handed)] * plan.width
-    bad = [w for nest in plan.kernel for w in nest(*tables(alg), ranges, None)]
+    bad = [w for nest in plan.kernel for w in nest(*tables(alg), ranges)]
     assert [bad[i] for i in plan.slots] == [tuple(v.witness.values()) for v in verdicts]
     # one value per loop: x; x, y; x, y, z; y, z
     assert len(handed) == 1 + 2 + 3 + 2
@@ -501,12 +501,12 @@ def test_the_batch_kernel_past_the_nested_loops_matches_the_per_equation_kernel(
     for e in batch:
         nests.setdefault(e.variables(), []).append(e)
     assert sorted(map(len, nests)) == [22, 25]
-    kernels = [algebra._kernel(names, tuple(((e.lhs, e.rhs),) for e in es), False)
+    kernels = [algebra._kernel(names, tuple((e.lhs, e.rhs) for e in es))
                for names, es in nests.items()]
     ranges = (range(1),) * 19 + (range(2),) * 6
     want = [per_equation_witness(alg, e, ranges[:len(names)])
             for names, es in nests.items() for e in es]
-    assert [w for kernel in kernels for w in kernel(*tables(alg), ranges, None)] == [
+    assert [w for kernel in kernels for w in kernel(*tables(alg), ranges)] == [
         None if w is None else tuple(w.values()) for w in want]
     assert sum(w is not None for w in want) == 3
 

@@ -4,16 +4,20 @@ import functools
 import gc
 import random
 import re
+import time
+import tracemalloc
+import weakref
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbakit import logic
+from dbakit import algebra, logic
 from dbakit.algebra import classify, passes, quasi_order
 from dbakit.errors import EvalError, LogicError, ParseError
 from dbakit.fca import all_contexts, protoconcept_algebra
-from dbakit.fixtures import builtin_fixtures, chain3, gdcore_not_dcore
+from dbakit.fixtures import boolean2, builtin_fixtures, chain3, gdcore_not_dcore
 from dbakit.logic import (
     AXIOM_SCHEMAS, Hypersequent, ProofLine, ProofScript, Sequent, axiom_match,
     check_proof, eval_sequent, falsifying_env, find_countermodel, fixture_proofs,
@@ -628,6 +632,190 @@ def test_falsifying_env_over_more_variables_than_nested_loops():
         {**zeros, "v21": 1, "v24": 1}
 
 
+
+def test_the_refuter_over_25_variables_stays_in_one_run_of_cells():
+    # the runs fix a prefix of the variables: a run cut along the first
+    # variable only would hold 2**24 cells here
+    vs = [Var(f"v{i:02}") for i in range(25)]
+    goals = [seq(vs[24], functools.reduce(Join, vs[:24])),
+             seq(TOP, functools.reduce(Join, vs))]
+    alg = boolean2()
+    for goal in goals:
+        falsifying_env(alg, goal, "L")
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert falsifying_env(alg, goal, "L") is not None
+            took = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 3.6 MB: a few intp and bool arrays of one run
+        assert peak < 4 * 8 * algebra._VECTOR_CHUNK_CELLS
+        assert took < 1
+
+
+# --- the stacked refuter ----------------------------------------------------------------
+
+def _first_countermodel(goal, system, models):
+    """find_countermodel by the reference loop, one model at a time."""
+    for name, alg in models:
+        if logic._algebra_admits(alg, system)[0]:
+            env = falsifying_env_reference(alg, goal, system)
+            if env is not None:
+                return name, alg, env
+    return None
+
+
+def test_the_only_countermodel_in_a_later_block():
+    goal = parse_hypersequent("T => T & T")  # chain3 is the only fixture refuting it
+    later = 2 * logic._BLOCK + 5
+    models = [(f"b{i}", boolean2()) for i in range(later)] + [("chain3", chain3())]
+    got = find_countermodel(goal, "L", models)
+    assert got == _first_countermodel(goal, "L", models)
+    assert got[0] == "chain3" and got[2] == {}
+    # a goal whose witness is not the first assignment, after models of other sizes
+    goal = parse_hypersequent("x => x & y")
+    models = [(f"s{i}", alg) for i, alg in enumerate(
+        [builtin_fixtures()[0][1]] * (logic._BLOCK + 3))] + [("chain3", chain3())]
+    got = find_countermodel(goal, "L", models)
+    assert got == _first_countermodel(goal, "L", models) == (
+        "chain3", models[-1][1], {"x": 1, "y": 0})
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 2, 7, 40, 4096])
+def test_a_witness_past_the_first_run_of_cells(chunk_cells):
+    # runs of 1 to 4096 cells: cut along a variable with a prefix fixed,
+    # along the model axis, or the whole block in one
+    late = 0
+    with mock.patch.object(algebra, "_VECTOR_CHUNK_CELLS", chunk_cells):
+        for system in ("L", "HL"):
+            algs = [alg for alg in _refutation_models()[system] if alg.n <= 12][:30]
+            models = [(str(i), alg) for i, alg in enumerate(algs)]
+            for goal in _seeded_goals(system, 3, seed=5) + [
+                    parse_hypersequent("x => x & y ; y => x", system),
+                    parse_hypersequent("x => y ; y => x", system)]:
+                assert find_countermodel(goal, system, models) == \
+                    _first_countermodel(goal, system, models), str(goal)
+                names, kinds = logic._var_sorts(goal)
+                for alg in algs:
+                    env = falsifying_env(alg, goal, system)
+                    assert env == falsifying_env_reference(alg, goal, system), str(goal)
+                    if env is not None:
+                        cell = 0  # the witness's position in C order
+                        for name, values in zip(names, logic._var_ranges(alg, kinds, system)):
+                            cell = cell * len(values) + list(values).index(env[name])
+                        late += cell >= chunk_cells
+    assert late > 0 or chunk_cells > 2
+
+
+def test_hl_ranges_of_other_lengths_in_one_block():
+    models = [(str(i), alg) for i, alg in enumerate(_refutation_models()["HL"])]
+    lengths = {tuple(map(len, logic._var_ranges(alg, ("object", "property"), "HL")))
+               for _, alg in models[:logic._BLOCK]}
+    assert len({a for a, _ in lengths}) > 1 and len({b for _, b in lengths}) > 1
+    for text in ("x & X => X & x", "x | X => X ; X => x", "x & y => y & x"):
+        goal = parse_hypersequent(text, "HL")
+        got = find_countermodel(goal, "HL", models)
+        assert got == _first_countermodel(goal, "HL", models), text
+
+
+@pytest.mark.parametrize("system", ["L", "HL"])
+def test_goals_without_variables(system):
+    models = builtin_fixtures()
+    for text in ("T => T & T", "T => F ; F => T", "F & F => T | T", "~T => !F"):
+        goal = parse_hypersequent(text, system)
+        got = find_countermodel(goal, system, models)
+        assert got == _first_countermodel(goal, system, models), text
+        for _, alg in models:
+            if logic._algebra_admits(alg, system)[0]:
+                assert falsifying_env(alg, goal, system) == \
+                    falsifying_env_reference(alg, goal, system)
+    assert find_countermodel(parse_hypersequent("T => T & T", system), system,
+                             models)[1:] == (models[3][1], {})
+
+
+def test_the_model_source_is_read_one_block_at_a_time():
+    read = []
+
+    def source(models):
+        for i, entry in enumerate(models):
+            read.append(i)
+            yield entry
+
+    goal = parse_hypersequent("T => T & T")
+    models = [(f"b{i}", boolean2()) for i in range(3 * logic._BLOCK)]
+    for at, blocks in ((3, 1), (logic._BLOCK, 2), (2 * logic._BLOCK - 1, 2)):
+        read.clear()
+        hit = models[:at] + [("chain3", chain3())] + models[at + 1:]
+        assert find_countermodel(goal, "L", source(hit))[0] == "chain3"
+        assert read == list(range(blocks * logic._BLOCK))
+    read.clear()
+    assert find_countermodel(goal, "L", source(models)) is None
+    assert read == list(range(len(models)))
+
+
+def test_a_mutated_model_list_gets_the_new_answer():
+    goal = parse_hypersequent("x => x & y")
+    models = [("b", boolean2()), ("one", builtin_fixtures()[0][1])]
+    assert find_countermodel(goal, "L", models)[0] == "b"
+    models[0] = ("c", chain3())
+    assert find_countermodel(goal, "L", models)[:2] == ("c", models[0][1])
+    del models[0]
+    assert find_countermodel(goal, "L", models) is None
+    models.append(("b2", boolean2()))
+    assert find_countermodel(goal, "L", models)[0] == "b2"
+
+
+def test_equal_tables_under_other_names_return_the_callers_names():
+    goal = parse_hypersequent("x => x & y")
+    alg = chain3()
+    twin = alg.renamed(["p", "q", "r"])
+    for name in ("first", ["a", "list"], 7):
+        got = find_countermodel(goal, "L", [(name, alg)])
+        assert got[0] == name and got[1] is alg and got[2] == {"x": 1, "y": 0}
+    got = find_countermodel(goal, "L", [("twin", twin)])
+    assert got[:2] == ("twin", twin) and got[2] == {"x": 1, "y": 0}
+
+
+@pytest.mark.parametrize("entries, position", [
+    ([("a", 3)], 0), ([("a",)], 0), ([("ok", boolean2()), 7], 1),
+    ([("ok", boolean2()), ("a", "b", "c")], 1), ([("ok", boolean2()), "ab"], 1),
+    ([("ok", boolean2())] * 70 + [None], 70)])
+def test_a_malformed_model_entry_is_a_logic_error(entries, position):
+    goal = parse_hypersequent("x => x")  # valid: every entry is read
+    with pytest.raises(LogicError, match=f"model entry {position} is not a "
+                                         r"\(name, FiniteAlgebra\) pair"):
+        find_countermodel(goal, "L", entries)
+
+
+def test_the_refuter_compiles_nothing():
+    models = [(str(i), alg) for i, alg in enumerate(_refutation_models()["L"][:40])]
+    goals = _seeded_goals("L", 5, seed=3)
+    with mock.patch.object(algebra, "_kernel", side_effect=AssertionError):
+        for goal in goals:
+            find_countermodel(goal, "L", models)
+            falsifying_env(chain3(), goal, "L")
+
+
+def test_the_stack_cache_keeps_no_model_alive():
+    # the cache holds weak references: a refuted algebra is freed with its
+    # last caller reference, and an algebra born at its address (ids are
+    # reused) gets its own answer
+    goal = parse_hypersequent("x => x & y")
+    for _ in range(20):
+        alg = boolean2()
+        first = weakref.ref(alg)
+        assert find_countermodel(goal, "L", [("b", alg)])[2] == {"x": 1, "y": 0}
+        del alg
+        gc.collect()
+        assert first() is None
+        one = builtin_fixtures()[0][1]  # the singleton: goal holds
+        assert find_countermodel(goal, "L", [("one", one)]) is None
+        assert falsifying_env(chain3(), goal, "L") == {"x": 1, "y": 0}
+    assert logic._stack.cache_info().currsize <= logic._stack.cache_info().maxsize == 16
+
+
 # --- local soundness ------------------------------------------------------------------
 
 _SAMPLE_FORMULAS = [
@@ -1167,3 +1355,29 @@ def test_a_numpy_integer_depth_searches_as_an_int():
     goal = parse_hypersequent("x & y => x")
     assert render_script(search_proof(goal, "L", np.int64(3))) == render_script(
         search_proof(goal, "L", 3))
+
+
+@pytest.mark.parametrize("system", ["hl", "foo"])
+def test_axiom_match_rejects_an_unknown_system(system):
+    # both used to return the L ids, without ovar-idem
+    s = parse_sequent("x & x => x", "HL")
+    assert axiom_match(s, "HL") == ["meet-elim-l", "meet-elim-r", "ovar-idem"]
+    assert axiom_match(s, "L") == ["meet-elim-l", "meet-elim-r"]
+    with pytest.raises(LogicError, match=f"unknown system {system!r}"):
+        axiom_match(s, system)
+
+
+def test_the_search_checks_the_system_once(monkeypatch):
+    checked = []
+    check = logic._system
+
+    def counting(system):
+        checked.append(system)
+        return check(system)
+
+    monkeypatch.setattr(logic, "_system", counting)
+    for system in ("L", "HL"):
+        goal = parse_hypersequent("~~(x & y) => (x & y) & (x & y)", system)
+        checked.clear()
+        assert search_proof(goal, system, 3) is not None
+        assert checked == [system]
