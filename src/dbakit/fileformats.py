@@ -31,7 +31,7 @@ from .fca import FormalContext
 def _logical_lines(text: str):
     """(lineno, tokens) for nonblank lines with comments stripped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw[:raw.index("#")] if "#" in raw else raw).strip()
         if line:
             yield lineno, line
 

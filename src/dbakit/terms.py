@@ -1,14 +1,17 @@
 """Term syntax over the signature (meet, join, two negations, top, bottom).
 
 Terms are hash-consed (Filliatre & Conchon, "Type-safe modular hash-consing",
-ML Workshop 2006): a constructor returns the one live node for its term, held
-in a weak table, so unreferenced terms are freed.  Two terms are equal
-exactly when they are the same node, so equality and hashing are by identity
-and never recurse.  Every node caches its depth and its sorted variables (and
-its walk, on first request), so none of these re-walks the term.  No node
-refers to itself, so a term is freed as soon as its last reference goes, not
-at the next run of the cyclic collector.  Nodes are immutable; pickle and
-copy return the interned node.
+ML Workshop 2006): a constructor returns the one live node for its term.  The
+table is a plain dict from ``(class, *fields)`` to a weak reference to the
+node, so finding a live node is one dict lookup and one call of the
+reference, and an unreferenced term is freed: its reference's callback drops
+the dead entry.  Two terms are equal exactly when they are the same node, so
+equality and hashing are by identity and never recurse.  Every node caches
+its depth and its sorted variables, derived from its children's with at most
+one merge (and its walk, on first request), so none of these re-walks the
+term.  No node refers to itself, so a term is freed as soon as its last
+reference goes, not at the next run of the cyclic collector.  Nodes are
+immutable; pickle and copy return the interned node.
 
 Every traversal of a term is one bottom-up ``fold``: an iterative run that
 visits each distinct subterm once, in a post-order cached on the node as a
@@ -39,7 +42,12 @@ left-associative)::
           | 'wedge' '(' formula ',' formula ')'
 
 ``vee``/``wedge`` are macros for the derived connectives and are expanded at
-parse time, so parsed terms never contain them as nodes.
+parse time, so parsed terms never contain them as nodes.  Identifiers are
+ASCII (a letter or ``_``, then letters, digits and ``_``).  The tokenizer
+scans each line with one regular expression: whitespace separates tokens,
+``#`` comments out the rest of the line, and any other character that starts
+no token, a non-ASCII letter among them, is a ParseError at its column.  The
+parser reads a token list that ends in a sentinel no rule accepts.
 
 Nesting is limited to ``MAX_DEPTH`` levels.  The parser opens a level at each
 ``~``, ``!``, opening parenthesis and macro call, and a parsed term may be at
@@ -56,6 +64,9 @@ import re
 import threading
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
+from typing import NamedTuple
+
+from _weakref import _remove_dead_weakref
 
 from .errors import ParseError
 
@@ -67,11 +78,26 @@ PROPERTY = "property"
 # stops at 200.
 MAX_DEPTH = 100
 
-# (class, *fields) -> the live node; children are interned, so the key's
-# hash and equality never recurse.  Lookups take no lock; creating a node
-# does, so two threads cannot intern two copies of one term.
-_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# (class, *fields) -> a weak reference to the live node; children are
+# interned, so the key's hash and equality never recurse.  Lookups take no
+# lock; publishing a node does, so two threads cannot intern two copies of one
+# term.
+_TABLE: dict = {}
 _CREATE = threading.Lock()
+
+
+class _Ref(weakref.ref):
+    """A weak reference that carries its table key, created at C speed."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref, table=_TABLE, remove=_remove_dead_weakref):
+    # Removes the entry only while it is still dead, so a node interned again
+    # under the key stays.  No lock: this can run during a collection in the
+    # thread that holds _CREATE.
+    remove(table, ref.key)
+
 
 _DERIVED = ("depth", "_vars", "_names", "_subs", "_post")
 
@@ -106,20 +132,24 @@ class Term:
         return f"{type(self).__qualname__}({fields})"
 
 
-def _intern(cls, values, derive):
-    """The live node cls(*values); on a miss, derive(*values) gives its
-    depth, (name, sort) pairs and names."""
-    key = (cls, *values)
-    node = _TABLE.get(key)
-    if node is None:
-        with _CREATE:
-            node = _TABLE.get(key)
-            if node is None:
-                node = object.__new__(cls)
-                derived = derive(*values) + (None, None)  # filled on request
-                for field, value in zip(cls.__match_args__ + _DERIVED, values + derived):
-                    object.__setattr__(node, field, value)
-                _TABLE[key] = node
+def _intern(key, derive, get=_TABLE.get, put=object.__setattr__):
+    """The live node for key = (class, *fields); on a miss, derive(*fields)
+    gives its depth, (name, sort) pairs and names."""
+    ref = get(key)
+    if ref is not None and (node := ref()) is not None:
+        return node
+    cls, values = key[0], key[1:]
+    node = object.__new__(cls)
+    derived = derive(*values) + (None, None)  # walks filled on request
+    for field, value in zip(cls.__match_args__ + _DERIVED, values + derived):
+        put(node, field, value)
+    with _CREATE:
+        ref = get(key)
+        if ref is not None and (old := ref()) is not None:
+            return old  # another thread published it first
+        ref = _Ref(node, _drop)
+        ref.key = key
+        _TABLE[key] = ref
     return node
 
 
@@ -145,50 +175,57 @@ def _unary(arg):
 
 
 def _binary(left, right):
-    return (max(left.depth, right.depth) + 1,
-            _union(left._vars, right._vars), _union(left._names, right._names))
+    depth = max(left.depth, right.depth) + 1
+    a, b = left._vars, right._vars
+    if a == b or not b:
+        return depth, a, left._names
+    if not a:
+        return depth, b, right._names
+    pairs = tuple(sorted({*a, *b}))
+    # the pairs are sorted by name, so the first of each, deduplicated
+    return depth, pairs, tuple(dict.fromkeys(next(zip(*pairs))))
 
 
 class Var(Term):
     __slots__ = __match_args__ = ("name", "sort")
 
     def __new__(cls, name: str, sort: str = GENERIC):
-        return _intern(cls, (name, sort), _var)
+        return _intern((cls, name, sort), _var)
 
 
 class Const(Term):
     __slots__ = __match_args__ = ("which",)  # "top" | "bot"
 
     def __new__(cls, which: str):
-        return _intern(cls, (which,), _const)
+        return _intern((cls, which), _const)
 
 
 class Neg(Term):
     __slots__ = __match_args__ = ("arg",)
 
     def __new__(cls, arg: Term):
-        return _intern(cls, (arg,), _unary)
+        return _intern((cls, arg), _unary)
 
 
 class Opp(Term):
     __slots__ = __match_args__ = ("arg",)
 
     def __new__(cls, arg: Term):
-        return _intern(cls, (arg,), _unary)
+        return _intern((cls, arg), _unary)
 
 
 class Meet(Term):
     __slots__ = __match_args__ = ("left", "right")
 
     def __new__(cls, left: Term, right: Term):
-        return _intern(cls, (left, right), _binary)
+        return _intern((cls, left, right), _binary)
 
 
 class Join(Term):
     __slots__ = __match_args__ = ("left", "right")
 
     def __new__(cls, left: Term, right: Term):
-        return _intern(cls, (left, right), _binary)
+        return _intern((cls, left, right), _binary)
 
 
 TOP = Const("top")
@@ -417,13 +454,12 @@ class AxiomSuite:
         raise KeyError(axiom_id)
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|=>|[&|~!(),;]|\S")
+# Optional blanks, then a word, a symbol, a comment to the end of the line or
+# any other character, which starts no token.
+_SCAN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(=>|[&|~!(),;])|(#)|(\S))")
 
-_KEYWORDS = {"vee", "wedge"}
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "T", "F", "vee", "wedge", or the literal symbol
     text: str
     line: int
@@ -432,29 +468,25 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     toks = []
-    for lineno, line in enumerate(text.splitlines() or [""], start=1):
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            if line[pos] == "#":
+    push = toks.append
+    new = tuple.__new__  # builds a Token without a Python-level call
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for m in _SCAN.finditer(line):
+            word, symbol, comment, other = m.groups()
+            if symbol:
+                push(new(Token, (symbol, symbol, lineno, m.start(2) + 1)))
+            elif word:
+                kind = word if word in ("T", "F", "vee", "wedge") else "ident"
+                push(new(Token, (kind, word, lineno, m.start(1) + 1)))
+            elif comment:
                 break
-            m = _TOKEN_RE.match(line, pos)
-            if not m:
-                raise ParseError(f"unknown token {line[pos]!r}", lineno, pos + 1)
-            text_tok = m.group(0)
-            if text_tok in ("T", "F") or text_tok in _KEYWORDS:
-                kind = text_tok
-            elif text_tok[0].isalpha() or text_tok[0] == "_":
-                kind = "ident"
-            elif text_tok in ("&", "|", "~", "!", "(", ")", ",", ";", "=>"):
-                kind = text_tok
             else:
-                raise ParseError(f"unknown token {text_tok!r}", lineno, pos + 1)
-            toks.append(Token(kind, text_tok, lineno, pos + 1))
-            pos = m.end()
+                raise ParseError(f"unknown token {other!r}", lineno, m.start(4) + 1)
     return toks
+
+
+# Ends every token list; its kind is no token's, so no rule accepts it.
+_END = Token("", "", 0, 0)
 
 
 class TermParser:
@@ -468,30 +500,33 @@ class TermParser:
 
     def __init__(self, text: str, sorted_vars: bool = False):
         self.tokens = tokenize(text)
+        self.tokens.append(_END)
         self.pos = 0
         self.sorted_vars = sorted_vars
         self.level = 0  # open ~, !, parentheses and macro calls
 
     def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        tok = self.tokens[self.pos]
+        return None if tok is _END else tok
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
+        tok = self.tokens[self.pos]
+        if tok is _END:
             raise ParseError("unexpected end of input")
         self.pos += 1
         return tok
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {kind!r} but input ended")
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
+            if tok is _END:
+                raise ParseError(f"expected {kind!r} but input ended")
             raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.column)
-        return self.next()
+        self.pos += 1
+        return tok
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.tokens[self.pos] is _END
 
     def _open(self, tok: Token) -> None:
         self.level += 1
@@ -500,10 +535,10 @@ class TermParser:
                              tok.line, tok.column)
 
     def parse_formula(self) -> Term:
-        start = self.peek()
+        start = self.tokens[self.pos]
         t = self._parse_meet()
-        while (tok := self.peek()) is not None and tok.kind == "|":
-            self.next()
+        while self.tokens[self.pos].kind == "|":
+            self.pos += 1
             t = Join(t, self._parse_meet())
         if t.depth > MAX_DEPTH:
             raise ParseError(f"formula is deeper than {MAX_DEPTH} operators",
@@ -512,17 +547,15 @@ class TermParser:
 
     def _parse_meet(self) -> Term:
         t = self._parse_unary()
-        while (tok := self.peek()) is not None and tok.kind == "&":
-            self.next()
+        while self.tokens[self.pos].kind == "&":
+            self.pos += 1
             t = Meet(t, self._parse_unary())
         return t
 
     def _parse_unary(self) -> Term:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
+        tok = self.tokens[self.pos]
         if tok.kind in ("~", "!"):
-            self.next()
+            self.pos += 1
             self._open(tok)
             arg = self._parse_unary()
             self.level -= 1
@@ -530,7 +563,8 @@ class TermParser:
         return self._parse_atom()
 
     def _parse_atom(self) -> Term:
-        tok = self.next()
+        tok = self.tokens[self.pos]
+        self.pos += 1
         if tok.kind == "T":
             return TOP
         if tok.kind == "F":
@@ -556,6 +590,8 @@ class TermParser:
             else:
                 sort = GENERIC
             return Var(tok.text, sort)
+        if tok is _END:
+            raise ParseError("unexpected end of input")
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
 
 

@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, deterministic output, examples."""
 
+import contextlib
+import io
 import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbakit import cli
 from dbakit.cli import MAX_EMIT_PAIRS, MAX_MODEL_CONTEXTS, MAX_MODEL_SEARCH_SIZE, main
@@ -464,3 +467,35 @@ def test_an_emitted_context_without_attributes_reads_back(capsys, tmp_path):
     code, out = run(capsys, "protoconcepts", str(cxt))
     assert code == 0
     assert "count: 2" in out
+
+
+@pytest.mark.parametrize("argv", [["refute", "É => x"], ["prove", "aé => x"],
+                                  ["refute", "x => éa", "--system", "HL"]])
+def test_a_non_ascii_letter_in_a_goal_is_exit_2(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2 and out.startswith("error: unknown token")
+
+
+# short texts over the grammar's characters, blanks and line breaks outside
+# ASCII, and any other character but a lone surrogate, alone or after a
+# well-formed goal or script
+_goal_texts = st.tuples(
+    st.sampled_from(["", "x & y => y", "x => x ; Y => Y", "system: L\n1: x => x  id\n"]),
+    st.text(st.sampled_from(list("xyXY_1TF&|~!(),;=>#:- \t\r\n\x0b\u00a0\u2028é"))
+            | st.characters(blacklist_categories=("Cs",)), max_size=16),
+).map("".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_goal_texts)
+def test_malformed_goals_and_scripts_never_end_in_a_traceback(tmp_path_factory, text):
+    goal = ["--", text] if text.startswith("-") else [text]
+    script = tmp_path_factory.mktemp("script") / "goal.proof"
+    script.write_text(text, encoding="utf-8")
+    for argv in (["refute", *goal], ["prove", "--depth", "2", *goal],
+                 ["checkproof", str(script)]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, out.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -87,6 +87,19 @@ def test_comments_and_blank_lines_ignored():
     assert parse_algebra(text).n == 1
 
 
+def test_inline_and_whole_line_comments_keep_the_line_numbers():
+    commented = "# header\n" + TWO_ELEMENT.replace("neg: a a", "neg: a a  # inline").replace(
+        "top: b", "top: b#tight")
+    assert render_algebra(parse_algebra(commented)) == render_algebra(parse_algebra(TWO_ELEMENT))
+    with pytest.raises(ParseError) as err:
+        parse_algebra(commented.replace("bot: a", "bot: zz # the last line"))
+    assert str(err.value) == "unknown element name 'zz' (line 13, column 1)"
+    ctx = parse_context("objects: g # one\n# none\nattributes: m#\nX # row\n")
+    assert ctx.objects == ("g",) and ctx.attributes == ("m",) and ctx.incidence.tolist() == [[True]]
+    with pytest.raises(ParseError, match=r"got '\?' \(line 4, column 1\)"):
+        parse_context("objects: g\nattributes: m # c\n# c\n? # x\n")
+
+
 CTX = """\
 objects: g1 g2
 attributes: m1 m2 m3
