@@ -581,13 +581,6 @@ class QuasiOrder:
         n = len(self.rel)
         return bool(self.rel[FiniteAlgebra._index(x, n, "x"), FiniteAlgebra._index(y, n, "y")])
 
-    @functools.cached_property
-    def rows(self) -> tuple:
-        """rel as rows of bools, indexed ``rows[x][y]``: a nested-tuple
-        view for scalar lookups outside numpy.  dbakit itself reads ``rel``
-        (the refuter takes the relation flat); computed once per order."""
-        return tuple(map(tuple, self.rel.tolist()))
-
 
 def _flagged_order(rel: np.ndarray) -> QuasiOrder:
     """The relation (an n x n bool matrix, made read-only) with its flags."""

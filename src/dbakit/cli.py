@@ -28,7 +28,7 @@ from .logic import (
     parse_sequent, render_script, search_proof,
 )
 from .representation import (
-    MAX_REPRESENTATION_SIZE, representation, verify_clopen_characterization, verify_clopen_sets,
+    representation, verify_clopen_characterization, verify_clopen_sets,
     verify_derivation_identities, verify_pair_embedding, verify_translated_continuity,
 )
 from .search import SearchSpec, enumerate_algebras
@@ -195,8 +195,11 @@ def cmd_construct(args) -> tuple[int, str]:
             for chunk in args.identify.split(","):
                 if "=" not in chunk:
                     raise _Usage(f"--identify entries must be pname=qname, got {chunk!r}")
-                a, b = chunk.split("=", 1)
-                overlap[p.alg.index(a.strip())] = q.alg.index(b.strip())
+                a, b = (name.strip() for name in chunk.split("=", 1))
+                x, y = p.alg.index(a), q.alg.index(b)
+                if overlap.setdefault(x, y) != y:
+                    raise _Usage(f"--identify pairs {a} with both "
+                                 f"{q.alg.names[overlap[x]]} and {b}")
         gs = generalized_glued_sum(p, q, overlap)
         alg = gs.algebra
         ok = passes(alg, "GDCORE11") if (
@@ -244,7 +247,7 @@ def cmd_represent(args) -> tuple[int, str]:
     alg = _load(args.path, parse_algebra)
     if not passes(alg, "DBA23"):
         raise _Usage(f"{args.path}: input does not satisfy DBA23")
-    rep = representation(alg, max_size=args.max_size)
+    rep = representation(alg)
     lines = [
         f"primary_filters: {len(rep.std.filters)}",
         f"primary_ideals: {len(rep.std.ideals)}",
@@ -294,6 +297,9 @@ def _model_source(spec: str):
             raise _Usage(f"--models contexts:<GxM> malformed: {spec!r}") from None
         if g < 1 or m < 1:
             raise _Usage(f"--models contexts:<GxM> needs G, M >= 1: {spec!r}")
+        if g * m > 64:  # the count, past 2**64, is neither summed nor printed
+            raise BudgetError(f"--models {spec} gives more than 2**64 contexts, "
+                              f"more than the limit of {MAX_MODEL_CONTEXTS}")
         count = sum(1 << ng * nm for ng in range(1, g + 1) for nm in range(1, m + 1))
         if count > MAX_MODEL_CONTEXTS:
             raise BudgetError(f"--models {spec} gives {count} contexts, "
@@ -416,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("represent", help="primary filters/ideals and the pair map")
     p.add_argument("path")
     p.add_argument("--verify", default="all", choices=["all", "lemma", "embedding", "clopen"])
-    p.add_argument("--max-size", type=_int_at_least(1), default=MAX_REPRESENTATION_SIZE)
     p.add_argument("--emit-context", metavar="OUT",
                    help="write the standard context as .cxt")
     p.set_defaults(fn=cmd_represent)

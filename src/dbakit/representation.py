@@ -39,7 +39,6 @@ from .constructions import (
 from .errors import AlgebraError, BudgetError
 from .fca import FormalContext, _completions, _generated_pairs
 
-MAX_REPRESENTATION_SIZE = 20
 NAIVE_SWEEP_LIMIT = 12
 
 
@@ -118,8 +117,7 @@ def _make_filterset(alg, kind, mask) -> FilterSet:
     )
 
 
-def enumerate_primary(alg: FiniteAlgebra, kind: str,
-                      max_size: int = MAX_REPRESENTATION_SIZE) -> list[FilterSet]:
+def enumerate_primary(alg: FiniteAlgebra, kind: str) -> list[FilterSet]:
     """All primary filters (resp. ideals), ascending by member bitmask.
 
     Closed form: in a finite dBa every filter has a least element, so the
@@ -127,12 +125,8 @@ def enumerate_primary(alg: FiniteAlgebra, kind: str,
     Boolean part D_meet (the meet idempotents) under the quasi-order, and the
     primary ideals the downsets {z : z <= c} of the coatoms c of D_join.  This
     is the finite case of the Stone-type representation: the Stone space of a
-    finite Boolean algebra is discrete on its atoms.  Requires a dBa within
-    the size budget; pass a larger ``max_size`` for bigger algebras.
+    finite Boolean algebra is discrete on its atoms.  Requires a dBa.
     """
-    if alg.n > max_size:
-        raise BudgetError(
-            f"primary {kind} enumeration limited to {max_size} elements, got {alg.n}")
     if kind not in ("filter", "ideal"):
         raise AlgebraError(f"kind must be 'filter' or 'ideal', got {kind!r}")
     if not passes(alg, "DBA23"):
@@ -177,12 +171,11 @@ class StandardContext:
         return self.context.incidence
 
 
-def standard_context(alg: FiniteAlgebra, variant: str = "delta",
-                     max_size: int = MAX_REPRESENTATION_SIZE) -> StandardContext:
+def standard_context(alg: FiniteAlgebra, variant: str = "delta") -> StandardContext:
     if variant not in ("delta", "nabla"):
         raise AlgebraError(f"variant must be 'delta' or 'nabla', got {variant!r}")
-    filters = tuple(enumerate_primary(alg, "filter", max_size))
-    ideals = tuple(enumerate_primary(alg, "ideal", max_size))
+    filters = tuple(enumerate_primary(alg, "filter"))
+    ideals = tuple(enumerate_primary(alg, "ideal"))
     rows = [[bool(f.mask & i.mask) for i in ideals] for f in filters]
     inc = np.asarray(rows, dtype=bool).reshape(len(filters), len(ideals))
     if variant == "nabla":
@@ -256,13 +249,12 @@ def _is_order_embedding(alg: FiniteAlgebra, leq) -> bool:
     return bool((quasi_order(alg).rel == leq).all())
 
 
-def representation(alg: FiniteAlgebra,
-                   max_size: int = MAX_REPRESENTATION_SIZE) -> RepresentationResult:
+def representation(alg: FiniteAlgebra) -> RepresentationResult:
     """Build the pair map x -> (F_x, I_x) and the image algebra, and record
     the homomorphism/order/injectivity verdicts.  The image is rebuilt from
     the input's own map pairs (``canonical_pairs``) moved onto the pairs
     through h."""
-    std = standard_context(alg, "delta", max_size)
+    std = standard_context(alg, "delta")
     n = alg.n
     f_masks = tuple(
         sum(1 << k for k, f in enumerate(std.filters) if x in f.members)

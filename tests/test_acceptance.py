@@ -29,7 +29,7 @@ from dbakit.logic import (
     parse_hypersequent, parse_sequent, search_proof, seq,
 )
 from dbakit.representation import (
-    MAX_REPRESENTATION_SIZE, representation, verify_clopen_characterization,
+    representation, verify_clopen_characterization,
     verify_clopen_sets, verify_derivation_identities, verify_pair_embedding,
     verify_translated_continuity,
 )
@@ -241,27 +241,24 @@ def test_criterion_6_representation(corpus):
     pool = {}
     for ctx, pa, sa in corpus:
         for alg in (pa.algebra, sa.algebra):
-            if alg.n <= 20:
-                pool.setdefault(alg.signature(), alg)
+            pool.setdefault(alg.signature(), alg)
     for ka in (1, 2, 4):
         for kb in (1, 2, 4):
             alg = glued_sum(powerset_boolean(ka), powerset_boolean(kb))
-            if alg.n <= 20:
-                pool.setdefault(alg.signature(), alg)
-    assert len(pool) > 100
+            pool.setdefault(alg.signature(), alg)
+    assert len(pool) > 100 and max(alg.n for alg in pool.values()) == 64
     for alg in pool.values():
         check_representation(representation(alg))
     elapsed = time.time() - t0
     assert elapsed < 120.0
     report(6, elapsed,
-           f"{len(pool)} distinct corpus dBas (|D|<=20): derivation identities, "
+           f"{len(pool)} distinct corpus dBas (|D|<=64): derivation identities, "
            f"quasi-embedding, isomorphism when contextual, clopen families and "
            f"characterizations all verified")
 
 
-def test_criterion_6_representation_beyond_budget():
-    # seeded 4x4 and 4x5 contexts whose algebras exceed the default budget of
-    # 20 elements, represented with an explicit max_size
+def test_criterion_6_representation_past_20_elements():
+    # the algebras of seeded 4x4 and 4x5 contexts with more than 20 elements
     t0 = time.time()
     rng = random.Random(6)
     pool = {}
@@ -270,11 +267,11 @@ def test_criterion_6_representation_beyond_budget():
         ctx = FormalContext([f"g{i}" for i in range(g)], [f"m{i}" for i in range(m)], inc)
         for kind in ("protoconcept", "semiconcept"):
             alg = protoconcept_algebra(ctx, kind).algebra
-            if alg.n > MAX_REPRESENTATION_SIZE:
+            if alg.n > 20:
                 pool.setdefault(alg.signature(), alg)
     assert len(pool) >= 30 and max(alg.n for alg in pool.values()) > 60
     for alg in pool.values():
-        rep = representation(alg, max_size=alg.n)
+        rep = representation(alg)
         check_representation(rep)
         assert verify_translated_continuity(rep)
     elapsed = time.time() - t0
@@ -282,8 +279,7 @@ def test_criterion_6_representation_beyond_budget():
     sizes = sorted(alg.n for alg in pool.values())
     report(6, elapsed,
            f"{len(pool)} distinct 4x4/4x5 context dBas of {sizes[0]}-{sizes[-1]} "
-           f"elements beyond the default budget: criterion-6 verdicts and translated "
-           f"continuity verified")
+           f"elements: criterion-6 verdicts and translated continuity verified")
 
 
 def test_criterion_7_logic(corpus):

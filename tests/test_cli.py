@@ -3,6 +3,7 @@
 import contextlib
 import io
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -195,7 +196,6 @@ def test_construct_from_booleans_missing_flag_is_usage_error(files, capsys, omit
     (["search", "--size", "1", "--limit", "0"], "--limit", 1),
     (["search", "--size", "1", "--max-candidates", "-1"], "--max-candidates", 0),
     (["search", "--size", "0"], "--size", 1),
-    (["represent", "{chain3}", "--max-size", "0"], "--max-size", 1),
 ])
 def test_numeric_flag_below_minimum_is_usage_error(files, capsys, argv, flag, minimum):
     code = main([arg.format(**files) for arg in argv])
@@ -245,18 +245,35 @@ def test_represent_requires_dba(files, capsys):
     assert code == 2
 
 
-def test_represent_budget_exit(files, capsys, tmp_path):
-    from dbakit.constructions import glued_sum, powerset_boolean
-    big = glued_sum(powerset_boolean(4, max_atoms=5), powerset_boolean(3, max_atoms=5))
-    p = tmp_path / "big.dba"
-    p.write_text(render_algebra(big))
-    code, out = run(capsys, "represent", str(p))
-    assert code == 3
-    # a raised budget reaches every check, translated continuity included
-    code, out = run(capsys, "represent", str(p), "--max-size", "30")
+def test_represent_past_20_elements(capsys, tmp_path):
+    # the protoconcept algebra of the diagonal 4x4 context has 26 elements
+    cxt, dba = tmp_path / "diag.cxt", tmp_path / "diag.dba"
+    cxt.write_text("objects: g0 g1 g2 g3\nattributes: m0 m1 m2 m3\n"
+                   "X...\n.X..\n..X.\n...X\n")
+    code, out = run(capsys, "protoconcepts", str(cxt), "--emit-algebra", str(dba))
+    assert code == 0 and "algebra_elements: 26" in out.splitlines()
+    code, out = run(capsys, "represent", str(dba))
     assert code == 0
-    assert "translated_continuity: ok" in out
-    assert "pass: true" in out
+    verdicts = out.split("---\n")[1].splitlines()
+    assert sum(line.endswith(": ok") for line in verdicts) == 13
+    assert "isomorphism: ok" in verdicts
+    assert "clopen_protoconcept_characterization: ok" in verdicts
+    assert verdicts[-1] == "pass: true"
+    # the size flag is gone
+    code, out = run(capsys, "represent", str(dba), "--max-size", "30")
+    assert code == 2
+    assert out == "error: unrecognized arguments: --max-size 30\n"
+
+
+def test_gen_glued_sum_rejects_an_element_identified_twice(files, capsys):
+    code, out = run(capsys, "construct", "gen-glued-sum", files["b2"], files["b2"],
+                    "--identify", "0=0,0=1")
+    assert (code, out) == (2, "error: --identify pairs 0 with both 0 and 1\n")
+    # a repeated identical pair is one pair
+    once = run(capsys, "construct", "gen-glued-sum", files["b2"], files["b2"], "--identify", "0=0")
+    twice = run(capsys, "construct", "gen-glued-sum", files["b2"], files["b2"],
+                "--identify", "0=0, 0 = 0")
+    assert twice == once and once[0] != 2
 
 
 def test_prove_identity(files, capsys):
@@ -323,6 +340,20 @@ def test_refute_over_an_empty_context_range_is_exit_2(files, capsys, shape):
     code, out = run(capsys, "refute", "T => T & T", "--models", f"contexts:{shape}")
     assert code == 2
     assert out == f"error: --models contexts:<GxM> needs G, M >= 1: 'contexts:{shape}'\n"
+
+
+@pytest.mark.parametrize("shape", [
+    "20000x1", "1x20000", "99999999999999999999x1",
+    "99999999999999999999x99999999999999999999", "9" * 4000 + "x2",
+])
+def test_refute_over_a_huge_context_shape_is_exit_3(files, capsys, shape):
+    # past G*M = 64 the count is neither summed nor printed
+    t0 = time.perf_counter()
+    code, out = run(capsys, "refute", "x => x", "--models", f"contexts:{shape}")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert out == (f"budget exceeded: --models contexts:{shape} gives more than 2**64 "
+                   f"contexts, more than the limit of {MAX_MODEL_CONTEXTS}\n")
 
 
 @pytest.mark.parametrize("shape, count", [("4x4", 74954), ("3x4", 5050), ("2x6", 5586)])

@@ -26,7 +26,7 @@ from dbakit.fixtures import (
     boolean2, builtin_fixtures, cex_5ab, chain3, noncontextual4, singleton,
 )
 from dbakit.representation import (
-    MAX_REPRESENTATION_SIZE, ClopenCharacterization, RepresentationResult,
+    ClopenCharacterization, RepresentationResult,
     _is_homomorphism, _is_order_embedding, _make_filterset, _mask_of,
     clopen_family, closed_set_family, enumerate_primary, enumerate_primary_naive,
     is_filter, is_ideal, is_primary, representation, standard_context,
@@ -95,26 +95,25 @@ def test_enumeration_requires_dba():
 
 
 def test_enumeration_budgets():
+    # only the subset sweep has a size budget; the closed form takes any dBa
     big = glued_sum(powerset_boolean(4, max_atoms=5), powerset_boolean(3, max_atoms=5))
     assert big.n == 23
-    with pytest.raises(BudgetError):
-        enumerate_primary(big, "filter")
+    for kind in ("filter", "ideal"):
+        found = enumerate_primary(big, kind)
+        assert [f.mask for f in found] == [f.mask for f in enumerate_primary_dfs(big, kind)]
+        assert all(f.primary and f.proper for f in found)
     with pytest.raises(BudgetError):
         enumerate_primary_naive(chain3(), "filter", max_size=2)
 
 
-def enumerate_primary_dfs(alg: FiniteAlgebra, kind: str,
-                          max_size: int = MAX_REPRESENTATION_SIZE) -> list:
+def enumerate_primary_dfs(alg: FiniteAlgebra, kind: str) -> list:
     """Reference: the membership DFS that ``enumerate_primary`` ran before
     its closed form.
 
     Runs a membership DFS over the elements in index order; a subset failing
     meet-closure, order-closure, or primality on its decided prefix prunes
-    the whole undecided subtree.  Requires a dBa within the size budget.
+    the whole undecided subtree.  Requires a dBa.
     """
-    if alg.n > max_size:
-        raise BudgetError(
-            f"primary {kind} enumeration limited to {max_size} elements, got {alg.n}")
     if kind not in ("filter", "ideal"):
         raise AlgebraError(f"kind must be 'filter' or 'ideal', got {kind!r}")
     if not passes(alg, "DBA23"):
@@ -215,7 +214,7 @@ def differential_pool() -> list:
     pool = {}
 
     def add(alg):
-        if alg.n <= MAX_REPRESENTATION_SIZE:
+        if alg.n <= 20:  # the DFS reference is exponential in the worst case
             pool.setdefault(alg.signature(), alg)
 
     for _, alg in dba_fixtures():
@@ -260,6 +259,17 @@ def test_dfs_matches_naive_sweep():
             if alg.n <= 12:
                 slow = [f.mask for f in enumerate_primary_naive(alg, kind)]
                 assert fast == slow
+
+
+def test_dfs_matches_closed_form_past_20_elements(context_reps):
+    # the 30 corpus algebras of 24 and 32 elements; the 64-element one is
+    # left to the representation verdicts, as the DFS takes over 100 s on it
+    algebras = [rep.algebra for rep in context_reps if 20 < rep.algebra.n < 64]
+    assert len(algebras) == 30
+    for alg in algebras:
+        for kind in ("filter", "ideal"):
+            fast = [f.mask for f in enumerate_primary(alg, kind)]
+            assert fast == [f.mask for f in enumerate_primary_dfs(alg, kind)]
 
 
 def test_primary_counts_on_powerset_glued_sum():
@@ -412,31 +422,31 @@ def _closed_or_over_budget(closed, rep, side, max_family):
 @pytest.fixture(scope="module")
 def context_reps():
     """The representations of the distinct proto- and semiconcept algebras of
-    every context up to 3x3 within the default budget; all are dBas."""
+    every context up to 3x3; all are dBas."""
     pool = {}
     for g in (1, 2, 3):
         for m in (1, 2, 3):
             for ctx in all_contexts(g, m):
                 for kind in ("protoconcept", "semiconcept"):
                     alg = protoconcept_algebra(ctx, kind).algebra
-                    if alg.n <= MAX_REPRESENTATION_SIZE:
-                        pool.setdefault(alg.signature(), alg)
-    assert len(pool) == 482
+                    pool.setdefault(alg.signature(), alg)
+    assert len(pool) == 513
+    assert sum(alg.n > 20 for alg in pool.values()) == 31
     return [representation(alg) for alg in pool.values()]
 
 
 @pytest.fixture(scope="module")
 def seeded_reps():
     """The representations of the protoconcept algebras of seeded 4x4 and 4x5
-    contexts, past the default budget."""
+    contexts, some past 20 elements."""
     rng = random.Random(44)
     reps = []
     for g, m in ((4, 4), (4, 4), (4, 5), (4, 5), (4, 5)):
         ctx = FormalContext([f"g{i}" for i in range(g)], [f"m{i}" for i in range(m)],
                             [[rng.random() < 0.5 for _ in range(m)] for _ in range(g)])
         alg = protoconcept_algebra(ctx).algebra
-        reps.append(representation(alg, max_size=alg.n))
-    assert max(rep.algebra.n for rep in reps) > MAX_REPRESENTATION_SIZE
+        reps.append(representation(alg))
+    assert max(rep.algebra.n for rep in reps) > 20
     return reps
 
 
@@ -801,7 +811,7 @@ def test_verifiers_match_their_derive_based_references(context_reps, seeded_reps
             assert got == reference(rep)
             items = got.items() if isinstance(got, dict) else [(None, repr(got))]
             seen.update((verify.__name__, key, value) for key, value in items)
-    assert len(inputs) == 8062
+    assert len(inputs) == 8872
     assert seen["verify_translated_continuity", None, "False"] > 200
     assert seen["verify_derivation_identities", None, "[]"] < len(inputs) / 10
     assert all(seen["verify_pair_embedding", key, value] > 100
@@ -850,12 +860,16 @@ def test_translated_continuity_on_fixtures():
         assert verify_translated_continuity(representation(alg)), name
 
 
-def test_representation_budget():
+def test_representation_past_20_elements():
+    # every check holds on a 23-element pure dBa
     big = glued_sum(powerset_boolean(4, max_atoms=5), powerset_boolean(3, max_atoms=5))
-    with pytest.raises(BudgetError):
-        representation(big)
-    # a raised budget holds for every check made on the result
-    rep = representation(big, max_size=big.n)
+    rep = representation(big)
+    assert rep.homomorphism and rep.order_preserving_reflecting and rep.surjective
+    assert rep.conditions_ok and rep.image_is_dba and rep.parts_boolean
+    assert verify_derivation_identities(rep) == []
+    assert all(verify_pair_embedding(rep).values())
+    assert verify_clopen_sets(rep)
+    assert verify_clopen_characterization(rep).ok
     assert verify_translated_continuity(rep)
 
 
@@ -868,13 +882,12 @@ def test_boolean2_representation_shape():
 
 # --- the image rebuilt from the algebra's own map pairs ------------------------------
 
-def representation_by_representatives(alg: FiniteAlgebra,
-                                      max_size: int = MAX_REPRESENTATION_SIZE):
+def representation_by_representatives(alg: FiniteAlgebra):
     """Reference: the route ``representation`` ran before it moved the
     algebra's own map pairs onto the image.  Each Boolean part is rebuilt on
     the distinct pairs of the idempotents, from one representative per pair,
     with its own compatibility check and hand-written retraction maps."""
-    std = standard_context(alg, "delta", max_size)
+    std = standard_context(alg, "delta")
     n = alg.n
     f_masks = tuple(
         sum(1 << k for k, f in enumerate(std.filters) if x in f.members)
