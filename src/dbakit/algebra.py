@@ -123,15 +123,15 @@ class FiniteAlgebra:
 
 class _Facts:
     """What one table set decides: suite reports by suite, the catalog
-    verdicts, the quasi-order and the classification, each filled on its
-    first check.  Holds no algebra, so it lives exactly as long as the
-    algebras that hold it."""
+    verdicts, the quasi-order, the classification and the square fibres
+    (``_fibres``), each filled on its first use.  Holds no algebra, so it
+    lives exactly as long as the algebras that hold it."""
 
-    __slots__ = ("suites", "catalog", "order", "classification", "__weakref__")
+    __slots__ = ("suites", "catalog", "order", "classification", "fibres", "__weakref__")
 
     def __init__(self):
         self.suites = {}
-        self.catalog = self.order = self.classification = None
+        self.catalog = self.order = self.classification = self.fibres = None
 
 
 _FACTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # tables -> _Facts
@@ -305,20 +305,53 @@ def _kernel(names, pairs):
 # Every equation check goes through ``_check_equations``.  The equations over
 # k variables with n**k <= _VECTOR_THRESHOLD run on the compiled nests of
 # their variable tuples; the others are evaluated together in numpy, every distinct
-# subterm of the batch once per chunk of the first variable.
+# subterm of the batch once per chunk of the first variable.  A batch that
+# does not fit one chunk ranges what variables it can over square fibres.
 
 _VECTOR_THRESHOLD = 256
 _VECTOR_CHUNK_CELLS = 1 << 18  # cells per array, or n**(k-1): one value of the first
+_SIDE = {Meet: "meet", Neg: "meet", Join: "join", Opp: "join"}  # the side of an operand
 
 
-def _scalar_arity(n: int):
-    """The largest k with n**k <= _VECTOR_THRESHOLD (every k when n = 1)."""
+def _scalar_arity(n: int, cells=_VECTOR_THRESHOLD):
+    """The largest k with n**k <= cells (every k when n = 1)."""
     if n == 1:
         return math.inf
     k = 0
-    while n ** (k + 1) <= _VECTOR_THRESHOLD:
+    while n ** (k + 1) <= cells:
         k += 1
     return k
+
+
+def _fibres(alg: FiniteAlgebra) -> dict:
+    """{side: the least element of each fibre of x -> x&x (side "meet") or
+    x -> x|x ("join"), ascending}, kept in the record of alg's tables, for
+    each side with fewer fibres than elements whose operations do not tell
+    an element from its square: M[x&x, y] = M[x, y] = M[x, y&y] and ~(x&x)
+    = ~x, or dually, on the whole tables.  A dBa passes both (1a, 2a, 3a)."""
+    facts = _facts_of(alg)
+    if facts.fibres is None:
+        fibres = {}
+        for side, t, u in (("meet", alg.meet, alg.neg), ("join", alg.join, alg.opp)):
+            sq = t.diagonal()
+            least = np.unique(sq, return_index=True)[1]
+            if len(least) < alg.n and all((a[sq] == a).all() for a in (t, t.T, u)):
+                fibres[side] = np.sort(least)
+        facts.fibres = fibres
+    return facts.fibres
+
+
+def _bound(pair, sides) -> tuple:
+    """(variable, side), sorted, for each variable of pair whose every
+    occurrence is an operand of & or ~ (side "meet", as in ``vee(y, z)``)
+    or of | or ! ("join"), when that side is one of ``sides``."""
+    side = {t.name: None for t in pair if type(t) is Var}  # a bare side binds to neither
+    for u in (u for t in pair for u in postorder(t)):
+        for c in _children(u):
+            if type(c) is Var:
+                s = _SIDE[type(u)]
+                side[c.name] = s if side.get(c.name, s) == s else None
+    return tuple(sorted((v, s) for v, s in side.items() if s in sides))
 
 
 class _Plan(NamedTuple):
@@ -330,15 +363,24 @@ class _Plan(NamedTuple):
     slots: tuple  # the position of each equation's pair
     kernel: tuple  # the compiled nests of the scalar pairs, one per variable tuple
     width: int  # the number of ranges the widest nest reads
-    vector: tuple  # (batch, steps, keys) per numpy batch, for ``_vector_witnesses``
+    vector: tuple  # (batch, bound, steps, keys) per numpy batch, for ``_vector_witnesses``
 
 
 @functools.lru_cache(maxsize=1024)
-def _plan(equations, kmax) -> _Plan:
+def _arity(equations) -> int:
+    """The most variables that one of ``equations`` has."""
+    return max((len(e.variables()) for e in equations), default=0)
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(equations, kmax, split) -> _Plan:
     """The plan of ``equations`` (a tuple) when the pairs over at most kmax
     variables run on compiled nests and the others on the steps of their
-    numpy batch; the plans of the last 1024 distinct inputs are kept.
-    Raises EvalError when a term is deeper than ``MAX_DEPTH``."""
+    numpy batch, one per first variable.  With ``split`` = (fit, sides), a
+    batch with a pair over more than fit variables is split by each pair's
+    variables and their ``_bound`` sides among ``sides``, held as ``bound``.
+    The plans of the last 1024 distinct inputs are kept.  Raises EvalError
+    when a term is deeper than ``MAX_DEPTH``."""
     for e in equations:
         if max(e.lhs.depth, e.rhs.depth) > MAX_DEPTH:
             raise EvalError(f"equation {e.id!r} is deeper than {MAX_DEPTH} operators")
@@ -349,14 +391,22 @@ def _plan(equations, kmax) -> _Plan:
             nests.setdefault(vs, {})[pair] = None
         else:
             vector.setdefault(vs[0], {})[pair] = vs
+    fit, sides = split or (math.inf, ())
+    batches = {}  # (first variable, variables, bound) -> {pair: variables}
+    for first, batch in vector.items():
+        wide = max(map(len, batch.values())) > fit
+        for pair, vs in batch.items():
+            key = (first, vs, _bound(pair, sides)) if wide else (first, None, ())
+            batches.setdefault(key, {})[pair] = vs
     at = {pair: i for i, pair in enumerate(
-        [p for ps in nests.values() for p in ps] + [p for b in vector.values() for p in b])}
+        [p for ps in nests.values() for p in ps] + [p for b in batches.values() for p in b])}
     return _Plan(
         holding=tuple(EquationVerdict(e, True) for e in equations),
         slots=tuple(at[e.lhs, e.rhs] for e in equations),
         kernel=tuple(_kernel(vs, tuple(ps)) for vs, ps in nests.items()),
         width=max(map(len, nests), default=0),
-        vector=tuple((b, *_vector_plan(tuple(b), first)) for first, b in vector.items()),
+        vector=tuple((b, dict(bound), *_vector_plan(tuple(b), first, frozenset(dict(bound))))
+                     for (first, _, bound), b in batches.items()),
     )
 
 
@@ -367,13 +417,27 @@ def _check_equations(alg: FiniteAlgebra, equations) -> tuple[EquationVerdict, ..
     (variables in sorted name order, element indices as values).  Equations
     with the same two sides are checked once.  Raises EvalError, before any
     check, when a term is deeper than ``MAX_DEPTH``.
+
+    A numpy batch that does not fit one chunk ranges each variable it can
+    over one element per square fibre.  Let every occurrence of v be an
+    operand of & or ~, and M[x&x, y] = M[x, y] = M[x, y&y] and ~(x&x) = ~x
+    (``_fibres``).  Then v&v for v changes no value, so the failing set is
+    a union of products of fibres of x -> x&x at v; the first failing tuple
+    has at v the least element of its fibre (which fails too, and comes
+    first), so it is the first failing tuple of the grid that ranges v over
+    these least elements, ascending.  Dually for | and ! with x -> x|x.
     """
-    plan = _plan(tuple(equations), _scalar_arity(alg.n))
+    equations = tuple(equations)
+    # fibres only when a batch may not fit one chunk: below that, nothing changes
+    fibres = _fibres(alg) if alg.n ** _arity(equations) > _VECTOR_CHUNK_CELLS else {}
+    split = (_scalar_arity(alg.n, _VECTOR_CHUNK_CELLS), tuple(fibres)) if fibres else None
+    plan = _plan(equations, _scalar_arity(alg.n), split)
     bad, ranges = [], (range(alg.n),) * plan.width
     for nest in plan.kernel:
         bad += nest(alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot, ranges)
-    for batch, steps, keys in plan.vector:
-        bad += _vector_witnesses(alg, batch, steps, keys).values()
+    for batch, bound, steps, keys in plan.vector:
+        axes = {v: fibres[s] for v, s in bound.items()}
+        bad += _vector_witnesses(alg, batch, steps, keys, axes).values()
     if bad.count(None) == len(bad):
         return plan.holding
     return tuple(
@@ -393,9 +457,10 @@ def satisfies_equation(alg: FiniteAlgebra, equation: Equation) -> EquationVerdic
     return _check_equations(alg, (equation,))[0]
 
 
-def _vector_plan(pairs, first):
+def _vector_plan(pairs, first, reduced):
     """Steps that evaluate the pairs (lhs, rhs), all of which contain the
-    variable ``first``, on one chunk of its values: ``(steps, keys)``.
+    variable ``first``, on one chunk of its values, when the variables in
+    ``reduced`` range over fibres: ``(steps, keys)``.
 
     A step ``(key, node, a, b, how, drops)`` computes a distinct subterm
     after its operands: a leaf (key Var or Const) or one lookup in the
@@ -404,10 +469,10 @@ def _vector_plan(pairs, first):
     None).  ``how`` is None for a gather from the flattened table, or for
     operands without a common variable an outer lookup ``(takes,
     transpose)``: take by each ``(operand, axis)`` in turn, the one with
-    fewer cells first, skipping a bare variable but ``first`` (its values
-    are the whole axis), and transpose unless a's variables sort first.  A
-    step of key ``None`` checks a pair (the pair as node, its sides as
-    ``a``, ``b``), right after its sides.  ``drops`` are the values whose
+    fewer cells first, skipping a bare variable whose values are the whole
+    axis (not ``first`` nor one of ``reduced``), and transpose unless a's
+    variables sort first.  A step of key ``None`` checks a pair (the pair
+    as node, its sides as ``a``, ``b``), right after its sides.  ``drops`` are the values whose
     last use is the step.
     """
     order, seen = [], set()
@@ -433,7 +498,8 @@ def _vector_plan(pairs, first):
                 if not set(va) & set(vb):
                     takes = sorted(((a, 0), (b, 1)), key=lambda t: (
                         len(variables(t[0])), first not in variables(t[0])))
-                    how = (tuple(t for t in takes if type(t[0]) is not Var or t[0].name == first),
+                    how = (tuple(t for t in takes if type(t[0]) is not Var
+                                 or t[0].name == first or t[0].name in reduced),
                            bool(va and vb) and va[-1] > vb[0])
             elif key:
                 a = v
@@ -454,10 +520,11 @@ def _vector_plan(pairs, first):
             frozenset(s[0] for s in steps if type(s[0]) is tuple))
 
 
-def _vector_witnesses(alg: FiniteAlgebra, batch: dict, steps, keys) -> dict:
+def _vector_witnesses(alg: FiniteAlgebra, batch: dict, steps, keys, axes) -> dict:
     """{pair: its first failing tuple, or None} for ``batch``, a dict from
     pairs (lhs, rhs) to their sorted variables, all with the same first
-    variable, by its ``_vector_plan`` ``(steps, keys)``.
+    variable, by its ``_vector_plan`` ``(steps, keys)``; ``axes`` maps a
+    variable to the ascending elements it ranges over, if not all.
 
     Values are arrays of the narrowest unsigned dtype that holds the
     elements, one axis per variable of the batch in sorted-name order, of
@@ -484,15 +551,17 @@ def _vector_witnesses(alg: FiniteAlgebra, batch: dict, steps, keys) -> dict:
         shape[axis[name]] = len(values)
         return values.reshape(shape)
 
+    ranges = {v: axes[v].astype(dt) if v in axes else np.arange(n, dtype=dt) for v in names}
     pairs = tuple(batch)
     result = dict.fromkeys(pairs)
     block = max(1, _VECTOR_CHUNK_CELLS // n ** (max(map(len, batch.values())) - 1))
-    for lo in range(0, n, block):
-        firsts = along(names[0], np.arange(lo, min(lo + block, n), dtype=dt))
+    firsts = ranges[names[0]]
+    for lo in range(0, len(firsts), block):
+        chunk = along(names[0], firsts[lo:lo + block])
         val, failed = {}, {}
         for key, u, a, b, how, drops in steps:
             if key is Var:
-                val[u] = firsts if u.name == names[0] else along(u.name, np.arange(n, dtype=dt))
+                val[u] = chunk if u.name == names[0] else along(u.name, ranges[u.name])
             elif key is Const:
                 val[u] = const[u.which]
             elif key is None:  # the check of pair u on this chunk
@@ -500,7 +569,8 @@ def _vector_witnesses(alg: FiniteAlgebra, batch: dict, steps, keys) -> dict:
                 if not eqmask.all():
                     own = [eqmask.shape[axis[v]] for v in batch[u]]
                     bad = np.unravel_index(int(np.argmin(eqmask.reshape(-1))), own)
-                    failed[u] = (int(bad[0]) + lo,) + tuple(int(v) for v in bad[1:])
+                    failed[u] = tuple(int(ranges[v][i]) for v, i in
+                                      zip(batch[u], (bad[0] + lo, *bad[1:])))
             elif b is None:
                 val[u] = tables[key].take(val[a])
             elif how is None:  # flat cell index, in intp whatever numpy's promotion rules
@@ -519,9 +589,9 @@ def _vector_witnesses(alg: FiniteAlgebra, batch: dict, steps, keys) -> dict:
         if failed:
             result.update(failed)
             pairs = tuple(p for p in pairs if p not in failed)
-            if not pairs or lo + block >= n:
+            if not pairs or lo + block >= len(firsts):
                 break
-            steps = _vector_plan(pairs, names[0])[0]
+            steps = _vector_plan(pairs, names[0], frozenset(axes))[0]
     return result
 
 

@@ -24,6 +24,7 @@ from dbakit.algebra import (
     _VECTOR_THRESHOLD, FiniteAlgebra, _check_equations, _kernel, eval_term,
     satisfies_equation,
 )
+from dbakit.constructions import glued_sum, powerset_boolean
 from dbakit.fixtures import boolean2
 from dbakit.search import _checker, _Partial, _slots
 from dbakit.suites import CATALOG, DBA23, DCORE13
@@ -477,7 +478,7 @@ def test_a_batch_that_fails_at_once_stops_at_once():
     verdicts = _check_equations(alg, batch)
     assert [v.witness for v in verdicts] == [per_equation_witness(alg, e) for e in batch]
     assert all(set(v.witness.values()) <= {0} for v in verdicts)
-    plan = algebra._plan(batch, algebra._scalar_arity(n))
+    plan = algebra._plan(batch, algebra._scalar_arity(n), None)
     assert not plan.vector
     handed = []
     ranges = [CountingRange(n, handed)] * plan.width
@@ -523,7 +524,7 @@ def test_a_nest_shared_by_size_classes_is_compiled_once():
         alg = perturbed_chain(n, 1)
         verdicts = _check_equations(alg, CATALOG)
         assert [v.witness for v in verdicts] == [per_equation_witness(alg, e) for e in CATALOG]
-    plans = [algebra._plan(CATALOG, algebra._scalar_arity(n)) for n in sizes]
+    plans = [algebra._plan(CATALOG, algebra._scalar_arity(n), None) for n in sizes]
     assert [len(plan.kernel) for plan in plans] == [4, 4, 3]
     assert len({nest for plan in plans for nest in plan.kernel}) == 4
     assert algebra._kernel.cache_info().misses == 4
@@ -538,9 +539,29 @@ def test_the_plan_is_the_only_cache_of_the_numpy_steps():
     algebra._plan.cache_clear()
     with mock.patch.object(algebra, "_vector_plan", wraps=algebra._vector_plan) as planner:
         first = _check_equations(alg, DBA23.equations)
-        batches = len(algebra._plan(DBA23.equations, algebra._scalar_arity(n)).vector)
+        batches = len(algebra._plan(DBA23.equations, algebra._scalar_arity(n), None).vector)
         assert planner.call_count == batches > 0
         second = _check_equations(alg, DBA23.equations)
         assert planner.call_count == batches
     assert first == second
     assert [v.witness for v in first] == [per_equation_witness(alg, e) for e in DBA23.equations]
+
+
+def test_a_split_plan_is_the_only_cache_of_its_numpy_steps():
+    # at n = 65 DBA23's 3-variable batch no longer fits one chunk and is
+    # split by the sides its variables are bound to; the glued sum is a
+    # dBa, so no pair fails and no chunk plans again
+    alg = glued_sum(powerset_boolean(6, max_atoms=6), powerset_boolean(1))
+    n = alg.n
+    assert n == 65 and n ** 3 > algebra._VECTOR_CHUNK_CELLS
+    split = (algebra._scalar_arity(n, algebra._VECTOR_CHUNK_CELLS), ("meet", "join"))
+    algebra._plan.cache_clear()
+    with mock.patch.object(algebra, "_vector_plan", wraps=algebra._vector_plan) as planner:
+        first = _check_equations(alg, DBA23.equations)
+        plan = algebra._plan(DBA23.equations, algebra._scalar_arity(n), split)
+        assert planner.call_count == len(plan.vector) > 0
+        assert {tuple(sorted(set(bound.values()))) for _, bound, _, _ in plan.vector} >= {
+            ("meet",), ("join",)}
+        second = _check_equations(alg, DBA23.equations)
+        assert planner.call_count == len(plan.vector)
+    assert first == second and all(v.holds for v in first)
