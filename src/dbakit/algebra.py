@@ -19,7 +19,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -198,8 +198,6 @@ class EquationVerdict:
 # batch it comes from.  (The hypersequent refuter in ``logic`` is a numpy
 # fold over stacked models, and compiles nothing.)
 
-_MAX_BLOCKS = 20  # CPython compiles at most 20 statically nested blocks
-
 
 def _children(t: Term) -> tuple:
     if type(t) is Meet or type(t) is Join:
@@ -214,24 +212,24 @@ def _nest_source(names, pairs) -> list[str]:
     list W with the first tuple under which pair i (lhs, rhs) differs, or
     None, in ``W[i]``: early, once every pair has failed, or after the loops.
 
-    Loop d binds variable d from R[d]; past ``_MAX_BLOCKS`` loops the last
-    loop binds the remaining variables from their product.  A subterm's
-    level is the loop of its last variable (-1 before the loops), and its
-    value is computed at that level: into a local when a deeper loop reads
-    it or when it has two readers, otherwise inline in its one reader.  A
-    lookup ``M[a][b]`` whose a is computed in an outer loop takes the row
-    ``M[a]`` there, once.
+    Loop d binds variable d from R, the elements; ``_check_equations``
+    nests at most 8 loops (n >= 2 and n**k <= ``_VECTOR_THRESHOLD`` = 2**8),
+    well within CPython's 20 statically nested blocks.  A subterm's level
+    is the loop of its last variable (-1 before the loops), and its value
+    is computed at that level: into a local when a deeper loop reads it or
+    when it has two readers, otherwise inline in its one reader.  A lookup
+    ``M[a][b]`` whose a is computed in an outer loop takes the row ``M[a]``
+    there, once.
     """
     k = len(names)
-    loops = min(k, _MAX_BLOCKS)
-    inner = loops - 1
+    inner = k - 1
     var = {name: i for i, name in enumerate(names)}
     level, reads, deep, order = {}, {}, set(), []
     for side in (side for pair in pairs for side in pair):
         for u in postorder(side):
             if u not in level:
                 vs = variables(u)
-                level[u] = min(var[vs[-1]], inner) if vs else -1
+                level[u] = var[vs[-1]] if vs else -1
                 order.append(u)
                 for c in _children(u):
                     reads[c] = reads.get(c, 0) + 1
@@ -240,7 +238,7 @@ def _nest_source(names, pairs) -> list[str]:
         reads[side] = reads.get(side, 0) + 1
         if level[side] < inner:
             deep.add(side)
-    body = {d: [] for d in range(-1, loops)}  # the lines at each level
+    body = {d: [] for d in range(-1, k)}  # the lines at each level
     code, rows = {}, {}  # subterm -> its expression; (table, a) -> the row's local
 
     def lookup(table, a, b, at):
@@ -276,12 +274,8 @@ def _nest_source(names, pairs) -> list[str]:
     lines = ["def nest(M, J, G, O, TP, BT, R):",
              f"    W = [None] * {len(pairs)}", f"    left = {len(pairs)}"]
     lines += ["    " + line for line in body[-1]]
-    for d in range(loops):
-        if d < inner or k == loops:
-            header = f"for v{d} in R[{d}]:"
-        else:  # the remaining variables in one loop
-            header = f"for {''.join(f'v{i}, ' for i in range(d, k))}in product(*R[{d}:{k}]):"
-        lines.append("    " * (d + 1) + header)
+    for d in range(k):
+        lines.append("    " * (d + 1) + f"for v{d} in R:")
         lines += ["    " * (d + 2) + line for line in body[d]]
     return lines + ["    return W"]
 
@@ -290,13 +284,13 @@ def _nest_source(names, pairs) -> list[str]:
 def _kernel(names, pairs):
     """Compile to ``nest(M, J, G, O, TP, BT, R)``: for each of ``pairs``,
     each a pair (lhs, rhs) of terms over the variables ``names``, the first
-    tuple, v_i from R[i] with v0 most significant, under which lhs != rhs,
+    tuple, each v_i from R with v0 most significant, under which lhs != rhs,
     or None.  Raises EvalError when a term is deeper than ``MAX_DEPTH``.
     Keyed by the interned terms, so the key never recurses; the nests of the
     last 1024 distinct inputs are kept."""
     if any(t.depth > MAX_DEPTH for pair in pairs for t in pair):
         raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
-    ns = {"product": product}
+    ns = {}
     exec("\n".join(_nest_source(names, pairs)), ns)  # generated from Term nodes only
     return ns["nest"]
 
@@ -314,9 +308,7 @@ _SIDE = {Meet: "meet", Neg: "meet", Join: "join", Opp: "join"}  # the side of an
 
 
 def _scalar_arity(n: int, cells=_VECTOR_THRESHOLD):
-    """The largest k with n**k <= cells (every k when n = 1)."""
-    if n == 1:
-        return math.inf
+    """The largest k with n**k <= cells, for n > 1."""
     k = 0
     while n ** (k + 1) <= cells:
         k += 1
@@ -362,7 +354,6 @@ class _Plan(NamedTuple):
     holding: tuple  # one holding verdict per equation
     slots: tuple  # the position of each equation's pair
     kernel: tuple  # the compiled nests of the scalar pairs, one per variable tuple
-    width: int  # the number of ranges the widest nest reads
     vector: tuple  # (batch, bound, steps, keys) per numpy batch, for ``_vector_witnesses``
 
 
@@ -404,7 +395,6 @@ def _plan(equations, kmax, split) -> _Plan:
         holding=tuple(EquationVerdict(e, True) for e in equations),
         slots=tuple(at[e.lhs, e.rhs] for e in equations),
         kernel=tuple(_kernel(vs, tuple(ps)) for vs, ps in nests.items()),
-        width=max(map(len, nests), default=0),
         vector=tuple((b, dict(bound), *_vector_plan(tuple(b), first, frozenset(dict(bound))))
                      for (first, _, bound), b in batches.items()),
     )
@@ -416,7 +406,8 @@ def _check_equations(alg: FiniteAlgebra, equations) -> tuple[EquationVerdict, ..
     A failing verdict carries the lexicographically first counterexample
     (variables in sorted name order, element indices as values).  Equations
     with the same two sides are checked once.  Raises EvalError, before any
-    check, when a term is deeper than ``MAX_DEPTH``.
+    check, when a term is deeper than ``MAX_DEPTH``.  On one element every
+    term takes its value, so every equation holds.
 
     A numpy batch that does not fit one chunk ranges each variable it can
     over one element per square fibre.  Let every occurrence of v be an
@@ -428,13 +419,15 @@ def _check_equations(alg: FiniteAlgebra, equations) -> tuple[EquationVerdict, ..
     these least elements, ascending.  Dually for | and ! with x -> x|x.
     """
     equations = tuple(equations)
+    if alg.n == 1:  # the plan still rejects a term deeper than MAX_DEPTH
+        return _plan(equations, 0, None).holding
     # fibres only when a batch may not fit one chunk: below that, nothing changes
     fibres = _fibres(alg) if alg.n ** _arity(equations) > _VECTOR_CHUNK_CELLS else {}
     split = (_scalar_arity(alg.n, _VECTOR_CHUNK_CELLS), tuple(fibres)) if fibres else None
     plan = _plan(equations, _scalar_arity(alg.n), split)
-    bad, ranges = [], (range(alg.n),) * plan.width
+    bad, elements = [], range(alg.n)
     for nest in plan.kernel:
-        bad += nest(alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot, ranges)
+        bad += nest(alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot, elements)
     for batch, bound, steps, keys in plan.vector:
         axes = {v: fibres[s] for v, s in bound.items()}
         bad += _vector_witnesses(alg, batch, steps, keys, axes).values()

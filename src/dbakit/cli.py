@@ -35,13 +35,17 @@ from .search import SearchSpec, enumerate_algebras
 
 DEFAULT_SEARCH_SIZE = 3
 DEFAULT_PROOF_DEPTH = 8
-# ``--models contexts:GxM`` builds every context algebra up to GxM at once;
-# 3x3 gives 682 of them, 3x4 already 5,050 and 4x4 74,954.
+# ``--models contexts:GxM`` builds the context algebras up to GxM as they
+# are read, up to all of them: 3x3 gives 682, 3x4 5,050 and 4x4 74,954.
 MAX_MODEL_CONTEXTS = 4096
 # ``--models search:N`` enumerates every DBA23 model of size N and refutes
 # over all of them.  On a 2-core Intel Xeon (Python 3.11) size 4 takes
 # 0.4 s, size 5 (3,845 models) 23 s; size 9 ran for over 5 minutes.
 MAX_MODEL_SEARCH_SIZE = 5
+# ``prove`` without a proof costs about 4.5x more per +4 ``--depth``.  On a
+# 2-core Intel Xeon (Python 3.11) ``x => y`` takes 1.4 s at depth 12, 5.8 s at
+# 16, 26 s at 20, 122 s at 24, past 120 s at 32; ``~x => !x`` 47 s at 16.
+MAX_PROOF_DEPTH = 16
 # ``protoconcepts --emit-algebra`` builds n x n tables on the n pairs.  On a
 # 2-core AMD EPYC (Python 3.11) 2,156 pairs take 2.8 s and 653 MB peak RSS;
 # 3,206 run out of memory under a 1.5 GB address-space limit.
@@ -304,12 +308,10 @@ def _model_source(spec: str):
         if count > MAX_MODEL_CONTEXTS:
             raise BudgetError(f"--models {spec} gives {count} contexts, "
                               f"more than the limit of {MAX_MODEL_CONTEXTS}")
-        out = []
-        for i, ctx in enumerate(
-                c for ng in range(1, g + 1) for nm in range(1, m + 1)
-                for c in all_contexts(ng, nm)):
-            out.append((f"context-{i}", protoconcept_algebra(ctx).algebra))
-        return out
+        contexts = (c for ng in range(1, g + 1) for nm in range(1, m + 1)
+                    for c in all_contexts(ng, nm))
+        return ((f"context-{i}", protoconcept_algebra(ctx).algebra)
+                for i, ctx in enumerate(contexts))
     if spec.startswith("search:"):
         try:
             size = int(spec.split(":", 1)[1])
@@ -326,6 +328,8 @@ def _model_source(spec: str):
 def cmd_prove(args) -> tuple[int, str]:
     goal = parse_hypersequent(args.goal, args.system)
     lemmas = [parse_sequent(text, args.system) for text in (args.lemma or [])]
+    if args.depth > MAX_PROOF_DEPTH:
+        raise BudgetError(f"--depth {args.depth} is more than the limit of {MAX_PROOF_DEPTH}")
     script = search_proof(goal, args.system, depth=args.depth, lemmas=lemmas)
     if script is None:
         return 0, _emit([f"goal: {goal}"],

@@ -21,7 +21,7 @@ import math
 import re
 import weakref
 from dataclasses import dataclass
-from itertools import accumulate, chain, count, islice, product
+from itertools import accumulate, count, islice, product
 from typing import NamedTuple
 
 import numpy as np
@@ -504,8 +504,10 @@ class _Stack(NamedTuple):
     model's element 0, so ``x & y`` is ``M[row[x] + y]`` for ids x and y.
     ``top`` and ``bot`` hold each model's ids.  ``ranges`` maps each sort
     of the system to a (m, L) array of the ids that a variable of the sort
-    takes in each model, padded to the widest model with the model's
-    element 0, and a (m, L) mask of the cells in range (None when all are).
+    takes in each model, padded to the widest model with the first id of
+    the model's own range (none is empty: in a dBa F is a meet and T a join
+    idempotent).  A padded cell repeats the cell at 0 on each padded axis,
+    which comes earlier in C order, so the first failing cell is never one.
     """
 
     M: np.ndarray
@@ -539,15 +541,12 @@ def _stack(refs: tuple, system: str) -> _Stack:
         return np.concatenate([t.reshape(-1) + u for t, u in zip(tables, offset)],
                               dtype=dt, casting="unsafe")
 
-    ranges = {}  # sort -> (ids, mask or None); in L every variable is GENERIC
+    ranges = {}  # sort -> ids; in L every variable is GENERIC
     for kind in (GENERIC, OBJECT, PROPERTY) if system == "HL" else (GENERIC,):
         rows = [_var_ranges(a, (kind,), system)[0] for a in algs]
-        lengths = np.array([len(r) for r in rows])
-        valid = np.arange(lengths.max()) < lengths[:, None]
-        values = np.zeros(valid.shape, dt)
-        values[valid] = np.fromiter(chain.from_iterable(rows), dt, int(lengths.sum()))
-        values += offset[:, None].astype(dt)
-        ranges[kind] = values, None if valid.all() else valid
+        width = max(map(len, rows))
+        ranges[kind] = (np.array([[*r, *[r[0]] * (width - len(r))] for r in rows])
+                        + offset[:, None]).astype(dt)
     top, bot = (np.array([[a.top, a.bot] for a in algs]) + offset[:, None]).T.astype(dt)
     return _Stack(
         M=ids([a.meet for a in algs]), J=ids([a.join for a in algs]),
@@ -581,11 +580,8 @@ def _first_failure(stack: _Stack, pairs, names, kinds):
     assignment env of the variables ``names``, of the sorts ``kinds``, under
     which no pair (ant, suc) of ``pairs`` holds in the quasi-order, or None."""
     k = len(names)
-    values = [stack.ranges[kind][0] for kind in kinds]
-    valid = [stack.ranges[kind][1] for kind in kinds]
+    values = [stack.ranges[kind] for kind in kinds]
     shape = (len(stack.offset), *(v.shape[1] for v in values))
-    if 0 in shape:
-        return None
     row = stack.row
 
     def lookup(table):  # ids x, y -> table[row[x] + y], an index in intp as row is
@@ -606,9 +602,6 @@ def _first_failure(stack: _Stack, pairs, names, kinds):
             holds = holds | order(*(fold(t, env.__getitem__, top, bot, stack.G.take,
                                          stack.O.take, meet, join) for t in (ant, suc)))
         fails = ~holds
-        for i, mask in enumerate(valid):
-            if mask is not None:
-                fails = fails & along(i, mask)
         # an axis that fails lacks is constant: its first failing cell is at 0
         flat = fails.reshape(-1)
         first = int(flat.argmax())

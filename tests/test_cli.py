@@ -5,12 +5,15 @@ import io
 import random
 import time
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbakit import cli
-from dbakit.cli import MAX_EMIT_PAIRS, MAX_MODEL_CONTEXTS, MAX_MODEL_SEARCH_SIZE, main
+from dbakit import cli, logic
+from dbakit.cli import (
+    MAX_EMIT_PAIRS, MAX_MODEL_CONTEXTS, MAX_MODEL_SEARCH_SIZE, MAX_PROOF_DEPTH, main,
+)
 from dbakit.fileformats import render_algebra, render_context
 from dbakit.fca import MAX_COMPLETION_ENTRIES, FormalContext
 from dbakit.fixtures import boolean2, cex_5ab, chain3, singleton
@@ -288,6 +291,24 @@ def test_prove_not_found_is_still_exit_zero(files, capsys):
     assert "proved: false" in out
 
 
+def test_prove_past_the_depth_limit_is_exit_3(files, capsys, monkeypatch):
+    # the depth is checked before any search: depth 24 took two minutes
+    monkeypatch.setattr(cli, "search_proof", None)
+    for depth in (MAX_PROOF_DEPTH + 1, 24):
+        code, out = run(capsys, "prove", "x => y", "--depth", str(depth))
+        assert code == 3
+        assert out == (f"budget exceeded: --depth {depth} is more than the limit of "
+                       f"{MAX_PROOF_DEPTH}\n")
+
+
+def test_prove_at_the_depth_limit_is_accepted(monkeypatch, capsys):
+    depths = []
+    monkeypatch.setattr(cli, "search_proof",
+                        lambda goal, system, depth, lemmas: depths.append(depth))
+    code, out = run(capsys, "prove", "x => y", "--depth", str(MAX_PROOF_DEPTH))
+    assert code == 0 and "proved: false" in out and depths == [MAX_PROOF_DEPTH]
+
+
 def test_prove_multi_component_goal_in_L_is_exit_2(files, capsys):
     # L lines are single sequents, so no L proof can end in this goal
     code = main(["prove", "x & y => x ; y => y", "--system", "L"])
@@ -373,6 +394,18 @@ def test_refute_over_the_contexts_up_to_3x3(files, capsys):
     assert run(capsys, "refute", "x => x", "--models", "contexts:3x3") == (
         0, "goal: x => x\nsemantics: hypersequent holds when some component holds, "
            "for every assignment\n---\ncountermodel: none\n")
+
+
+def test_refute_over_contexts_builds_only_the_blocks_it_reads(files, capsys):
+    # the refuter reads logic._BLOCK models at a time: a goal refuted in the
+    # first block builds no context algebra past it, and reports as before
+    with mock.patch.object(cli, "protoconcept_algebra",
+                           wraps=cli.protoconcept_algebra) as build:
+        code, out = run(capsys, "refute", "T => T & T", "--models", "contexts:3x3")
+    assert 0 < build.call_count <= logic._BLOCK
+    assert code == 0
+    assert out.endswith("---\ncountermodel: found\nmodel: context-1\nelements: 4\n"
+                        "assignment: (no variables)\n")
 
 
 def test_search_size1(files, capsys):

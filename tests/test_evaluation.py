@@ -25,11 +25,12 @@ from dbakit.algebra import (
     satisfies_equation,
 )
 from dbakit.constructions import glued_sum, powerset_boolean
-from dbakit.fixtures import boolean2
+from dbakit.errors import EvalError
+from dbakit.fixtures import boolean2, singleton
 from dbakit.search import _checker, _Partial, _slots
 from dbakit.suites import CATALOG, DBA23, DCORE13
 from dbakit.terms import (
-    BOT, TOP, Const, Equation, Join, Meet, Neg, Opp, Var, fold, parse_term, source,
+    BOT, MAX_DEPTH, TOP, Const, Equation, Join, Meet, Neg, Opp, Var, fold, parse_term, source,
 )
 
 _terms = st.recursive(
@@ -360,7 +361,7 @@ def test_failures_in_the_second_chunk_match_the_scalar_kernel():
             satisfies_equation(alg, e) for e in batch):
         e = verdict.equation
         names = e.variables()
-        want = _kernel(names, ((e.lhs, e.rhs),))(*tables(alg), (range(n),) * len(names))[0]
+        want = _kernel(names, ((e.lhs, e.rhs),))(*tables(alg), range(n))[0]
         assert verdict.witness == dict(zip(names, want))
         assert verdict.witness["x"] == n - 2
 
@@ -374,7 +375,7 @@ def test_a_folded_chain_past_the_dtype_switch_matches_the_scalar_kernel():
         Equation("order", parse_term("~!(x | y)"), parse_term("x | y"))]
     verdicts = _check_equations(alg, batch)
     for e, verdict in zip(batch, verdicts):
-        want = _kernel(("x", "y"), ((e.lhs, e.rhs),))(*tables(alg), (range(n),) * 2)[0]
+        want = _kernel(("x", "y"), ((e.lhs, e.rhs),))(*tables(alg), range(n))[0]
         assert verdict.witness == dict(zip("xy", want))
     assert [v.witness for v in verdicts] == [{"x": n - 2, "y": 0}, {"x": 0, "y": 0}]
 
@@ -383,32 +384,24 @@ def test_a_folded_chain_past_the_dtype_switch_matches_the_scalar_kernel():
 # One compiled function per equation: nested loops over its variables, the
 # whole equation inline in the test, returning its first failing tuple.
 
-_MAX_BLOCKS = 20
-
-
 @functools.lru_cache(maxsize=1024)
 def per_equation_kernel(lhs, rhs, names):
     var = {name: f"v{i}" for i, name in enumerate(names)}.__getitem__
     k = len(names)
-    nested = k if k <= _MAX_BLOCKS else _MAX_BLOCKS - 1
-    loops = [f"for v{i} in R[{i}]:" for i in range(nested)]
-    if nested < k:
-        loops.append(f"for {''.join(f'v{i}, ' for i in range(nested, k))}"
-                     f"in product(*R[{nested}:]):")
+    loops = [f"for v{i} in R:" for i in range(k)]
     loops.append(f"if not ({source(lhs, var)} == {source(rhs, var)}): "
                  f"return ({''.join(f'v{i}, ' for i in range(k))})")
     lines = ["def first(M, J, G, O, TP, BT, R):"]
     lines += ["    " * (d + 1) + line for d, line in enumerate(loops)]
     lines.append("    return None")
-    ns = {"product": product}
+    ns = {}
     exec("\n".join(lines), ns)
     return ns["first"]
 
 
-def per_equation_witness(alg, equation, ranges=None):
+def per_equation_witness(alg, equation):
     names = equation.variables()
-    ranges = ranges or (range(alg.n),) * len(names)
-    bad = per_equation_kernel(equation.lhs, equation.rhs, names)(*tables(alg), ranges)
+    bad = per_equation_kernel(equation.lhs, equation.rhs, names)(*tables(alg), range(alg.n))
     return None if bad is None else dict(zip(names, bad))
 
 
@@ -481,35 +474,29 @@ def test_a_batch_that_fails_at_once_stops_at_once():
     plan = algebra._plan(batch, algebra._scalar_arity(n), None)
     assert not plan.vector
     handed = []
-    ranges = [CountingRange(n, handed)] * plan.width
-    bad = [w for nest in plan.kernel for w in nest(*tables(alg), ranges)]
+    bad = [w for nest in plan.kernel for w in nest(*tables(alg), CountingRange(n, handed))]
     assert [bad[i] for i in plan.slots] == [tuple(v.witness.values()) for v in verdicts]
     # one value per loop: x; x, y; x, y, z; y, z
     assert len(handed) == 1 + 2 + 3 + 2
 
 
-def test_the_batch_kernel_past_the_nested_loops_matches_the_per_equation_kernel():
-    # nests of 25 and 22 variables: 19 nested loops, then one loop over the
-    # product of the rest, where the ranges hold two values, so that the
-    # witnesses lie in that loop
-    alg = boolean2()
-    vs = [Var(f"v{i:02}") for i in range(25)]
-    batch = [Equation("holds", functools.reduce(Meet, vs), functools.reduce(Meet, vs[::-1])),
-             Equation("fails", functools.reduce(Meet, vs), Neg(vs[24])),
-             Equation("fails-late", functools.reduce(Join, vs), Meet(vs[20], vs[24])),
-             Equation("narrow", functools.reduce(Join, vs[:22]), Neg(vs[21]))]
-    nests = {}
-    for e in batch:
-        nests.setdefault(e.variables(), []).append(e)
-    assert sorted(map(len, nests)) == [22, 25]
-    kernels = [algebra._kernel(names, tuple((e.lhs, e.rhs) for e in es))
-               for names, es in nests.items()]
-    ranges = (range(1),) * 19 + (range(2),) * 6
-    want = [per_equation_witness(alg, e, ranges[:len(names)])
-            for names, es in nests.items() for e in es]
-    assert [w for kernel in kernels for w in kernel(*tables(alg), ranges)] == [
-        None if w is None else tuple(w.values()) for w in want]
-    assert sum(w is not None for w in want) == 3
+def test_one_element_holds_every_equation_without_a_check():
+    # on one element every term takes that element's value: batches of 25
+    # and 40 variables hold from the plan alone, and a term deeper than
+    # MAX_DEPTH still raises before any check
+    alg = singleton()
+    for k in (25, 40):
+        vs = [Var(f"v{i:02}") for i in range(k)]
+        batch = [Equation("holds", functools.reduce(Meet, vs), functools.reduce(Meet, vs[::-1])),
+                 Equation("neg", functools.reduce(Meet, vs), Neg(vs[k - 1])),
+                 Equation("const", functools.reduce(Join, vs), Meet(TOP, vs[20])),
+                 Equation("narrow", functools.reduce(Join, vs[:22]), Opp(vs[21]))]
+        verdicts = _check_equations(alg, batch)
+        assert [v.equation for v in verdicts] == batch
+        assert all(v.holds and v.witness is None for v in verdicts)
+    deep = functools.reduce(lambda t, _: Neg(t), range(MAX_DEPTH + 1), Var("x"))
+    with pytest.raises(EvalError, match="deeper than"):
+        _check_equations(alg, [Equation("x", Var("x"), Var("x")), Equation("deep", deep, TOP)])
 
 
 def test_a_nest_shared_by_size_classes_is_compiled_once():

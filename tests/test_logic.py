@@ -720,6 +720,24 @@ def test_hl_ranges_of_other_lengths_in_one_block():
         assert got == _first_countermodel(goal, "HL", models), text
 
 
+def test_a_padded_cell_is_never_the_witness():
+    # the stack pads each model's object and property ranges to the widest
+    # of its block; in the first block element 0 of some model lies outside
+    # its shorter range, and each goal fails at element 0 there: the first
+    # two hold on every object or property, the third fails later
+    models = [(str(i), alg) for i, alg in enumerate(_refutation_models()["HL"])]
+    for kind in ("object", "property"):
+        ranges = [logic._var_ranges(alg, (kind,), "HL")[0] for _, alg in models[:logic._BLOCK]]
+        assert any(0 not in r and len(r) < max(map(len, ranges)) for r in ranges)
+    wants = []
+    for text in ("x => x & x", "X | X => X", "x => y ; y => x"):
+        goal = parse_hypersequent(text, "HL")
+        wants.append(_first_countermodel(goal, "HL", models))
+        assert find_countermodel(goal, "HL", models) == wants[-1], text
+    assert wants[0] is None and wants[1] is None
+    assert wants[2][0] == "11" and wants[2][2] == {"x": 1, "y": 2}
+
+
 @pytest.mark.parametrize("system", ["L", "HL"])
 def test_goals_without_variables(system):
     models = builtin_fixtures()
