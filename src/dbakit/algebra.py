@@ -720,16 +720,10 @@ class ClassificationReport:
 def unique_mixed_lift(alg: FiniteAlgebra) -> bool:
     """For every meet-idempotent a and join-idempotent b with a|a = b&b there
     must be exactly one z with z&z = a and z|z = b."""
-    squares = {}
-    for z in range(alg.n):
-        squares.setdefault((alg._rows_m[z][z], alg._rows_j[z][z]), []).append(z)
-    for a in sorted(meet_idempotents(alg)):
-        a_up = alg._rows_j[a][a]
-        for b in sorted(join_idempotents(alg)):
-            if a_up == alg._rows_m[b][b]:
-                if len(squares.get((a, b), [])) != 1:
-                    return False
-    return True
+    n, zm, zj = alg.n, alg.meet.diagonal(), alg.join.diagonal()  # z&z, z|z
+    lifts = np.bincount(zm * n + zj, minlength=n * n)  # at a*n + b: the z with square (a, b)
+    a, b = np.flatnonzero(zm == np.arange(n)), np.flatnonzero(zj == np.arange(n))
+    return bool(np.all(lifts[a[:, None] * n + b][zj[a][:, None] == zm[b]] == 1))
 
 
 def classify(alg: FiniteAlgebra) -> ClassificationReport:

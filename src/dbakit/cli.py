@@ -47,8 +47,8 @@ MAX_MODEL_SEARCH_SIZE = 5
 # 16, 26 s at 20, 122 s at 24, past 120 s at 32; ``~x => !x`` 47 s at 16.
 MAX_PROOF_DEPTH = 16
 # ``protoconcepts --emit-algebra`` builds n x n tables on the n pairs.  On a
-# 2-core AMD EPYC (Python 3.11) 2,156 pairs take 2.8 s and 653 MB peak RSS;
-# 3,206 run out of memory under a 1.5 GB address-space limit.
+# 2-core Intel Xeon (Python 3.11) 2,156 pairs take 1.7-2.5 s and 620 MB peak
+# RSS, 3,206 take 3.1-5.4 s and 1,335 MB.
 MAX_EMIT_PAIRS = 2048
 
 

@@ -255,14 +255,15 @@ def _pair_algebra(ctx: FormalContext, kind: str, prefix: str, meet_extents,
     index = {ab: i for i, ab in enumerate(members)}
     # (a, E[a]) and (I[b], b) are semiconcepts, which every kind built here
     # contains (a'' = (a')', b''' = b', diamond box diamond = diamond): no lookup misses.
-    at_extent = [index[ab] for ab in enumerate(E)]
-    at_intent = [index[a, b] for b, a in enumerate(I)]
-    mt = [[at_extent[meet_extents(a, c)] for c, _ in members] for a, _ in members]
-    jt = [[at_intent[b & d] for _, d in members] for _, b in members]
-    gt = [at_extent[ctx.full_objects & ~a] for a, _ in members]
-    ot = [at_intent[ctx.full_attributes & ~b] for _, b in members]
+    # Whole-array lookups: every mask is below 2**17 (MAX_COMPLETION_ENTRIES).
+    at_extent = np.array([index[ab] for ab in enumerate(E)])
+    at_intent = np.array([index[a, b] for b, a in enumerate(I)])
+    ext, itt = np.array(members).T
     alg = FiniteAlgebra(
-        [_pair_name(prefix, a, b) for a, b in members], mt, jt, gt, ot, index[top], index[bot])
+        [_pair_name(prefix, a, b) for a, b in members],
+        at_extent[meet_extents(ext[:, None], ext)], at_intent[itt[:, None] & itt],
+        at_extent[ctx.full_objects & ~ext], at_intent[ctx.full_attributes & ~itt],
+        index[top], index[bot])
     return PairAlgebra(alg, tuple(members))
 
 

@@ -23,6 +23,8 @@ render(parse(text)) is the identity up to whitespace normalization.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .algebra import FiniteAlgebra
 from .errors import ParseError
 from .fca import FormalContext
@@ -41,14 +43,6 @@ def parse_algebra(text: str) -> FiniteAlgebra:
     pos = 0
     sections: dict = {}
 
-    def take():
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError("unexpected end of file")
-        item = lines[pos]
-        pos += 1
-        return item
-
     def header(line, lineno):
         if ":" not in line:
             raise ParseError(f"expected 'section: ...', got {line!r}", lineno, 1)
@@ -56,11 +50,12 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         return key.strip(), rest.strip()
 
     while pos < len(lines):
-        lineno, line = take()
+        lineno, line = lines[pos]
+        pos += 1
         key, rest = header(line, lineno)
         if key in sections:
             raise ParseError(f"duplicate section {key!r}", lineno, 1)
-        if key == "elements":
+        if key in ("elements", "neg", "opp", "top", "bot"):
             sections[key] = (lineno, rest.split())
         elif key in ("meet", "join"):
             if rest:
@@ -68,15 +63,9 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             if "elements" not in sections:
                 raise ParseError(f"{key!r} section before 'elements'", lineno, 1)
             n = len(sections["elements"][1])
-            rows = []
-            for _ in range(n):
-                rlineno, rline = take()
-                rows.append((rlineno, rline.split()))
-            sections[key] = (lineno, rows)
-        elif key in ("neg", "opp"):
-            sections[key] = (lineno, rest.split())
-        elif key in ("top", "bot"):
-            sections[key] = (lineno, rest.split())
+            if pos + n > len(lines):
+                raise ParseError("unexpected end of file")
+            sections[key], pos = (lineno, lines[pos:pos + n]), pos + n
         else:
             raise ParseError(f"unknown section {key!r}", lineno, 1)
 
@@ -104,13 +93,18 @@ def parse_algebra(text: str) -> FiniteAlgebra:
             return [resolve(t, lineno) for t in toks]
 
     def table2(key):
-        rows = []
-        for rlineno, toks in sections[key][1]:
-            if len(toks) != n:
-                raise ParseError(
-                    f"{key} row has {len(toks)} entries, expected {n}", rlineno, 1)
-            rows.append(row(toks, rlineno))
-        return rows
+        # each distinct row text is read once, at its first row: a repeated
+        # row fails as its first occurrence did, so the first error is unchanged
+        ids, distinct = {}, []
+        for rlineno, text in sections[key][1]:
+            if text not in ids:
+                toks = text.split()
+                if len(toks) != n:
+                    raise ParseError(
+                        f"{key} row has {len(toks)} entries, expected {n}", rlineno, 1)
+                ids[text] = len(distinct)
+                distinct.append(row(toks, rlineno))
+        return np.array(distinct)[[ids[text] for _, text in sections[key][1]]]
 
     def table1(key):
         lineno, toks = sections[key]
@@ -133,10 +127,9 @@ def parse_algebra(text: str) -> FiniteAlgebra:
 def render_algebra(alg: FiniteAlgebra) -> str:
     nm = alg.names
     out = ["elements: " + " ".join(nm)]
-    out.append("meet:")
-    out.extend(" ".join(nm[v] for v in row) for row in alg._rows_m)
-    out.append("join:")
-    out.extend(" ".join(nm[v] for v in row) for row in alg._rows_j)
+    for key, rows in (("meet", alg._rows_m), ("join", alg._rows_j)):
+        text = {row: " ".join([nm[v] for v in row]) for row in dict.fromkeys(rows)}
+        out += [f"{key}:", *map(text.__getitem__, rows)]
     out.append("neg: " + " ".join(nm[v] for v in alg._lneg))
     out.append("opp: " + " ".join(nm[v] for v in alg._lopp))
     out.append(f"top: {nm[alg.top]}")

@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import random
 import sys
 import threading
 import tracemalloc
@@ -16,10 +17,12 @@ from dbakit.algebra import (
     _FACTS, _VECTOR_THRESHOLD, FiniteAlgebra, _check_equations, _facts_of, _kernel,
     check_identity_catalog, check_suite, classify,
     eval_term, extract_boolean_part, is_boolean_algebra, join_idempotents, meet_idempotents,
-    passes, project_join, project_meet, quasi_order, satisfies_equation,
+    passes, project_join, project_meet, quasi_order, satisfies_equation, unique_mixed_lift,
 )
 from dbakit.errors import AlgebraError, EvalError, SuiteError
-from dbakit.fca import FormalContext, all_contexts, protoconcept_algebra
+from dbakit.fca import (
+    FormalContext, all_contexts, oo_protoconcept_algebra, protoconcept_algebra,
+)
 from dbakit.fixtures import (
     boolean2, builtin_fixtures, cex_5ab, chain3, gdcore_not_dcore, noncontextual4,
     singleton,
@@ -558,6 +561,46 @@ def test_protoconcept_algebra_fully_contextual():
     ctx = FormalContext(["g1", "g2"], ["m1"], [[True], [False]])
     cl = classify(protoconcept_algebra(ctx).algebra)
     assert cl.is_fully_contextual
+
+
+def unique_mixed_lift_reference(alg):
+    """Reference: the per-pair loop over the idempotent sets."""
+    squares = {}
+    for z in range(alg.n):
+        squares.setdefault((alg._rows_m[z][z], alg._rows_j[z][z]), []).append(z)
+    for a in sorted(meet_idempotents(alg)):
+        a_up = alg._rows_j[a][a]
+        for b in sorted(join_idempotents(alg)):
+            if a_up == alg._rows_m[b][b]:
+                if len(squares.get((a, b), [])) != 1:
+                    return False
+    return True
+
+
+def test_unique_mixed_lift_matches_the_per_pair_loop():
+    # the pair algebras of every context up to 3x3 and of one seeded context
+    # of each benchmark CLI shape, the fixtures, the size-3 DBA23 models and
+    # random tables, whose squares repeat or miss
+    rng = random.Random(30)
+    ctxs = [ctx for g in range(4) for m in range(4) for ctx in all_contexts(g, m)]
+    ctxs += [FormalContext([f"g{i}" for i in range(g)], [f"m{j}" for j in range(m)],
+                           [[rng.random() < 0.5 for _ in range(m)] for _ in range(g)])
+             for g, m in ((3, 3), (4, 4), (5, 4), (5, 5), (6, 5), (7, 6))]
+    algs = [build(ctx).algebra for ctx in ctxs
+            for build in (protoconcept_algebra, oo_protoconcept_algebra)]
+    algs += [alg for _, alg in builtin_fixtures()]
+    algs += enumerate_algebras(SearchSpec(size=3, require="DBA23")).found
+    for n in range(1, 6):
+        for _ in range(200):
+            diag = [rng.choice((z, rng.randrange(n))) for z in range(n)]
+            m = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            j = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            for z in range(n):
+                m[z][z], j[z][z] = diag[z], rng.choice((z, diag[z], rng.randrange(n)))
+            algs.append(FiniteAlgebra(range(n), m, j, list(range(n)), list(range(n)), 0, 0))
+    verdicts = [unique_mixed_lift(alg) for alg in algs]
+    assert verdicts == [unique_mixed_lift_reference(alg) for alg in algs]
+    assert True in verdicts and False in verdicts
 
 
 def test_singleton_all_flags():

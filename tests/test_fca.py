@@ -12,7 +12,7 @@ from dbakit.errors import AlgebraError, BudgetError
 from dbakit.fca import (
     MAX_COMPLETION_ENTRIES, FormalContext, all_contexts, complement_context, derive,
     enumerate_pairs, modal, oo_protoconcept_algebra, pair_flags, protoconcept_algebra,
-    _completions, _generated_pairs,
+    _completions, _generated_pairs, _pair_name, _pairs_of,
 )
 
 
@@ -317,6 +317,52 @@ def test_pair_algebras_agree_with_the_per_cell_reference():
             ref, pairs = _per_cell_pair_algebra(ctx, kind, brute)
             assert pa.pairs == pairs, (ctx, kind)
             assert pa.algebra.names == ref.names
+            assert pa.algebra.signature() == ref.signature(), (ctx, kind)
+
+
+def _list_pair_algebra(ctx, kind):
+    """Reference: the pair algebra built one Python int per table cell
+    through the completion tables, as ``fca._pair_algebra`` once did."""
+    if kind.startswith("oo_"):
+        prefix, meet_extents = "r", operator.or_
+        top, bot = (0, 0), (ctx.full_objects, ctx.full_attributes)
+    else:
+        prefix, meet_extents = "p", operator.and_
+        top, bot = (ctx.full_objects, 0), (0, ctx.full_attributes)
+    E, I = _completions(ctx, kind.startswith("oo_"))
+    members = _pairs_of(kind, E, I)
+    index = {ab: i for i, ab in enumerate(members)}
+    at_extent = [index[ab] for ab in enumerate(E)]
+    at_intent = [index[a, b] for b, a in enumerate(I)]
+    mt = [[at_extent[meet_extents(a, c)] for c, _ in members] for a, _ in members]
+    jt = [[at_intent[b & d] for _, d in members] for _, b in members]
+    gt = [at_extent[ctx.full_objects & ~a] for a, _ in members]
+    ot = [at_intent[ctx.full_attributes & ~b] for _, b in members]
+    alg = FiniteAlgebra(
+        [_pair_name(prefix, a, b) for a, b in members], mt, jt, gt, ot, index[top], index[bot])
+    return alg, tuple(members)
+
+
+# the shapes of the benchmark's CLI contexts
+CLI_SHAPES = ((3, 3), (4, 4), (5, 4), (5, 5), (6, 5), (7, 6))
+
+
+def test_whole_array_pair_algebras_match_the_per_cell_build():
+    # every context up to 3x3, empty sides included, and one seeded context
+    # of each CLI shape
+    ctxs = [ctx for g in range(4) for m in range(4) for ctx in all_contexts(g, m)]
+    rng = random.Random(30)
+    ctxs += [ctx_of([[rng.random() < 0.5 for _ in range(m)] for _ in range(g)])
+             for g, m in CLI_SHAPES]
+    for ctx in ctxs:
+        for build, kind in ((protoconcept_algebra, "protoconcept"),
+                            (protoconcept_algebra, "semiconcept"),
+                            (oo_protoconcept_algebra, "oo_protoconcept"),
+                            (oo_protoconcept_algebra, "oo_semiconcept")):
+            pa = build(ctx, kind)
+            ref, pairs = _list_pair_algebra(ctx, kind)
+            assert pa.pairs == pairs, (ctx, kind)
+            assert pa.algebra.names == ref.names, (ctx, kind)
             assert pa.algebra.signature() == ref.signature(), (ctx, kind)
 
 

@@ -1,13 +1,19 @@
 """Text formats: .dba and .cxt parsing, rendering, error paths."""
 
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dbakit.algebra import FiniteAlgebra
 from dbakit.errors import ParseError
-from dbakit.fca import FormalContext, all_contexts
-from dbakit.fileformats import parse_algebra, parse_context, render_algebra, render_context
+from dbakit.fca import (
+    FormalContext, all_contexts, oo_protoconcept_algebra, protoconcept_algebra,
+)
+from dbakit.fileformats import (
+    _logical_lines, parse_algebra, parse_context, render_algebra, render_context,
+)
 from dbakit.fixtures import builtin_fixtures
 from dbakit.logic import fixture_proofs, parse_script, render_script
 
@@ -183,9 +189,9 @@ def test_parsers_reject_arbitrary_text_with_parse_error(kind, text):
 
 
 @st.composite
-def _mutated(draw):
-    kind = draw(st.sampled_from(sorted(_PARSERS)))
-    text = draw(st.sampled_from(_SEEDS[kind]))
+def _mutated(draw, seeds=_SEEDS):
+    kind = draw(st.sampled_from(sorted(seeds)))
+    text = draw(st.sampled_from(seeds[kind]))
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(text)))
         j = draw(st.integers(i, min(len(text), i + 12)))
@@ -239,3 +245,184 @@ def test_a_context_without_attributes_may_omit_its_rows():
     assert parse_context("objects: g1 g2\nattributes:\n").incidence.shape == (2, 0)
     with pytest.raises(ParseError, match="incidence row has length 1, expected 0"):
         parse_context("objects: g1\nattributes:\nX\n")
+
+
+# --- the distinct-row parser against the per-cell one ---------------------------
+
+def per_cell_parse_algebra(text):
+    """Reference: the .dba parser that reads every table row, one Python int
+    per cell, as ``fileformats.parse_algebra`` once did."""
+    lines = list(_logical_lines(text))
+    pos = 0
+    sections: dict = {}
+
+    def take():
+        nonlocal pos
+        if pos >= len(lines):
+            raise ParseError("unexpected end of file")
+        item = lines[pos]
+        pos += 1
+        return item
+
+    def header(line, lineno):
+        if ":" not in line:
+            raise ParseError(f"expected 'section: ...', got {line!r}", lineno, 1)
+        key, rest = line.split(":", 1)
+        return key.strip(), rest.strip()
+
+    while pos < len(lines):
+        lineno, line = take()
+        key, rest = header(line, lineno)
+        if key in sections:
+            raise ParseError(f"duplicate section {key!r}", lineno, 1)
+        if key == "elements":
+            sections[key] = (lineno, rest.split())
+        elif key in ("meet", "join"):
+            if rest:
+                raise ParseError(f"{key!r} rows must start on the following line", lineno, 1)
+            if "elements" not in sections:
+                raise ParseError(f"{key!r} section before 'elements'", lineno, 1)
+            n = len(sections["elements"][1])
+            rows = []
+            for _ in range(n):
+                rlineno, rline = take()
+                rows.append((rlineno, rline.split()))
+            sections[key] = (lineno, rows)
+        elif key in ("neg", "opp"):
+            sections[key] = (lineno, rest.split())
+        elif key in ("top", "bot"):
+            sections[key] = (lineno, rest.split())
+        else:
+            raise ParseError(f"unknown section {key!r}", lineno, 1)
+
+    for required in ("elements", "meet", "join", "neg", "opp", "top", "bot"):
+        if required not in sections:
+            raise ParseError(f"missing section {required!r}")
+
+    names = sections["elements"][1]
+    if not names:
+        raise ParseError("empty element list", sections["elements"][0], 1)
+    index = {nm: i for i, nm in enumerate(names)}
+    if len(index) != len(names):
+        raise ParseError("duplicate element name", sections["elements"][0], 1)
+    n = len(names)
+
+    def resolve(nm, lineno):
+        if nm not in index:
+            raise ParseError(f"unknown element name {nm!r}", lineno, 1)
+        return index[nm]
+
+    def row(toks, lineno):
+        try:
+            return list(map(index.__getitem__, toks))
+        except KeyError:  # name the first unknown token
+            return [resolve(t, lineno) for t in toks]
+
+    def table2(key):
+        rows = []
+        for rlineno, toks in sections[key][1]:
+            if len(toks) != n:
+                raise ParseError(
+                    f"{key} row has {len(toks)} entries, expected {n}", rlineno, 1)
+            rows.append(row(toks, rlineno))
+        return rows
+
+    def table1(key):
+        lineno, toks = sections[key]
+        if len(toks) != n:
+            raise ParseError(f"{key} needs {n} entries, got {len(toks)}", lineno, 1)
+        return row(toks, lineno)
+
+    def const(key):
+        lineno, toks = sections[key]
+        if len(toks) != 1:
+            raise ParseError(f"{key} needs exactly one element name", lineno, 1)
+        return resolve(toks[0], lineno)
+
+    return FiniteAlgebra(
+        names, table2("meet"), table2("join"), table1("neg"), table1("opp"),
+        const("top"), const("bot"),
+    )
+
+
+def _parse_outcome(parse, text):
+    """(names, signature) of the parsed algebra, or the ParseError's text."""
+    try:
+        alg = parse(text)
+    except ParseError as err:
+        return str(err)
+    return alg.names, alg.signature()
+
+
+def _emitted_algebras():
+    """Rendered pair algebras with repeated table rows: every 2x2 context's
+    and one seeded context's of each CLI shape, 3x3 to 7x6."""
+    rng = random.Random(30)
+    ctxs = list(all_contexts(2, 2)) + [
+        FormalContext([f"g{i}" for i in range(g)], [f"m{j}" for j in range(m)],
+                      [[rng.random() < 0.5 for _ in range(m)] for _ in range(g)])
+        for g, m in ((3, 3), (4, 4), (5, 4), (5, 5), (6, 5), (7, 6))]
+    return [render_algebra(build(ctx).algebra)
+            for ctx in ctxs for build in (protoconcept_algebra, oo_protoconcept_algebra)]
+
+
+EMITTED = _emitted_algebras()
+
+
+def test_parse_matches_the_per_cell_parser_on_fixtures_and_emitted_algebras():
+    assert any(len(set(t.splitlines())) < len(t.splitlines()) for t in EMITTED)
+    for text in _SEEDS["algebra"] + EMITTED:
+        want = _parse_outcome(per_cell_parse_algebra, text)
+        assert not isinstance(want, str)
+        assert _parse_outcome(parse_algebra, text) == want
+    for text in _SEEDS["algebra"][1:] + EMITTED:  # the rendered ones
+        assert render_algebra(parse_algebra(text)) == text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated({"algebra": _SEEDS["algebra"] + EMITTED[:8]}))
+def test_parse_matches_the_per_cell_parser_on_mutated_inputs(case):
+    _, text = case
+    assert _parse_outcome(parse_algebra, text) == _parse_outcome(per_cell_parse_algebra, text)
+
+
+THREE = """\
+elements: a b c
+meet:
+a a a
+a b b
+a b c
+join:
+a b c
+b b c
+c c c
+neg: c b a
+opp: c b a
+top: c
+bot: a
+"""
+
+
+@pytest.mark.parametrize("old, new, error", [
+    # an unknown name in a row that repeats later: the first occurrence fails
+    ("a b b\na b c\njoin", "a zz c\na zz c\njoin",
+     "unknown element name 'zz' (line 4, column 1)"),
+    ("a b c\nb b c\nc c c", "zz b c\nb b c\nzz b c",
+     "unknown element name 'zz' (line 7, column 1)"),
+    # a wrong-length row after an earlier row with an unknown name
+    ("a b b\na b c\njoin", "a zz b\na b\njoin",
+     "unknown element name 'zz' (line 4, column 1)"),
+    ("a a a\na b b\na b c", "a zz a\na b\na zz a",
+     "unknown element name 'zz' (line 3, column 1)"),
+    # a wrong-length row that repeats, after a repeated good row
+    ("a b b\na b c\njoin", "a a a\na b\njoin",
+     "meet row has 2 entries, expected 3 (line 5, column 1)"),
+    ("b b c\nc c c", "a b\na b", "join row has 2 entries, expected 3 (line 8, column 1)"),
+])
+def test_repeated_rows_keep_the_first_parse_error(old, new, error):
+    text = THREE.replace(old, new)
+    assert text != THREE
+    with pytest.raises(ParseError) as err:
+        parse_algebra(text)
+    assert str(err.value) == error
+    assert _parse_outcome(per_cell_parse_algebra, text) == error
