@@ -1,8 +1,8 @@
 """Finite algebras of type (2,2,1,1,0,0) and the axiom/classification machinery.
 
-A FiniteAlgebra is immutable after construction: it copies its tables.
-Every function here is read-only on its inputs and safe to call
-concurrently on shared values.
+A FiniteAlgebra is immutable after construction: it copies its tables to int64
+arrays (row tuples come on a scalar read, ``_tuples``).  Every function here
+is read-only on its inputs and safe to call concurrently on shared values.
 
 What the tables decide (suite reports, catalog verdicts, the quasi-order
 and the classification) is kept in one record per table set, shared by
@@ -41,7 +41,7 @@ class FiniteAlgebra:
 
     __slots__ = (
         "names", "n", "meet", "join", "neg", "opp", "top", "bot",
-        "_rows_m", "_rows_j", "_lneg", "_lopp", "_facts",
+        "_rows", "_facts",
         "__weakref__",  # the refuter's cache of stacked models keys on weak references
     )
 
@@ -60,19 +60,23 @@ class FiniteAlgebra:
         self.opp = self._table(opp, (n,), "opp map")
         self.top = self._index(top, n, "top")
         self.bot = self._index(bot, n, "bot")
-        # plain nested tuples: much faster than numpy for scalar lookups
-        self._rows_m = tuple(map(tuple, self.meet.tolist()))
-        self._rows_j = tuple(map(tuple, self.join.tolist()))
-        self._lneg = tuple(self.neg.tolist())
-        self._lopp = tuple(self.opp.tolist())
+        self._rows = None  # the tables as tuples, on the first scalar read
         self._facts = None  # the shared record of verdicts, on the first check
+
+    def _tuples(self):
+        """(meet, join, neg, opp) as tuples, meet and join of row tuples: fast
+        scalar reads, at one Python int a cell."""
+        if self._rows is None:
+            self._rows = (*(tuple(map(tuple, t.tolist())) for t in (self.meet, self.join)),
+                          tuple(self.neg.tolist()), tuple(self.opp.tolist()))
+        return self._rows
 
     @staticmethod
     def _table(values, shape, what):
         """values as a read-only int64 copy of the given shape with entries
         in [0, n); non-integer entries are an error, never truncated."""
         try:
-            arr = np.array(values)  # a new array: the caller may write to values
+            arr = np.array(values, order="C")  # a new array: the caller may write to values
         except ValueError:  # ragged rows
             arr = None
         if arr is None or arr.shape != shape:
@@ -172,9 +176,8 @@ def eval_term(alg: FiniteAlgebra, t: Term, env=None) -> int:
             raise EvalError(f"unbound variable {name!r}")
         return FiniteAlgebra._index(env[name], alg.n, f"variable {name!r}")
 
-    m, j = alg._rows_m, alg._rows_j
-    return fold(t, var, alg.top, alg.bot, alg._lneg.__getitem__, alg._lopp.__getitem__,
-                lambda a, b: m[a][b], lambda a, b: j[a][b])
+    return fold(t, var, alg.top, alg.bot, alg.neg.item, alg.opp.item,
+                alg.meet.item, alg.join.item)
 
 
 @dataclass(frozen=True)
@@ -298,12 +301,16 @@ def _kernel(names, pairs):
 # --- one entry point for equation checks -----------------------------------
 # Every equation check goes through ``_check_equations``.  The equations over
 # k variables with n**k <= _VECTOR_THRESHOLD run on the compiled nests of
-# their variable tuples; the others are evaluated together in numpy, every distinct
-# subterm of the batch once per chunk of the first variable.  A batch that
-# does not fit one chunk ranges what variables it can over square fibres.
+# their variable tuples, up to _NEST_MAX_N elements; the others are evaluated
+# together in numpy, every distinct subterm of the batch once per chunk of the
+# first variable.  A batch past ``_FIBRE_CELLS`` ranges what variables it can
+# over square fibres.  Both cuts are measured break-evens (README).
 
 _VECTOR_THRESHOLD = 256
+_NEST_MAX_N = 48  # past this many elements only constant equations run on nests
 _VECTOR_CHUNK_CELLS = 1 << 18  # cells per array, or n**(k-1): one value of the first
+_FIBRE_CELLS = 1 << 15  # batches of more cells range over fibres: n >= 33 at k = 3
+_PACKED_MIN_N = 40  # from here transitivity is checked on rows packed to bits
 _SIDE = {Meet: "meet", Neg: "meet", Join: "join", Opp: "join"}  # the side of an operand
 
 
@@ -323,12 +330,14 @@ def _fibres(alg: FiniteAlgebra) -> dict:
     = ~x, or dually, on the whole tables.  A dBa passes both (1a, 2a, 3a)."""
     facts = _facts_of(alg)
     if facts.fibres is None:
-        fibres = {}
+        fibres, elements = {}, np.arange(alg.n)
         for side, t, u in (("meet", alg.meet, alg.neg), ("join", alg.join, alg.opp)):
             sq = t.diagonal()
-            least = np.unique(sq, return_index=True)[1]
+            first = np.full(alg.n, alg.n)  # at a square: the least element it squares
+            np.minimum.at(first, sq, elements)
+            least = np.flatnonzero(first[sq] == elements)
             if len(least) < alg.n and all((a[sq] == a).all() for a in (t, t.T, u)):
-                fibres[side] = np.sort(least)
+                fibres[side] = least
         facts.fibres = fibres
     return facts.fibres
 
@@ -409,8 +418,8 @@ def _check_equations(alg: FiniteAlgebra, equations) -> tuple[EquationVerdict, ..
     check, when a term is deeper than ``MAX_DEPTH``.  On one element every
     term takes its value, so every equation holds.
 
-    A numpy batch that does not fit one chunk ranges each variable it can
-    over one element per square fibre.  Let every occurrence of v be an
+    A numpy batch past ``_FIBRE_CELLS`` ranges each variable it can over
+    one element per square fibre.  Let every occurrence of v be an
     operand of & or ~, and M[x&x, y] = M[x, y] = M[x, y&y] and ~(x&x) = ~x
     (``_fibres``).  Then v&v for v changes no value, so the failing set is
     a union of products of fibres of x -> x&x at v; the first failing tuple
@@ -421,13 +430,16 @@ def _check_equations(alg: FiniteAlgebra, equations) -> tuple[EquationVerdict, ..
     equations = tuple(equations)
     if alg.n == 1:  # the plan still rejects a term deeper than MAX_DEPTH
         return _plan(equations, 0, None).holding
-    # fibres only when a batch may not fit one chunk: below that, nothing changes
-    fibres = _fibres(alg) if alg.n ** _arity(equations) > _VECTOR_CHUNK_CELLS else {}
-    split = (_scalar_arity(alg.n, _VECTOR_CHUNK_CELLS), tuple(fibres)) if fibres else None
-    plan = _plan(equations, _scalar_arity(alg.n), split)
+    # fibres only when a batch may pass the cut: below it, full ranges are cheaper
+    fibres = _fibres(alg) if alg.n ** _arity(equations) > _FIBRE_CELLS else {}
+    split = (_scalar_arity(alg.n, _FIBRE_CELLS), tuple(fibres)) if fibres else None
+    kmax = _scalar_arity(alg.n) if alg.n <= _NEST_MAX_N else 0
+    plan = _plan(equations, kmax, split)
     bad, elements = [], range(alg.n)
+    # nests without a loop read one cell each, from the numpy tables
+    tables = alg._tuples() if kmax else (alg.meet, alg.join, alg.neg, alg.opp)
     for nest in plan.kernel:
-        bad += nest(alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot, elements)
+        bad += nest(*tables, alg.top, alg.bot, elements)
     for batch, bound, steps, keys in plan.vector:
         axes = {v: fibres[s] for v, s in bound.items()}
         bad += _vector_witnesses(alg, batch, steps, keys, axes).values()
@@ -645,14 +657,24 @@ class QuasiOrder:
         return bool(self.rel[FiniteAlgebra._index(x, n, "x"), FiniteAlgebra._index(y, n, "y")])
 
 
+def _transitive(rel: np.ndarray) -> bool:
+    """Whether x <= y <= z implies x <= z: one boolean matmul (no BLAS, no
+    fixed cost) below ``_PACKED_MIN_N`` elements; from there the rows of
+    x's successors, packed to bits and OR-ed in one reduceat, in x's row."""
+    if len(rel) < _PACKED_MIN_N:
+        return not (rel @ rel > rel).any()
+    bits, (x, y) = np.packbits(rel, axis=1), np.nonzero(rel)
+    starts = np.flatnonzero(np.diff(x, prepend=-1))  # x's first pair
+    return not (np.bitwise_or.reduceat(bits[y], starts, axis=0) & ~bits[x[starts]]).any()
+
+
 def _flagged_order(rel: np.ndarray) -> QuasiOrder:
     """The relation (an n x n bool matrix, made read-only) with its flags."""
     rel.flags.writeable = False
-    r = rel.astype(np.int32)
     return QuasiOrder(
         rel,
         reflexive=bool(rel.diagonal().all()),
-        transitive=bool((((r @ r) > 0) <= rel).all()),
+        transitive=_transitive(rel),
         antisymmetric=bool((rel & rel.T & ~np.eye(len(rel), dtype=bool)).sum() == 0),
     )
 
@@ -668,20 +690,20 @@ def quasi_order(alg: FiniteAlgebra) -> QuasiOrder:
 
 def project_meet(alg: FiniteAlgebra, x: int) -> int:
     """x & x."""
-    return alg._rows_m[x][x]
+    return alg.meet.item(x, x)
 
 
 def project_join(alg: FiniteAlgebra, x: int) -> int:
     """x | x."""
-    return alg._rows_j[x][x]
+    return alg.join.item(x, x)
 
 
 def meet_idempotents(alg: FiniteAlgebra) -> frozenset:
-    return frozenset(x for x in range(alg.n) if alg._rows_m[x][x] == x)
+    return frozenset(x for x, sq in enumerate(alg.meet.diagonal().tolist()) if sq == x)
 
 
 def join_idempotents(alg: FiniteAlgebra) -> frozenset:
-    return frozenset(x for x in range(alg.n) if alg._rows_j[x][x] == x)
+    return frozenset(x for x, sq in enumerate(alg.join.diagonal().tolist()) if sq == x)
 
 
 @dataclass(frozen=True)
@@ -739,8 +761,8 @@ def classify(alg: FiniteAlgebra) -> ClassificationReport:
     qo = quasi_order(alg)
     mi = meet_idempotents(alg)
     ji = join_idempotents(alg)
-    pure = all(x in mi or x in ji for x in range(alg.n))
-    trivial = alg._rows_m[alg.top][alg.top] == alg._rows_j[alg.bot][alg.bot]
+    pure = len(mi | ji) == alg.n
+    trivial = project_meet(alg, alg.top) == project_join(alg, alg.bot)
     contextual = r_dba.ok and qo.antisymmetric
     fully = contextual and unique_mixed_lift(alg)
     failures = tuple(
@@ -776,27 +798,20 @@ def extract_boolean_part(alg: FiniteAlgebra, side: str) -> FiniteAlgebra:
         raise AlgebraError(f"side must be 'meet' or 'join', got {side!r}")
     if not passes(alg, DBA23):
         raise AlgebraError("extract_boolean_part requires a double Boolean algebra")
-    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
-    if side == "meet":
-        carrier = sorted(meet_idempotents(alg))
-        meet2 = lambda x, y: m[x][y]
-        join2 = lambda x, y: g[m[g[x]][g[y]]]  # derived v
-        comp = lambda x: g[x]
-        top, bot = m[alg.top][alg.top], alg.bot
-    else:
-        carrier = sorted(join_idempotents(alg))
-        meet2 = lambda x, y: o[j[o[x]][o[y]]]  # derived ^
-        join2 = lambda x, y: j[x][y]
-        comp = lambda x: o[x]
-        top, bot = alg.top, j[alg.bot][alg.bot]
+    meet_side = side == "meet"
+    t, c = (alg.meet, alg.neg) if meet_side else (alg.join, alg.opp)
+    carrier = np.array(sorted(meet_idempotents(alg) if meet_side else join_idempotents(alg)))
     # no lookup misses: catalog meet-square-idem, neg-meet-idem, bot-meet-idem and duals
-    pos = {e: i for i, e in enumerate(carrier)}
-    mt = [[pos[meet2(a, b)] for b in carrier] for a in carrier]
-    jt = [[pos[join2(a, b)] for b in carrier] for a in carrier]
-    ct = [pos[comp(a)] for a in carrier]
-    return FiniteAlgebra(
-        [alg.names[e] for e in carrier], mt, jt, ct, ct, pos[top], pos[bot]
-    )
+    pos = np.full(alg.n, -1)
+    pos[carrier] = np.arange(len(carrier))
+    own = pos[t[np.ix_(carrier, carrier)]]
+    derived = pos[c[t[np.ix_(c[carrier], c[carrier])]]]  # v from & and ~, ^ from | and !
+    comp = pos[c[carrier]]
+    top, bot = (alg.meet[alg.top, alg.top], alg.bot) if meet_side else (
+        alg.top, alg.join[alg.bot, alg.bot])
+    return FiniteAlgebra([alg.names[e] for e in carrier.tolist()],
+                         *((own, derived) if meet_side else (derived, own)),
+                         comp, comp, pos[top], pos[bot])
 
 
 def is_boolean_algebra(alg: FiniteAlgebra) -> bool:

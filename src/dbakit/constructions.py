@@ -26,12 +26,13 @@ class BooleanView:
     meet, join, neg (as complement), bot, top; the second negation is ignored.
     Validated against the BOOLEAN suite on construction."""
 
-    __slots__ = ("alg",)
+    __slots__ = ("alg", "_m", "_j", "_c")
 
     def __init__(self, alg: FiniteAlgebra):
         if not is_boolean_algebra(alg):
             raise ConstructionError("designated operations do not satisfy the BOOLEAN suite")
         self.alg = alg
+        self._m, self._j, self._c, _ = alg._tuples()  # for scalar lookups
 
     @property
     def n(self):
@@ -42,13 +43,13 @@ class BooleanView:
         return self.alg.names
 
     def meet(self, x, y):
-        return self.alg._rows_m[x][y]
+        return self._m[x][y]
 
     def join(self, x, y):
-        return self.alg._rows_j[x][y]
+        return self._j[x][y]
 
     def comp(self, x):
-        return self.alg._lneg[x]
+        return self._c[x]
 
     @property
     def top(self):
@@ -59,7 +60,7 @@ class BooleanView:
         return self.alg.bot
 
     def leq(self, x, y):
-        return self.alg._rows_m[x][y] == x
+        return self._m[x][y] == x
 
 
 def powerset_boolean(k: int, max_atoms: int = 4) -> BooleanView:
@@ -210,9 +211,9 @@ def canonical_pairs(alg: FiniteAlgebra):
     q = BooleanView(extract_boolean_part(alg, "join"))
     cap_pos = {e: i for i, e in enumerate(cap)}
     cup_pos = {e: i for i, e in enumerate(cup)}
-    r = [cap_pos[alg._rows_m[x][x]] for x in range(alg.n)]
+    r = [cap_pos[sq] for sq in alg.meet.diagonal().tolist()]
     e = list(cap)
-    rp = [cup_pos[alg._rows_j[x][x]] for x in range(alg.n)]
+    rp = [cup_pos[sq] for sq in alg.join.diagonal().tolist()]
     ep = list(cup)
     return (RetractionPair(alg.n, p, r, e), RetractionPair(alg.n, q, rp, ep))
 

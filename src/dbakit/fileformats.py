@@ -23,11 +23,15 @@ render(parse(text)) is the identity up to whitespace normalization.
 
 from __future__ import annotations
 
+from itertools import chain, takewhile
+
 import numpy as np
 
 from .algebra import FiniteAlgebra
 from .errors import ParseError
 from .fca import FormalContext
+
+_BLOCK_CELLS = 1 << 12  # table cells parsed in one np.fromiter
 
 
 def _logical_lines(text: str):
@@ -42,17 +46,12 @@ def parse_algebra(text: str) -> FiniteAlgebra:
     lines = list(_logical_lines(text))
     pos = 0
     sections: dict = {}
-
-    def header(line, lineno):
-        if ":" not in line:
-            raise ParseError(f"expected 'section: ...', got {line!r}", lineno, 1)
-        key, rest = line.split(":", 1)
-        return key.strip(), rest.strip()
-
     while pos < len(lines):
         lineno, line = lines[pos]
         pos += 1
-        key, rest = header(line, lineno)
+        if ":" not in line:
+            raise ParseError(f"expected 'section: ...', got {line!r}", lineno, 1)
+        key, rest = (part.strip() for part in line.split(":", 1))
         if key in sections:
             raise ParseError(f"duplicate section {key!r}", lineno, 1)
         if key in ("elements", "neg", "opp", "top", "bot"):
@@ -81,30 +80,34 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         raise ParseError("duplicate element name", sections["elements"][0], 1)
     n = len(names)
 
-    def resolve(nm, lineno):
-        if nm not in index:
-            raise ParseError(f"unknown element name {nm!r}", lineno, 1)
-        return index[nm]
-
     def row(toks, lineno):
         try:
             return list(map(index.__getitem__, toks))
-        except KeyError:  # name the first unknown token
-            return [resolve(t, lineno) for t in toks]
+        except KeyError as unknown:  # the first unknown token
+            raise ParseError(f"unknown element name {unknown.args[0]!r}", lineno, 1) from None
 
     def table2(key):
-        # each distinct row text is read once, at its first row: a repeated
-        # row fails as its first occurrence did, so the first error is unchanged
-        ids, distinct = {}, []
-        for rlineno, text in sections[key][1]:
-            if text not in ids:
-                toks = text.split()
-                if len(toks) != n:
-                    raise ParseError(
-                        f"{key} row has {len(toks)} entries, expected {n}", rlineno, 1)
-                ids[text] = len(distinct)
-                distinct.append(row(toks, rlineno))
-        return np.array(distinct)[[ids[text] for _, text in sections[key][1]]]
+        # each distinct row text is read once, at its first row, a block of
+        # rows at a time: a repeated row fails as its first occurrence did, and
+        # a wrong length only after the names of the rows before it
+        lines, firsts = sections[key][1], {}
+        for rlineno, text in lines:
+            firsts.setdefault(text, rlineno)
+        distinct, blocks, step = list(firsts.items()), [], max(1, _BLOCK_CELLS // n)
+        for block in (distinct[lo:lo + step] for lo in range(0, len(distinct), step)):
+            rows = list(takewhile(lambda toks: len(toks) == n, (t.split() for t, _ in block)))
+            try:
+                blocks.append(np.fromiter(
+                    map(index.__getitem__, chain.from_iterable(rows)), np.int64, len(rows) * n))
+            except KeyError:  # name the first unknown token
+                for (_, rlineno), toks in zip(block, rows):
+                    row(toks, rlineno)
+            if len(rows) < len(block):
+                text, rlineno = block[len(rows)]
+                raise ParseError(f"{key} row has {len(text.split())} entries, expected {n}",
+                                 rlineno, 1)
+        ids = dict(zip(firsts, range(len(firsts))))
+        return np.concatenate(blocks).reshape(-1, n)[[ids[text] for _, text in lines]]
 
     def table1(key):
         lineno, toks = sections[key]
@@ -116,7 +119,7 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         lineno, toks = sections[key]
         if len(toks) != 1:
             raise ParseError(f"{key} needs exactly one element name", lineno, 1)
-        return resolve(toks[0], lineno)
+        return row(toks, lineno)[0]
 
     return FiniteAlgebra(
         names, table2("meet"), table2("join"), table1("neg"), table1("opp"),
@@ -127,11 +130,14 @@ def parse_algebra(text: str) -> FiniteAlgebra:
 def render_algebra(alg: FiniteAlgebra) -> str:
     nm = alg.names
     out = ["elements: " + " ".join(nm)]
-    for key, rows in (("meet", alg._rows_m), ("join", alg._rows_j)):
-        text = {row: " ".join([nm[v] for v in row]) for row in dict.fromkeys(rows)}
+    names = np.array(nm, dtype=object)
+    for key, t in (("meet", alg.meet), ("join", alg.join)):
+        rows = t.view(np.dtype((np.void, t.strides[0]))).ravel().tolist()  # each row's bytes
+        first = dict(zip(rows[::-1], range(alg.n - 1, -1, -1)))  # each distinct row's first
+        text = dict(zip(first, map(" ".join, names[t[list(first.values())]].tolist())))
         out += [f"{key}:", *map(text.__getitem__, rows)]
-    out.append("neg: " + " ".join(nm[v] for v in alg._lneg))
-    out.append("opp: " + " ".join(nm[v] for v in alg._lopp))
+    out.append("neg: " + " ".join(names[alg.neg].tolist()))
+    out.append("opp: " + " ".join(names[alg.opp].tolist()))
     out.append(f"top: {nm[alg.top]}")
     out.append(f"bot: {nm[alg.bot]}")
     return "\n".join(out) + "\n"

@@ -73,14 +73,10 @@ def noncontextual4() -> FiniteAlgebra:
     mid <= mid2 <= mid makes the order fail antisymmetry."""
     base = chain3()
     bot, mid, top = 0, 1, 2
-    mid2 = 3
-    proxy = {bot: bot, mid: mid, top: top, mid2: mid}
-    rng = range(4)
-    meet = [[base._rows_m[proxy[x]][proxy[y]] for y in rng] for x in rng]
-    join = [[base._rows_j[proxy[x]][proxy[y]] for y in rng] for x in rng]
-    neg = [base._lneg[proxy[x]] for x in rng]
-    opp = [base._lopp[proxy[x]] for x in rng]
-    return FiniteAlgebra(["bot", "mid", "top", "mid2"], meet, join, neg, opp, top, bot)
+    proxy = [bot, mid, top, mid]  # each element, mid2 last, as the one of chain3 it acts as
+    meet, join = (t[proxy][:, proxy] for t in (base.meet, base.join))
+    return FiniteAlgebra(["bot", "mid", "top", "mid2"], meet, join,
+                         base.neg[proxy], base.opp[proxy], top, bot)
 
 
 def builtin_fixtures() -> list[tuple[str, FiniteAlgebra]]:

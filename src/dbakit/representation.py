@@ -97,9 +97,9 @@ def _is_primary(alg: FiniteAlgebra, s: frozenset, kind: str) -> bool:
         return False
     rel = quasi_order(alg).rel
     if kind == "filter":
-        closed, comp = _closed(s, alg.meet, rel), alg._lneg
+        closed, comp = _closed(s, alg.meet, rel), alg.neg.tolist()
     else:
-        closed, comp = _closed(s, alg.join, rel.T), alg._lopp
+        closed, comp = _closed(s, alg.join, rel.T), alg.opp.tolist()
     return closed and all(x in s or comp[x] in s for x in range(alg.n))
 
 
@@ -298,7 +298,7 @@ def verify_derivation_identities(rep: RepresentationResult) -> list[str]:
     ctx = rep.std.context
     E, D = _completions(ctx, False)  # filters -> ideals, ideals -> filters
     n = alg.n
-    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
+    m, j, g, o = alg._tuples()
     F, I = rep.f_masks, rep.i_masks
     full_f, full_i = ctx.full_objects, ctx.full_attributes
     fails = []

@@ -19,7 +19,7 @@ program of steps that name their children by position, so no cached entry
 refers to the node itself.
 ``render``, ``source`` (the term as a Python expression over the operation
 tables), ``dual``, substitution, ``algebra.eval_term`` (a fold over the
-tuple tables) and the hypersequent refuter in ``logic`` (a fold with numpy
+operation tables) and the hypersequent refuter in ``logic`` (a fold with numpy
 callbacks over a block of stacked models) are folds; the numpy equation
 checker walks the distinct subterms of a whole batch of equations in
 ``postorder``, so a subterm shared by several equations is evaluated once.

@@ -159,16 +159,16 @@ def test_criterion_5_constructions():
             assert alg.n == p.n + q.n - 1
             assert cl.is_dba and cl.is_pure and cl.is_trivial
             # collapse laws of trivial algebras, on both idempotent sides
-            bsq = alg._rows_j[alg.bot][alg.bot]
-            tsq = alg._rows_m[alg.top][alg.top]
+            bsq = alg._tuples()[1][alg.bot][alg.bot]
+            tsq = alg._tuples()[0][alg.top][alg.top]
             for x in sorted(cl.meet_idempotents):
-                assert alg._lopp[x] == alg.top
+                assert alg._tuples()[3][x] == alg.top
                 for y in sorted(cl.meet_idempotents):
-                    assert alg._rows_j[x][y] == bsq
+                    assert alg._tuples()[1][x][y] == bsq
             for x in sorted(cl.join_idempotents):
-                assert alg._lneg[x] == alg.bot
+                assert alg._tuples()[2][x] == alg.bot
                 for y in sorted(cl.join_idempotents):
-                    assert alg._rows_m[x][y] == tsq
+                    assert alg._tuples()[0][x][y] == tsq
 
     # embedding-retraction instances: the biconditional holds everywhere,
     # and the old third condition is implied wherever the new ones pass

@@ -102,8 +102,8 @@ def test_the_algebra_owns_its_tables():
     base[0, 1, 1] = 0
     maps[0, 0] = 0
     assert alg.signature() == before
-    assert alg.meet.tolist() == [list(row) for row in alg._rows_m] == [[0, 1], [1, 1]]
-    assert list(alg._lneg) == alg.neg.tolist() == [1, 0]
+    assert alg.meet.tolist() == [list(row) for row in alg._tuples()[0]] == [[0, 1], [1, 1]]
+    assert list(alg._tuples()[2]) == alg.neg.tolist() == [1, 0]
     assert not alg.meet.flags.writeable and not alg.neg.flags.writeable
 
 
@@ -202,10 +202,10 @@ def test_vector_and_compiled_paths_agree_on_witness():
     from dbakit.constructions import glued_sum, powerset_boolean
     base = glued_sum(powerset_boolean(3), powerset_boolean(1))
     assert base.n ** 2 <= _VECTOR_THRESHOLD < base.n ** 3
-    meet = [list(row) for row in base._rows_m]
+    meet = [list(row) for row in base._tuples()[0]]
     meet[3][2] = (meet[3][2] + 1) % base.n
-    broken = FiniteAlgebra(base.names, meet, base._rows_j, base._lneg,
-                           base._lopp, base.top, base.bot)
+    broken = FiniteAlgebra(base.names, meet, base._tuples()[1], base._tuples()[2],
+                           base._tuples()[3], base.top, base.bot)
     comm2 = eq("comm2", "x & y", "y & x")
     comm3 = eq("comm3", "(x & y) & (z & z)", "(y & x) & (z & z)")
     v2 = satisfies_equation(broken, comm2)   # compiled
@@ -313,7 +313,7 @@ def copy_of(alg):
 
 
 def order_oracle(alg):
-    m, j = alg._rows_m, alg._rows_j
+    m, j = alg._tuples()[0], alg._tuples()[1]
     return [[m[x][y] == m[x][x] and j[x][y] == j[y][y] for y in range(alg.n)]
             for x in range(alg.n)]
 
@@ -364,8 +364,8 @@ def test_shared_verdicts_equal_direct_checks():
                 all(v.holds for v in want[GDCORE11]))
             assert cl.failures == failures
             assert cl.is_contextual == (cl.is_dba and qo.antisymmetric)
-            assert cl.meet_idempotents == {x for x in range(alg.n) if alg._rows_m[x][x] == x}
-            assert cl.join_idempotents == {x for x in range(alg.n) if alg._rows_j[x][x] == x}
+            assert cl.meet_idempotents == {x for x in range(alg.n) if alg._tuples()[0][x][x] == x}
+            assert cl.join_idempotents == {x for x in range(alg.n) if alg._tuples()[1][x][x] == x}
         assert trio[0]._facts is trio[1]._facts is trio[2]._facts
     assert len({id(alg._facts) for alg in algs}) == len(oracle)
 
@@ -490,7 +490,7 @@ def test_eval_term_nesting_limit():
     x = alg.index("mid")
     expected = x
     for _ in range(MAX_DEPTH):
-        expected = alg._lneg[expected]
+        expected = alg._tuples()[2][expected]
     assert eval_term(alg, neg_chain(MAX_DEPTH), {"x": x}) == expected
     with pytest.raises(EvalError):
         eval_term(alg, neg_chain(MAX_DEPTH + 1), {"x": x})
@@ -567,11 +567,11 @@ def unique_mixed_lift_reference(alg):
     """Reference: the per-pair loop over the idempotent sets."""
     squares = {}
     for z in range(alg.n):
-        squares.setdefault((alg._rows_m[z][z], alg._rows_j[z][z]), []).append(z)
+        squares.setdefault((alg._tuples()[0][z][z], alg._tuples()[1][z][z]), []).append(z)
     for a in sorted(meet_idempotents(alg)):
-        a_up = alg._rows_j[a][a]
+        a_up = alg._tuples()[1][a][a]
         for b in sorted(join_idempotents(alg)):
-            if a_up == alg._rows_m[b][b]:
+            if a_up == alg._tuples()[0][b][b]:
                 if len(squares.get((a, b), [])) != 1:
                     return False
     return True
@@ -692,16 +692,16 @@ def test_trivial_dba_collapse_laws():
     from dbakit.constructions import glued_sum, powerset_boolean
     alg = glued_sum(powerset_boolean(2), powerset_boolean(1))
     assert classify(alg).is_trivial
-    bsq = alg._rows_j[alg.bot][alg.bot]
-    tsq = alg._rows_m[alg.top][alg.top]
+    bsq = alg._tuples()[1][alg.bot][alg.bot]
+    tsq = alg._tuples()[0][alg.top][alg.top]
     for x in meet_idempotents(alg):
-        assert alg._lopp[x] == alg.top
+        assert alg._tuples()[3][x] == alg.top
         for y in meet_idempotents(alg):
-            assert alg._rows_j[x][y] == bsq
+            assert alg._tuples()[1][x][y] == bsq
     for x in join_idempotents(alg):
-        assert alg._lneg[x] == alg.bot
+        assert alg._tuples()[2][x] == alg.bot
         for y in join_idempotents(alg):
-            assert alg._rows_m[x][y] == tsq
+            assert alg._tuples()[0][x][y] == tsq
 
 
 # --- identity catalog -----------------------------------------------------------------

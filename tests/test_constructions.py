@@ -173,11 +173,11 @@ def test_glued_sum_4_plus_2():
     assert alg.n == p4.n + p1.n - 1 == 5
     assert cl.is_dba and cl.is_pure and cl.is_trivial
     # collapse laws of trivial algebras
-    bsq = alg._rows_j[alg.bot][alg.bot]
+    bsq = alg._tuples()[1][alg.bot][alg.bot]
     for x in sorted(cl.meet_idempotents):
-        assert alg._lopp[x] == alg.top
+        assert alg._tuples()[3][x] == alg.top
         for y in sorted(cl.meet_idempotents):
-            assert alg._rows_j[x][y] == bsq
+            assert alg._tuples()[1][x][y] == bsq
 
 
 def test_glued_sum_size_formula():
@@ -198,10 +198,10 @@ def _relabelled(view, perm, names):
     rng = range(n)
     return BooleanView(FiniteAlgebra(
         names,
-        [[perm[a._rows_m[inv[x]][inv[y]]] for y in rng] for x in rng],
-        [[perm[a._rows_j[inv[x]][inv[y]]] for y in rng] for x in rng],
-        [perm[a._lneg[inv[x]]] for x in rng],
-        [perm[a._lopp[inv[x]]] for x in rng],
+        [[perm[a._tuples()[0][inv[x]][inv[y]]] for y in rng] for x in rng],
+        [[perm[a._tuples()[1][inv[x]][inv[y]]] for y in rng] for x in rng],
+        [perm[a._tuples()[2][inv[x]]] for x in rng],
+        [perm[a._tuples()[3][inv[x]]] for x in rng],
         perm[a.top], perm[a.bot]))
 
 

@@ -69,7 +69,7 @@ def reference_eval(t, meet, join, neg, opp, top, bot, env, n=None):
 
 
 def tables(alg):
-    return alg._rows_m, alg._rows_j, alg._lneg, alg._lopp, alg.top, alg.bot
+    return (*alg._tuples(), alg.top, alg.bot)
 
 
 def perturbed_chain(n, seed):
@@ -427,11 +427,14 @@ def kernel_batch(k):
     return batch
 
 
-@pytest.mark.parametrize("n, k", [(6, 3), (7, 3), (16, 2), (17, 2), (256, 1), (257, 1)])
+@pytest.mark.parametrize("n, k", [(6, 3), (7, 3), (16, 2), (17, 2),
+                                  (algebra._NEST_MAX_N, 1), (algebra._NEST_MAX_N + 1, 1)])
 def test_the_batch_kernel_matches_the_per_equation_kernel(n, k):
     # n on both sides of the cut: the equations over k variables run on
-    # the kernel at the smaller n and in numpy at the larger
-    assert (n ** k <= _VECTOR_THRESHOLD) == (n in (6, 16, 256))
+    # the kernel at the smaller n and in numpy at the larger, where past
+    # _NEST_MAX_N only the constant ones stay on a nest
+    nest_arity = algebra._scalar_arity(n) if n <= algebra._NEST_MAX_N else 0
+    assert (nest_arity == k) == (n in (6, 16, algebra._NEST_MAX_N))
     batch = kernel_batch(k)
     assert {len(e.variables()) for e in batch} == set(range(k + 1))
     seen = set()
@@ -535,17 +538,17 @@ def test_the_plan_is_the_only_cache_of_the_numpy_steps():
 
 
 def test_a_split_plan_is_the_only_cache_of_its_numpy_steps():
-    # at n = 65 DBA23's 3-variable batch no longer fits one chunk and is
+    # at n = 65 DBA23's 3-variable batch passes the fibre cut and is
     # split by the sides its variables are bound to; the glued sum is a
     # dBa, so no pair fails and no chunk plans again
     alg = glued_sum(powerset_boolean(6, max_atoms=6), powerset_boolean(1))
     n = alg.n
-    assert n == 65 and n ** 3 > algebra._VECTOR_CHUNK_CELLS
-    split = (algebra._scalar_arity(n, algebra._VECTOR_CHUNK_CELLS), ("meet", "join"))
+    assert n == 65 and n ** 3 > algebra._FIBRE_CELLS
+    split = (algebra._scalar_arity(n, algebra._FIBRE_CELLS), ("meet", "join"))
     algebra._plan.cache_clear()
     with mock.patch.object(algebra, "_vector_plan", wraps=algebra._vector_plan) as planner:
         first = _check_equations(alg, DBA23.equations)
-        plan = algebra._plan(DBA23.equations, algebra._scalar_arity(n), split)
+        plan = algebra._plan(DBA23.equations, 0, split)  # past _NEST_MAX_N
         assert planner.call_count == len(plan.vector) > 0
         assert {tuple(sorted(set(bound.values()))) for _, bound, _, _ in plan.vector} >= {
             ("meet",), ("join",)}

@@ -454,9 +454,9 @@ def test_chunked_equation_check_on_a_large_pair_algebra():
     alg = pa.algebra
     assert alg.n == 128
     assert passes(alg, "DBA23")
-    meet = [list(r) for r in alg._rows_m]
+    meet = [list(r) for r in alg._tuples()[0]]
     meet[alg.n - 1][0] = (meet[alg.n - 1][0] + 1) % alg.n
-    broken = FiniteAlgebra(alg.names, meet, alg._rows_j, alg._lneg, alg._lopp,
+    broken = FiniteAlgebra(alg.names, meet, alg._tuples()[1], alg._tuples()[2], alg._tuples()[3],
                            alg.top, alg.bot)
     verdict = satisfies_equation(broken, DBA23.equation("2a"))
     assert not verdict.holds

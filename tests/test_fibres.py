@@ -1,12 +1,13 @@
 """Square-fibre ranges in the numpy equation checker, against full ranges.
 
-A numpy batch that does not fit one chunk ranges each variable whose every
-occurrence is an operand of & or ~ (of | or !) over the least element of
-each fibre of x -> x&x (of x -> x|x), when the tables cannot tell an
+A numpy batch past ``algebra._FIBRE_CELLS`` ranges each variable whose
+every occurrence is an operand of & or ~ (of | or !) over the least element
+of each fibre of x -> x&x (of x -> x|x), when the tables cannot tell an
 element from its square (``algebra._fibres``).  The reference is the same
 check with ``_fibres`` patched to find no side, so that every variable
-ranges over every element.  3-variable batches stop fitting one chunk at
-n = 65, so the algebras here sit on both sides of it.
+ranges over every element.  3-variable batches pass the cut at n = 33 and
+stop fitting one chunk at n = 65, so the algebras here sit on both sides of
+each.
 """
 
 import random
@@ -101,17 +102,22 @@ def with_cell(alg, which, index, value):
                          alg.top, alg.bot)
 
 
-@pytest.mark.parametrize("p, q", [(6, 0), (6, 1)])
+@pytest.mark.parametrize("p, q, counts", [
+    (5, 0, set()),  # 32 elements: every batch is within the cut, nothing is reduced
+    (5, 1, {32, 2}),  # 33: the 3-variable batches range over 32 meet and 2 join fibres
+    (6, 0, {1}),  # 64: within one chunk, over the one join fibre
+    (6, 1, {64, 2}),  # 65: past one chunk
+])
 @pytest.mark.parametrize("seed", range(3))
-def test_perturbed_glued_sums_on_both_sides_of_the_chunk(p, q, seed):
-    # 64 elements: every batch fits one chunk, nothing is reduced; 65: the
-    # 3-variable batches range over 64 meet and 2 join fibres
+def test_perturbed_glued_sums_on_both_sides_of_the_cut(p, q, counts, seed):
+    assert 32 ** 3 <= algebra._FIBRE_CELLS < 33 ** 3
+    assert 64 ** 3 <= algebra._VECTOR_CHUNK_CELLS < 65 ** 3
     alg = block_perturbed(glued(p, q), seed)
     assert alg.n == 2 ** p + 2 ** q - 1
     assert set(algebra._fibres(alg)) == ({"join"} if q == 0 else {"meet", "join"})
     fired, failing = assert_same_verdicts(alg)
     assert failing > 0
-    assert {count for _, count in fired} == (set() if alg.n == 64 else {64, 2})
+    assert {count for _, count in fired} == counts
 
 
 @pytest.mark.parametrize("n", sorted(CONTEXTS))

@@ -2,10 +2,12 @@
 
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dbakit import fileformats
 from dbakit.algebra import FiniteAlgebra
 from dbakit.errors import ParseError
 from dbakit.fca import (
@@ -37,8 +39,8 @@ def test_parse_two_element_file():
     alg = parse_algebra(TWO_ELEMENT)
     b = alg.index("b")
     a = alg.index("a")
-    assert alg._rows_m[b][b] == b
-    assert alg._lneg[b] == a
+    assert alg._tuples()[0][b][b] == b
+    assert alg._tuples()[2][b] == a
     assert alg.top == b and alg.bot == a
 
 
@@ -403,7 +405,7 @@ bot: a
 """
 
 
-@pytest.mark.parametrize("old, new, error", [
+REPEATED_ROW_CASES = [
     # an unknown name in a row that repeats later: the first occurrence fails
     ("a b b\na b c\njoin", "a zz c\na zz c\njoin",
      "unknown element name 'zz' (line 4, column 1)"),
@@ -418,7 +420,10 @@ bot: a
     ("a b b\na b c\njoin", "a a a\na b\njoin",
      "meet row has 2 entries, expected 3 (line 5, column 1)"),
     ("b b c\nc c c", "a b\na b", "join row has 2 entries, expected 3 (line 8, column 1)"),
-])
+]
+
+
+@pytest.mark.parametrize("old, new, error", REPEATED_ROW_CASES)
 def test_repeated_rows_keep_the_first_parse_error(old, new, error):
     text = THREE.replace(old, new)
     assert text != THREE
@@ -426,3 +431,46 @@ def test_repeated_rows_keep_the_first_parse_error(old, new, error):
         parse_algebra(text)
     assert str(err.value) == error
     assert _parse_outcome(per_cell_parse_algebra, text) == error
+
+
+# --- blocks of rows and the loop forms they replaced ---------------------------
+
+@pytest.mark.parametrize("cells", [1, 4, 6, 1 << 12])
+def test_the_first_parse_error_does_not_depend_on_the_block_size(cells):
+    # THREE's rows are 3 cells: one row per block, then one, then two
+    with mock.patch.object(fileformats, "_BLOCK_CELLS", cells):
+        for old, new, error in REPEATED_ROW_CASES:
+            with pytest.raises(ParseError) as err:
+                parse_algebra(THREE.replace(old, new))
+            assert str(err.value) == error
+        for text in EMITTED[:4] + EMITTED[-4:]:
+            assert _parse_outcome(parse_algebra, text) == _parse_outcome(
+                per_cell_parse_algebra, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated({"algebra": _SEEDS["algebra"] + EMITTED[:8]}), st.sampled_from([1, 5, 16]))
+def test_parse_matches_the_per_cell_parser_in_small_blocks(case, cells):
+    _, text = case
+    with mock.patch.object(fileformats, "_BLOCK_CELLS", cells):
+        assert _parse_outcome(parse_algebra, text) == _parse_outcome(
+            per_cell_parse_algebra, text)
+
+
+def per_row_render_algebra(alg):
+    """Reference: the .dba renderer over the row tuples, one row at a time."""
+    nm = alg.names
+    out = ["elements: " + " ".join(nm)]
+    for key, rows in (("meet", alg._tuples()[0]), ("join", alg._tuples()[1])):
+        out += [f"{key}:", *(" ".join(nm[v] for v in row) for row in rows)]
+    out.append("neg: " + " ".join(nm[v] for v in alg._tuples()[2]))
+    out.append("opp: " + " ".join(nm[v] for v in alg._tuples()[3]))
+    out += [f"top: {nm[alg.top]}", f"bot: {nm[alg.bot]}"]
+    return "\n".join(out) + "\n"
+
+
+def test_render_matches_the_per_row_renderer():
+    algs = [alg for _, alg in builtin_fixtures()] + [parse_algebra(t) for t in EMITTED]
+    for alg in algs:
+        text = render_algebra(alg.renamed(alg.names))
+        assert text == per_row_render_algebra(alg)

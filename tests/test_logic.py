@@ -380,9 +380,9 @@ def test_top_below_its_square_fails_on_chain():
     assert not is_true_in(alg, g, "L")
     # oracle: evaluate the two defining equations of the order directly
     top = alg.top
-    sq = alg._rows_m[top][top]
-    first = alg._rows_m[top][sq] == alg._rows_m[top][top]
-    second = alg._rows_j[top][sq] == alg._rows_j[sq][sq]
+    sq = alg._tuples()[0][top][top]
+    first = alg._tuples()[0][top][sq] == alg._tuples()[0][top][top]
+    second = alg._tuples()[1][top][sq] == alg._tuples()[1][sq][sq]
     assert first and not second
 
 

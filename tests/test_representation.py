@@ -121,12 +121,12 @@ def enumerate_primary_dfs(alg: FiniteAlgebra, kind: str) -> list:
     rel = quasi_order(alg).rel
     n = alg.n
     if kind == "filter":
-        op = alg._rows_m
-        comp = alg._lneg
+        op = alg._tuples()[0]
+        comp = alg._tuples()[2]
         forced = [tuple(z for z in range(n) if rel[x, z]) for x in range(n)]
     else:
-        op = alg._rows_j
-        comp = alg._lopp
+        op = alg._tuples()[1]
+        comp = alg._tuples()[3]
         forced = [tuple(z for z in range(n) if rel[z, x]) for x in range(n)]
 
     found = []
@@ -196,12 +196,12 @@ def enumerate_primary_dfs(alg: FiniteAlgebra, kind: str) -> list:
 def _permuted(alg: FiniteAlgebra, perm) -> FiniteAlgebra:
     """alg with element x moved to index perm[x] (names move along)."""
     inv = sorted(range(alg.n), key=perm.__getitem__)
-    m, j = alg._rows_m, alg._rows_j
+    m, j = alg._tuples()[0], alg._tuples()[1]
     return FiniteAlgebra(
         [alg.names[x] for x in inv],
         [[perm[m[x][y]] for y in inv] for x in inv],
         [[perm[j[x][y]] for y in inv] for x in inv],
-        [perm[alg._lneg[x]] for x in inv], [perm[alg._lopp[x]] for x in inv],
+        [perm[alg._tuples()[2][x]] for x in inv], [perm[alg._tuples()[3][x]] for x in inv],
         perm[alg.top], perm[alg.bot])
 
 
@@ -581,7 +581,7 @@ def test_every_verifier_fails_on_a_replaced_mask():
 def is_homomorphism_loop(alg, f, meet, join, neg, opp, top, bot):
     """Reference: ``_is_homomorphism`` as it was, with the operations as
     callables on the values of f."""
-    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
+    m, j, g, o = alg._tuples()
     rng = range(alg.n)
     return (
         all(f[m[x][y]] == meet(f[x], f[y]) and f[j[x][y]] == join(f[x], f[y])
@@ -628,10 +628,10 @@ def image_verdicts(alg, h, image, top=None):
     arrays = (_is_homomorphism(alg, f, image.meet[fx, fy], image.join[fx, fy], image.neg[f],
                                image.opp[f], top, image.bot),
               _is_order_embedding(alg, quasi_order(image).rel[fx, fy]))
-    m, j = image._rows_m, image._rows_j
+    m, j = image._tuples()[0], image._tuples()[1]
     rel = quasi_order(image).rel
     loops = (is_homomorphism_loop(alg, h, lambda u, v: m[u][v], lambda u, v: j[u][v],
-                                  image._lneg.__getitem__, image._lopp.__getitem__,
+                                  image._tuples()[2].__getitem__, image._tuples()[3].__getitem__,
                                   top, image.bot),
              is_order_embedding_loop(alg, lambda x, y: bool(rel[h[x], h[y]])))
     return arrays, loops
@@ -675,7 +675,7 @@ def derivation_identities_by_derive(rep) -> list[str]:
     alg = rep.algebra
     ctx = rep.std.context
     n = alg.n
-    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
+    m, j, g, o = alg._tuples()
     F, I = rep.f_masks, rep.i_masks
     full_f = ctx.full_objects
     full_i = ctx.full_attributes
@@ -721,7 +721,7 @@ def pair_embedding_by_derive(rep) -> dict:
     alg = rep.algebra
     ctx = rep.std.context
     n = alg.n
-    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
+    m, j, g, o = alg._tuples()
     F, I = rep.f_masks, rep.i_masks
 
     def is_proto(a, b):
@@ -900,7 +900,7 @@ def representation_by_representatives(alg: FiniteAlgebra):
     pair_index = {p: k for k, p in enumerate(pairs)}
     h = tuple(pair_index[pair_of(x)] for x in range(n))
 
-    m, j, g, o = alg._rows_m, alg._rows_j, alg._lneg, alg._lopp
+    m, j, g, o = alg._tuples()
     mm = lambda x: m[x][x]
     jj = lambda x: j[x][x]
 
@@ -969,7 +969,7 @@ def representation_by_representatives(alg: FiniteAlgebra):
     res.image_is_dba = passes(image, "DBA23")
     res.parts_boolean = passes(cap_alg, "BOOLEAN") and passes(cup_alg, "BOOLEAN")
 
-    im, ij, ig, io = image._rows_m, image._rows_j, image._lneg, image._lopp
+    im, ij, ig, io = image._tuples()
     res.homomorphism = (
         all(h[m[x][y]] == im[h[x]][h[y]] and h[j[x][y]] == ij[h[x]][h[y]]
             for x in range(n) for y in range(n))
@@ -996,10 +996,10 @@ def _maps_part_onto(part, e_map, r_map, ref_part, ref_e_map, ref_r_map):
     phi = [ref_e_map.index(k) for k in e_map]
     assert sorted(phi) == list(range(ref_part.n))
     rng = range(part.n)
-    assert all(phi[part._rows_m[x][y]] == ref_part._rows_m[phi[x]][phi[y]]
-               and phi[part._rows_j[x][y]] == ref_part._rows_j[phi[x]][phi[y]]
+    assert all(phi[part._tuples()[0][x][y]] == ref_part._tuples()[0][phi[x]][phi[y]]
+               and phi[part._tuples()[1][x][y]] == ref_part._tuples()[1][phi[x]][phi[y]]
                for x in rng for y in rng)
-    assert all(phi[part._lneg[x]] == ref_part._lneg[phi[x]] for x in rng)
+    assert all(phi[part._tuples()[2][x]] == ref_part._tuples()[2][phi[x]] for x in rng)
     assert (phi[part.top], phi[part.bot]) == (ref_part.top, ref_part.bot)
     assert [phi[v] for v in r_map] == list(ref_r_map)
     return phi != list(rng)
@@ -1058,10 +1058,10 @@ def _one_meet_entry_changed(image):
     n = image.n
     for x in range(n):
         for y in range(n):
-            meet = [list(row) for row in image._rows_m]
+            meet = [list(row) for row in image._tuples()[0]]
             meet[x][y] = (meet[x][y] + 1) % n
-            yield FiniteAlgebra(image.names, meet, image._rows_j, image._lneg,
-                                image._lopp, image.top, image.bot)
+            yield FiniteAlgebra(image.names, meet, image._tuples()[1], image._tuples()[2],
+                                image._tuples()[3], image.top, image.bot)
 
 
 def test_every_recorded_verdict_fails_on_a_broken_construction(monkeypatch):

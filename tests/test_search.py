@@ -321,7 +321,7 @@ def test_size2_search_finds_noncontextual_dbas():
                      if not classify(alg).is_contextual]
     assert len(noncontextual) == 2
     for alg in noncontextual:
-        assert len(set(map(tuple, alg._rows_m))) == 1  # constant tables
+        assert len(set(map(tuple, alg._tuples()[0]))) == 1  # constant tables
         assert alg.top == alg.bot
 
 
