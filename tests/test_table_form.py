@@ -184,10 +184,13 @@ def test_transitivity_matches_the_matmul_on_random_relations(n):
 
 
 def test_transitivity_matches_the_matmul_on_the_corpus():
-    assert {alg.n >= algebra._PACKED_MIN_N for alg in CORPUS} == {True, False}
-    for alg in CORPUS:
-        rel = quasi_order(alg).rel
-        assert quasi_order(alg).transitive == matmul_transitive(rel)
+    contexts = [protoconcept_algebra(ctx).algebra for g, m in product((1, 2, 3), repeat=2)
+                for ctx in all_contexts(g, m)]
+    algs = CORPUS + contexts
+    assert {alg.n >= algebra._PACKED_MIN_N for alg in algs} == {True, False}
+    for alg in algs:
+        order = quasi_order(alg)
+        assert order.transitive == matmul_transitive(order.rel)
 
 
 def test_fibre_least_elements_match_np_unique():
