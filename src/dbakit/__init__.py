@@ -45,7 +45,9 @@ from .representation import (
     verify_derivation_identities, verify_pair_embedding,
     verify_translated_continuity,
 )
-from .search import SearchSpec, SearchSummary, candidate_count, enumerate_algebras, naive_sweep
+from .search import (
+    SearchSpec, SearchSummary, candidate_count, enumerate_algebras, iter_algebras, naive_sweep,
+)
 from .suites import BOOLEAN, CATALOG, DBA23, DCORE13, GDCORE11, get_suite
 from .terms import AxiomSuite, Equation, Term, parse_term, render, variables
 

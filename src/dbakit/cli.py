@@ -31,16 +31,16 @@ from .representation import (
     representation, verify_clopen_characterization, verify_clopen_sets,
     verify_derivation_identities, verify_pair_embedding, verify_translated_continuity,
 )
-from .search import SearchSpec, enumerate_algebras
+from .search import SearchSpec, enumerate_algebras, iter_algebras
 
 DEFAULT_SEARCH_SIZE = 3
 DEFAULT_PROOF_DEPTH = 8
 # ``--models contexts:GxM`` builds the context algebras up to GxM as they
 # are read, up to all of them: 3x3 gives 682, 3x4 5,050 and 4x4 74,954.
 MAX_MODEL_CONTEXTS = 4096
-# ``--models search:N`` enumerates every DBA23 model of size N and refutes
-# over all of them.  On a 2-core Intel Xeon (Python 3.11) size 4 takes
-# 0.4 s, size 5 (3,845 models) 23 s; size 9 ran for over 5 minutes.
+# ``--models search:N`` reads the DBA23 models of size N as the refuter needs
+# them, but a goal with no countermodel reads all of them.  On a 2-core Intel
+# Xeon (Python 3.11) size 4 takes 0.7 s, size 5 (3,845 models) 20-26 s.
 MAX_MODEL_SEARCH_SIZE = 5
 # ``prove`` without a proof costs about 4.5x more per +4 ``--depth``.  On a
 # 2-core Intel Xeon (Python 3.11) ``x => y`` takes 1.4 s at depth 12, 5.8 s at
@@ -322,8 +322,8 @@ def _model_source(spec: str):
         if size > MAX_MODEL_SEARCH_SIZE:
             raise BudgetError(f"--models {spec} searches models of size {size}, "
                               f"more than the limit of {MAX_MODEL_SEARCH_SIZE}")
-        summary = enumerate_algebras(SearchSpec(size=size, require="DBA23"))
-        return [(f"model-{i}", alg) for i, alg in enumerate(summary.found)]
+        models = iter_algebras(SearchSpec(size=size, require="DBA23"))
+        return ((f"model-{i}", alg) for i, alg in enumerate(models))
     raise _Usage(f"unknown model source {spec!r}")
 
 

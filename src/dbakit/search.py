@@ -7,7 +7,9 @@ through element values ascending.  An axiom of the required suite is
 evaluated on a ground instance as soon as the last table entry it needs is
 filled; a violation prunes the whole subtree.  This keeps the search
 reproducible across runs and platforms, and sound with respect to the naive
-sweep (which is also provided, as an oracle).
+sweep (which is also provided, as an oracle).  The search is one generator
+over an explicit stack of open slots: ``iter_algebras`` yields its models
+lazily, in this order, and ``enumerate_algebras`` collects them.
 
 Ground instances are watched, as in SEM (Zhang & Zhang, IJCAI 1995) and
 Mace4 (McCune, 2003): an unfilled slot holds a marker (see ``_Partial``), so
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, starmap
 
 import numpy as np
 
@@ -49,9 +51,11 @@ from .errors import BudgetError, EvalError, SuiteError
 from .suites import get_suite
 from .terms import MAX_DEPTH, TABLE_NAMES, Const, Neg, Opp, Var, source
 
-# The depth-first step recurses once per slot, and size n has 2 + 2n + 2n**2
-# slots.  Size 16 (546 slots) leaves about 400 of CPython's default 1,000
-# frames to the caller; size 22 (1,014 slots) overflows even from the CLI.
+# Size n has 2 + 2n + 2n**2 slots, and the partial tables give each slot
+# marker a row and a column: (n + 2 + 2n + 2n**2)**2 cells per binary table,
+# growing as n**4.  On a 2-core Intel Xeon (Python 3.11) the first DBA23
+# model takes 0.05 s and 37 MB peak RSS at size 16, 0.5 s and 127 MB at 32,
+# 1.0 s and 251 MB at 40.
 MAX_SEARCH_SIZE = 16
 
 
@@ -59,7 +63,7 @@ MAX_SEARCH_SIZE = 16
 class SearchSpec:
     """What to enumerate: universe size, a suite that must hold (minus the
     must_fail axioms, which must each be violated), optional pinned constants,
-    and visitor budgets."""
+    and budgets on the models and on the candidates read."""
 
     size: int
     require: str | None = None
@@ -76,7 +80,7 @@ class SearchSummary:
     models: int = 0
     complete: bool = True
     found: list = field(default_factory=list)
-    nodes: int = 0  # calls of the depth-first step, leaves and forced slots included
+    nodes: int = 0  # slots reached by the depth-first search, leaves and forced slots included
     forced: int = 0  # cells filled by propagation
 
 
@@ -191,19 +195,20 @@ def _integer(value, what) -> int:
 
 
 def _pin(value, n, what):
-    """A pinned constant as an element index, or None when unpinned."""
+    """The values of a constant's slot: the pinned element, or all of them."""
     if value is None:
-        return None
+        return range(n)
     v = _integer(value, what)
     if not 0 <= v < n:
         raise SuiteError(f"{what} must be in [0, {n}), got {v}")
-    return v
+    return (v,)
 
 
 def _checked(spec: SearchSpec):
-    """The universe size and the pinned (top, bot), each None when unpinned.
-    Raises SuiteError for a size below 1, a pin outside the universe, a
-    negative budget, or any of these that is not an integer."""
+    """The universe size and each slot's values in slot order: range(n), or
+    the pinned constant.  Raises SuiteError for a size below 1, a pin outside
+    the universe, a negative budget, or any of these that is not an
+    integer."""
     n = _integer(spec.size, "universe size")
     if n < 1:
         raise SuiteError("universe size must be >= 1")
@@ -211,38 +216,60 @@ def _checked(spec: SearchSpec):
         budget = getattr(spec, what)
         if budget is not None and _integer(budget, what) < 0:
             raise SuiteError(f"{what} must be >= 0, got {budget}")
-    return n, _pin(spec.fixed_top, n, "fixed_top"), _pin(spec.fixed_bot, n, "fixed_bot")
+    return n, ([_pin(spec.fixed_top, n, "fixed_top"), _pin(spec.fixed_bot, n, "fixed_bot")]
+               + [range(n)] * (2 * n + 2 * n * n))
 
 
-def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
-    """Depth-first enumeration with axiom pruning.
-
-    The visitor (if any) is called with each model in order; models are also
-    collected into the summary (capped by max_models).  When a budget runs
-    out the summary is flagged incomplete.  A size over ``MAX_SEARCH_SIZE``
-    is a BudgetError.
-    """
-    n, top_pin, bot_pin = _checked(spec)
-    if n > MAX_SEARCH_SIZE:
-        raise BudgetError(f"universe size {n} is over the search limit of {MAX_SEARCH_SIZE}")
+def _wants(spec: SearchSpec):
+    """Each equation of the required suite with the verdict that a model
+    gives it: False for a must_fail axiom.  Raises SuiteError for a
+    must_fail axiom outside the suite."""
     require = get_suite(spec.require).equations if spec.require else ()
     must_fail = set(spec.must_fail)
-    prunable = [e for e in require if e.id not in must_fail]
-    fail_eqs = [e for e in require if e.id in must_fail]
-    if must_fail and len(fail_eqs) != len(must_fail):
-        missing = must_fail - {e.id for e in fail_eqs}
+    missing = must_fail - {e.id for e in require}
+    if missing:
         raise SuiteError(f"must_fail axioms not in the required suite: {sorted(missing)}")
+    return [(e, e.id not in must_fail) for e in require]
 
+
+def _models(spec: SearchSpec, candidates, checks, summary: SearchSummary):
+    """The candidates on which each (equation, verdict) check holds, in
+    order.  Every candidate read is counted in summary; when a budget runs
+    out the stream ends and summary is flagged incomplete."""
+    for alg in candidates:
+        if spec.max_candidates is not None and summary.candidates >= spec.max_candidates:
+            break
+        summary.candidates += 1
+        if any(satisfies_equation(alg, eqn).holds != want for eqn, want in checks):
+            continue
+        if spec.max_models == 0:  # a positive budget stops the stream below, once spent
+            break
+        summary.models += 1
+        yield alg
+        if spec.max_models is not None and summary.models >= spec.max_models:
+            break
+    else:
+        return
+    summary.complete = False
+
+
+def _collect(models, summary: SearchSummary, visitor) -> SearchSummary:
+    for alg in models:
+        if visitor is not None:
+            visitor(alg)
+        summary.found.append(alg)
+    return summary
+
+
+def _leaves(n, values, instances, summary: SearchSummary):
+    """Every assignment of the slots, in search order, that no instance
+    violates, as an algebra; the node and forced-cell counts are stored in
+    summary at each one and at the end."""
     partial = _Partial(n)
     cells = partial.cells
     nslots = len(cells)
     m, j, g, o, const = partial.meet, partial.join, partial.neg, partial.opp, partial.const
     watch = [[] for _ in range(n + nslots)]  # watch[n + k]: instances parked on slot k
-    values = [range(n)] * nslots
-    if top_pin is not None:
-        values[0] = (top_pin,)
-    if bot_pin is not None:
-        values[1] = (bot_pin,)
     nodes = forced = 0
 
     def park(instances, moved, trail):
@@ -287,114 +314,84 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
             cell, i = cells[k]
             cell[i] = n + k
 
+    stack = []  # per open slot: [cell, index, parked, slot, values untried, moved, trail]
+    depth = 0
+    searching = park(instances, [], [])
+    while searching:
+        nodes += 1  # slot depth is reached, every slot before it filled
+        if depth == nslots:
+            summary.nodes, summary.forced = nodes, forced
+            yield partial.to_algebra()
+        else:
+            cell, i = cells[depth]
+            if cell[i] < n:  # forced: passed through without branching
+                depth += 1
+                continue
+            stack.append([cell, i, watch[n + depth], depth, iter(values[depth]), (), ()])
+        # the next value of the innermost open slot that its parked instances
+        # admit; a slot whose values are spent is unfilled and closed
+        searching = False
+        while stack and not searching:
+            cell, i, parked, k, untried, moved, trail = frame = stack[-1]
+            undo(moved, trail)
+            for v in untried:
+                cell[i] = v
+                moved, trail = [], []  # undone before the next value
+                if park(parked, moved, trail):
+                    frame[5] = moved
+                    frame[6] = trail
+                    depth, searching = k + 1, True
+                    break
+                undo(moved, trail)
+            else:
+                cell[i] = n + k
+                stack.pop()
+    summary.nodes, summary.forced = nodes, forced
+
+
+def _search(spec: SearchSpec, summary: SearchSummary):
+    n, values = _checked(spec)
+    if n > MAX_SEARCH_SIZE:
+        raise BudgetError(f"universe size {n} is over the search limit of {MAX_SEARCH_SIZE}")
+    wants = _wants(spec)
     # ground instances of the prunable axioms: (checker, values in the
     # checker's variable order)
     instances = []
-    for eqn in prunable:
-        vs = eqn.variables()
-        check = _checker(eqn.lhs, eqn.rhs, vs)
-        instances += [(check, vals) for vals in product(range(n), repeat=len(vs))]
-    consistent = park(instances, [], [])
+    for eqn, want in wants:
+        if want:
+            vs = eqn.variables()
+            check = _checker(eqn.lhs, eqn.rhs, vs)
+            instances += [(check, vals) for vals in product(range(n), repeat=len(vs))]
+    fails = [(eqn, want) for eqn, want in wants if not want]
+    return _models(spec, _leaves(n, values, instances, summary), fails, summary)
+
+
+def iter_algebras(spec: SearchSpec):
+    """The models of spec, lazily, in search order, up to its budgets.
+
+    A size over ``MAX_SEARCH_SIZE`` is a BudgetError, and every error in
+    spec is raised here, before any model is read."""
+    return _search(spec, SearchSummary())
+
+
+def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
+    """Depth-first enumeration with axiom pruning: the models of
+    ``iter_algebras``, each passed to the visitor (if any) and collected
+    into the summary, which is flagged incomplete when a budget runs out."""
     summary = SearchSummary()
-    out_of_budget = False
-
-    def leaf():
-        nonlocal out_of_budget
-        if spec.max_candidates is not None and summary.candidates >= spec.max_candidates:
-            out_of_budget = True
-            return
-        summary.candidates += 1
-        alg = partial.to_algebra()
-        for eqn in fail_eqs:
-            if satisfies_equation(alg, eqn).holds:
-                return
-        if spec.max_models == 0:  # a positive budget stops the search below, once spent
-            out_of_budget = True
-            return
-        summary.models += 1
-        if visitor is not None:
-            visitor(alg)
-        summary.found.append(alg)
-        if spec.max_models is not None and summary.models >= spec.max_models:
-            out_of_budget = True
-
-    def dfs(depth):
-        """Try every value of slot ``depth``, or pass through it when it was
-        forced; the slots before it are filled."""
-        nonlocal nodes
-        nodes += 1
-        if depth == nslots:
-            leaf()
-            return
-        cell, i = cells[depth]
-        if cell[i] < n:
-            dfs(depth + 1)
-            return
-        parked = watch[n + depth]
-        for v in values[depth]:
-            cell[i] = v
-            moved, trail = [], []  # undone before the next value
-            if park(parked, moved, trail):
-                dfs(depth + 1)
-            undo(moved, trail)
-            if out_of_budget:
-                break
-        cell[i] = n + depth
-
-    try:
-        if consistent:
-            dfs(0)
-    finally:
-        del dfs  # a recursive closure is a reference cycle holding the search state
-    summary.complete = not out_of_budget
-    summary.nodes, summary.forced = nodes, forced
-    return summary
+    return _collect(_search(spec, summary), summary, visitor)
 
 
 def naive_sweep(spec: SearchSpec, visitor=None) -> SearchSummary:
     """Unpruned oracle: visit every complete candidate and test the suites on
     the finished algebra.  Intended for size <= 2."""
-    n, top_pin, bot_pin = _checked(spec)
-    require = get_suite(spec.require).equations if spec.require else ()
-    must_fail = set(spec.must_fail)
-    summary = SearchSummary()
-    tops = range(n) if top_pin is None else (top_pin,)
-    bots = range(n) if bot_pin is None else (bot_pin,)
-    cells = n * n
+    n, values = _checked(spec)
     names = [f"e{i}" for i in range(n)]
-    for top in tops:
-        for bot in bots:
-            for neg in product(range(n), repeat=n):
-                for opp in product(range(n), repeat=n):
-                    for meet_flat in product(range(n), repeat=cells):
-                        meet = [list(meet_flat[i * n:(i + 1) * n]) for i in range(n)]
-                        for join_flat in product(range(n), repeat=cells):
-                            if spec.max_candidates is not None and \
-                                    summary.candidates >= spec.max_candidates:
-                                summary.complete = False
-                                return summary
-                            summary.candidates += 1
-                            join = [list(join_flat[i * n:(i + 1) * n]) for i in range(n)]
-                            alg = FiniteAlgebra(names, meet, join, neg, opp, top, bot)
-                            ok = True
-                            for eqn in require:
-                                holds = satisfies_equation(alg, eqn).holds
-                                if eqn.id in must_fail:
-                                    ok = not holds
-                                else:
-                                    ok = holds
-                                if not ok:
-                                    break
-                            if ok:
-                                if spec.max_models == 0:
-                                    summary.complete = False
-                                    return summary
-                                summary.models += 1
-                                if visitor is not None:
-                                    visitor(alg)
-                                summary.found.append(alg)
-                                if spec.max_models is not None and \
-                                        summary.models >= spec.max_models:
-                                    summary.complete = False
-                                    return summary
-    return summary
+
+    def algebra(top, bot, *t):  # t: neg, opp, then the meet and join rows
+        rows = [t[k:k + n] for k in range(2 * n, len(t), n)]
+        return FiniteAlgebra(names, rows[:n], rows[n:], t[:n], t[n:2 * n], top, bot)
+
+    summary = SearchSummary()
+    candidates = starmap(algebra, product(*values))
+    return _collect(_models(spec, candidates, _wants(spec), summary), summary, visitor)

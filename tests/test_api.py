@@ -18,7 +18,7 @@ def test_top_level_exports():
         "project_meet", "project_join", "extract_boolean_part",
         "check_identity_catalog", "parse_term", "render", "parse_algebra",
         "render_algebra", "parse_context", "render_context", "enumerate_algebras",
-        "naive_sweep", "builtin_fixtures", "derive", "modal", "enumerate_pairs",
+        "iter_algebras", "naive_sweep", "builtin_fixtures", "derive", "modal", "enumerate_pairs",
         "protoconcept_algebra", "oo_protoconcept_algebra", "complement_context",
         "build_from_boolean_pair", "check_theorem_conditions", "glued_sum",
         "generalized_glued_sum", "powerset_boolean", "is_filter", "is_ideal",

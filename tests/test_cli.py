@@ -4,13 +4,12 @@ import contextlib
 import io
 import random
 import time
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbakit import cli, logic
+from dbakit import cli, logic, search
 from dbakit.cli import (
     MAX_EMIT_PAIRS, MAX_MODEL_CONTEXTS, MAX_MODEL_SEARCH_SIZE, MAX_PROOF_DEPTH, main,
 )
@@ -431,7 +430,7 @@ def test_search_past_the_size_limit_is_exit_3(files, capsys):
 @pytest.mark.parametrize("size", [MAX_MODEL_SEARCH_SIZE + 1, 9, MAX_SEARCH_SIZE + 1])
 def test_refute_search_past_its_model_limit_is_exit_3(files, capsys, monkeypatch, size):
     # the size is checked before any search: size 9 used to run for minutes
-    monkeypatch.setattr(cli, "enumerate_algebras", None)
+    monkeypatch.setattr(cli, "iter_algebras", None)
     code, out = run(capsys, "refute", "x => y", "--models", f"search:{size}")
     assert code == 3
     assert out == (f"budget exceeded: --models search:{size} searches models of size "
@@ -440,10 +439,36 @@ def test_refute_search_past_its_model_limit_is_exit_3(files, capsys, monkeypatch
 
 def test_refute_search_at_its_model_limit_is_accepted(monkeypatch):
     sizes = []
-    monkeypatch.setattr(cli, "enumerate_algebras",
-                        lambda spec: sizes.append(spec.size) or SimpleNamespace(found=[]))
-    assert cli._model_source(f"search:{MAX_MODEL_SEARCH_SIZE}") == []
+    monkeypatch.setattr(cli, "iter_algebras", lambda spec: sizes.append(spec.size) or iter(()))
+    assert list(cli._model_source(f"search:{MAX_MODEL_SEARCH_SIZE}")) == []
     assert sizes == [MAX_MODEL_SEARCH_SIZE]
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_refute_search_of_no_elements_is_a_usage_error(capsys, monkeypatch, size):
+    # the spec is checked when the stream is made, before any search
+    def never(n):
+        raise AssertionError("the partial tables were built")
+
+    monkeypatch.setattr(search, "_Partial", never)
+    code, out = run(capsys, "refute", "x => y", "--models", f"search:{size}")
+    assert (code, out) == (2, "error: universe size must be >= 1\n")
+
+
+def test_refute_search_reads_the_models_lazily(capsys, monkeypatch):
+    # model-23 is in the first block of 64 models, so the search stops there
+    read = []
+
+    def counted(spec):
+        for alg in search.iter_algebras(spec):
+            read.append(alg)
+            yield alg
+
+    monkeypatch.setattr(cli, "iter_algebras", counted)
+    code, out = run(capsys, "refute", "x => x & y", "--models", f"search:{MAX_MODEL_SEARCH_SIZE}")
+    assert code == 0
+    assert "model: model-23\n" in out
+    assert len(read) == logic._BLOCK == 64
 
 
 def test_search_reproduces_independence(files, capsys):

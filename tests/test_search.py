@@ -10,7 +10,8 @@ bounds the search's node count from above.
 import gc
 import hashlib
 import re
-from itertools import product
+import types
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from dbakit.errors import BudgetError, EvalError, SuiteError
 from dbakit.fixtures import builtin_fixtures, get_fixture
 from dbakit.search import (
     MAX_SEARCH_SIZE, SearchSpec, SearchSummary, _checker, _slots, candidate_count,
-    enumerate_algebras, naive_sweep,
+    enumerate_algebras, iter_algebras, naive_sweep,
 )
 from dbakit.suites import DBA23, DCORE13, SUITES, get_suite
 from dbakit.terms import MAX_DEPTH, AxiomSuite, Equation, Neg, Var, eq, source
@@ -260,7 +261,7 @@ def test_a_size_past_the_limit_is_a_budget_error(monkeypatch):
 
 
 def test_a_search_at_the_size_limit_runs():
-    # the depth-first step recurses once per slot, under pytest's own frames
+    # the partial tables of size 16 hold 562**2 cells each; a first model is quick
     assert MAX_SEARCH_SIZE >= 8
     summary = enumerate_algebras(SearchSpec(size=MAX_SEARCH_SIZE, require="DBA23", max_models=1))
     assert summary.models == 1
@@ -269,6 +270,28 @@ def test_a_search_at_the_size_limit_runs():
     # the algebra whose operations all return 0
     assert model.top == model.bot == 0
     assert not any(table.any() for table in (model.meet, model.join, model.neg, model.opp))
+
+
+@pytest.mark.parametrize("spec, error", [
+    (SearchSpec(size=0), SuiteError), (SearchSpec(size=3, fixed_bot=3), SuiteError),
+    (SearchSpec(size=2, max_candidates=-1), SuiteError),
+    (SearchSpec(size=2, require="nope"), SuiteError),
+    (SearchSpec(size=2, require="DCORE13", must_fail=("99z",)), SuiteError),
+    (SearchSpec(size=MAX_SEARCH_SIZE + 1), BudgetError)], ids=repr)
+def test_the_stream_raises_when_it_is_made(monkeypatch, spec, error):
+    def never(n):
+        raise AssertionError("the partial tables were built")
+
+    monkeypatch.setattr(search, "_Partial", never)
+    with pytest.raises(error):
+        iter_algebras(spec)
+
+
+def test_the_stream_keeps_the_budgets():
+    assert len(list(iter_algebras(SearchSpec(size=3, require="DBA23", max_models=2)))) == 2
+    assert list(iter_algebras(SearchSpec(size=2, require="DBA23", max_models=0))) == []
+    # with nothing required, every candidate is a model
+    assert len(list(iter_algebras(SearchSpec(size=2, max_candidates=7)))) == 7
 
 
 def test_visitor_sees_models_in_order():
@@ -333,16 +356,26 @@ def test_complete_size3_dba_and_dcore_searches_agree():
     assert [x.signature() for x in a.found] == [x.signature() for x in b.found]
 
 
-def test_search_leaves_no_cyclic_garbage():
+def _of_search(o):
+    """Whether o is a function or generator whose code is in dbakit.search."""
+    if isinstance(o, types.FunctionType):
+        return o.__code__.co_filename == search.__file__
+    return isinstance(o, types.GeneratorType) and o.gi_code.co_filename == search.__file__
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec: enumerate_algebras(spec).models,
+    lambda spec: len(list(islice(iter_algebras(spec), 1))),  # abandoned after one model
+], ids=["collected", "abandoned"])
+def test_search_leaves_no_cyclic_garbage(run):
     # the search state must be freed on return, not at the next full collection
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        assert enumerate_algebras(SearchSpec(size=2, require="DBA23")).models > 0
+        assert run(SearchSpec(size=2, require="DBA23")) > 0
         gc.collect()
-        left = [o for o in gc.garbage
-                if getattr(o, "__qualname__", "").startswith("enumerate_algebras.<locals>")]
+        left = [o for o in gc.garbage if _of_search(o)]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
@@ -381,6 +414,7 @@ def test_watched_search_matches_the_rescan(spec):
     want = enumerate_algebras_rescan(spec)
     assert _outcome(summary) == _outcome(want)
     assert seen == _outcome(want)[3]  # found is never capped below models here
+    assert [alg.signature() for alg in iter_algebras(spec)] == seen
     # propagation only cuts dead subtrees earlier
     assert summary.nodes <= want.nodes
 
@@ -457,6 +491,8 @@ def test_too_deep_an_axiom_is_an_eval_error():
     for size in (1, 3):
         with pytest.raises(EvalError, match=f"deeper than {MAX_DEPTH}"):
             enumerate_algebras(SearchSpec(size=size, require=suite))
+        with pytest.raises(EvalError, match=f"deeper than {MAX_DEPTH}"):
+            iter_algebras(SearchSpec(size=size, require=suite))
 
 
 def test_each_equation_is_compiled_once_for_every_size():
@@ -475,6 +511,7 @@ def test_complete_size4_dcore_models_equal_the_dba_models():
     assert summary.complete
     assert summary.models == summary.candidates == 352
     assert _digest(summary) == SIZE4_DBA23_DIGEST
+    assert (summary.nodes, summary.forced) == (83_350, 170_852)  # see test_labelled_census
 
 
 @pytest.mark.slow
@@ -533,13 +570,16 @@ def test_negative_budgets_are_rejected(engine, budget, value):
 
 # --- census -------------------------------------------------------------------
 
-@pytest.mark.parametrize("size, suite, models", [
-    (2, "DBA23", 8), (2, "GDCORE11", 14), (3, "DBA23", 45), (3, "GDCORE11", 315)])
-def test_labelled_census(size, suite, models):
+@pytest.mark.parametrize("size, suite, models, nodes, forced", [
+    (2, "DBA23", 8, 97, 65), (2, "GDCORE11", 14, 164, 74), (3, "DBA23", 45, 1_129, 1_308),
+    (3, "GDCORE11", 315, 10_113, 6_389)])
+def test_labelled_census(size, suite, models, nodes, forced):
     summary = enumerate_algebras(SearchSpec(size=size, require=suite))
     assert summary.complete
     assert summary.models == models == len(summary.found)
     assert all(passes(alg, suite) for alg in summary.found)
+    # the rescan only bounds the node count; this pins the traversal
+    assert (summary.nodes, summary.forced) == (nodes, forced)
 
 
 # sha256 over repr(signature()) + "\n" of each model in order (the tables are
@@ -559,6 +599,7 @@ def test_complete_size4_dba_census_matches_the_recorded_digest():
     assert summary.complete
     assert summary.models == summary.candidates == 352
     assert _digest(summary) == SIZE4_DBA23_DIGEST
+    assert (summary.nodes, summary.forced) == (22_884, 50_083)  # see test_labelled_census
 
 
 @pytest.mark.parametrize("engine", [enumerate_algebras, naive_sweep])
