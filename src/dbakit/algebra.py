@@ -1,8 +1,9 @@
 """Finite algebras of type (2,2,1,1,0,0) and the axiom/classification machinery.
 
 A FiniteAlgebra is immutable after construction: it copies its tables to int64
-arrays (row tuples come on a scalar read, ``_tuples``).  Every function here
-is read-only on its inputs and safe to call concurrently on shared values.
+arrays.  Only the checker's compiled nests read them as row tuples
+(``_tuples``).  Every function here is read-only on its inputs and safe to
+call concurrently on shared values.
 
 What the tables decide (suite reports, catalog verdicts, the quasi-order
 and the classification) is kept in one record per table set, shared by
@@ -60,12 +61,12 @@ class FiniteAlgebra:
         self.opp = self._table(opp, (n,), "opp map")
         self.top = self._index(top, n, "top")
         self.bot = self._index(bot, n, "bot")
-        self._rows = None  # the tables as tuples, on the first scalar read
+        self._rows = None  # the tables as tuples, on the first compiled-nest read
         self._facts = None  # the shared record of verdicts, on the first check
 
     def _tuples(self):
         """(meet, join, neg, opp) as tuples, meet and join of row tuples: fast
-        scalar reads, at one Python int a cell."""
+        scalar reads, at one Python int a cell, for the compiled nests."""
         if self._rows is None:
             self._rows = (*(tuple(map(tuple, t.tolist())) for t in (self.meet, self.join)),
                           tuple(self.neg.tolist()), tuple(self.opp.tolist()))

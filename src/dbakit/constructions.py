@@ -26,13 +26,12 @@ class BooleanView:
     meet, join, neg (as complement), bot, top; the second negation is ignored.
     Validated against the BOOLEAN suite on construction."""
 
-    __slots__ = ("alg", "_m", "_j", "_c")
+    __slots__ = ("alg",)
 
     def __init__(self, alg: FiniteAlgebra):
         if not is_boolean_algebra(alg):
             raise ConstructionError("designated operations do not satisfy the BOOLEAN suite")
         self.alg = alg
-        self._m, self._j, self._c, _ = alg._tuples()  # for scalar lookups
 
     @property
     def n(self):
@@ -43,13 +42,13 @@ class BooleanView:
         return self.alg.names
 
     def meet(self, x, y):
-        return self._m[x][y]
+        return self.alg.meet.item(x, y)
 
     def join(self, x, y):
-        return self._j[x][y]
+        return self.alg.join.item(x, y)
 
     def comp(self, x):
-        return self._c[x]
+        return self.alg.neg.item(x)
 
     @property
     def top(self):
@@ -60,7 +59,7 @@ class BooleanView:
         return self.alg.bot
 
     def leq(self, x, y):
-        return self._m[x][y] == x
+        return self.alg.meet.item(x, y) == x
 
 
 def powerset_boolean(k: int, max_atoms: int = 4) -> BooleanView:
@@ -260,24 +259,15 @@ def generalized_glued_sum(p: BooleanView, q: BooleanView, overlap: dict) -> Gene
             raise ConstructionError(f"overlap pair ({k}, {v}) out of range")
 
     size = p.n + q.n - len(overlap)
-    q_to_c = {}
-    for k, v in overlap.items():
-        q_to_c[v] = k
-    nxt = p.n
-    for j in range(q.n):
-        if j not in q_to_c:
-            q_to_c[j] = nxt
-            nxt += 1
-    c_to_q = {c: j for j, c in q_to_c.items()}
-
-    rng = range(size)
-    r = [x if x < p.n else p.top for x in rng]  # carrier -> P
-    rp = [c_to_q.get(x, q.bot) for x in rng]    # carrier -> Q
-    ep = [q_to_c[j] for j in range(q.n)]
+    shared, fresh = {v: k for k, v in overlap.items()}, iter(range(p.n, size))
+    ep = [shared[j] if j in shared else next(fresh) for j in range(q.n)]  # Q -> carrier
+    c_to_q = {c: j for j, c in enumerate(ep)}
+    r = [*range(p.n), *[p.top] * (size - p.n)]        # carrier -> P
+    rp = [c_to_q.get(x, q.bot) for x in range(size)]  # carrier -> Q
     names = list(p.names)
     used = set(names)
-    for j in range(q.n):
-        if q_to_c[j] >= p.n:
+    for j, c in enumerate(ep):
+        if c >= p.n:
             nm = q.names[j]
             while nm in used:
                 nm += "'"
@@ -286,19 +276,9 @@ def generalized_glued_sum(p: BooleanView, q: BooleanView, overlap: dict) -> Gene
     alg = build_from_boolean_pair(
         size, RetractionPair(size, p, r, range(p.n)), RetractionPair(size, q, rp, ep), names)
 
-    p_members = frozenset(range(p.n))
-    q_members = frozenset(q_to_c.values())
-    bot_q_c = q_to_c[q.bot]
-    top_p_c = p.top
     rel = np.zeros((size, size), dtype=bool)
-    for x in rng:
-        for y in rng:
-            if x in p_members and y in p_members and p.leq(x, y):
-                rel[x, y] = True
-            elif x in q_members and y in q_members and q.leq(c_to_q[x], c_to_q[y]):
-                rel[x, y] = True
-            elif x in p_members and y in q_members:
-                rel[x, y] = True
-            elif x == bot_q_c and y == top_p_c:
-                rel[x, y] = True
-    return GeneralizedSum(alg, _flagged_order(rel), p_members, q_members)
+    rel[:p.n, :p.n] = p.alg.meet == np.arange(p.n)[:, None]
+    rel[np.ix_(ep, ep)] |= q.alg.meet == np.arange(q.n)[:, None]
+    rel[:p.n, ep] = True
+    rel[ep[q.bot], p.top] = True
+    return GeneralizedSum(alg, _flagged_order(rel), frozenset(range(p.n)), frozenset(ep))

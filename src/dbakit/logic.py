@@ -471,17 +471,17 @@ def _var_sorts(h: Hypersequent) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return names, tuple(sorts[name] for name in names)
 
 
-def _var_ranges(alg: FiniteAlgebra, kinds, system: str):
-    """The value range of a variable of each sort in ``kinds``.
+def _var_range(alg: FiniteAlgebra, kind: str, system: str):
+    """The value range of a variable of sort ``kind``.
 
     HL object variables range over the meet idempotents and property variables
     over the join idempotents; everything else over the whole universe.
     """
-    sorted_ranges = {} if system != "HL" else {
-        OBJECT: sorted(classify(alg).meet_idempotents),
-        PROPERTY: sorted(classify(alg).join_idempotents)}
-    universe = range(alg.n)
-    return [sorted_ranges.get(kind, universe) for kind in kinds]
+    if system == "HL" and kind == OBJECT:
+        return sorted(classify(alg).meet_idempotents)
+    if system == "HL" and kind == PROPERTY:
+        return sorted(classify(alg).join_idempotents)
+    return range(alg.n)
 
 
 # --- the refuter ---------------------------------------------------------------
@@ -543,7 +543,7 @@ def _stack(refs: tuple, system: str) -> _Stack:
 
     ranges = {}  # sort -> ids; in L every variable is GENERIC
     for kind in (GENERIC, OBJECT, PROPERTY) if system == "HL" else (GENERIC,):
-        rows = [_var_ranges(a, (kind,), system)[0] for a in algs]
+        rows = [_var_range(a, kind, system) for a in algs]
         width = max(map(len, rows))
         ranges[kind] = (np.array([[*r, *[r[0]] * (width - len(r))] for r in rows])
                         + offset[:, None]).astype(dt)

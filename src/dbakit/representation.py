@@ -29,10 +29,7 @@ from operator import and_, or_
 
 import numpy as np
 
-from .algebra import (
-    FiniteAlgebra, classify, meet_idempotents, join_idempotents,
-    passes, quasi_order,
-)
+from .algebra import FiniteAlgebra, classify, passes, quasi_order
 from .constructions import (
     RetractionPair, build_from_boolean_pair, canonical_pairs, check_theorem_conditions,
 )
@@ -130,9 +127,10 @@ def enumerate_primary(alg: FiniteAlgebra, kind: str) -> list[FilterSet]:
         raise AlgebraError("primary filter/ideal enumeration requires a dBa")
     rel = quasi_order(alg).rel
     if kind == "filter":
-        part, up = meet_idempotents(alg), rel.tolist()
+        t, up = alg.meet, rel.tolist()
     else:  # dually: coatoms and downsets, through the converse order
-        part, up = join_idempotents(alg), rel.T.tolist()
+        t, up = alg.join, rel.T.tolist()
+    part = np.flatnonzero(t.diagonal() == np.arange(alg.n)).tolist()
     # an atom has exactly one part element strictly below it: the part's bottom
     atoms = [a for a in part if sum(up[b][a] for b in part if b != a) == 1]
     masks = sorted(_mask_of(z for z, above in enumerate(up[a]) if above) for a in atoms)
@@ -292,42 +290,34 @@ def representation(alg: FiniteAlgebra) -> RepresentationResult:
 
 # --- checkable structural claims -------------------------------------------
 
+def _masks(rep: RepresentationResult):
+    """(E, D, F, I, full_f, full_i) as arrays: the completion tables of the
+    standard context (filters -> ideals, ideals -> filters), the element
+    masks, and the full masks of both sides."""
+    ctx = rep.std.context
+    E, D = map(np.array, _completions(ctx, False))
+    F, I = np.array(rep.f_masks), np.array(rep.i_masks)
+    return E, D, F, I, ctx.full_objects, ctx.full_attributes
+
+
 def verify_derivation_identities(rep: RepresentationResult) -> list[str]:
     """The six filter/ideal mask identities; returns the failing item names."""
     alg = rep.algebra
-    ctx = rep.std.context
-    E, D = _completions(ctx, False)  # filters -> ideals, ideals -> filters
-    n = alg.n
-    m, j, g, o = alg._tuples()
-    F, I = rep.f_masks, rep.i_masks
-    full_f, full_i = ctx.full_objects, ctx.full_attributes
-    fails = []
-
-    if any(E[F[x]] != I[x] or I[x] != I[j[x][x]]
-           for x in meet_idempotents(alg)):
-        fails.append("meet-idempotent-prime")
-    if any(D[I[y]] != F[y] or F[y] != F[m[y][y]]
-           for y in join_idempotents(alg)):
-        fails.append("join-idempotent-prime")
-    for x in range(n):
-        sq = m[x][x]
-        if E[F[x]] != I[sq] or I[sq] != I[j[sq][sq]]:
-            fails.append("prime-is-meet-square")
-            break
-    for x in range(n):
-        sq = j[x][x]
-        if D[I[x]] != F[sq] or F[sq] != F[m[sq][sq]]:
-            fails.append("prime-is-join-square")
-            break
-    if any(full_f & ~F[x] != F[g[x]] or full_i & ~I[x] != I[o[x]] for x in range(n)):
-        fails.append("complement-negation")
-    if any(I[x] & I[y] != I[j[x][y]] for x in range(n) for y in range(n)) or \
-            any(I[j[x][x]] != I[x] for x in range(n)):
-        fails.append("ideal-intersection-join")
-    if any(F[x] & F[y] != F[m[x][y]] for x in range(n) for y in range(n)) or \
-            any(F[m[x][x]] != F[x] for x in range(n)):
-        fails.append("filter-intersection-meet")
-    return fails
+    E, D, F, I, full_f, full_i = _masks(rep)
+    m, j = alg.meet, alg.join
+    msq, jsq = m.diagonal(), j.diagonal()
+    EF, DI, Fm, Fj, Im, Ij = E[F], D[I], F[msq], F[jsq], I[msq], I[jsq]
+    elements = np.arange(alg.n)
+    checks = {
+        "meet-idempotent-prime": ((EF != I) | (I != Ij))[msq == elements],
+        "join-idempotent-prime": ((DI != F) | (F != Fm))[jsq == elements],
+        "prime-is-meet-square": (EF != Im) | (Im != I[jsq[msq]]),
+        "prime-is-join-square": (DI != Fj) | (Fj != F[msq[jsq]]),
+        "complement-negation": (full_f & ~F != F[alg.neg]) | (full_i & ~I != I[alg.opp]),
+        "ideal-intersection-join": (Ij != I).any() or (I[:, None] & I != I[j]).any(),
+        "filter-intersection-meet": (Fm != F).any() or (F[:, None] & F != F[m]).any(),
+    }
+    return [name for name, bad in checks.items() if np.any(bad)]
 
 
 def verify_pair_embedding(rep: RepresentationResult) -> dict:
@@ -340,10 +330,7 @@ def verify_pair_embedding(rep: RepresentationResult) -> dict:
 
 
 def _pair_embedding(rep: RepresentationResult) -> dict:
-    ctx = rep.std.context
-    E, D = map(np.array, _completions(ctx, False))
-    full_f, full_i = ctx.full_objects, ctx.full_attributes
-    F, I = np.array(rep.f_masks), np.array(rep.i_masks)
+    E, D, F, I, full_f, full_i = _masks(rep)
     proto = bool((D[E[F]] == D[I]).all())
     # the operations of fca's protoconcept algebra, which complete an extent
     # or an intent; a pair (a, b) is compared as the number a * width + b

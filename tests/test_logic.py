@@ -471,7 +471,7 @@ def falsifying_env_reference(alg, h, system="L"):
     if not ok:
         raise LogicError(why)
     names, kinds = logic._var_sorts(h)
-    for values in product(*logic._var_ranges(alg, kinds, system)):
+    for values in product(*(logic._var_range(alg, kind, system) for kind in kinds)):
         env = dict(zip(names, values))
         if not any(eval_sequent(alg, comp, env) for comp in h.components):
             return env
@@ -703,7 +703,8 @@ def test_a_witness_past_the_first_run_of_cells(chunk_cells):
                     assert env == falsifying_env_reference(alg, goal, system), str(goal)
                     if env is not None:
                         cell = 0  # the witness's position in C order
-                        for name, values in zip(names, logic._var_ranges(alg, kinds, system)):
+                        for name, kind in zip(names, kinds):
+                            values = logic._var_range(alg, kind, system)
                             cell = cell * len(values) + list(values).index(env[name])
                         late += cell >= chunk_cells
     assert late > 0 or chunk_cells > 2
@@ -711,7 +712,7 @@ def test_a_witness_past_the_first_run_of_cells(chunk_cells):
 
 def test_hl_ranges_of_other_lengths_in_one_block():
     models = [(str(i), alg) for i, alg in enumerate(_refutation_models()["HL"])]
-    lengths = {tuple(map(len, logic._var_ranges(alg, ("object", "property"), "HL")))
+    lengths = {tuple(len(logic._var_range(alg, kind, "HL")) for kind in ("object", "property"))
                for _, alg in models[:logic._BLOCK]}
     assert len({a for a, _ in lengths}) > 1 and len({b for _, b in lengths}) > 1
     for text in ("x & X => X & x", "x | X => X ; X => x", "x & y => y & x"):
@@ -727,7 +728,7 @@ def test_a_padded_cell_is_never_the_witness():
     # two hold on every object or property, the third fails later
     models = [(str(i), alg) for i, alg in enumerate(_refutation_models()["HL"])]
     for kind in ("object", "property"):
-        ranges = [logic._var_ranges(alg, (kind,), "HL")[0] for _, alg in models[:logic._BLOCK]]
+        ranges = [logic._var_range(alg, kind, "HL") for _, alg in models[:logic._BLOCK]]
         assert any(0 not in r and len(r) < max(map(len, ranges)) for r in ranges)
     wants = []
     for text in ("x => x & x", "X | X => X", "x => y ; y => x"):

@@ -1,9 +1,10 @@
 """One table form: numpy tables, and row tuples only for compiled nests.
 
-A FiniteAlgebra keeps its int64 numpy tables.  The meet and join tables as
-tuples of row tuples (``FiniteAlgebra._tuples``) are built on the first
-scalar read, and past ``algebra._NEST_MAX_N`` elements check, classify,
-parse and render read none.  Each reader moved to numpy is compared here
+A FiniteAlgebra keeps its int64 numpy tables.  The tables as tuples of row
+tuples (``FiniteAlgebra._tuples``) are read only by the compiled nests of
+the checker, so past ``algebra._NEST_MAX_N`` elements check, classify,
+parse, render, the representation and its verifiers, the Boolean views and
+the glued sums build none.  Each reader moved to numpy is compared here
 with the loop form it replaced.
 """
 
@@ -20,10 +21,16 @@ from dbakit.algebra import (
     FiniteAlgebra, check_suite, classify, eval_term, join_idempotents, meet_idempotents,
     project_join, project_meet, quasi_order,
 )
-from dbakit.constructions import canonical_pairs, glued_sum, powerset_boolean
+from dbakit.constructions import (
+    canonical_pairs, generalized_glued_sum, glued_sum, powerset_boolean,
+)
 from dbakit.fca import FormalContext, all_contexts, oo_protoconcept_algebra, protoconcept_algebra
 from dbakit.fileformats import parse_algebra, render_algebra
 from dbakit.fixtures import builtin_fixtures, chain3, noncontextual4
+from dbakit.representation import (
+    representation, verify_clopen_characterization, verify_clopen_sets,
+    verify_derivation_identities, verify_pair_embedding, verify_translated_continuity,
+)
 from dbakit.suites import DBA23, DCORE13
 from dbakit.terms import fold, parse_term
 
@@ -82,7 +89,16 @@ def test_large_algebras_build_no_row_tuples(n):
     report = classify(alg)
     assert report.is_dba and report.is_dcore and report.is_contextual
     assert render_algebra(alg) == text
-    assert built._rows is None and alg._rows is None
+    rep = representation(alg)
+    assert rep.isomorphism and rep.conditions_ok and rep.image_is_dba
+    assert verify_derivation_identities(rep) == []
+    assert all(verify_pair_embedding(rep).values())
+    assert verify_clopen_sets(rep) and verify_clopen_characterization(rep).ok
+    assert verify_translated_continuity(rep)
+    p, q = powerset_boolean(6, max_atoms=6), powerset_boolean(6, max_atoms=6)
+    glued = glued_sum(p, q)
+    assert glued.n == 127
+    assert all(a._rows is None for a in (built, alg, rep.image, p.alg, q.alg, glued))
 
 
 def test_small_algebras_still_run_the_compiled_nests():
@@ -153,6 +169,44 @@ def test_noncontextual4_matches_its_loop_construction():
     assert alg.neg.tolist() == [g[proxy[x]] for x in rng]
     assert alg.opp.tolist() == [o[proxy[x]] for x in rng]
     assert (alg.names, alg.top, alg.bot) == (("bot", "mid", "top", "mid2"), 2, 0)
+
+
+def loop_sum_order(p, q, overlap, size):
+    """The declared order of a generalized glued sum, one pair at a time:
+    P's order, Q's order, all of P below all of Q, and (bot_Q, top_P)."""
+    q_to_c = {v: k for k, v in overlap.items()}
+    nxt = p.n
+    for j in range(q.n):
+        if j not in q_to_c:
+            q_to_c[j] = nxt
+            nxt += 1
+    c_to_q = {c: j for j, c in q_to_c.items()}
+    p_members, q_members = set(range(p.n)), set(q_to_c.values())
+    rel = np.zeros((size, size), dtype=bool)
+    for x in range(size):
+        for y in range(size):
+            if x in p_members and y in p_members and p.leq(x, y):
+                rel[x, y] = True
+            elif x in q_members and y in q_members and q.leq(c_to_q[x], c_to_q[y]):
+                rel[x, y] = True
+            elif x in p_members and y in q_members:
+                rel[x, y] = True
+            elif x == q_to_c[q.bot] and y == p.top:
+                rel[x, y] = True
+    return rel
+
+
+def test_sum_order_matches_its_loop_form():
+    # every identification of the golden-sums test
+    from test_constructions import _injective_overlaps, _views
+    views, walked = _views()[:7], 0
+    for p in views:
+        for q in views:
+            for overlap in _injective_overlaps(p, q, 2):
+                gs = generalized_glued_sum(p, q, overlap)
+                assert np.array_equal(gs.order.rel, loop_sum_order(p, q, overlap, gs.algebra.n))
+                walked += 1
+    assert walked == 5282
 
 
 def matmul_transitive(rel):
