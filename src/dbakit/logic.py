@@ -9,9 +9,11 @@ Proof scripts are line-checked: every line must be an axiom instance or
 follow from earlier lines by a named rule, with hypersequent contexts
 matched as literal prefixes/suffixes (structural steps must be cited
 explicitly, there is no silent normalization).  Proof search runs backward
-with iterative deepening and admits cut only through a pool of candidate
-cut formulas (axiom instances over the goal's subformulas plus caller
-lemmas), so it always terminates.
+with iterative deepening over tuples, building Sequent, Hypersequent and
+ProofLine objects only for the returned script, and admits cut only through
+a pool of candidate cut formulas (axiom instances over the goal's
+subformulas plus caller lemmas, enumerated as structural keys), so it always
+terminates.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import math
 import re
 import weakref
 from dataclasses import dataclass
-from itertools import accumulate, count, islice, product
+from itertools import accumulate, chain, count, islice, product, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +34,7 @@ from .algebra import FiniteAlgebra, classify, eval_term, quasi_order
 from .errors import EvalError, LogicError, ParseError
 from .terms import (
     BOT, GENERIC, MAX_DEPTH, OBJECT, PROPERTY, TOP,
-    Const, Join, Meet, Neg, Opp, Term, TermParser, Var, fold, render, subterms,
+    Const, Join, Meet, Neg, Opp, Term, TermParser, Var, fold, postorder, render, subterms,
     var_sorts, variables, vee, wedge,
 )
 
@@ -67,6 +70,15 @@ class Hypersequent:
 
 def seq(ant: Term, suc: Term) -> Hypersequent:
     return Hypersequent((Sequent(ant, suc),))
+
+
+# The proof search holds a hypersequent as a tuple of (ant, suc) pairs.
+def _pairs(h: Hypersequent) -> tuple:
+    return tuple((c.ant, c.suc) for c in h.components)
+
+
+def _hyp(h: tuple) -> Hypersequent:
+    return Hypersequent(tuple(Sequent(ant, suc) for ant, suc in h))
 
 
 def _system(system: str) -> str:
@@ -263,28 +275,33 @@ def _unary_premises(ant: Term, suc: Term):
     return out
 
 
-def _splice(h: Hypersequent, k: int, s: Sequent) -> Hypersequent:
-    """h with component k replaced by s."""
-    return Hypersequent(h.components[:k] + (s,) + h.components[k + 1:])
+def _splice(h: tuple, k: int, s) -> tuple:
+    """The components h with component k replaced by s."""
+    return h[:k] + (s,) + h[k + 1:]
 
 
-def _structural_premises(h: Hypersequent):
-    """(rule, premise) for the HL structural rules with conclusion h: drop the
-    last component (ew), or swap two adjacent ones (ee)."""
+def _structural_premises(h: tuple):
+    """(rule, premise) for the HL structural rules with conclusion h, both
+    tuples of components: drop the last component (ew), or swap two adjacent
+    ones (ee)."""
     if len(h) < 2:
         return
-    yield "ew", Hypersequent(h.components[:-1])
+    yield "ew", h[:-1]
     for k in range(len(h) - 1):
-        yield "ee", Hypersequent(h.components[:k] + (h[k + 1], h[k]) + h.components[k + 2:])
+        yield "ee", h[:k] + (h[k + 1], h[k]) + h[k + 2:]
+
+
+def _sq_pairs(phi: Term, psi: Term):
+    """The premises of sq with conclusion phi => psi, as (ant, suc) pairs,
+    built one at a time."""
+    m, mm = Meet(phi, psi), Meet(phi, phi)
+    yield from ((m, mm), (mm, m))
+    j, jj = Join(phi, psi), Join(psi, psi)
+    yield from ((j, jj), (jj, j))
 
 
 def _sq_premises(phi: Term, psi: Term) -> tuple[Sequent, ...]:
-    return (
-        Sequent(Meet(phi, psi), Meet(phi, phi)),
-        Sequent(Meet(phi, phi), Meet(phi, psi)),
-        Sequent(Join(phi, psi), Join(psi, psi)),
-        Sequent(Join(psi, psi), Join(phi, psi)),
-    )
+    return tuple(Sequent(a, b) for a, b in _sq_pairs(phi, psi))
 
 
 def _derives(prems, concl: Hypersequent, local) -> bool:
@@ -315,13 +332,13 @@ _CONTEXT_RULES = {
 }
 
 
-def _check_sp(concl: Hypersequent) -> bool:
-    if len(concl) != 2:
+def _check_sp(h: tuple) -> bool:
+    """Whether the (ant, suc) pairs h are phi => phi & phi ; phi | phi => phi."""
+    if len(h) != 2:
         return False
-    c0, c1 = concl[0], concl[1]
-    phi = c0.ant
-    return (c0.suc == Meet(phi, phi)
-            and c1.ant == Join(phi, phi) and c1.suc == phi)
+    (phi, m), (j, psi) = h
+    return (psi is phi and type(m) is Meet and m.left is phi and m.right is phi
+            and type(j) is Join and j.left is phi and j.right is phi)
 
 
 def check_proof(script: ProofScript) -> CheckReport:
@@ -362,14 +379,15 @@ def check_proof(script: ProofScript) -> CheckReport:
                     ok = not prems and _derives(
                         prems, line.hyp, lambda ps, c: schema_matches(schema, c))
         elif line.rule == "sp":
-            ok = len(prems) == 0 and _check_sp(line.hyp)
+            ok = len(prems) == 0 and _check_sp(_pairs(line.hyp))
         elif line.rule == "ec":
             ok = len(prems) == 1 and any(
                 prems[0][k] == prems[0][k + 1]
                 and line.hyp.components == prems[0].components[:k] + prems[0].components[k + 1:]
                 for k in range(len(prems[0]) - 1))
         elif line.rule in ("ee", "ew"):
-            ok = len(prems) == 1 and (line.rule, prems[0]) in _structural_premises(line.hyp)
+            ok = len(prems) == 1 and (line.rule, prems[0].components) in _structural_premises(
+                line.hyp.components)
         else:
             reason = f"unknown rule {line.rule!r}"
         if not ok:
@@ -696,135 +714,212 @@ def find_countermodel(goal: Hypersequent, system: str, models) -> tuple | None:
 
 
 # --- proof search ------------------------------------------------------------
+# The search runs on tuples: a sequent is an (ant, suc) pair, a hypersequent a
+# tuple of pairs and a proof tree (hypersequent, rule, subtrees, schema), so
+# its memo tables hash and compare in C.  Only the returned lines become
+# Sequent, Hypersequent and ProofLine objects.
 
-@dataclass
-class _Tree:
-    hyp: Hypersequent
-    rule: str
-    children: tuple
-    schema: str | None = None
-
-
-def _substitute(pattern: Term, binding: dict) -> Term:
-    return fold(pattern, binding.__getitem__, TOP, BOT, Neg, Opp, Meet, Join)
-
-
-def _cut_pool(goal: Hypersequent, system: str, lemmas):
-    """Candidate cut formulas (every side of every axiom schema and caller
-    lemma instantiated with subformulas of the goal), each mapped to its
-    position in first-seen order, plus the instantiated sequents themselves
-    for scoring cut premises."""
-    pool: dict[Term, int] = {}
-    for comp in goal.components:
-        for side in (comp.ant, comp.suc):
-            for t in subterms(side):
-                pool.setdefault(t, len(pool))
-    subs = list(pool)
-    instance_pairs: set[tuple[Term, Term]] = set()
-    # schemas share sides (A*, A* & B*, ...), and a side's instance depends
-    # only on the values of its own variables
-    instances: dict = {}
-
-    def instantiate(side: Term, binding: dict) -> Term:
-        key = (side, *map(binding.__getitem__, variables(side)))
-        t = instances.get(key)
-        if t is None:
-            t = instances[key] = _substitute(side, binding)
-        pool.setdefault(t, len(pool))
-        return t
-
-    templates = [(s.lhs, s.rhs, s.var_sort) for s in AXIOM_SCHEMAS
-                 if not (s.hl_only and system != "HL")]
-    for s in lemmas or ():
-        templates.append((s.ant, s.suc, None))
-    for lhs, rhs, var_sort in templates:
-        metavars = sorted(set(variables(lhs)) | set(variables(rhs)))
-        if len(metavars) > 2 and len(subs) > 8:
-            continue  # keep the pool small for wide schemas on big goals
-        for values in product(subs, repeat=len(metavars)):
-            if var_sort is not None and not all(
-                    isinstance(v, Var) and v.sort == var_sort for v in values):
-                continue
-            binding = dict(zip(metavars, values))
-            instance_pairs.add((instantiate(lhs, binding), instantiate(rhs, binding)))
-    return pool, instance_pairs
+@functools.cache
+def _axiom_test(schema: AxiomSchema):
+    """``schema_matches(schema, Sequent(a, s))`` compiled to one test f(a, s):
+    in the matcher's order, ``type(..) is`` for a connective, ``is`` for a
+    constant or a repeated metavariable (terms are interned), and the sort
+    test, if any, at a metavariable's first occurrence."""
+    conds, first = [], {}
+    stack = [(schema.rhs, "s"), (schema.lhs, "a")]
+    while stack:
+        p, at = stack.pop()
+        if type(p) is Var and p.name in first:
+            conds.append(f"{at} is {first[p.name]}")
+        elif type(p) is Var:
+            first[p.name] = at
+            if schema.var_sort is not None:
+                conds.append(f"type({at}) is Var and {at}.sort == {schema.var_sort!r}")
+        elif type(p) is Const:
+            conds.append(f"{at} is {p.which.upper()}")
+        else:
+            conds.append(f"type({at}) is {type(p).__name__}")
+            stack += [(getattr(p, f), f"{at}.{f}") for f in reversed(p.__match_args__)]
+    return eval(f"lambda a, s: {' and '.join(conds)}", globals())  # closed vocabulary
 
 
-def _backward_steps(h: Hypersequent, system: str, cuts):
+@functools.cache
+def _leaf_tests(ant_kind: type, suc_kind: type, hl: bool) -> tuple:
+    return tuple((s.id, _axiom_test(s)) for s in _schemas_for(ant_kind, suc_kind, hl))
+
+
+def _leaf(h: tuple, hl: bool):
+    """h's proof tree when h is an axiom instance (of the first schema that
+    ``axiom_match`` names) or, in HL, an sp instance; else None."""
+    if len(h) == 1:
+        (ant, suc), = h
+        for sid, test in _leaf_tests(type(ant), type(suc), hl):
+            if test(ant, suc):
+                return (h, "id-axiom", (), None) if sid == "id" else (h, "axiom", (), sid)
+    elif hl and _check_sp(h):
+        return h, "sp", (), None
+    return None
+
+
+def _backward_steps(h: tuple, hl: bool, cuts):
     """(rule, premises) for the rule applications with conclusion h, in the
-    order the search tries them; cuts(s) gives the cut formulas to try on
-    component s.  The second cut premise and the last three order-rule
+    order the search tries them; cuts(ant, suc) gives the cut formulas to try
+    on a component.  The second cut premise and the last three order-rule
     premises are single sequents, so the first premise carries the context
-    and check_proof accepts every step."""
+    and check_proof accepts every step.  The order rule's premises come one
+    at a time: its joins are built only when its meets close."""
     # invertible-looking unary rules first
-    for k, s in enumerate(h.components):
-        for rule, a, b in _unary_premises(s.ant, s.suc):
-            yield rule, (_splice(h, k, Sequent(a, b)),)
-    for k, s in enumerate(h.components):
-        for chi in cuts(s):
-            yield "cut", (_splice(h, k, Sequent(s.ant, chi)), seq(chi, s.suc))
+    for k, (ant, suc) in enumerate(h):
+        for rule, a, b in _unary_premises(ant, suc):
+            yield rule, (_splice(h, k, (a, b)),)
+    for k, (ant, suc) in enumerate(h):
+        for chi in cuts(ant, suc):
+            yield "cut", (_splice(h, k, (ant, chi)), ((chi, suc),))
     # the order rule, last among the logical rules: premises grow
-    for k, s in enumerate(h.components):
-        first, *rest = _sq_premises(s.ant, s.suc)
-        yield "sq", (_splice(h, k, first),) + tuple(Hypersequent((p,)) for p in rest)
+    for k, (ant, suc) in enumerate(h):
+        prems = _sq_pairs(ant, suc)
+        yield "sq", chain((_splice(h, k, next(prems)),), zip(prems))
     # memoized failures keep the swaps from looping
-    if system == "HL":
+    if hl:
         for rule, prem in _structural_premises(h):
             yield rule, (prem,)
 
 
-def _cut_candidates(goal: Hypersequent, system: str, lemmas):
-    """Cut candidates for the search on goal, as a memoized function of a
-    sequent s = ant => suc: (score, chi) for the pool formulas chi other than
-    ant and suc such that ant => chi or chi => suc is a pool instance, an
+# The cut pool holds keys, not terms: a goal subterm, a constant, or a tuple
+# (class, *child keys) for a term built over them.  A tuple equal to a goal
+# subterm is replaced by it, so keys are one to one with terms and hash over a
+# few levels only.  Only the cut formulas the search tries become terms.
+
+def _instances(side: Term, values: list, g) -> list:
+    """The keys of side's instances at each tuple of ``values`` (of side's
+    variables, in sorted name order), built one node of side at a time for
+    all of them; ``g(k, k)`` canonicalizes a new node k."""
+    names = variables(side)
+    col = {}
+    for t in postorder(side):
+        if type(t) is Var:
+            col[t] = list(map(itemgetter(names.index(t.name)), values))
+        elif type(t) is Const:
+            col[t] = [t] * len(values)
+        else:
+            ks = list(zip(repeat(type(t)), *(col[getattr(t, f)] for f in t.__match_args__)))
+            col[t] = list(map(g, ks, ks))
+    return col[side]
+
+
+def _key_pool(goal: tuple, system: str, lemmas):
+    """(position, pairs, g, depth) for the search on goal: every side of every
+    axiom schema and caller lemma instantiated with subformulas of the goal,
+    as keys mapped to their first-seen positions; the instances as key
+    pairs; g, where ``g(k, k)`` is the key of a node k over keys; and a
+    depth that no key's term exceeds.  A template of more than 2
+    metavariables is skipped on a goal of more than 8 subformulas, or past
+    8**4 bindings."""
+    subs = list(dict.fromkeys(t for pair in goal for side in pair for t in subterms(side)))
+    g = {(type(t), *map(t.__getattribute__, t.__match_args__)): t
+         for t in subs if type(t) in _UNARY_RULES}.get
+    order = list(subs)  # every key, as met
+    pairs: set = set()
+    # schemas share sides (A*, A* & B*, ...), and a side's instance depends
+    # only on the values of its own variables: side -> {values: key}, over all
+    # tuples of goal subterms (no more than the bindings of the first template
+    # that has the side)
+    instances: dict = {}
+    templates = [(s.lhs, s.rhs, s.var_sort) for s in AXIOM_SCHEMAS
+                 if not (s.hl_only and system != "HL")]
+    templates += [(s.ant, s.suc, None) for s in lemmas or ()]
+    for lhs, rhs, var_sort in templates:
+        metavars = sorted(set(variables(lhs)) | set(variables(rhs)))
+        k = len(metavars)
+        if k > 2 and (len(subs) > 8 or len(subs) ** k > 8 ** 4):
+            continue  # keep the pool small for wide templates on big goals
+        bindings = list(product([v for v in subs if var_sort is None or (
+            type(v) is Var and v.sort == var_sort)], repeat=k))
+        sides = []
+        for side in (lhs, rhs):
+            names = variables(side)
+            if side not in instances:
+                values = list(product(subs, repeat=len(names)))
+                instances[side] = dict(zip(values, _instances(side, values, g)))
+            at = [metavars.index(name) for name in names]
+            own = bindings if len(at) == k else [tuple(map(v.__getitem__, at)) for v in bindings]
+            sides.append(list(map(instances[side].__getitem__, own)))
+        pairs.update(zip(*sides))
+        order += chain.from_iterable(zip(*sides))
+    depth = max(t.depth for t in subs) + max(t.depth for lhs, rhs, _ in templates for t in (lhs, rhs))
+    return dict(zip(dict.fromkeys(order), count())), pairs, g, depth
+
+
+def _convert(x, memo: dict):
+    """A term's pool key, or a tuple key's term: one to one, so ``memo``
+    holds each conversion both ways (and each goal subterm as its own key)."""
+    y = memo.get(x)
+    if y is None:
+        if type(x) is tuple:
+            y = x[0](*(_convert(c, memo) for c in x[1:]))
+        elif type(x) in _UNARY_RULES:
+            y = (type(x), *(_convert(getattr(x, f), memo) for f in x.__match_args__))
+        else:
+            y = x
+        memo[x], memo[y] = y, x
+    return y
+
+
+def _cut_candidates(goal: tuple, system: str, lemmas):
+    """(candidates, term) for the search on goal.  candidates(ant, suc),
+    memoized, gives (score, key) for the pool formulas chi other than ant
+    and suc such that ant => chi or chi => suc is a pool instance, an
     identity, or one unary rule step from one; score counts the premises
-    that are not instances.  Ordered by score, then by pool position.  Cuts
-    whose premises would both need long sub-proofs are not attempted (the
-    search is best-effort, not complete).  Found by lookups in indexes built
-    once here, not by a scan of the pool."""
-    position, instance_pairs = _cut_pool(goal, system, lemmas)
+    that are not instances.  Ordered by score, then by pool position.
+    term(key) gives the cut formula.  Cuts whose premises would both need
+    long sub-proofs are not attempted (the search is best-effort, not
+    complete).  Found by lookups, not by a scan of the pool."""
+    position, pairs, g, depth = _key_pool(goal, system, lemmas)
+    reach = depth + 1  # a deeper term has no key, nor any one-step candidate
     rights: dict = {}  # left side -> right sides of its instances
     lefts: dict = {}  # right side -> left sides of its instances
-    for a, b in instance_pairs:
-        rights.setdefault(a, []).append(b)
-        lefts.setdefault(b, []).append(a)
-    # (rule, varied argument, shared argument or None) -> the pool term of
-    # that shape
-    by_shape = {}
-    for chi in position:
-        for rule, varied, shared, _ in _UNARY_RULES.get(type(chi), ()):
-            by_shape[rule, getattr(chi, varied), shared and getattr(chi, shared)] = chi
-    memo: dict = {}
+    for a, b in pairs:
+        rights.setdefault(a, set()).add(b)
+        lefts.setdefault(b, set()).add(a)
+    memo = {t: t for t in position if type(t) is not tuple}
+    found_for: dict = {}
 
-    def one_step(t: Term, ends: dict, reversed_ends: dict):
-        """Pool terms chi with t's connective and shared argument whose varied
-        argument is x, t's own, or in ends[x] (reversed_ends[x] for neg and
-        opp).  With (rights, lefts) these are the chi for which t => chi is one
-        rule step from an identity or an instance; with (lefts, rights), the
-        chi for which chi => t is."""
-        for rule, varied, shared, reverse in _UNARY_RULES.get(type(t), ()):
-            x = getattr(t, varied)
-            key = shared and getattr(t, shared)
-            for c in (x, *(reversed_ends if reverse else ends).get(x, ())):
-                chi = by_shape.get((rule, c, key))
-                if chi is not None:
-                    yield chi
+    def one_step(t: Term, ends: dict, reversed_ends: dict, found: set):
+        """Adds to found the pool keys of t with its varied argument x
+        replaced by one in ends[x] (reversed_ends[x] for neg and opp).  With
+        (rights, lefts) these are the chi for which t => chi is one rule step
+        from an instance; with (lefts, rights), those for which chi => t is.
+        (A step from an identity gives t itself.)"""
+        if type(t) not in _UNARY_RULES or t.depth > reach:
+            return
+        view = memo[t]
+        if type(view) is not tuple:  # a goal subterm: its children are their own keys
+            view = (type(t), *map(t.__getattribute__, t.__match_args__))
+        for _, varied, _, reverse in _UNARY_RULES[type(t)]:
+            i = t.__match_args__.index(varied) + 1
+            cs = (reversed_ends if reverse else ends).get(view[i])
+            if cs:
+                cols = [*map(repeat, view)]
+                cols[i] = cs
+                ks = list(zip(*cols))
+                found.update(filter(position.__contains__, map(g, ks, ks)))
 
-    def candidates(s: Sequent):
-        got = memo.get(s)
+    def candidates(ant: Term, suc: Term):
+        got = found_for.get((ant, suc))
         if got is None:
-            ant, suc = s.ant, s.suc
-            found = {*rights.get(ant, ()), *lefts.get(suc, ()),
-                     *one_step(ant, rights, lefts), *one_step(suc, lefts, rights)}
-            found.discard(ant)
-            found.discard(suc)
-            got = memo[s] = sorted(
-                ((2 - ((ant, chi) in instance_pairs) - ((chi, suc) in instance_pairs), chi)
-                 for chi in found),
-                key=lambda item: (item[0], position[item[1]]))
+            ka, ks = (_convert(t, memo) if t.depth <= reach else None for t in (ant, suc))
+            right, left = rights.get(ka, ()), lefts.get(ks, ())
+            found = {*right, *left}
+            one_step(ant, rights, lefts, found)
+            one_step(suc, lefts, rights, found)
+            found -= {ka, ks}
+            # by score, then (the sort is stable) by pool position
+            got = found_for[ant, suc] = sorted(
+                [(2 - (chi in right) - (chi in left), chi)
+                 for chi in sorted(found, key=position.__getitem__)], key=itemgetter(0))
         return got
 
-    return candidates
+    return candidates, functools.partial(_convert, memo=memo)
 
 
 def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
@@ -836,91 +931,70 @@ def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
         raise LogicError(f"depth must be an integer, got {depth!r}")
     if _system(system) == "L" and len(goal) != 1:
         raise LogicError(_L_SINGLE)
+    root = _pairs(goal)
+    hl = system == "HL"
     pool = None  # the cut candidates, built at the first cut: most goals close without one
     proved: dict = {}
     failed_at: dict = {}
 
-    hl = system == "HL"
+    def cuts(ant, suc, budget):  # a cut with a premise outside the pool instances waits for budget 3
+        nonlocal pool
+        if pool is None:
+            pool = _cut_candidates(root, system, lemmas)
+        candidates, term = pool
+        return (term(chi) for score, chi in candidates(ant, suc) if score < 1 or budget >= 3)
 
-    def leaf(h: Hypersequent):
-        if len(h) == 1:
-            ids = _axiom_ids(h[0], hl)
-            if ids:
-                rule = "id-axiom" if ids[0] == "id" else "axiom"
-                schema = None if ids[0] == "id" else ids[0]
-                return _Tree(h, rule, (), schema)
-        if hl and _check_sp(h):
-            return _Tree(h, "sp", ())
-        return None
-
-    def prove(h: Hypersequent, budget: int):
-        if h in proved:
-            return proved[h]
-        if budget < 1 or failed_at.get(h, 0) >= budget:
-            return None
-        t = leaf(h)
-        if t is not None:
-            proved[h] = t
+    def prove(h: tuple, budget: int):
+        t = proved.get(h)
+        if t is not None or budget < 1 or failed_at.get(h, 0) >= budget:
             return t
-        if budget >= 2:
-            t = _expand(h, budget)
-            if t is not None:
-                proved[h] = t
-                return t
-        failed_at[h] = max(failed_at.get(h, 0), budget)
-        return None
-
-    def _expand(h: Hypersequent, budget: int):
-        def cuts(s):  # a cut with a premise outside the pool instances waits for budget 3
-            nonlocal pool
-            if pool is None:
-                pool = _cut_candidates(goal, system, lemmas)
-            return (chi for score, chi in pool(s) if score < 1 or budget >= 3)
-
-        for rule, prems in _backward_steps(h, system, cuts):
-            subs = []
-            for prem in prems:
-                sub = prove(prem, budget - 1)
-                if sub is None:
+        t = _leaf(h, hl)
+        if t is None and budget >= 2:
+            for rule, prems in _backward_steps(h, hl, lambda a, s: cuts(a, s, budget)):
+                subs = []
+                for prem in prems:
+                    sub = prove(prem, budget - 1)
+                    if sub is None:
+                        break
+                    subs.append(sub)
+                else:
+                    t = h, rule, tuple(subs), None
                     break
-                subs.append(sub)
-            else:
-                return _Tree(h, rule, tuple(subs))
-        return None
+        if t is None:
+            failed_at[h] = budget
+        else:
+            proved[h] = t
+        return t
 
     tree = None
     try:
         for bound in range(1, depth + 1):
             failed_at.clear()
-            tree = prove(goal, bound)
+            tree = prove(root, bound)
             if tree is not None:
                 break
     finally:
-        # prove and _expand call each other, a reference cycle that would
-        # keep the memo tables alive until a full collection
-        del prove, _expand
+        del prove  # a recursive closure is a reference cycle that would hold the memo tables
     if tree is None:
         return None
     lines: list[ProofLine] = []
-    index_of: dict[int, int] = {}
-
-    def emit(node: _Tree) -> int:
-        kids = [emit(c) for c in node.children]
-        key = id(node)
-        if key in index_of:
-            return index_of[key]
-        idx = len(lines) + 1
-        lines.append(ProofLine(idx, node.hyp, node.rule, tuple(kids), node.schema))
-        index_of[key] = idx
-        return idx
-
-    emit(tree)
-    del emit  # a recursive closure is a reference cycle
+    _emit(tree, lines, {})
     script = ProofScript(system, tuple(lines))
     report = check_proof(script)
     if not report.valid:
         raise LogicError(f"internal error: found proof failed re-validation ({report})")
     return script
+
+
+def _emit(node: tuple, lines: list, index_of: dict) -> int:
+    """Appends node's subtrees, then node, to lines, once per tree node;
+    returns node's line index."""
+    h, rule, children, schema = node
+    kids = tuple(_emit(c, lines, index_of) for c in children)
+    if id(node) not in index_of:
+        lines.append(ProofLine(len(lines) + 1, _hyp(h), rule, kids, schema))
+        index_of[id(node)] = len(lines)
+    return index_of[id(node)]
 
 
 # --- transcribed derivations --------------------------------------------------

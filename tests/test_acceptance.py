@@ -24,7 +24,7 @@ from dbakit.fca import (
 )
 from dbakit.fixtures import builtin_fixtures, get_fixture
 from dbakit.logic import (
-    AXIOM_SCHEMAS, Sequent, _sq_premises, _substitute, check_proof, eval_sequent,
+    AXIOM_SCHEMAS, Sequent, _sq_premises, check_proof, eval_sequent,
     falsifying_env, find_countermodel, fixture_proofs, is_true_in,
     parse_hypersequent, parse_sequent, search_proof, seq,
 )
@@ -36,6 +36,7 @@ from dbakit.representation import (
 from dbakit.search import SearchSpec, enumerate_algebras, naive_sweep
 from dbakit.suites import DBA23, DCORE13, GDCORE11
 from dbakit.terms import parse_term
+from test_logic import _substitute
 
 
 def report(n, elapsed, text):

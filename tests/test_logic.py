@@ -22,11 +22,16 @@ from dbakit.logic import (
     AXIOM_SCHEMAS, Hypersequent, ProofLine, ProofScript, Sequent, axiom_match,
     check_proof, eval_sequent, falsifying_env, find_countermodel, fixture_proofs,
     is_true_in, parse_hypersequent, parse_script, parse_sequent, render_script,
-    search_proof, seq, _sq_premises, _substitute,
+    schema_matches, search_proof, seq, _axiom_ids, _pairs, _sq_premises,
 )
 from dbakit.terms import (
-    BOT, MAX_DEPTH, TOP, Join, Meet, Neg, Opp, Term, Var, parse_term, render,
+    BOT, MAX_DEPTH, TOP, Join, Meet, Neg, Opp, Term, Var, fold, parse_term, render, subterms,
+    variables,
 )
+
+
+def _substitute(pattern: Term, binding: dict) -> Term:
+    return fold(pattern, binding.__getitem__, TOP, BOT, Neg, Opp, Meet, Join)
 
 
 def contextual_fixtures():
@@ -289,19 +294,19 @@ def test_search_finds_the_golden_proof(goal, depth, text):
 
 def test_cut_pool_is_built_at_the_first_cut_only(monkeypatch):
     built = []
-    cut_pool = logic._cut_pool
+    key_pool = logic._key_pool
 
     def counting(goal, system, lemmas):
         built.append(goal)
-        return cut_pool(goal, system, lemmas)
+        return key_pool(goal, system, lemmas)
 
-    monkeypatch.setattr(logic, "_cut_pool", counting)
+    monkeypatch.setattr(logic, "_key_pool", counting)
     goal, depth, text = BENCHMARK_PROOFS[0]  # closed by an axiom
     assert render_script(search_proof(parse_hypersequent(goal, "L"), "L", depth)) == text
     assert built == []
     goal, depth, text = GOLDEN_PROOFS[0]  # takes a cut
     assert render_script(search_proof(parse_hypersequent(goal, "L"), "L", depth)) == text
-    assert built == [parse_hypersequent(goal, "L")]
+    assert built == [_pairs(parse_hypersequent(goal, "L"))]
 
 
 def test_search_unprovable_goal_returns_none():
@@ -330,7 +335,8 @@ def test_search_leaves_no_cyclic_garbage():
         gc.collect()
         left = [o for o in gc.garbage
                 if getattr(o, "__qualname__", "").startswith(
-                    ("search_proof.<locals>", "_cut_candidates.<locals>"))]
+                    ("search_proof.<locals>", "_cut_candidates.<locals>", "_key_pool",
+                     "_instances", "_convert", "_backward_steps", "_leaf"))]
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
@@ -1125,7 +1131,7 @@ def test_structural_checks_match_reference(data, comps):
     prems = [_near_miss(data, concl, "HL"), _hyp(comps[:-1] or comps), _hyp(comps[::-1])]
     for rule in ("ee", "ew"):
         for prem in prems:
-            assert ((rule, prem) in logic._structural_premises(concl)) \
+            assert ((rule, prem.components) in logic._structural_premises(concl.components)) \
                 == _check_structural(rule, prem, concl), (rule, prem, concl)
 
 
@@ -1134,7 +1140,8 @@ def test_structural_checks_match_reference(data, comps):
        st.lists(_small_terms, max_size=4))
 def test_every_backward_step_passes_the_reference_checkers(system, comps, pool):
     h = _hyp(comps[:1] if system == "L" else comps)
-    steps = list(logic._backward_steps(h, system, lambda s: pool))
+    steps = [(rule, [logic._hyp(p) for p in prems]) for rule, prems in
+             logic._backward_steps(_pairs(h), system == "HL", lambda ant, suc: pool)]
     assert sum(rule == "sq" for rule, _ in steps) == len(h)
     for rule, prems in steps:
         if system == "L":
@@ -1144,7 +1151,7 @@ def test_every_backward_step_passes_the_reference_checkers(system, comps, pool):
         elif rule == "cut":
             ok = _check_cut(prems[0], prems[1], h, system)
         elif rule == "sq":
-            ok = _check_sq(list(prems), h, system)
+            ok = _check_sq(prems, h, system)
         else:
             ok = system == "HL" and _check_structural(rule, prems[0], h)
         assert ok, (rule, prems, h)
@@ -1228,29 +1235,65 @@ def cut_candidates_reference(pool, instance_pairs, s: Sequent):
     return scored
 
 
+def _cut_pool(goal, system, lemmas):
+    """The cut pool as terms, the reference for ``logic._key_pool``: every
+    side of every axiom schema and caller lemma instantiated with
+    subformulas of the goal (a tuple of (ant, suc) pairs), each mapped to
+    its position in first-seen order, plus the instantiated sequents."""
+    pool: dict[Term, int] = {}
+    for pair in goal:
+        for side in pair:
+            for t in subterms(side):
+                pool.setdefault(t, len(pool))
+    subs = list(pool)
+    instance_pairs: set[tuple[Term, Term]] = set()
+    templates = [(s.lhs, s.rhs, s.var_sort) for s in AXIOM_SCHEMAS
+                 if not (s.hl_only and system != "HL")]
+    for s in lemmas or ():
+        templates.append((s.ant, s.suc, None))
+    for lhs, rhs, var_sort in templates:
+        metavars = sorted(set(variables(lhs)) | set(variables(rhs)))
+        k = len(metavars)
+        if k > 2 and (len(subs) > 8 or len(subs) ** k > 8 ** 4):
+            continue
+        for values in product(subs, repeat=k):
+            if var_sort is not None and not all(
+                    isinstance(v, Var) and v.sort == var_sort for v in values):
+                continue
+            binding = dict(zip(metavars, values))
+            pair = (_substitute(lhs, binding), _substitute(rhs, binding))
+            for t in pair:
+                pool.setdefault(t, len(pool))
+            instance_pairs.add(pair)
+    return pool, instance_pairs
+
+
 def _scan_candidates(goal, system, lemmas):
-    """The search's candidate function, computed by the pool scan."""
-    pool, instance_pairs = logic._cut_pool(goal, system, lemmas)
-    return functools.cache(functools.partial(cut_candidates_reference, pool, instance_pairs))
+    """The search's (candidates, term) pair, computed by the scan over the
+    term pool: its candidates are terms already."""
+    pool, instance_pairs = _cut_pool(goal, system, lemmas)
+    scan = functools.partial(cut_candidates_reference, pool, instance_pairs)
+    return functools.cache(lambda ant, suc: scan(Sequent(ant, suc))), lambda chi: chi
 
 
 def _compare_candidates(monkeypatch):
     """Makes the search check, for every sequent it asks for cut candidates,
-    that the indexed answer equals the scan's, item for item and in order;
-    returns the list of sequents asked."""
+    that the structural pool's answer, read as terms, equals the term pool
+    scan's, item for item and in order; returns the list of sequents asked."""
     asked = []
     indexed_candidates = logic._cut_candidates
 
     def checked(goal, system, lemmas):
-        indexed = indexed_candidates(goal, system, lemmas)
-        scan = _scan_candidates(goal, system, lemmas)
+        indexed, term = indexed_candidates(goal, system, lemmas)
+        scan, _ = _scan_candidates(goal, system, lemmas)
 
-        def candidates(s):
-            got = indexed(s)
-            assert got == scan(s), (str(goal), str(s))
-            asked.append(s)
+        def candidates(ant, suc):
+            got = indexed(ant, suc)
+            assert [(score, term(chi)) for score, chi in got] == scan(ant, suc), (
+                str(logic._hyp(goal)), render(ant), render(suc))
+            asked.append((ant, suc))
             return got
-        return candidates
+        return candidates, term
 
     monkeypatch.setattr(logic, "_cut_candidates", checked)
     return asked
@@ -1262,10 +1305,14 @@ def compared_candidates(monkeypatch):
 
 
 @pytest.mark.parametrize("goal, depth", [(g, d) for g, d, _ in GOLDEN_PROOFS]
-                         + [("x | y => y | x", 4), ("T => T & T", 4)])
+                         + [("x | y => y | x", 4), ("T => T & T", 4), ("x => y", 8)])
 def test_indexed_candidates_match_the_scan_on_golden_goals(compared_candidates, goal, depth):
     search_proof(parse_hypersequent(goal, "L"), "L", depth)
     assert len(compared_candidates) > 20
+    # sides deeper than any pool key, which are never converted to keys
+    reach = 1 + max(t.depth for pair in _pairs(parse_hypersequent(goal)) for t in pair) + max(
+        t.depth for s in AXIOM_SCHEMAS for t in (s.lhs, s.rhs))
+    assert goal != "x => y" or any(min(a.depth, s.depth) > reach for a, s in compared_candidates)
 
 
 @pytest.mark.parametrize("system, goal, lemmas, depth", _LEMMA_AND_WIDE_GOALS)
@@ -1324,6 +1371,122 @@ def test_search_output_equals_the_scan_based_search(monkeypatch):
     proved = [s for s in indexed if s is not None]
     assert len(proved) > 60 and sum(any(line.rule == "cut" for line in s.lines)
                                     for s in proved) > 50
+
+
+def _drawn_goals_and_lemmas():
+    return st.tuples(_systems, st.lists(_small_sequents, min_size=1, max_size=3),
+                     st.lists(_small_sequents, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_drawn_goals_and_lemmas())
+def test_the_key_pool_equals_the_term_pool(drawn):
+    # the structural pool, read as terms, is the term pool: the same positions
+    # and the same instance pairs
+    system, comps, lemmas = drawn
+    goal = _pairs(_hyp(comps))
+    position, pairs, _, depth = logic._key_pool(goal, system, lemmas)
+    memo = {t: t for t in position if not isinstance(t, tuple)}
+    as_term = functools.partial(logic._convert, memo=memo)
+    pool, instance_pairs = _cut_pool(goal, system, lemmas)
+    assert {as_term(k): i for k, i in position.items()} == pool
+    assert {(as_term(a), as_term(b)) for a, b in pairs} == instance_pairs
+    assert all(t.depth <= depth for t in pool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_drawn_goals_and_lemmas(), st.data())
+def test_candidates_of_pool_terms_and_of_terms_past_the_pool_equal_the_scan(drawn, data):
+    # sequents the search may not reach: the deepest pool terms and drawn
+    # ones, under up to two more connectives, so some sides are deeper than
+    # any pool key and are never converted to one
+    system, comps, lemmas = drawn
+    goal = _pairs(_hyp(comps))
+    candidates, term = logic._cut_candidates(goal, system, lemmas)
+    scan, _ = _scan_candidates(goal, system, lemmas)
+    pool = list(_cut_pool(goal, system, lemmas)[0])
+    picked = sorted(pool, key=lambda t: -t.depth)[:3] + data.draw(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    sides = [w for t in picked for u in (t, Neg(t), Meet(t, picked[0]))
+             for w in (u, Opp(u), Join(picked[-1], u))]
+    for _ in range(20):
+        ant, suc = data.draw(st.sampled_from(sides)), data.draw(st.sampled_from(sides))
+        assert [(score, term(chi)) for score, chi in candidates(ant, suc)] == scan(ant, suc)
+
+
+# a goal of 8 subformulas: the widest on which templates of 3 or more
+# metavariables are kept
+_EIGHT_SUBTERMS = "~(x & y) => !(x | y) & z"
+
+
+@pytest.mark.parametrize("lemma, kept", [
+    ("a & b & c => a", True),
+    ("a & b => c | d", True),  # 8**4 bindings: kept
+    ("a & b & c => d | e", False),  # 8**5
+    ("a & b & c & d => e | f | g | h", False),  # 8**8
+])
+def test_a_lemma_of_many_variables_is_skipped_past_8_to_the_4_bindings(lemma, kept):
+    goal = parse_hypersequent(_EIGHT_SUBTERMS)
+    assert len(set(t for c in goal.components for t in (*subterms(c.ant), *subterms(c.suc)))) == 8
+    lemma = parse_sequent(lemma)
+    without = logic._key_pool(_pairs(goal), "L", [])
+    start = time.perf_counter()
+    with_lemma = logic._key_pool(_pairs(goal), "L", [lemma])
+    assert (with_lemma[:2] != without[:2]) == kept
+    assert time.perf_counter() - start < 1
+
+
+def test_a_search_with_an_8_variable_lemma_returns_within_a_second():
+    # the pool used to enumerate 8**8 bindings of this lemma
+    goal = parse_hypersequent(_EIGHT_SUBTERMS)
+    lemma = parse_sequent("a & b & c & d => e | f | g | h")
+    start = time.perf_counter()
+    assert search_proof(goal, "L", 3, lemmas=[lemma]) is None
+    assert time.perf_counter() - start < 1
+
+
+# sorted and generic variables and the constants, so that every schema,
+# sorted ones included, has instances among the drawn sequents
+_leaf_terms = st.recursive(
+    st.sampled_from([Var("x"), Var("y"), Var("p", "object"), Var("q", "object"),
+                     Var("P", "property"), TOP, BOT]),
+    lambda sub: st.one_of(
+        st.builds(Neg, sub), st.builds(Opp, sub),
+        st.builds(Meet, sub, sub), st.builds(Join, sub, sub)),
+    max_leaves=3)
+
+
+@st.composite
+def _near_instances(draw):
+    """A sequent that is a schema instance, or one side of one, or an
+    instance of the lhs under one binding and of the rhs under another (a
+    repeated metavariable bound twice), or a drawn sequent."""
+    schema = draw(st.sampled_from(AXIOM_SCHEMAS))
+    binding, other = ({v: draw(_leaf_terms) for v in ("A*", "B*", "C*")} for _ in range(2))
+    ant, suc = _substitute(schema.lhs, binding), _substitute(schema.rhs, binding)
+    kind = draw(st.sampled_from(["instance", "ant", "suc", "two bindings", "drawn"]))
+    if kind == "ant":
+        ant = draw(_leaf_terms)
+    elif kind == "suc":
+        suc = draw(_leaf_terms)
+    elif kind == "two bindings":
+        suc = _substitute(schema.rhs, other)
+    elif kind == "drawn":
+        ant, suc = draw(_leaf_terms), draw(_leaf_terms)
+    return Sequent(ant, suc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_near_instances(), st.booleans())
+def test_compiled_leaves_equal_the_generic_matcher(s, hl):
+    for schema in AXIOM_SCHEMAS:
+        assert logic._axiom_test(schema)(s.ant, s.suc) == schema_matches(schema, s), schema.id
+    first = _axiom_ids(s, hl)[:1]
+    assert [sid for sid, test in logic._leaf_tests(type(s.ant), type(s.suc), hl)
+            if test(s.ant, s.suc)][:1] == first
+    tree = logic._leaf(((s.ant, s.suc),), hl)
+    assert (tree and tree[1:]) == (None if not first else ("id-axiom", (), None)
+                                   if first == ["id"] else ("axiom", (), first[0]))
 
 
 # --- the system argument and the search depth ---------------------------------
