@@ -883,40 +883,42 @@ def _cut_candidates(goal: tuple, system: str, lemmas):
         lefts.setdefault(b, set()).add(a)
     memo = {t: t for t in position if type(t) is not tuple}
     found_for: dict = {}
+    reached: tuple = ({}, {})  # by side: term -> (its key, its reach)
 
-    def one_step(t: Term, ends: dict, reversed_ends: dict, found: set):
-        """Adds to found the pool keys of t with its varied argument x
-        replaced by one in ends[x] (reversed_ends[x] for neg and opp).  With
-        (rights, lefts) these are the chi for which t => chi is one rule step
-        from an instance; with (lefts, rights), those for which chi => t is.
-        (A step from an identity gives t itself.)"""
-        if type(t) not in _UNARY_RULES or t.depth > reach:
-            return
-        view = memo[t]
-        if type(view) is not tuple:  # a goal subterm: its children are their own keys
-            view = (type(t), *map(t.__getattribute__, t.__match_args__))
-        for _, varied, _, reverse in _UNARY_RULES[type(t)]:
-            i = t.__match_args__.index(varied) + 1
-            cs = (reversed_ends if reverse else ends).get(view[i])
-            if cs:
-                cols = [*map(repeat, view)]
-                cols[i] = cs
-                ks = list(zip(*cols))
-                found.update(filter(position.__contains__, map(g, ks, ks)))
+    def reach_of(t: Term, side: int):
+        """t's key (None past ``reach``) and the pool keys chi for which
+        t => chi (side 0) or chi => t (side 1) is an instance or one unary
+        rule step from one: a neighbour of t's key, or t with its varied
+        argument x replaced by a neighbour of x (for neg and opp, from the
+        other side).  A step from an identity gives t itself."""
+        got = reached[side].get(t)
+        if got is None:
+            ends, reversed_ends = (rights, lefts) if side == 0 else (lefts, rights)
+            k = _convert(t, memo) if t.depth <= reach else None
+            found = set(ends.get(k, ()))
+            if type(t) in _UNARY_RULES and k is not None:
+                view = k if type(k) is tuple else (type(t), *map(t.__getattribute__, t.__match_args__))
+                for _, varied, _, reverse in _UNARY_RULES[type(t)]:
+                    i = t.__match_args__.index(varied) + 1
+                    cs = (reversed_ends if reverse else ends).get(view[i])
+                    if cs:
+                        cols = [*map(repeat, view)]
+                        cols[i] = cs
+                        ks = list(zip(*cols))
+                        found.update(filter(position.__contains__, map(g, ks, ks)))
+            got = reached[side][t] = k, found
+        return got
 
     def candidates(ant: Term, suc: Term):
         got = found_for.get((ant, suc))
         if got is None:
-            ka, ks = (_convert(t, memo) if t.depth <= reach else None for t in (ant, suc))
+            (ka, above), (ks, below) = reach_of(ant, 0), reach_of(suc, 1)
             right, left = rights.get(ka, ()), lefts.get(ks, ())
-            found = {*right, *left}
-            one_step(ant, rights, lefts, found)
-            one_step(suc, lefts, rights, found)
-            found -= {ka, ks}
             # by score, then (the sort is stable) by pool position
             got = found_for[ant, suc] = sorted(
                 [(2 - (chi in right) - (chi in left), chi)
-                 for chi in sorted(found, key=position.__getitem__)], key=itemgetter(0))
+                 for chi in sorted((above | below) - {ka, ks}, key=position.__getitem__)],
+                key=itemgetter(0))
         return got
 
     return candidates, functools.partial(_convert, memo=memo)
