@@ -43,8 +43,8 @@ MAX_MODEL_CONTEXTS = 4096
 # Xeon (Python 3.11) size 4 takes 0.7 s, size 5 (3,845 models) 20-26 s.
 MAX_MODEL_SEARCH_SIZE = 5
 # ``prove`` without a proof costs about 4.5x more per +4 ``--depth``.  On a
-# 2-core Intel Xeon (Python 3.11) ``x => y`` takes 1.4 s at depth 12, 5.8 s at
-# 16, 26 s at 20, 122 s at 24, past 120 s at 32; ``~x => !x`` 47 s at 16.
+# 2-core Intel Xeon (Python 3.11) ``x => y`` takes 0.4-0.6 s at depth 12,
+# 2.3-2.7 s at 16, 13 s at 20, 55 s at 24; ``~x => !x`` 23 s at 16.
 MAX_PROOF_DEPTH = 16
 # ``protoconcepts --emit-algebra`` builds n x n tables on the n pairs.  On a
 # 2-core Intel Xeon (Python 3.11) 2,156 pairs take 0.4-0.5 s and 327 MB peak
