@@ -821,9 +821,8 @@ def _key_pool(goal: tuple, system: str, lemmas):
     order = list(subs)  # every key, as met
     pairs: set = set()
     # schemas share sides (A*, A* & B*, ...), and a side's instance depends
-    # only on the values of its own variables: side -> {values: key}, over all
-    # tuples of goal subterms (no more than the bindings of the first template
-    # that has the side)
+    # only on the values of its own variables: side -> {values: key}, filled
+    # once for every tuple of goal subterms
     instances: dict = {}
     templates = [(s.lhs, s.rhs, s.var_sort) for s in AXIOM_SCHEMAS
                  if not (s.hl_only and system != "HL")]
