@@ -793,7 +793,7 @@ def _backward_steps(h: tuple, hl: bool, cuts):
 def _instances(side: Term, values: list, g) -> list:
     """The keys of side's instances at each tuple of ``values`` (of side's
     variables, in sorted name order), built one node of side at a time for
-    all of them; ``g(k, k)`` canonicalizes a new node k."""
+    all of them; ``g(k, k)`` gives the one key object of a new node k."""
     names = variables(side)
     col = {}
     for t in postorder(side):
@@ -808,16 +808,17 @@ def _instances(side: Term, values: list, g) -> list:
 
 
 def _key_pool(goal: tuple, system: str, lemmas):
-    """(position, pairs, g, depth) for the search on goal: every side of every
-    axiom schema and caller lemma instantiated with subformulas of the goal,
-    as keys mapped to their first-seen positions; the instances as key
-    pairs; g, where ``g(k, k)`` is the key of a node k over keys; and a
-    depth that no key's term exceeds.  A template of more than 2
+    """(position, pairs, nodes, depth) for the search on goal: every side of
+    every axiom schema and caller lemma instantiated with subformulas of the
+    goal, as keys mapped to their first-seen positions; the instances as key
+    pairs; every node built, as (class, *child keys) -> its one key object;
+    and a depth that no key's term exceeds.  A template of more than 2
     metavariables is skipped on a goal of more than 8 subformulas, or past
     8**4 bindings."""
     subs = list(dict.fromkeys(t for pair in goal for side in pair for t in subterms(side)))
-    g = {(type(t), *map(t.__getattribute__, t.__match_args__)): t
-         for t in subs if type(t) in _UNARY_RULES}.get
+    # one object per key, so that equal keys compare by identity at any depth
+    nodes = {(type(t), *map(t.__getattribute__, t.__match_args__)): t
+             for t in subs if type(t) in _UNARY_RULES}
     order = list(subs)  # every key, as met
     pairs: set = set()
     # schemas share sides (A*, A* & B*, ...), and a side's instance depends
@@ -839,27 +840,37 @@ def _key_pool(goal: tuple, system: str, lemmas):
             names = variables(side)
             if side not in instances:
                 values = list(product(subs, repeat=len(names)))
-                instances[side] = dict(zip(values, _instances(side, values, g)))
+                instances[side] = dict(zip(values, _instances(side, values, nodes.setdefault)))
             at = [metavars.index(name) for name in names]
             own = bindings if len(at) == k else [tuple(map(v.__getitem__, at)) for v in bindings]
             sides.append(list(map(instances[side].__getitem__, own)))
         pairs.update(zip(*sides))
         order += chain.from_iterable(zip(*sides))
     depth = max(t.depth for t in subs) + max(t.depth for lhs, rhs, _ in templates for t in (lhs, rhs))
-    return dict(zip(dict.fromkeys(order), count())), pairs, g, depth
+    return dict(zip(dict.fromkeys(order), count())), pairs, nodes, depth
 
 
 def _convert(x, memo: dict):
     """A term's pool key, or a tuple key's term: one to one, so ``memo``
-    holds each conversion both ways (and each goal subterm as its own key)."""
+    holds each conversion both ways (and each goal subterm as its own key).
+    A key nests as deep as a lemma, so its term is built without recursion,
+    missing children first."""
     y = memo.get(x)
-    if y is None:
-        if type(x) is tuple:
-            y = x[0](*(_convert(c, memo) for c in x[1:]))
-        elif type(x) in _UNARY_RULES:
-            y = (type(x), *(_convert(getattr(x, f), memo) for f in x.__match_args__))
-        else:
-            y = x
+    if y is None and type(x) is tuple:
+        stack = [x]
+        while stack:
+            k = stack[-1]
+            missing = [c for c in k[1:] if type(c) is tuple and c not in memo]
+            if missing:
+                stack += missing
+            else:
+                stack.pop()
+                t = k[0](*(memo.get(c, c) for c in k[1:]))
+                memo[k], memo[t] = t, k
+        y = memo[x]
+    elif y is None:
+        y = ((type(x), *(_convert(getattr(x, f), memo) for f in x.__match_args__))
+             if type(x) in _UNARY_RULES else x)
         memo[x], memo[y] = y, x
     return y
 
@@ -873,7 +884,7 @@ def _cut_candidates(goal: tuple, system: str, lemmas):
     term(key) gives the cut formula.  Cuts whose premises would both need
     long sub-proofs are not attempted (the search is best-effort, not
     complete).  Found by lookups, not by a scan of the pool."""
-    position, pairs, g, depth = _key_pool(goal, system, lemmas)
+    position, pairs, nodes, depth = _key_pool(goal, system, lemmas)
     reach = depth + 1  # a deeper term has no key, nor any one-step candidate
     rights: dict = {}  # left side -> right sides of its instances
     lefts: dict = {}  # right side -> left sides of its instances
@@ -904,7 +915,7 @@ def _cut_candidates(goal: tuple, system: str, lemmas):
                         cols = [*map(repeat, view)]
                         cols[i] = cs
                         ks = list(zip(*cols))
-                        found.update(filter(position.__contains__, map(g, ks, ks)))
+                        found.update(filter(position.__contains__, map(nodes.get, ks)))
             got = reached[side][t] = k, found
         return got
 

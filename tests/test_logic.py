@@ -4,6 +4,7 @@ import functools
 import gc
 import random
 import re
+import sys
 import time
 import tracemalloc
 import weakref
@@ -1421,6 +1422,21 @@ def test_candidates_of_pool_terms_and_of_terms_past_the_pool_equal_the_scan(draw
     for _ in range(20):
         ant, suc = data.draw(st.sampled_from(sides)), data.draw(st.sampled_from(sides))
         assert [(score, term(chi)) for score, chi in candidates(ant, suc)] == scan(ant, suc)
+
+
+def test_a_lemma_deeper_than_the_recursion_limit():
+    # an instance key nests as deep as its lemma: the search builds the cut
+    # formula's term and compares keys without recursion, and each candidate
+    # still equals the term pool scan's
+    deep = Var("a")
+    for _ in range(sys.getrecursionlimit() + 100):
+        deep = Neg(deep)
+    lemmas = [Sequent(Var("a"), deep), Sequent(deep, Var("a"))]
+    goal = parse_hypersequent("x => y")
+    with pytest.MonkeyPatch.context() as mp:
+        asked = _compare_candidates(mp)
+        assert search_proof(goal, "L", 3, lemmas=lemmas) is None
+    assert any(deep.depth <= max(a.depth, s.depth) for a, s in asked)
 
 
 # a goal of 8 subformulas: the widest on which templates of 3 or more
