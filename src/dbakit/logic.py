@@ -793,7 +793,7 @@ def _backward_steps(h: tuple, hl: bool, cuts):
 def _instances(side: Term, values: list, g) -> list:
     """The keys of side's instances at each tuple of ``values`` (of side's
     variables, in sorted name order), built one node of side at a time for
-    all of them; ``g(k, k)`` gives the one key object of a new node k."""
+    all of them; ``g(k, k)`` canonicalizes a new node k."""
     names = variables(side)
     col = {}
     for t in postorder(side):
@@ -808,17 +808,17 @@ def _instances(side: Term, values: list, g) -> list:
 
 
 def _key_pool(goal: tuple, system: str, lemmas):
-    """(position, pairs, nodes, depth) for the search on goal: every side of
-    every axiom schema and caller lemma instantiated with subformulas of the
-    goal, as keys mapped to their first-seen positions; the instances as key
-    pairs; every node built, as (class, *child keys) -> its one key object;
-    and a depth that no key's term exceeds.  A template of more than 2
+    """(position, pairs, g, depth) for the search on goal: every side of every
+    axiom schema and caller lemma instantiated with subformulas of the goal,
+    as keys mapped to their first-seen positions; the instances as key
+    pairs; g, where ``g(k, k)`` is the key of a node k over keys; and a
+    depth that no key's term exceeds.  A template of more than 2
     metavariables is skipped on a goal of more than 8 subformulas, or past
     8**4 bindings."""
     subs = list(dict.fromkeys(t for pair in goal for side in pair for t in subterms(side)))
-    # one object per key, so that equal keys compare by identity at any depth
-    nodes = {(type(t), *map(t.__getattribute__, t.__match_args__)): t
+    canon = {(type(t), *map(t.__getattribute__, t.__match_args__)): t
              for t in subs if type(t) in _UNARY_RULES}
+    g = canon.get
     order = list(subs)  # every key, as met
     pairs: set = set()
     # schemas share sides (A*, A* & B*, ...), and a side's instance depends
@@ -840,14 +840,18 @@ def _key_pool(goal: tuple, system: str, lemmas):
             names = variables(side)
             if side not in instances:
                 values = list(product(subs, repeat=len(names)))
-                instances[side] = dict(zip(values, _instances(side, values, nodes.setdefault)))
+                # Python compares nested tuples recursively: the nodes of a side
+                # deeper than any parsed formula are interned, so that equal
+                # keys are one object and compare by identity
+                instances[side] = dict(zip(values, _instances(
+                    side, values, canon.setdefault if side.depth > MAX_DEPTH else g)))
             at = [metavars.index(name) for name in names]
             own = bindings if len(at) == k else [tuple(map(v.__getitem__, at)) for v in bindings]
             sides.append(list(map(instances[side].__getitem__, own)))
         pairs.update(zip(*sides))
         order += chain.from_iterable(zip(*sides))
     depth = max(t.depth for t in subs) + max(t.depth for lhs, rhs, _ in templates for t in (lhs, rhs))
-    return dict(zip(dict.fromkeys(order), count())), pairs, nodes, depth
+    return dict(zip(dict.fromkeys(order), count())), pairs, g, depth
 
 
 def _convert(x, memo: dict):
@@ -884,7 +888,7 @@ def _cut_candidates(goal: tuple, system: str, lemmas):
     term(key) gives the cut formula.  Cuts whose premises would both need
     long sub-proofs are not attempted (the search is best-effort, not
     complete).  Found by lookups, not by a scan of the pool."""
-    position, pairs, nodes, depth = _key_pool(goal, system, lemmas)
+    position, pairs, g, depth = _key_pool(goal, system, lemmas)
     reach = depth + 1  # a deeper term has no key, nor any one-step candidate
     rights: dict = {}  # left side -> right sides of its instances
     lefts: dict = {}  # right side -> left sides of its instances
@@ -915,7 +919,7 @@ def _cut_candidates(goal: tuple, system: str, lemmas):
                         cols = [*map(repeat, view)]
                         cols[i] = cs
                         ks = list(zip(*cols))
-                        found.update(filter(position.__contains__, map(nodes.get, ks)))
+                        found.update(filter(position.__contains__, map(g, ks, ks)))
             got = reached[side][t] = k, found
         return got
 

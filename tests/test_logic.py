@@ -1431,12 +1431,12 @@ def test_a_lemma_deeper_than_the_recursion_limit():
     deep = Var("a")
     for _ in range(sys.getrecursionlimit() + 100):
         deep = Neg(deep)
-    lemmas = [Sequent(Var("a"), deep), Sequent(deep, Var("a"))]
-    goal = parse_hypersequent("x => y")
-    with pytest.MonkeyPatch.context() as mp:
-        asked = _compare_candidates(mp)
-        assert search_proof(goal, "L", 3, lemmas=lemmas) is None
-    assert any(deep.depth <= max(a.depth, s.depth) for a, s in asked)
+    for goal, lemmas in [("x => y", [Sequent(Var("a"), deep), Sequent(deep, Var("a"))]),
+                         ("x => ~~x", [Sequent(Var("a"), deep)])]:
+        with pytest.MonkeyPatch.context() as mp:
+            asked = _compare_candidates(mp)
+            assert search_proof(parse_hypersequent(goal), "L", 3, lemmas=lemmas) is None
+        assert any(deep.depth <= max(a.depth, s.depth) for a, s in asked)
 
 
 # a goal of 8 subformulas: the widest on which templates of 3 or more
