@@ -289,11 +289,9 @@ def _kernel(names, pairs):
     """Compile to ``nest(M, J, G, O, TP, BT, R)``: for each of ``pairs``,
     each a pair (lhs, rhs) of terms over the variables ``names``, the first
     tuple, each v_i from R with v0 most significant, under which lhs != rhs,
-    or None.  Raises EvalError when a term is deeper than ``MAX_DEPTH``.
-    Keyed by the interned terms, so the key never recurses; the nests of the
-    last 1024 distinct inputs are kept."""
-    if any(t.depth > MAX_DEPTH for pair in pairs for t in pair):
-        raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
+    or None.  Its only caller, ``_plan``, rejects a term deeper than
+    ``MAX_DEPTH`` first.  Keyed by the interned terms, so the key never
+    recurses; the nests of the last 1024 distinct inputs are kept."""
     ns = {}
     exec("\n".join(_nest_source(names, pairs)), ns)  # generated from Term nodes only
     return ns["nest"]

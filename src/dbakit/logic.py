@@ -5,15 +5,15 @@ algebras; HL derives hypersequents (``;``-separated sequents, at least one)
 and is sound for the pure algebras, reading a hypersequent disjunctively:
 true under an assignment when at least one component is.
 
+Checker and search hold a hypersequent as a tuple of (ant, suc) pairs.
 Proof scripts are line-checked: every line must be an axiom instance or
 follow from earlier lines by a named rule, with hypersequent contexts
 matched as literal prefixes/suffixes (structural steps must be cited
 explicitly, there is no silent normalization).  Proof search runs backward
-with iterative deepening over tuples, building Sequent, Hypersequent and
-ProofLine objects only for the returned script, and admits cut only through
-a pool of candidate cut formulas (axiom instances over the goal's
-subformulas plus caller lemmas, enumerated as structural keys), so it always
-terminates.
+with iterative deepening and admits cut only through a pool of candidate
+cut formulas (axiom instances over the goal's subformulas plus caller
+lemmas, enumerated as structural keys), so it always terminates; like every
+evaluator, it rejects a term deeper than ``MAX_DEPTH``.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ def seq(ant: Term, suc: Term) -> Hypersequent:
     return Hypersequent((Sequent(ant, suc),))
 
 
-# The proof search holds a hypersequent as a tuple of (ant, suc) pairs.
 def _pairs(h: Hypersequent) -> tuple:
     return tuple((c.ant, c.suc) for c in h.components)
 
@@ -88,18 +87,8 @@ def _system(system: str) -> str:
     return system
 
 
-def parse_sequent(text: str, system: str = "L") -> Sequent:
-    p = TermParser(text, sorted_vars=(_system(system) == "HL"))
-    ant = p.parse_formula()
-    p.expect("=>")
-    suc = p.parse_formula()
-    if not p.at_end():
-        tok = p.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-    return Sequent(ant, suc)
-
-
-def parse_hypersequent(text: str, system: str = "L") -> Hypersequent:
+def _components(text: str, system: str, most: int | None = None) -> tuple[Sequent, ...]:
+    """The ``;``-separated sequents of text; past ``most``, a ParseError."""
     p = TermParser(text, sorted_vars=(_system(system) == "HL"))
     comps = []
     while True:
@@ -108,9 +97,19 @@ def parse_hypersequent(text: str, system: str = "L") -> Hypersequent:
         suc = p.parse_formula()
         comps.append(Sequent(ant, suc))
         if p.at_end():
-            break
+            return tuple(comps)
+        if len(comps) == most:
+            tok = p.peek()
+            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
         p.expect(";")
-    return Hypersequent(tuple(comps))
+
+
+def parse_sequent(text: str, system: str = "L") -> Sequent:
+    return _components(text, system, 1)[0]
+
+
+def parse_hypersequent(text: str, system: str = "L") -> Hypersequent:
+    return Hypersequent(_components(text, system))
 
 
 # --- axiom schemas ----------------------------------------------------------
@@ -200,11 +199,7 @@ def _schemas_for(ant_kind: type, suc_kind: type, hl: bool) -> tuple[AxiomSchema,
 def axiom_match(s: Sequent, system: str = "L") -> list[str]:
     """Ids of every axiom schema of the system with an instantiation equal
     to s.  Raises LogicError for an unknown system."""
-    return _axiom_ids(s, _system(system) == "HL")
-
-
-def _axiom_ids(s: Sequent, hl: bool) -> list[str]:
-    """``axiom_match`` for a system already checked: HL when ``hl``."""
+    hl = _system(system) == "HL"
     return [schema.id for schema in _schemas_for(type(s.ant), type(s.suc), hl)
             if schema_matches(schema, s)]
 
@@ -300,11 +295,7 @@ def _sq_pairs(phi: Term, psi: Term):
     yield from ((j, jj), (jj, j))
 
 
-def _sq_premises(phi: Term, psi: Term) -> tuple[Sequent, ...]:
-    return tuple(Sequent(a, b) for a, b in _sq_pairs(phi, psi))
-
-
-def _derives(prems, concl: Hypersequent, local) -> bool:
+def _derives(prems, concl: tuple, local) -> bool:
     """Whether concl is every premise's prefix, then one component c, then
     every premise's suffix, for some choice of one active component per
     premise with ``local(actives, c)``: the hypersequent context rule shared
@@ -314,20 +305,19 @@ def _derives(prems, concl: Hypersequent, local) -> bool:
     for ks in product(*(range(len(p)) for p in prems)):
         c = concl[sum(ks)]
         if (local(tuple(p[k] for p, k in zip(prems, ks)), c)
-                and concl.components == sum((p.components[:k] for p, k in zip(prems, ks)), ())
-                + (c,) + sum((p.components[k + 1:] for p, k in zip(prems, ks)), ())):
+                and concl == sum((p[:k] for p, k in zip(prems, ks)), ())
+                + (c,) + sum((p[k + 1:] for p, k in zip(prems, ks)), ())):
             return True
     return False
 
 
 # Rule -> (number of premises, condition on the active premise components and
-# the active conclusion component c); the context around them is _derives's.
+# the active conclusion component c, all pairs); the context is _derives's.
 _CONTEXT_RULES = {
-    "id-axiom": (0, lambda ps, c: c.ant == c.suc),
-    "cut": (2, lambda ps, c: ps[0].suc == ps[1].ant and c == Sequent(ps[0].ant, ps[1].suc)),
-    "sq": (4, lambda ps, c: ps == _sq_premises(c.ant, c.suc)),
-    **{rule: (1, lambda ps, c, rule=rule:
-              (rule, ps[0].ant, ps[0].suc) in _unary_premises(c.ant, c.suc))
+    "id-axiom": (0, lambda ps, c: c[0] == c[1]),
+    "cut": (2, lambda ps, c: ps[0][1] == ps[1][0] and c == (ps[0][0], ps[1][1])),
+    "sq": (4, lambda ps, c: ps == tuple(_sq_pairs(*c))),
+    **{rule: (1, lambda ps, c, rule=rule: (rule, *ps[0]) in _unary_premises(*c))
        for rules in _UNARY_RULES.values() for rule, *_ in rules},
 }
 
@@ -342,10 +332,10 @@ def _check_sp(h: tuple) -> bool:
 
 
 def check_proof(script: ProofScript) -> CheckReport:
-    """Validate every line; reports the first failure."""
+    """Validate every line, read once with _pairs; reports the first failure."""
     if script.system not in ("L", "HL"):
         return CheckReport(False, None, f"unknown system {script.system!r}")
-    by_index: dict[int, Hypersequent] = {}
+    by_index: dict[int, tuple] = {}
     for line in script.lines:
         idx = line.index
         if idx in by_index:
@@ -356,8 +346,9 @@ def check_proof(script: ProofScript) -> CheckReport:
             prems = [by_index[p] for p in line.premises]
         except KeyError as exc:
             return CheckReport(False, idx, f"unknown premise index {exc.args[0]}")
+        h = _pairs(line.hyp)
         if script.system == "L":
-            if len(line.hyp) != 1 or any(len(p) != 1 for p in prems):
+            if len(h) != 1 or any(len(p) != 1 for p in prems):
                 return CheckReport(False, idx, _L_SINGLE)
             if line.rule in _L_ONLY_FORBIDDEN:
                 return CheckReport(False, idx, f"rule {line.rule} is not part of system L")
@@ -365,7 +356,7 @@ def check_proof(script: ProofScript) -> CheckReport:
         reason = f"rule {line.rule} does not derive the line from its premises"
         if line.rule in _CONTEXT_RULES:
             arity, local = _CONTEXT_RULES[line.rule]
-            ok = len(prems) == arity and _derives(prems, line.hyp, local)
+            ok = len(prems) == arity and _derives(prems, h, local)
         elif line.rule == "axiom":
             if line.schema is None:
                 reason = "axiom rule needs a schema id"
@@ -376,23 +367,23 @@ def check_proof(script: ProofScript) -> CheckReport:
                 if schema.hl_only and script.system != "HL":
                     reason = f"schema {line.schema} is only available in HL"
                 else:
-                    ok = not prems and _derives(
-                        prems, line.hyp, lambda ps, c: schema_matches(schema, c))
+                    binding: dict = {}  # without premises, _derives tries one component
+                    ok = not prems and _derives(prems, h, lambda ps, c: _match(
+                        schema.lhs, c[0], binding, schema.var_sort) and _match(
+                        schema.rhs, c[1], binding, schema.var_sort))
         elif line.rule == "sp":
-            ok = len(prems) == 0 and _check_sp(_pairs(line.hyp))
+            ok = len(prems) == 0 and _check_sp(h)
         elif line.rule == "ec":
             ok = len(prems) == 1 and any(
-                prems[0][k] == prems[0][k + 1]
-                and line.hyp.components == prems[0].components[:k] + prems[0].components[k + 1:]
+                prems[0][k] == prems[0][k + 1] and h == prems[0][:k] + prems[0][k + 1:]
                 for k in range(len(prems[0]) - 1))
         elif line.rule in ("ee", "ew"):
-            ok = len(prems) == 1 and (line.rule, prems[0].components) in _structural_premises(
-                line.hyp.components)
+            ok = len(prems) == 1 and (line.rule, prems[0]) in _structural_premises(h)
         else:
             reason = f"unknown rule {line.rule!r}"
         if not ok:
             return CheckReport(False, idx, reason)
-        by_index[idx] = line.hyp
+        by_index[idx] = h
     return CheckReport(True)
 
 
@@ -641,7 +632,7 @@ def _refuter(h: Hypersequent, system: str):
     names, kinds = _var_sorts(h)
     if system == "L":  # every variable ranges over the universe
         kinds = (GENERIC,) * len(names)
-    pairs = tuple((c.ant, c.suc) for c in h.components)
+    pairs = _pairs(h)
     if max(t.depth for pair in pairs for t in pair) > MAX_DEPTH:
         raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
 
@@ -816,9 +807,8 @@ def _key_pool(goal: tuple, system: str, lemmas):
     metavariables is skipped on a goal of more than 8 subformulas, or past
     8**4 bindings."""
     subs = list(dict.fromkeys(t for pair in goal for side in pair for t in subterms(side)))
-    canon = {(type(t), *map(t.__getattribute__, t.__match_args__)): t
-             for t in subs if type(t) in _UNARY_RULES}
-    g = canon.get
+    g = {(type(t), *map(t.__getattribute__, t.__match_args__)): t
+         for t in subs if type(t) in _UNARY_RULES}.get
     order = list(subs)  # every key, as met
     pairs: set = set()
     # schemas share sides (A*, A* & B*, ...), and a side's instance depends
@@ -840,11 +830,7 @@ def _key_pool(goal: tuple, system: str, lemmas):
             names = variables(side)
             if side not in instances:
                 values = list(product(subs, repeat=len(names)))
-                # Python compares nested tuples recursively: the nodes of a side
-                # deeper than any parsed formula are interned, so that equal
-                # keys are one object and compare by identity
-                instances[side] = dict(zip(values, _instances(
-                    side, values, canon.setdefault if side.depth > MAX_DEPTH else g)))
+                instances[side] = dict(zip(values, _instances(side, values, g)))
             at = [metavars.index(name) for name in names]
             own = bindings if len(at) == k else [tuple(map(v.__getitem__, at)) for v in bindings]
             sides.append(list(map(instances[side].__getitem__, own)))
@@ -857,24 +843,15 @@ def _key_pool(goal: tuple, system: str, lemmas):
 def _convert(x, memo: dict):
     """A term's pool key, or a tuple key's term: one to one, so ``memo``
     holds each conversion both ways (and each goal subterm as its own key).
-    A key nests as deep as a lemma, so its term is built without recursion,
-    missing children first."""
+    search_proof's depth limit bounds a key, and so this recursion, by 2 * ``MAX_DEPTH``."""
     y = memo.get(x)
-    if y is None and type(x) is tuple:
-        stack = [x]
-        while stack:
-            k = stack[-1]
-            missing = [c for c in k[1:] if type(c) is tuple and c not in memo]
-            if missing:
-                stack += missing
-            else:
-                stack.pop()
-                t = k[0](*(memo.get(c, c) for c in k[1:]))
-                memo[k], memo[t] = t, k
-        y = memo[x]
-    elif y is None:
-        y = ((type(x), *(_convert(getattr(x, f), memo) for f in x.__match_args__))
-             if type(x) in _UNARY_RULES else x)
+    if y is None:
+        if type(x) is tuple:
+            y = x[0](*(_convert(c, memo) for c in x[1:]))
+        elif type(x) in _UNARY_RULES:
+            y = (type(x), *(_convert(getattr(x, f), memo) for f in x.__match_args__))
+        else:
+            y = x
         memo[x], memo[y] = y, x
     return y
 
@@ -942,12 +919,15 @@ def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
                  lemmas=None) -> ProofScript | None:
     """Iterative-deepening backward search; cut only through the candidate
     pool.  Any returned script re-validates under check_proof.  ``depth``
-    is a Python or numpy integer, never a bool, float or str (LogicError)."""
+    is a Python or numpy integer, never a bool, float or str (LogicError).
+    A goal or lemma side deeper than ``MAX_DEPTH`` is an EvalError."""
     if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)):
         raise LogicError(f"depth must be an integer, got {depth!r}")
     if _system(system) == "L" and len(goal) != 1:
         raise LogicError(_L_SINGLE)
     root = _pairs(goal)
+    if max(t.depth for t in chain(*root, *((s.ant, s.suc) for s in lemmas or ()))) > MAX_DEPTH:
+        raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
     hl = system == "HL"
     pool = None  # the cut candidates, built at the first cut: most goals close without one
     proved: dict = {}
@@ -1015,10 +995,6 @@ def _emit(node: tuple, lines: list, index_of: dict) -> int:
 
 # --- transcribed derivations --------------------------------------------------
 
-def _x(name):
-    return Var(name)
-
-
 def _meet_idem_intro_lines(phi: Term, psi: Term, start: int) -> list[ProofLine]:
     """Derivation of phi&psi => (phi&psi)&(phi&psi) (6 lines)."""
     m = Meet(phi, psi)
@@ -1041,7 +1017,7 @@ def fixture_proofs() -> list[tuple[str, ProofScript]]:
     because the checker accepts only axioms and single rule applications,
     so they run longer than their compressed presentations.
     """
-    x, y = _x("x"), _x("y")
+    x, y = Var("x"), Var("y")
     out = []
 
     out.append(("lemma-meet-idem-intro",

@@ -509,13 +509,6 @@ class TermParser:
         tok = self.tokens[self.pos]
         return None if tok is _END else tok
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok is _END:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return tok
-
     def expect(self, kind: str) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != kind:

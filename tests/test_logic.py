@@ -4,7 +4,6 @@ import functools
 import gc
 import random
 import re
-import sys
 import time
 import tracemalloc
 import weakref
@@ -23,7 +22,7 @@ from dbakit.logic import (
     AXIOM_SCHEMAS, Hypersequent, ProofLine, ProofScript, Sequent, axiom_match,
     check_proof, eval_sequent, falsifying_env, find_countermodel, fixture_proofs,
     is_true_in, parse_hypersequent, parse_script, parse_sequent, render_script,
-    schema_matches, search_proof, seq, _axiom_ids, _pairs, _sq_premises,
+    schema_matches, search_proof, seq, _pairs,
 )
 from dbakit.terms import (
     BOT, MAX_DEPTH, TOP, Join, Meet, Neg, Opp, Term, Var, fold, parse_term, render, subterms,
@@ -33,6 +32,10 @@ from dbakit.terms import (
 
 def _substitute(pattern: Term, binding: dict) -> Term:
     return fold(pattern, binding.__getitem__, TOP, BOT, Neg, Opp, Meet, Join)
+
+
+def _sq_premises(phi: Term, psi: Term) -> tuple[Sequent, ...]:
+    return tuple(Sequent(a, b) for a, b in logic._sq_pairs(phi, psi))
 
 
 def contextual_fixtures():
@@ -145,6 +148,12 @@ def test_wrong_schema_citation_rejected():
         ProofLine(1, seq(Meet(x, y), x), "axiom", (), "join-intro-l"),
     ))
     assert not check_proof(script).valid
+    # each side fits the schema alone, under another value of A*
+    for hyp, schema in [(seq(x, y), "id"), (seq(Meet(x, y), y), "meet-elim-l"),
+                        (seq(Neg(Meet(x, x)), Neg(y)), "neg-collapse")]:
+        line = ProofLine(1, hyp, "axiom", (), schema)
+        assert check_proof(ProofScript("L", (line,))).reason == \
+            "rule axiom does not derive the line from its premises"
 
 
 def test_L_rejects_hypersequent_lines_and_external_rules():
@@ -891,7 +900,6 @@ def test_rules_locally_sound_instancewise():
                     eval_sequent(alg, Sequent(y, z), env):
                 assert eval_sequent(alg, Sequent(x, z), env), (name, "cut", env)
         # the order rule
-        from dbakit.logic import _sq_premises
         for env in _envs(alg, ("x", "y")):
             if all(eval_sequent(alg, p, env) for p in _sq_premises(x, y)):
                 assert eval_sequent(alg, Sequent(x, y), env), (name, "sq", env)
@@ -1068,7 +1076,8 @@ _systems = st.sampled_from(["L", "HL"])
 def _checks(rule, prems, concl) -> bool:
     """The proof checker's verdict on a line of this rule and premises."""
     arity, local = logic._CONTEXT_RULES[rule]
-    return len(prems) == arity and logic._derives(prems, concl, local)
+    return len(prems) == arity and logic._derives(
+        [_pairs(p) for p in prems], _pairs(concl), local)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1424,19 +1433,31 @@ def test_candidates_of_pool_terms_and_of_terms_past_the_pool_equal_the_scan(draw
         assert [(score, term(chi)) for score, chi in candidates(ant, suc)] == scan(ant, suc)
 
 
-def test_a_lemma_deeper_than_the_recursion_limit():
-    # an instance key nests as deep as its lemma: the search builds the cut
-    # formula's term and compares keys without recursion, and each candidate
-    # still equals the term pool scan's
-    deep = Var("a")
-    for _ in range(sys.getrecursionlimit() + 100):
-        deep = Neg(deep)
-    for goal, lemmas in [("x => y", [Sequent(Var("a"), deep), Sequent(deep, Var("a"))]),
-                         ("x => ~~x", [Sequent(Var("a"), deep)])]:
+def test_search_proof_depth_limit(monkeypatch):
+    # goals and lemmas at MAX_DEPTH still search, and each candidate equals
+    # the term pool scan's; one level deeper, a goal or lemma side raises
+    # before the search builds its cut pool
+    x, y, a = Var("x"), Var("y"), Var("a")
+    at_limit = _neg_chain(a, MAX_DEPTH)
+    for goal, lemmas, depth in [(seq(_neg_chain(x, MAX_DEPTH), y), [], 2),
+                                (seq(x, y), [Sequent(a, at_limit), Sequent(at_limit, a)], 3),
+                                (seq(x, Neg(Neg(x))), [Sequent(a, at_limit)], 3)]:
         with pytest.MonkeyPatch.context() as mp:
             asked = _compare_candidates(mp)
-            assert search_proof(parse_hypersequent(goal), "L", 3, lemmas=lemmas) is None
-        assert any(deep.depth <= max(a.depth, s.depth) for a, s in asked)
+            assert search_proof(goal, "L", depth, lemmas=lemmas) is None
+        assert asked
+    built = []
+    key_pool = logic._key_pool
+    monkeypatch.setattr(logic, "_key_pool", lambda *args: built.append(args) or key_pool(*args))
+    deep, p = _neg_chain(a, MAX_DEPTH + 1), Var("p", "object")
+    for system, goal, lemmas in [
+            ("L", seq(_neg_chain(x, MAX_DEPTH + 1), y), []),
+            ("HL", Hypersequent((Sequent(p, p), Sequent(p, _neg_chain(p, MAX_DEPTH + 1)))), []),
+            ("L", seq(x, y), [Sequent(deep, a)]),
+            ("L", seq(x, y), [Sequent(a, deep)])]:
+        with pytest.raises(EvalError, match=f"deeper than {MAX_DEPTH}"):
+            search_proof(goal, system, 3, lemmas=lemmas)
+    assert built == []
 
 
 # a goal of 8 subformulas: the widest on which templates of 3 or more
@@ -1506,7 +1527,7 @@ def _near_instances(draw):
 def test_compiled_leaves_equal_the_generic_matcher(s, hl):
     for schema in AXIOM_SCHEMAS:
         assert logic._axiom_test(schema)(s.ant, s.suc) == schema_matches(schema, s), schema.id
-    first = _axiom_ids(s, hl)[:1]
+    first = axiom_match(s, "HL" if hl else "L")[:1]
     assert [sid for sid, test in logic._leaf_tests(type(s.ant), type(s.suc), hl)
             if test(s.ant, s.suc)][:1] == first
     tree = logic._leaf(((s.ant, s.suc),), hl)

@@ -613,9 +613,9 @@ def test_the_parser_messages_at_the_end_of_input():
         assert str(err.value) == message and err.value.line is None
     p = TermParser("x ;")
     assert p.parse_formula() is Var("x") and not p.at_end()
-    assert p.next().kind == ";" and p.peek() is None and p.at_end()
-    with pytest.raises(ParseError, match="unexpected end of input"):
-        p.next()
+    assert p.expect(";").kind == ";" and p.peek() is None and p.at_end()
+    with pytest.raises(ParseError, match="expected ';' but input ended"):
+        p.expect(";")
 
 
 # --- the intern table ---------------------------------------------------------------
