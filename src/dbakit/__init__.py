@@ -39,14 +39,14 @@ from .logic import (
 )
 from .representation import (
     ClopenCharacterization, FilterSet, RepresentationResult, StandardContext,
-    clopen_family, closed_set_family, enumerate_primary, enumerate_primary_naive,
+    clopen_family, closed_set_family, enumerate_primary,
     is_filter, is_ideal, is_primary, representation, standard_context,
     verify_clopen_characterization, verify_clopen_sets,
     verify_derivation_identities, verify_pair_embedding,
     verify_translated_continuity,
 )
 from .search import (
-    SearchSpec, SearchSummary, candidate_count, enumerate_algebras, iter_algebras, naive_sweep,
+    SearchSpec, SearchSummary, candidate_count, enumerate_algebras, iter_algebras,
 )
 from .suites import BOOLEAN, CATALOG, DBA23, DCORE13, GDCORE11, get_suite
 from .terms import AxiomSuite, Equation, Term, parse_term, render, variables

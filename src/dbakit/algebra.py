@@ -33,6 +33,15 @@ from .terms import (
 )
 
 
+def _integer(value, what, error, kind="an integer") -> int:
+    """value as an int: Python or numpy integers only.  A bool, float or str
+    is never truncated but raises ``error("<what> must be <kind>, got
+    <value!r>")``, each caller giving its own error type and noun."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be {kind}, got {value!r}")
+    return int(value)
+
+
 class FiniteAlgebra:
     """Total operation tables for meet (&), join (|), two negations (~, !)
     and the constants T, F over elements 0..n-1.
@@ -94,9 +103,7 @@ class FiniteAlgebra:
 
     @staticmethod
     def _index(v, n, what):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise AlgebraError(f"{what} must be an integer index, got {v!r}")
-        v = int(v)
+        v = _integer(v, what, AlgebraError, "an integer index")
         if not 0 <= v < n:
             raise AlgebraError(f"{what} index {v} out of range [0, {n})")
         return v
@@ -793,6 +800,13 @@ def extract_boolean_part(alg: FiniteAlgebra, side: str) -> FiniteAlgebra:
     The result duplicates its complement into both negation slots, so it
     passes the BOOLEAN suite as well as DBA23.
     """
+    return _boolean_part(alg, side)[0]
+
+
+def _boolean_part(alg: FiniteAlgebra, side: str):
+    """``extract_boolean_part`` with the idempotents it is carried by: the
+    part, the carrier (the idempotents ascending, as an array) and pos, the
+    array from each element to its index in the part (-1 off the carrier)."""
     if side not in ("meet", "join"):
         raise AlgebraError(f"side must be 'meet' or 'join', got {side!r}")
     if not passes(alg, DBA23):
@@ -808,9 +822,10 @@ def extract_boolean_part(alg: FiniteAlgebra, side: str) -> FiniteAlgebra:
     comp = pos[c[carrier]]
     top, bot = (alg.meet[alg.top, alg.top], alg.bot) if meet_side else (
         alg.top, alg.join[alg.bot, alg.bot])
-    return FiniteAlgebra([alg.names[e] for e in carrier.tolist()],
+    part = FiniteAlgebra([alg.names[e] for e in carrier.tolist()],
                          *((own, derived) if meet_side else (derived, own)),
                          comp, comp, pos[top], pos[bot])
+    return part, carrier, pos
 
 
 def is_boolean_algebra(alg: FiniteAlgebra) -> bool:

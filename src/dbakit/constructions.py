@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    FiniteAlgebra, QuasiOrder, _flagged_order, extract_boolean_part, is_boolean_algebra,
-    join_idempotents, meet_idempotents,
+    FiniteAlgebra, QuasiOrder, _boolean_part, _flagged_order, _integer, is_boolean_algebra,
 )
 from .errors import ConstructionError
 
@@ -78,11 +77,8 @@ def powerset_boolean(k: int, max_atoms: int = 4) -> BooleanView:
 
 
 def _index(v, what) -> int:
-    """v as an element index by ``FiniteAlgebra._index``'s rule: Python or
-    numpy integers only; a bool, float or str is an error, never truncated."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ConstructionError(f"{what} must be an integer index, got {v!r}")
-    return int(v)
+    """v as an element index by ``algebra._integer``'s rule."""
+    return _integer(v, what, ConstructionError, "an integer index")
 
 
 @dataclass(frozen=True)
@@ -204,17 +200,11 @@ def canonical_pairs(alg: FiniteAlgebra):
     """The embedding-retraction pairs carried by a dBa itself: retract onto the
     meet/join idempotents by squaring, embed by inclusion.  Rebuilding from
     these pairs reproduces the original tables."""
-    cap = sorted(meet_idempotents(alg))
-    cup = sorted(join_idempotents(alg))
-    p = BooleanView(extract_boolean_part(alg, "meet"))
-    q = BooleanView(extract_boolean_part(alg, "join"))
-    cap_pos = {e: i for i, e in enumerate(cap)}
-    cup_pos = {e: i for i, e in enumerate(cup)}
-    r = [cap_pos[sq] for sq in alg.meet.diagonal().tolist()]
-    e = list(cap)
-    rp = [cup_pos[sq] for sq in alg.join.diagonal().tolist()]
-    ep = list(cup)
-    return (RetractionPair(alg.n, p, r, e), RetractionPair(alg.n, q, rp, ep))
+    p, cap, cap_pos = _boolean_part(alg, "meet")
+    q, cup, cup_pos = _boolean_part(alg, "join")
+    r, rp = cap_pos[alg.meet.diagonal()].tolist(), cup_pos[alg.join.diagonal()].tolist()
+    return (RetractionPair(alg.n, BooleanView(p), r, cap.tolist()),
+            RetractionPair(alg.n, BooleanView(q), rp, cup.tolist()))
 
 
 def glued_sum(p: BooleanView, q: BooleanView) -> FiniteAlgebra:

@@ -14,6 +14,9 @@
                           quasi-order is not antisymmetric (mid and mid2 sit
                           below/above each other), so the filter/ideal
                           representation map is not injective on it.
+
+``PROOF_SCRIPTS`` holds hand-transcribed derivations in the calculus L, as
+proof-script text.
 """
 
 from __future__ import annotations
@@ -96,3 +99,64 @@ def get_fixture(name: str) -> FiniteAlgebra:
         if nm == name:
             return alg
     raise KeyError(name)
+
+
+# Name -> script text, in the form ``logic.render_script`` prints; each passes
+# ``logic.check_proof``.  The commutativity and absorption proofs inline the
+# idempotence lemma (lines 1-6) because the checker accepts only axioms and
+# single rule applications, so they run longer than their compressed
+# presentations.
+PROOF_SCRIPTS = {
+    "lemma-meet-idem-intro": """\
+system: L
+1: x & y => ~~(x & y)  axiom(dneg-meet-intro)
+2: ~(x & y & (x & y)) => ~(x & y)  axiom(neg-collapse)
+3: ~~(x & y) => ~~(x & y & (x & y))  neg 2
+4: ~~(x & y & (x & y)) => x & y & (x & y)  axiom(dneg-meet)
+5: ~~(x & y) => x & y & (x & y)  cut 3 4
+6: x & y => x & y & (x & y)  cut 1 5
+""",
+    "lemma-join-idem-elim": """\
+system: L
+1: !!(x | y) => x | y  axiom(dopp-join)
+2: !(x | y) => !(x | y | (x | y))  axiom(opp-expand)
+3: !!(x | y | (x | y)) => !!(x | y)  opp 2
+4: x | y | (x | y) => !!(x | y | (x | y))  axiom(dopp-join-intro)
+5: x | y | (x | y) => !!(x | y)  cut 4 3
+6: x | y | (x | y) => x | y  cut 5 1
+""",
+    "thm-comm-meet": """\
+system: L
+1: x & y => ~~(x & y)  axiom(dneg-meet-intro)
+2: ~(x & y & (x & y)) => ~(x & y)  axiom(neg-collapse)
+3: ~~(x & y) => ~~(x & y & (x & y))  neg 2
+4: ~~(x & y & (x & y)) => x & y & (x & y)  axiom(dneg-meet)
+5: ~~(x & y) => x & y & (x & y)  cut 3 4
+6: x & y => x & y & (x & y)  cut 1 5
+7: x & y => y  axiom(meet-elim-r)
+8: x & y & (x & y) => y & (x & y)  meetR 7
+9: x & y => x  axiom(meet-elim-l)
+10: y & (x & y) => y & x  meetL 9
+11: x & y & (x & y) => y & x  cut 8 10
+12: x & y => y & x  cut 6 11
+""",
+    "thm-neg-monotone": """\
+system: L
+1: x & x => x  axiom(meet-elim-l)
+2: ~x => ~(x & x)  neg 1
+""",
+    "thm-meet-absorb": """\
+system: L
+1: x & (x | y) => ~~(x & (x | y))  axiom(dneg-meet-intro)
+2: ~(x & (x | y) & (x & (x | y))) => ~(x & (x | y))  axiom(neg-collapse)
+3: ~~(x & (x | y)) => ~~(x & (x | y) & (x & (x | y)))  neg 2
+4: ~~(x & (x | y) & (x & (x | y))) => x & (x | y) & (x & (x | y))  axiom(dneg-meet)
+5: ~~(x & (x | y)) => x & (x | y) & (x & (x | y))  cut 3 4
+6: x & (x | y) => x & (x | y) & (x & (x | y))  cut 1 5
+7: x & (x | y) => x  axiom(meet-elim-l)
+8: x & (x | y) & (x & (x | y)) => x & (x & (x | y))  meetR 7
+9: x & (x & (x | y)) => x & x  meetL 7
+10: x & (x | y) & (x & (x | y)) => x & x  cut 8 9
+11: x & (x | y) => x & x  cut 6 10
+""",
+}

@@ -30,8 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import algebra
-from .algebra import FiniteAlgebra, classify, eval_term, quasi_order
+from .algebra import FiniteAlgebra, _integer, classify, eval_term, quasi_order
 from .errors import EvalError, LogicError, ParseError
+from .fixtures import PROOF_SCRIPTS
 from .terms import (
     BOT, GENERIC, MAX_DEPTH, OBJECT, PROPERTY, TOP,
     Const, Join, Meet, Neg, Opp, Term, TermParser, Var, fold, postorder, render, subterms,
@@ -921,8 +922,7 @@ def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
     pool.  Any returned script re-validates under check_proof.  ``depth``
     is a Python or numpy integer, never a bool, float or str (LogicError).
     A goal or lemma side deeper than ``MAX_DEPTH`` is an EvalError."""
-    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)):
-        raise LogicError(f"depth must be an integer, got {depth!r}")
+    _integer(depth, "depth", LogicError)
     if _system(system) == "L" and len(goal) != 1:
         raise LogicError(_L_SINGLE)
     root = _pairs(goal)
@@ -995,71 +995,7 @@ def _emit(node: tuple, lines: list, index_of: dict) -> int:
 
 # --- transcribed derivations --------------------------------------------------
 
-def _meet_idem_intro_lines(phi: Term, psi: Term, start: int) -> list[ProofLine]:
-    """Derivation of phi&psi => (phi&psi)&(phi&psi) (6 lines)."""
-    m = Meet(phi, psi)
-    mm = Meet(m, m)
-    i = start
-    return [
-        ProofLine(i, seq(m, Neg(Neg(m))), "axiom", (), "dneg-meet-intro"),
-        ProofLine(i + 1, seq(Neg(mm), Neg(m)), "axiom", (), "neg-collapse"),
-        ProofLine(i + 2, seq(Neg(Neg(m)), Neg(Neg(mm))), "neg", (i + 1,)),
-        ProofLine(i + 3, seq(Neg(Neg(mm)), mm), "axiom", (), "dneg-meet"),
-        ProofLine(i + 4, seq(Neg(Neg(m)), mm), "cut", (i + 2, i + 3)),
-        ProofLine(i + 5, seq(m, mm), "cut", (i, i + 4)),
-    ]
-
-
 def fixture_proofs() -> list[tuple[str, ProofScript]]:
-    """Hand-transcribed derivations; all pass check_proof.
-
-    The two commutativity/absorption proofs inline the idempotence lemma
-    because the checker accepts only axioms and single rule applications,
-    so they run longer than their compressed presentations.
-    """
-    x, y = Var("x"), Var("y")
-    out = []
-
-    out.append(("lemma-meet-idem-intro",
-                ProofScript("L", tuple(_meet_idem_intro_lines(x, y, 1)))))
-
-    j = Join(x, y)
-    jj = Join(j, j)
-    out.append(("lemma-join-idem-elim", ProofScript("L", (
-        ProofLine(1, seq(Opp(Opp(j)), j), "axiom", (), "dopp-join"),
-        ProofLine(2, seq(Opp(j), Opp(jj)), "axiom", (), "opp-expand"),
-        ProofLine(3, seq(Opp(Opp(jj)), Opp(Opp(j))), "opp", (2,)),
-        ProofLine(4, seq(jj, Opp(Opp(jj))), "axiom", (), "dopp-join-intro"),
-        ProofLine(5, seq(jj, Opp(Opp(j))), "cut", (4, 3)),
-        ProofLine(6, seq(jj, j), "cut", (5, 1)),
-    ))))
-
-    m = Meet(x, y)
-    mm = Meet(m, m)
-    comm = _meet_idem_intro_lines(x, y, 1) + [
-        ProofLine(7, seq(m, y), "axiom", (), "meet-elim-r"),
-        ProofLine(8, seq(mm, Meet(y, m)), "meetR", (7,)),
-        ProofLine(9, seq(m, x), "axiom", (), "meet-elim-l"),
-        ProofLine(10, seq(Meet(y, m), Meet(y, x)), "meetL", (9,)),
-        ProofLine(11, seq(mm, Meet(y, x)), "cut", (8, 10)),
-        ProofLine(12, seq(m, Meet(y, x)), "cut", (6, 11)),
-    ]
-    out.append(("thm-comm-meet", ProofScript("L", tuple(comm))))
-
-    out.append(("thm-neg-monotone", ProofScript("L", (
-        ProofLine(1, seq(Meet(x, x), x), "axiom", (), "meet-elim-l"),
-        ProofLine(2, seq(Neg(x), Neg(Meet(x, x))), "neg", (1,)),
-    ))))
-
-    a = Meet(x, Join(x, y))  # the absorption antecedent
-    aa = Meet(a, a)
-    absorb = _meet_idem_intro_lines(x, Join(x, y), 1) + [
-        ProofLine(7, seq(a, x), "axiom", (), "meet-elim-l"),
-        ProofLine(8, seq(aa, Meet(x, a)), "meetR", (7,)),
-        ProofLine(9, seq(Meet(x, a), Meet(x, x)), "meetL", (7,)),
-        ProofLine(10, seq(aa, Meet(x, x)), "cut", (8, 9)),
-        ProofLine(11, seq(a, Meet(x, x)), "cut", (6, 10)),
-    ]
-    out.append(("thm-meet-absorb", ProofScript("L", tuple(absorb))))
-
-    return out
+    """The hand-transcribed derivations of ``fixtures.PROOF_SCRIPTS``,
+    parsed, in order; all pass check_proof."""
+    return [(name, parse_script(text)) for name, text in PROOF_SCRIPTS.items()]

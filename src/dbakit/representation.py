@@ -36,8 +36,6 @@ from .constructions import (
 from .errors import AlgebraError, BudgetError
 from .fca import FormalContext, _completions, _generated_pairs
 
-NAIVE_SWEEP_LIMIT = 12
-
 
 @dataclass(frozen=True)
 class FilterSet:
@@ -135,20 +133,6 @@ def enumerate_primary(alg: FiniteAlgebra, kind: str) -> list[FilterSet]:
     atoms = [a for a in part if sum(up[b][a] for b in part if b != a) == 1]
     masks = sorted(_mask_of(z for z, above in enumerate(up[a]) if above) for a in atoms)
     return [_make_filterset(alg, kind, mask) for mask in masks]
-
-
-def enumerate_primary_naive(alg: FiniteAlgebra, kind: str,
-                            max_size: int = NAIVE_SWEEP_LIMIT) -> list[FilterSet]:
-    """Oracle: test every subset directly."""
-    if alg.n > max_size:
-        raise BudgetError(
-            f"naive sweep limited to {max_size} elements, got {alg.n}")
-    out = []
-    for mask in range(1 << alg.n):
-        members = [x for x in range(alg.n) if mask >> x & 1]
-        if is_primary(alg, members, kind):
-            out.append(mask)
-    return [_make_filterset(alg, kind, mask) for mask in sorted(out)]
 
 
 @dataclass(frozen=True)
@@ -301,7 +285,7 @@ def _masks(rep: RepresentationResult):
 
 
 def verify_derivation_identities(rep: RepresentationResult) -> list[str]:
-    """The six filter/ideal mask identities; returns the failing item names."""
+    """The seven filter/ideal mask identities; returns the failing item names."""
     alg = rep.algebra
     E, D, F, I, full_f, full_i = _masks(rep)
     m, j = alg.meet, alg.join

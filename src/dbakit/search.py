@@ -7,9 +7,9 @@ through element values ascending.  An axiom of the required suite is
 evaluated on a ground instance as soon as the last table entry it needs is
 filled; a violation prunes the whole subtree.  This keeps the search
 reproducible across runs and platforms, and sound with respect to the naive
-sweep (which is also provided, as an oracle).  The search is one generator
-over an explicit stack of open slots: ``iter_algebras`` yields its models
-lazily, in this order, and ``enumerate_algebras`` collects them.
+sweep of every candidate (which the tests keep as an oracle).  The search is
+one generator over an explicit stack of open slots: ``iter_algebras`` yields
+its models lazily, in this order, and ``enumerate_algebras`` collects them.
 
 Ground instances are watched, as in SEM (Zhang & Zhang, IJCAI 1995) and
 Mace4 (McCune, 2003): an unfilled slot holds a marker (see ``_Partial``), so
@@ -42,11 +42,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import product, starmap
+from itertools import product
 
-import numpy as np
-
-from .algebra import FiniteAlgebra, satisfies_equation
+from .algebra import FiniteAlgebra, _integer, satisfies_equation
 from .errors import BudgetError, EvalError, SuiteError
 from .suites import get_suite
 from .terms import MAX_DEPTH, TABLE_NAMES, Const, Neg, Opp, Var, source
@@ -186,19 +184,11 @@ def _checker(lhs, rhs, names):
     return ns["check"]
 
 
-def _integer(value, what) -> int:
-    """value as an int by ``FiniteAlgebra._index``'s rule: Python or numpy
-    integers only; a bool, float or str is a SuiteError, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise SuiteError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _pin(value, n, what):
     """The values of a constant's slot: the pinned element, or all of them."""
     if value is None:
         return range(n)
-    v = _integer(value, what)
+    v = _integer(value, what, SuiteError)
     if not 0 <= v < n:
         raise SuiteError(f"{what} must be in [0, {n}), got {v}")
     return (v,)
@@ -209,12 +199,12 @@ def _checked(spec: SearchSpec):
     the pinned constant.  Raises SuiteError for a size below 1, a pin outside
     the universe, a negative budget, or any of these that is not an
     integer."""
-    n = _integer(spec.size, "universe size")
+    n = _integer(spec.size, "universe size", SuiteError)
     if n < 1:
         raise SuiteError("universe size must be >= 1")
     for what in ("max_models", "max_candidates"):
         budget = getattr(spec, what)
-        if budget is not None and _integer(budget, what) < 0:
+        if budget is not None and _integer(budget, what, SuiteError) < 0:
             raise SuiteError(f"{what} must be >= 0, got {budget}")
     return n, ([_pin(spec.fixed_top, n, "fixed_top"), _pin(spec.fixed_bot, n, "fixed_bot")]
                + [range(n)] * (2 * n + 2 * n * n))
@@ -381,17 +371,3 @@ def enumerate_algebras(spec: SearchSpec, visitor=None) -> SearchSummary:
     summary = SearchSummary()
     return _collect(_search(spec, summary), summary, visitor)
 
-
-def naive_sweep(spec: SearchSpec, visitor=None) -> SearchSummary:
-    """Unpruned oracle: visit every complete candidate and test the suites on
-    the finished algebra.  Intended for size <= 2."""
-    n, values = _checked(spec)
-    names = [f"e{i}" for i in range(n)]
-
-    def algebra(top, bot, *t):  # t: neg, opp, then the meet and join rows
-        rows = [t[k:k + n] for k in range(2 * n, len(t), n)]
-        return FiniteAlgebra(names, rows[:n], rows[n:], t[:n], t[n:2 * n], top, bot)
-
-    summary = SearchSummary()
-    candidates = starmap(algebra, product(*values))
-    return _collect(_models(spec, candidates, _wants(spec), summary), summary, visitor)

@@ -33,9 +33,10 @@ from dbakit.representation import (
     verify_clopen_sets, verify_derivation_identities, verify_pair_embedding,
     verify_translated_continuity,
 )
-from dbakit.search import SearchSpec, enumerate_algebras, naive_sweep
+from dbakit.search import SearchSpec, enumerate_algebras
 from dbakit.suites import DBA23, DCORE13, GDCORE11
 from dbakit.terms import parse_term
+from oracles import naive_sweep
 from test_logic import _sq_premises, _substitute
 
 

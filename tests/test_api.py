@@ -18,7 +18,7 @@ def test_top_level_exports():
         "project_meet", "project_join", "extract_boolean_part",
         "check_identity_catalog", "parse_term", "render", "parse_algebra",
         "render_algebra", "parse_context", "render_context", "enumerate_algebras",
-        "iter_algebras", "naive_sweep", "builtin_fixtures", "derive", "modal", "enumerate_pairs",
+        "iter_algebras", "builtin_fixtures", "derive", "modal", "enumerate_pairs",
         "protoconcept_algebra", "oo_protoconcept_algebra", "complement_context",
         "build_from_boolean_pair", "check_theorem_conditions", "glued_sum",
         "generalized_glued_sum", "powerset_boolean", "is_filter", "is_ideal",
@@ -30,6 +30,10 @@ def test_top_level_exports():
         "DBA23", "DCORE13", "GDCORE11", "BOOLEAN", "CATALOG", "get_suite",
     ):
         assert hasattr(dbakit, name), name
+    # the oracles live in tests/oracles.py, outside the package
+    for module in (dbakit, dbakit.search, dbakit.representation):
+        for name in ("naive_sweep", "enumerate_primary_naive", "NAIVE_SWEEP_LIMIT"):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_version_string():

@@ -17,7 +17,7 @@ from dbakit import algebra, logic
 from dbakit.algebra import classify, passes, quasi_order
 from dbakit.errors import EvalError, LogicError, ParseError
 from dbakit.fca import all_contexts, protoconcept_algebra
-from dbakit.fixtures import boolean2, builtin_fixtures, chain3, gdcore_not_dcore
+from dbakit.fixtures import PROOF_SCRIPTS, boolean2, builtin_fixtures, chain3, gdcore_not_dcore
 from dbakit.logic import (
     AXIOM_SCHEMAS, Hypersequent, ProofLine, ProofScript, Sequent, axiom_match,
     check_proof, eval_sequent, falsifying_env, find_countermodel, fixture_proofs,
@@ -113,6 +113,21 @@ def test_fixture_proofs_all_valid():
     for name, script in fixture_proofs():
         report = check_proof(script)
         assert report.valid, (name, str(report))
+
+
+def test_fixture_proofs_are_the_script_texts():
+    # the transcribed derivations are kept as text: each parses to a script
+    # that renders back to that text, in the fixtures' order
+    proofs = fixture_proofs()
+    assert [name for name, _ in proofs] == [
+        "lemma-meet-idem-intro", "lemma-join-idem-elim", "thm-comm-meet",
+        "thm-neg-monotone", "thm-meet-absorb"]
+    assert all(type(script) is ProofScript for _, script in proofs)
+    assert [render_script(script) for _, script in proofs] == list(PROOF_SCRIPTS.values())
+    assert sum(text.count("\n") for text in PROOF_SCRIPTS.values()) == 42
+    # commutativity inlines the idempotence lemma as its first six lines
+    scripts = dict(proofs)
+    assert scripts["thm-comm-meet"].lines[:6] == scripts["lemma-meet-idem-intro"].lines
 
 
 def test_fixture_proofs_round_trip_through_text():

@@ -28,13 +28,14 @@ from dbakit.fixtures import (
 from dbakit.representation import (
     ClopenCharacterization, RepresentationResult,
     _is_homomorphism, _is_order_embedding, _make_filterset, _mask_of,
-    clopen_family, closed_set_family, enumerate_primary, enumerate_primary_naive,
+    clopen_family, closed_set_family, enumerate_primary,
     is_filter, is_ideal, is_primary, representation, standard_context,
     verify_clopen_characterization, verify_clopen_sets,
     verify_derivation_identities, verify_pair_embedding,
     verify_translated_continuity,
 )
 from dbakit.search import SearchSpec, enumerate_algebras
+from oracles import enumerate_primary_naive
 
 
 def dba_fixtures():

@@ -22,10 +22,11 @@ from dbakit.errors import BudgetError, EvalError, SuiteError
 from dbakit.fixtures import builtin_fixtures, get_fixture
 from dbakit.search import (
     MAX_SEARCH_SIZE, SearchSpec, SearchSummary, _checker, _slots, candidate_count,
-    enumerate_algebras, iter_algebras, naive_sweep,
+    enumerate_algebras, iter_algebras,
 )
 from dbakit.suites import DBA23, DCORE13, SUITES, get_suite
 from dbakit.terms import MAX_DEPTH, AxiomSuite, Equation, Neg, Var, eq, source
+from oracles import naive_sweep
 
 
 # --- reference: the rescanning engine -----------------------------------------
