@@ -5,12 +5,12 @@ arrays.  Only the checker's compiled nests read them as row tuples
 (``_tuples``).  Every function here is read-only on its inputs and safe to
 call concurrently on shared values.
 
-What the tables decide (suite reports, catalog verdicts, the quasi-order
-and the classification) is kept in one record per table set, shared by
-every live algebra with equal tables, that is, equal ``signature()``
-(``_facts_of``).  Sharing is exact: the key is the whole of the tables,
-every kept value is index-based, and names enter only when a report is
-rendered.
+What the tables decide (suite reports, catalog verdicts, the quasi-order,
+the class flags and the classification) is kept in one record per table
+set, shared by every live algebra with equal tables, that is, equal
+``signature()`` (``_facts_of``).  Sharing is exact: the key is the whole of
+the tables, every kept value is index-based, and names enter only when a
+report is rendered.
 """
 
 from __future__ import annotations
@@ -135,15 +135,16 @@ class FiniteAlgebra:
 
 class _Facts:
     """What one table set decides: suite reports by suite, the catalog
-    verdicts, the quasi-order, the classification and the square fibres
-    (``_fibres``), each filled on its first use.  Holds no algebra, so it
-    lives exactly as long as the algebras that hold it."""
+    verdicts, the quasi-order, the class flags, the classification and the
+    square fibres (``_fibres``), each filled on its first use.  Holds no
+    algebra, so it lives exactly as long as the algebras that hold it."""
 
-    __slots__ = ("suites", "catalog", "order", "classification", "fibres", "__weakref__")
+    __slots__ = ("suites", "catalog", "order", "flags", "classification", "fibres",
+                 "__weakref__")
 
     def __init__(self):
         self.suites = {}
-        self.catalog = self.order = self.classification = self.fibres = None
+        self.catalog = self.order = self.flags = self.classification = self.fibres = None
 
 
 _FACTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # tables -> _Facts
@@ -754,6 +755,30 @@ def unique_mixed_lift(alg: FiniteAlgebra) -> bool:
     return bool(np.all(lifts[a[:, None] * n + b][zj[a][:, None] == zm[b]] == 1))
 
 
+class _ClassFlags(NamedTuple):
+    is_dba: bool
+    is_contextual: bool
+    is_fully_contextual: bool
+    is_pure: bool
+
+
+def _class_flags(alg: FiniteAlgebra) -> _ClassFlags:
+    """The class flags that need no suite but DBA23, defined here once and
+    kept in alg's record: contextual is DBA23 with an antisymmetric
+    quasi-order, fully contextual adds ``unique_mixed_lift``, and pure means
+    every element is a meet or a join idempotent.  DBA23's report comes from
+    the record too, so ``classify``, which checks it in one batch with
+    DCORE13 and GDCORE11 first, checks no suite twice."""
+    facts = _facts_of(alg)
+    if facts.flags is None:
+        is_dba = passes(alg, DBA23)
+        contextual = is_dba and quasi_order(alg).antisymmetric
+        facts.flags = _ClassFlags(
+            is_dba, contextual, contextual and unique_mixed_lift(alg),
+            len(meet_idempotents(alg) | join_idempotents(alg)) == alg.n)
+    return facts.flags
+
+
 def classify(alg: FiniteAlgebra) -> ClassificationReport:
     """Compute every class predicate from first principles.
 
@@ -764,13 +789,8 @@ def classify(alg: FiniteAlgebra) -> ClassificationReport:
     if facts.classification is not None:
         return facts.classification
     r_dba, r_dcore, r_gd = _check_suites(alg, (DBA23, DCORE13, GDCORE11))
-    qo = quasi_order(alg)
-    mi = meet_idempotents(alg)
-    ji = join_idempotents(alg)
-    pure = len(mi | ji) == alg.n
+    flags = _class_flags(alg)
     trivial = project_meet(alg, alg.top) == project_join(alg, alg.bot)
-    contextual = r_dba.ok and qo.antisymmetric
-    fully = contextual and unique_mixed_lift(alg)
     failures = tuple(
         (f"{rep.suite_id}:{v.equation.id}", v.witness)
         for rep in (r_dba, r_dcore)
@@ -781,12 +801,12 @@ def classify(alg: FiniteAlgebra) -> ClassificationReport:
         is_dba=r_dba.ok,
         is_dcore=r_dcore.ok,
         is_generalized_dcore=r_gd.ok,
-        is_contextual=contextual,
-        is_pure=pure,
+        is_contextual=flags.is_contextual,
+        is_pure=flags.is_pure,
         is_trivial=trivial,
-        is_fully_contextual=fully,
-        meet_idempotents=mi,
-        join_idempotents=ji,
+        is_fully_contextual=flags.is_fully_contextual,
+        meet_idempotents=meet_idempotents(alg),
+        join_idempotents=join_idempotents(alg),
         failures=failures,
     )
     return facts.classification

@@ -14,7 +14,7 @@ import argparse
 import functools
 import sys
 
-from .algebra import check_suite, classify, passes
+from .algebra import _class_flags, check_suite, classify, passes
 from .constructions import (
     BooleanView, RetractionPair, build_from_boolean_pair, check_theorem_conditions,
     generalized_glued_sum, glued_sum,
@@ -276,7 +276,7 @@ def cmd_represent(args) -> tuple[int, str]:
         checks.append(("conditions: new", rep.conditions_ok))
         checks.append(("image_dba", rep.image_is_dba))
         checks.append(("parts_boolean", rep.parts_boolean))
-        if classify(alg).is_contextual:
+        if _class_flags(alg).is_contextual:
             checks.append(("isomorphism", rep.isomorphism))
     if args.verify in ("all", "clopen"):
         checks.append(("clopen_families", verify_clopen_sets(rep)))

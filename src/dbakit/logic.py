@@ -5,8 +5,11 @@ algebras; HL derives hypersequents (``;``-separated sequents, at least one)
 and is sound for the pure algebras, reading a hypersequent disjunctively:
 true under an assignment when at least one component is.
 
-Checker and search hold a hypersequent as a tuple of (ant, suc) pairs.
-Proof scripts are line-checked: every line must be an axiom instance or
+A Sequent is a named (ant, suc) pair and a Hypersequent a tuple of them, so
+the checker, the refuter and the search read the public objects as they
+are, and compare and hash them with the plain tuples the search builds.
+Every axiom instance is recognised by one compiled test per schema.  Proof
+scripts are line-checked: every line must be an axiom instance or
 follow from earlier lines by a named rule, with hypersequent contexts
 matched as literal prefixes/suffixes (structural steps must be cited
 explicitly, there is no silent normalization).  Proof search runs backward
@@ -30,7 +33,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import algebra
-from .algebra import FiniteAlgebra, _integer, classify, eval_term, quasi_order
+from .algebra import (
+    FiniteAlgebra, _class_flags, _integer, eval_term, join_idempotents, meet_idempotents,
+    quasi_order,
+)
 from .errors import EvalError, LogicError, ParseError
 from .fixtures import PROOF_SCRIPTS
 from .terms import (
@@ -42,8 +48,9 @@ from .terms import (
 # --- syntax -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(NamedTuple):
+    """``ant => suc``, equal to the pair (ant, suc) and hashed alike."""
+
     ant: Term
     suc: Term
 
@@ -51,34 +58,31 @@ class Sequent:
         return f"{render(self.ant)} => {render(self.suc)}"
 
 
-@dataclass(frozen=True)
-class Hypersequent:
-    components: tuple[Sequent, ...]
+class Hypersequent(tuple):
+    """A tuple of at least one Sequent, built from Sequents or (ant, suc)
+    pairs; equal to the tuple of its pairs and hashed alike."""
 
-    def __post_init__(self):
-        if len(self.components) < 1:
+    __slots__ = ()
+
+    def __new__(cls, components):
+        h = super().__new__(cls, map(Sequent._make, components))
+        if not h:
             raise LogicError("a hypersequent needs at least one component")
+        return h
+
+    @property
+    def components(self) -> tuple[Sequent, ...]:
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Hypersequent(components={tuple(self)!r})"
 
     def __str__(self):
-        return " ; ".join(str(c) for c in self.components)
-
-    def __len__(self):
-        return len(self.components)
-
-    def __getitem__(self, k):
-        return self.components[k]
+        return " ; ".join(map(str, self))
 
 
 def seq(ant: Term, suc: Term) -> Hypersequent:
     return Hypersequent((Sequent(ant, suc),))
-
-
-def _pairs(h: Hypersequent) -> tuple:
-    return tuple((c.ant, c.suc) for c in h.components)
-
-
-def _hyp(h: tuple) -> Hypersequent:
-    return Hypersequent(tuple(Sequent(ant, suc) for ant, suc in h))
 
 
 def _system(system: str) -> str:
@@ -161,38 +165,42 @@ AXIOM_SCHEMAS: tuple[AxiomSchema, ...] = (
 SCHEMAS_BY_ID = {s.id: s for s in AXIOM_SCHEMAS}
 
 
-def _match(pattern: Term, t: Term, binding: dict, var_sort: str | None) -> bool:
-    """One-way matching; every Var in the pattern is a metavariable."""
-    if isinstance(pattern, Var):
-        bound = binding.get(pattern.name)
-        if bound is not None:
-            return bound == t
-        if var_sort is not None and not (isinstance(t, Var) and t.sort == var_sort):
-            return False
-        binding[pattern.name] = t
-        return True
-    if type(pattern) is not type(t):
-        return False
-    if isinstance(pattern, Const):
-        return pattern == t
-    if isinstance(pattern, (Neg, Opp)):
-        return _match(pattern.arg, t.arg, binding, var_sort)
-    return (_match(pattern.left, t.left, binding, var_sort)
-            and _match(pattern.right, t.right, binding, var_sort))
+@functools.cache
+def _axiom_test(schema: AxiomSchema):
+    """Whether a => s is an instance of schema (every Var of its sides is a
+    metavariable), compiled to one test f(a, s): left to right, ``type(..)
+    is`` for a connective, ``is`` for a constant or a repeated metavariable
+    (terms are interned), and the sort test, if any, at a metavariable's
+    first occurrence."""
+    conds, first = [], {}
+    stack = [(schema.rhs, "s"), (schema.lhs, "a")]
+    while stack:
+        p, at = stack.pop()
+        if type(p) is Var and p.name in first:
+            conds.append(f"{at} is {first[p.name]}")
+        elif type(p) is Var:
+            first[p.name] = at
+            if schema.var_sort is not None:
+                conds.append(f"type({at}) is Var and {at}.sort == {schema.var_sort!r}")
+        elif type(p) is Const:
+            conds.append(f"{at} is {p.which.upper()}")
+        else:
+            conds.append(f"type({at}) is {type(p).__name__}")
+            stack += [(getattr(p, f), f"{at}.{f}") for f in reversed(p.__match_args__)]
+    test = " and ".join(conds) or "True"  # True for two distinct metavariables
+    return eval(f"lambda a, s: {test}", globals())  # closed vocabulary
 
 
 def schema_matches(schema: AxiomSchema, s: Sequent) -> bool:
-    binding: dict = {}
-    return (_match(schema.lhs, s.ant, binding, schema.var_sort)
-            and _match(schema.rhs, s.suc, binding, schema.var_sort))
+    return _axiom_test(schema)(*s)
 
 
 @functools.cache
-def _schemas_for(ant_kind: type, suc_kind: type, hl: bool) -> tuple[AxiomSchema, ...]:
-    """The schemas of L (or HL) whose sides can match terms of these
-    connectives: a side's connective must be the term's, unless the side is
-    a metavariable."""
-    return tuple(s for s in AXIOM_SCHEMAS
+def _leaf_tests(ant_kind: type, suc_kind: type, hl: bool) -> tuple:
+    """(id, test) for the schemas of L (or HL), in order, whose sides can
+    match terms of these connectives: a side's connective must be the
+    term's, unless the side is a metavariable."""
+    return tuple((s.id, _axiom_test(s)) for s in AXIOM_SCHEMAS
                  if (hl or not s.hl_only)
                  and type(s.lhs) in (Var, ant_kind) and type(s.rhs) in (Var, suc_kind))
 
@@ -201,8 +209,8 @@ def axiom_match(s: Sequent, system: str = "L") -> list[str]:
     """Ids of every axiom schema of the system with an instantiation equal
     to s.  Raises LogicError for an unknown system."""
     hl = _system(system) == "HL"
-    return [schema.id for schema in _schemas_for(type(s.ant), type(s.suc), hl)
-            if schema_matches(schema, s)]
+    ant, suc = s
+    return [sid for sid, test in _leaf_tests(type(ant), type(suc), hl) if test(ant, suc)]
 
 
 # --- proof scripts and checking ---------------------------------------------
@@ -333,7 +341,7 @@ def _check_sp(h: tuple) -> bool:
 
 
 def check_proof(script: ProofScript) -> CheckReport:
-    """Validate every line, read once with _pairs; reports the first failure."""
+    """Validate every line; reports the first failure."""
     if script.system not in ("L", "HL"):
         return CheckReport(False, None, f"unknown system {script.system!r}")
     by_index: dict[int, tuple] = {}
@@ -347,7 +355,7 @@ def check_proof(script: ProofScript) -> CheckReport:
             prems = [by_index[p] for p in line.premises]
         except KeyError as exc:
             return CheckReport(False, idx, f"unknown premise index {exc.args[0]}")
-        h = _pairs(line.hyp)
+        h = line.hyp
         if script.system == "L":
             if len(h) != 1 or any(len(p) != 1 for p in prems):
                 return CheckReport(False, idx, _L_SINGLE)
@@ -368,10 +376,7 @@ def check_proof(script: ProofScript) -> CheckReport:
                 if schema.hl_only and script.system != "HL":
                     reason = f"schema {line.schema} is only available in HL"
                 else:
-                    binding: dict = {}  # without premises, _derives tries one component
-                    ok = not prems and _derives(prems, h, lambda ps, c: _match(
-                        schema.lhs, c[0], binding, schema.var_sort) and _match(
-                        schema.rhs, c[1], binding, schema.var_sort))
+                    ok = not prems and len(h) == 1 and _axiom_test(schema)(*h[0])
         elif line.rule == "sp":
             ok = len(prems) == 0 and _check_sp(h)
         elif line.rule == "ec":
@@ -458,12 +463,12 @@ def eval_sequent(alg: FiniteAlgebra, s: Sequent, env) -> bool:
 
 
 def _algebra_admits(alg: FiniteAlgebra, system: str) -> tuple[bool, str]:
-    cl = classify(alg)
-    if not cl.is_dba:
+    flags = _class_flags(alg)
+    if not flags.is_dba:
         return False, "algebra does not satisfy DBA23"
-    if system == "L" and not cl.is_contextual:
+    if system == "L" and not flags.is_contextual:
         return False, "system L needs a contextual algebra"
-    if system == "HL" and not cl.is_pure:
+    if system == "HL" and not flags.is_pure:
         return False, "system HL needs a pure algebra"
     return True, ""
 
@@ -472,11 +477,10 @@ def _var_sorts(h: Hypersequent) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The variables of h in sorted name order, and the sort of each.
     Raises LogicError when a variable is used with two sorts."""
     sorts: dict[str, str] = {}
-    for comp in h.components:
-        for side in (comp.ant, comp.suc):
-            for name, sort in var_sorts(side):
-                if sorts.setdefault(name, sort) != sort:
-                    raise LogicError(f"variable {name!r} used with two sorts")
+    for side in chain.from_iterable(h):
+        for name, sort in var_sorts(side):
+            if sorts.setdefault(name, sort) != sort:
+                raise LogicError(f"variable {name!r} used with two sorts")
     names = tuple(sorted(sorts))
     return names, tuple(sorts[name] for name in names)
 
@@ -488,9 +492,9 @@ def _var_range(alg: FiniteAlgebra, kind: str, system: str):
     over the join idempotents; everything else over the whole universe.
     """
     if system == "HL" and kind == OBJECT:
-        return sorted(classify(alg).meet_idempotents)
+        return sorted(meet_idempotents(alg))
     if system == "HL" and kind == PROPERTY:
-        return sorted(classify(alg).join_idempotents)
+        return sorted(join_idempotents(alg))
     return range(alg.n)
 
 
@@ -633,12 +637,11 @@ def _refuter(h: Hypersequent, system: str):
     names, kinds = _var_sorts(h)
     if system == "L":  # every variable ranges over the universe
         kinds = (GENERIC,) * len(names)
-    pairs = _pairs(h)
-    if max(t.depth for pair in pairs for t in pair) > MAX_DEPTH:
+    if max(t.depth for t in chain.from_iterable(h)) > MAX_DEPTH:
         raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
 
     def refute(algs):
-        return _first_failure(_stack(tuple(map(weakref.ref, algs)), system), pairs, names, kinds)
+        return _first_failure(_stack(tuple(map(weakref.ref, algs)), system), h, names, kinds)
     return refute
 
 
@@ -706,39 +709,10 @@ def find_countermodel(goal: Hypersequent, system: str, models) -> tuple | None:
 
 
 # --- proof search ------------------------------------------------------------
-# The search runs on tuples: a sequent is an (ant, suc) pair, a hypersequent a
-# tuple of pairs and a proof tree (hypersequent, rule, subtrees, schema), so
-# its memo tables hash and compare in C.  Only the returned lines become
-# Sequent, Hypersequent and ProofLine objects.
-
-@functools.cache
-def _axiom_test(schema: AxiomSchema):
-    """``schema_matches(schema, Sequent(a, s))`` compiled to one test f(a, s):
-    in the matcher's order, ``type(..) is`` for a connective, ``is`` for a
-    constant or a repeated metavariable (terms are interned), and the sort
-    test, if any, at a metavariable's first occurrence."""
-    conds, first = [], {}
-    stack = [(schema.rhs, "s"), (schema.lhs, "a")]
-    while stack:
-        p, at = stack.pop()
-        if type(p) is Var and p.name in first:
-            conds.append(f"{at} is {first[p.name]}")
-        elif type(p) is Var:
-            first[p.name] = at
-            if schema.var_sort is not None:
-                conds.append(f"type({at}) is Var and {at}.sort == {schema.var_sort!r}")
-        elif type(p) is Const:
-            conds.append(f"{at} is {p.which.upper()}")
-        else:
-            conds.append(f"type({at}) is {type(p).__name__}")
-            stack += [(getattr(p, f), f"{at}.{f}") for f in reversed(p.__match_args__)]
-    return eval(f"lambda a, s: {' and '.join(conds)}", globals())  # closed vocabulary
-
-
-@functools.cache
-def _leaf_tests(ant_kind: type, suc_kind: type, hl: bool) -> tuple:
-    return tuple((s.id, _axiom_test(s)) for s in _schemas_for(ant_kind, suc_kind, hl))
-
+# The search runs on tuples: a premise is a tuple of (ant, suc) pairs, equal to
+# the Hypersequent of those pairs, and a proof tree is (hypersequent, rule,
+# subtrees, schema), so its memo tables hash and compare in C.  Only the
+# returned lines become ProofLine objects.
 
 def _leaf(h: tuple, hl: bool):
     """h's proof tree when h is an axiom instance (of the first schema that
@@ -818,7 +792,7 @@ def _key_pool(goal: tuple, system: str, lemmas):
     instances: dict = {}
     templates = [(s.lhs, s.rhs, s.var_sort) for s in AXIOM_SCHEMAS
                  if not (s.hl_only and system != "HL")]
-    templates += [(s.ant, s.suc, None) for s in lemmas or ()]
+    templates += [(ant, suc, None) for ant, suc in lemmas or ()]
     for lhs, rhs, var_sort in templates:
         metavars = sorted(set(variables(lhs)) | set(variables(rhs)))
         k = len(metavars)
@@ -925,8 +899,7 @@ def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
     _integer(depth, "depth", LogicError)
     if _system(system) == "L" and len(goal) != 1:
         raise LogicError(_L_SINGLE)
-    root = _pairs(goal)
-    if max(t.depth for t in chain(*root, *((s.ant, s.suc) for s in lemmas or ()))) > MAX_DEPTH:
+    if max(t.depth for t in chain(*goal, *(lemmas or ()))) > MAX_DEPTH:
         raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
     hl = system == "HL"
     pool = None  # the cut candidates, built at the first cut: most goals close without one
@@ -936,7 +909,7 @@ def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
     def cuts(ant, suc, budget):  # a cut with a premise outside the pool instances waits for budget 3
         nonlocal pool
         if pool is None:
-            pool = _cut_candidates(root, system, lemmas)
+            pool = _cut_candidates(goal, system, lemmas)
         candidates, term = pool
         return (term(chi) for score, chi in candidates(ant, suc) if score < 1 or budget >= 3)
 
@@ -966,7 +939,7 @@ def search_proof(goal: Hypersequent, system: str = "L", depth: int = 8,
     try:
         for bound in range(1, depth + 1):
             failed_at.clear()
-            tree = prove(root, bound)
+            tree = prove(goal, bound)
             if tree is not None:
                 break
     finally:
@@ -988,7 +961,7 @@ def _emit(node: tuple, lines: list, index_of: dict) -> int:
     h, rule, children, schema = node
     kids = tuple(_emit(c, lines, index_of) for c in children)
     if id(node) not in index_of:
-        lines.append(ProofLine(len(lines) + 1, _hyp(h), rule, kids, schema))
+        lines.append(ProofLine(len(lines) + 1, Hypersequent(h), rule, kids, schema))
         index_of[id(node)] = len(lines)
     return index_of[id(node)]
 

@@ -29,7 +29,7 @@ from operator import and_, or_
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, classify, passes, quasi_order
+from .algebra import FiniteAlgebra, _class_flags, passes, quasi_order
 from .constructions import (
     RetractionPair, build_from_boolean_pair, canonical_pairs, check_theorem_conditions,
 )
@@ -382,10 +382,10 @@ def verify_clopen_characterization(rep: RepresentationResult) -> ClopenCharacter
     """Fully contextual input: the clopen protoconcepts of the standard
     context are exactly the pairs (F_x, I_x) and carry a copy of the algebra.
     Pure input: same with clopen semiconcepts.  Anything else: not applicable."""
-    cl = classify(rep.algebra)
-    if cl.is_fully_contextual:
+    flags = _class_flags(rep.algebra)
+    if flags.is_fully_contextual:
         status = "protoconcept"
-    elif cl.is_pure:
+    elif flags.is_pure:
         status = "semiconcept"
     else:
         return ClopenCharacterization("not-applicable")

@@ -7,14 +7,19 @@ here (the name has no ``test_`` prefix, so pytest does not collect it).
   and summary.
 * ``enumerate_primary_naive``: every subset of the universe tested directly
   for being a primary filter or ideal.
+* ``schema_matches``: one-way matching of an axiom schema's sides by
+  recursion over the pattern, the reference for the compiled
+  ``logic._axiom_test``.
 """
 
 from itertools import product, starmap
 
 from dbakit.algebra import FiniteAlgebra
 from dbakit.errors import BudgetError
+from dbakit.logic import AxiomSchema, Sequent
 from dbakit.representation import FilterSet, _make_filterset, is_primary
 from dbakit.search import SearchSpec, SearchSummary, _checked, _collect, _models, _wants
+from dbakit.terms import Const, Neg, Opp, Term, Var
 
 NAIVE_SWEEP_LIMIT = 12
 
@@ -46,3 +51,30 @@ def enumerate_primary_naive(alg: FiniteAlgebra, kind: str,
         if is_primary(alg, members, kind):
             out.append(mask)
     return [_make_filterset(alg, kind, mask) for mask in sorted(out)]
+
+
+def _match(pattern: Term, t: Term, binding: dict, var_sort: str | None) -> bool:
+    """One-way matching; every Var in the pattern is a metavariable."""
+    if isinstance(pattern, Var):
+        bound = binding.get(pattern.name)
+        if bound is not None:
+            return bound == t
+        if var_sort is not None and not (isinstance(t, Var) and t.sort == var_sort):
+            return False
+        binding[pattern.name] = t
+        return True
+    if type(pattern) is not type(t):
+        return False
+    if isinstance(pattern, Const):
+        return pattern == t
+    if isinstance(pattern, (Neg, Opp)):
+        return _match(pattern.arg, t.arg, binding, var_sort)
+    return (_match(pattern.left, t.left, binding, var_sort)
+            and _match(pattern.right, t.right, binding, var_sort))
+
+
+def schema_matches(schema: AxiomSchema, s: Sequent) -> bool:
+    """Oracle: whether s is an instance of schema, by recursive matching."""
+    binding: dict = {}
+    return (_match(schema.lhs, s.ant, binding, schema.var_sort)
+            and _match(schema.rhs, s.suc, binding, schema.var_sort))

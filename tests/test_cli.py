@@ -4,18 +4,21 @@ import contextlib
 import io
 import random
 import time
+import weakref
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbakit import cli, logic, search
+from dbakit import algebra, cli, logic, search
 from dbakit.cli import (
     MAX_EMIT_PAIRS, MAX_MODEL_CONTEXTS, MAX_MODEL_SEARCH_SIZE, MAX_PROOF_DEPTH, main,
 )
 from dbakit.fileformats import render_algebra, render_context
-from dbakit.fca import MAX_COMPLETION_ENTRIES, FormalContext
-from dbakit.fixtures import boolean2, cex_5ab, chain3, singleton
+from dbakit.fca import MAX_COMPLETION_ENTRIES, FormalContext, all_contexts, protoconcept_algebra
+from dbakit.fixtures import (
+    boolean2, builtin_fixtures, cex_5ab, chain3, noncontextual4, singleton,
+)
 from dbakit.logic import fixture_proofs, render_script
 from dbakit.search import MAX_SEARCH_SIZE
 from dbakit.terms import MAX_DEPTH
@@ -265,6 +268,35 @@ def test_represent_past_20_elements(capsys, tmp_path):
     code, out = run(capsys, "represent", str(dba), "--max-size", "30")
     assert code == 2
     assert out == "error: unrecognized arguments: --max-size 30\n"
+
+
+def test_represent_and_refutation_check_no_suite_but_dba23(capsys, tmp_path, monkeypatch):
+    # the contextual, fully contextual and pure flags need DBA23 and the
+    # tables, never DCORE13 or GDCORE11: on algebras no earlier check has
+    # seen, the input's record holds the DBA23 report only, and no
+    # classification
+    monkeypatch.setattr(algebra, "_FACTS", weakref.WeakValueDictionary())
+    ctx = FormalContext(["g1", "g2"], ["m1", "m2"], [[True, False], [True, True]])
+    fully = protoconcept_algebra(ctx).algebra
+    for alg, status in ((fully, "protoconcept"), (chain3(), "semiconcept"),
+                        (noncontextual4(), None)):
+        record = algebra._facts_of(alg)
+        assert not record.suites
+        path = tmp_path / "in.dba"
+        path.write_text(render_algebra(alg))
+        code, out = run(capsys, "represent", str(path), "--verify", "all")
+        assert code == 0 and "pass: true" in out.splitlines()
+        assert (f"clopen_{status}_characterization: ok" if status else
+                "clopen_characterization: not applicable") in out.splitlines()
+        assert [s.id for s in record.suites] == ["DBA23"] and record.classification is None
+    models = [(name, alg) for name, alg in builtin_fixtures()]
+    models += [(str(c), protoconcept_algebra(c).algebra) for c in all_contexts(2, 2)]
+    for system in ("L", "HL"):
+        goal = logic.parse_hypersequent("x => y", system)
+        assert logic.find_countermodel(goal, system, models) is not None
+    for _, alg in models:
+        record = algebra._facts_of(alg)
+        assert [s.id for s in record.suites] == ["DBA23"] and record.classification is None
 
 
 def test_gen_glued_sum_rejects_an_element_identified_twice(files, capsys):

@@ -1,8 +1,10 @@
 """Calculi: parsing, axiom matching, proof checking, search, semantics."""
 
+import copy
 import functools
 import gc
 import random
+import pickle
 import re
 import time
 import tracemalloc
@@ -22,12 +24,13 @@ from dbakit.logic import (
     AXIOM_SCHEMAS, Hypersequent, ProofLine, ProofScript, Sequent, axiom_match,
     check_proof, eval_sequent, falsifying_env, find_countermodel, fixture_proofs,
     is_true_in, parse_hypersequent, parse_script, parse_sequent, render_script,
-    schema_matches, search_proof, seq, _pairs,
+    search_proof, seq,
 )
 from dbakit.terms import (
     BOT, MAX_DEPTH, TOP, Join, Meet, Neg, Opp, Term, Var, fold, parse_term, render, subterms,
     variables,
 )
+from oracles import schema_matches
 
 
 def _substitute(pattern: Term, binding: dict) -> Term:
@@ -77,6 +80,30 @@ def test_hl_mode_sorts_variables():
 def test_empty_hypersequent_rejected():
     with pytest.raises(LogicError):
         Hypersequent(())
+
+
+def test_sequents_are_the_tuples_the_search_builds():
+    # a Sequent is a named (ant, suc) pair and a Hypersequent a tuple of
+    # them: equal to the plain tuples and hashed alike
+    x, y = Var("x", "object"), Var("y", "object")
+    h = parse_hypersequent("x => y ; y => x", "HL")
+    assert h == ((x, y), (y, x)) and hash(h) == hash(((x, y), (y, x)))
+    assert h[0] == (x, y) and hash(h[0]) == hash((x, y))
+    with pytest.raises(LogicError, match="a hypersequent needs at least one component"):
+        Hypersequent(())
+    built = Hypersequent([(x, y), Sequent(y, x)])
+    assert built == h and all(type(c) is Sequent for c in built)
+    assert type(built[1]) is Sequent and built[1].ant is y and built[1].suc is x
+    # what the frozen dataclasses gave
+    assert str(h) == "x => y ; y => x" and str(h[1]) == "y => x"
+    assert len(h) == 2 and h[-1] == Sequent(y, x)
+    assert h.components == (Sequent(x, y), Sequent(y, x)) and type(h.components) is tuple
+    assert repr(h) == f"Hypersequent(components={h.components!r})"
+    for again in (pickle.loads(pickle.dumps(h)), copy.copy(h), copy.deepcopy(h)):
+        assert type(again) is Hypersequent and again == h and str(again) == str(h)
+        assert all(type(c) is Sequent for c in again)
+    s = parse_sequent("x & y => x")
+    assert pickle.loads(pickle.dumps(s)) == s and type(copy.deepcopy(s)) is Sequent
 
 
 # --- axiom matching -------------------------------------------------------------
@@ -200,6 +227,28 @@ def test_hl_sp_rule():
     x = Var("x")
     line = Hypersequent((Sequent(x, Meet(x, x)), Sequent(Join(x, x), x)))
     assert check_proof(ProofScript("HL", (ProofLine(1, line, "sp", ()),))).valid
+
+
+def test_hl_checker_rejects_axiom_lines_outside_a_single_instance():
+    # an axiom line is one component, without premises, that is an instance
+    # of the cited schema, sorts included
+    x, y, big = Var("x", "object"), Var("y", "object"), Var("X", "property")
+    two = Hypersequent((Sequent(Meet(x, y), x), Sequent(Meet(y, x), y)))
+    assert all("meet-elim-l" in axiom_match(c, "HL") for c in two)
+    bad = [
+        (ProofLine(1, two, "axiom", (), "meet-elim-l"),),
+        (ProofLine(1, seq(x, x), "id-axiom", ()),
+         ProofLine(2, seq(Meet(x, y), x), "axiom", (1,), "meet-elim-l")),
+        (ProofLine(1, seq(Meet(big, big), big), "axiom", (), "ovar-idem"),),
+    ]
+    for lines in bad:
+        report = check_proof(ProofScript("HL", lines))
+        assert (report.valid, report.line, report.reason) == (
+            False, len(lines), "rule axiom does not derive the line from its premises")
+    # the same lines, one component, no premise and an object variable, pass
+    good = (ProofLine(1, seq(Meet(x, y), x), "axiom", (), "meet-elim-l"),
+            ProofLine(2, seq(Meet(x, x), x), "axiom", (), "ovar-idem"))
+    assert check_proof(ProofScript("HL", good)).valid
 
 
 def test_hl_cut_with_contexts():
@@ -331,7 +380,7 @@ def test_cut_pool_is_built_at_the_first_cut_only(monkeypatch):
     assert built == []
     goal, depth, text = GOLDEN_PROOFS[0]  # takes a cut
     assert render_script(search_proof(parse_hypersequent(goal, "L"), "L", depth)) == text
-    assert built == [_pairs(parse_hypersequent(goal, "L"))]
+    assert built == [parse_hypersequent(goal, "L")]
 
 
 def test_search_unprovable_goal_returns_none():
@@ -1091,8 +1140,7 @@ _systems = st.sampled_from(["L", "HL"])
 def _checks(rule, prems, concl) -> bool:
     """The proof checker's verdict on a line of this rule and premises."""
     arity, local = logic._CONTEXT_RULES[rule]
-    return len(prems) == arity and logic._derives(
-        [_pairs(p) for p in prems], _pairs(concl), local)
+    return len(prems) == arity and logic._derives(prems, concl, local)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1165,8 +1213,8 @@ def test_structural_checks_match_reference(data, comps):
        st.lists(_small_terms, max_size=4))
 def test_every_backward_step_passes_the_reference_checkers(system, comps, pool):
     h = _hyp(comps[:1] if system == "L" else comps)
-    steps = [(rule, [logic._hyp(p) for p in prems]) for rule, prems in
-             logic._backward_steps(_pairs(h), system == "HL", lambda ant, suc: pool)]
+    steps = [(rule, [Hypersequent(p) for p in prems]) for rule, prems in
+             logic._backward_steps(h, system == "HL", lambda ant, suc: pool)]
     assert sum(rule == "sq" for rule, _ in steps) == len(h)
     for rule, prems in steps:
         if system == "L":
@@ -1324,7 +1372,7 @@ def _compare_candidates(monkeypatch):
         def candidates(ant, suc):
             got = indexed(ant, suc)
             assert [(score, term(chi)) for score, chi in got] == scan(ant, suc), (
-                str(logic._hyp(goal)), render(ant), render(suc))
+                str(goal), render(ant), render(suc))
             asked.append((ant, suc))
             return got
         return candidates, term
@@ -1344,7 +1392,7 @@ def test_indexed_candidates_match_the_scan_on_golden_goals(compared_candidates, 
     search_proof(parse_hypersequent(goal, "L"), "L", depth)
     assert len(compared_candidates) > 20
     # sides deeper than any pool key, which are never converted to keys
-    reach = 1 + max(t.depth for pair in _pairs(parse_hypersequent(goal)) for t in pair) + max(
+    reach = 1 + max(t.depth for pair in parse_hypersequent(goal) for t in pair) + max(
         t.depth for s in AXIOM_SCHEMAS for t in (s.lhs, s.rhs))
     assert goal != "x => y" or any(min(a.depth, s.depth) > reach for a, s in compared_candidates)
 
@@ -1418,7 +1466,7 @@ def test_the_key_pool_equals_the_term_pool(drawn):
     # the structural pool, read as terms, is the term pool: the same positions
     # and the same instance pairs
     system, comps, lemmas = drawn
-    goal = _pairs(_hyp(comps))
+    goal = _hyp(comps)
     position, pairs, _, depth = logic._key_pool(goal, system, lemmas)
     memo = {t: t for t in position if not isinstance(t, tuple)}
     as_term = functools.partial(logic._convert, memo=memo)
@@ -1435,7 +1483,7 @@ def test_candidates_of_pool_terms_and_of_terms_past_the_pool_equal_the_scan(draw
     # ones, under up to two more connectives, so some sides are deeper than
     # any pool key and are never converted to one
     system, comps, lemmas = drawn
-    goal = _pairs(_hyp(comps))
+    goal = _hyp(comps)
     candidates, term = logic._cut_candidates(goal, system, lemmas)
     scan, _ = _scan_candidates(goal, system, lemmas)
     pool = list(_cut_pool(goal, system, lemmas)[0])
@@ -1490,9 +1538,9 @@ def test_a_lemma_of_many_variables_is_skipped_past_8_to_the_4_bindings(lemma, ke
     goal = parse_hypersequent(_EIGHT_SUBTERMS)
     assert len(set(t for c in goal.components for t in (*subterms(c.ant), *subterms(c.suc)))) == 8
     lemma = parse_sequent(lemma)
-    without = logic._key_pool(_pairs(goal), "L", [])
+    without = logic._key_pool(goal, "L", [])
     start = time.perf_counter()
-    with_lemma = logic._key_pool(_pairs(goal), "L", [lemma])
+    with_lemma = logic._key_pool(goal, "L", [lemma])
     assert (with_lemma[:2] != without[:2]) == kept
     assert time.perf_counter() - start < 1
 
@@ -1542,12 +1590,26 @@ def _near_instances(draw):
 def test_compiled_leaves_equal_the_generic_matcher(s, hl):
     for schema in AXIOM_SCHEMAS:
         assert logic._axiom_test(schema)(s.ant, s.suc) == schema_matches(schema, s), schema.id
-    first = axiom_match(s, "HL" if hl else "L")[:1]
-    assert [sid for sid, test in logic._leaf_tests(type(s.ant), type(s.suc), hl)
-            if test(s.ant, s.suc)][:1] == first
+    ids = [schema.id for schema in AXIOM_SCHEMAS
+           if (hl or not schema.hl_only) and schema_matches(schema, s)]
+    assert axiom_match(s, "HL" if hl else "L") == ids
+    first = ids[:1]
     tree = logic._leaf(((s.ant, s.suc),), hl)
     assert (tree and tree[1:]) == (None if not first else ("id-axiom", (), None)
                                    if first == ["id"] else ("axiom", (), first[0]))
+
+
+def test_every_schema_compiles_even_one_without_a_condition():
+    # two distinct metavariables constrain nothing: every sequent matches,
+    # as under the recursive matcher
+    schema = logic.AxiomSchema("any", Var("A*"), Var("B*"))
+    for text in ("x => y", "T => ~(x & y)", "F | x => x"):
+        s = parse_sequent(text)
+        assert logic.schema_matches(schema, s) and schema_matches(schema, s)
+    sorted_schema = logic.AxiomSchema("objects", Var("A*"), Var("B*"), var_sort="object")
+    for text, want in (("x => y", True), ("x => X", False), ("x & x => y", False)):
+        s = parse_sequent(text, "HL")
+        assert logic.schema_matches(sorted_schema, s) == schema_matches(sorted_schema, s) == want
 
 
 # --- the system argument and the search depth ---------------------------------
