@@ -612,9 +612,14 @@ class SuiteReport:
     suite_id: str
     verdicts: tuple[EquationVerdict, ...]
 
-    @property
+    # computed once and kept outside the fields, so repr, == and pickle see
+    # the verdicts only
+    @functools.cached_property
     def ok(self) -> bool:
         return all(v.holds for v in self.verdicts)
+
+    def __reduce__(self):  # rebuilt through __init__, without the cached ``ok``
+        return SuiteReport, (self.suite_id, self.verdicts)
 
     def failing_ids(self) -> tuple[str, ...]:
         return tuple(v.equation.id for v in self.verdicts if not v.holds)
@@ -647,7 +652,11 @@ def _check_suites(alg: FiniteAlgebra, suites) -> tuple[SuiteReport, ...]:
 
 
 def passes(alg: FiniteAlgebra, suite) -> bool:
-    return check_suite(alg, suite).ok
+    """Whether alg satisfies the suite: a lookup in the record of alg's
+    tables once the suite's report is kept there."""
+    suite = get_suite(suite)
+    report = _facts_of(alg).suites.get(suite)
+    return (check_suite(alg, suite) if report is None else report).ok
 
 
 @dataclass(frozen=True)
@@ -760,13 +769,15 @@ class _ClassFlags(NamedTuple):
     is_contextual: bool
     is_fully_contextual: bool
     is_pure: bool
+    is_trivial: bool
 
 
 def _class_flags(alg: FiniteAlgebra) -> _ClassFlags:
     """The class flags that need no suite but DBA23, defined here once and
     kept in alg's record: contextual is DBA23 with an antisymmetric
-    quasi-order, fully contextual adds ``unique_mixed_lift``, and pure means
-    every element is a meet or a join idempotent.  DBA23's report comes from
+    quasi-order, fully contextual adds ``unique_mixed_lift``, pure means
+    every element is a meet or a join idempotent, and trivial means
+    T & T = F | F, read from the tables alone.  DBA23's report comes from
     the record too, so ``classify``, which checks it in one batch with
     DCORE13 and GDCORE11 first, checks no suite twice."""
     facts = _facts_of(alg)
@@ -775,7 +786,8 @@ def _class_flags(alg: FiniteAlgebra) -> _ClassFlags:
         contextual = is_dba and quasi_order(alg).antisymmetric
         facts.flags = _ClassFlags(
             is_dba, contextual, contextual and unique_mixed_lift(alg),
-            len(meet_idempotents(alg) | join_idempotents(alg)) == alg.n)
+            len(meet_idempotents(alg) | join_idempotents(alg)) == alg.n,
+            project_meet(alg, alg.top) == project_join(alg, alg.bot))
     return facts.flags
 
 
@@ -790,7 +802,6 @@ def classify(alg: FiniteAlgebra) -> ClassificationReport:
         return facts.classification
     r_dba, r_dcore, r_gd = _check_suites(alg, (DBA23, DCORE13, GDCORE11))
     flags = _class_flags(alg)
-    trivial = project_meet(alg, alg.top) == project_join(alg, alg.bot)
     failures = tuple(
         (f"{rep.suite_id}:{v.equation.id}", v.witness)
         for rep in (r_dba, r_dcore)
@@ -803,7 +814,7 @@ def classify(alg: FiniteAlgebra) -> ClassificationReport:
         is_generalized_dcore=r_gd.ok,
         is_contextual=flags.is_contextual,
         is_pure=flags.is_pure,
-        is_trivial=trivial,
+        is_trivial=flags.is_trivial,
         is_fully_contextual=flags.is_fully_contextual,
         meet_idempotents=meet_idempotents(alg),
         join_idempotents=join_idempotents(alg),

@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import threading
+from collections import OrderedDict
 
 from .algebra import _class_flags, check_suite, classify, passes
 from .constructions import (
@@ -186,13 +188,13 @@ def cmd_construct(args) -> tuple[int, str]:
     if args.what == "glued-sum":
         p, q = _boolean_view(args.p), _boolean_view(args.q)
         alg = glued_sum(p, q)
-        cl = classify(alg)
-        ok = cl.is_dba and cl.is_pure and cl.is_trivial
+        flags = _class_flags(alg)  # DBA23 and the tables: no other suite
+        ok = flags.is_dba and flags.is_pure and flags.is_trivial
         structured = [
             f"elements: {alg.n}",
-            f"dba: {str(cl.is_dba).lower()}",
-            f"pure: {str(cl.is_pure).lower()}",
-            f"trivial: {str(cl.is_trivial).lower()}",
+            f"dba: {str(flags.is_dba).lower()}",
+            f"pure: {str(flags.is_pure).lower()}",
+            f"trivial: {str(flags.is_trivial).lower()}",
         ]
     elif args.what == "gen-glued-sum":
         p, q = _boolean_view(args.p), _boolean_view(args.q)
@@ -292,9 +294,98 @@ def cmd_represent(args) -> tuple[int, str]:
     return (0 if ok else 1), _emit(lines, structured)
 
 
+class _Family:
+    """The (name, algebra) entries of one model source, built lazily from its
+    one generator and kept: each iteration yields the entries built so far,
+    then advances the generator under a lock, so that threads never run it
+    at once and a later iteration reads on where the furthest one stopped.
+    A build that raises is raised again to every reader that needs a further
+    entry, and the family leaves ``_FAMILIES``: it is never kept truncated."""
+
+    def __init__(self, key, entries):
+        self.key = key
+        self._entries = entries  # None once exhausted
+        self._built = []
+        self._error = None
+        self._lock = threading.Lock()
+
+    def __iter__(self):
+        built, i = self._built, 0
+        while True:
+            while i < len(built):  # a list read is atomic: no lock
+                yield built[i]
+                i += 1
+            with self._lock:
+                if i == len(built) and not self._extend():
+                    return
+
+    def _extend(self) -> bool:
+        """Build one more entry (under the lock); False when there is none."""
+        if self._error is not None:
+            raise self._error
+        if self._entries is None:
+            return False
+        try:
+            self._built.append(next(self._entries))
+        except StopIteration:
+            self._entries = None
+            return False
+        except BaseException as exc:
+            self._error = exc
+            with _FAMILIES_LOCK:
+                if _FAMILIES.get(self.key) is self:
+                    del _FAMILIES[self.key]
+            raise
+        return True
+
+
+# ``refute --models`` families, kept per process by canonical spec, least
+# recently used first.  A later goal reads the same algebra objects, so their
+# records (DBA23 report, class flags, quasi-order) and the refuter's stacks
+# of them (``logic._stack``) are built once.
+_FAMILIES: OrderedDict = OrderedDict()
+_FAMILIES_LOCK = threading.Lock()
+_MAX_FAMILIES = 4
+# A contexts family is kept only when its tables are small: a g x m context
+# has at most 2**(g + m) protoconcepts, so the family up to GxM has at most
+# count * 4**(G + M) table cells, 2.8M for 3x3.  Past this bound (2x5: 23M,
+# 1x10: 8.6G) the family is built afresh on every call, as it is read.
+_MAX_KEPT_CELLS = 1 << 22
+
+
+def _family(key, make):
+    """The kept family of key, or a new one over ``make()``'s entries; a
+    raising ``make`` keeps nothing."""
+    with _FAMILIES_LOCK:
+        family = _FAMILIES.get(key)
+        if family is None:
+            family = _FAMILIES[key] = _Family(key, make())
+            if len(_FAMILIES) > _MAX_FAMILIES:
+                _FAMILIES.popitem(last=False)
+        else:
+            _FAMILIES.move_to_end(key)
+        return family
+
+
+def _context_models(g: int, m: int):
+    contexts = (c for ng in range(1, g + 1) for nm in range(1, m + 1)
+                for c in all_contexts(ng, nm))
+    for i, ctx in enumerate(contexts):
+        yield f"context-{i}", protoconcept_algebra(ctx).algebra
+
+
+def _search_models(size: int):
+    """The DBA23 models of the size, named in search order; the spec is
+    checked here, before any model is read."""
+    models = iter_algebras(SearchSpec(size=size, require="DBA23"))
+    return ((f"model-{i}", alg) for i, alg in enumerate(models))
+
+
 def _model_source(spec: str):
+    """The model family of ``--models spec``; the spec is checked on every
+    call, before any family is read."""
     if spec == "fixtures":
-        return builtin_fixtures()
+        return _family("fixtures", lambda: iter(builtin_fixtures()))
     if spec.startswith("contexts:"):
         shape = spec.split(":", 1)[1]
         try:
@@ -310,10 +401,9 @@ def _model_source(spec: str):
         if count > MAX_MODEL_CONTEXTS:
             raise BudgetError(f"--models {spec} gives {count} contexts, "
                               f"more than the limit of {MAX_MODEL_CONTEXTS}")
-        contexts = (c for ng in range(1, g + 1) for nm in range(1, m + 1)
-                    for c in all_contexts(ng, nm))
-        return ((f"context-{i}", protoconcept_algebra(ctx).algebra)
-                for i, ctx in enumerate(contexts))
+        if count << 2 * (g + m) > _MAX_KEPT_CELLS:
+            return _context_models(g, m)
+        return _family(("contexts", g, m), lambda: _context_models(g, m))
     if spec.startswith("search:"):
         try:
             size = int(spec.split(":", 1)[1])
@@ -322,8 +412,7 @@ def _model_source(spec: str):
         if size > MAX_MODEL_SEARCH_SIZE:
             raise BudgetError(f"--models {spec} searches models of size {size}, "
                               f"more than the limit of {MAX_MODEL_SEARCH_SIZE}")
-        models = iter_algebras(SearchSpec(size=size, require="DBA23"))
-        return ((f"model-{i}", alg) for i, alg in enumerate(models))
+        return _family(("search", size), lambda: _search_models(size))
     raise _Usage(f"unknown model source {spec!r}")
 
 

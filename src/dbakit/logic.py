@@ -544,7 +544,9 @@ def _stack(refs: tuple, system: str) -> _Stack:
     matches only the same algebra objects, and the cache keeps neither them
     nor their verdict records alive.  The stacks of the last 16 distinct
     blocks are kept: the 11 blocks of the 682 models of ``contexts:3x3``
-    fit, so refuting many goals against them builds each stack once."""
+    fit, so refuting many goals against them builds each stack once.  The
+    CLI keeps its ``--models`` families per process (``cli._FAMILIES``), so
+    a repeat ``refute`` passes the same algebra objects and hits here."""
     algs = [r() for r in refs]
     sizes = [a.n for a in algs]
     offset = np.array([0, *accumulate(sizes[:-1])], np.intp)

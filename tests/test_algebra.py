@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import pickle
 import random
 import sys
 import threading
@@ -302,6 +303,24 @@ def test_classify_is_cached_per_algebra():
     alg = chain3()
     assert classify(alg) is classify(alg)
     assert classify(alg) == classify(chain3())
+
+
+def test_a_reports_verdict_is_computed_once_and_kept_out_of_its_fields(monkeypatch):
+    from dbakit import algebra
+    algs = [alg for _, alg in builtin_fixtures()]
+    algs += [protoconcept_algebra(c).algebra for c in all_contexts(2, 2)]
+    reports = [(alg, check_suite(alg, suite)) for alg in algs
+               for suite in (DBA23, DCORE13, GDCORE11, BOOLEAN)]
+    monkeypatch.setattr(algebra, "_check_equations", None)  # passes reads the records
+    for alg, report in reports:
+        unread = type(report)(report.suite_id, report.verdicts)
+        assert report.ok == all(v.holds for v in report.verdicts) == passes(alg, report.suite_id)
+        assert vars(report)["ok"] is report.ok and "ok" not in vars(unread)
+        assert report == unread and repr(report) == repr(unread)
+        assert pickle.dumps(report) == pickle.dumps(unread)
+        back = pickle.loads(pickle.dumps(report))
+        assert back == report and "ok" not in vars(back) and back.ok == report.ok
+    assert {report.ok for _, report in reports} == {True, False}
 
 
 # --- one record of verdicts per table set ----------------------------------------

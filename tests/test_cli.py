@@ -3,8 +3,11 @@
 import contextlib
 import io
 import random
+import sys
+import threading
 import time
 import weakref
+from collections import OrderedDict
 from unittest import mock
 
 import pytest
@@ -14,6 +17,8 @@ from dbakit import algebra, cli, logic, search
 from dbakit.cli import (
     MAX_EMIT_PAIRS, MAX_MODEL_CONTEXTS, MAX_MODEL_SEARCH_SIZE, MAX_PROOF_DEPTH, main,
 )
+from dbakit.constructions import BooleanView, glued_sum, powerset_boolean
+from dbakit.errors import BudgetError
 from dbakit.fileformats import render_algebra, render_context
 from dbakit.fca import MAX_COMPLETION_ENTRIES, FormalContext, all_contexts, protoconcept_algebra
 from dbakit.fixtures import (
@@ -41,6 +46,13 @@ def files(tmp_path):
     paths["latin"] = str(p)
     paths["dir"] = tmp_path
     return paths
+
+
+@pytest.fixture()
+def fresh_families(monkeypatch):
+    """An empty ``refute --models`` family cache for the test, dropped after
+    it: a family built by a stubbed builder never reaches another test."""
+    monkeypatch.setattr(cli, "_FAMILIES", OrderedDict())
 
 
 def run(capsys, *argv):
@@ -299,6 +311,29 @@ def test_represent_and_refutation_check_no_suite_but_dba23(capsys, tmp_path, mon
         assert [s.id for s in record.suites] == ["DBA23"] and record.classification is None
 
 
+def test_construct_glued_sum_checks_no_suite_but_dba23(capsys, tmp_path, monkeypatch):
+    # dba, pure and trivial need DBA23 and the tables: after the command the
+    # sum's record holds the DBA23 report only, and no classification; the
+    # lines are those of classify
+    monkeypatch.setattr(algebra, "_FACTS", weakref.WeakValueDictionary())
+    for a in (1, 2, 4):
+        (tmp_path / f"b{a}.dba").write_text(render_algebra(powerset_boolean(a).alg))
+    for a in (1, 2, 4):
+        for b in (1, 2, 4):
+            alg = glued_sum(BooleanView(powerset_boolean(a).alg),
+                            BooleanView(powerset_boolean(b).alg))
+            record = algebra._facts_of(alg)
+            assert not record.suites
+            code, out = run(capsys, "construct", "glued-sum",
+                            str(tmp_path / f"b{a}.dba"), str(tmp_path / f"b{b}.dba"))
+            assert [s.id for s in record.suites] == ["DBA23"] and record.classification is None
+            cl = algebra.classify(alg)
+            assert (code, out) == (0, render_algebra(alg) + "---\n" + "\n".join([
+                f"elements: {alg.n}", f"dba: {str(cl.is_dba).lower()}",
+                f"pure: {str(cl.is_pure).lower()}",
+                f"trivial: {str(cl.is_trivial).lower()}"]) + "\n")
+
+
 def test_gen_glued_sum_rejects_an_element_identified_twice(files, capsys):
     code, out = run(capsys, "construct", "gen-glued-sum", files["b2"], files["b2"],
                     "--identify", "0=0,0=1")
@@ -427,7 +462,7 @@ def test_refute_over_the_contexts_up_to_3x3(files, capsys):
            "for every assignment\n---\ncountermodel: none\n")
 
 
-def test_refute_over_contexts_builds_only_the_blocks_it_reads(files, capsys):
+def test_refute_over_contexts_builds_only_the_blocks_it_reads(fresh_families, files, capsys):
     # the refuter reads logic._BLOCK models at a time: a goal refuted in the
     # first block builds no context algebra past it, and reports as before
     with mock.patch.object(cli, "protoconcept_algebra",
@@ -460,7 +495,8 @@ def test_search_past_the_size_limit_is_exit_3(files, capsys):
 
 
 @pytest.mark.parametrize("size", [MAX_MODEL_SEARCH_SIZE + 1, 9, MAX_SEARCH_SIZE + 1])
-def test_refute_search_past_its_model_limit_is_exit_3(files, capsys, monkeypatch, size):
+def test_refute_search_past_its_model_limit_is_exit_3(fresh_families, files, capsys, monkeypatch,
+                                                      size):
     # the size is checked before any search: size 9 used to run for minutes
     monkeypatch.setattr(cli, "iter_algebras", None)
     code, out = run(capsys, "refute", "x => y", "--models", f"search:{size}")
@@ -469,7 +505,7 @@ def test_refute_search_past_its_model_limit_is_exit_3(files, capsys, monkeypatch
                    f"{size}, more than the limit of {MAX_MODEL_SEARCH_SIZE}\n")
 
 
-def test_refute_search_at_its_model_limit_is_accepted(monkeypatch):
+def test_refute_search_at_its_model_limit_is_accepted(fresh_families, monkeypatch):
     sizes = []
     monkeypatch.setattr(cli, "iter_algebras", lambda spec: sizes.append(spec.size) or iter(()))
     assert list(cli._model_source(f"search:{MAX_MODEL_SEARCH_SIZE}")) == []
@@ -477,7 +513,7 @@ def test_refute_search_at_its_model_limit_is_accepted(monkeypatch):
 
 
 @pytest.mark.parametrize("size", [0, -1])
-def test_refute_search_of_no_elements_is_a_usage_error(capsys, monkeypatch, size):
+def test_refute_search_of_no_elements_is_a_usage_error(fresh_families, capsys, monkeypatch, size):
     # the spec is checked when the stream is made, before any search
     def never(n):
         raise AssertionError("the partial tables were built")
@@ -487,7 +523,7 @@ def test_refute_search_of_no_elements_is_a_usage_error(capsys, monkeypatch, size
     assert (code, out) == (2, "error: universe size must be >= 1\n")
 
 
-def test_refute_search_reads_the_models_lazily(capsys, monkeypatch):
+def test_refute_search_reads_the_models_lazily(fresh_families, capsys, monkeypatch):
     # model-23 is in the first block of 64 models, so the search stops there
     read = []
 
@@ -501,6 +537,192 @@ def test_refute_search_reads_the_models_lazily(capsys, monkeypatch):
     assert code == 0
     assert "model: model-23\n" in out
     assert len(read) == logic._BLOCK == 64
+
+
+_REFUTE_HEAD = ("semantics: hypersequent holds when some component holds, "
+                "for every assignment\n---\n")
+
+
+def _random_side(rng, atoms, size):
+    """A formula over atoms with exactly size connectives."""
+    if size == 0:
+        return rng.choice(atoms)
+    op = rng.choice("~!&|")
+    if op in "~!":
+        return op + _random_side(rng, atoms, size - 1)
+    k = rng.randrange(size)
+    return f"({_random_side(rng, atoms, k)} {op} {_random_side(rng, atoms, size - 1 - k)})"
+
+
+def _random_goals(seed, count):
+    """(system, goal text) pairs: L sequents over x, y and HL hypersequents of
+    one or two components over object and property variables."""
+    rng = random.Random(seed)
+    goals = []
+    for k in range(count):
+        system = "HL" if k % 2 else "L"
+        atoms = ("x", "y", "T", "F") if system == "L" else ("x", "X", "T", "F")
+        goals.append((system, " ; ".join(
+            f"{_random_side(rng, atoms, rng.randrange(3))} => "
+            f"{_random_side(rng, atoms, rng.randrange(3))}"
+            for _ in range(1 if system == "L" else rng.randrange(1, 3)))))
+    return goals
+
+
+def _fresh_models(spec):
+    """The models of ``--models spec``, built afresh into a list, named as there."""
+    if spec == "fixtures":
+        return builtin_fixtures()
+    kind, shape = spec.split(":")
+    if kind == "search":
+        models = search.iter_algebras(search.SearchSpec(size=int(shape), require="DBA23"))
+        return [(f"model-{i}", alg) for i, alg in enumerate(models)]
+    g, m = map(int, shape.split("x"))
+    contexts = [c for ng in range(1, g + 1) for nm in range(1, m + 1)
+                for c in all_contexts(ng, nm)]
+    return [(f"context-{i}", protoconcept_algebra(c).algebra) for i, c in enumerate(contexts)]
+
+
+def _refute_answer(system, goal, models):
+    """``refute``'s exit code and output, from ``find_countermodel`` on models."""
+    h = logic.parse_hypersequent(goal, system)
+    found = logic.find_countermodel(h, system, models)
+    if found is None:
+        return 0, f"goal: {h}\n{_REFUTE_HEAD}countermodel: none\n"
+    name, alg, env = found
+    return 0, (f"goal: {h}\n{_REFUTE_HEAD}countermodel: found\nmodel: {name}\n"
+               f"elements: {alg.n}\nassignment: {cli._witness_text(env, alg.names)}\n")
+
+
+def test_kept_families_answer_as_freshly_built_lists(fresh_families, capsys):
+    # a goal reads the family as the goals before it left it; the answers
+    # equal those on a cleared cache and those on a freshly built list
+    cases = [(spec, _random_goals(seed, 16))
+             for seed, spec in enumerate(("fixtures", "contexts:2x2", "search:3"), 1)]
+    cases.append(("contexts:3x3", _random_goals(4, 4) + [("L", "T => T & T"),
+                                                          ("HL", "x | X => X ; X => x")]))
+    verdicts = set()
+    for spec, goals in cases:
+        models = _fresh_models(spec)
+        want = [_refute_answer(system, goal, models) for system, goal in goals]
+        argvs = [("refute", goal, "--system", system, "--models", spec) for system, goal in goals]
+        kept = [run(capsys, *argv) for argv in argvs]
+        again = [run(capsys, *argv) for argv in argvs]
+        cleared = []
+        for argv in argvs:
+            cli._FAMILIES.clear()
+            cleared.append(run(capsys, *argv))
+        assert kept == again == cleared == want, spec
+        verdicts.update((spec, "countermodel: none" in out) for _, out in want)
+    assert len(verdicts) == 2 * len(cases)  # each family refutes some goals and not others
+
+
+def test_a_kept_family_builds_each_model_once(fresh_families, capsys):
+    # blocks of logic._BLOCK models, each built at the first goal that reads it
+    with mock.patch.object(cli, "protoconcept_algebra",
+                           wraps=cli.protoconcept_algebra) as build:
+        code, out = run(capsys, "refute", "T => T & T", "--models", "contexts:3x3")
+        assert code == 0 and "model: context-1\n" in out
+        assert 0 < build.call_count <= logic._BLOCK
+        code, out = run(capsys, "refute", "x => x", "--models", "contexts:3x3")
+        assert code == 0 and "countermodel: none\n" in out
+        assert build.call_count == 682
+        assert run(capsys, "refute", "x => x", "--system", "HL",
+                   "--models", "contexts:3X3")[1].endswith("countermodel: none\n")
+        assert build.call_count == 682
+    assert list(cli._FAMILIES) == [("contexts", 3, 3)]
+
+
+def test_a_family_whose_build_raised_is_dropped(fresh_families, capsys, monkeypatch):
+    built = []
+
+    def flaky(ctx):
+        if len(built) == 100:
+            raise BudgetError("completion tables too large")
+        built.append(ctx)
+        return protoconcept_algebra(ctx)
+
+    monkeypatch.setattr(cli, "protoconcept_algebra", flaky)
+    for _ in range(2):  # the first call and the next one, each from the start
+        built.clear()
+        assert run(capsys, "refute", "x => x", "--models", "contexts:3x3") == (
+            3, "budget exceeded: completion tables too large\n")
+        assert len(built) == 100 and not cli._FAMILIES
+    monkeypatch.setattr(cli, "protoconcept_algebra", protoconcept_algebra)
+    assert run(capsys, "refute", "x => x", "--models", "contexts:3x3") == _refute_answer(
+        "L", "x => x", _fresh_models("contexts:3x3"))
+
+
+def test_every_reader_of_a_family_whose_build_raised_gets_the_error():
+    def entries():
+        yield "a", boolean2()
+        raise BudgetError("stop")
+
+    family = cli._Family("key", entries())
+    first, second = iter(family), iter(family)
+    assert next(first)[0] == next(second)[0] == "a"
+    for reader in (first, second, iter(family)):
+        with pytest.raises(BudgetError, match="stop"):
+            list(reader)
+
+
+@pytest.mark.parametrize("spec, code", [
+    ("contexts:2y2", 2), ("contexts:0x1", 2), ("contexts:4x4", 3), ("contexts:99x99", 3),
+    (f"search:{MAX_MODEL_SEARCH_SIZE + 1}", 3), ("search:three", 2), ("search:0", 2),
+    ("nope", 2),
+])
+def test_a_bad_spec_gives_the_same_answer_on_every_call(fresh_families, capsys, spec, code):
+    answers = [run(capsys, "refute", "x => x", "--models", spec) for _ in range(3)]
+    assert answers[0][0] == code and answers[0][1].count("\n") == 1
+    assert answers == [answers[0]] * 3 and not cli._FAMILIES
+
+
+def test_families_kept_are_few_and_small(fresh_families, capsys):
+    specs = ["fixtures", "contexts:1x1", "contexts:2x2", "search:1", "search:2", "search:3"]
+    keys = ["fixtures", ("contexts", 1, 1), ("contexts", 2, 2),
+            ("search", 1), ("search", 2), ("search", 3)]
+    assert len(specs) > cli._MAX_FAMILIES
+    for spec in specs:
+        assert run(capsys, "refute", "x => x", "--models", spec)[0] == 0
+    assert list(cli._FAMILIES) == keys[-cli._MAX_FAMILIES:]  # the least recently used go
+    kept = cli._FAMILIES[keys[-cli._MAX_FAMILIES]]
+    assert run(capsys, "refute", "x => x", "--models", specs[-cli._MAX_FAMILIES])[0] == 0
+    assert list(cli._FAMILIES)[-1] == keys[-cli._MAX_FAMILIES]
+    assert cli._FAMILIES[keys[-cli._MAX_FAMILIES]] is kept
+    # the 2x5 family would keep 1,426 algebras of up to 128 elements: it is
+    # read as it is built, as before, and never kept
+    assert not isinstance(cli._model_source("contexts:2x5"), cli._Family)
+    assert ("contexts", 2, 5) not in cli._FAMILIES
+    assert isinstance(cli._model_source("contexts:3x3"), cli._Family)
+
+
+def test_threads_refuting_against_one_family_agree(fresh_families):
+    # more threads than cores, switching often, all building one family
+    goals = [("L", "T => T & T"), ("L", "x => x"), ("HL", "x & X => X & x")]
+    args = [cli._parser().parse_args(["refute", goal, "--system", system,
+                                      "--models", "contexts:3x3"]) for system, goal in goals]
+    answers = {}
+
+    def work(k):
+        answers[k] = [cli.cmd_refute(a) for a in args[k % 2:] + args[:k % 2]]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    models = _fresh_models("contexts:3x3")
+    want = [_refute_answer(system, goal, models) for system, goal in goals]
+    assert [answers[k] for k in range(4)] == [want, want[1:] + want[:1]] * 2
+    # no entry built twice or lost
+    family = cli._FAMILIES[("contexts", 3, 3)]
+    assert [name for name, _ in family] == [name for name, _ in models]
 
 
 def test_search_reproduces_independence(files, capsys):
