@@ -52,7 +52,7 @@ class FiniteAlgebra:
     __slots__ = (
         "names", "n", "meet", "join", "neg", "opp", "top", "bot",
         "_rows", "_facts",
-        "__weakref__",  # the refuter's cache of stacked models keys on weak references
+        "__weakref__",  # the refuter keeps its stacks of models by weak references
     )
 
     def __init__(self, names, meet, join, neg, opp, top, bot):

@@ -13,37 +13,28 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-import threading
-from collections import OrderedDict
 
 from .algebra import _class_flags, check_suite, classify, passes
 from .constructions import (
     BooleanView, RetractionPair, build_from_boolean_pair, check_theorem_conditions,
     generalized_glued_sum, glued_sum,
 )
-from .errors import BudgetError, DbakitError, ParseError
-from .fca import all_contexts, enumerate_pairs, oo_protoconcept_algebra, protoconcept_algebra
+from .errors import BudgetError, DbakitError
+from .fca import enumerate_pairs, oo_protoconcept_algebra, protoconcept_algebra
 from .fileformats import parse_algebra, parse_context, render_algebra, render_context
-from .fixtures import builtin_fixtures
 from .logic import (
     check_proof, find_countermodel, parse_hypersequent, parse_script,
     parse_sequent, render_script, search_proof,
 )
+from .models import model_set
 from .representation import (
     representation, verify_clopen_characterization, verify_clopen_sets,
     verify_derivation_identities, verify_pair_embedding, verify_translated_continuity,
 )
-from .search import SearchSpec, enumerate_algebras, iter_algebras
+from .search import SearchSpec, enumerate_algebras
 
 DEFAULT_SEARCH_SIZE = 3
 DEFAULT_PROOF_DEPTH = 8
-# ``--models contexts:GxM`` builds the context algebras up to GxM as they
-# are read, up to all of them: 3x3 gives 682, 3x4 5,050 and 4x4 74,954.
-MAX_MODEL_CONTEXTS = 4096
-# ``--models search:N`` reads the DBA23 models of size N as the refuter needs
-# them, but a goal with no countermodel reads all of them.  On a 2-core Intel
-# Xeon (Python 3.11) size 4 takes 0.7 s, size 5 (3,845 models) 20-26 s.
-MAX_MODEL_SEARCH_SIZE = 5
 # ``prove`` without a proof costs about 4.5x more per +4 ``--depth``.  On a
 # 2-core Intel Xeon (Python 3.11) ``x => y`` takes 0.4-0.6 s at depth 12,
 # 2.3-2.7 s at 16, 13 s at 20, 55 s at 24; ``~x => !x`` 23 s at 16.
@@ -52,6 +43,8 @@ MAX_PROOF_DEPTH = 16
 # 2-core Intel Xeon (Python 3.11) 2,156 pairs take 0.4-0.5 s and 327 MB peak
 # RSS, 3,206 take 1.0-1.2 s and 689 MB.
 MAX_EMIT_PAIRS = 2048
+# ``refute --models`` families and their limits (MAX_MODEL_CELLS for
+# ``contexts:GxM``, MAX_MODEL_SEARCH_SIZE for ``search:N``) are in ``models``.
 
 
 class _Usage(Exception):
@@ -294,128 +287,6 @@ def cmd_represent(args) -> tuple[int, str]:
     return (0 if ok else 1), _emit(lines, structured)
 
 
-class _Family:
-    """The (name, algebra) entries of one model source, built lazily from its
-    one generator and kept: each iteration yields the entries built so far,
-    then advances the generator under a lock, so that threads never run it
-    at once and a later iteration reads on where the furthest one stopped.
-    A build that raises is raised again to every reader that needs a further
-    entry, and the family leaves ``_FAMILIES``: it is never kept truncated."""
-
-    def __init__(self, key, entries):
-        self.key = key
-        self._entries = entries  # None once exhausted
-        self._built = []
-        self._error = None
-        self._lock = threading.Lock()
-
-    def __iter__(self):
-        built, i = self._built, 0
-        while True:
-            while i < len(built):  # a list read is atomic: no lock
-                yield built[i]
-                i += 1
-            with self._lock:
-                if i == len(built) and not self._extend():
-                    return
-
-    def _extend(self) -> bool:
-        """Build one more entry (under the lock); False when there is none."""
-        if self._error is not None:
-            raise self._error
-        if self._entries is None:
-            return False
-        try:
-            self._built.append(next(self._entries))
-        except StopIteration:
-            self._entries = None
-            return False
-        except BaseException as exc:
-            self._error = exc
-            with _FAMILIES_LOCK:
-                if _FAMILIES.get(self.key) is self:
-                    del _FAMILIES[self.key]
-            raise
-        return True
-
-
-# ``refute --models`` families, kept per process by canonical spec, least
-# recently used first.  A later goal reads the same algebra objects, so their
-# records (DBA23 report, class flags, quasi-order) and the refuter's stacks
-# of them (``logic._stack``) are built once.
-_FAMILIES: OrderedDict = OrderedDict()
-_FAMILIES_LOCK = threading.Lock()
-_MAX_FAMILIES = 4
-# A contexts family is kept only when its tables are small: a g x m context
-# has at most 2**(g + m) protoconcepts, so the family up to GxM has at most
-# count * 4**(G + M) table cells, 2.8M for 3x3.  Past this bound (2x5: 23M,
-# 1x10: 8.6G) the family is built afresh on every call, as it is read.
-_MAX_KEPT_CELLS = 1 << 22
-
-
-def _family(key, make):
-    """The kept family of key, or a new one over ``make()``'s entries; a
-    raising ``make`` keeps nothing."""
-    with _FAMILIES_LOCK:
-        family = _FAMILIES.get(key)
-        if family is None:
-            family = _FAMILIES[key] = _Family(key, make())
-            if len(_FAMILIES) > _MAX_FAMILIES:
-                _FAMILIES.popitem(last=False)
-        else:
-            _FAMILIES.move_to_end(key)
-        return family
-
-
-def _context_models(g: int, m: int):
-    contexts = (c for ng in range(1, g + 1) for nm in range(1, m + 1)
-                for c in all_contexts(ng, nm))
-    for i, ctx in enumerate(contexts):
-        yield f"context-{i}", protoconcept_algebra(ctx).algebra
-
-
-def _search_models(size: int):
-    """The DBA23 models of the size, named in search order; the spec is
-    checked here, before any model is read."""
-    models = iter_algebras(SearchSpec(size=size, require="DBA23"))
-    return ((f"model-{i}", alg) for i, alg in enumerate(models))
-
-
-def _model_source(spec: str):
-    """The model family of ``--models spec``; the spec is checked on every
-    call, before any family is read."""
-    if spec == "fixtures":
-        return _family("fixtures", lambda: iter(builtin_fixtures()))
-    if spec.startswith("contexts:"):
-        shape = spec.split(":", 1)[1]
-        try:
-            g, m = (int(v) for v in shape.lower().split("x"))
-        except ValueError:
-            raise _Usage(f"--models contexts:<GxM> malformed: {spec!r}") from None
-        if g < 1 or m < 1:
-            raise _Usage(f"--models contexts:<GxM> needs G, M >= 1: {spec!r}")
-        if g * m > 64:  # the count, past 2**64, is neither summed nor printed
-            raise BudgetError(f"--models {spec} gives more than 2**64 contexts, "
-                              f"more than the limit of {MAX_MODEL_CONTEXTS}")
-        count = sum(1 << ng * nm for ng in range(1, g + 1) for nm in range(1, m + 1))
-        if count > MAX_MODEL_CONTEXTS:
-            raise BudgetError(f"--models {spec} gives {count} contexts, "
-                              f"more than the limit of {MAX_MODEL_CONTEXTS}")
-        if count << 2 * (g + m) > _MAX_KEPT_CELLS:
-            return _context_models(g, m)
-        return _family(("contexts", g, m), lambda: _context_models(g, m))
-    if spec.startswith("search:"):
-        try:
-            size = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise _Usage(f"--models search:<N> malformed: {spec!r}") from None
-        if size > MAX_MODEL_SEARCH_SIZE:
-            raise BudgetError(f"--models {spec} searches models of size {size}, "
-                              f"more than the limit of {MAX_MODEL_SEARCH_SIZE}")
-        return _family(("search", size), lambda: _search_models(size))
-    raise _Usage(f"unknown model source {spec!r}")
-
-
 def cmd_prove(args) -> tuple[int, str]:
     goal = parse_hypersequent(args.goal, args.system)
     lemmas = [parse_sequent(text, args.system) for text in (args.lemma or [])]
@@ -443,7 +314,7 @@ def cmd_checkproof(args) -> tuple[int, str]:
 
 def cmd_refute(args) -> tuple[int, str]:
     goal = parse_hypersequent(args.goal, args.system)
-    found = find_countermodel(goal, args.system, _model_source(args.models))
+    found = find_countermodel(goal, args.system, model_set(args.models))
     lines = [f"goal: {goal}",
              "semantics: hypersequent holds when some component holds, for every assignment"]
     if found is None:
@@ -563,13 +434,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, text = args.fn(args)
-    except (_Usage, ParseError) as exc:
-        sys.stdout.write(f"error: {exc}\n")
-        return 2
     except BudgetError as exc:
         sys.stdout.write(f"budget exceeded: {exc}\n")
         return 3
-    except DbakitError as exc:
+    except (_Usage, DbakitError) as exc:
         sys.stdout.write(f"error: {exc}\n")
         return 2
     sys.stdout.write(text)

@@ -509,17 +509,16 @@ _BLOCK = 64  # models read, admitted and stacked at a time
 
 
 class _Stack(NamedTuple):
-    """The tables of a block of m models, stacked.
-
-    Element x of model t has the block-wide id ``offset[t] + x``.  The maps
-    ``G`` and ``O`` take ids to ids.  The n x n tables of all models lie in
-    one flat array each, ``M`` and ``J`` of ids and ``Q`` (the quasi-order)
-    of bools; ``row[id]`` is where the id's row starts, less the id of its
-    model's element 0, so ``x & y`` is ``M[row[x] + y]`` for ids x and y.
-    ``top`` and ``bot`` hold each model's ids.  ``ranges`` maps each sort
-    of the system to a (m, L) array of the ids that a variable of the sort
-    takes in each model, padded to the widest model with the first id of
-    the model's own range (none is empty: in a dBa F is a meet and T a join
+    """The tables of a block of m models, stacked: element x of model t
+    has the block-wide id ``offset[t] + x``, and the maps ``G`` and ``O``
+    take ids to ids.  The n x n tables of all models lie in one flat array
+    each, ``M`` and ``J`` of ids and ``Q`` (the quasi-order) of bools;
+    ``row[id]`` is where the id's row starts, less the id of its model's
+    element 0, so ``x & y`` is ``M[row[x] + y]`` for ids x and y.  ``top``
+    and ``bot`` hold each model's ids.  ``ranges`` maps each sort of the
+    system to a (m, L) array of the ids that a variable of the sort takes
+    in each model, padded to the widest model with the first id of the
+    model's own range (none is empty: in a dBa F is a meet and T a join
     idempotent).  A padded cell repeats the cell at 0 on each padded axis,
     which comes earlier in C order, so the first failing cell is never one.
     """
@@ -536,18 +535,19 @@ class _Stack(NamedTuple):
     ranges: dict
 
 
-@functools.lru_cache(maxsize=16)
-def _stack(refs: tuple, system: str) -> _Stack:
-    """The stack of the algebras that ``refs`` (weak references) point to,
-    all admitted by the system.  A weak reference compares by its live
-    algebra's identity, and a dead one equals only itself, so the key
-    matches only the same algebra objects, and the cache keeps neither them
-    nor their verdict records alive.  The stacks of the last 16 distinct
-    blocks are kept: the 11 blocks of the 682 models of ``contexts:3x3``
-    fit, so refuting many goals against them builds each stack once.  The
-    CLI keeps its ``--models`` families per process (``cli._FAMILIES``), so
-    a repeat ``refute`` passes the same algebra objects and hits here."""
-    algs = [r() for r in refs]
+_STACKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # see _stack
+
+
+def _stack(algs: list, system: str) -> _Stack:
+    """The stack of algs, all admitted by the system, built once while they
+    live: kept under the first, keyed by weak references to the others (a
+    dead one equals only itself) and the system, so no algebra is kept
+    alive.  An entry goes with the first, or once another died, at the next
+    entry kept under the first.  Each dict operation is atomic: no lock."""
+    key = (tuple(map(weakref.ref, algs[1:])), system)
+    stack = _STACKS.get(algs[0], {}).get(key)
+    if stack is not None:
+        return stack
     sizes = [a.n for a in algs]
     offset = np.array([0, *accumulate(sizes[:-1])], np.intp)
     starts = accumulate([0] + [n * n for n in sizes])  # of each model's n x n tables
@@ -564,13 +564,17 @@ def _stack(refs: tuple, system: str) -> _Stack:
         ranges[kind] = (np.array([[*r, *[r[0]] * (width - len(r))] for r in rows])
                         + offset[:, None]).astype(dt)
     top, bot = (np.array([[a.top, a.bot] for a in algs]) + offset[:, None]).T.astype(dt)
-    return _Stack(
+    stack = _Stack(
         M=ids([a.meet for a in algs]), J=ids([a.join for a in algs]),
         G=ids([a.neg for a in algs]), O=ids([a.opp for a in algs]),
         Q=np.concatenate([quasi_order(a).rel.reshape(-1) for a in algs]),
         row=np.concatenate([np.arange(n, dtype=np.intp) * n + (start - u)
                             for n, u, start in zip(sizes, offset, starts)]),
         top=top, bot=bot, offset=offset, ranges=ranges)
+    kept = _STACKS.setdefault(algs[0], {})
+    for dead in [k for k in list(kept) if any(r() is None for r in k[0])]:
+        kept.pop(dead, None)
+    return kept.setdefault(key, stack)
 
 
 def _runs(shape):
@@ -631,7 +635,7 @@ def _first_failure(stack: _Stack, pairs, names, kinds):
 
 
 def _refuter(h: Hypersequent, system: str):
-    """The search of h over a tuple of algebras known to be in the system's
+    """The search of h over a list of algebras known to be in the system's
     class, as a function that returns ``_first_failure``'s (t, env) or None;
     what depends only on h is collected once, here.  Raises LogicError when
     a variable is used with two sorts, and EvalError when a term is deeper
@@ -641,10 +645,7 @@ def _refuter(h: Hypersequent, system: str):
         kinds = (GENERIC,) * len(names)
     if max(t.depth for t in chain.from_iterable(h)) > MAX_DEPTH:
         raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
-
-    def refute(algs):
-        return _first_failure(_stack(tuple(map(weakref.ref, algs)), system), h, names, kinds)
-    return refute
+    return lambda algs: _first_failure(_stack(algs, system), h, names, kinds)
 
 
 def falsifying_env(alg: FiniteAlgebra, h: Hypersequent, system: str = "L"):
@@ -705,8 +706,7 @@ def find_countermodel(goal: Hypersequent, system: str, models) -> tuple | None:
             refute = _refuter(goal, system)
         found = refute([alg for _, alg in block])
         if found is not None:
-            t, env = found
-            return (*block[t], env)
+            return (*block[found[0]], found[1])
     return None
 
 

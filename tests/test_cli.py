@@ -13,18 +13,19 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbakit import algebra, cli, logic, search
-from dbakit.cli import (
-    MAX_EMIT_PAIRS, MAX_MODEL_CONTEXTS, MAX_MODEL_SEARCH_SIZE, MAX_PROOF_DEPTH, main,
-)
+from dbakit import algebra, cli, logic, models, search
+from dbakit.cli import MAX_EMIT_PAIRS, MAX_PROOF_DEPTH, main
 from dbakit.constructions import BooleanView, glued_sum, powerset_boolean
 from dbakit.errors import BudgetError
 from dbakit.fileformats import render_algebra, render_context
-from dbakit.fca import MAX_COMPLETION_ENTRIES, FormalContext, all_contexts, protoconcept_algebra
+from dbakit.fca import (
+    MAX_COMPLETION_ENTRIES, FormalContext, all_contexts, enumerate_pairs, protoconcept_algebra,
+)
 from dbakit.fixtures import (
     boolean2, builtin_fixtures, cex_5ab, chain3, noncontextual4, singleton,
 )
 from dbakit.logic import fixture_proofs, render_script
+from dbakit.models import MAX_MODEL_CELLS, MAX_MODEL_SEARCH_SIZE
 from dbakit.search import MAX_SEARCH_SIZE
 from dbakit.terms import MAX_DEPTH
 
@@ -52,7 +53,7 @@ def files(tmp_path):
 def fresh_families(monkeypatch):
     """An empty ``refute --models`` family cache for the test, dropped after
     it: a family built by a stubbed builder never reaches another test."""
-    monkeypatch.setattr(cli, "_FAMILIES", OrderedDict())
+    monkeypatch.setattr(models, "_FAMILIES", OrderedDict())
 
 
 def run(capsys, *argv):
@@ -154,7 +155,7 @@ def test_protoconcepts_emission_past_the_limit_is_exit_3(files, capsys, monkeypa
     def never(*args):
         raise AssertionError("the algebra was built")
 
-    monkeypatch.setattr(cli, "protoconcept_algebra", never)
+    monkeypatch.setattr(models, "protoconcept_algebra", never)
     monkeypatch.setattr(cli, "oo_protoconcept_algebra", never)
     code, out = run(capsys, "protoconcepts", str(path), "--kind", kind,
                     "--emit-algebra", str(out_dba))
@@ -429,27 +430,84 @@ def test_refute_over_an_empty_context_range_is_exit_2(files, capsys, shape):
     assert out == f"error: --models contexts:<GxM> needs G, M >= 1: 'contexts:{shape}'\n"
 
 
+def _cell_limit(spec):
+    return f"--models {spec} gives more table cells than the limit of {MAX_MODEL_CELLS}"
+
+
+def _within_cell_budget(g, m):
+    """Whether the protoconcept algebras of the contexts up to GxM hold at
+    most MAX_MODEL_CELLS table cells in all, counted from ``enumerate_pairs``
+    and stopped past the limit."""
+    cells = 0
+    for ng in range(1, g + 1):
+        for nm in range(1, m + 1):
+            for ctx in all_contexts(ng, nm):
+                cells += len(enumerate_pairs(ctx, "protoconcept")) ** 2
+                if cells > MAX_MODEL_CELLS:
+                    return False
+    return True
+
+
 @pytest.mark.parametrize("shape", [
     "20000x1", "1x20000", "99999999999999999999x1",
     "99999999999999999999x99999999999999999999", "9" * 4000 + "x2",
+    "4x4", "2x6", "6x2", "1x8", "8x1", "1x10", "10x1", "1x11",
 ])
-def test_refute_over_a_huge_context_shape_is_exit_3(files, capsys, shape):
-    # past G*M = 64 the count is neither summed nor printed
+def test_refute_over_a_huge_context_shape_is_exit_3(fresh_families, files, capsys, shape):
+    # the cells are counted in family order, and the count stops past the
+    # limit: no shape is too large to refuse, and no table is built
     t0 = time.perf_counter()
-    code, out = run(capsys, "refute", "x => x", "--models", f"contexts:{shape}")
+    with mock.patch.object(models, "protoconcept_algebra") as build:
+        code, out = run(capsys, "refute", "x => x", "--models", f"contexts:{shape}")
     assert time.perf_counter() - t0 < 1.0
-    assert code == 3
-    assert out == (f"budget exceeded: --models contexts:{shape} gives more than 2**64 "
-                   f"contexts, more than the limit of {MAX_MODEL_CONTEXTS}\n")
+    assert (code, out) == (3, f"budget exceeded: {_cell_limit(f'contexts:{shape}')}\n")
+    assert build.call_count == 0 and not models._FAMILIES
 
 
-@pytest.mark.parametrize("shape, count", [("4x4", 74954), ("3x4", 5050), ("2x6", 5586)])
-def test_refute_over_too_many_contexts_is_exit_3(files, capsys, shape, count):
-    # the count is checked before any context algebra is built
-    code, out = run(capsys, "refute", "x => x", "--models", f"contexts:{shape}")
-    assert code == 3
-    assert out == (f"budget exceeded: --models contexts:{shape} gives {count} contexts, "
-                   f"more than the limit of {MAX_MODEL_CONTEXTS}\n")
+@pytest.mark.parametrize("g, m", sorted({shape for g, m in [
+    *((1, k) for k in range(1, 12)), (2, 5), (2, 6), (3, 3), (3, 4), (4, 4),
+] for shape in ((g, m), (m, g))}))
+def test_a_context_shape_is_accepted_exactly_within_the_cell_budget(fresh_families, g, m):
+    with mock.patch.object(models, "protoconcept_algebra") as build:
+        try:
+            family = models.model_set(f"contexts:{g}x{m}")
+        except BudgetError as exc:
+            assert str(exc) == _cell_limit(f"contexts:{g}x{m}")
+            family = None
+    assert (family is not None) == _within_cell_budget(g, m)
+    assert build.call_count == 0  # the family is built as it is read
+    if family is not None:
+        assert family.cells <= MAX_MODEL_CELLS
+        assert models._FAMILIES[("contexts", g, m)] is family
+
+
+def test_a_kept_family_counts_its_cells_once(fresh_families, monkeypatch):
+    counted = []
+
+    def pairs(ctx, kind):
+        counted.append(ctx)
+        return generated(ctx, kind)
+
+    generated = models._generated_pairs
+    monkeypatch.setattr(models, "_generated_pairs", pairs)
+    family = models.model_set("contexts:2x2")
+    assert len(counted) == 26
+    assert family.cells == sum(len(enumerate_pairs(c, "protoconcept")) ** 2
+                               for g, m in ((1, 1), (1, 2), (2, 1), (2, 2))
+                               for c in all_contexts(g, m))
+    assert models.model_set("contexts:2X2") is family and len(counted) == 26
+
+
+def test_refute_over_the_contexts_up_to_3x4(fresh_families, files, capsys):
+    # 5,050 contexts and 2.93M table cells: within the budget, and the goal
+    # is refuted in the first block
+    with mock.patch.object(models, "protoconcept_algebra",
+                           wraps=models.protoconcept_algebra) as build:
+        code, out = run(capsys, "refute", "T => T & T", "--models", "contexts:3x4")
+    assert 0 < build.call_count <= logic._BLOCK
+    assert code == 0
+    assert out.endswith("---\ncountermodel: found\nmodel: context-1\nelements: 4\n"
+                        "assignment: (no variables)\n")
 
 
 def test_refute_over_the_contexts_up_to_3x3(files, capsys):
@@ -465,8 +523,8 @@ def test_refute_over_the_contexts_up_to_3x3(files, capsys):
 def test_refute_over_contexts_builds_only_the_blocks_it_reads(fresh_families, files, capsys):
     # the refuter reads logic._BLOCK models at a time: a goal refuted in the
     # first block builds no context algebra past it, and reports as before
-    with mock.patch.object(cli, "protoconcept_algebra",
-                           wraps=cli.protoconcept_algebra) as build:
+    with mock.patch.object(models, "protoconcept_algebra",
+                           wraps=models.protoconcept_algebra) as build:
         code, out = run(capsys, "refute", "T => T & T", "--models", "contexts:3x3")
     assert 0 < build.call_count <= logic._BLOCK
     assert code == 0
@@ -498,7 +556,7 @@ def test_search_past_the_size_limit_is_exit_3(files, capsys):
 def test_refute_search_past_its_model_limit_is_exit_3(fresh_families, files, capsys, monkeypatch,
                                                       size):
     # the size is checked before any search: size 9 used to run for minutes
-    monkeypatch.setattr(cli, "iter_algebras", None)
+    monkeypatch.setattr(models, "iter_algebras", None)
     code, out = run(capsys, "refute", "x => y", "--models", f"search:{size}")
     assert code == 3
     assert out == (f"budget exceeded: --models search:{size} searches models of size "
@@ -507,8 +565,8 @@ def test_refute_search_past_its_model_limit_is_exit_3(fresh_families, files, cap
 
 def test_refute_search_at_its_model_limit_is_accepted(fresh_families, monkeypatch):
     sizes = []
-    monkeypatch.setattr(cli, "iter_algebras", lambda spec: sizes.append(spec.size) or iter(()))
-    assert list(cli._model_source(f"search:{MAX_MODEL_SEARCH_SIZE}")) == []
+    monkeypatch.setattr(models, "iter_algebras", lambda spec: sizes.append(spec.size) or iter(()))
+    assert list(models.model_set(f"search:{MAX_MODEL_SEARCH_SIZE}")) == []
     assert sizes == [MAX_MODEL_SEARCH_SIZE]
 
 
@@ -532,7 +590,7 @@ def test_refute_search_reads_the_models_lazily(fresh_families, capsys, monkeypat
             read.append(alg)
             yield alg
 
-    monkeypatch.setattr(cli, "iter_algebras", counted)
+    monkeypatch.setattr(models, "iter_algebras", counted)
     code, out = run(capsys, "refute", "x => x & y", "--models", f"search:{MAX_MODEL_SEARCH_SIZE}")
     assert code == 0
     assert "model: model-23\n" in out
@@ -603,14 +661,14 @@ def test_kept_families_answer_as_freshly_built_lists(fresh_families, capsys):
                                                           ("HL", "x | X => X ; X => x")]))
     verdicts = set()
     for spec, goals in cases:
-        models = _fresh_models(spec)
-        want = [_refute_answer(system, goal, models) for system, goal in goals]
+        fresh = _fresh_models(spec)
+        want = [_refute_answer(system, goal, fresh) for system, goal in goals]
         argvs = [("refute", goal, "--system", system, "--models", spec) for system, goal in goals]
         kept = [run(capsys, *argv) for argv in argvs]
         again = [run(capsys, *argv) for argv in argvs]
         cleared = []
         for argv in argvs:
-            cli._FAMILIES.clear()
+            models._FAMILIES.clear()
             cleared.append(run(capsys, *argv))
         assert kept == again == cleared == want, spec
         verdicts.update((spec, "countermodel: none" in out) for _, out in want)
@@ -619,8 +677,8 @@ def test_kept_families_answer_as_freshly_built_lists(fresh_families, capsys):
 
 def test_a_kept_family_builds_each_model_once(fresh_families, capsys):
     # blocks of logic._BLOCK models, each built at the first goal that reads it
-    with mock.patch.object(cli, "protoconcept_algebra",
-                           wraps=cli.protoconcept_algebra) as build:
+    with mock.patch.object(models, "protoconcept_algebra",
+                           wraps=models.protoconcept_algebra) as build:
         code, out = run(capsys, "refute", "T => T & T", "--models", "contexts:3x3")
         assert code == 0 and "model: context-1\n" in out
         assert 0 < build.call_count <= logic._BLOCK
@@ -630,7 +688,26 @@ def test_a_kept_family_builds_each_model_once(fresh_families, capsys):
         assert run(capsys, "refute", "x => x", "--system", "HL",
                    "--models", "contexts:3X3")[1].endswith("countermodel: none\n")
         assert build.call_count == 682
-    assert list(cli._FAMILIES) == [("contexts", 3, 3)]
+    assert list(models._FAMILIES) == [("contexts", 3, 3)]
+
+
+def test_alternating_systems_build_each_blocks_stack_once(fresh_families, capsys, monkeypatch):
+    # L admits 11 blocks of the 682 models of contexts:3x3 and HL 10: six
+    # alternating goals without a countermodel read every block, and each
+    # block's stack is built at its first read only, 21 in all
+    built = []
+
+    def stack(**arrays):
+        built.append(arrays["offset"].size)
+        return logic_stack(**arrays)
+
+    logic_stack = logic._Stack
+    monkeypatch.setattr(logic, "_Stack", stack)
+    for _ in range(3):
+        for system, goal in (("L", "x => x"), ("HL", "x & X => X & x")):
+            out = run(capsys, "refute", goal, "--system", system, "--models", "contexts:3x3")[1]
+            assert out.endswith("countermodel: none\n")
+    assert len(built) == 21
 
 
 def test_a_family_whose_build_raised_is_dropped(fresh_families, capsys, monkeypatch):
@@ -642,13 +719,13 @@ def test_a_family_whose_build_raised_is_dropped(fresh_families, capsys, monkeypa
         built.append(ctx)
         return protoconcept_algebra(ctx)
 
-    monkeypatch.setattr(cli, "protoconcept_algebra", flaky)
+    monkeypatch.setattr(models, "protoconcept_algebra", flaky)
     for _ in range(2):  # the first call and the next one, each from the start
         built.clear()
         assert run(capsys, "refute", "x => x", "--models", "contexts:3x3") == (
             3, "budget exceeded: completion tables too large\n")
-        assert len(built) == 100 and not cli._FAMILIES
-    monkeypatch.setattr(cli, "protoconcept_algebra", protoconcept_algebra)
+        assert len(built) == 100 and not models._FAMILIES
+    monkeypatch.setattr(models, "protoconcept_algebra", protoconcept_algebra)
     assert run(capsys, "refute", "x => x", "--models", "contexts:3x3") == _refute_answer(
         "L", "x => x", _fresh_models("contexts:3x3"))
 
@@ -658,7 +735,7 @@ def test_every_reader_of_a_family_whose_build_raised_gets_the_error():
         yield "a", boolean2()
         raise BudgetError("stop")
 
-    family = cli._Family("key", entries())
+    family = models._Family("key", entries())
     first, second = iter(family), iter(family)
     assert next(first)[0] == next(second)[0] == "a"
     for reader in (first, second, iter(family)):
@@ -674,26 +751,25 @@ def test_every_reader_of_a_family_whose_build_raised_gets_the_error():
 def test_a_bad_spec_gives_the_same_answer_on_every_call(fresh_families, capsys, spec, code):
     answers = [run(capsys, "refute", "x => x", "--models", spec) for _ in range(3)]
     assert answers[0][0] == code and answers[0][1].count("\n") == 1
-    assert answers == [answers[0]] * 3 and not cli._FAMILIES
+    assert answers == [answers[0]] * 3 and not models._FAMILIES
 
 
 def test_families_kept_are_few_and_small(fresh_families, capsys):
     specs = ["fixtures", "contexts:1x1", "contexts:2x2", "search:1", "search:2", "search:3"]
     keys = ["fixtures", ("contexts", 1, 1), ("contexts", 2, 2),
             ("search", 1), ("search", 2), ("search", 3)]
-    assert len(specs) > cli._MAX_FAMILIES
+    assert len(specs) > models._MAX_FAMILIES
     for spec in specs:
         assert run(capsys, "refute", "x => x", "--models", spec)[0] == 0
-    assert list(cli._FAMILIES) == keys[-cli._MAX_FAMILIES:]  # the least recently used go
-    kept = cli._FAMILIES[keys[-cli._MAX_FAMILIES]]
-    assert run(capsys, "refute", "x => x", "--models", specs[-cli._MAX_FAMILIES])[0] == 0
-    assert list(cli._FAMILIES)[-1] == keys[-cli._MAX_FAMILIES]
-    assert cli._FAMILIES[keys[-cli._MAX_FAMILIES]] is kept
-    # the 2x5 family would keep 1,426 algebras of up to 128 elements: it is
-    # read as it is built, as before, and never kept
-    assert not isinstance(cli._model_source("contexts:2x5"), cli._Family)
-    assert ("contexts", 2, 5) not in cli._FAMILIES
-    assert isinstance(cli._model_source("contexts:3x3"), cli._Family)
+    assert list(models._FAMILIES) == keys[-models._MAX_FAMILIES:]  # the least recently used go
+    kept = models._FAMILIES[keys[-models._MAX_FAMILIES]]
+    assert run(capsys, "refute", "x => x", "--models", specs[-models._MAX_FAMILIES])[0] == 0
+    assert list(models._FAMILIES)[-1] == keys[-models._MAX_FAMILIES]
+    assert models._FAMILIES[keys[-models._MAX_FAMILIES]] is kept
+    # the 2x5 family holds 1.53M table cells, within the budget: it is kept
+    assert isinstance(models.model_set("contexts:2x5"), models._Family)
+    assert ("contexts", 2, 5) in models._FAMILIES
+    assert isinstance(models.model_set("contexts:3x3"), models._Family)
 
 
 def test_threads_refuting_against_one_family_agree(fresh_families):
@@ -717,12 +793,12 @@ def test_threads_refuting_against_one_family_agree(fresh_families):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    models = _fresh_models("contexts:3x3")
-    want = [_refute_answer(system, goal, models) for system, goal in goals]
+    fresh = _fresh_models("contexts:3x3")
+    want = [_refute_answer(system, goal, fresh) for system, goal in goals]
     assert [answers[k] for k in range(4)] == [want, want[1:] + want[:1]] * 2
     # no entry built twice or lost
-    family = cli._FAMILIES[("contexts", 3, 3)]
-    assert [name for name, _ in family] == [name for name, _ in models]
+    family = models._FAMILIES[("contexts", 3, 3)]
+    assert [name for name, _ in family] == [name for name, _ in fresh]
 
 
 def test_search_reproduces_independence(files, capsys):

@@ -19,7 +19,9 @@ from dbakit import algebra, logic
 from dbakit.algebra import classify, passes, quasi_order
 from dbakit.errors import EvalError, LogicError, ParseError
 from dbakit.fca import all_contexts, protoconcept_algebra
-from dbakit.fixtures import PROOF_SCRIPTS, boolean2, builtin_fixtures, chain3, gdcore_not_dcore
+from dbakit.fixtures import (
+    PROOF_SCRIPTS, boolean2, builtin_fixtures, chain3, gdcore_not_dcore, singleton,
+)
 from dbakit.logic import (
     AXIOM_SCHEMAS, Hypersequent, ProofLine, ProofScript, Sequent, axiom_match,
     check_proof, eval_sequent, falsifying_env, find_countermodel, fixture_proofs,
@@ -897,22 +899,61 @@ def test_the_refuter_compiles_nothing():
             falsifying_env(chain3(), goal, "L")
 
 
+def _without_the_collector(test):
+    """test run with the cyclic collector off: what it frees, reference
+    counting alone freed."""
+    @functools.wraps(test)
+    def run():
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            test()
+        finally:
+            if enabled:
+                gc.enable()
+    return run
+
+
+@_without_the_collector
 def test_the_stack_cache_keeps_no_model_alive():
-    # the cache holds weak references: a refuted algebra is freed with its
-    # last caller reference, and an algebra born at its address (ids are
-    # reused) gets its own answer
+    # the cache holds weak references: a refuted algebra and its stack are
+    # freed with the algebra's last caller reference
     goal = parse_hypersequent("x => x & y")
-    for _ in range(20):
-        alg = boolean2()
-        first = weakref.ref(alg)
-        assert find_countermodel(goal, "L", [("b", alg)])[2] == {"x": 1, "y": 0}
-        del alg
-        gc.collect()
-        assert first() is None
-        one = builtin_fixtures()[0][1]  # the singleton: goal holds
-        assert find_countermodel(goal, "L", [("one", one)]) is None
-        assert falsifying_env(chain3(), goal, "L") == {"x": 1, "y": 0}
-    assert logic._stack.cache_info().currsize <= logic._stack.cache_info().maxsize == 16
+    for block in (1, 2):
+        algs = [boolean2() for _ in range(block)]
+        assert find_countermodel(goal, "L", [("b", a) for a in algs])[2] == {"x": 1, "y": 0}
+        stack = logic._STACKS[algs[0]][tuple(map(weakref.ref, algs[1:])), "L"]
+        alg, table = weakref.ref(algs[0]), weakref.ref(stack.M)
+        del algs, stack
+        assert alg() is None and table() is None
+
+
+@_without_the_collector
+def test_an_algebra_born_at_a_reused_address_gets_its_own_answer():
+    # the second algebra of each block dies with the block; the next one is
+    # mostly born at its address (ids are reused) and must not get its stack
+    goal = parse_hypersequent("x => x & y")
+    kept = singleton()  # the goal holds in it
+    ids = set()
+    for k in range(40):
+        alg = boolean2() if k % 2 else singleton()
+        ids.add(id(alg))
+        found = find_countermodel(goal, "L", [("one", kept), ("other", alg)])
+        if k % 2:
+            assert found[0] == "other" and found[2] == {"x": 1, "y": 0}
+        else:
+            assert found is None
+        del alg, found
+    assert len(ids) < 40  # some address was reused
+
+
+@_without_the_collector
+def test_stacks_of_dead_blocks_do_not_pile_up():
+    goal = parse_hypersequent("x => x & y")
+    kept = singleton()
+    for _ in range(1000):
+        assert find_countermodel(goal, "L", [("one", kept), ("b", boolean2())]) is not None
+    assert len(logic._STACKS[kept]) <= 2
 
 
 # --- local soundness ------------------------------------------------------------------
