@@ -43,8 +43,6 @@ MAX_PROOF_DEPTH = 16
 # 2-core Intel Xeon (Python 3.11) 2,156 pairs take 0.4-0.5 s and 327 MB peak
 # RSS, 3,206 take 1.0-1.2 s and 689 MB.
 MAX_EMIT_PAIRS = 2048
-# ``refute --models`` families and their limits (MAX_MODEL_CELLS for
-# ``contexts:GxM``, MAX_MODEL_SEARCH_SIZE for ``search:N``) are in ``models``.
 
 
 class _Usage(Exception):

@@ -506,19 +506,21 @@ def _var_range(alg: FiniteAlgebra, kind: str, system: str):
 # model and, within it, the lexicographically first assignment.
 
 _BLOCK = 64  # models read, admitted and stacked at a time
+_STACKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # see _stack
 
 
 class _Stack(NamedTuple):
-    """The tables of a block of m models, stacked: element x of model t
-    has the block-wide id ``offset[t] + x``, and the maps ``G`` and ``O``
-    take ids to ids.  The n x n tables of all models lie in one flat array
-    each, ``M`` and ``J`` of ids and ``Q`` (the quasi-order) of bools;
-    ``row[id]`` is where the id's row starts, less the id of its model's
-    element 0, so ``x & y`` is ``M[row[x] + y]`` for ids x and y.  ``top``
-    and ``bot`` hold each model's ids.  ``ranges`` maps each sort of the
-    system to a (m, L) array of the ids that a variable of the sort takes
-    in each model, padded to the widest model with the first id of the
-    model's own range (none is empty: in a dBa F is a meet and T a join
+    """The tables of a block of m models, stacked.
+
+    Element x of model t has the block-wide id ``offset[t] + x``.  The maps
+    ``G`` and ``O`` take ids to ids.  The n x n tables of all models lie in
+    one flat array each, ``M`` and ``J`` of ids and ``Q`` (the quasi-order)
+    of bools; ``row[id]`` is where the id's row starts, less the id of its
+    model's element 0, so ``x & y`` is ``M[row[x] + y]`` for ids x and y.
+    ``top`` and ``bot`` hold each model's ids.  ``ranges`` maps each sort
+    of the system to a (m, L) array of the ids that a variable of the sort
+    takes in each model, padded to the widest model with the first id of
+    the model's own range (none is empty: in a dBa F is a meet and T a join
     idempotent).  A padded cell repeats the cell at 0 on each padded axis,
     which comes earlier in C order, so the first failing cell is never one.
     """
@@ -533,9 +535,6 @@ class _Stack(NamedTuple):
     bot: np.ndarray
     offset: np.ndarray
     ranges: dict
-
-
-_STACKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # see _stack
 
 
 def _stack(algs: list, system: str) -> _Stack:
@@ -645,7 +644,10 @@ def _refuter(h: Hypersequent, system: str):
         kinds = (GENERIC,) * len(names)
     if max(t.depth for t in chain.from_iterable(h)) > MAX_DEPTH:
         raise EvalError(f"term is deeper than {MAX_DEPTH} operators")
-    return lambda algs: _first_failure(_stack(algs, system), h, names, kinds)
+
+    def refute(algs):
+        return _first_failure(_stack(algs, system), h, names, kinds)
+    return refute
 
 
 def falsifying_env(alg: FiniteAlgebra, h: Hypersequent, system: str = "L"):
@@ -706,7 +708,8 @@ def find_countermodel(goal: Hypersequent, system: str, models) -> tuple | None:
             refute = _refuter(goal, system)
         found = refute([alg for _, alg in block])
         if found is not None:
-            return (*block[found[0]], found[1])
+            t, env = found
+            return (*block[t], env)
     return None
 
 

@@ -15,7 +15,8 @@ from .search import SearchSpec, iter_algebras
 
 # ``contexts:GxM`` is refused past this many table cells, n**2 summed over
 # its n-element algebras and counted from the pairs, before any table is
-# built: 3x4 holds 2.93M; 2x6, 4x4 and 1x8 pass the limit.
+# built: 3x4 holds 2.93M; 2x6, 4x4 and 1x8 pass the limit.  The kept
+# families hold at most this many cells in all.
 MAX_MODEL_CELLS = 1 << 22
 # ``search:N`` reads the DBA23 models of size N as the refuter needs them,
 # but a goal with no countermodel reads all of them.  On a 2-core Intel
@@ -30,9 +31,9 @@ class _Family:
     at once and a later iteration reads on where the furthest one stopped.
     A build that raises is raised again to every reader that needs a further
     entry, and the family leaves ``_FAMILIES``: it is never kept truncated.
-    ``cells`` counts a contexts family's table cells (else it is None)."""
+    ``cells`` counts a contexts family's table cells; it is 0 for the others."""
 
-    def __init__(self, key, entries, cells=None):
+    def __init__(self, key, entries, cells=0):
         self.key = key
         self.cells = cells
         self._entries = entries  # None once exhausted
@@ -76,17 +77,24 @@ _FAMILIES_LOCK = threading.Lock()
 _MAX_FAMILIES = 4
 
 
-def _family(key, make):
-    """The kept family of key, else one on ``make()``: nothing if it raises."""
+def _family(key, make, count=lambda: 0):
+    """The kept family of key, else one on ``make()`` with ``count()`` cells,
+    counted unlocked; nothing is kept if either raises.  The least recently
+    used go until at most _MAX_FAMILIES and MAX_MODEL_CELLS cells are kept."""
     with _FAMILIES_LOCK:
         family = _FAMILIES.get(key)
-        if family is None:
-            family = _FAMILIES[key] = _Family(key, *make())
-            if len(_FAMILIES) > _MAX_FAMILIES:
-                _FAMILIES.popitem(last=False)
-        else:
+        if family is not None:
             _FAMILIES.move_to_end(key)
-        return family
+            return family
+    cells = count()  # a thread that counted too uses the family kept first
+    with _FAMILIES_LOCK:
+        if key not in _FAMILIES:
+            _FAMILIES[key] = _Family(key, make(), cells)
+            while (len(_FAMILIES) > _MAX_FAMILIES
+                   or sum(f.cells for f in _FAMILIES.values()) > MAX_MODEL_CELLS):
+                _FAMILIES.popitem(last=False)  # never the new one: it is within the limit
+        _FAMILIES.move_to_end(key)
+        return _FAMILIES[key]
 
 
 def _contexts(g: int, m: int):
@@ -119,7 +127,7 @@ def _search_models(size: int):
 def model_set(spec: str) -> _Family:
     """The kept family of ``spec``, checked on every call before any is read."""
     if spec == "fixtures":
-        return _family("fixtures", lambda: (iter(builtin_fixtures()),))
+        return _family("fixtures", lambda: iter(builtin_fixtures()))
     if spec.startswith("contexts:"):
         shape = spec.split(":", 1)[1]
         try:
@@ -128,8 +136,8 @@ def model_set(spec: str) -> _Family:
             raise ParseError(f"--models contexts:<GxM> malformed: {spec!r}") from None
         if g < 1 or m < 1:
             raise ParseError(f"--models contexts:<GxM> needs G, M >= 1: {spec!r}")
-        return _family(("contexts", g, m),
-                       lambda: (_context_models(g, m), _context_cells(spec, g, m)))
+        return _family(("contexts", g, m), lambda: _context_models(g, m),
+                       lambda: _context_cells(spec, g, m))
     if spec.startswith("search:"):
         try:
             size = int(spec.split(":", 1)[1])
@@ -138,5 +146,5 @@ def model_set(spec: str) -> _Family:
         if size > MAX_MODEL_SEARCH_SIZE:
             raise BudgetError(f"--models {spec} searches models of size {size}, "
                               f"more than the limit of {MAX_MODEL_SEARCH_SIZE}")
-        return _family(("search", size), lambda: (_search_models(size),))
+        return _family(("search", size), lambda: _search_models(size))
     raise ParseError(f"unknown model source {spec!r}")

@@ -155,7 +155,7 @@ def test_protoconcepts_emission_past_the_limit_is_exit_3(files, capsys, monkeypa
     def never(*args):
         raise AssertionError("the algebra was built")
 
-    monkeypatch.setattr(models, "protoconcept_algebra", never)
+    monkeypatch.setattr(cli, "protoconcept_algebra", never)
     monkeypatch.setattr(cli, "oo_protoconcept_algebra", never)
     code, out = run(capsys, "protoconcepts", str(path), "--kind", kind,
                     "--emit-algebra", str(out_dba))
@@ -481,10 +481,11 @@ def test_a_context_shape_is_accepted_exactly_within_the_cell_budget(fresh_famili
         assert models._FAMILIES[("contexts", g, m)] is family
 
 
-def test_a_kept_family_counts_its_cells_once(fresh_families, monkeypatch):
+def test_a_kept_family_counts_its_cells_once_outside_the_lock(fresh_families, monkeypatch):
     counted = []
 
     def pairs(ctx, kind):
+        assert not models._FAMILIES_LOCK.locked()  # other specs are not kept waiting
         counted.append(ctx)
         return generated(ctx, kind)
 
@@ -770,6 +771,11 @@ def test_families_kept_are_few_and_small(fresh_families, capsys):
     assert isinstance(models.model_set("contexts:2x5"), models._Family)
     assert ("contexts", 2, 5) in models._FAMILIES
     assert isinstance(models.model_set("contexts:3x3"), models._Family)
+    # with 3x4 (2.93M) the kept families would pass the budget: the least
+    # recently used go until the rest fit
+    models.model_set("contexts:3x4")
+    assert list(models._FAMILIES) == [("contexts", 3, 3), ("contexts", 3, 4)]
+    assert sum(f.cells for f in models._FAMILIES.values()) <= MAX_MODEL_CELLS
 
 
 def test_threads_refuting_against_one_family_agree(fresh_families):
