@@ -6,11 +6,14 @@ arrays.  Only the checker's compiled nests read them as row tuples
 call concurrently on shared values.
 
 What the tables decide (suite reports, catalog verdicts, the quasi-order,
-the class flags and the classification) is kept in one record per table
-set, shared by every live algebra with equal tables, that is, equal
-``signature()`` (``_facts_of``).  Sharing is exact: the key is the whole of
-the tables, every kept value is index-based, and names enter only when a
-report is rendered.
+the class flags, the classification and the square fibres) is kept in one
+record per table set, shared by every algebra with equal tables, that is,
+equal ``signature()`` (``_facts_of``).  Sharing is exact: the key is the
+whole of the tables, every kept value is index-based, and names enter only
+when a report is rendered.  The store keeps the records of the table sets
+looked up last, within ``_MAX_RECORD_CELLS`` table cells, after the
+algebras that asked for them are gone; each algebra holds its own record,
+so an evicted record still answers for it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
@@ -136,25 +139,62 @@ class FiniteAlgebra:
 class _Facts:
     """What one table set decides: suite reports by suite, the catalog
     verdicts, the quasi-order, the class flags, the classification and the
-    square fibres (``_fibres``), each filled on its first use.  Holds no
-    algebra, so it lives exactly as long as the algebras that hold it."""
+    square fibres (``_fibres``), each filled on its first use, and the
+    record's charge in ``_FACTS``, ``cells``.  Holds no algebra, so keeping
+    it keeps no algebra alive."""
 
-    __slots__ = ("suites", "catalog", "order", "flags", "classification", "fibres",
-                 "__weakref__")
+    __slots__ = ("suites", "catalog", "order", "flags", "classification", "fibres", "cells")
 
-    def __init__(self):
+    def __init__(self, cells):
         self.suites = {}
         self.catalog = self.order = self.flags = self.classification = self.fibres = None
+        self.cells = cells
 
 
-_FACTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # tables -> _Facts
-_FACTS_LOCK = threading.Lock()  # one record per table set, even when threads race
+# A record is charged its four tables' cells, 2n(n+1), but at least
+# _RECORD_MIN_CELLS, since its reports take memory whatever n: the store
+# keeps at most 256 records, and a record over 361 elements never.  See
+# README for what that costs.
+_MAX_RECORD_CELLS = 1 << 18
+_RECORD_MIN_CELLS = 1 << 10
+
+
+class _Store:
+    """The records of the table sets looked up last, by exact key, least
+    recently used first (``records``), with the sum of their charges
+    (``cells``).  The least recently used go while the charges pass
+    ``_MAX_RECORD_CELLS``; a record charged more is never kept."""
+
+    def __init__(self):
+        self.records = OrderedDict()  # tables -> _Facts
+        self.cells = 0
+        self.lock = threading.Lock()  # one record per table set, even when threads race
+
+    def record(self, key, n) -> _Facts:
+        """The kept record of key, the tables of an n-element algebra, else a
+        new one, kept if it fits."""
+        with self.lock:
+            facts = self.records.get(key)
+            if facts is not None:
+                self.records.move_to_end(key)
+                return facts
+            facts = _Facts(max(2 * n * (n + 1), _RECORD_MIN_CELLS))
+            if facts.cells <= _MAX_RECORD_CELLS:
+                self.records[key] = facts
+                self.cells += facts.cells
+                while self.cells > _MAX_RECORD_CELLS:
+                    self.cells -= self.records.popitem(last=False)[1].cells
+            return facts
+
+
+_FACTS = _Store()
 
 
 def _facts_of(alg: FiniteAlgebra) -> _Facts:
-    """The record of alg's tables, shared with every live algebra that has
-    the same tables; looked up on the first check and kept on alg.  Two
-    threads may fill one field at once: both write equal values."""
+    """The record of alg's tables, shared with every algebra that has the
+    same tables while ``_FACTS`` keeps it; looked up on the first check and
+    kept on alg.  Two threads may fill one field at once: both write equal
+    values."""
     facts = alg._facts
     if facts is None:
         # signature() with the tables in the narrowest dtype that holds the
@@ -162,8 +202,7 @@ def _facts_of(alg: FiniteAlgebra) -> _Facts:
         dt = np.min_scalar_type(alg.n - 1)
         key = (alg.n, alg.top, alg.bot,
                *(t.astype(dt).tobytes() for t in (alg.meet, alg.join, alg.neg, alg.opp)))
-        with _FACTS_LOCK:
-            facts = alg._facts = _FACTS.setdefault(key, _Facts())
+        facts = alg._facts = _FACTS.record(key, alg.n)
     return facts
 
 

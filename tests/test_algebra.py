@@ -9,13 +9,14 @@ import threading
 import tracemalloc
 import weakref
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbakit.algebra import (
-    _FACTS, _VECTOR_THRESHOLD, FiniteAlgebra, _check_equations, _facts_of, _kernel,
+    _VECTOR_THRESHOLD, FiniteAlgebra, _check_equations, _facts_of, _kernel,
     check_identity_catalog, check_suite, classify,
     eval_term, extract_boolean_part, is_boolean_algebra, join_idempotents, meet_idempotents,
     passes, project_join, project_meet, quasi_order, satisfies_equation, unique_mixed_lift,
@@ -281,7 +282,7 @@ def test_suite_cache_is_keyed_by_the_equations():
     assert check_suite(alg, AxiomSuite("DBA23", DBA23.equations)) == check_suite(alg, DBA23)
 
 
-def test_classify_checks_its_three_suites_in_one_batch(monkeypatch):
+def test_classify_checks_its_three_suites_in_one_batch(fresh_records, monkeypatch):
     from dbakit import algebra
     batches = []
     check = algebra._check_equations
@@ -407,39 +408,169 @@ def test_tables_that_differ_anywhere_get_their_own_record():
         assert check_identity_catalog(alg)[0] == _check_equations(alg, CATALOG)
 
 
-def test_a_record_lives_as_long_as_an_algebra_with_its_tables():
-    # tables no other test builds; reference counts alone must free the record
-    n = 5
-    tables = ([[(x * y) % n for y in range(n)] for x in range(n)],
-              [[(x + y) % n for y in range(n)] for x in range(n)],
-              [(n - x) % n for x in range(n)], [(x + 2) % n for x in range(n)], 3, 4)
+def _tables(n, shift=0):
+    """Tables of an n-element algebra that no other test builds, one table
+    set per shift in range(n)."""
+    return ([[(x * y + shift) % n for y in range(n)] for x in range(n)],
+            [[(x + y) % n for y in range(n)] for x in range(n)],
+            [(n - x) % n for x in range(n)], [(x + 2) % n for x in range(n)], 3 % n, 4 % n)
+
+
+def _named(n, shift=0):
+    return FiniteAlgebra([f"e{i}" for i in range(n)], *_tables(n, shift))
+
+
+def test_a_record_outlives_the_algebras_that_filled_it(fresh_records, monkeypatch):
+    from dbakit import algebra
     gc.disable()
     try:
-        before = len(_FACTS)
-        first = FiniteAlgebra("abcde", *tables)
-        classify(first)
-        record = weakref.ref(first._facts)
-        assert len(_FACTS) == before + 1
+        first = FiniteAlgebra("abcde", *_tables(5))
+        want = classify(first), check_identity_catalog(first), quasi_order(first)
+        record = first._facts
         second = first.renamed("vwxyz")
-        third = FiniteAlgebra("abcde", *tables)
-        check_identity_catalog(third)
-        assert record() is second._facts is third._facts
+        assert second._facts is record
+        dead = weakref.ref(first), weakref.ref(second)
         del first, second
-        assert record() is not None and len(_FACTS) == before + 1
-        del third
-        assert record() is None and len(_FACTS) == before
+        assert [r() for r in dead] == [None, None]
+        assert list(algebra._FACTS.records.values()) == [record]
+        # equal tables built later read the kept verdicts: nothing is checked
+        monkeypatch.setattr(algebra, "_check_equations", None)
+        again = FiniteAlgebra("pqrst", *_tables(5))
+        assert (classify(again), check_identity_catalog(again), quasi_order(again)) == want
+        assert again._facts is record
     finally:
         gc.enable()
 
 
-def test_threads_share_one_record_of_equal_reports():
+def test_the_least_recently_used_records_go_one_cell_past_the_bound(fresh_records,
+                                                                    monkeypatch):
+    from dbakit import algebra
+    store = algebra._FACTS
+    small, large = algebra._RECORD_MIN_CELLS, 2 * 40 * 41  # charges of n = 3 and n = 40
+    assert 2 * 3 * 4 < small < large
+    monkeypatch.setattr(algebra, "_MAX_RECORD_CELLS", 3 * small + large)
+    a, b, c = (_named(3, shift) for shift in range(3))
+    big = _named(40)
+    for alg in (a, b, c, big):
+        classify(alg)
+    assert [r.cells for r in store.records.values()] == [small, small, small, large]
+    assert store.cells == algebra._MAX_RECORD_CELLS  # exactly at the bound: all kept
+    assert _facts_of(_named(3, 0)) is a._facts  # a is now the most recently used
+    # one cell past the bound: the least recently used record goes, b's
+    d = FiniteAlgebra(["e0", "e1", "e2"], *_tables(3, 0)[:-2], 0, 0)
+    monkeypatch.setattr(algebra, "_MAX_RECORD_CELLS", 4 * small + large - 1)
+    record = _facts_of(d)
+    assert list(store.records.values()) == [c._facts, big._facts, a._facts, record]
+    assert store.cells == 3 * small + large <= algebra._MAX_RECORD_CELLS
+    # the evicted record stays with its live algebra and answers for it;
+    # equal tables built now get a new record
+    kept = b._facts
+    fresh = _facts_of(_named(3, 1))
+    assert fresh is not kept and fresh.classification is None and b._facts is kept
+    assert kept.classification is classify(b) == classify(_named(3, 1))
+
+
+def test_a_record_charged_past_the_bound_is_never_kept(fresh_records, monkeypatch):
+    from dbakit import algebra
+    store = algebra._FACTS
+    monkeypatch.setattr(algebra, "_MAX_RECORD_CELLS", 2 * algebra._RECORD_MIN_CELLS)
+    a, big = _named(3), _named(40)  # charged 2 * 40 * 41 cells, past the bound
+    _facts_of(a)
+    assert classify(big) == classify(copy_of(big))
+    assert big._facts is not _facts_of(copy_of(big))
+    assert list(store.records.values()) == [a._facts]  # and nothing was evicted for it
+    assert store.cells == algebra._RECORD_MIN_CELLS
+
+
+def test_the_store_never_holds_more_than_its_bound(fresh_records):
+    from dbakit import algebra
+    store, bound = algebra._FACTS, algebra._MAX_RECORD_CELLS
+    rng = random.Random(5)
+    sets = [(n, i % n) for i, n in enumerate(
+        rng.choice((2, 3, 8, 24, 64, 128, 200)) for _ in range(600))]
+    for n, shift in sets:
+        _facts_of(_named(n, shift))
+        assert store.cells == sum(r.cells for r in store.records.values()) <= bound
+    assert len(store.records) < len(set(sets))  # some were evicted
+
+
+def _relabelled(alg, perm):
+    """alg with element x renamed perm[x] in its tables: isomorphic, with
+    other tables unless perm fixes them."""
+    inv = np.argsort(perm)
+    grid = np.ix_(inv, inv)
+    return FiniteAlgebra(alg.names, perm[alg.meet[grid]], perm[alg.join[grid]],
+                         perm[alg.neg[inv]], perm[alg.opp[inv]], perm[alg.top], perm[alg.bot])
+
+
+def _one_cell_off(alg, rng):
+    meet = alg.meet.tolist()
+    x, y = rng.randrange(alg.n), rng.randrange(alg.n)
+    meet[x][y] = (meet[x][y] + 1) % alg.n
+    return FiniteAlgebra(alg.names, meet, alg.join, alg.neg, alg.opp, alg.top, alg.bot)
+
+
+def store_corpus():
+    """Every 17th context up to 3x3: its proto and semi algebras, their
+    Boolean parts and representation images, and a relabelled and a
+    one-cell-perturbed variant of each."""
+    from dbakit.representation import representation
+    rng = random.Random(3)
+    contexts = [c for g in (1, 2, 3) for m in (1, 2, 3) for c in all_contexts(g, m)][::17]
+    algs = []
+    for ctx in contexts:
+        for kind in ("protoconcept", "semiconcept"):
+            alg = protoconcept_algebra(ctx, kind).algebra
+            algs += [alg, extract_boolean_part(alg, "meet"), extract_boolean_part(alg, "join")]
+            if alg.n <= 20:
+                algs.append(representation(alg).image)
+    variants = [_relabelled(alg, np.array(rng.sample(range(alg.n), alg.n))) for alg in algs]
+    variants += [_one_cell_off(alg, rng) for alg in algs if alg.n > 1]
+    return algs + variants
+
+
+def decided(alg):
+    """What alg's tables decide, as plain values."""
+    qo = quasi_order(alg)
+    return ([check_suite(alg, s) for s in (DBA23, DCORE13, GDCORE11, BOOLEAN)],
+            check_identity_catalog(alg),
+            (qo.rel.tolist(), qo.reflexive, qo.transitive, qo.antisymmetric),
+            classify(alg))
+
+
+@pytest.mark.parametrize("bound", [None, 1 << 22])  # the store's own; one that keeps all
+def test_a_warm_store_answers_as_an_empty_one(fresh_records, monkeypatch, bound):
+    from dbakit import algebra
+    if bound is not None:
+        monkeypatch.setattr(algebra, "_MAX_RECORD_CELLS", bound)
+    algs, store = store_corpus(), algebra._FACTS
+    for alg in algs:
+        decided(copy_of(alg))
+    batches, check = [], algebra._check_equations
+    monkeypatch.setattr(algebra, "_check_equations",
+                        lambda alg, equations: batches.append(alg) or check(alg, equations))
+    warm = [decided(copy_of(alg)) for alg in algs]  # each copy looks its record up
+    monkeypatch.setattr(algebra, "_check_equations", check)
+    assert store.cells == sum(r.cells for r in store.records.values()) <= algebra._MAX_RECORD_CELLS
+    distinct = len({alg.signature() for alg in algs})
+    if bound is None:  # more table sets than the store keeps: some are checked again
+        assert len(store.records) < distinct and 0 < len(batches)
+    else:  # every copy read a kept record
+        assert len(store.records) == distinct and not batches
+    for alg, want in zip(algs, warm):
+        with mock.patch.object(algebra, "_FACTS", algebra._Store()):
+            assert decided(copy_of(alg)) == want
+    assert {r.ok for answer in warm for r in answer[0]} == {True, False}
+
+
+def test_threads_share_one_record_of_equal_reports(fresh_records):
     # more threads than cores, switching often, all racing for the first record
+    from dbakit import algebra
     ctx = FormalContext(["g0", "g1"], ["m0", "m1", "m2"], [[1, 0, 1], [0, 1, 1]])
-    model = protoconcept_algebra(ctx).algebra
-    want = classify(model), check_identity_catalog(model)
-    gone = weakref.ref(model._facts)
-    del model
-    assert gone() is None  # the threads start without a record
+    with mock.patch.object(algebra, "_FACTS", algebra._Store()):
+        model = protoconcept_algebra(ctx).algebra
+        want = classify(model), check_identity_catalog(model)
+    assert not algebra._FACTS.records  # the threads start without a record
     start = threading.Barrier(4, timeout=60)
     results = [None] * 4
 
@@ -463,6 +594,38 @@ def test_threads_share_one_record_of_equal_reports():
     for report, catalog, _ in results:
         assert report == want[0] and catalog == want[1]
     assert len({id(alg._facts) for _, _, alg in results}) == 1
+
+
+def test_threads_evicting_from_one_store_keep_its_count(fresh_records, monkeypatch):
+    # more threads than cores look up 12 table sets in a store of 5 records,
+    # switching often: a lost update of the charges would break their sum
+    from dbakit import algebra
+    store, small = algebra._FACTS, algebra._RECORD_MIN_CELLS
+    monkeypatch.setattr(algebra, "_MAX_RECORD_CELLS", 5 * small)
+    rng = random.Random(2)
+    work = [[FiniteAlgebra("abc", *_tables(3, k % 3)[:-2], k // 3 % 3, k // 9)
+             for k in rng.choices(range(12), k=300)] for _ in range(8)]
+    start = threading.Barrier(8, timeout=60)
+
+    def run(algs):
+        start.wait()
+        for alg in algs:
+            _facts_of(alg)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(algs,)) for algs in work]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(alg._facts is not None for algs in work for alg in algs)
+    assert len(store.records) == 5 and store.cells == 5 * small
+    assert sum(r.cells for r in store.records.values()) == store.cells
 
 
 def neg_chain(depth):

@@ -6,7 +6,6 @@ import random
 import sys
 import threading
 import time
-import weakref
 from collections import OrderedDict
 from unittest import mock
 
@@ -283,12 +282,12 @@ def test_represent_past_20_elements(capsys, tmp_path):
     assert out == "error: unrecognized arguments: --max-size 30\n"
 
 
-def test_represent_and_refutation_check_no_suite_but_dba23(capsys, tmp_path, monkeypatch):
+def test_represent_and_refutation_check_no_suite_but_dba23(fresh_records, capsys, tmp_path,
+                                                            monkeypatch):
     # the contextual, fully contextual and pure flags need DBA23 and the
     # tables, never DCORE13 or GDCORE11: on algebras no earlier check has
     # seen, the input's record holds the DBA23 report only, and no
     # classification
-    monkeypatch.setattr(algebra, "_FACTS", weakref.WeakValueDictionary())
     ctx = FormalContext(["g1", "g2"], ["m1", "m2"], [[True, False], [True, True]])
     fully = protoconcept_algebra(ctx).algebra
     for alg, status in ((fully, "protoconcept"), (chain3(), "semiconcept"),
@@ -304,6 +303,9 @@ def test_represent_and_refutation_check_no_suite_but_dba23(capsys, tmp_path, mon
         assert [s.id for s in record.suites] == ["DBA23"] and record.classification is None
     models = [(name, alg) for name, alg in builtin_fixtures()]
     models += [(str(c), protoconcept_algebra(c).algebra) for c in all_contexts(2, 2)]
+    # the Boolean parts checked so far are kept, and boolean2 has the tables
+    # of one: the refuter starts from an empty store
+    monkeypatch.setattr(algebra, "_FACTS", algebra._Store())
     for system in ("L", "HL"):
         goal = logic.parse_hypersequent("x => y", system)
         assert logic.find_countermodel(goal, system, models) is not None
@@ -312,11 +314,10 @@ def test_represent_and_refutation_check_no_suite_but_dba23(capsys, tmp_path, mon
         assert [s.id for s in record.suites] == ["DBA23"] and record.classification is None
 
 
-def test_construct_glued_sum_checks_no_suite_but_dba23(capsys, tmp_path, monkeypatch):
+def test_construct_glued_sum_checks_no_suite_but_dba23(fresh_records, capsys, tmp_path):
     # dba, pure and trivial need DBA23 and the tables: after the command the
     # sum's record holds the DBA23 report only, and no classification; the
     # lines are those of classify
-    monkeypatch.setattr(algebra, "_FACTS", weakref.WeakValueDictionary())
     for a in (1, 2, 4):
         (tmp_path / f"b{a}.dba").write_text(render_algebra(powerset_boolean(a).alg))
     for a in (1, 2, 4):
