@@ -5,15 +5,16 @@ arrays.  Only the checker's compiled nests read them as row tuples
 (``_tuples``).  Every function here is read-only on its inputs and safe to
 call concurrently on shared values.
 
-What the tables decide (suite reports, catalog verdicts, the quasi-order,
-the class flags, the classification and the square fibres) is kept in one
-record per table set, shared by every algebra with equal tables, that is,
-equal ``signature()`` (``_facts_of``).  Sharing is exact: the key is the
-whole of the tables, every kept value is index-based, and names enter only
-when a report is rendered.  The store keeps the records of the table sets
-looked up last, within ``_MAX_RECORD_CELLS`` table cells, after the
-algebras that asked for them are gone; each algebra holds its own record,
-so an evicted record still answers for it.
+What the tables decide (suite reports, the catalog's among them, the
+quasi-order, the class flags, the classification and the square fibres) is
+kept in one record per table set, shared by every algebra with equal
+tables, that is, equal ``signature()`` (``_facts_of``).  Sharing is exact:
+the key is the whole of the tables, every kept value is index-based, and
+names enter only when a report is rendered.  One bounded store, an ``_LRU``
+of 2**18 table cells, keeps the records of the table sets looked up last,
+after the algebras that asked for them are gone; each algebra holds its own
+record, so an evicted record still answers for it.  ``models`` keeps the
+refute model families in a second ``_LRU``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import numpy as np
 from .errors import AlgebraError, EvalError
 from .suites import BOOLEAN, CATALOG, DBA23, DCORE13, GDCORE11, get_suite
 from .terms import (
-    MAX_DEPTH, TABLE_NAMES, Const, Equation, Join, Meet, Neg, Opp, Term, Var, fold, postorder,
-    variables,
+    MAX_DEPTH, TABLE_NAMES, AxiomSuite, Const, Equation, Join, Meet, Neg, Opp, Term, Var, fold,
+    postorder, variables,
 )
 
 
@@ -137,57 +138,70 @@ class FiniteAlgebra:
 
 
 class _Facts:
-    """What one table set decides: suite reports by suite, the catalog
-    verdicts, the quasi-order, the class flags, the classification and the
-    square fibres (``_fibres``), each filled on its first use, and the
-    record's charge in ``_FACTS``, ``cells``.  Holds no algebra, so keeping
-    it keeps no algebra alive."""
+    """What one table set decides: suite reports by suite (the catalog's
+    too), the quasi-order, the class flags, the classification and the
+    square fibres (``_fibres``), each filled on its first use.  Holds no
+    algebra, so keeping it keeps no algebra alive."""
 
-    __slots__ = ("suites", "catalog", "order", "flags", "classification", "fibres", "cells")
-
-    def __init__(self, cells):
-        self.suites = {}
-        self.catalog = self.order = self.flags = self.classification = self.fibres = None
-        self.cells = cells
-
-
-# A record is charged its four tables' cells, 2n(n+1), but at least
-# _RECORD_MIN_CELLS, since its reports take memory whatever n: the store
-# keeps at most 256 records, and a record over 361 elements never.  See
-# README for what that costs.
-_MAX_RECORD_CELLS = 1 << 18
-_RECORD_MIN_CELLS = 1 << 10
-
-
-class _Store:
-    """The records of the table sets looked up last, by exact key, least
-    recently used first (``records``), with the sum of their charges
-    (``cells``).  The least recently used go while the charges pass
-    ``_MAX_RECORD_CELLS``; a record charged more is never kept."""
+    __slots__ = ("suites", "order", "flags", "classification", "fibres")
 
     def __init__(self):
-        self.records = OrderedDict()  # tables -> _Facts
+        self.suites = {}
+        self.order = self.flags = self.classification = self.fibres = None
+
+
+class _LRU:
+    """Values by exact key, least recently used first (``entries``, each a
+    (value, charge) pair), with the sum of their charges (``cells``).  A
+    value is charged its table cells, but at least ``floor``; the least
+    recently used go while the charges pass ``bound``, and a value charged
+    more is returned but never kept.  One lock: of two puts that race on a
+    key, the first value is kept, and both callers get it."""
+
+    def __init__(self, bound, floor):
+        self.bound, self.floor = bound, floor
+        self.entries = OrderedDict()
         self.cells = 0
-        self.lock = threading.Lock()  # one record per table set, even when threads race
+        self.lock = threading.Lock()
 
-    def record(self, key, n) -> _Facts:
-        """The kept record of key, the tables of an n-element algebra, else a
-        new one, kept if it fits."""
+    def get(self, key):
+        """The kept value of key, now the most recently used, else None."""
         with self.lock:
-            facts = self.records.get(key)
-            if facts is not None:
-                self.records.move_to_end(key)
-                return facts
-            facts = _Facts(max(2 * n * (n + 1), _RECORD_MIN_CELLS))
-            if facts.cells <= _MAX_RECORD_CELLS:
-                self.records[key] = facts
-                self.cells += facts.cells
-                while self.cells > _MAX_RECORD_CELLS:
-                    self.cells -= self.records.popitem(last=False)[1].cells
-            return facts
+            entry = self.entries.get(key)
+            if entry is None:
+                return None
+            self.entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key, value, cells):
+        """The kept value of key, else value, kept if its charge fits."""
+        charge = max(cells, self.floor)
+        with self.lock:
+            entry = self.entries.get(key)
+            if entry is not None:
+                self.entries.move_to_end(key)
+                return entry[0]
+            if charge <= self.bound:
+                self.entries[key] = value, charge
+                self.cells += charge
+                while self.cells > self.bound:
+                    self.cells -= self.entries.popitem(last=False)[1][1]
+            return value
+
+    def drop(self, key, value):
+        """Forget key if it still holds value."""
+        with self.lock:
+            entry = self.entries.get(key)
+            if entry is not None and entry[0] is value:
+                del self.entries[key]
+                self.cells -= entry[1]
 
 
-_FACTS = _Store()
+# A record is charged its four tables' cells, 2n(n+1), but at least 1,024,
+# since its reports take memory whatever n: the store keeps at most 256
+# records, and a record over 361 elements never.  See README for what that
+# costs.
+_FACTS = _LRU(1 << 18, 1 << 10)
 
 
 def _facts_of(alg: FiniteAlgebra) -> _Facts:
@@ -202,7 +216,8 @@ def _facts_of(alg: FiniteAlgebra) -> _Facts:
         dt = np.min_scalar_type(alg.n - 1)
         key = (alg.n, alg.top, alg.bot,
                *(t.astype(dt).tobytes() for t in (alg.meet, alg.join, alg.neg, alg.opp)))
-        facts = alg._facts = _FACTS.record(key, alg.n)
+        cells = 2 * alg.n * (alg.n + 1)
+        facts = alg._facts = _FACTS.get(key) or _FACTS.put(key, _Facts(), cells)
     return facts
 
 
@@ -905,8 +920,5 @@ def is_boolean_algebra(alg: FiniteAlgebra) -> bool:
 
 def check_identity_catalog(alg: FiniteAlgebra):
     """Check every derived identity; returns (all verdicts, failing verdicts)."""
-    facts = _facts_of(alg)
-    if facts.catalog is None:
-        verdicts = _check_equations(alg, CATALOG)
-        facts.catalog = verdicts, tuple(v for v in verdicts if not v.holds)
-    return facts.catalog
+    verdicts = _check_suites(alg, (AxiomSuite("CATALOG", CATALOG),))[0].verdicts
+    return verdicts, tuple(v for v in verdicts if not v.holds)

@@ -1,13 +1,16 @@
 """The model families of ``refute --models``: ``fixtures``, ``contexts:GxM``
 (the protoconcept algebras of the contexts up to GxM) and ``search:N`` (the
 DBA23 models of size N), each built as it is read and kept per process, so
-later readers get the same algebras, their verdict records and stacks."""
+later readers get the same algebras, their verdict records and stacks.
+``_FAMILIES`` keeps them in the store class of the verdict records: a
+contexts family is charged its counted cells, every family at least a
+quarter of ``MAX_MODEL_CELLS``, so at most four are kept."""
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
+from .algebra import _LRU
 from .errors import BudgetError, ParseError
 from .fca import _generated_pairs, all_contexts, protoconcept_algebra
 from .fixtures import builtin_fixtures
@@ -16,7 +19,7 @@ from .search import SearchSpec, iter_algebras
 # ``contexts:GxM`` is refused past this many table cells, n**2 summed over
 # its n-element algebras and counted from the pairs, before any table is
 # built: 3x4 holds 2.93M; 2x6, 4x4 and 1x8 pass the limit.  The kept
-# families hold at most this many cells in all.
+# families are charged at most this many cells in all.
 MAX_MODEL_CELLS = 1 << 22
 # ``search:N`` reads the DBA23 models of size N as the refuter needs them,
 # but a goal with no countermodel reads all of them.  On a 2-core Intel
@@ -30,12 +33,10 @@ class _Family:
     then advances the generator under a lock, so that threads never run it
     at once and a later iteration reads on where the furthest one stopped.
     A build that raises is raised again to every reader that needs a further
-    entry, and the family leaves ``_FAMILIES``: it is never kept truncated.
-    ``cells`` counts a contexts family's table cells; it is 0 for the others."""
+    entry, and the family leaves ``_FAMILIES``: it is never kept truncated."""
 
-    def __init__(self, key, entries, cells=0):
+    def __init__(self, key, entries):
         self.key = key
-        self.cells = cells
         self._entries = entries  # None once exhausted
         self._built = []
         self._error = None
@@ -64,37 +65,21 @@ class _Family:
             return False
         except BaseException as exc:
             self._error = exc
-            with _FAMILIES_LOCK:
-                if _FAMILIES.get(self.key) is self:
-                    del _FAMILIES[self.key]
+            _FAMILIES.drop(self.key, self)
             raise
         return True
 
 
-# by canonical spec, least recently used first
-_FAMILIES: OrderedDict = OrderedDict()
-_FAMILIES_LOCK = threading.Lock()
-_MAX_FAMILIES = 4
+# by canonical spec
+_FAMILIES = _LRU(MAX_MODEL_CELLS, MAX_MODEL_CELLS // 4)
 
 
 def _family(key, make, count=lambda: 0):
-    """The kept family of key, else one on ``make()`` with ``count()`` cells,
-    counted unlocked; nothing is kept if either raises.  The least recently
-    used go until at most _MAX_FAMILIES and MAX_MODEL_CELLS cells are kept."""
-    with _FAMILIES_LOCK:
-        family = _FAMILIES.get(key)
-        if family is not None:
-            _FAMILIES.move_to_end(key)
-            return family
-    cells = count()  # a thread that counted too uses the family kept first
-    with _FAMILIES_LOCK:
-        if key not in _FAMILIES:
-            _FAMILIES[key] = _Family(key, make(), cells)
-            while (len(_FAMILIES) > _MAX_FAMILIES
-                   or sum(f.cells for f in _FAMILIES.values()) > MAX_MODEL_CELLS):
-                _FAMILIES.popitem(last=False)  # never the new one: it is within the limit
-        _FAMILIES.move_to_end(key)
-        return _FAMILIES[key]
+    """The kept family of key, else one on ``make()``, charged ``count()``
+    cells, counted before any lock is taken; nothing is kept if either
+    raises."""
+    # a thread that counted too gets the family kept first
+    return _FAMILIES.get(key) or _FAMILIES.put(key, _Family(key, make()), count())
 
 
 def _contexts(g: int, m: int):

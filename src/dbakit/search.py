@@ -198,10 +198,13 @@ def _checked(spec: SearchSpec):
     """The universe size and each slot's values in slot order: range(n), or
     the pinned constant.  Raises SuiteError for a size below 1, a pin outside
     the universe, a negative budget, or any of these that is not an
-    integer."""
+    integer, and BudgetError for a size over ``MAX_SEARCH_SIZE``, before any
+    slot list is built."""
     n = _integer(spec.size, "universe size", SuiteError)
     if n < 1:
         raise SuiteError("universe size must be >= 1")
+    if n > MAX_SEARCH_SIZE:
+        raise BudgetError(f"universe size {n} is over the search limit of {MAX_SEARCH_SIZE}")
     for what in ("max_models", "max_candidates"):
         budget = getattr(spec, what)
         if budget is not None and _integer(budget, what, SuiteError) < 0:
@@ -341,8 +344,6 @@ def _leaves(n, values, instances, summary: SearchSummary):
 
 def _search(spec: SearchSpec, summary: SearchSummary):
     n, values = _checked(spec)
-    if n > MAX_SEARCH_SIZE:
-        raise BudgetError(f"universe size {n} is over the search limit of {MAX_SEARCH_SIZE}")
     wants = _wants(spec)
     # ground instances of the prunable axioms: (checker, values in the
     # checker's variable order)

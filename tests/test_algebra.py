@@ -432,7 +432,7 @@ def test_a_record_outlives_the_algebras_that_filled_it(fresh_records, monkeypatc
         dead = weakref.ref(first), weakref.ref(second)
         del first, second
         assert [r() for r in dead] == [None, None]
-        assert list(algebra._FACTS.records.values()) == [record]
+        assert [value for value, _ in fresh_records.entries.values()] == [record]
         # equal tables built later read the kept verdicts: nothing is checked
         monkeypatch.setattr(algebra, "_check_equations", None)
         again = FiniteAlgebra("pqrst", *_tables(5))
@@ -442,26 +442,40 @@ def test_a_record_outlives_the_algebras_that_filled_it(fresh_records, monkeypatc
         gc.enable()
 
 
-def test_the_least_recently_used_records_go_one_cell_past_the_bound(fresh_records,
-                                                                    monkeypatch):
+def _kept(store):
+    """The values the store keeps, least recently used first."""
+    return [value for value, _ in store.entries.values()]
+
+
+def _charges(store):
+    return [charge for _, charge in store.entries.values()]
+
+
+def test_the_verdict_store_keeps_at_most_256_records_and_none_over_361_elements():
     from dbakit import algebra
-    store = algebra._FACTS
-    small, large = algebra._RECORD_MIN_CELLS, 2 * 40 * 41  # charges of n = 3 and n = 40
+    assert (algebra._FACTS.bound, algebra._FACTS.floor) == (1 << 18, 1 << 10)
+    assert algebra._FACTS.bound // algebra._FACTS.floor == 256
+    assert 2 * 361 * 362 <= algebra._FACTS.bound < 2 * 362 * 363
+
+
+def test_the_least_recently_used_records_go_one_cell_past_the_bound(fresh_records):
+    store = fresh_records
+    small, large = store.floor, 2 * 40 * 41  # charges of n = 3 and n = 40
     assert 2 * 3 * 4 < small < large
-    monkeypatch.setattr(algebra, "_MAX_RECORD_CELLS", 3 * small + large)
+    store.bound = 3 * small + large
     a, b, c = (_named(3, shift) for shift in range(3))
     big = _named(40)
     for alg in (a, b, c, big):
         classify(alg)
-    assert [r.cells for r in store.records.values()] == [small, small, small, large]
-    assert store.cells == algebra._MAX_RECORD_CELLS  # exactly at the bound: all kept
+    assert _charges(store) == [small, small, small, large]
+    assert store.cells == store.bound  # exactly at the bound: all kept
     assert _facts_of(_named(3, 0)) is a._facts  # a is now the most recently used
     # one cell past the bound: the least recently used record goes, b's
     d = FiniteAlgebra(["e0", "e1", "e2"], *_tables(3, 0)[:-2], 0, 0)
-    monkeypatch.setattr(algebra, "_MAX_RECORD_CELLS", 4 * small + large - 1)
+    store.bound = 4 * small + large - 1
     record = _facts_of(d)
-    assert list(store.records.values()) == [c._facts, big._facts, a._facts, record]
-    assert store.cells == 3 * small + large <= algebra._MAX_RECORD_CELLS
+    assert _kept(store) == [c._facts, big._facts, a._facts, record]
+    assert store.cells == 3 * small + large <= store.bound
     # the evicted record stays with its live algebra and answers for it;
     # equal tables built now get a new record
     kept = b._facts
@@ -470,28 +484,26 @@ def test_the_least_recently_used_records_go_one_cell_past_the_bound(fresh_record
     assert kept.classification is classify(b) == classify(_named(3, 1))
 
 
-def test_a_record_charged_past_the_bound_is_never_kept(fresh_records, monkeypatch):
-    from dbakit import algebra
-    store = algebra._FACTS
-    monkeypatch.setattr(algebra, "_MAX_RECORD_CELLS", 2 * algebra._RECORD_MIN_CELLS)
+def test_a_record_charged_past_the_bound_is_never_kept(fresh_records):
+    store = fresh_records
+    store.bound = 2 * store.floor
     a, big = _named(3), _named(40)  # charged 2 * 40 * 41 cells, past the bound
     _facts_of(a)
     assert classify(big) == classify(copy_of(big))
     assert big._facts is not _facts_of(copy_of(big))
-    assert list(store.records.values()) == [a._facts]  # and nothing was evicted for it
-    assert store.cells == algebra._RECORD_MIN_CELLS
+    assert _kept(store) == [a._facts]  # and nothing was evicted for it
+    assert store.cells == store.floor
 
 
 def test_the_store_never_holds_more_than_its_bound(fresh_records):
-    from dbakit import algebra
-    store, bound = algebra._FACTS, algebra._MAX_RECORD_CELLS
+    store = fresh_records
     rng = random.Random(5)
     sets = [(n, i % n) for i, n in enumerate(
         rng.choice((2, 3, 8, 24, 64, 128, 200)) for _ in range(600))]
     for n, shift in sets:
         _facts_of(_named(n, shift))
-        assert store.cells == sum(r.cells for r in store.records.values()) <= bound
-    assert len(store.records) < len(set(sets))  # some were evicted
+        assert store.cells == sum(_charges(store)) <= store.bound
+    assert len(store.entries) < len(set(sets))  # some were evicted
 
 
 def _relabelled(alg, perm):
@@ -541,9 +553,10 @@ def decided(alg):
 @pytest.mark.parametrize("bound", [None, 1 << 22])  # the store's own; one that keeps all
 def test_a_warm_store_answers_as_an_empty_one(fresh_records, monkeypatch, bound):
     from dbakit import algebra
+    store = fresh_records
     if bound is not None:
-        monkeypatch.setattr(algebra, "_MAX_RECORD_CELLS", bound)
-    algs, store = store_corpus(), algebra._FACTS
+        store.bound = bound
+    algs = store_corpus()
     for alg in algs:
         decided(copy_of(alg))
     batches, check = [], algebra._check_equations
@@ -551,14 +564,14 @@ def test_a_warm_store_answers_as_an_empty_one(fresh_records, monkeypatch, bound)
                         lambda alg, equations: batches.append(alg) or check(alg, equations))
     warm = [decided(copy_of(alg)) for alg in algs]  # each copy looks its record up
     monkeypatch.setattr(algebra, "_check_equations", check)
-    assert store.cells == sum(r.cells for r in store.records.values()) <= algebra._MAX_RECORD_CELLS
+    assert store.cells == sum(_charges(store)) <= store.bound
     distinct = len({alg.signature() for alg in algs})
     if bound is None:  # more table sets than the store keeps: some are checked again
-        assert len(store.records) < distinct and 0 < len(batches)
+        assert len(store.entries) < distinct and 0 < len(batches)
     else:  # every copy read a kept record
-        assert len(store.records) == distinct and not batches
+        assert len(store.entries) == distinct and not batches
     for alg, want in zip(algs, warm):
-        with mock.patch.object(algebra, "_FACTS", algebra._Store()):
+        with mock.patch.object(algebra, "_FACTS", algebra._LRU(store.bound, store.floor)):
             assert decided(copy_of(alg)) == want
     assert {r.ok for answer in warm for r in answer[0]} == {True, False}
 
@@ -567,10 +580,11 @@ def test_threads_share_one_record_of_equal_reports(fresh_records):
     # more threads than cores, switching often, all racing for the first record
     from dbakit import algebra
     ctx = FormalContext(["g0", "g1"], ["m0", "m1", "m2"], [[1, 0, 1], [0, 1, 1]])
-    with mock.patch.object(algebra, "_FACTS", algebra._Store()):
+    empty = algebra._LRU(fresh_records.bound, fresh_records.floor)
+    with mock.patch.object(algebra, "_FACTS", empty):
         model = protoconcept_algebra(ctx).algebra
         want = classify(model), check_identity_catalog(model)
-    assert not algebra._FACTS.records  # the threads start without a record
+    assert not fresh_records.entries  # the threads start without a record
     start = threading.Barrier(4, timeout=60)
     results = [None] * 4
 
@@ -596,12 +610,11 @@ def test_threads_share_one_record_of_equal_reports(fresh_records):
     assert len({id(alg._facts) for _, _, alg in results}) == 1
 
 
-def test_threads_evicting_from_one_store_keep_its_count(fresh_records, monkeypatch):
+def test_threads_evicting_from_one_store_keep_its_count(fresh_records):
     # more threads than cores look up 12 table sets in a store of 5 records,
     # switching often: a lost update of the charges would break their sum
-    from dbakit import algebra
-    store, small = algebra._FACTS, algebra._RECORD_MIN_CELLS
-    monkeypatch.setattr(algebra, "_MAX_RECORD_CELLS", 5 * small)
+    store, small = fresh_records, fresh_records.floor
+    store.bound = 5 * small
     rng = random.Random(2)
     work = [[FiniteAlgebra("abc", *_tables(3, k % 3)[:-2], k // 3 % 3, k // 9)
              for k in rng.choices(range(12), k=300)] for _ in range(8)]
@@ -624,8 +637,8 @@ def test_threads_evicting_from_one_store_keep_its_count(fresh_records, monkeypat
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(alg._facts is not None for algs in work for alg in algs)
-    assert len(store.records) == 5 and store.cells == 5 * small
-    assert sum(r.cells for r in store.records.values()) == store.cells
+    assert len(store.entries) == 5 and store.cells == 5 * small
+    assert sum(_charges(store)) == store.cells
 
 
 def neg_chain(depth):

@@ -6,7 +6,6 @@ import random
 import sys
 import threading
 import time
-from collections import OrderedDict
 from unittest import mock
 
 import pytest
@@ -50,9 +49,13 @@ def files(tmp_path):
 
 @pytest.fixture()
 def fresh_families(monkeypatch):
-    """An empty ``refute --models`` family cache for the test, dropped after
-    it: a family built by a stubbed builder never reaches another test."""
-    monkeypatch.setattr(models, "_FAMILIES", OrderedDict())
+    """An empty ``refute --models`` family store (``models._FAMILIES``, a
+    new ``_LRU`` of the same bound and floor) for the test, dropped after
+    it: a family built by a stubbed builder never reaches another test.
+    Returns the store."""
+    store = algebra._LRU(models._FAMILIES.bound, models._FAMILIES.floor)
+    monkeypatch.setattr(models, "_FAMILIES", store)
+    return store
 
 
 def run(capsys, *argv):
@@ -305,7 +308,7 @@ def test_represent_and_refutation_check_no_suite_but_dba23(fresh_records, capsys
     models += [(str(c), protoconcept_algebra(c).algebra) for c in all_contexts(2, 2)]
     # the Boolean parts checked so far are kept, and boolean2 has the tables
     # of one: the refuter starts from an empty store
-    monkeypatch.setattr(algebra, "_FACTS", algebra._Store())
+    monkeypatch.setattr(algebra, "_FACTS", algebra._LRU(fresh_records.bound, fresh_records.floor))
     for system in ("L", "HL"):
         goal = logic.parse_hypersequent("x => y", system)
         assert logic.find_countermodel(goal, system, models) is not None
@@ -462,7 +465,7 @@ def test_refute_over_a_huge_context_shape_is_exit_3(fresh_families, files, capsy
         code, out = run(capsys, "refute", "x => x", "--models", f"contexts:{shape}")
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (3, f"budget exceeded: {_cell_limit(f'contexts:{shape}')}\n")
-    assert build.call_count == 0 and not models._FAMILIES
+    assert build.call_count == 0 and not fresh_families.entries
 
 
 @pytest.mark.parametrize("g, m", sorted({shape for g, m in [
@@ -478,15 +481,15 @@ def test_a_context_shape_is_accepted_exactly_within_the_cell_budget(fresh_famili
     assert (family is not None) == _within_cell_budget(g, m)
     assert build.call_count == 0  # the family is built as it is read
     if family is not None:
-        assert family.cells <= MAX_MODEL_CELLS
-        assert models._FAMILIES[("contexts", g, m)] is family
+        kept, charge = fresh_families.entries[("contexts", g, m)]
+        assert kept is family and charge <= MAX_MODEL_CELLS
 
 
 def test_a_kept_family_counts_its_cells_once_outside_the_lock(fresh_families, monkeypatch):
     counted = []
 
     def pairs(ctx, kind):
-        assert not models._FAMILIES_LOCK.locked()  # other specs are not kept waiting
+        assert not fresh_families.lock.locked()  # other specs are not kept waiting
         counted.append(ctx)
         return generated(ctx, kind)
 
@@ -494,10 +497,13 @@ def test_a_kept_family_counts_its_cells_once_outside_the_lock(fresh_families, mo
     monkeypatch.setattr(models, "_generated_pairs", pairs)
     family = models.model_set("contexts:2x2")
     assert len(counted) == 26
-    assert family.cells == sum(len(enumerate_pairs(c, "protoconcept")) ** 2
-                               for g, m in ((1, 1), (1, 2), (2, 1), (2, 2))
-                               for c in all_contexts(g, m))
     assert models.model_set("contexts:2X2") is family and len(counted) == 26
+    monkeypatch.setattr(models, "_generated_pairs", generated)
+    assert models._context_cells("contexts:2x2", 2, 2) == sum(
+        len(enumerate_pairs(c, "protoconcept")) ** 2
+        for g, m in ((1, 1), (1, 2), (2, 1), (2, 2)) for c in all_contexts(g, m))
+    # 1,180 cells, charged the floor
+    assert fresh_families.entries[("contexts", 2, 2)] == (family, fresh_families.floor)
 
 
 def test_refute_over_the_contexts_up_to_3x4(fresh_families, files, capsys):
@@ -552,6 +558,14 @@ def test_search_past_the_size_limit_is_exit_3(files, capsys):
     assert code == 3
     assert out == (f"budget exceeded: universe size {MAX_SEARCH_SIZE + 1} "
                    f"is over the search limit of {MAX_SEARCH_SIZE}\n")
+
+
+def test_search_of_a_size_past_any_index_is_exit_3(files, capsys):
+    # 2n + 2n**2 slots do not fit an index: the size is refused first
+    size = 10 ** 20
+    code, out = run(capsys, "search", "--size", str(size))
+    assert (code, out) == (3, f"budget exceeded: universe size {size} "
+                              f"is over the search limit of {MAX_SEARCH_SIZE}\n")
 
 
 @pytest.mark.parametrize("size", [MAX_MODEL_SEARCH_SIZE + 1, 9, MAX_SEARCH_SIZE + 1])
@@ -654,7 +668,7 @@ def _refute_answer(system, goal, models):
                f"elements: {alg.n}\nassignment: {cli._witness_text(env, alg.names)}\n")
 
 
-def test_kept_families_answer_as_freshly_built_lists(fresh_families, capsys):
+def test_kept_families_answer_as_freshly_built_lists(fresh_families, capsys, monkeypatch):
     # a goal reads the family as the goals before it left it; the answers
     # equal those on a cleared cache and those on a freshly built list
     cases = [(spec, _random_goals(seed, 16))
@@ -669,8 +683,9 @@ def test_kept_families_answer_as_freshly_built_lists(fresh_families, capsys):
         kept = [run(capsys, *argv) for argv in argvs]
         again = [run(capsys, *argv) for argv in argvs]
         cleared = []
-        for argv in argvs:
-            models._FAMILIES.clear()
+        for argv in argvs:  # each on an empty store
+            empty = algebra._LRU(fresh_families.bound, fresh_families.floor)
+            monkeypatch.setattr(models, "_FAMILIES", empty)
             cleared.append(run(capsys, *argv))
         assert kept == again == cleared == want, spec
         verdicts.update((spec, "countermodel: none" in out) for _, out in want)
@@ -690,7 +705,7 @@ def test_a_kept_family_builds_each_model_once(fresh_families, capsys):
         assert run(capsys, "refute", "x => x", "--system", "HL",
                    "--models", "contexts:3X3")[1].endswith("countermodel: none\n")
         assert build.call_count == 682
-    assert list(models._FAMILIES) == [("contexts", 3, 3)]
+    assert list(fresh_families.entries) == [("contexts", 3, 3)]
 
 
 def test_alternating_systems_build_each_blocks_stack_once(fresh_families, capsys, monkeypatch):
@@ -726,7 +741,7 @@ def test_a_family_whose_build_raised_is_dropped(fresh_families, capsys, monkeypa
         built.clear()
         assert run(capsys, "refute", "x => x", "--models", "contexts:3x3") == (
             3, "budget exceeded: completion tables too large\n")
-        assert len(built) == 100 and not models._FAMILIES
+        assert len(built) == 100 and not fresh_families.entries
     monkeypatch.setattr(models, "protoconcept_algebra", protoconcept_algebra)
     assert run(capsys, "refute", "x => x", "--models", "contexts:3x3") == _refute_answer(
         "L", "x => x", _fresh_models("contexts:3x3"))
@@ -753,30 +768,67 @@ def test_every_reader_of_a_family_whose_build_raised_gets_the_error():
 def test_a_bad_spec_gives_the_same_answer_on_every_call(fresh_families, capsys, spec, code):
     answers = [run(capsys, "refute", "x => x", "--models", spec) for _ in range(3)]
     assert answers[0][0] == code and answers[0][1].count("\n") == 1
-    assert answers == [answers[0]] * 3 and not models._FAMILIES
+    assert answers == [answers[0]] * 3 and not fresh_families.entries
 
 
 def test_families_kept_are_few_and_small(fresh_families, capsys):
+    store = fresh_families
     specs = ["fixtures", "contexts:1x1", "contexts:2x2", "search:1", "search:2", "search:3"]
     keys = ["fixtures", ("contexts", 1, 1), ("contexts", 2, 2),
             ("search", 1), ("search", 2), ("search", 3)]
-    assert len(specs) > models._MAX_FAMILIES
+    most = store.bound // store.floor  # each small family is charged the floor
+    assert most == 4 and len(specs) > most
     for spec in specs:
         assert run(capsys, "refute", "x => x", "--models", spec)[0] == 0
-    assert list(models._FAMILIES) == keys[-models._MAX_FAMILIES:]  # the least recently used go
-    kept = models._FAMILIES[keys[-models._MAX_FAMILIES]]
-    assert run(capsys, "refute", "x => x", "--models", specs[-models._MAX_FAMILIES])[0] == 0
-    assert list(models._FAMILIES)[-1] == keys[-models._MAX_FAMILIES]
-    assert models._FAMILIES[keys[-models._MAX_FAMILIES]] is kept
+    assert list(store.entries) == keys[-most:]  # the least recently used go
+    kept = store.entries[keys[-most]][0]
+    assert run(capsys, "refute", "x => x", "--models", specs[-most])[0] == 0
+    assert list(store.entries)[-1] == keys[-most]
+    assert store.entries[keys[-most]][0] is kept
     # the 2x5 family holds 1.53M table cells, within the budget: it is kept
     assert isinstance(models.model_set("contexts:2x5"), models._Family)
-    assert ("contexts", 2, 5) in models._FAMILIES
+    assert ("contexts", 2, 5) in store.entries
     assert isinstance(models.model_set("contexts:3x3"), models._Family)
     # with 3x4 (2.93M) the kept families would pass the budget: the least
     # recently used go until the rest fit
     models.model_set("contexts:3x4")
-    assert list(models._FAMILIES) == [("contexts", 3, 3), ("contexts", 3, 4)]
-    assert sum(f.cells for f in models._FAMILIES.values()) <= MAX_MODEL_CELLS
+    assert list(store.entries) == [("contexts", 3, 3), ("contexts", 3, 4)]
+    assert store.cells == sum(charge for _, charge in store.entries.values()) <= MAX_MODEL_CELLS
+
+
+def test_the_family_store_is_bounded_by_the_model_cell_budget():
+    store = models._FAMILIES
+    assert (store.bound, store.floor) == (MAX_MODEL_CELLS, MAX_MODEL_CELLS // 4)
+
+
+def test_a_search_family_is_charged_the_floor_before_any_model_is_built(fresh_families,
+                                                                        monkeypatch):
+    def never(n):
+        raise AssertionError("the partial tables were built")
+
+    monkeypatch.setattr(search, "_Partial", never)
+    family = models.model_set(f"search:{MAX_MODEL_SEARCH_SIZE}")  # 3,845 models, none read
+    assert fresh_families.entries == {("search", MAX_MODEL_SEARCH_SIZE):
+                                      (family, fresh_families.floor)}
+
+
+@pytest.mark.parametrize("specs, kept", [
+    # 2**20 + 2**20 + 2.93M cells pass the budget: fixtures goes
+    (["fixtures", "contexts:2x2", "contexts:3x4"], [("contexts", 2, 2), ("contexts", 3, 4)]),
+    (["contexts:3x3", "contexts:3x4"], [("contexts", 3, 3), ("contexts", 3, 4)]),
+    (["fixtures", "contexts:1x1", "contexts:2x2", "search:1", "search:2"],
+     [("contexts", 1, 1), ("contexts", 2, 2), ("search", 1), ("search", 2)]),
+], ids=["a-large-family-evicts-small-ones", "two-large-families", "four-small-families"])
+def test_a_family_is_charged_its_cells_but_at_least_the_floor(fresh_families, monkeypatch,
+                                                              specs, kept):
+    monkeypatch.setattr(models, "protoconcept_algebra", None)  # nothing is built
+    monkeypatch.setattr(search, "_Partial", None)
+    for spec in specs:
+        models.model_set(spec)
+    store = fresh_families
+    assert list(store.entries) == kept
+    assert all(charge >= store.floor for _, charge in store.entries.values())
+    assert store.cells == sum(charge for _, charge in store.entries.values()) <= store.bound
 
 
 def test_threads_refuting_against_one_family_agree(fresh_families):
@@ -804,7 +856,7 @@ def test_threads_refuting_against_one_family_agree(fresh_families):
     want = [_refute_answer(system, goal, fresh) for system, goal in goals]
     assert [answers[k] for k in range(4)] == [want, want[1:] + want[:1]] * 2
     # no entry built twice or lost
-    family = models._FAMILIES[("contexts", 3, 3)]
+    family = fresh_families.get(("contexts", 3, 3))
     assert [name for name, _ in family] == [name for name, _ in fresh]
 
 

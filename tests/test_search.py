@@ -10,6 +10,7 @@ bounds the search's node count from above.
 import gc
 import hashlib
 import re
+import tracemalloc
 import types
 from itertools import islice, product
 
@@ -259,6 +260,18 @@ def test_a_size_past_the_limit_is_a_budget_error(monkeypatch):
     monkeypatch.setattr(search, "_Partial", never)
     with pytest.raises(BudgetError, match=f"over the search limit of {MAX_SEARCH_SIZE}"):
         enumerate_algebras(SearchSpec(size=MAX_SEARCH_SIZE + 1, require="DBA23"))
+
+
+def test_a_size_far_past_the_limit_is_refused_before_any_slot_list_is_built():
+    # the slot list of size 2000 alone, [range(n)] * (2n + 2n**2), is 64 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="universe size 2000 is over the search limit"):
+            iter_algebras(SearchSpec(size=2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_a_search_at_the_size_limit_runs():
