@@ -13,8 +13,8 @@ the key is the whole of the tables, every kept value is index-based, and
 names enter only when a report is rendered.  One bounded store, an ``_LRU``
 of 2**18 table cells, keeps the records of the table sets looked up last,
 after the algebras that asked for them are gone; each algebra holds its own
-record, so an evicted record still answers for it.  ``models`` keeps the
-refute model families in a second ``_LRU``.
+record, so an evicted record still answers for it.  Two more ``_LRU`` keep
+the refute model families (``models``) and their stacks (``logic``).
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class FiniteAlgebra:
     __slots__ = (
         "names", "n", "meet", "join", "neg", "opp", "top", "bot",
         "_rows", "_facts",
-        "__weakref__",  # the refuter keeps its stacks of models by weak references
     )
 
     def __init__(self, names, meet, join, neg, opp, top, bot):
@@ -196,6 +195,10 @@ class _LRU:
                 del self.entries[key]
                 self.cells -= entry[1]
 
+
+# The kept refute model families hold at most this many table cells, n**2
+# summed over their algebras (``models``), and their stacks twice as many.
+MAX_MODEL_CELLS = 1 << 22
 
 # A record is charged its four tables' cells, 2n(n+1), but at least 1,024,
 # since its reports take memory whatever n: the store keeps at most 256
@@ -918,7 +921,10 @@ def is_boolean_algebra(alg: FiniteAlgebra) -> bool:
     return passes(alg, BOOLEAN)
 
 
+_CATALOG = AxiomSuite("CATALOG", CATALOG)  # built and hashed once
+
+
 def check_identity_catalog(alg: FiniteAlgebra):
     """Check every derived identity; returns (all verdicts, failing verdicts)."""
-    verdicts = _check_suites(alg, (AxiomSuite("CATALOG", CATALOG),))[0].verdicts
+    verdicts = _check_suites(alg, (_CATALOG,))[0].verdicts
     return verdicts, tuple(v for v in verdicts if not v.holds)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-import weakref
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, islice, product, repeat
 from operator import itemgetter
@@ -189,10 +188,6 @@ def _axiom_test(schema: AxiomSchema):
             stack += [(getattr(p, f), f"{at}.{f}") for f in reversed(p.__match_args__)]
     test = " and ".join(conds) or "True"  # True for two distinct metavariables
     return eval(f"lambda a, s: {test}", globals())  # closed vocabulary
-
-
-def schema_matches(schema: AxiomSchema, s: Sequent) -> bool:
-    return _axiom_test(schema)(*s)
 
 
 @functools.cache
@@ -506,7 +501,9 @@ def _var_range(alg: FiniteAlgebra, kind: str, system: str):
 # model and, within it, the lexicographically first assignment.
 
 _BLOCK = 64  # models read, admitted and stacked at a time
-_STACKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # see _stack
+# The stacks (``_stack``), each charged at least 2**15 cells: at most 256
+# are kept, and the L and HL stacks of every kept model family fit.
+_STACKS = algebra._LRU(2 * algebra.MAX_MODEL_CELLS, 1 << 15)
 
 
 class _Stack(NamedTuple):
@@ -538,13 +535,13 @@ class _Stack(NamedTuple):
 
 
 def _stack(algs: list, system: str) -> _Stack:
-    """The stack of algs, all admitted by the system, built once while they
-    live: kept under the first, keyed by weak references to the others (a
-    dead one equals only itself) and the system, so no algebra is kept
-    alive.  An entry goes with the first, or once another died, at the next
-    entry kept under the first.  Each dict operation is atomic: no lock."""
-    key = (tuple(map(weakref.ref, algs[1:])), system)
-    stack = _STACKS.get(algs[0], {}).get(key)
+    """The stack of algs, all admitted by the system, built once while
+    ``_STACKS`` keeps it: keyed by the system and the algs' verdict records,
+    so it answers for every block of equal tables, whatever their names.
+    It is charged its table cells, each model at least a record's floor, as
+    its key keeps the records alive; no algebra is kept."""
+    key = (system, *map(algebra._facts_of, algs))
+    stack = _STACKS.get(key)
     if stack is not None:
         return stack
     sizes = [a.n for a in algs]
@@ -570,10 +567,8 @@ def _stack(algs: list, system: str) -> _Stack:
         row=np.concatenate([np.arange(n, dtype=np.intp) * n + (start - u)
                             for n, u, start in zip(sizes, offset, starts)]),
         top=top, bot=bot, offset=offset, ranges=ranges)
-    kept = _STACKS.setdefault(algs[0], {})
-    for dead in [k for k in list(kept) if any(r() is None for r in k[0])]:
-        kept.pop(dead, None)
-    return kept.setdefault(key, stack)
+    floor = algebra._FACTS.floor
+    return _STACKS.put(key, stack, sum(max(n * n, floor) for n in sizes))
 
 
 def _runs(shape):

@@ -10,17 +10,14 @@ from __future__ import annotations
 
 import threading
 
-from .algebra import _LRU
+from .algebra import MAX_MODEL_CELLS, _LRU
 from .errors import BudgetError, ParseError
 from .fca import _generated_pairs, all_contexts, protoconcept_algebra
 from .fixtures import builtin_fixtures
 from .search import SearchSpec, iter_algebras
 
-# ``contexts:GxM`` is refused past this many table cells, n**2 summed over
-# its n-element algebras and counted from the pairs, before any table is
-# built: 3x4 holds 2.93M; 2x6, 4x4 and 1x8 pass the limit.  The kept
-# families are charged at most this many cells in all.
-MAX_MODEL_CELLS = 1 << 22
+# ``contexts:GxM`` is refused past ``MAX_MODEL_CELLS``, counted from the
+# pairs before any table is built: 3x4 holds 2.93M; 2x6, 4x4 and 1x8 pass.
 # ``search:N`` reads the DBA23 models of size N as the refuter needs them,
 # but a goal with no countermodel reads all of them.  On a 2-core Intel
 # Xeon (Python 3.11) size 4 takes 0.7 s, size 5 (3,845 models) 20-26 s.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dbakit import algebra
+from dbakit import algebra, logic
 
 
 @pytest.fixture()
@@ -13,4 +13,15 @@ def fresh_records(monkeypatch):
     fills reaches another test.  Returns the store."""
     store = algebra._LRU(algebra._FACTS.bound, algebra._FACTS.floor)
     monkeypatch.setattr(algebra, "_FACTS", store)
+    return store
+
+
+@pytest.fixture()
+def fresh_stacks(monkeypatch):
+    """An empty store of the refuter's stacks (``logic._STACKS``, a new
+    ``_LRU`` of the same bound and floor) for the test, dropped after it:
+    what the test counts starts from no kept stack, whatever ran before.
+    Returns the store."""
+    store = algebra._LRU(logic._STACKS.bound, logic._STACKS.floor)
+    monkeypatch.setattr(logic, "_STACKS", store)
     return store

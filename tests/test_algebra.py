@@ -282,6 +282,7 @@ def test_suite_cache_is_keyed_by_the_equations():
     assert check_suite(alg, AxiomSuite("DBA23", DBA23.equations)) == check_suite(alg, DBA23)
 
 
+@pytest.mark.alone
 def test_classify_checks_its_three_suites_in_one_batch(fresh_records, monkeypatch):
     from dbakit import algebra
     batches = []
@@ -420,15 +421,24 @@ def _named(n, shift=0):
     return FiniteAlgebra([f"e{i}" for i in range(n)], *_tables(n, shift))
 
 
+class _Watched(FiniteAlgebra):
+    """An algebra that a weak reference can watch: ``FiniteAlgebra`` has no
+    ``__weakref__`` slot."""
+
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.alone
 def test_a_record_outlives_the_algebras_that_filled_it(fresh_records, monkeypatch):
     from dbakit import algebra
     gc.disable()
     try:
-        first = FiniteAlgebra("abcde", *_tables(5))
+        first = _Watched("abcde", *_tables(5))
         want = classify(first), check_identity_catalog(first), quasi_order(first)
         record = first._facts
-        second = first.renamed("vwxyz")
-        assert second._facts is record
+        assert first.renamed("vwxyz")._facts is record
+        second = _Watched("vwxyz", *_tables(5))
+        assert _facts_of(second) is record
         dead = weakref.ref(first), weakref.ref(second)
         del first, second
         assert [r() for r in dead] == [None, None]
@@ -442,6 +452,14 @@ def test_a_record_outlives_the_algebras_that_filled_it(fresh_records, monkeypatc
         gc.enable()
 
 
+def test_a_warm_catalog_check_builds_no_suite(monkeypatch):
+    from dbakit import algebra
+    alg = chain3()
+    want = check_identity_catalog(alg)
+    monkeypatch.setattr(algebra, "AxiomSuite", mock.Mock(side_effect=AssertionError))
+    assert check_identity_catalog(alg) == want
+
+
 def _kept(store):
     """The values the store keeps, least recently used first."""
     return [value for value, _ in store.entries.values()]
@@ -451,6 +469,7 @@ def _charges(store):
     return [charge for _, charge in store.entries.values()]
 
 
+@pytest.mark.alone
 def test_the_verdict_store_keeps_at_most_256_records_and_none_over_361_elements():
     from dbakit import algebra
     assert (algebra._FACTS.bound, algebra._FACTS.floor) == (1 << 18, 1 << 10)
@@ -458,6 +477,7 @@ def test_the_verdict_store_keeps_at_most_256_records_and_none_over_361_elements(
     assert 2 * 361 * 362 <= algebra._FACTS.bound < 2 * 362 * 363
 
 
+@pytest.mark.alone
 def test_the_least_recently_used_records_go_one_cell_past_the_bound(fresh_records):
     store = fresh_records
     small, large = store.floor, 2 * 40 * 41  # charges of n = 3 and n = 40
@@ -484,6 +504,7 @@ def test_the_least_recently_used_records_go_one_cell_past_the_bound(fresh_record
     assert kept.classification is classify(b) == classify(_named(3, 1))
 
 
+@pytest.mark.alone
 def test_a_record_charged_past_the_bound_is_never_kept(fresh_records):
     store = fresh_records
     store.bound = 2 * store.floor
@@ -495,6 +516,7 @@ def test_a_record_charged_past_the_bound_is_never_kept(fresh_records):
     assert store.cells == store.floor
 
 
+@pytest.mark.alone
 def test_the_store_never_holds_more_than_its_bound(fresh_records):
     store = fresh_records
     rng = random.Random(5)
@@ -550,6 +572,7 @@ def decided(alg):
             classify(alg))
 
 
+@pytest.mark.alone
 @pytest.mark.parametrize("bound", [None, 1 << 22])  # the store's own; one that keeps all
 def test_a_warm_store_answers_as_an_empty_one(fresh_records, monkeypatch, bound):
     from dbakit import algebra
@@ -576,6 +599,7 @@ def test_a_warm_store_answers_as_an_empty_one(fresh_records, monkeypatch, bound)
     assert {r.ok for answer in warm for r in answer[0]} == {True, False}
 
 
+@pytest.mark.alone
 def test_threads_share_one_record_of_equal_reports(fresh_records):
     # more threads than cores, switching often, all racing for the first record
     from dbakit import algebra
@@ -610,6 +634,7 @@ def test_threads_share_one_record_of_equal_reports(fresh_records):
     assert len({id(alg._facts) for _, _, alg in results}) == 1
 
 
+@pytest.mark.alone
 def test_threads_evicting_from_one_store_keep_its_count(fresh_records):
     # more threads than cores look up 12 table sets in a store of 5 records,
     # switching often: a lost update of the charges would break their sum

@@ -26,6 +26,7 @@ from dbakit.logic import fixture_proofs, render_script
 from dbakit.models import MAX_MODEL_CELLS, MAX_MODEL_SEARCH_SIZE
 from dbakit.search import MAX_SEARCH_SIZE
 from dbakit.terms import MAX_DEPTH
+from test_logic import _stacks_built
 
 
 @pytest.fixture()
@@ -285,6 +286,7 @@ def test_represent_past_20_elements(capsys, tmp_path):
     assert out == "error: unrecognized arguments: --max-size 30\n"
 
 
+@pytest.mark.alone
 def test_represent_and_refutation_check_no_suite_but_dba23(fresh_records, capsys, tmp_path,
                                                             monkeypatch):
     # the contextual, fully contextual and pure flags need DBA23 and the
@@ -317,6 +319,7 @@ def test_represent_and_refutation_check_no_suite_but_dba23(fresh_records, capsys
         assert [s.id for s in record.suites] == ["DBA23"] and record.classification is None
 
 
+@pytest.mark.alone
 def test_construct_glued_sum_checks_no_suite_but_dba23(fresh_records, capsys, tmp_path):
     # dba, pure and trivial need DBA23 and the tables: after the command the
     # sum's record holds the DBA23 report only, and no classification; the
@@ -457,6 +460,7 @@ def _within_cell_budget(g, m):
     "99999999999999999999x99999999999999999999", "9" * 4000 + "x2",
     "4x4", "2x6", "6x2", "1x8", "8x1", "1x10", "10x1", "1x11",
 ])
+@pytest.mark.alone
 def test_refute_over_a_huge_context_shape_is_exit_3(fresh_families, files, capsys, shape):
     # the cells are counted in family order, and the count stops past the
     # limit: no shape is too large to refuse, and no table is built
@@ -471,6 +475,7 @@ def test_refute_over_a_huge_context_shape_is_exit_3(fresh_families, files, capsy
 @pytest.mark.parametrize("g, m", sorted({shape for g, m in [
     *((1, k) for k in range(1, 12)), (2, 5), (2, 6), (3, 3), (3, 4), (4, 4),
 ] for shape in ((g, m), (m, g))}))
+@pytest.mark.alone
 def test_a_context_shape_is_accepted_exactly_within_the_cell_budget(fresh_families, g, m):
     with mock.patch.object(models, "protoconcept_algebra") as build:
         try:
@@ -485,6 +490,7 @@ def test_a_context_shape_is_accepted_exactly_within_the_cell_budget(fresh_famili
         assert kept is family and charge <= MAX_MODEL_CELLS
 
 
+@pytest.mark.alone
 def test_a_kept_family_counts_its_cells_once_outside_the_lock(fresh_families, monkeypatch):
     counted = []
 
@@ -668,6 +674,7 @@ def _refute_answer(system, goal, models):
                f"elements: {alg.n}\nassignment: {cli._witness_text(env, alg.names)}\n")
 
 
+@pytest.mark.alone
 def test_kept_families_answer_as_freshly_built_lists(fresh_families, capsys, monkeypatch):
     # a goal reads the family as the goals before it left it; the answers
     # equal those on a cleared cache and those on a freshly built list
@@ -692,6 +699,7 @@ def test_kept_families_answer_as_freshly_built_lists(fresh_families, capsys, mon
     assert len(verdicts) == 2 * len(cases)  # each family refutes some goals and not others
 
 
+@pytest.mark.alone
 def test_a_kept_family_builds_each_model_once(fresh_families, capsys):
     # blocks of logic._BLOCK models, each built at the first goal that reads it
     with mock.patch.object(models, "protoconcept_algebra",
@@ -708,18 +716,13 @@ def test_a_kept_family_builds_each_model_once(fresh_families, capsys):
     assert list(fresh_families.entries) == [("contexts", 3, 3)]
 
 
-def test_alternating_systems_build_each_blocks_stack_once(fresh_families, capsys, monkeypatch):
+@pytest.mark.alone
+def test_alternating_systems_build_each_blocks_stack_once(fresh_families, fresh_stacks, capsys,
+                                                          monkeypatch):
     # L admits 11 blocks of the 682 models of contexts:3x3 and HL 10: six
     # alternating goals without a countermodel read every block, and each
     # block's stack is built at its first read only, 21 in all
-    built = []
-
-    def stack(**arrays):
-        built.append(arrays["offset"].size)
-        return logic_stack(**arrays)
-
-    logic_stack = logic._Stack
-    monkeypatch.setattr(logic, "_Stack", stack)
+    built = _stacks_built(monkeypatch)
     for _ in range(3):
         for system, goal in (("L", "x => x"), ("HL", "x & X => X & x")):
             out = run(capsys, "refute", goal, "--system", system, "--models", "contexts:3x3")[1]
@@ -727,6 +730,7 @@ def test_alternating_systems_build_each_blocks_stack_once(fresh_families, capsys
     assert len(built) == 21
 
 
+@pytest.mark.alone
 def test_a_family_whose_build_raised_is_dropped(fresh_families, capsys, monkeypatch):
     built = []
 
@@ -765,12 +769,14 @@ def test_every_reader_of_a_family_whose_build_raised_gets_the_error():
     (f"search:{MAX_MODEL_SEARCH_SIZE + 1}", 3), ("search:three", 2), ("search:0", 2),
     ("nope", 2),
 ])
+@pytest.mark.alone
 def test_a_bad_spec_gives_the_same_answer_on_every_call(fresh_families, capsys, spec, code):
     answers = [run(capsys, "refute", "x => x", "--models", spec) for _ in range(3)]
     assert answers[0][0] == code and answers[0][1].count("\n") == 1
     assert answers == [answers[0]] * 3 and not fresh_families.entries
 
 
+@pytest.mark.alone
 def test_families_kept_are_few_and_small(fresh_families, capsys):
     store = fresh_families
     specs = ["fixtures", "contexts:1x1", "contexts:2x2", "search:1", "search:2", "search:3"]
@@ -796,11 +802,13 @@ def test_families_kept_are_few_and_small(fresh_families, capsys):
     assert store.cells == sum(charge for _, charge in store.entries.values()) <= MAX_MODEL_CELLS
 
 
+@pytest.mark.alone
 def test_the_family_store_is_bounded_by_the_model_cell_budget():
     store = models._FAMILIES
     assert (store.bound, store.floor) == (MAX_MODEL_CELLS, MAX_MODEL_CELLS // 4)
 
 
+@pytest.mark.alone
 def test_a_search_family_is_charged_the_floor_before_any_model_is_built(fresh_families,
                                                                         monkeypatch):
     def never(n):
@@ -819,6 +827,7 @@ def test_a_search_family_is_charged_the_floor_before_any_model_is_built(fresh_fa
     (["fixtures", "contexts:1x1", "contexts:2x2", "search:1", "search:2"],
      [("contexts", 1, 1), ("contexts", 2, 2), ("search", 1), ("search", 2)]),
 ], ids=["a-large-family-evicts-small-ones", "two-large-families", "four-small-families"])
+@pytest.mark.alone
 def test_a_family_is_charged_its_cells_but_at_least_the_floor(fresh_families, monkeypatch,
                                                               specs, kept):
     monkeypatch.setattr(models, "protoconcept_algebra", None)  # nothing is built
@@ -831,6 +840,7 @@ def test_a_family_is_charged_its_cells_but_at_least_the_floor(fresh_families, mo
     assert store.cells == sum(charge for _, charge in store.entries.values()) <= store.bound
 
 
+@pytest.mark.alone
 def test_threads_refuting_against_one_family_agree(fresh_families):
     # more threads than cores, switching often, all building one family
     goals = [("L", "T => T & T"), ("L", "x => x"), ("HL", "x & X => X & x")]

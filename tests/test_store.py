@@ -1,5 +1,6 @@
-"""The bounded store class (``algebra._LRU``) that keeps the verdict records
-and the refute model families, against a reference LRU written out here."""
+"""The bounded store class (``algebra._LRU``) that keeps the verdict records,
+the refute model families and their stacks, against a reference LRU written
+out here."""
 
 import random
 import sys
@@ -8,6 +9,8 @@ import threading
 import pytest
 
 from dbakit.algebra import _LRU
+
+pytestmark = pytest.mark.alone
 
 
 class ReferenceLRU:

@@ -99,6 +99,7 @@ def test_large_algebras_build_no_row_tuples(n):
     assert all(a._rows is None for a in (built, alg, rep.image, p.alg, q.alg, glued))
 
 
+@pytest.mark.alone
 def test_small_algebras_still_run_the_compiled_nests(fresh_records):
     # one algebra per table set: each is checked first, with no report kept
     small = {alg.signature(): alg for alg in CORPUS if 1 < alg.n <= 16}.values()
