@@ -139,13 +139,13 @@ class FiniteAlgebra:
 class _Facts:
     """What one table set decides: suite reports by suite (the catalog's
     too), the quasi-order, the class flags, the classification and the
-    square fibres (``_fibres``), each filled on its first use.  Holds no
-    algebra, so keeping it keeps no algebra alive."""
+    square fibres (``_fibres``), each filled on its first use, and its key
+    in ``_FACTS``.  Holds no algebra, so keeping it keeps no algebra alive."""
 
-    __slots__ = ("suites", "order", "flags", "classification", "fibres")
+    __slots__ = ("key", "suites", "order", "flags", "classification", "fibres")
 
-    def __init__(self):
-        self.suites = {}
+    def __init__(self, key):
+        self.key, self.suites = key, {}
         self.order = self.flags = self.classification = self.fibres = None
 
 
@@ -214,13 +214,13 @@ def _facts_of(alg: FiniteAlgebra) -> _Facts:
     values."""
     facts = alg._facts
     if facts is None:
-        # signature() with the tables in the narrowest dtype that holds the
-        # elements: as exact, and a key up to 8 times smaller
+        # signature() as one bytes string, n, top and bot first, the tables
+        # in the narrowest dtype: as exact, up to 8 times smaller, hash kept
         dt = np.min_scalar_type(alg.n - 1)
-        key = (alg.n, alg.top, alg.bot,
-               *(t.astype(dt).tobytes() for t in (alg.meet, alg.join, alg.neg, alg.opp)))
+        key = b"".join([np.array([alg.n, alg.top, alg.bot]).tobytes(),
+                        *(t.astype(dt).tobytes() for t in (alg.meet, alg.join, alg.neg, alg.opp))])
         cells = 2 * alg.n * (alg.n + 1)
-        facts = alg._facts = _FACTS.get(key) or _FACTS.put(key, _Facts(), cells)
+        facts = alg._facts = _FACTS.get(key) or _FACTS.put(key, _Facts(key), cells)
     return facts
 
 

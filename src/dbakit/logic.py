@@ -26,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import accumulate, chain, count, islice, product, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -501,9 +501,11 @@ def _var_range(alg: FiniteAlgebra, kind: str, system: str):
 # model and, within it, the lexicographically first assignment.
 
 _BLOCK = 64  # models read, admitted and stacked at a time
-# The stacks (``_stack``), each charged at least 2**15 cells: at most 256
-# are kept, and the L and HL stacks of every kept model family fit.
-_STACKS = algebra._LRU(2 * algebra.MAX_MODEL_CELLS, 1 << 15)
+_table_key = attrgetter("_facts.key")  # of an admitted model: admission made its record
+# The stacks (``_stack``), each charged its cells but at least 2**14, so at
+# most 512 are kept; the bound holds the L and HL stacks of every set of
+# model families that ``models`` keeps at once (see README).
+_STACKS = algebra._LRU(2 * algebra.MAX_MODEL_CELLS, 1 << 14)
 
 
 class _Stack(NamedTuple):
@@ -536,11 +538,10 @@ class _Stack(NamedTuple):
 
 def _stack(algs: list, system: str) -> _Stack:
     """The stack of algs, all admitted by the system, built once while
-    ``_STACKS`` keeps it: keyed by the system and the algs' verdict records,
-    so it answers for every block of equal tables, whatever their names.
-    It is charged its table cells, each model at least a record's floor, as
-    its key keeps the records alive; no algebra is kept."""
-    key = (system, *map(algebra._facts_of, algs))
+    ``_STACKS`` keeps it: keyed by the system and the algs' table keys (no
+    algebra, no record), so it answers for every block of equal tables,
+    whatever their names.  It is charged its table cells."""
+    key = (system, *map(_table_key, algs))
     stack = _STACKS.get(key)
     if stack is not None:
         return stack
@@ -567,8 +568,7 @@ def _stack(algs: list, system: str) -> _Stack:
         row=np.concatenate([np.arange(n, dtype=np.intp) * n + (start - u)
                             for n, u, start in zip(sizes, offset, starts)]),
         top=top, bot=bot, offset=offset, ranges=ranges)
-    floor = algebra._FACTS.floor
-    return _STACKS.put(key, stack, sum(max(n * n, floor) for n in sizes))
+    return _STACKS.put(key, stack, sum(n * n for n in sizes))
 
 
 def _runs(shape):

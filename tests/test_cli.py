@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, deterministic output, examples."""
 
 import contextlib
+import functools
 import io
 import random
 import sys
 import threading
 import time
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -17,7 +19,8 @@ from dbakit.constructions import BooleanView, glued_sum, powerset_boolean
 from dbakit.errors import BudgetError
 from dbakit.fileformats import render_algebra, render_context
 from dbakit.fca import (
-    MAX_COMPLETION_ENTRIES, FormalContext, all_contexts, enumerate_pairs, protoconcept_algebra,
+    MAX_COMPLETION_ENTRIES, FormalContext, _generated_pairs, all_contexts, enumerate_pairs,
+    protoconcept_algebra,
 )
 from dbakit.fixtures import (
     boolean2, builtin_fixtures, cex_5ab, chain3, noncontextual4, singleton,
@@ -728,6 +731,59 @@ def test_alternating_systems_build_each_blocks_stack_once(fresh_families, fresh_
             out = run(capsys, "refute", goal, "--system", system, "--models", "contexts:3x3")[1]
             assert out.endswith("countermodel: none\n")
     assert len(built) == 21
+
+
+@pytest.mark.slow
+@pytest.mark.alone
+def test_the_largest_kept_families_build_each_blocks_stack_once(fresh_families, fresh_stacks,
+                                                                capsys, monkeypatch):
+    # contexts:3x4 and search:4, kept at once, their L and HL stacks all
+    # kept too: after the first round, alternating goals build no stack
+    built = _stacks_built(monkeypatch)
+    rounds = []
+    for _ in range(3):
+        for system, goal in (("L", "x => x"), ("HL", "x & X => X & x")):
+            for spec in ("contexts:3x4", "search:4"):
+                out = run(capsys, "refute", goal, "--system", system, "--models", spec)[1]
+                assert out.endswith("countermodel: none\n")
+        rounds.append(len(built))
+    assert rounds == [rounds[0]] * 3 and rounds[0] > 150
+    assert set(fresh_families.entries) == {("contexts", 3, 4), ("search", 4)}
+    assert len(fresh_stacks.entries) == rounds[0]
+
+
+def test_the_stacks_of_the_families_kept_at_once_fit_their_store():
+    # a family's L stacks are charged, block by block, their cells but at
+    # least the store's floor, and its HL stacks no more, as HL admits a
+    # part of each block.  Over every set of families that ``models`` keeps
+    # at once, the L stacks are charged at most half the store's bound
+    sizes_of = functools.cache(lambda g, m: [len(_generated_pairs(ctx, "protoconcept"))
+                                             for ctx in all_contexts(g, m)])
+    families = {"fixtures": [alg.n for _, alg in builtin_fixtures()]}
+    # the DBA23 models of each size: 3,845 of size 5 (models.py)
+    families.update((f"search:{n}", [n] * k) for n, k in enumerate((1, 8, 45, 352, 3845), 1))
+    for g in range(1, 9):
+        for m in range(1, 9):
+            try:  # counted as far as the limit only
+                models._context_cells("", g, m)
+            except BudgetError:
+                break  # and so for every wider shape
+            families[f"contexts:{g}x{m}"] = [n for ng in range(1, g + 1)
+                                             for nm in range(1, m + 1) for n in sizes_of(ng, nm)]
+    assert len(families) == 29
+
+    def charge(sizes, floor):
+        return sum(max(sum(n * n for n in sizes[i:i + logic._BLOCK]), floor)
+                   for i in range(0, len(sizes), logic._BLOCK))
+
+    kept = {spec: max(sum(n * n for n in sizes) if spec.startswith("contexts") else 0,
+                      models._FAMILIES.floor) for spec, sizes in families.items()}
+    stacks = {spec: charge(sizes, logic._STACKS.floor) for spec, sizes in families.items()}
+    most = max(sum(map(stacks.get, specs))
+               for r in range(1, models._FAMILIES.bound // models._FAMILIES.floor + 1)
+               for specs in combinations(families, r)
+               if sum(map(kept.get, specs)) <= models._FAMILIES.bound)
+    assert most == 4_072_903 <= logic._STACKS.bound // 2 == MAX_MODEL_CELLS
 
 
 @pytest.mark.alone

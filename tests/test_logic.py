@@ -926,7 +926,7 @@ def _without_the_collector(test):
 @pytest.mark.alone
 @_without_the_collector
 def test_a_refuted_algebra_is_freed_by_reference_counting(fresh_stacks):
-    # the stack is kept by the records of its block's tables: no algebra
+    # the stack is kept by its block's table keys: no algebra, no record
     goal = parse_hypersequent("x => x & y")
     b = boolean2()
     for block in (1, 2):
@@ -936,8 +936,9 @@ def test_a_refuted_algebra_is_freed_by_reference_counting(fresh_stacks):
         watched = [weakref.ref(a) for a in algs]
         del algs
         assert [r() for r in watched] == [None] * block
-    record = algebra._facts_of(b)
-    assert list(fresh_stacks.entries) == [("L", record), ("L", record, record)]
+    key = algebra._facts_of(b).key
+    assert list(fresh_stacks.entries) == [("L", key), ("L", key, key)]
+    assert type(key) is bytes
 
 
 def _stacks_built(monkeypatch):
@@ -986,11 +987,10 @@ def test_equal_tables_under_other_names_reuse_the_stacks(fresh_stacks, monkeypat
 @pytest.mark.alone
 def test_the_stacks_never_charge_more_than_their_bound(fresh_records, fresh_stacks, monkeypatch):
     # blocks of distinct table sets, each of one 64-element model and up to
-    # 63 small ones: a stack is charged its cells, each model at least a
-    # record's floor, and at least the store's floor; past the bound the
-    # least recently used go
+    # 63 small ones: a stack is charged its cells, but at least the store's
+    # floor; past the bound the least recently used go
     store = fresh_stacks
-    store.bound = 4 * store.floor
+    store.bound, store.floor = 1 << 14, 64 * 64
     goal = parse_hypersequent("x & y => y & x")
     big = protoconcept_algebra(_ctx([[1] * 3] * 3)).algebra
     small = {}
@@ -1008,7 +1008,8 @@ def test_the_stacks_never_charge_more_than_their_bound(fresh_records, fresh_stac
         for key, (stack, charge) in store.entries.items():
             sizes = np.diff(stack.offset, append=stack.row.size)
             assert len(key) == 1 + sizes.size and sizes[0] == big.n
-            assert charge == max(sum(max(n * n, algebra._FACTS.floor) for n in sizes), store.floor)
+            assert charge == max(sum(n * n for n in sizes), store.floor)
+    assert {charge for _, charge in store.entries.values()} != {store.floor}
     assert 1 < len(store.entries) < 12  # some were evicted
     # a stack charged past the bound is answered but not kept
     built = _stacks_built(monkeypatch)
