@@ -24,7 +24,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -97,10 +97,14 @@ class FiniteAlgebra:
             raise AlgebraError(f"{what} must have shape {shape}, got {got}")
         if arr.dtype.kind not in "iu":
             raise AlgebraError(f"{what} entries must be integers, got dtype {arr.dtype}")
+        if not isinstance(values, np.ndarray):  # numpy reads a bool among ints as 0 or 1
+            cells = chain.from_iterable(values) if len(shape) == 2 else values
+            if not {bool, np.bool_}.isdisjoint(map(type, cells)):
+                raise AlgebraError(f"{what} entries must be integers, got a bool")
         n = shape[0]
-        if arr.min() < 0 or arr.max() >= n:
-            raise AlgebraError(f"{what} entry out of range [0, {n})")
         arr = arr.astype(np.int64, copy=False)
+        if arr.view(np.uint64).max() >= n:  # one reduction: a negative entry reads as huge
+            raise AlgebraError(f"{what} entry out of range [0, {n})")
         arr.flags.writeable = False
         return arr
 
@@ -672,14 +676,18 @@ class SuiteReport:
     # computed once and kept outside the fields, so repr, == and pickle see
     # the verdicts only
     @functools.cached_property
-    def ok(self) -> bool:
-        return all(v.holds for v in self.verdicts)
+    def failures(self) -> tuple[EquationVerdict, ...]:
+        return tuple(v for v in self.verdicts if not v.holds)
 
-    def __reduce__(self):  # rebuilt through __init__, without the cached ``ok``
+    @functools.cached_property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def __reduce__(self):  # rebuilt through __init__, without the cached properties
         return SuiteReport, (self.suite_id, self.verdicts)
 
     def failing_ids(self) -> tuple[str, ...]:
-        return tuple(v.equation.id for v in self.verdicts if not v.holds)
+        return tuple(v.equation.id for v in self.failures)
 
     def witness(self, axiom_id: str):
         for v in self.verdicts:
@@ -862,8 +870,7 @@ def classify(alg: FiniteAlgebra) -> ClassificationReport:
     failures = tuple(
         (f"{rep.suite_id}:{v.equation.id}", v.witness)
         for rep in (r_dba, r_dcore)
-        for v in rep.verdicts
-        if not v.holds
+        for v in rep.failures
     )
     facts.classification = ClassificationReport(
         is_dba=r_dba.ok,
@@ -926,5 +933,5 @@ _CATALOG = AxiomSuite("CATALOG", CATALOG)  # built and hashed once
 
 def check_identity_catalog(alg: FiniteAlgebra):
     """Check every derived identity; returns (all verdicts, failing verdicts)."""
-    verdicts = _check_suites(alg, (_CATALOG,))[0].verdicts
-    return verdicts, tuple(v for v in verdicts if not v.holds)
+    report = _check_suites(alg, (_CATALOG,))[0]
+    return report.verdicts, report.failures

@@ -118,7 +118,7 @@ def cmd_check(args) -> tuple[int, str]:
     structured = [
         f"suite: {report.suite_id}",
         f"axioms: {len(report.verdicts)}",
-        f"failures: {len(report.failing_ids())}",
+        f"failures: {len(report.failures)}",
         f"pass: {str(report.ok).lower()}",
     ]
     return (0 if report.ok else 1), _emit(lines, structured)

@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import (
     FiniteAlgebra, QuasiOrder, _boolean_part, _flagged_order, _integer, is_boolean_algebra,
 )
-from .errors import ConstructionError
+from .errors import AlgebraError, ConstructionError
 
 
 class BooleanView:
@@ -91,9 +91,10 @@ class RetractionPair:
     e: tuple[int, ...]
 
     def __post_init__(self):
-        for name in ("r", "e"):
+        for name in ("r", "e"):  # a label is formatted for a non-int entry only
             object.__setattr__(self, name, tuple(
-                _index(v, f"{name}[{i}]") for i, v in enumerate(getattr(self, name))))
+                v if type(v) is int else _index(v, f"{name}[{i}]")
+                for i, v in enumerate(getattr(self, name))))
         if len(self.r) != self.carrier_size:
             raise ConstructionError(
                 f"r must have length {self.carrier_size}, got {len(self.r)}")
@@ -200,11 +201,22 @@ def canonical_pairs(alg: FiniteAlgebra):
     """The embedding-retraction pairs carried by a dBa itself: retract onto the
     meet/join idempotents by squaring, embed by inclusion.  Rebuilding from
     these pairs reproduces the original tables."""
-    p, cap, cap_pos = _boolean_part(alg, "meet")
-    q, cup, cup_pos = _boolean_part(alg, "join")
-    r, rp = cap_pos[alg.meet.diagonal()].tolist(), cup_pos[alg.join.diagonal()].tolist()
-    return (RetractionPair(alg.n, BooleanView(p), r, cap.tolist()),
-            RetractionPair(alg.n, BooleanView(q), rp, cup.tolist()))
+    return _pairs_along(alg, np.arange(alg.n), alg.n)
+
+
+def _pairs_along(alg: FiniteAlgebra, h: np.ndarray, size: int):
+    """``canonical_pairs`` moved along the onto map h (an index array) from
+    alg's elements to ``size`` points: r at k is r of any x with h[x] = k,
+    and e is h after e.  AlgebraError if r is not constant on a fibre of h."""
+    pairs = []
+    for side, t in (("meet", alg.meet), ("join", alg.join)):
+        part, carrier, pos = _boolean_part(alg, side)
+        r, moved = pos[t.diagonal()], np.full(size, -1)
+        moved[h] = r
+        if (moved[h] != r).any():
+            raise AlgebraError("representation retraction is not well defined")
+        pairs.append(RetractionPair(size, BooleanView(part), moved.tolist(), h[carrier].tolist()))
+    return tuple(pairs)
 
 
 def glued_sum(p: BooleanView, q: BooleanView) -> FiniteAlgebra:

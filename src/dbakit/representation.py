@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import FiniteAlgebra, _class_flags, passes, quasi_order
 from .constructions import (
-    RetractionPair, build_from_boolean_pair, canonical_pairs, check_theorem_conditions,
+    _pairs_along, build_from_boolean_pair, check_theorem_conditions,
 )
 from .errors import AlgebraError, BudgetError
 from .fca import FormalContext, _completions, _generated_pairs
@@ -46,10 +46,6 @@ class FilterSet:
     mask: int
     proper: bool
     primary: bool
-
-
-def _mask_of(members) -> int:
-    return sum(1 << x for x in set(members))
 
 
 def _closed(s: frozenset, table: np.ndarray, rel: np.ndarray) -> bool:
@@ -98,17 +94,6 @@ def _is_primary(alg: FiniteAlgebra, s: frozenset, kind: str) -> bool:
     return closed and all(x in s or comp[x] in s for x in range(alg.n))
 
 
-def _make_filterset(alg, kind, mask) -> FilterSet:
-    members = frozenset(x for x in range(alg.n) if mask >> x & 1)
-    return FilterSet(
-        kind=kind,
-        members=members,
-        mask=mask,
-        proper=len(members) != alg.n,
-        primary=_is_primary(alg, members, kind),
-    )
-
-
 def enumerate_primary(alg: FiniteAlgebra, kind: str) -> list[FilterSet]:
     """All primary filters (resp. ideals), ascending by member bitmask.
 
@@ -125,14 +110,16 @@ def enumerate_primary(alg: FiniteAlgebra, kind: str) -> list[FilterSet]:
         raise AlgebraError("primary filter/ideal enumeration requires a dBa")
     rel = quasi_order(alg).rel
     if kind == "filter":
-        t, up = alg.meet, rel.tolist()
+        t, up = alg.meet, rel
     else:  # dually: coatoms and downsets, through the converse order
-        t, up = alg.join, rel.T.tolist()
-    part = np.flatnonzero(t.diagonal() == np.arange(alg.n)).tolist()
-    # an atom has exactly one part element strictly below it: the part's bottom
-    atoms = [a for a in part if sum(up[b][a] for b in part if b != a) == 1]
-    masks = sorted(_mask_of(z for z, above in enumerate(up[a]) if above) for a in atoms)
-    return [_make_filterset(alg, kind, mask) for mask in masks]
+        t, up = alg.join, rel.T
+    part = np.flatnonzero(t.diagonal() == np.arange(alg.n))
+    # an atom has exactly two part elements at or below it: itself and the part's bottom
+    atoms = part[up[np.ix_(part, part)].sum(0) == 2]
+    rows = [np.flatnonzero(up[a]).tolist() for a in atoms]
+    sets = sorted((sum(1 << z for z in row), frozenset(row)) for row in rows)
+    return [FilterSet(kind, members, mask, len(members) != alg.n,
+                      _is_primary(alg, members, kind)) for mask, members in sets]
 
 
 @dataclass(frozen=True)
@@ -202,17 +189,6 @@ class RepresentationResult:
         return self.quasi_embedding and self.injective and self.surjective
 
 
-def _moved(pair: RetractionPair, h, size: int) -> RetractionPair:
-    """``pair`` moved onto the image along the onto map h: r at a pair is r of
-    any element mapped to it, and e is h after e."""
-    r = {}
-    for x, k in enumerate(h):
-        if r.setdefault(k, pair.r[x]) != pair.r[x]:
-            raise AlgebraError("representation retraction is not well defined")
-    return RetractionPair(size, pair.target, [r[k] for k in range(size)],
-                          [h[x] for x in pair.e])
-
-
 def _is_homomorphism(alg: FiniteAlgebra, f, meet, join, neg, opp, top, bot) -> bool:
     """The map x -> f[x] (an array) commutes with the four operations and
     sends alg's top and bottom to ``top`` and ``bot``.  The operations are
@@ -231,22 +207,23 @@ def _is_order_embedding(alg: FiniteAlgebra, leq) -> bool:
 def representation(alg: FiniteAlgebra) -> RepresentationResult:
     """Build the pair map x -> (F_x, I_x) and the image algebra, and record
     the homomorphism/order/injectivity verdicts.  The image is rebuilt from
-    the input's own map pairs (``canonical_pairs``) moved onto the pairs
-    through h."""
+    the input's own map pairs (``canonical_pairs``), moved onto the pairs
+    through h as they are built."""
     std = standard_context(alg, "delta")
     n = alg.n
-    f_masks = tuple(
-        sum(1 << k for k, f in enumerate(std.filters) if x in f.members)
-        for x in range(n))
-    i_masks = tuple(
-        sum(1 << k for k, i in enumerate(std.ideals) if x in i.members)
-        for x in range(n))
-    pair_of = lambda x: (f_masks[x], i_masks[x])
-    pairs = tuple(sorted(set(pair_of(x) for x in range(n))))
+    f_masks, i_masks = [0] * n, [0] * n
+    for masks, sets in ((f_masks, std.filters), (i_masks, std.ideals)):
+        for k, s in enumerate(sets):
+            for x in s.members:
+                masks[x] |= 1 << k
+    f_masks, i_masks = tuple(f_masks), tuple(i_masks)
+    pair_of = list(zip(f_masks, i_masks))
+    pairs = tuple(sorted(set(pair_of)))
     pair_index = {p: k for k, p in enumerate(pairs)}
-    h = tuple(pair_index[pair_of(x)] for x in range(n))
+    h = tuple(pair_index[p] for p in pair_of)
+    f = np.array(h)
 
-    p_pair, q_pair = (_moved(pair, h, len(pairs)) for pair in canonical_pairs(alg))
+    p_pair, q_pair = _pairs_along(alg, f, len(pairs))
     cond = check_theorem_conditions(len(pairs), p_pair, q_pair, "new")
     image = build_from_boolean_pair(
         len(pairs), p_pair, q_pair,
@@ -261,7 +238,6 @@ def representation(alg: FiniteAlgebra) -> RepresentationResult:
     res.image_is_dba = passes(image, "DBA23")
     res.parts_boolean = passes(res.meet_part, "BOOLEAN") and passes(res.join_part, "BOOLEAN")
 
-    f = np.array(h)
     fx, fy = f[:, None], f[None, :]
     res.homomorphism = _is_homomorphism(
         alg, f, image.meet[fx, fy], image.join[fx, fy], image.neg[f], image.opp[f],

@@ -71,6 +71,8 @@ def two_element(meet=((0, 1), (1, 1)), neg=(1, 0), top=1, bot=0):
     {"meet": [["0", "1"], ["1", "1"]]},
     {"meet": [[0, None], [1, 1]]},
     {"meet": np.array([[False, True], [True, True]])},
+    {"meet": [[0, True], [1, 1]]},
+    {"neg": [1, np.True_]},
     {"neg": [1.0, 0.0]},
     {"top": "1"},
     {"top": 1.0},
@@ -317,12 +319,27 @@ def test_a_reports_verdict_is_computed_once_and_kept_out_of_its_fields(monkeypat
     for alg, report in reports:
         unread = type(report)(report.suite_id, report.verdicts)
         assert report.ok == all(v.holds for v in report.verdicts) == passes(alg, report.suite_id)
-        assert vars(report)["ok"] is report.ok and "ok" not in vars(unread)
+        assert report.failures == tuple(v for v in report.verdicts if not v.holds)
+        for cached in ("ok", "failures"):
+            assert vars(report)[cached] is getattr(report, cached)
+            assert cached not in vars(unread)
         assert report == unread and repr(report) == repr(unread)
         assert pickle.dumps(report) == pickle.dumps(unread)
         back = pickle.loads(pickle.dumps(report))
-        assert back == report and "ok" not in vars(back) and back.ok == report.ok
+        assert back == report and "ok" not in vars(back) and "failures" not in vars(back)
+        assert (back.ok, back.failures) == (report.ok, report.failures)
     assert {report.ok for _, report in reports} == {True, False}
+
+
+def test_a_warm_catalog_check_returns_the_kept_failing_tuple():
+    failing = 0
+    for _, alg in builtin_fixtures():
+        verdicts, fails = check_identity_catalog(alg)
+        assert fails == tuple(v for v in verdicts if not v.holds)
+        again = check_identity_catalog(alg)
+        assert again[0] is verdicts and again[1] is fails
+        failing += bool(fails)
+    assert failing  # a nonempty tuple, not the shared empty one
 
 
 # --- one record of verdicts per table set ----------------------------------------

@@ -14,7 +14,7 @@ from dbakit.algebra import (
     FiniteAlgebra, classify, join_idempotents, meet_idempotents, passes, quasi_order,
 )
 from dbakit.constructions import (
-    BooleanView, RetractionPair, build_from_boolean_pair, canonical_pairs,
+    BooleanView, RetractionPair, _pairs_along, build_from_boolean_pair, canonical_pairs,
     check_theorem_conditions, generalized_glued_sum, glued_sum, powerset_boolean,
 )
 from dbakit.errors import AlgebraError, BudgetError
@@ -27,7 +27,7 @@ from dbakit.fixtures import (
 )
 from dbakit.representation import (
     ClopenCharacterization, RepresentationResult,
-    _is_homomorphism, _is_order_embedding, _make_filterset, _mask_of,
+    _is_homomorphism, _is_order_embedding,
     clopen_family, closed_set_family, enumerate_primary,
     is_filter, is_ideal, is_primary, representation, standard_context,
     verify_clopen_characterization, verify_clopen_sets,
@@ -35,7 +35,9 @@ from dbakit.representation import (
     verify_translated_continuity,
 )
 from dbakit.search import SearchSpec, enumerate_algebras
-from oracles import enumerate_primary_naive
+from oracles import (
+    _make_filterset, _mask_of, _moved, enumerate_primary_naive, representation_by_moved_pairs,
+)
 
 
 def dba_fixtures():
@@ -1041,8 +1043,9 @@ IMAGE_VERDICTS = ("homomorphism", "order_preserving_reflecting", "isomorphism",
 
 
 def _one_r_changed(alg):
-    """The algebra's map pairs with one r entry changed, off the image of e so
-    that r.e = id still holds: every side, element and value."""
+    """The algebra's map pairs on its elements with one r entry changed, off
+    the image of e so that r.e = id still holds: every side, element and
+    value."""
     pairs = canonical_pairs(alg)
     for side, pair in enumerate(pairs):
         for x in sorted(set(range(alg.n)) - set(pair.e)):
@@ -1083,7 +1086,8 @@ def test_every_recorded_verdict_fails_on_a_broken_construction(monkeypatch):
             flipped[route][v] += not getattr(bad, v)
 
     for pairs in _one_r_changed(alg):
-        monkeypatch.setattr(module, "canonical_pairs", lambda _alg, pairs=pairs: pairs)
+        monkeypatch.setattr(module, "_pairs_along", lambda _alg, h, size, pairs=pairs: tuple(
+            _moved(pair, h, size) for pair in pairs))
         record("r")
     monkeypatch.undo()
     for image in _one_meet_entry_changed(rep.image):
@@ -1105,10 +1109,84 @@ def test_retraction_must_be_constant_on_a_fibre(monkeypatch):
     r = list(p_pair.r)
     r[mid2] = next(v for v in range(p_pair.target.n) if v != r[mid2])
     broken = RetractionPair(alg.n, p_pair.target, r, p_pair.e)
-    monkeypatch.setattr(importlib.import_module("dbakit.representation"), "canonical_pairs",
-                        lambda _alg: (broken, q_pair))
+    monkeypatch.setattr(importlib.import_module("dbakit.representation"), "_pairs_along",
+                        lambda _alg, h, size: tuple(
+                            _moved(pair, h, size) for pair in (broken, q_pair)))
     with pytest.raises(AlgebraError, match="retraction is not well defined"):
         representation(alg)
+    # the transport itself: an h that merges two elements of different r
+    x, y = next((x, y) for x, y in itertools.combinations(range(alg.n), 2)
+                if p_pair.r[x] != p_pair.r[y])
+    h = np.arange(alg.n)
+    h[y] = x
+    h[h > y] -= 1
+    with pytest.raises(AlgebraError, match="representation retraction is not well defined"):
+        _pairs_along(alg, h, alg.n - 1)
+
+
+def _ci_context_algebras():
+    """The protoconcept algebras of CI's three represented contexts: 26, 85
+    and 178 elements."""
+    contexts = ("X...\n.X..\n..X.\n...X",
+                "X...X\n...XX\nXX...\n.X.X.\nX....\nX.XX.",
+                "XX.X.X\n..XX.X\nX.X...\n..XXX.\n.XX.XX\nXX.XXX\nXXXX..")
+    algebras = []
+    for rows in contexts:
+        inc = [[c == "X" for c in row] for row in rows.split()]
+        ctx = FormalContext([f"g{i}" for i in range(len(inc))],
+                            [f"m{i}" for i in range(len(inc[0]))], inc)
+        algebras.append(protoconcept_algebra(ctx).algebra)
+    assert [alg.n for alg in algebras] == [26, 85, 178]
+    return algebras
+
+
+def _corpus_algebras():
+    """The proto- and semiconcept algebras of at most 20 elements of every
+    fifth context up to 3x3, the ones the corpus benchmark represents."""
+    every = [ctx for g in (1, 2, 3) for m in (1, 2, 3) for ctx in all_contexts(g, m)][::5]
+    algebras = [protoconcept_algebra(ctx, kind).algebra
+                for ctx in every for kind in ("protoconcept", "semiconcept")]
+    return [alg for alg in algebras if alg.n <= 20]
+
+
+def test_representation_matches_the_moved_pairs_reference():
+    # every field, the standard context and every verifier's verdict agree
+    # with the pipeline that builds the map pairs on the elements and moves them
+    corpus = _corpus_algebras()
+    assert len(corpus) == 266
+    algebras = corpus + [alg for _, alg in dba_fixtures()] + _ci_context_algebras()
+    for alg in algebras:
+        rep, ref = representation(alg), representation_by_moved_pairs(alg)
+        for name in (f.name for f in dataclasses.fields(RepresentationResult)):
+            if name == "std":
+                for side in ("variant", "filters", "ideals"):
+                    assert getattr(rep.std, side) == getattr(ref.std, side)
+                a, b = rep.std.context, ref.std.context
+                assert (a.objects, a.attributes) == (b.objects, b.attributes)
+                assert (a.incidence == b.incidence).all()
+            elif isinstance(getattr(ref, name), FiniteAlgebra):
+                a, b = getattr(rep, name), getattr(ref, name)
+                assert (a.signature(), a.names) == (b.signature(), b.names), name
+            elif name != "_embedding":
+                assert getattr(rep, name) == getattr(ref, name), name
+        for verify in (verify_derivation_identities, verify_pair_embedding, verify_clopen_sets,
+                       verify_clopen_characterization, verify_translated_continuity):
+            assert verify(rep) == verify(ref), verify.__name__
+
+
+def test_one_representation_builds_two_map_pairs(monkeypatch):
+    # the map pairs are built once, on the pairs, and each is validated there
+    built, validate = [], RetractionPair.__post_init__
+
+    def counted(pair):
+        built.append(pair)
+        validate(pair)
+    monkeypatch.setattr(RetractionPair, "__post_init__", counted)
+    for alg in [alg for _, alg in dba_fixtures()] + _ci_context_algebras()[:1]:
+        built.clear()
+        rep = representation(alg)
+        assert [(pair.r, pair.e) for pair in built] == [(rep.r_map, rep.e_map),
+                                                         (rep.rp_map, rep.ep_map)]
 
 
 def test_the_pair_embedding_is_computed_once_per_result(monkeypatch):
