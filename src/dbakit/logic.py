@@ -80,10 +80,6 @@ class Hypersequent(tuple):
         return " ; ".join(map(str, self))
 
 
-def seq(ant: Term, suc: Term) -> Hypersequent:
-    return Hypersequent((Sequent(ant, suc),))
-
-
 def _system(system: str) -> str:
     """system, when it is "L" or "HL"; LogicError otherwise."""
     if system not in ("L", "HL"):

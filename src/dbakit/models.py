@@ -20,7 +20,10 @@ from .search import SearchSpec, iter_algebras
 # pairs before any table is built: 3x4 holds 2.93M; 2x6, 4x4 and 1x8 pass.
 # ``search:N`` reads the DBA23 models of size N as the refuter needs them,
 # but a goal with no countermodel reads all of them.  On a 2-core Intel
-# Xeon (Python 3.11) size 4 takes 0.7 s, size 5 (3,845 models) 20-26 s.
+# Xeon (Python 3.11) a one-shot refute without a countermodel takes 0.4 s at
+# size 4 and 3.2 s at size 5 (3,845 models).  Size 6 stays out: its 30 pins
+# with top != bot take about 5.8 s each, about 170 s in all, and it keeps
+# 46,026 algebras.
 MAX_MODEL_SEARCH_SIZE = 5
 
 

@@ -31,6 +31,15 @@ branching.  So the surviving assignments and their order are those of the
 search without propagation, and of a rescan of every instance at every node;
 only dead subtrees are cut earlier, and the number of nodes never rises.
 
+When the required suite is DBA23 or DCORE13 and no axiom must fail, the
+search also watches four implied identities of ``CATALOG`` (``_IMPLIED``).
+Holding on every model, they cut only dead subtrees.  Of the size-5 (4, 0)
+pin's 48,823 nodes, ``neg-meet-top`` (~x & T = ~x) and its dual
+``opp-join-bot`` leave 18,076, and ``bot-absorbs-meet`` (F & x = F) and its
+dual ``top-absorbs-join`` then 16,726; the (0, 0) pin reads 63, not 24,033.
+Exactness rests on their following from DCORE13, so far checked on finite
+models only.
+
 Each equation is compiled once, whatever the universe size, into one check
 of both sides (see ``_checker``), and an instance is that check with the
 tuple of its variables' values: evaluating an instance is one call, which
@@ -46,7 +55,7 @@ from itertools import product
 
 from .algebra import FiniteAlgebra, _integer, satisfies_equation
 from .errors import BudgetError, EvalError, SuiteError
-from .suites import get_suite
+from .suites import CATALOG, DBA23, DCORE13, get_suite
 from .terms import MAX_DEPTH, TABLE_NAMES, Const, Neg, Opp, Var, source
 
 # Size n has 2 + 2n + 2n**2 slots, and the partial tables give each slot
@@ -342,17 +351,24 @@ def _leaves(n, values, instances, summary: SearchSummary):
     summary.nodes, summary.forced = nodes, forced
 
 
+# consequences of DCORE13, watched next to DBA23 or DCORE13 (see above)
+_IMPLIED = tuple(e for e in CATALOG if e.id in (
+    "neg-meet-top", "opp-join-bot", "bot-absorbs-meet", "top-absorbs-join"))
+
+
 def _search(spec: SearchSpec, summary: SearchSummary):
     n, values = _checked(spec)
     wants = _wants(spec)
-    # ground instances of the prunable axioms: (checker, values in the
+    watched = [eqn for eqn, want in wants if want]
+    if not spec.must_fail and spec.require and get_suite(spec.require) in (DBA23, DCORE13):
+        watched += _IMPLIED
+    # ground instances of the watched equations: (checker, values in the
     # checker's variable order)
     instances = []
-    for eqn, want in wants:
-        if want:
-            vs = eqn.variables()
-            check = _checker(eqn.lhs, eqn.rhs, vs)
-            instances += [(check, vals) for vals in product(range(n), repeat=len(vs))]
+    for eqn in watched:
+        vs = eqn.variables()
+        check = _checker(eqn.lhs, eqn.rhs, vs)
+        instances += [(check, vals) for vals in product(range(n), repeat=len(vs))]
     fails = [(eqn, want) for eqn, want in wants if not want]
     return _models(spec, _leaves(n, values, instances, summary), fails, summary)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dbakit import algebra, logic
+from dbakit import algebra, logic, search
 
 
 @pytest.fixture()
@@ -25,3 +25,12 @@ def fresh_stacks(monkeypatch):
     store = algebra._LRU(logic._STACKS.bound, logic._STACKS.floor)
     monkeypatch.setattr(logic, "_STACKS", store)
     return store
+
+
+@pytest.fixture()
+def plain_search(monkeypatch):
+    """The model search without its implied identities (``search._IMPLIED``
+    emptied for the test): it watches the required suite's axioms alone, as
+    a test needs that checks what those identities assume, such as DCORE13
+    and DBA23 having the same models, or that pins the plain traversal."""
+    monkeypatch.setattr(search, "_IMPLIED", ())

@@ -26,7 +26,7 @@ from dbakit.fixtures import builtin_fixtures, get_fixture
 from dbakit.logic import (
     AXIOM_SCHEMAS, Sequent, check_proof, eval_sequent,
     falsifying_env, find_countermodel, fixture_proofs, is_true_in,
-    parse_hypersequent, parse_sequent, search_proof, seq,
+    parse_hypersequent, parse_sequent, search_proof,
 )
 from dbakit.representation import (
     representation, verify_clopen_characterization,
@@ -37,7 +37,7 @@ from dbakit.search import SearchSpec, enumerate_algebras
 from dbakit.suites import DBA23, DCORE13, GDCORE11
 from dbakit.terms import parse_term
 from oracles import naive_sweep
-from test_logic import _sq_premises, _substitute
+from test_logic import _sq_premises, _substitute, seq
 
 
 def report(n, elapsed, text):

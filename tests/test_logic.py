@@ -27,7 +27,7 @@ from dbakit.logic import (
     AXIOM_SCHEMAS, Hypersequent, ProofLine, ProofScript, Sequent, axiom_match,
     check_proof, eval_sequent, falsifying_env, find_countermodel, fixture_proofs,
     is_true_in, parse_hypersequent, parse_script, parse_sequent, render_script,
-    search_proof, seq,
+    search_proof,
 )
 from dbakit.terms import (
     BOT, MAX_DEPTH, TOP, Join, Meet, Neg, Opp, Term, Var, fold, parse_term, render, subterms,
@@ -39,6 +39,11 @@ from test_algebra import _relabelled, _Watched
 
 def _substitute(pattern: Term, binding: dict) -> Term:
     return fold(pattern, binding.__getitem__, TOP, BOT, Neg, Opp, Meet, Join)
+
+
+def seq(ant: Term, suc: Term) -> Hypersequent:
+    """The hypersequent of the one sequent ant => suc."""
+    return Hypersequent((Sequent(ant, suc),))
 
 
 def _sq_premises(phi: Term, psi: Term) -> tuple[Sequent, ...]:

@@ -25,7 +25,7 @@ from dbakit.search import (
     MAX_SEARCH_SIZE, SearchSpec, SearchSummary, _checker, _slots, candidate_count,
     enumerate_algebras, iter_algebras,
 )
-from dbakit.suites import DBA23, DCORE13, SUITES, get_suite
+from dbakit.suites import CATALOG, DBA23, DCORE13, SUITES, get_suite
 from dbakit.terms import MAX_DEPTH, AxiomSuite, Equation, Neg, Var, eq, source
 from oracles import naive_sweep
 
@@ -446,6 +446,51 @@ def test_node_counts_are_deterministic_and_propagation_fills_cells():
     assert enumerate_algebras(free).nodes == enumerate_algebras_rescan(free).nodes == 7
 
 
+# --- implied identities against the plain search ------------------------------
+
+_PRUNED_PINS = (
+    [SearchSpec(size=n, require=r, fixed_top=t, fixed_bot=b)
+     for r in ("DBA23", "DCORE13") for n in (1, 2, 3, 4) for t in range(n) for b in range(n)]
+    + [SearchSpec(size=5, require="DBA23", fixed_top=t, fixed_bot=0) for t in (4, 0)])
+
+
+def test_the_implied_identities_are_catalog_identities():
+    catalog = {e.id: e for e in CATALOG}
+    assert [e.id for e in search._IMPLIED] == [
+        "neg-meet-top", "opp-join-bot", "bot-absorbs-meet", "top-absorbs-join"]
+    for e in search._IMPLIED:
+        assert (e.lhs, e.rhs) == (catalog[e.id].lhs, catalog[e.id].rhs), e.id
+        assert len(e.variables()) == 1  # n ground instances each
+
+
+@pytest.mark.parametrize("spec", _PRUNED_PINS, ids=repr)
+def test_the_pruned_search_matches_the_plain_search(monkeypatch, spec):
+    implied = search._IMPLIED
+    pruned = enumerate_algebras(spec)
+    monkeypatch.setattr(search, "_IMPLIED", ())
+    plain = enumerate_algebras(spec)
+    assert _outcome(pruned) == _outcome(plain)
+    assert pruned.nodes <= plain.nodes
+    # exactness rests on the implied identities holding on every model of the
+    # plain search, which watches the suite alone
+    for alg in plain.found:
+        for e in implied:
+            assert satisfies_equation(alg, e).holds, (e.id, alg.signature())
+
+
+@pytest.mark.parametrize("spec", [
+    SearchSpec(size=2, require="DBA23", must_fail=("1a",)),
+    SearchSpec(size=2, require="DCORE13", must_fail=("5a", "5b")), SearchSpec(size=2)], ids=repr)
+def test_the_implied_identities_prune_only_without_must_fail(monkeypatch, spec):
+    # a must_fail axiom leaves the suite, so its consequences need not hold;
+    # GDCORE11, which lacks absorption, keeps its counts in test_labelled_census
+    summary = enumerate_algebras(spec)
+    monkeypatch.setattr(search, "_IMPLIED", ())
+    plain = enumerate_algebras(spec)
+    assert _outcome(summary) == _outcome(plain)
+    assert (summary.nodes, summary.forced) == (plain.nodes, plain.forced)
+
+
 # DBA23 between two equations without variables, constants on both sides:
 # each has one ground instance, blocked on the constants' slots
 _CONSTANT_SUITE = AxiomSuite(
@@ -516,11 +561,17 @@ def test_each_equation_is_compiled_once_for_every_size():
                                                 fixed_bot=0, max_models=1))
         assert summary.models == 1
     info = _checker.cache_info()
-    assert (info.misses, info.hits) == (len(DBA23), 2 * len(DBA23))
+    watched = len(DBA23) + len(search._IMPLIED)  # the suite's axioms and the implied identities
+    assert (info.misses, info.hits) == (watched, 2 * watched)
 
 
-def test_complete_size4_dcore_models_equal_the_dba_models():
+def test_complete_size4_dcore_models_equal_the_dba_models(monkeypatch):
     # the paper's equivalence of DCORE13 and DBA23, on every size-4 candidate
+    summary = enumerate_algebras(SearchSpec(size=4, require="DCORE13"))
+    assert _digest(summary) == SIZE4_DBA23_DIGEST
+    assert (summary.nodes, summary.forced) == (19_595, 18_095)  # pruned by _IMPLIED
+    # the plain search, which assumes no consequence of DCORE13
+    monkeypatch.setattr(search, "_IMPLIED", ())
     summary = enumerate_algebras(SearchSpec(size=4, require="DCORE13"))
     assert summary.complete
     assert summary.models == summary.candidates == 352
@@ -529,6 +580,7 @@ def test_complete_size4_dcore_models_equal_the_dba_models():
 
 
 @pytest.mark.slow
+@pytest.mark.usefixtures("plain_search")  # the equivalence is what the implied identities assume
 def test_size5_dcore_models_equal_the_dba_models_on_a_pin():
     # the same equivalence at size 5, on every candidate with top = e4 and
     # bot = e0 (any pin with top != bot has as many models; about 5 s)
@@ -584,16 +636,24 @@ def test_negative_budgets_are_rejected(engine, budget, value):
 
 # --- census -------------------------------------------------------------------
 
-@pytest.mark.parametrize("size, suite, models, nodes, forced", [
-    (2, "DBA23", 8, 97, 65), (2, "GDCORE11", 14, 164, 74), (3, "DBA23", 45, 1_129, 1_308),
-    (3, "GDCORE11", 315, 10_113, 6_389)])
-def test_labelled_census(size, suite, models, nodes, forced):
+# (nodes, forced) of the plain search and of the search pruned by _IMPLIED,
+# which GDCORE11 does not use
+@pytest.mark.parametrize("size, suite, models, plain, pruned", [
+    (2, "DBA23", 8, (97, 65), (97, 44)), (2, "GDCORE11", 14, (164, 74), (164, 74)),
+    (3, "DBA23", 45, (1_129, 1_308), (1_031, 624)),
+    (3, "DCORE13", 45, (2_111, 3_022), (1_269, 889)),
+    (3, "GDCORE11", 315, (10_113, 6_389), (10_113, 6_389))])
+def test_labelled_census(monkeypatch, size, suite, models, plain, pruned):
     summary = enumerate_algebras(SearchSpec(size=size, require=suite))
     assert summary.complete
     assert summary.models == models == len(summary.found)
     assert all(passes(alg, suite) for alg in summary.found)
     # the rescan only bounds the node count; this pins the traversal
-    assert (summary.nodes, summary.forced) == (nodes, forced)
+    assert (summary.nodes, summary.forced) == pruned
+    monkeypatch.setattr(search, "_IMPLIED", ())
+    again = enumerate_algebras(SearchSpec(size=size, require=suite))
+    assert [alg.signature() for alg in again.found] == [alg.signature() for alg in summary.found]
+    assert (again.nodes, again.forced) == plain
 
 
 # sha256 over repr(signature()) + "\n" of each model in order (the tables are
@@ -608,12 +668,35 @@ def _digest(summary):
     return digest.hexdigest()
 
 
-def test_complete_size4_dba_census_matches_the_recorded_digest():
+def test_complete_size4_dba_census_matches_the_recorded_digest(monkeypatch):
     summary = enumerate_algebras(SearchSpec(size=4, require="DBA23"))
     assert summary.complete
     assert summary.models == summary.candidates == 352
     assert _digest(summary) == SIZE4_DBA23_DIGEST
-    assert (summary.nodes, summary.forced) == (22_884, 50_083)  # see test_labelled_census
+    assert (summary.nodes, summary.forced) == (14_725, 10_016)  # see test_labelled_census
+    monkeypatch.setattr(search, "_IMPLIED", ())
+    plain = enumerate_algebras(SearchSpec(size=4, require="DBA23"))
+    assert _digest(plain) == SIZE4_DBA23_DIGEST
+    assert (plain.nodes, plain.forced) == (22_884, 50_083)
+
+
+# The plain search (without _IMPLIED) on the size-6 DBA23 pins (top, 0):
+# models, nodes and _digest, recorded once (115 s and 321 s on a 2-core Xeon)
+SIZE6_PLAIN = {
+    5: (1_534, 2_946_284, "c1066654051bcbb5c8a660427913752528a32a9a1b7883dd6dc506b5bac57e57"),
+    0: (1, 2_896_533, "6dee23a9ae728e8eb8140e8625eca254775b11ccd253c622f68e6dbca9cee671"),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("top", sorted(SIZE6_PLAIN))
+def test_size6_pruned_pins_match_the_recorded_plain_search(top):
+    # about 6 s for (5, 0) and nothing for (0, 0), against the recorded runs
+    summary = enumerate_algebras(SearchSpec(size=6, require="DBA23", fixed_top=top, fixed_bot=0))
+    models, nodes, digest = SIZE6_PLAIN[top]
+    assert summary.complete and summary.models == models
+    assert _digest(summary) == digest
+    assert summary.nodes <= nodes
 
 
 @pytest.mark.parametrize("engine", [enumerate_algebras, naive_sweep])
